@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import os
-import shlex
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -22,6 +21,7 @@ from typing import Optional
 
 from .context.bundle import PipBundle, load_bundle
 from .context.clock import FixedClock, SystemClock
+from .context.loader import split_record
 from .engine import PolicyDecisionPoint
 from .errors import FixtureError, LexgateError, ScenarioFormatError
 from .instant import format_instant, parse_instant
@@ -201,7 +201,10 @@ def parse_scenario(text: str) -> Scenario:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = shlex.split(line)
+        try:
+            tokens = split_record(line)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
         head, rest = tokens[0], tokens[1:]
         if head == "scenario":
             scenario.name = " ".join(rest)

@@ -99,6 +99,11 @@ def _better(a: TaskAssessment, b: TaskAssessment) -> TaskAssessment:
 class DiaryStore:
     def __init__(self, entries: Iterable[DiaryEntry], home_country: Optional[str] = None):
         self.entries = tuple(entries)
+        by_owner: dict[str, list[DiaryEntry]] = {}
+        for entry in self.entries:
+            by_owner.setdefault(entry.owner, []).append(entry)
+        # Each owner's entries in file order, so check_task reads only those.
+        self._by_owner = {owner: tuple(owned) for owner, owned in by_owner.items()}
         if home_country:
             for entry in self.entries:
                 if entry.expected_location.country != home_country and not entry.travel_authorized_by:
@@ -110,8 +115,8 @@ class DiaryStore:
     def entries_for(self, user: str, resource: str) -> tuple[DiaryEntry, ...]:
         return tuple(
             entry
-            for entry in self.entries
-            if entry.owner == user and resource in entry.planned_resources
+            for entry in self._by_owner.get(user, ())
+            if resource in entry.planned_resources
         )
 
     def check_task(

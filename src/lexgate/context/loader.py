@@ -1,15 +1,15 @@
 """Loaders for the plain-text fixture stores.
 
 Each store is a line-oriented file: blank lines and '#' comments are
-skipped, every other line is shlex-split into a record head plus key=value
-fields (quoting allows embedded spaces). docs/fixture-formats.md freezes
-the field lists.
+skipped, every other line is split into a record head plus key=value
+fields by split_record (POSIX shell quoting, so values may hold spaces).
+docs/fixture-formats.md freezes the field lists.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import shlex
+import re
 from pathlib import Path
 
 from ..errors import FixtureError
@@ -21,13 +21,53 @@ from .legal import LegalScope, LegalScopeRegistry
 from .resources import ResourceCatalog, ResourceRecord
 
 
+# A word runs up to the next space, tab, CR or LF outside quotes. Its pieces:
+# plain characters, a backslash escaping any next character, '...' taken
+# literally, or "..." in which a backslash escapes only a backslash or a
+# double quote and is kept before anything else.
+_WORD = re.compile(r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*")+""", re.DOTALL)
+# The escaped character, or the inside of a single- or double-quoted piece.
+_QUOTED = re.compile(r"""\\(.)|'([^']*)'|"([^"\\]*(?:\\.[^"\\]*)*)["]""", re.DOTALL)
+_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+_SEPARATORS = " \t\r\n"
+
+
+def _unquote(piece: re.Match) -> str:
+    escaped, single, double = piece.groups()
+    if escaped is not None:
+        return escaped
+    if single is not None:
+        return single
+    return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", double)
+
+
+def split_record(line: str) -> list[str]:
+    """Split one record line into words by the rules of shlex.split: POSIX
+    quoting, no comments. An unclosed quote raises ValueError("No closing
+    quotation"), a backslash at the very end ValueError("No escaped
+    character"), with the messages shlex gives."""
+    words = _WORD.findall(line)
+    # What no word took is separators, up to a quote or backslash that
+    # could not close; the rest of the line then lies inside it.
+    unclosed = _WORD.sub("", line).lstrip(_SEPARATORS)
+    if unclosed:
+        trailing_backslashes = len(line) - len(line.rstrip("\\"))
+        if unclosed[0] == "'" or trailing_backslashes % 2 == 0:
+            raise ValueError("No closing quotation")
+        raise ValueError("No escaped character")
+    return [
+        _QUOTED.sub(_unquote, word) if "'" in word or '"' in word or "\\" in word else word
+        for word in words
+    ]
+
+
 def _records(text: str, where: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            tokens = shlex.split(line)
+            tokens = split_record(line)
         except ValueError as exc:
             raise FixtureError(f"{where}:{line_no}: {exc}") from exc
         head, fields = tokens[0], {}

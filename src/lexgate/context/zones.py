@@ -9,16 +9,31 @@ places that scenarios can reference instead of raw coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..errors import FixtureError, PolicySyntaxError, PrecisionError, UnknownTerritoryError
 from ..model import GeoPoint
 from ..parsing.location_xml import LocationReport, ZoneKind
 from ..parsing.xmlread import XmlNode, parse_xml
-from .geometry import disc_polygon_relation, is_simple_polygon, point_in_polygon
+from .geometry import (
+    METERS_PER_DEGREE_LAT,
+    disc_polygon_relation,
+    is_simple_polygon,
+    point_in_polygon,
+)
 
 Polygon = tuple[GeoPoint, ...]
+# (min lat, min lon, max lat, max lon) of a polygon, padded outwards.
+Box = tuple[float, float, float, float]
+
+# Relative padding of boxes and disc half-widths. It is far above both
+# geometry._EPS (the on-edge tolerance) and float rounding in the polygon
+# tests, so a point outside a box can only be outside its polygon.
+_BOX_PAD = 1e-9
+# Below this |cos(lat)| a disc's east-west reach in degrees is not pruned.
+_MIN_COS_LAT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,6 +69,34 @@ class TerritoryNode:
     children: tuple["TerritoryNode", ...] = ()
 
 
+def _bounding_box(polygon: Polygon) -> Box:
+    lats = [vertex.lat for vertex in polygon]
+    lons = [vertex.lon for vertex in polygon]
+    pad = _BOX_PAD * (1.0 + max(map(abs, lats + lons)))
+    return (min(lats) - pad, min(lons) - pad, max(lats) + pad, max(lons) + pad)
+
+
+def _disc_reach(point: GeoPoint, radius_m: float) -> Box:
+    """The box an accuracy disc spans, in the local projection that
+    geometry._project uses; a little over, never under. A polygon whose box
+    lies beyond it is "outside" the disc. A NaN radius spans a NaN box,
+    beyond which nothing lies."""
+    radius = max(radius_m, 0.0) * (1.0 + _BOX_PAD)
+    half_lat = radius / METERS_PER_DEGREE_LAT
+    cos_lat = abs(math.cos(math.radians(point.lat)))
+    half_lon = radius / (METERS_PER_DEGREE_LAT * cos_lat) if cos_lat > _MIN_COS_LAT else math.inf
+    return (point.lat - half_lat, point.lon - half_lon, point.lat + half_lat, point.lon + half_lon)
+
+
+@dataclass(frozen=True)
+class _IndexedCountry:
+    """A country with the bounding boxes of its sub-polygons."""
+
+    node: TerritoryNode
+    restricted: tuple[tuple[Box, RestrictedArea], ...]
+    cities: tuple[tuple[Box, CityArea], ...]
+
+
 class ZoneTree:
     """Immutable territory hierarchy with point classification."""
 
@@ -66,6 +109,18 @@ class ZoneTree:
         for root in roots:
             self._index(root, ())
         self._validate()
+        # Boxes computed once here let resolve_location skip most polygons.
+        self._indexed = tuple(
+            (
+                _bounding_box(country.boundary),
+                _IndexedCountry(
+                    node=country,
+                    restricted=tuple((_bounding_box(a.polygon), a) for a in country.restricted),
+                    cities=tuple((_bounding_box(c.polygon), c) for c in country.cities),
+                ),
+            )
+            for country in self._countries
+        )
 
     def _index(self, node: TerritoryNode, ancestors: tuple[str, ...]) -> None:
         if node.id in self._by_id:
@@ -106,9 +161,6 @@ class ZoneTree:
             raise UnknownTerritoryError(f"no country {code!r} in the zone tree")
         return node
 
-    def territory(self, territory_id: str) -> Optional[TerritoryNode]:
-        return self._by_id.get(territory_id)
-
     def member_countries(self, territory_id: str) -> frozenset[str]:
         return frozenset(self._country_membership.get(territory_id, ()))
 
@@ -118,10 +170,6 @@ class ZoneTree:
             raise FixtureError(f"unknown place {name!r}")
         return entry
 
-    def iter_places(self) -> Iterator[Place]:
-        for place, _ in self._places.values():
-            yield place
-
 
 def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -> LocationReport:
     """Classify a position against the territory tree.
@@ -130,28 +178,37 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
     PrecisionError when the accuracy disc overlaps several countries
     (country=None) or straddles a restricted boundary (country set).
     """
-    containing = [c for c in zones.countries() if point_in_polygon(point, c.boundary)]
+    lat, lon = point.lat, point.lon
+    containing = [
+        entry
+        for (lat0, lon0, lat1, lon1), entry in zones._indexed
+        if lat0 <= lat <= lat1 and lon0 <= lon <= lon1 and point_in_polygon(point, entry.node.boundary)
+    ]
     if not containing:
         raise UnknownTerritoryError(
             f"no territory contains ({point.lat!r}, {point.lon!r})"
         )
     if len(containing) > 1:
-        ids = ", ".join(c.id for c in containing)
+        ids = ", ".join(entry.node.id for entry in containing)
         raise PrecisionError(f"point lies in several countries: {ids}")
-    country = containing[0]
+    located = containing[0]
+    country = located.node
+    south, west, north, east = _disc_reach(point, accuracy_radius)
 
     if accuracy_radius > 0:
-        for other in zones.countries():
-            if other.id == country.id:
+        for (lat0, lon0, lat1, lon1), other in zones._indexed:
+            if other is located or north < lat0 or south > lat1 or east < lon0 or west > lon1:
                 continue
-            if disc_polygon_relation(point, accuracy_radius, other.boundary) != "outside":
+            if disc_polygon_relation(point, accuracy_radius, other.node.boundary) != "outside":
                 raise PrecisionError(
                     f"accuracy disc of {accuracy_radius!r} m overlaps both "
-                    f"{country.id} and {other.id}"
+                    f"{country.id} and {other.node.id}"
                 )
 
     zone = ZoneKind.UNRESTRICTED
-    for area in country.restricted:
+    for (lat0, lon0, lat1, lon1), area in located.restricted:
+        if north < lat0 or south > lat1 or east < lon0 or west > lon1:
+            continue
         relation = disc_polygon_relation(point, accuracy_radius, area.polygon)
         if relation == "straddles":
             raise PrecisionError(
@@ -162,8 +219,8 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
             zone = ZoneKind.RESTRICTED
 
     city = ""
-    for city_area in country.cities:
-        if point_in_polygon(point, city_area.polygon):
+    for (lat0, lon0, lat1, lon1), city_area in located.cities:
+        if lat0 <= lat <= lat1 and lon0 <= lon <= lon1 and point_in_polygon(point, city_area.polygon):
             city = city_area.name
             break
 

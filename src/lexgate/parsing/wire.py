@@ -105,7 +105,10 @@ def _check_single_line(text: str, what: str) -> str:
 
 
 def _split_lines(data: bytes | str) -> list[str]:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"message is not UTF-8: {exc}") from exc
     lines = []
     for raw in text.splitlines():
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -311,6 +314,8 @@ def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireVie
             trace.append(TraceRecord(pieces[0], node_decision, reason))
         elif head == "view":
             pieces = rest.split(" ", 2)
+            if len(pieces) == 2:
+                pieces.append("")  # an empty payload, its separator stripped with the line
             if len(pieces) != 3:
                 raise WireFormatError(f"expected 'view <mode> <expires> <base64>' on line {line_no}")
             expires = None if pieces[1] == "-" else parse_instant(pieces[1])

@@ -107,9 +107,6 @@ class AuditLog:
     def records(self) -> tuple[AuditRecord, ...]:
         return tuple(self._records)
 
-    def replay_decisions(self) -> tuple[Decision, ...]:
-        return tuple(record.decision for record in self._records)
-
     def decision_digest(self) -> str:
         body = "\n".join(r.decision.value for r in self._records)
         return hashlib.sha256(body.encode("utf-8")).hexdigest()

@@ -1,0 +1,36 @@
+"""The benchmark in perfbench/ runs on every workload and checks out.
+
+Each workload runs untraced for 48 requests with a single set-up load and
+no timing gate: every response must match the expectation the generator
+derived without lexgate, and no request may fail (raise out of
+handle_request or grow the audit trail by other than one line).
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+REQUESTS = 48
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # run.py resolves the checkout from the working directory at import.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO)
+        spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("workload", ["pack-mix", "forest-600", "world-200", "reject-mix"])
+def test_workload_runs_correct_with_no_failures(bench, workload):
+    assert workload in bench.WORKLOADS
+    result = bench.run(workload, seed=1, seconds=0, trace=False, max_requests=REQUESTS,
+                       emit=lambda lines: None)
+    assert result["correct"], result
+    assert result["failed"] == 0, result["failed_kinds"]
+    assert result["attempted"] == REQUESTS

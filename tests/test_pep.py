@@ -1,6 +1,7 @@
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_bundle, wire_request
 from lexgate.engine import PolicyDecisionPoint
@@ -304,3 +305,44 @@ def test_trace_digest_is_stable():
 
     trace = (TraceRecord("a", Decision.PERMIT, "effect"),)
     assert trace_digest(trace) == trace_digest(tuple(trace))
+
+
+# -- the monitor boundary -----------------------------------------------------------
+
+
+def test_non_utf8_request_is_a_syntax_error_with_one_audit_record(policy_pack):
+    audit = AuditLog()
+    monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+    raw = wire_request(extra_lines=("resource note string caf\xe9",)).replace("\xe9".encode(), b"\xe9\xff")
+    response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    response, view = parse_response(response_bytes)
+    assert response.decision is Decision.INDETERMINATE
+    assert response.status == "syntax-error"
+    assert response.trace[0].reason.startswith("bad-request:message is not UTF-8")
+    assert view is None
+    assert audit.records() == (record,)
+
+
+_VALID_REQUEST = wire_request(resource="cust/4711/portfolio", point="47.37 8.54")
+
+
+@st.composite
+def _request_bytes(draw):
+    """Arbitrary bytes, or a valid request with arbitrary bytes spliced in."""
+    noise = draw(st.binary(max_size=64))
+    if draw(st.booleans()):
+        return noise
+    at = draw(st.integers(0, len(_VALID_REQUEST)))
+    cut = draw(st.integers(0, 8))
+    return _VALID_REQUEST[:at] + noise + _VALID_REQUEST[at + cut:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_request_bytes())
+def test_any_bytes_yield_a_response_and_exactly_one_audit_record(policy_pack, raw):
+    audit = AuditLog()
+    monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+    response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    response, _view = parse_response(response_bytes)
+    assert audit.records() == (record,)
+    assert record.decision is response.decision

@@ -118,6 +118,19 @@ def test_view_round_trips_with_payload_and_expiry():
     assert rebuilt_view == view
 
 
+def test_view_with_an_empty_payload_round_trips():
+    response = ResponseContext(Decision.PERMIT)
+    view = WireView(mode="cleartext", payload="")
+    data = serialize_response(response, view)
+    assert b"\nview cleartext - \n" in data
+    assert parse_response(data) == (response, view)
+
+
+def test_non_utf8_bytes_are_a_wire_format_error():
+    with pytest.raises(WireFormatError, match="not UTF-8"):
+        parse_request(b"request\nsubject user-id identifier caf\xe9\nend\n")
+
+
 def test_bad_lines_are_rejected():
     with pytest.raises(WireFormatError):
         parse_request(b"request\nsubject user-id mystery-type x\nend\n")
