@@ -8,7 +8,7 @@ the audit trail. `lexgate.cli` exposes all of it as a command line.
 """
 
 from .combining import CombinerRegistry, combine
-from .engine import FunctionRegistry, PolicyDecisionPoint, evaluate_with_tag_handling
+from .engine import FunctionRegistry, PolicyDecisionPoint
 from .errors import LexgateError
 from .model import (
     AttributeValue,
@@ -75,7 +75,6 @@ __all__ = [
     "Violation",
     "ZoneKind",
     "combine",
-    "evaluate_with_tag_handling",
     "parse_location_report",
     "parse_policy_document",
     "parse_request",

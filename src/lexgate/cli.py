@@ -19,9 +19,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .context.bundle import PipBundle, load_bundle
+from .context.bundle import STORE_FILES, PipBundle, load_bundle
 from .context.clock import FixedClock, SystemClock
-from .context.loader import split_record
+from .context.loader import read_utf8, split_record
 from .engine import PolicyDecisionPoint
 from .errors import FixtureError, LexgateError, ScenarioFormatError
 from .instant import format_instant, parse_instant
@@ -208,7 +208,7 @@ def parse_scenario(text: str) -> Scenario:
         head, rest = tokens[0], tokens[1:]
         if head == "scenario":
             scenario.name = " ".join(rest)
-        elif head in ("zones", "identities", "diary", "scopes", "resources"):
+        elif head in STORE_FILES:
             if len(rest) != 1:
                 raise ScenarioFormatError(f"line {line_no}: {head} needs one path")
             scenario.stores[head] = rest[0]
@@ -254,31 +254,6 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _scenario_bundle(scenario: Scenario, root: Path, clock: FixedClock) -> PipBundle:
-    from .context.bundle import LocationSupplier, organization_home
-    from .context.loader import load_diary, load_identities, load_resources, load_scopes
-    from .context.zones import load_zone_tree
-
-    def path_of(store: str, default: str) -> Path:
-        return root / scenario.stores.get(store, default)
-
-    zones = load_zone_tree(path_of("zones", "zones.xml").read_bytes())
-    identities = load_identities(path_of("identities", "identities.txt"))
-    scopes = load_scopes(path_of("scopes", "scopes.txt"))
-    home = organization_home(scopes)
-    diary = load_diary(path_of("diary", "diary.txt"), home_country=home)
-    resources_store = load_resources(path_of("resources", "resources.txt"), default_host=home)
-    return PipBundle(
-        zones=zones,
-        clock=clock,
-        location=LocationSupplier(zones, identities),
-        identities=identities,
-        diary=diary,
-        scopes=scopes,
-        resources=resources_store,
-    )
-
-
 def _step_request(step: ScenarioStep, pips: PipBundle) -> bytes:
     place, _territory = pips.zones.place(step.place)
     lines = [
@@ -298,7 +273,7 @@ def _step_request(step: ScenarioStep, pips: PipBundle) -> bytes:
 def cmd_scenario(args: argparse.Namespace) -> int:
     root = Path(args.fixtures) if args.fixtures else default_fixtures_root()
     try:
-        scenario = parse_scenario(Path(args.scenario).read_text())
+        scenario = parse_scenario(read_utf8(Path(args.scenario), ScenarioFormatError))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -312,7 +287,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     clock = FixedClock(scenario.steps[0].at)
     try:
-        pips = _scenario_bundle(scenario, root, clock)
+        pips = load_bundle(root, clock=clock, stores=scenario.stores)
         documents = load_policy_dir(root / scenario.policies)
     except (OSError, LexgateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,18 +107,33 @@ def organization_home(scopes: LegalScopeRegistry) -> Optional[str]:
     return states[0] if states else None
 
 
-def load_bundle(root: Path, clock: Optional[Clock] = None) -> PipBundle:
-    """Assemble a bundle from a fixtures directory (standard file names)."""
+# Store name -> standard file name under a fixtures root.
+STORE_FILES = {
+    "zones": "zones.xml",
+    "identities": "identities.txt",
+    "diary": "diary.txt",
+    "scopes": "scopes.txt",
+    "resources": "resources.txt",
+}
+
+
+def load_bundle(
+    root: Path, clock: Optional[Clock] = None, stores: Optional[dict[str, str]] = None
+) -> PipBundle:
+    """Assemble a bundle from a fixtures directory. `stores` maps a store
+    name of STORE_FILES to a path, relative to root, that replaces the
+    store's standard file name."""
     root = Path(root)
-    for name in ("zones.xml", "identities.txt", "diary.txt", "scopes.txt", "resources.txt"):
+    names = {store: (stores or {}).get(store, name) for store, name in STORE_FILES.items()}
+    for name in names.values():
         if not (root / name).exists():
             raise FixtureError(f"fixtures root {root} is missing {name}")
-    zones = load_zone_tree((root / "zones.xml").read_bytes())
-    identities = load_identities(root / "identities.txt")
-    scopes = load_scopes(root / "scopes.txt")
+    zones = load_zone_tree((root / names["zones"]).read_bytes())
+    identities = load_identities(root / names["identities"])
+    scopes = load_scopes(root / names["scopes"])
     home = organization_home(scopes)
-    diary = load_diary(root / "diary.txt", home_country=home)
-    resources = load_resources(root / "resources.txt", default_host=home)
+    diary = load_diary(root / names["diary"], home_country=home)
+    resources = load_resources(root / names["resources"], default_host=home)
     return PipBundle(
         zones=zones,
         clock=clock or SystemClock(),

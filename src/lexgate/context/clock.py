@@ -10,8 +10,6 @@ from __future__ import annotations
 import datetime as dt
 from typing import Protocol
 
-from ..parsing.location_xml import LocationReport
-
 
 class Clock(Protocol):
     def now_utc(self) -> dt.datetime: ...
@@ -35,9 +33,9 @@ class FixedClock:
         self._at = at if at.tzinfo else at.replace(tzinfo=dt.timezone.utc)
 
 
-def local_time(now_utc: dt.datetime, report: LocationReport) -> tuple[dt.date, dt.time]:
-    """Local date and time-of-day at the reported location."""
+def local_time(now_utc: dt.datetime, offset_hours: float) -> tuple[dt.date, dt.time]:
+    """Local date and time-of-day in a zone offset_hours ahead of UTC."""
     if now_utc.tzinfo is None:
         now_utc = now_utc.replace(tzinfo=dt.timezone.utc)
-    shifted = now_utc.astimezone(dt.timezone.utc) + dt.timedelta(hours=report.timezone_offset)
+    shifted = now_utc.astimezone(dt.timezone.utc) + dt.timedelta(hours=offset_hours)
     return shifted.date(), shifted.time()

@@ -21,9 +21,6 @@ class LegalScope:
     id: str
     kind: str
     parent_memberships: frozenset[str] = frozenset()
-    precedence_rank: int = 0
-    constraints: tuple[str, ...] = ()  # policy documents carrying this scope's rules
-    conditional_constraints: tuple[str, ...] = ()  # named predicates, e.g. signed agreements
 
     def __post_init__(self) -> None:
         if self.kind not in SCOPE_KINDS:
@@ -89,26 +86,11 @@ class LegalScopeRegistry:
             frontier.extend(self._scopes[current].parent_memberships)
         return frozenset(seen)
 
-    def select_legislation(
-        self, source: str, destination: str, organization: Optional[str] = None
-    ) -> frozenset[str]:
+    def select_legislation(self, source: str, destination: str) -> frozenset[str]:
         """All scope ids observed by a source->destination connection:
         the membership closures of both national scopes, plus the
         requesting organization's own scope."""
         scopes = self.closure(source) | self.closure(destination)
-        org = organization if organization is not None else self.organization
-        if org is not None:
-            self.get(org)
-            scopes |= {org}
+        if self.organization is not None:
+            scopes |= {self.organization}
         return scopes
-
-    def conditional_constraints_for(self, scope_ids: Iterable[str]) -> tuple[str, ...]:
-        names: list[str] = []
-        for scope_id in sorted(scope_ids):
-            scope = self._scopes.get(scope_id)
-            if scope is None:
-                continue
-            for name in scope.conditional_constraints:
-                if name not in names:
-                    names.append(name)
-        return tuple(names)

@@ -12,7 +12,7 @@ import datetime as dt
 import re
 from pathlib import Path
 
-from ..errors import FixtureError
+from ..errors import FixtureError, LexgateError
 from ..instant import parse_instant
 from ..model import GeoPoint
 from .diary import DiaryEntry, DiaryStore, ExpectedLocation, TimeRange
@@ -61,6 +61,17 @@ def split_record(line: str) -> list[str]:
     ]
 
 
+def read_utf8(path: Path, error: type[LexgateError] = FixtureError) -> str:
+    """The text of a UTF-8 file; other bytes raise `error` naming the file
+    and line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path.name}:{line_no}: not UTF-8 ({exc.reason})") from exc
+
+
 def _records(text: str, where: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -97,7 +108,7 @@ def load_identities(path: Path) -> IdentityRegistry:
     delegations: list[Delegation] = []
     positions: dict[str, GeoPoint] = {}
     where = path.name
-    for line_no, head, positional, fields in _records(path.read_text(), where):
+    for line_no, head, positional, fields in _records(read_utf8(path), where):
         try:
             if head in ("consultant", "customer", "supervisor", "supplier"):
                 if len(positional) != 1:
@@ -133,7 +144,7 @@ def load_identities(path: Path) -> IdentityRegistry:
 def load_diary(path: Path, home_country: str | None = None) -> DiaryStore:
     entries: list[DiaryEntry] = []
     where = path.name
-    for line_no, head, positional, fields in _records(path.read_text(), where):
+    for line_no, head, positional, fields in _records(read_utf8(path), where):
         if head != "entry":
             raise FixtureError(f"{where}:{line_no}: unknown record kind {head!r}")
         try:
@@ -168,7 +179,7 @@ def load_scopes(path: Path) -> LegalScopeRegistry:
     scopes: list[LegalScope] = []
     organization: str | None = None
     where = path.name
-    for line_no, head, positional, fields in _records(path.read_text(), where):
+    for line_no, head, positional, fields in _records(read_utf8(path), where):
         try:
             if head == "scope":
                 scopes.append(
@@ -176,9 +187,6 @@ def load_scopes(path: Path) -> LegalScopeRegistry:
                         id=fields["id"],
                         kind=fields["kind"],
                         parent_memberships=_split_ids(fields.get("member-of", "")),
-                        precedence_rank=int(fields.get("rank", "0")),
-                        constraints=tuple(_split_ids(fields.get("policies", ""))),
-                        conditional_constraints=tuple(_split_ids(fields.get("requires", ""))),
                     )
                 )
             elif head == "organization":
@@ -195,7 +203,7 @@ def load_scopes(path: Path) -> LegalScopeRegistry:
 def load_resources(path: Path, default_host: str | None = None) -> ResourceCatalog:
     records: list[ResourceRecord] = []
     where = path.name
-    for line_no, head, positional, fields in _records(path.read_text(), where):
+    for line_no, head, positional, fields in _records(read_utf8(path), where):
         if head != "resource":
             raise FixtureError(f"{where}:{line_no}: unknown record kind {head!r}")
         try:

@@ -235,6 +235,13 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
     )
 
 
+def _point(lat: str, lon: str, node: XmlNode) -> GeoPoint:
+    try:
+        return GeoPoint(float(lat), float(lon))
+    except ValueError as exc:
+        raise FixtureError(f"<{node.tag}>: {exc} (line {node.line})") from exc
+
+
 def _parse_polygon(node: XmlNode) -> Polygon:
     pos_list = node.find("posList")
     if pos_list is None:
@@ -242,8 +249,7 @@ def _parse_polygon(node: XmlNode) -> Polygon:
     numbers = pos_list.text.split()
     if len(numbers) < 6 or len(numbers) % 2:
         raise FixtureError(f"posList needs >= 3 'lat lon' pairs (line {pos_list.line})")
-    coords = [float(n) for n in numbers]
-    return tuple(GeoPoint(coords[i], coords[i + 1]) for i in range(0, len(coords), 2))
+    return tuple(_point(numbers[i], numbers[i + 1], pos_list) for i in range(0, len(numbers), 2))
 
 
 def _parse_territory(node: XmlNode) -> TerritoryNode:
@@ -264,7 +270,10 @@ def _parse_territory(node: XmlNode) -> TerritoryNode:
         if name_node is None or value_node is None:
             raise FixtureError(f"<timezone> needs <name> and <value> (line {tz_node.line})")
         tz_name = name_node.text.strip()
-        tz_offset = float(value_node.text.strip())
+        try:
+            tz_offset = float(value_node.text.strip())
+        except ValueError as exc:
+            raise FixtureError(f"<value>: {exc} (line {value_node.line})") from exc
 
     restricted = []
     for area_node in node.findall("restricted"):
@@ -297,7 +306,7 @@ def _parse_territory(node: XmlNode) -> TerritoryNode:
         places.append(
             Place(
                 name=place_node.attrs.get("name", ""),
-                point=GeoPoint(float(pieces[0]), float(pieces[1])),
+                point=_point(pieces[0], pieces[1], place_node),
             )
         )
 

@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 
 from .combining import CombinerRegistry
 from .context.bundle import PipBundle
+from .context.clock import local_time
 from .context.identity import ProximityToken
 from .errors import LexgateError, PrecisionError, UnknownCombinerError
 from .instant import parse_instant
@@ -70,6 +71,9 @@ RESOURCE_CONFIDENTIAL = "confidential"
 RESOURCE_CUSTOMER_RELATED = "customer-related"
 RESOURCE_HOST_COUNTRY = "host-country"
 RESOURCE_CATEGORY = "category"
+
+# The combiner over the document forest.
+TOP_COMBINER = "deny-overrides"
 
 
 class Applicability(Enum):
@@ -309,13 +313,9 @@ class PolicyDecisionPoint:
         self,
         functions: Optional[FunctionRegistry] = None,
         combiners: Optional[CombinerRegistry] = None,
-        top_combiner: str = "deny-overrides",
     ):
         self.functions = functions or FunctionRegistry()
         self.combiners = combiners or CombinerRegistry()
-        if top_combiner not in self.combiners:
-            raise ValueError(f"top-level combiner {top_combiner!r} is not registered")
-        self.top_combiner = top_combiner
 
     # -- context construction ---------------------------------------------
 
@@ -364,9 +364,9 @@ class PolicyDecisionPoint:
         elif precision_country is not None:
             tz_offset = pips.zones.country(precision_country).timezone_offset
         if tz_offset is not None:
-            shifted = now + dt.timedelta(hours=tz_offset)
-            ctx._put(Category.ENVIRONMENT, ENV_CURRENT_TIME, AttributeValue(DataType.TIME_OF_DAY, shifted.time()))
-            ctx._put(Category.ENVIRONMENT, ENV_CURRENT_DATE, AttributeValue(DataType.DATE, shifted.date()))
+            local_date, local_clock = local_time(now, tz_offset)
+            ctx._put(Category.ENVIRONMENT, ENV_CURRENT_TIME, AttributeValue(DataType.TIME_OF_DAY, local_clock))
+            ctx._put(Category.ENVIRONMENT, ENV_CURRENT_DATE, AttributeValue(DataType.DATE, local_date))
         if report is not None:
             ctx._put(Category.ENVIRONMENT, ENV_CURRENT_ZONE, AttributeValue(DataType.STRING, report.zone.value))
         ctx._put(Category.ENVIRONMENT, ENV_SOURCE_COUNTRY, AttributeValue(DataType.COUNTRY_CODE, source_country))
@@ -582,7 +582,7 @@ class PolicyDecisionPoint:
             )
             decisions = [self._evaluate_node(doc.root, ctx, visited) for doc in documents]
             pips.log.record("decide")
-            final = self.combiners.combine(self.top_combiner, decisions)
+            final = self.combiners.combine(TOP_COMBINER, decisions)
         except Exception as exc:  # PIP failures must not escape the boundary
             trace = tuple(TraceRecord(n.id, d, r) for n, d, r in visited)
             trace += (TraceRecord("<context>", Decision.INDETERMINATE, str(exc)),)
@@ -609,13 +609,3 @@ class PolicyDecisionPoint:
             obligations=tuple(obligations),
             trace=tuple(TraceRecord(n.id, d, r) for n, d, r in visited),
         )
-
-
-def evaluate_with_tag_handling(
-    engine: PolicyDecisionPoint,
-    mode: str,
-    documents: Sequence[PolicyDocument],
-    request: RequestContext,
-    pips: PipBundle,
-) -> ResponseContext:
-    return engine.evaluate(documents, request, pips, legislation_mode=mode)

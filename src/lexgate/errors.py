@@ -75,10 +75,6 @@ class UnknownCombinerError(LexgateError):
     """A combining algorithm id is not registered."""
 
 
-class AuthenticationError(LexgateError):
-    """Presented credentials failed verification."""
-
-
 class ObligationError(LexgateError):
     """An obligation could not be executed."""
 

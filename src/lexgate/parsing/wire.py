@@ -78,16 +78,6 @@ class RequestContext:
         value = self.first(Category.ACTION, ACTION_ID)
         return str(value.value) if value else None
 
-    def with_location(self, report: LocationReport) -> "RequestContext":
-        return RequestContext(
-            subject=self.subject,
-            resource=self.resource,
-            action=self.action,
-            environment=self.environment,
-            source_location=report,
-            destination_country=self.destination_country,
-        )
-
 
 @dataclass(frozen=True)
 class WireView:

@@ -87,14 +87,15 @@ def trace_digest(trace: Sequence[TraceRecord]) -> str:
 
 
 class AuditLog:
-    """Append-only, monotonically timestamped decision trail."""
+    """Append-only, monotonically timestamped decision trail. The records
+    go to the file; memory holds only the last timestamp written."""
 
     def __init__(self, path: Optional[Path] = None):
         self._path = path
-        self._records: list[AuditRecord] = []
+        self._last_at: Optional[dt.datetime] = None
 
     def append(self, record: AuditRecord) -> None:
-        if self._records and record.at < self._records[-1].at:
+        if self._last_at is not None and record.at < self._last_at:
             raise AuditError("audit timestamps must not decrease")
         if self._path is not None:
             try:
@@ -102,14 +103,7 @@ class AuditLog:
                     stream.write(record.to_line() + "\n")
             except OSError as exc:
                 raise AuditError(f"audit storage failed: {exc}") from exc
-        self._records.append(record)
-
-    def records(self) -> tuple[AuditRecord, ...]:
-        return tuple(self._records)
-
-    def decision_digest(self) -> str:
-        body = "\n".join(r.decision.value for r in self._records)
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        self._last_at = record.at
 
 
 def pseudonym(key: str, identifier: str) -> str:
@@ -190,14 +184,12 @@ class ReferenceMonitor:
         pips: PipBundle,
         audit: Optional[AuditLog] = None,
         pseudonym_key: Optional[str] = None,
-        legislation_mode: str = "aware",
     ):
         self.engine = engine
         self.documents = tuple(documents)
         self.pips = pips
         self.audit = audit or AuditLog()
         self.obligations = ObligationService(pseudonym_key)
-        self.legislation_mode = legislation_mode
 
     # -- helpers -------------------------------------------------------------
 
@@ -264,9 +256,7 @@ class ReferenceMonitor:
 
         # The decision point resolves the location snapshot itself (single
         # supplier query) and never raises past its boundary.
-        response = self.engine.evaluate(
-            self.documents, request, self.pips, legislation_mode=self.legislation_mode
-        )
+        response = self.engine.evaluate(self.documents, request, self.pips)
 
         log.record("obligations")
         view: Optional[DataView] = None

@@ -57,6 +57,16 @@ def test_validate_missing_directory_is_an_input_error(capsys, tmp_path):
     assert "not a directory" in err
 
 
+def test_validate_non_utf8_scopes_is_an_input_error(capsys, tmp_path, fixtures_root):
+    scopes = tmp_path / "scopes.txt"
+    scopes.write_bytes(b"scope id=EU kind=union note=caf\xe9\n")
+    code, _, err = run_cli(
+        capsys, "validate", str(fixtures_root / "policies"), "--scopes", str(scopes)
+    )
+    assert code == 2
+    assert "scopes.txt:1: not UTF-8" in err
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -171,6 +181,40 @@ def test_malformed_scenario_is_an_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scenario", str(scenario))
     assert code == 2
     assert "malformed scenario" in err
+
+
+def test_non_utf8_scenario_is_an_input_error(capsys, tmp_path):
+    scenario = tmp_path / "latin1.scenario"
+    scenario.write_bytes(b"scenario caf\xe9\n")
+    code, _, err = run_cli(capsys, "scenario", str(scenario))
+    assert code == 2
+    assert "malformed scenario: latin1.scenario:1: not UTF-8" in err
+
+
+def _fixtures_copy(fixtures_root, tmp_path):
+    root = tmp_path / "fixtures"
+    shutil.copytree(fixtures_root, root)
+    return root
+
+
+def test_scenario_store_override_is_loaded(capsys, fixtures_root, tmp_path):
+    root = _fixtures_copy(fixtures_root, tmp_path)
+    (root / "trip-diary.txt").write_bytes((root / "diary.txt").read_bytes())
+    (root / "diary.txt").write_text("not a diary record\n")  # read only if the override is ignored
+    scenario = tmp_path / "override.scenario"
+    scenario.write_text("diary trip-diary.txt\n" + (root / BORDER_TRIP).read_text())
+    code, out, err = run_cli(capsys, "scenario", str(scenario), "--fixtures", str(root))
+    assert (code, err) == (0, "")
+    assert "4 steps, 4 passed, 0 failed" in out
+
+
+def test_missing_scenario_store_override_is_an_input_error(capsys, fixtures_root, tmp_path):
+    root = _fixtures_copy(fixtures_root, tmp_path)
+    scenario = tmp_path / "override.scenario"
+    scenario.write_text("diary absent-diary.txt\n" + (root / BORDER_TRIP).read_text())
+    code, _, err = run_cli(capsys, "scenario", str(scenario), "--fixtures", str(root))
+    assert code == 2
+    assert "missing absent-diary.txt" in err
 
 
 def test_scenario_steps_must_be_clock_monotone():

@@ -1,38 +1,25 @@
 import datetime as dt
 
 from lexgate.context.clock import FixedClock, local_time
-from lexgate.model import GeoPoint
-from lexgate.parsing.location_xml import LocationReport, ZoneKind
-
-
-def _report(offset: float) -> LocationReport:
-    return LocationReport(
-        country="JP" if offset > 0 else "GB",
-        city="",
-        zone=ZoneKind.UNRESTRICTED,
-        timezone_name="X",
-        timezone_offset=offset,
-        point=GeoPoint(0.0, 100.0),
-    )
 
 
 def test_zero_offset_is_identity():
-    date, time = local_time(dt.datetime(2026, 3, 10, 12, 0, tzinfo=dt.timezone.utc), _report(0))
+    date, time = local_time(dt.datetime(2026, 3, 10, 12, 0, tzinfo=dt.timezone.utc), 0)
     assert (date, time) == (dt.date(2026, 3, 10), dt.time(12, 0))
 
 
 def test_positive_offset_shifts_forward():
-    date, time = local_time(dt.datetime(2026, 3, 10, 12, 0, tzinfo=dt.timezone.utc), _report(9))
+    date, time = local_time(dt.datetime(2026, 3, 10, 12, 0, tzinfo=dt.timezone.utc), 9)
     assert (date, time) == (dt.date(2026, 3, 10), dt.time(21, 0))
 
 
 def test_negative_offset_wraps_to_previous_local_date():
-    date, time = local_time(dt.datetime(2026, 3, 10, 2, 0, tzinfo=dt.timezone.utc), _report(-5))
+    date, time = local_time(dt.datetime(2026, 3, 10, 2, 0, tzinfo=dt.timezone.utc), -5)
     assert (date, time) == (dt.date(2026, 3, 9), dt.time(21, 0))
 
 
 def test_quarter_hour_offsets_are_supported():
-    date, time = local_time(dt.datetime(2026, 3, 10, 12, 0, tzinfo=dt.timezone.utc), _report(5.75))
+    date, time = local_time(dt.datetime(2026, 3, 10, 12, 0, tzinfo=dt.timezone.utc), 5.75)
     assert (date, time) == (dt.date(2026, 3, 10), dt.time(17, 45))
 
 

@@ -8,7 +8,6 @@ from lexgate.engine import (
     EvaluationContext,
     FunctionRegistry,
     PolicyDecisionPoint,
-    evaluate_with_tag_handling,
 )
 from lexgate.model import (
     Decision,
@@ -388,11 +387,3 @@ def test_duplicate_function_registration_is_rejected():
     registry = FunctionRegistry()
     with pytest.raises(ValueError):
         registry.register("function:and", lambda ctx, args: True)
-
-
-def test_evaluate_with_tag_handling_wrapper(engine):
-    request = parse_request(wire_request(point=LONDON_POINT))
-    response = evaluate_with_tag_handling(
-        engine, "ignore-tags", [_fr_tagged_deny()], request, make_bundle(NOON)
-    )
-    assert response.decision is Decision.DENY

@@ -67,11 +67,6 @@ def test_undeclared_parent_is_rejected():
         LegalScopeRegistry([LegalScope("A", "state", frozenset({"ghost"}))])
 
 
-def test_conditional_constraints_surface(registry):
-    assert registry.conditional_constraints_for(["org:bank"]) == ("customer-agreement-signed",)
-    assert registry.conditional_constraints_for(["LU"]) == ()
-
-
 # -- properties over random membership DAGs ----------------------------------
 
 _scope_names = [f"s{i}" for i in range(8)]

@@ -1,13 +1,17 @@
-"""Record splitting for the line-oriented fixture stores and scenarios."""
+"""Record splitting for the line-oriented fixture stores and scenarios, and
+the store loaders on damaged input."""
 
 import shlex
+import shutil
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexgate.cli import parse_scenario
+from lexgate.context.bundle import STORE_FILES, load_bundle
 from lexgate.context.loader import load_diary, split_record
-from lexgate.errors import FixtureError, ScenarioFormatError
+from lexgate.context.zones import load_zone_tree
+from lexgate.errors import FixtureError, LexgateError, ScenarioFormatError
 
 # Quotes, backslashes, the separators and other whitespace, key=value and
 # comment characters, letters and non-ASCII.
@@ -52,3 +56,55 @@ def test_scenario_lines_use_the_same_quoting():
     assert scenario.pseudonym_key == "k 1"
     with pytest.raises(ScenarioFormatError, match="line 2: No escaped character"):
         parse_scenario("scenario trip\nstep at=x\\")
+
+
+# -- any bytes in a store line --------------------------------------------------
+
+@pytest.fixture(scope="module")
+def store_root(fixtures_root, tmp_path_factory):
+    root = tmp_path_factory.mktemp("stores")
+    for name in STORE_FILES.values():
+        shutil.copy(fixtures_root / name, root / name)
+    return root
+
+
+# Arbitrary bytes, or a few of the characters the store syntaxes give meaning to.
+_splices = st.one_of(
+    st.binary(max_size=12),
+    st.text(alphabet=" \t\n'\"\\=,.-:<>/x09é", max_size=8).map(str.encode),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("store", STORE_FILES)
+def test_bytes_spliced_into_a_store_line_raise_only_lexgate_errors(store_root, store, data):
+    lines = (store_root / STORE_FILES[store]).read_bytes().splitlines(keepends=True)
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[index]
+    at = data.draw(st.integers(0, len(line)), label="at")
+    cut = data.draw(st.integers(0, 8), label="cut")
+    lines[index] = line[:at] + data.draw(_splices, label="splice") + line[at + cut:]
+    (store_root / f"fuzzed-{store}").write_bytes(b"".join(lines))
+    try:
+        load_bundle(store_root, stores={store: f"fuzzed-{store}"})
+    except LexgateError:
+        pass
+
+
+def test_non_utf8_store_names_file_and_line(tmp_path):
+    path = tmp_path / "diary.txt"
+    path.write_bytes(b"# header\nentry owner=caf\xe9\n")
+    with pytest.raises(FixtureError, match=r"diary.txt:2: not UTF-8"):
+        load_diary(path)
+
+
+@pytest.mark.parametrize(
+    "prefix, message",
+    [("x", "could not convert string to float"), ("9", "latitude out of range")],
+)
+def test_bad_zone_coordinates_name_the_line(fixtures_root, prefix, message):
+    text = (fixtures_root / "zones.xml").read_text()
+    line_no = text.count("\n", 0, text.index("<posList>")) + 1
+    with pytest.raises(FixtureError, match=rf"<posList>: {message}.*\(line {line_no}\)"):
+        load_zone_tree(text.replace("<posList>", "<posList>" + prefix, 1))
