@@ -27,11 +27,16 @@ POSITION_ACCURACY = "position-accuracy"
 
 
 class InteractionLog:
-    """Append-only record of component interactions for one request."""
+    """The component interactions of the current request, plus a running
+    count of decision-point calls."""
 
     def __init__(self) -> None:
         self.events: list[str] = []
         self.pdp_calls = 0
+
+    def start_request(self) -> None:
+        """Forget the previous request's events; pdp_calls keeps counting."""
+        self.events.clear()
 
     def record(self, event: str) -> None:
         self.events.append(event)

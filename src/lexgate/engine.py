@@ -25,7 +25,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .combining import CombinerRegistry
 from .context.bundle import PipBundle
@@ -74,6 +74,8 @@ RESOURCE_CATEGORY = "category"
 
 # The combiner over the document forest.
 TOP_COMBINER = "deny-overrides"
+
+_STRING_EQUAL = "function:string-equal"
 
 
 class Applicability(Enum):
@@ -466,21 +468,14 @@ class PolicyDecisionPoint:
             and node.legislation is not None
             and not (node.legislation & ctx.applicable_scopes)
         ):
-            scopes = ",".join(sorted(node.legislation))
-            return Applicability.NOT_APPLICABLE, f"legislation-scope-miss:{scopes}"
+            return Applicability.NOT_APPLICABLE, _legislation_miss(node.legislation)
 
-        target: Target = node.target
-        for category, clauses in (
-            (Category.SUBJECT, target.subjects),
-            (Category.RESOURCE, target.resources),
-            (Category.ACTION, target.actions),
-            (Category.ENVIRONMENT, target.environments),
-        ):
+        for category, clauses in _sections(node.target):
             if not clauses:
                 continue
             try:
                 if not any(self._match_clause(c, category, ctx) for c in clauses):
-                    return Applicability.NOT_APPLICABLE, f"target-no-match:{category.value}"
+                    return Applicability.NOT_APPLICABLE, _target_miss(category)
             except _EvalError as exc:
                 ctx.note_error(exc.status)
                 return Applicability.INDETERMINATE, f"target-error:{exc}"
@@ -563,16 +558,22 @@ class PolicyDecisionPoint:
 
     def evaluate(
         self,
-        documents: Sequence[PolicyDocument],
+        documents: Union["CompiledForest", Sequence[PolicyDocument]],
         request: RequestContext,
         pips: PipBundle,
         *,
         legislation_mode: str = "aware",
     ) -> ResponseContext:
-        """Evaluate the document forest; never raises past this boundary."""
+        """Evaluate the document forest; never raises past this boundary.
+        A plain document sequence is compiled on entry."""
         if legislation_mode not in ("aware", "ignore-tags"):
             raise ValueError(f"unknown legislation mode {legislation_mode!r}")
+        forest = documents if isinstance(documents, CompiledForest) else CompiledForest(documents)
         pips.log.pdp_entered()
+        # The trace is built in document order; `current` holds the records
+        # of the document being walked, `visited` those of every walked one.
+        trace: list[TraceRecord] = []
+        current: list[tuple[PolicyNode, Decision, str]] = []
         visited: list[tuple[PolicyNode, Decision, str]] = []
         try:
             ctx = self._build_context(request, pips, legislation_mode)
@@ -580,14 +581,25 @@ class PolicyDecisionPoint:
             ctx.applicable_scopes = pips.scopes.select_legislation(
                 ctx.source_country, ctx.destination_country
             )
-            decisions = [self._evaluate_node(doc.root, ctx, visited) for doc in documents]
+            screened, walk = forest.plan(ctx)
+            decisions = []  # NotApplicable is the identity of the top combiner
+            start = 0
+            for index in walk:
+                trace += screened[start:index]
+                decision = self._evaluate_node(forest.roots[index], ctx, current)
+                trace += [TraceRecord(n.id, d, r) for n, d, r in current]
+                visited += current
+                current, start = [], index + 1
+                if decision is not Decision.NOT_APPLICABLE:
+                    decisions.append(decision)
+            trace += screened[start:]
             pips.log.record("decide")
             final = self.combiners.combine(TOP_COMBINER, decisions)
         except Exception as exc:  # PIP failures must not escape the boundary
-            trace = tuple(TraceRecord(n.id, d, r) for n, d, r in visited)
-            trace += (TraceRecord("<context>", Decision.INDETERMINATE, str(exc)),)
+            trace += [TraceRecord(n.id, d, r) for n, d, r in current]
+            trace.append(TraceRecord("<context>", Decision.INDETERMINATE, str(exc)))
             return ResponseContext(
-                Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, (), trace
+                Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, (), tuple(trace)
             )
 
         obligations: list[Obligation] = []
@@ -607,5 +619,127 @@ class PolicyDecisionPoint:
             decision=final,
             status=status,
             obligations=tuple(obligations),
-            trace=tuple(TraceRecord(n.id, d, r) for n, d, r in visited),
+            trace=tuple(trace),
         )
+
+
+# -- the compiled forest -----------------------------------------------------------
+
+
+def _sections(target: Target) -> tuple[tuple[Category, tuple[MatchClause, ...]], ...]:
+    """The four clause lists in the order applicability checks them."""
+    return (
+        (Category.SUBJECT, target.subjects),
+        (Category.RESOURCE, target.resources),
+        (Category.ACTION, target.actions),
+        (Category.ENVIRONMENT, target.environments),
+    )
+
+
+def _legislation_miss(legislation: frozenset[str]) -> str:
+    return "legislation-scope-miss:" + ",".join(sorted(legislation))
+
+
+def _target_miss(category: Category) -> str:
+    return f"target-no-match:{category.value}"
+
+
+def _literal_key(target: Target) -> Optional[tuple[Category, str, str]]:
+    """(category, attribute, literal) when the first non-empty clause list
+    is one string-equal clause on a string literal, else None."""
+    for category, clauses in _sections(target):
+        if not clauses:
+            continue
+        if len(clauses) != 1:
+            return None
+        clause = clauses[0]
+        if clause.match_function != _STRING_EQUAL or not isinstance(clause.literal.value, str):
+            return None
+        return category, clause.attribute_id, clause.literal.value
+    return None
+
+
+def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
+    """The bag's payloads when every one is a string, else None: string-equal
+    raises on any other payload, so only an all-string bag can be screened."""
+    payloads = [value.value for value in bag]
+    if all(isinstance(payload, str) for payload in payloads):
+        return payloads
+    return None
+
+
+class CompiledForest:
+    """The document forest, compiled once at load time so that per-request
+    work follows the applicable documents rather than the forest's size
+    (the XEngine idea: Liu, Chen, Hwang and Xie, SIGMETRICS 2008).
+
+    A document is walked only when its root's legislation set meets the
+    request's scopes (every document is, under ignore-tags) and, if its
+    root target opens with a single string-equal clause on a string
+    literal, the request's bag for that attribute holds the literal or a
+    value that is not a string. Any other document would evaluate to its
+    root's NotApplicable record alone, so it contributes that record,
+    built here once, and the trace stays the one a full walk produces.
+    """
+
+    def __init__(self, documents: Iterable[PolicyDocument]):
+        self.roots = tuple(document.root for document in documents)
+        keys = [_literal_key(root.target) for root in self.roots]
+        # Per document: the record of a legislation miss (None when the root
+        # is untagged) and of a miss on the literal key (None without one).
+        self.legislation_misses = tuple(
+            None if root.legislation is None
+            else TraceRecord(root.id, Decision.NOT_APPLICABLE, _legislation_miss(root.legislation))
+            for root in self.roots
+        )
+        self.target_misses = tuple(
+            None if key is None
+            else TraceRecord(root.id, Decision.NOT_APPLICABLE, _target_miss(key[0]))
+            for root, key in zip(self.roots, keys)
+        )
+        self.everything = frozenset(range(len(self.roots)))
+        self.untagged = frozenset(i for i, root in enumerate(self.roots) if root.legislation is None)
+        by_scope: dict[str, set[int]] = {}
+        for index, root in enumerate(self.roots):
+            for scope in root.legislation or ():
+                by_scope.setdefault(scope, set()).add(index)
+        self.by_scope = {scope: frozenset(indices) for scope, indices in by_scope.items()}
+        # Literal keys: the documents without one, and per keyed attribute
+        # all its documents and its documents by literal.
+        self.unkeyed = frozenset(i for i, key in enumerate(keys) if key is None)
+        by_literal: dict[tuple[Category, str], dict[str, set[int]]] = {}
+        for index, key in enumerate(keys):
+            if key is not None:
+                category, attribute_id, literal = key
+                by_literal.setdefault((category, attribute_id), {}).setdefault(literal, set()).add(index)
+        self.selectors = tuple(
+            (category, attribute_id, frozenset().union(*literals.values()),
+             {literal: frozenset(indices) for literal, indices in literals.items()})
+            for (category, attribute_id), literals in by_literal.items()
+        )
+
+    def plan(self, ctx: EvaluationContext) -> tuple[list[Optional[TraceRecord]], list[int]]:
+        """(the record of each screened document by position, the documents
+        to walk in document order)."""
+        if ctx.legislation_mode == "ignore-tags":
+            candidates = self.everything
+        else:
+            candidates = set(self.untagged)
+            for scope in ctx.applicable_scopes:
+                bucket = self.by_scope.get(scope)
+                if bucket:
+                    candidates |= bucket
+        matching = set(self.unkeyed)
+        for category, attribute_id, keyed, by_literal in self.selectors:
+            payloads = _string_payloads(ctx.bag(category, attribute_id))
+            if payloads is None:
+                matching |= keyed
+                continue
+            for payload in payloads:
+                documents = by_literal.get(payload)
+                if documents:
+                    matching |= documents
+        screened = list(self.legislation_misses)
+        for index in candidates - matching:
+            screened[index] = self.target_misses[index]
+        return screened, sorted(candidates & matching)

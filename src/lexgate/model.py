@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -217,9 +217,25 @@ class PolicyDocument:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One visited node. Its audit digest text and its wire line are
+    rendered once, when the record is built: a compiled forest builds its
+    shared NotApplicable records at load time, and every response and
+    audit digest that carries them reuses the strings."""
+
     node_id: str
     decision: Decision
     reason: str
+    # "<node> <decision> <reason>": the line pep.trace_digest hashes.
+    digest_text: str = field(init=False, repr=False, compare=False)
+    # "trace <node> <decision> [reason]" (docs/wire-format.md); None when
+    # the reason spans lines, which the wire format cannot carry.
+    wire_line: Optional[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        text = f"{self.node_id} {self.decision.value} {self.reason}"
+        object.__setattr__(self, "digest_text", text)
+        single_line = "\n" not in self.reason and "\r" not in self.reason
+        object.__setattr__(self, "wire_line", f"trace {text}".rstrip() if single_line else None)
 
 
 @dataclass(frozen=True)

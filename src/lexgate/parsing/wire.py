@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import datetime as dt
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,7 @@ CURRENT_POSITION = "current-position"
 PROXIMITY_TOKEN = "proximity-token"
 
 _CATEGORIES = {c.value: c for c in Category}
+_WIRE_LINE = operator.attrgetter("wire_line")
 _TYPES = {t.value: t for t in DataType}
 
 
@@ -235,15 +237,20 @@ def serialize_response(response: ResponseContext, view: Optional[WireView] = Non
         for name, value in ob.parameters:
             text = _check_single_line(format_typed_value(value), "obligation parameter")
             out.append(f"param {name} {value.data_type.value} {text}".rstrip())
-    for record in response.trace:
-        reason = _check_single_line(record.reason, "trace reason")
-        out.append(f"trace {record.node_id} {record.decision.value} {reason}".rstrip())
+    out.extend(map(_WIRE_LINE, response.trace))
     if view is not None:
         expires = format_instant(view.expires_at) if view.expires_at else "-"
         payload = base64.b64encode(str(view.payload).encode("utf-8")).decode("ascii")
         out.append(f"view {view.mode} {expires} {payload}")
     out.append("end")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    try:
+        text = "\n".join(out)
+    except TypeError:
+        # A trace record whose reason spans lines has no wire line.
+        for record in response.trace:
+            _check_single_line(record.reason, "trace reason")
+        raise
+    return (text + "\n").encode("utf-8")
 
 
 def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireView]]:

@@ -90,6 +90,14 @@ def parse_xml(data: bytes | str) -> XmlNode:
             path="/".join(n.tag for n in stack) or "/",
             line=exc.lineno,
         ) from exc
+    except (LookupError, ValueError) as exc:
+        # expat raises these for the encoding an XML declaration names: an
+        # unknown codec, or a multi-byte one it cannot decode.
+        raise PolicySyntaxError(
+            f"unsupported encoding: {exc}",
+            path="/".join(n.tag for n in stack) or "/",
+            line=parser.CurrentLineNumber,
+        ) from exc
     if not root:
         raise PolicySyntaxError("empty document")
     return root[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import hmac
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 from .context.bundle import PipBundle
 from .context.resources import ResourceRecord
-from .engine import PolicyDecisionPoint
+from .engine import CompiledForest, PolicyDecisionPoint
 from .errors import AuditError, ObligationError, WireFormatError
 from .model import (
     Decision,
@@ -38,6 +39,8 @@ OB_ANONYMIZE = "anonymize"
 OB_LIMIT_DURATION = "limit-duration"
 
 ANONYMIZED_MARKER = "[REDACTED]"
+
+_DIGEST_TEXT = operator.attrgetter("digest_text")
 
 
 class ViewMode(Enum):
@@ -82,7 +85,7 @@ class AuditRecord:
 
 
 def trace_digest(trace: Sequence[TraceRecord]) -> str:
-    body = "\n".join(f"{r.node_id} {r.decision.value} {r.reason}" for r in trace)
+    body = "\n".join(map(_DIGEST_TEXT, trace))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
@@ -186,7 +189,7 @@ class ReferenceMonitor:
         pseudonym_key: Optional[str] = None,
     ):
         self.engine = engine
-        self.documents = tuple(documents)
+        self.forest = CompiledForest(documents)
         self.pips = pips
         self.audit = audit or AuditLog()
         self.obligations = ObligationService(pseudonym_key)
@@ -237,6 +240,7 @@ class ReferenceMonitor:
     def handle_request(self, raw: bytes | str, session: AuthState) -> tuple[bytes, AuditRecord]:
         """Authenticate, decide, fulfil obligations, audit, respond."""
         log = self.pips.log
+        log.start_request()
         log.record("authenticate")
         authenticated = self.pips.identities.authenticate(session.user, session.secret)
 
@@ -256,7 +260,7 @@ class ReferenceMonitor:
 
         # The decision point resolves the location snapshot itself (single
         # supplier query) and never raises past its boundary.
-        response = self.engine.evaluate(self.documents, request, self.pips)
+        response = self.engine.evaluate(self.forest, request, self.pips)
 
         log.record("obligations")
         view: Optional[DataView] = None

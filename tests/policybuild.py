@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 
 from lexgate.model import (
+    AttributeSelector,
     AttributeValue,
+    Category,
     DataType,
     Effect,
     FunctionApplication,
     Literal,
     MatchClause,
+    Obligation,
     NodeKind,
     PolicyDocument,
     PolicyNode,
@@ -72,26 +75,130 @@ def string_clause(attribute_id: str, text: str) -> MatchClause:
     return MatchClause(attribute_id, "function:string-equal", AttributeValue(DataType.STRING, text))
 
 
+# Literal pools shared by random_forest targets and generated requests.
+TARGET_LITERALS = {
+    (Category.RESOURCE, "resource-id"): ("products/overview", "cust/4711/portfolio", "res-x"),
+    (Category.ACTION, "action-id"): ("read", "write"),
+    (Category.SUBJECT, "role"): ("teller", "auditor"),
+    (Category.ENVIRONMENT, "channel"): ("branch", "remote"),
+}
+
+_ERRORS = (
+    # function:not of a string: processing-error.
+    FunctionApplication("function:not", (Literal(AttributeValue(DataType.STRING, "x")),)),
+    # one-and-only over an attribute no request carries: missing-attribute.
+    FunctionApplication(
+        "function:string-one-and-only",
+        (AttributeSelector(Category.ENVIRONMENT, "absent", DataType.STRING),),
+    ),
+)
+
+
+def _random_condition(rng: random.Random, depth: int = 0):
+    """None, a literal boolean, an error, or and/or/not over those."""
+    roll = rng.random()
+    if depth == 0 and roll < 0.3:
+        return None
+    if depth < 2 and roll < 0.55:
+        function = rng.choice(("function:and", "function:or", "function:not"))
+        count = 1 if function == "function:not" else rng.randint(0, 3)
+        return FunctionApplication(
+            function, tuple(_random_condition(rng, depth + 1) or always(True) for _ in range(count))
+        )
+    if roll < 0.9:
+        return always(rng.random() < 0.5)
+    return rng.choice(_ERRORS)
+
+
+def _random_target(rng: random.Random) -> Target:
+    """Match-any, or string-equal literals on one or two categories (one or
+    two clauses each), or a clause a literal index cannot key on."""
+    roll = rng.random()
+    if roll < 0.3:
+        return Target()
+    sections = {category: [] for category in Category}
+    selectors = rng.sample(list(TARGET_LITERALS), rng.choice((1, 1, 2)))
+    for category, attribute_id in selectors:
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            literal = rng.choice(TARGET_LITERALS[(category, attribute_id)])
+            sections[category].append(string_clause(attribute_id, literal))
+    if roll > 0.9:
+        # One clause that is not string-equal on a string literal: half the
+        # time location-match (true for a GB source whatever the string
+        # value), else a boolean or an integer literal.
+        category, attribute_id = selectors[0]
+        location = MatchClause(attribute_id, "function:location-match", AttributeValue(DataType.STRING, "GB"))
+        sections[category] = [rng.choice((
+            location,
+            location,
+            MatchClause(attribute_id, "function:boolean-equal", AttributeValue(DataType.BOOLEAN, True)),
+            MatchClause(attribute_id, "function:string-equal", AttributeValue(DataType.INTEGER, 1)),
+        ))]
+    return Target(
+        subjects=tuple(sections[Category.SUBJECT]),
+        resources=tuple(sections[Category.RESOURCE]),
+        actions=tuple(sections[Category.ACTION]),
+        environments=tuple(sections[Category.ENVIRONMENT]),
+    )
+
+
+def _random_obligations(rng: random.Random, owner: str):
+    if rng.random() < 0.7:
+        return ()
+    return (Obligation(f"ob-{owner}", rng.choice((Effect.PERMIT, Effect.DENY))),)
+
+
+def _random_policy(rng: random.Random, policy_id: str, scope_pool):
+    """An untagged policy (any effects) or a legislation-tagged one (one or
+    two scopes) whose rules are all Deny. Only Deny rules carry a tag of
+    their own, so ignoring tags can only add Deny decisions."""
+    tagged = rng.random() < 0.5
+    rules = []
+    for rule_index in range(rng.randint(1, 4)):
+        effect = Effect.DENY if tagged else rng.choice((Effect.PERMIT, Effect.PERMIT, Effect.DENY))
+        rule_id = f"{policy_id}-r{rule_index}"
+        rules.append(rule(
+            rule_id,
+            effect,
+            _random_condition(rng),
+            target=_random_target(rng) if rng.random() < 0.2 else Target(),
+            legislation=(
+                frozenset(rng.sample(scope_pool, 1))
+                if effect is Effect.DENY and rng.random() < 0.15 else None
+            ),
+            obligations=_random_obligations(rng, rule_id),
+        ))
+    legislation = frozenset(rng.sample(scope_pool, rng.randint(1, 2))) if tagged else None
+    combining = rng.choice(
+        ("deny-overrides", "permit-overrides", "first-applicable", "only-one-applicable")
+    )
+    return policy(
+        policy_id,
+        rules,
+        combining=combining,
+        target=_random_target(rng),
+        legislation=legislation,
+        obligations=_random_obligations(rng, policy_id),
+    )
+
+
 def random_forest(rng: random.Random, scope_pool=("DE", "FR", "LU", "EU", "GB", "CH", "JP")):
-    """A random mix of untagged policies (any effects) and legislation-tagged
-    policies whose rules are all Deny. Conditions are literal booleans so
-    decisions vary without touching context."""
+    """A random forest of untagged policies (any effects) and
+    legislation-tagged policies whose rules are all Deny, some inside a
+    policy set. Roots carry string-equal target literals from
+    TARGET_LITERALS, several clauses, clauses no literal index keys on, or
+    no target. Conditions are literal booleans, errors and and/or/not over
+    them, so decisions vary without touching context."""
     documents = []
-    for doc_index in range(rng.randint(1, 5)):
-        tagged = rng.random() < 0.6
-        rules = []
-        for rule_index in range(rng.randint(1, 4)):
-            effect = Effect.DENY if tagged else rng.choice((Effect.PERMIT, Effect.DENY))
-            condition = rng.choice((None, always(True), always(False)))
-            rules.append(rule(f"d{doc_index}-r{rule_index}", effect, condition))
-        legislation = (
-            frozenset(rng.sample(scope_pool, rng.randint(1, 2))) if tagged else None
-        )
-        combining = rng.choice(("deny-overrides", "permit-overrides", "first-applicable"))
-        documents.append(
-            document(
-                policy(f"d{doc_index}", rules, combining=combining, legislation=legislation),
-                name=f"d{doc_index}.xml",
+    for doc_index in range(rng.randint(1, 6)):
+        doc_id = f"d{doc_index}"
+        if rng.random() < 0.15:
+            root = policy_set(
+                doc_id,
+                [_random_policy(rng, f"{doc_id}-p{n}", scope_pool) for n in range(rng.randint(1, 2))],
+                combining=rng.choice(("deny-overrides", "permit-overrides", "first-applicable")),
             )
-        )
+        else:
+            root = _random_policy(rng, doc_id, scope_pool)
+        documents.append(document(root, name=f"{doc_id}.xml"))
     return documents

@@ -7,11 +7,12 @@ import shutil
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexgate.cli import parse_scenario
+from lexgate.cli import default_fixtures_root, load_policy_dir, parse_scenario
 from lexgate.context.bundle import STORE_FILES, load_bundle
 from lexgate.context.loader import load_diary, split_record
 from lexgate.context.zones import load_zone_tree
-from lexgate.errors import FixtureError, LexgateError, ScenarioFormatError
+from lexgate.errors import FixtureError, LexgateError, PolicySyntaxError, ScenarioFormatError
+from lexgate.parsing.policy_xml import parse_policy_document
 
 # Quotes, backslashes, the separators and other whitespace, key=value and
 # comment characters, letters and non-ASCII.
@@ -108,3 +109,69 @@ def test_bad_zone_coordinates_name_the_line(fixtures_root, prefix, message):
     line_no = text.count("\n", 0, text.index("<posList>")) + 1
     with pytest.raises(FixtureError, match=rf"<posList>: {message}.*\(line {line_no}\)"):
         load_zone_tree(text.replace("<posList>", "<posList>" + prefix, 1))
+
+
+# -- XML declarations and any bytes in a policy line -----------------------------------
+
+# An unknown codec, and codecs expat cannot decode.
+BAD_DECLARATIONS = ("U-TF-8", "utf-32", "UTF-7")
+
+
+@pytest.mark.parametrize("encoding", BAD_DECLARATIONS)
+def test_zone_tree_with_an_unusable_encoding_is_a_fixture_error(store_root, encoding):
+    text = (store_root / "zones.xml").read_text()
+    text = f'<?xml version="1.0" encoding="{encoding}"?>\n' + text
+    (store_root / "declared-zones.xml").write_text(text)
+    with pytest.raises(FixtureError, match=r"unsupported encoding.*line 1\)"):
+        load_bundle(store_root, stores={"zones": "declared-zones.xml"})
+
+
+@pytest.mark.parametrize("encoding", BAD_DECLARATIONS)
+def test_policy_with_an_unusable_encoding_is_a_syntax_error(fixtures_root, encoding):
+    data = (fixtures_root / "policies" / "working-time.xml").read_bytes()
+    data = f'<?xml version="1.0" encoding="{encoding}"?>\n'.encode() + data
+    with pytest.raises(PolicySyntaxError, match=r"unsupported encoding.*line 1\)") as err:
+        parse_policy_document(data)
+    assert err.value.line == 1
+
+
+POLICY_FILES = sorted(path.name for path in (default_fixtures_root() / "policies").glob("*.xml"))
+
+
+@pytest.fixture(scope="module")
+def policy_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("policies")
+
+
+# Arbitrary bytes, markup characters, or an XML declaration naming a codec.
+_policy_splices = st.one_of(
+    _splices,
+    st.text(alphabet="<>/=\"'&;#xX09 ?!-[]", max_size=8).map(str.encode),
+    st.sampled_from(("U-TF-8", "utf-32", "utf-16", "latin-1", "ascii")).map(
+        lambda codec: f'<?xml version="1.0" encoding="{codec}"?>'.encode()
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("name", POLICY_FILES)
+def test_bytes_spliced_into_a_policy_line_raise_only_lexgate_errors(fixtures_root, policy_root, name, data):
+    lines = (fixtures_root / "policies" / name).read_bytes().splitlines(keepends=True)
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[index]
+    at = data.draw(st.integers(0, len(line)), label="at")
+    cut = data.draw(st.integers(0, 8), label="cut")
+    lines[index] = line[:at] + data.draw(_policy_splices, label="splice") + line[at + cut:]
+    fuzzed = b"".join(lines)
+    try:
+        parse_policy_document(fuzzed, source_name=name)
+    except LexgateError:
+        pass
+    directory = policy_root / name.removesuffix(".xml")
+    directory.mkdir(exist_ok=True)
+    (directory / name).write_bytes(fuzzed)
+    try:
+        load_policy_dir(directory)
+    except LexgateError:
+        pass

@@ -71,6 +71,20 @@ def test_permitted_request_follows_the_event_flow(policy_pack):
     assert record.decision is Decision.PERMIT
 
 
+def test_interaction_log_holds_one_request(policy_pack):
+    monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+    raw = wire_request(
+        resource="cust/4711/portfolio",
+        point="47.37 8.54",
+        tokens=("cust:4711",),
+        token_at="2026-03-10T13:40:00Z",
+    )
+    for _ in range(50):
+        monitor.handle_request(raw, GOOD_SESSION)
+    assert pips.log.events == EXPECTED_FLOW
+    assert pips.log.pdp_calls == 50
+
+
 def test_unauthenticated_request_never_reaches_the_pdp(policy_pack):
     monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
     raw = wire_request(resource="cust/4711/portfolio", point="47.37 8.54")
