@@ -90,12 +90,14 @@ class CombinerRegistry:
     def ids(self) -> frozenset[str]:
         return frozenset(self._combiners)
 
-    def combine(self, combiner_id: str, decisions: Iterable[Decision]) -> Decision:
+    def get(self, combiner_id: str) -> Combiner:
         try:
-            fn = self._combiners[combiner_id]
+            return self._combiners[combiner_id]
         except KeyError:
             raise UnknownCombinerError(f"unknown combining algorithm {combiner_id!r}") from None
-        return fn(tuple(decisions))
+
+    def combine(self, combiner_id: str, decisions: Iterable[Decision]) -> Decision:
+        return self.get(combiner_id)(tuple(decisions))
 
 
 _DEFAULT_REGISTRY = CombinerRegistry()

@@ -9,6 +9,7 @@ concession window in which data is served pseudonymously only.
 from __future__ import annotations
 
 import datetime as dt
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -96,14 +97,31 @@ def _better(a: TaskAssessment, b: TaskAssessment) -> TaskAssessment:
     return a if _PRIORITY[a] >= _PRIORITY[b] else b
 
 
+def _window_start(entry: DiaryEntry) -> dt.datetime:
+    """The start of the entry's extended window, start - pre."""
+    return entry.time.start - entry.time.pre_extension
+
+
 class DiaryStore:
     def __init__(self, entries: Iterable[DiaryEntry], home_country: Optional[str] = None):
         self.entries = tuple(entries)
         by_owner: dict[str, list[DiaryEntry]] = {}
         for entry in self.entries:
             by_owner.setdefault(entry.owner, []).append(entry)
-        # Each owner's entries in file order, so check_task reads only those.
+        # Each owner's entries in file order, for entries_for.
         self._by_owner = {owner: tuple(owned) for owner, owned in by_owner.items()}
+        # Each owner's entries by the start of their extended window, those
+        # starts, and the longest extended window: an entry whose window
+        # holds `now` starts in [now - longest, now], so check_task bisects.
+        self._by_window: dict[str, tuple[tuple[DiaryEntry, ...], list[dt.datetime], dt.timedelta]] = {}
+        for owner, owned in by_owner.items():
+            owned = sorted(owned, key=_window_start)
+            starts = [_window_start(entry) for entry in owned]
+            longest = max(
+                entry.time.end + entry.time.post_extension - start
+                for entry, start in zip(owned, starts)
+            )
+            self._by_window[owner] = (tuple(owned), starts, longest)
         if home_country:
             for entry in self.entries:
                 if entry.expected_location.country != home_country and not entry.travel_authorized_by:
@@ -138,7 +156,16 @@ class DiaryStore:
         """
         verified = identities.verified_customers(tokens, now)
         best = TaskAssessment.NO_TASK
-        for entry in self.entries_for(user, resource):
+        window = self._by_window.get(user)
+        if window is None:
+            return best
+        owned, starts, longest = window
+        # The order does not matter: the result is the best assessment, and
+        # FULL_MATCH, the only early return, is the best there is.
+        for index in range(bisect_left(starts, now - longest), bisect_right(starts, now)):
+            entry = owned[index]
+            if resource not in entry.planned_resources:
+                continue
             in_core = entry.time.contains(now)
             in_window = entry.time.in_extension(now)
             if not (in_core or in_window):

@@ -35,6 +35,9 @@ class LegalScopeRegistry:
             raise FixtureError(f"organization scope {organization!r} is not declared")
         self._check_edges()
         self._check_acyclic()
+        # select_legislation by (source, destination); only declared scopes
+        # get an entry, so it holds at most len(scopes)² of them.
+        self._selected: dict[tuple[str, str], frozenset[str]] = {}
 
     def _check_edges(self) -> None:
         for scope in self._scopes.values():
@@ -90,7 +93,11 @@ class LegalScopeRegistry:
         """All scope ids observed by a source->destination connection:
         the membership closures of both national scopes, plus the
         requesting organization's own scope."""
-        scopes = self.closure(source) | self.closure(destination)
-        if self.organization is not None:
-            scopes |= {self.organization}
+        key = (source, destination)
+        scopes = self._selected.get(key)
+        if scopes is None:
+            scopes = self.closure(source) | self.closure(destination)
+            if self.organization is not None:
+                scopes |= {self.organization}
+            self._selected[key] = scopes
         return scopes

@@ -9,8 +9,11 @@ Legislation applicability: a node carrying a legislation scope set is
 applicable only when that set intersects the scopes observed by the
 connection (closure of the source and destination national scopes plus
 the organization scope). `legislation_mode="ignore-tags"` skips that
-check, reproducing an engine that does not understand the tag; since
-tagged policies constrain access, ignoring the tag can only over-restrict.
+check, reproducing an engine that does not understand the tag. Ignoring
+the tag only over-restricts while no tagged node can reach a Permit rule
+outside the organization scope: a policy tagged JP with one Permit rule,
+asked from London, is NotApplicable when tags are read and Permit when
+they are ignored.
 
 Default rule: when the last rule of a Policy has a match-any target, no
 condition and no legislation set, it acts as the policy's fallback and
@@ -125,17 +128,21 @@ class EvaluationContext:
 
     # -- attribute snapshot ------------------------------------------------
 
-    def _put(self, category: Category, attribute_id: str, *values: AttributeValue) -> None:
+    def _put(self, category: Category, attribute_id: str, value: AttributeValue) -> None:
         key = (category, attribute_id)
         if key in self._cache:
             raise LexgateError(f"attribute {key} written twice")
-        self._cache[key] = tuple(values)
+        self._cache[key] = (value,)
 
     def bag(self, category: Category, attribute_id: str) -> tuple[AttributeValue, ...]:
-        key = (category, attribute_id)
-        if key not in self._cache:
-            self._cache[key] = self.request.bag(category, attribute_id)
-        return self._cache[key]
+        return self.lookup((category, attribute_id))
+
+    def lookup(self, key: tuple[Category, str]) -> tuple[AttributeValue, ...]:
+        """The bag for a (category, attribute id) key."""
+        values = self._cache.get(key)
+        if values is None:
+            values = self._cache[key] = self.request.bag(*key)
+        return values
 
     def note_error(self, status: str) -> None:
         self.errors.append(status)
@@ -308,6 +315,57 @@ class FunctionRegistry:
             ) from None
 
 
+# A compiled target check: None when the node applies, else its record.
+Applies = Callable[[EvaluationContext], Optional[TraceRecord]]
+# A compiled node: appends (record, node) per completed node, returns the
+# node's decision.
+Walk = Callable[[EvaluationContext, list], Decision]
+
+
+def _raiser(error: _EvalError) -> Callable[..., object]:
+    """Code that raises a fresh copy of `error` each time it runs."""
+    status, message = error.status, str(error)
+
+    def fail(*_args: object) -> object:
+        raise _EvalError(status, message)
+
+    return fail
+
+
+def _compile_logical(function: str, operands: tuple) -> Callable[[EvaluationContext], bool]:
+    """Short-circuit and/or; an operand error surfaces only when the
+    remaining operands cannot decide the outcome."""
+    want_all = function == "function:and"
+
+    def logical(ctx: EvaluationContext) -> bool:
+        pending_error: Optional[_EvalError] = None
+        for operand in operands:
+            try:
+                flag = operand(ctx)
+                if flag is not True and flag is not False:
+                    _scalar(flag, bool, function)  # raises
+            except _EvalError as exc:
+                pending_error = pending_error or exc
+                continue
+            if flag is not want_all:
+                return flag
+        if pending_error is not None:
+            raise pending_error
+        return want_all
+
+    return logical
+
+
+def _is_default_rule(node: PolicyNode) -> bool:
+    return (
+        node.kind is NodeKind.RULE
+        and node.effect is not None
+        and node.condition is None
+        and node.legislation is None
+        and node.target.is_match_any()
+    )
+
+
 class PolicyDecisionPoint:
     """Immutable engine: registries are frozen at construction."""
 
@@ -318,6 +376,12 @@ class PolicyDecisionPoint:
     ):
         self.functions = functions or FunctionRegistry()
         self.combiners = combiners or CombinerRegistry()
+
+    def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
+        """The forest indexed for this engine; each root is compiled to
+        closures over this engine's registries the first time a request
+        walks it."""
+        return CompiledForest(documents, self)
 
     # -- context construction ---------------------------------------------
 
@@ -356,6 +420,10 @@ class PolicyDecisionPoint:
             legislation_mode=legislation_mode,
         )
 
+        # The values below come from the loaded stores and the location
+        # snapshot, never from the request, so they skip the payload checks.
+        put = ctx._put
+        trusted = AttributeValue._trusted
         pips.log.record("attributes")
         # Local time survives a zone-precision failure: the country (and so
         # its timezone) is still certain, only the zone classification is
@@ -367,27 +435,27 @@ class PolicyDecisionPoint:
             tz_offset = pips.zones.country(precision_country).timezone_offset
         if tz_offset is not None:
             local_date, local_clock = local_time(now, tz_offset)
-            ctx._put(Category.ENVIRONMENT, ENV_CURRENT_TIME, AttributeValue(DataType.TIME_OF_DAY, local_clock))
-            ctx._put(Category.ENVIRONMENT, ENV_CURRENT_DATE, AttributeValue(DataType.DATE, local_date))
+            put(Category.ENVIRONMENT, ENV_CURRENT_TIME, trusted(DataType.TIME_OF_DAY, local_clock))
+            put(Category.ENVIRONMENT, ENV_CURRENT_DATE, trusted(DataType.DATE, local_date))
         if report is not None:
-            ctx._put(Category.ENVIRONMENT, ENV_CURRENT_ZONE, AttributeValue(DataType.STRING, report.zone.value))
-        ctx._put(Category.ENVIRONMENT, ENV_SOURCE_COUNTRY, AttributeValue(DataType.COUNTRY_CODE, source_country))
-        ctx._put(Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY, AttributeValue(DataType.COUNTRY_CODE, destination))
+            put(Category.ENVIRONMENT, ENV_CURRENT_ZONE, trusted(DataType.STRING, report.zone.value))
+        put(Category.ENVIRONMENT, ENV_SOURCE_COUNTRY, trusted(DataType.COUNTRY_CODE, source_country))
+        put(Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY, trusted(DataType.COUNTRY_CODE, destination))
 
         subject_id = request.subject_id()
         subject_record = pips.identities.get(subject_id) if subject_id else None
         if subject_record is not None:
-            ctx._put(Category.SUBJECT, SUBJECT_KIND, AttributeValue(DataType.STRING, subject_record.kind.value))
+            put(Category.SUBJECT, SUBJECT_KIND, trusted(DataType.STRING, subject_record.kind.value))
 
         if record is not None:
-            ctx._put(Category.RESOURCE, RESOURCE_CONFIDENTIAL, AttributeValue(DataType.BOOLEAN, record.confidential))
-            ctx._put(Category.RESOURCE, RESOURCE_CUSTOMER_RELATED, AttributeValue(DataType.BOOLEAN, record.customer_related))
-            ctx._put(Category.RESOURCE, RESOURCE_HOST_COUNTRY, AttributeValue(DataType.COUNTRY_CODE, record.host_country))
+            put(Category.RESOURCE, RESOURCE_CONFIDENTIAL, trusted(DataType.BOOLEAN, record.confidential))
+            put(Category.RESOURCE, RESOURCE_CUSTOMER_RELATED, trusted(DataType.BOOLEAN, record.customer_related))
+            put(Category.RESOURCE, RESOURCE_HOST_COUNTRY, trusted(DataType.COUNTRY_CODE, record.host_country))
             if record.category:
-                ctx._put(Category.RESOURCE, RESOURCE_CATEGORY, AttributeValue(DataType.STRING, record.category))
+                put(Category.RESOURCE, RESOURCE_CATEGORY, trusted(DataType.STRING, record.category))
             if subject_id and record.customers:
                 relation = pips.identities.check_relationship(subject_id, record.customers, now)
-                ctx._put(Category.SUBJECT, SUBJECT_RELATIONSHIP, AttributeValue(DataType.STRING, relation.value))
+                put(Category.SUBJECT, SUBJECT_RELATIONSHIP, trusted(DataType.STRING, relation.value))
 
         pips.log.record("diary")
         assessment = pips.diary.check_task(
@@ -398,48 +466,204 @@ class PolicyDecisionPoint:
             _proximity_tokens(request),
             pips.identities,
         )
-        ctx._put(Category.ENVIRONMENT, ENV_TASK_STATUS, AttributeValue(DataType.STRING, assessment.value))
+        put(Category.ENVIRONMENT, ENV_TASK_STATUS, trusted(DataType.STRING, assessment.value))
         return ctx
 
-    # -- expression evaluation ----------------------------------------------
+    # -- compilation -----------------------------------------------------------
+    #
+    # A node compiles to one closure walk(ctx, visited) -> Decision. The walk
+    # appends a (trace record, node) pair to `visited` for every node it
+    # completes, in completion order, and returns the node's decision. The
+    # functions, combiners and literal payloads are resolved here, and so is
+    # every record whose reason is fixed; only target-error and
+    # condition-error records are built per request. An unknown function or
+    # combiner compiles to code that fails at evaluation, at the point and
+    # with the message the walk has always given.
 
-    def _eval_expr(self, expr: ConditionExpr, ctx: EvaluationContext) -> object:
+    def _compile_node(self, node: PolicyNode) -> "Walk":
+        applies = self._compile_applicability(node)
+        if node.kind is NodeKind.RULE:
+            return self._compile_rule(node, applies)
+        return self._compile_container(node, applies)
+
+    def _compile_applicability(self, node: PolicyNode) -> Optional[Applies]:
+        """None for a node that always applies, else a closure giving None
+        when the node applies and its NotApplicable or Indeterminate record
+        when it does not."""
+        node_id = node.id
+        legislation = node.legislation
+        legislation_miss = (
+            None if legislation is None
+            else TraceRecord(node_id, Decision.NOT_APPLICABLE, _legislation_miss(legislation))
+        )
+        # Per non-empty clause list: its record on a miss and its matchers.
+        sections = tuple(
+            (
+                TraceRecord(node_id, Decision.NOT_APPLICABLE, _target_miss(category)),
+                tuple(self._compile_clause(category, clause) for clause in clauses),
+            )
+            for category, clauses in _sections(node.target)
+            if clauses
+        )
+        if legislation is None and not sections:
+            return None
+
+        def applies(ctx: EvaluationContext) -> Optional[TraceRecord]:
+            if (
+                legislation is not None
+                and ctx.legislation_mode != "ignore-tags"
+                and legislation.isdisjoint(ctx.applicable_scopes)
+            ):
+                return legislation_miss
+            for miss, matchers in sections:
+                try:
+                    for matches in matchers:
+                        if matches(ctx):
+                            break
+                    else:  # no clause of the list matched
+                        return miss
+                except _EvalError as exc:
+                    ctx.note_error(exc.status)
+                    return TraceRecord(node_id, Decision.INDETERMINATE, f"target-error:{exc}")
+            return None
+
+        return applies
+
+    def _compile_clause(self, category: Category, clause: MatchClause) -> Callable[[EvaluationContext], bool]:
+        """True when any request value for the attribute matches the literal."""
+        try:
+            match = self.functions.get(clause.match_function)
+        except _EvalError as exc:
+            return _raiser(exc)  # before the bag is read, so even when it is empty
+        key = (category, clause.attribute_id)
+        literal = clause.literal.value
+
+        def matches(ctx: EvaluationContext) -> bool:
+            for value in ctx.lookup(key):
+                if match(ctx, [value.value, literal]) is True:
+                    return True
+            return False
+
+        return matches
+
+    def _compile_expr(self, expr: ConditionExpr) -> Callable[[EvaluationContext], object]:
         if isinstance(expr, Literal):
-            return expr.value.value
+            payload = expr.value.value
+            return lambda ctx: payload
         if isinstance(expr, AttributeSelector):
-            bag = ctx.bag(expr.category, expr.attribute_id)
-            return tuple(v.value for v in bag if v.data_type is expr.data_type)
+            key = (expr.category, expr.attribute_id)
+            data_type = expr.data_type
+            return lambda ctx: tuple([v.value for v in ctx.lookup(key) if v.data_type is data_type])
         if isinstance(expr, FunctionApplication):
-            if expr.function in _SPECIAL_FORMS:
-                return self._eval_logical(expr, ctx)
-            fn = self.functions.get(expr.function)
-            args = [self._eval_expr(arg, ctx) for arg in expr.args]
-            return fn(ctx, args)
-        raise _EvalError(STATUS_PROCESSING_ERROR, f"unknown expression node {expr!r}")
-
-    def _eval_logical(self, expr: FunctionApplication, ctx: EvaluationContext) -> bool:
-        """Short-circuit and/or; an operand error surfaces only when the
-        remaining operands cannot decide the outcome."""
-        want_all = expr.function == "function:and"
-        pending_error: Optional[_EvalError] = None
-        for arg in expr.args:
+            function = expr.function
+            operands = tuple(self._compile_expr(arg) for arg in expr.args)
+            if function in _SPECIAL_FORMS:
+                return _compile_logical(function, operands)
             try:
-                flag = _scalar(self._eval_expr(arg, ctx), bool, expr.function)
+                fn = self.functions.get(function)
             except _EvalError as exc:
-                pending_error = pending_error or exc
-                continue
-            if want_all and not flag:
-                return False
-            if not want_all and flag:
-                return True
-        if pending_error is not None:
-            raise pending_error
-        return want_all
+                return _raiser(exc)  # before any operand is evaluated
+            if len(operands) == 1:
+                (only,) = operands
+                return lambda ctx: fn(ctx, [only(ctx)])
+            if len(operands) == 2:
+                first, second = operands
+                return lambda ctx: fn(ctx, [first(ctx), second(ctx)])
+            return lambda ctx: fn(ctx, [operand(ctx) for operand in operands])
+        return _raiser(_EvalError(STATUS_PROCESSING_ERROR, f"unknown expression node {expr!r}"))
+
+    def _compile_rule(self, rule: PolicyNode, applies: Optional[Applies]) -> "Walk":
+        node_id = rule.id
+        condition = None if rule.condition is None else self._compile_expr(rule.condition)
+        condition_false = TraceRecord(node_id, Decision.NOT_APPLICABLE, "condition-false")
+        fired = None if rule.effect is None else TraceRecord(node_id, rule.effect.to_decision(), "effect")
+
+        def walk(ctx: EvaluationContext, visited: list) -> Decision:
+            if applies is not None:
+                miss = applies(ctx)
+                if miss is not None:
+                    visited.append((miss, rule))
+                    return miss.decision
+            if condition is not None:
+                try:
+                    value = condition(ctx)
+                    status = None if value is True or value is False else STATUS_PROCESSING_ERROR
+                except _EvalError as exc:
+                    status = exc.status
+                if status is not None:
+                    ctx.note_error(status)
+                    visited.append(
+                        (TraceRecord(node_id, Decision.INDETERMINATE, f"condition-error:{status}"), rule)
+                    )
+                    return Decision.INDETERMINATE
+                if value is False:
+                    visited.append((condition_false, rule))
+                    return Decision.NOT_APPLICABLE
+            # Raises for a rule without an effect, which validate_document reports.
+            record = fired or TraceRecord(node_id, rule.effect.to_decision(), "effect")
+            visited.append((record, rule))
+            return record.decision
+
+        return walk
+
+    def _compile_container(self, node: PolicyNode, applies: Optional[Applies]) -> "Walk":
+        children = node.children
+        default: Optional[PolicyNode] = None
+        default_decision = default_record = combiner_error = None
+        if node.kind is NodeKind.POLICY and children and _is_default_rule(children[-1]):
+            default = children[-1]
+            children = children[:-1]
+            default_decision = default.effect.to_decision()
+            default_record = TraceRecord(default.id, default_decision, "default-rule")
+        walks = tuple(self._compile_node(child) for child in children)
+        try:
+            combiner = self.combiners.get(node.combining)
+        except UnknownCombinerError as exc:
+            combiner = None
+            combiner_error = TraceRecord(node.id, Decision.INDETERMINATE, f"combiner-error:{exc}")
+        combined = {
+            decision: TraceRecord(node.id, decision, f"combined:{node.combining}")
+            for decision in Decision
+        }
+
+        def walk(ctx: EvaluationContext, visited: list) -> Decision:
+            if applies is not None:
+                miss = applies(ctx)
+                if miss is not None:
+                    visited.append((miss, node))
+                    return miss.decision
+            decisions = tuple([child(ctx, visited) for child in walks])
+            if combiner is None:
+                ctx.note_error(STATUS_PROCESSING_ERROR)
+                visited.append((combiner_error, node))
+                return Decision.INDETERMINATE
+            decision = combiner(decisions)
+            if decision is Decision.NOT_APPLICABLE and default is not None:
+                visited.append((default_record, default))
+                decision = default_decision
+            visited.append((combined[decision], node))
+            return decision
+
+        return walk
+
+    # -- entry points ----------------------------------------------------------
+
+    def is_applicable(
+        self, node: PolicyNode, ctx: EvaluationContext
+    ) -> tuple[Applicability, str]:
+        """Target and legislation applicability with a trace reason."""
+        applies = self._compile_applicability(node)
+        record = None if applies is None else applies(ctx)
+        if record is None:
+            return Applicability.APPLICABLE, ""
+        if record.decision is Decision.NOT_APPLICABLE:
+            return Applicability.NOT_APPLICABLE, record.reason
+        return Applicability.INDETERMINATE, record.reason
 
     def evaluate_condition(self, expr: ConditionExpr, ctx: EvaluationContext) -> ConditionOutcome:
         """Three-valued condition evaluation; errors fold to Indeterminate."""
         try:
-            value = self._eval_expr(expr, ctx)
+            value = self._compile_expr(expr)(ctx)
         except _EvalError as exc:
             return ConditionOutcome(None, exc.status, str(exc))
         if isinstance(value, bool):
@@ -447,114 +671,6 @@ class PolicyDecisionPoint:
         return ConditionOutcome(
             None, STATUS_PROCESSING_ERROR, "condition did not produce a boolean"
         )
-
-    # -- applicability -------------------------------------------------------
-
-    def _match_clause(
-        self, clause: MatchClause, category: Category, ctx: EvaluationContext
-    ) -> bool:
-        fn = self.functions.get(clause.match_function)
-        for value in ctx.bag(category, clause.attribute_id):
-            if fn(ctx, [value.value, clause.literal.value]) is True:
-                return True
-        return False
-
-    def is_applicable(
-        self, node: PolicyNode, ctx: EvaluationContext
-    ) -> tuple[Applicability, str]:
-        """Target and legislation applicability with a trace reason."""
-        if (
-            ctx.legislation_mode != "ignore-tags"
-            and node.legislation is not None
-            and not (node.legislation & ctx.applicable_scopes)
-        ):
-            return Applicability.NOT_APPLICABLE, _legislation_miss(node.legislation)
-
-        for category, clauses in _sections(node.target):
-            if not clauses:
-                continue
-            try:
-                if not any(self._match_clause(c, category, ctx) for c in clauses):
-                    return Applicability.NOT_APPLICABLE, _target_miss(category)
-            except _EvalError as exc:
-                ctx.note_error(exc.status)
-                return Applicability.INDETERMINATE, f"target-error:{exc}"
-        return Applicability.APPLICABLE, ""
-
-    # -- tree evaluation -----------------------------------------------------
-
-    @staticmethod
-    def _is_default_rule(node: PolicyNode) -> bool:
-        return (
-            node.kind is NodeKind.RULE
-            and node.effect is not None
-            and node.condition is None
-            and node.legislation is None
-            and node.target.is_match_any()
-        )
-
-    def _evaluate_rule(
-        self, rule: PolicyNode, ctx: EvaluationContext, visited: list
-    ) -> Decision:
-        applicability, reason = self.is_applicable(rule, ctx)
-        if applicability is Applicability.NOT_APPLICABLE:
-            visited.append((rule, Decision.NOT_APPLICABLE, reason))
-            return Decision.NOT_APPLICABLE
-        if applicability is Applicability.INDETERMINATE:
-            visited.append((rule, Decision.INDETERMINATE, reason))
-            return Decision.INDETERMINATE
-
-        if rule.condition is not None:
-            outcome = self.evaluate_condition(rule.condition, ctx)
-            if outcome.value is None:
-                ctx.note_error(outcome.status)
-                visited.append(
-                    (rule, Decision.INDETERMINATE, f"condition-error:{outcome.status}")
-                )
-                return Decision.INDETERMINATE
-            if outcome.value is False:
-                visited.append((rule, Decision.NOT_APPLICABLE, "condition-false"))
-                return Decision.NOT_APPLICABLE
-        decision = rule.effect.to_decision()
-        visited.append((rule, decision, "effect"))
-        return decision
-
-    def _evaluate_node(
-        self, node: PolicyNode, ctx: EvaluationContext, visited: list
-    ) -> Decision:
-        if node.kind is NodeKind.RULE:
-            return self._evaluate_rule(node, ctx, visited)
-
-        applicability, reason = self.is_applicable(node, ctx)
-        if applicability is Applicability.NOT_APPLICABLE:
-            visited.append((node, Decision.NOT_APPLICABLE, reason))
-            return Decision.NOT_APPLICABLE
-        if applicability is Applicability.INDETERMINATE:
-            visited.append((node, Decision.INDETERMINATE, reason))
-            return Decision.INDETERMINATE
-
-        children = node.children
-        default_rule: Optional[PolicyNode] = None
-        if node.kind is NodeKind.POLICY and children and self._is_default_rule(children[-1]):
-            default_rule = children[-1]
-            children = children[:-1]
-
-        decisions = [self._evaluate_node(child, ctx, visited) for child in children]
-        try:
-            combined = self.combiners.combine(node.combining, decisions)
-        except UnknownCombinerError as exc:
-            ctx.note_error(STATUS_PROCESSING_ERROR)
-            visited.append((node, Decision.INDETERMINATE, f"combiner-error:{exc}"))
-            return Decision.INDETERMINATE
-
-        if combined is Decision.NOT_APPLICABLE and default_rule is not None:
-            combined = default_rule.effect.to_decision()
-            visited.append((default_rule, combined, "default-rule"))
-
-        visited.append((node, combined, f"combined:{node.combining}"))
-        return combined
-
-    # -- entry points ----------------------------------------------------------
 
     def evaluate(
         self,
@@ -565,16 +681,20 @@ class PolicyDecisionPoint:
         legislation_mode: str = "aware",
     ) -> ResponseContext:
         """Evaluate the document forest; never raises past this boundary.
-        A plain document sequence is compiled on entry."""
+        A plain document sequence, or a forest compiled for another engine
+        or for none, is compiled for this engine on entry."""
         if legislation_mode not in ("aware", "ignore-tags"):
             raise ValueError(f"unknown legislation mode {legislation_mode!r}")
         forest = documents if isinstance(documents, CompiledForest) else CompiledForest(documents)
+        if forest.engine is not self:
+            forest = self.compile(forest.documents)
         pips.log.pdp_entered()
-        # The trace is built in document order; `current` holds the records
-        # of the document being walked, `visited` those of every walked one.
+        # The trace is built in document order; `visited` holds the (record,
+        # node) pairs of every walked document, those of the document being
+        # walked from `mark` on.
         trace: list[TraceRecord] = []
-        current: list[tuple[PolicyNode, Decision, str]] = []
-        visited: list[tuple[PolicyNode, Decision, str]] = []
+        visited: list[tuple[TraceRecord, PolicyNode]] = []
+        mark = 0
         try:
             ctx = self._build_context(request, pips, legislation_mode)
             pips.log.record("policies")
@@ -586,17 +706,16 @@ class PolicyDecisionPoint:
             start = 0
             for index in walk:
                 trace += screened[start:index]
-                decision = self._evaluate_node(forest.roots[index], ctx, current)
-                trace += [TraceRecord(n.id, d, r) for n, d, r in current]
-                visited += current
-                current, start = [], index + 1
+                decision = forest.walker(index)(ctx, visited)
+                trace += [record for record, _node in visited[mark:]]
+                mark, start = len(visited), index + 1
                 if decision is not Decision.NOT_APPLICABLE:
                     decisions.append(decision)
             trace += screened[start:]
             pips.log.record("decide")
             final = self.combiners.combine(TOP_COMBINER, decisions)
         except Exception as exc:  # PIP failures must not escape the boundary
-            trace += [TraceRecord(n.id, d, r) for n, d, r in current]
+            trace += [record for record, _node in visited[mark:]]
             trace.append(TraceRecord("<context>", Decision.INDETERMINATE, str(exc)))
             return ResponseContext(
                 Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, (), tuple(trace)
@@ -604,12 +723,11 @@ class PolicyDecisionPoint:
 
         obligations: list[Obligation] = []
         if final in (Decision.PERMIT, Decision.DENY):
-            for node, decision, _reason in visited:
-                if decision is not final:
-                    continue
-                for ob in node.obligations:
-                    if ob.fulfill_on.to_decision() is final:
-                        obligations.append(ob)
+            for record, node in visited:
+                if record.decision is final and node.obligations:
+                    obligations += [
+                        ob for ob in node.obligations if ob.fulfill_on.to_decision() is final
+                    ]
 
         if final is Decision.INDETERMINATE:
             status = ctx.first_error_status()
@@ -680,10 +798,21 @@ class CompiledForest:
     value that is not a string. Any other document would evaluate to its
     root's NotApplicable record alone, so it contributes that record,
     built here once, and the trace stays the one a full walk produces.
+
+    A walked root runs as the closures `engine` compiles it to, the first
+    time a request walks it; a forest built without an engine is only an
+    index, and `PolicyDecisionPoint.evaluate` compiles its documents anew.
     """
 
-    def __init__(self, documents: Iterable[PolicyDocument]):
-        self.roots = tuple(document.root for document in documents)
+    def __init__(
+        self,
+        documents: Iterable[PolicyDocument],
+        engine: Optional[PolicyDecisionPoint] = None,
+    ):
+        self.documents = tuple(documents)
+        self.engine = engine
+        self.roots = tuple(document.root for document in self.documents)
+        self._walks: list[Optional[Walk]] = [None] * len(self.roots)
         keys = [_literal_key(root.target) for root in self.roots]
         # Per document: the record of a legislation miss (None when the root
         # is untagged) and of a miss on the literal key (None without one).
@@ -743,3 +872,10 @@ class CompiledForest:
         for index in candidates - matching:
             screened[index] = self.target_misses[index]
         return screened, sorted(candidates & matching)
+
+    def walker(self, index: int) -> Walk:
+        """The compiled walk of document `index`, compiled on first use."""
+        walk = self._walks[index]
+        if walk is None:
+            walk = self._walks[index] = self.engine._compile_node(self.roots[index])
+        return walk

@@ -103,6 +103,16 @@ class AttributeValue:
         if self.data_type is DataType.DATE and isinstance(self.value, dt.datetime):
             raise TypeError("date value must be a plain date")
 
+    @classmethod
+    def _trusted(cls, data_type: DataType, value: object) -> "AttributeValue":
+        """A value the engine derives itself from loaded stores, built
+        without the payload checks; parsed values always take them."""
+        made = object.__new__(cls)
+        fields = made.__dict__
+        fields["data_type"] = data_type
+        fields["value"] = value
+        return made
+
 
 @dataclass(frozen=True)
 class MatchClause:
@@ -135,6 +145,10 @@ class Category(Enum):
     RESOURCE = "resource"
     ACTION = "action"
     ENVIRONMENT = "environment"
+
+    # Members are singletons, so identity hashing agrees with equality and
+    # keeps the (category, attribute) keys of every bag lookup in C.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -215,11 +229,29 @@ class PolicyDocument:
             stack.extend(reversed(node.children))
 
 
+# Line breaks as str.splitlines sees them, and lone surrogates, which
+# UTF-8 cannot encode.
+_UNSAFE_TEXT = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
+
+
+def _escape(match: re.Match) -> str:
+    return match.group().encode("unicode_escape").decode("ascii")
+
+
+def single_line(text: str) -> str:
+    """The text as one line of encodable UTF-8: line breaks and lone
+    surrogates are backslash-escaped (LF becomes \\n), the rest is kept."""
+    if _UNSAFE_TEXT.search(text) is None:
+        return text
+    return _UNSAFE_TEXT.sub(_escape, text)
+
+
 @dataclass(frozen=True)
 class TraceRecord:
-    """One visited node. Its audit digest text and its wire line are
-    rendered once, when the record is built: a compiled forest builds its
-    shared NotApplicable records at load time, and every response and
+    """One visited node. Its reason is made single-line (`single_line`),
+    since it may carry an exception's text, and its audit digest text and
+    wire line are rendered once, when the record is built: the engine
+    builds most records when it compiles a node, and every response and
     audit digest that carries them reuses the strings."""
 
     node_id: str
@@ -227,15 +259,16 @@ class TraceRecord:
     reason: str
     # "<node> <decision> <reason>": the line pep.trace_digest hashes.
     digest_text: str = field(init=False, repr=False, compare=False)
-    # "trace <node> <decision> [reason]" (docs/wire-format.md); None when
-    # the reason spans lines, which the wire format cannot carry.
-    wire_line: Optional[str] = field(init=False, repr=False, compare=False)
+    # "trace <node> <decision> [reason]" (docs/wire-format.md).
+    wire_line: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        text = f"{self.node_id} {self.decision.value} {self.reason}"
+        reason = single_line(self.reason)
+        if reason is not self.reason:
+            object.__setattr__(self, "reason", reason)
+        text = f"{self.node_id} {self.decision.value} {reason}"
         object.__setattr__(self, "digest_text", text)
-        single_line = "\n" not in self.reason and "\r" not in self.reason
-        object.__setattr__(self, "wire_line", f"trace {text}".rstrip() if single_line else None)
+        object.__setattr__(self, "wire_line", f"trace {text}".rstrip())
 
 
 @dataclass(frozen=True)

@@ -97,9 +97,16 @@ def _check_single_line(text: str, what: str) -> str:
 
 
 def _split_lines(data: bytes | str) -> list[str]:
+    """The message's lines that are neither blank nor comments. Text that
+    UTF-8 cannot carry (bytes that do not decode, a str with a lone
+    surrogate) is a format error."""
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
+        if isinstance(data, bytes):
+            text = data.decode("utf-8")
+        else:
+            text = data
+            text.encode("utf-8")
+    except UnicodeError as exc:
         raise WireFormatError(f"message is not UTF-8: {exc}") from exc
     lines = []
     for raw in text.splitlines():
@@ -243,14 +250,7 @@ def serialize_response(response: ResponseContext, view: Optional[WireView] = Non
         payload = base64.b64encode(str(view.payload).encode("utf-8")).decode("ascii")
         out.append(f"view {view.mode} {expires} {payload}")
     out.append("end")
-    try:
-        text = "\n".join(out)
-    except TypeError:
-        # A trace record whose reason spans lines has no wire line.
-        for record in response.trace:
-            _check_single_line(record.reason, "trace reason")
-        raise
-    return (text + "\n").encode("utf-8")
+    return ("\n".join(out) + "\n").encode("utf-8")
 
 
 def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireView]]:

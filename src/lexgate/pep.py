@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .context.bundle import PipBundle
 from .context.resources import ResourceRecord
-from .engine import CompiledForest, PolicyDecisionPoint
+from .engine import PolicyDecisionPoint
 from .errors import AuditError, ObligationError, WireFormatError
 from .model import (
     Decision,
@@ -31,6 +31,7 @@ from .model import (
     STATUS_PROCESSING_ERROR,
     STATUS_SYNTAX_ERROR,
     TraceRecord,
+    single_line,
 )
 from .parsing.wire import RequestContext, WireView, parse_request, serialize_response
 
@@ -74,13 +75,15 @@ class AuditRecord:
     obligations_executed: tuple[str, ...] = ()
 
     def to_line(self) -> str:
+        """One line of UTF-8 text: the caller-supplied fields are made
+        single-line, so no request can split its record in two."""
         from .instant import format_instant
 
         obligations = ",".join(self.obligations_executed) or "-"
         return (
-            f"{format_instant(self.at)}|{self.requester or '-'}|{self.resource or '-'}|"
-            f"{self.action or '-'}|{self.decision.value}|{self.status}|"
-            f"{self.trace_digest}|{obligations}"
+            f"{format_instant(self.at)}|{single_line(self.requester or '-')}|"
+            f"{single_line(self.resource or '-')}|{single_line(self.action or '-')}|"
+            f"{self.decision.value}|{self.status}|{self.trace_digest}|{obligations}"
         )
 
 
@@ -189,7 +192,7 @@ class ReferenceMonitor:
         pseudonym_key: Optional[str] = None,
     ):
         self.engine = engine
-        self.forest = CompiledForest(documents)
+        self.forest = engine.compile(documents)
         self.pips = pips
         self.audit = audit or AuditLog()
         self.obligations = ObligationService(pseudonym_key)

@@ -1,9 +1,11 @@
 """The engine against the reference evaluator in engine_oracle.py.
 
-Random forests (tests/policybuild.random_forest) are evaluated through the
-compiled, indexed forest and by the oracle's full walk; both must give the
-same decision, status, obligations and trace, down to the response bytes
-and the audit trace digest, in both legislation modes. The requests carry
+Random forests (tests/policybuild.random_forest, with its hostile
+extension points: unknown functions and combiners, wrong arities,
+registered functions that raise or return a non-boolean) are evaluated
+through the compiled, indexed forest and by the oracle's full walk; both
+must give the same decision, status, obligations and trace, down to the
+response bytes and the audit trace digest, in both legislation modes. The requests carry
 missing, multi-valued and non-string bags for the attributes the forests'
 targets name, so the literal index meets every case it must not screen.
 """
@@ -15,13 +17,22 @@ from hypothesis import given, settings, strategies as st
 
 import engine_oracle
 from conftest import make_bundle
-from lexgate.engine import CompiledForest, PolicyDecisionPoint
+from lexgate.engine import CompiledForest, FunctionRegistry, PolicyDecisionPoint
 from lexgate.model import AttributeValue, Category, DataType, GeoPoint, Target
 from lexgate.parsing.wire import RequestContext, serialize_response
 from lexgate.pep import trace_digest
-from policybuild import TARGET_LITERALS, document, policy, random_forest, rule, string_clause
+from policybuild import (
+    HOSTILE_FUNCTIONS,
+    TARGET_LITERALS,
+    document,
+    policy,
+    random_forest,
+    rule,
+    string_clause,
+)
 
-ENGINE = PolicyDecisionPoint()
+# Registers the misbehaving functions that hostile random forests call.
+ENGINE = PolicyDecisionPoint(FunctionRegistry(HOSTILE_FUNCTIONS))
 NOON = "2026-03-10T12:00:00Z"
 # London (GB), Zurich (CH) and Frankfurt (DE); and open sea, in one request
 # of ten: no country, so the context build fails and both sides fold to a
@@ -75,7 +86,7 @@ def requests(draw):
     mode=st.sampled_from(("aware", "ignore-tags")),
 )
 def test_engine_agrees_with_the_oracle(pips, seed, request, mode):
-    forest = random_forest(random.Random(seed))
+    forest = random_forest(random.Random(seed), hostile=True)
     got = ENGINE.evaluate(CompiledForest(forest), request, pips, legislation_mode=mode)
     want = engine_oracle.evaluate(ENGINE, forest, request, pips, legislation_mode=mode)
     assert got.decision is want.decision

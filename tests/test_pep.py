@@ -1,10 +1,12 @@
 import datetime as dt
+import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_bundle, wire_request
-from lexgate.engine import PolicyDecisionPoint
+from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError
 from lexgate.instant import parse_instant
 from lexgate.model import (
@@ -12,6 +14,7 @@ from lexgate.model import (
     DataType,
     Decision,
     Effect,
+    FunctionApplication,
     Obligation,
     STATUS_PROCESSING_ERROR,
 )
@@ -27,6 +30,7 @@ from lexgate.pep import (
     pseudonym,
     trace_digest,
 )
+from policybuild import document, policy, rule
 
 GOOD_SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
@@ -355,7 +359,74 @@ def test_non_utf8_request_is_a_syntax_error_with_one_audit_record(policy_pack, t
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
 
 
+def test_memory_stays_bounded_over_many_requests(policy_pack, fixtures_root):
+    # One monitor serves the packaged requests. After the warm-up (roots
+    # compiled, scopes selected) the memory still held must not grow with
+    # the request count.
+    requests = [
+        (fixtures_root / "requests" / f"{name}.req").read_bytes()
+        for name in ("portfolio-de-office", "login-noon", "portfolio-ch-window")
+    ]
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+
+    def serve(count):
+        for n in range(count):
+            monitor.handle_request(requests[n % 3], GOOD_SESSION)
+
+    serve(1_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        serve(9_000)
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 1024
+
+
 _VALID_REQUEST = wire_request(resource="cust/4711/portfolio", point="47.37 8.54")
+
+
+def _raise_value_error(message):
+    def explode(ctx, args):
+        raise ValueError(message)
+
+    return explode
+
+
+_FORGED = "2026-03-10T13:40:00.000000Z|c.miller|cust/4711/portfolio|read|Permit|ok|0|-"
+
+
+@pytest.mark.parametrize(
+    "message,user,raw",
+    [
+        pytest.param("a\nb", GOOD_SESSION.user, _VALID_REQUEST, id="condition-error-spans-lines"),
+        pytest.param("bad \udc80 text", GOOD_SESSION.user, _VALID_REQUEST, id="condition-error-surrogate"),
+        pytest.param("", "c.mil\udc80ler", _VALID_REQUEST, id="session-user-surrogate"),
+        pytest.param(
+            "", GOOD_SESSION.user,
+            _VALID_REQUEST.decode().replace("end\n", "resource note string caf\udc80\nend\n"),
+            id="str-request-surrogate",
+        ),
+        pytest.param("", "mallory\n" + _FORGED, _VALID_REQUEST, id="session-user-forges-a-record"),
+    ],
+)
+def test_caller_text_cannot_break_the_response_or_the_audit_line(tmp_path, message, user, raw):
+    # A registered condition function that raises with `message` decides
+    # the forest's one policy, so its text reaches a trace reason.
+    engine = PolicyDecisionPoint(FunctionRegistry({"function:explode": _raise_value_error(message)}))
+    forest = [document(policy("p", [rule("r", Effect.PERMIT, FunctionApplication("function:explode", ()))]))]
+    audit_path = tmp_path / "audit.log"
+    pips = make_bundle("2026-03-10T13:40:00Z")
+    monitor = ReferenceMonitor(engine, forest, pips, audit=AuditLog(audit_path), pseudonym_key=KEY)
+    response_bytes, _record = monitor.handle_request(raw, AuthState(user, "miller-pass-1"))
+    response, _view = parse_response(response_bytes)
+    lines = audit_path.read_bytes().decode("utf-8").splitlines()
+    assert len(lines) == 1
+    # Read from the right: the caller's fields come first and may hold '|'.
+    _head, decision, status, _digest, _obligations = lines[0].rsplit("|", 4)
+    assert (decision, status) == (response.decision.value, response.status)
 
 
 @st.composite
