@@ -155,16 +155,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    audit = AuditLog(Path(args.audit)) if args.audit else AuditLog()
-    monitor = ReferenceMonitor(
-        PolicyDecisionPoint(),
-        documents,
-        pips,
-        audit=audit,
-        pseudonym_key=os.environ.get(PSEUDONYM_KEY_ENV),
-    )
-    raw = sys.stdin.buffer.read()
-    response_bytes, _record = monitor.handle_request(raw, AuthState(args.user, args.secret))
+    with AuditLog(Path(args.audit) if args.audit else None) as audit:
+        monitor = ReferenceMonitor(
+            PolicyDecisionPoint(),
+            documents,
+            pips,
+            audit=audit,
+            pseudonym_key=os.environ.get(PSEUDONYM_KEY_ENV),
+        )
+        raw = sys.stdin.buffer.read()
+        response_bytes, _record = monitor.handle_request(raw, AuthState(args.user, args.secret))
     sys.stdout.buffer.write(response_bytes)
     sys.stdout.buffer.flush()
     return 0
@@ -294,41 +294,41 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 2
 
     key = os.environ.get(PSEUDONYM_KEY_ENV) or scenario.pseudonym_key
-    audit = AuditLog(Path(args.audit)) if args.audit else AuditLog()
-    monitor = ReferenceMonitor(
-        PolicyDecisionPoint(), documents, pips, audit=audit, pseudonym_key=key
-    )
-
-    failed = 0
-    for index, step in enumerate(scenario.steps, start=1):
-        clock.set(step.at)
-        record = pips.identities.get(step.actor)
-        session = AuthState(step.actor, record.credentials if record else "")
-        try:
-            raw = _step_request(step, pips)
-            response_bytes, _audit_record = monitor.handle_request(raw, session)
-            response, _view = parse_response(response_bytes)
-        except LexgateError as exc:
-            print(f"error: step {index}: {exc}", file=sys.stderr)
-            return 2
-
-        got_obligations = tuple(ob.id for ob in response.obligations)
-        ok = response.decision is step.expect
-        if step.expect_obligations is not None:
-            ok = ok and sorted(got_obligations) == sorted(step.expect_obligations)
-
-        verdict = "PASS" if ok else "FAIL"
-        detail = f"expect={step.expect.value} got={response.decision.value}"
-        if step.expect_obligations is not None or got_obligations:
-            wanted = ",".join(step.expect_obligations or ()) or "-"
-            got = ",".join(got_obligations) or "-"
-            detail += f" obligations={got} (wanted {wanted})"
-        print(
-            f"step {index} {verdict} at={format_instant(step.at)} "
-            f"place={step.place} {detail}"
+    with AuditLog(Path(args.audit) if args.audit else None) as audit:
+        monitor = ReferenceMonitor(
+            PolicyDecisionPoint(), documents, pips, audit=audit, pseudonym_key=key
         )
-        if not ok:
-            failed += 1
+
+        failed = 0
+        for index, step in enumerate(scenario.steps, start=1):
+            clock.set(step.at)
+            record = pips.identities.get(step.actor)
+            session = AuthState(step.actor, record.credentials if record else "")
+            try:
+                raw = _step_request(step, pips)
+                response_bytes, _audit_record = monitor.handle_request(raw, session)
+                response, _view = parse_response(response_bytes)
+            except LexgateError as exc:
+                print(f"error: step {index}: {exc}", file=sys.stderr)
+                return 2
+
+            got_obligations = tuple(ob.id for ob in response.obligations)
+            ok = response.decision is step.expect
+            if step.expect_obligations is not None:
+                ok = ok and sorted(got_obligations) == sorted(step.expect_obligations)
+
+            verdict = "PASS" if ok else "FAIL"
+            detail = f"expect={step.expect.value} got={response.decision.value}"
+            if step.expect_obligations is not None or got_obligations:
+                wanted = ",".join(step.expect_obligations or ()) or "-"
+                got = ",".join(got_obligations) or "-"
+                detail += f" obligations={got} (wanted {wanted})"
+            print(
+                f"step {index} {verdict} at={format_instant(step.at)} "
+                f"place={step.place} {detail}"
+            )
+            if not ok:
+                failed += 1
 
     total = len(scenario.steps)
     print(f"scenario {scenario.name}: {total} steps, {total - failed} passed, {failed} failed")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import base64
 import datetime as dt
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import MissingCategoryError, WireFormatError
@@ -42,6 +42,9 @@ CURRENT_POSITION = "current-position"
 PROXIMITY_TOKEN = "proximity-token"
 
 _CATEGORIES = {c.value: c for c in Category}
+# Category -> its bag of a RequestContext; reading `Category.value` is an
+# Enum property call, several times slower than the lookup.
+_CATEGORY_BAG = {c: operator.attrgetter(c.value) for c in Category}
 _WIRE_LINE = operator.attrgetter("wire_line")
 _TYPES = {t.value: t for t in DataType}
 
@@ -49,7 +52,9 @@ _TYPES = {t.value: t for t in DataType}
 @dataclass(frozen=True)
 class RequestContext:
     """One decision request: four attribute bags plus the source location
-    (when already resolved by a supplier) and the destination country."""
+    (when already resolved by a supplier) and the destination country.
+    The request's own subject, resource and action ids are read once,
+    when the context is built."""
 
     subject: tuple[Attribute, ...] = ()
     resource: tuple[Attribute, ...] = ()
@@ -57,28 +62,42 @@ class RequestContext:
     environment: tuple[Attribute, ...] = ()
     source_location: Optional[LocationReport] = None
     destination_country: Optional[str] = None
+    _subject_id: Optional[str] = field(init=False, repr=False, compare=False)
+    _resource_id: Optional[str] = field(init=False, repr=False, compare=False)
+    _action_id: Optional[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, category, attribute_id in _OWN_IDS:
+            value = self.first(category, attribute_id)
+            object.__setattr__(self, name, str(value.value) if value else None)
 
     def category(self, category: Category) -> tuple[Attribute, ...]:
-        return getattr(self, category.value)
+        return _CATEGORY_BAG[category](self)
 
     def bag(self, category: Category, attribute_id: str) -> tuple[AttributeValue, ...]:
         return tuple(v for k, v in self.category(category) if k == attribute_id)
 
     def first(self, category: Category, attribute_id: str) -> Optional[AttributeValue]:
-        values = self.bag(category, attribute_id)
-        return values[0] if values else None
+        for key, value in self.category(category):
+            if key == attribute_id:
+                return value
+        return None
 
     def subject_id(self) -> Optional[str]:
-        value = self.first(Category.SUBJECT, SUBJECT_ID)
-        return str(value.value) if value else None
+        return self._subject_id
 
     def resource_id(self) -> Optional[str]:
-        value = self.first(Category.RESOURCE, RESOURCE_ID)
-        return str(value.value) if value else None
+        return self._resource_id
 
     def action_id(self) -> Optional[str]:
-        value = self.first(Category.ACTION, ACTION_ID)
-        return str(value.value) if value else None
+        return self._action_id
+
+
+_OWN_IDS = (
+    ("_subject_id", Category.SUBJECT, SUBJECT_ID),
+    ("_resource_id", Category.RESOURCE, RESOURCE_ID),
+    ("_action_id", Category.ACTION, ACTION_ID),
+)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,25 @@ append an audit record, respond. Fail-safe rules: an obligation failure
 downgrades Permit to Deny, an audit storage failure turns the response
 into Indeterminate/processing-error, and no response ever carries a
 cleartext view together with anything but Permit.
+
+The audit trail is held open: `AuditLog` opens its file at the first
+append, flushes after every record, so each record reaches the operating
+system before the response is returned, and keeps the file open until
+`close()` (or the end of a `with` block). To rotate the file, call
+`close()` and move it; the next append opens the path again. A file moved
+or deleted without `close()` is noticed at the next append, which then
+opens the path again too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import hashlib
 import hmac
+import io
 import operator
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -23,6 +34,7 @@ from .context.bundle import PipBundle
 from .context.resources import ResourceRecord
 from .engine import PolicyDecisionPoint
 from .errors import AuditError, ObligationError, WireFormatError
+from .instant import format_instant
 from .model import (
     Decision,
     Obligation,
@@ -75,16 +87,26 @@ class AuditRecord:
     obligations_executed: tuple[str, ...] = ()
 
     def to_line(self) -> str:
-        """One line of UTF-8 text: the caller-supplied fields are made
-        single-line, so no request can split its record in two."""
-        from .instant import format_instant
-
+        """One line of UTF-8 text with eight `|`-separated fields: the
+        caller-supplied fields are made single-line and `|`-free
+        (`_audit_field`), so no request can split its record in two or
+        shift its fields."""
         obligations = ",".join(self.obligations_executed) or "-"
         return (
-            f"{format_instant(self.at)}|{single_line(self.requester or '-')}|"
-            f"{single_line(self.resource or '-')}|{single_line(self.action or '-')}|"
+            f"{format_instant(self.at)}|{_audit_field(self.requester)}|"
+            f"{_audit_field(self.resource)}|{_audit_field(self.action)}|"
             f"{self.decision.value}|{self.status}|{self.trace_digest}|{obligations}"
         )
+
+
+def _audit_field(text: str) -> str:
+    """A caller-supplied audit field: `-` when empty, made single-line
+    (`single_line`), with `%` written as `%25` and `|` as `%7C`. Text
+    without either character is kept as it is."""
+    text = single_line(text or "-")
+    if "|" in text or "%" in text:
+        text = text.replace("%", "%25").replace("|", "%7C")
+    return text
 
 
 def trace_digest(trace: Sequence[TraceRecord]) -> str:
@@ -94,10 +116,23 @@ def trace_digest(trace: Sequence[TraceRecord]) -> str:
 
 class AuditLog:
     """Append-only, monotonically timestamped decision trail. The records
-    go to the file; memory holds only the last timestamp written."""
+    go to the file; memory holds only the last timestamp written.
+
+    One append-mode stream is opened at the first append, and each record
+    is written as a UTF-8 line and flushed. After an `OSError` from open,
+    write or flush the stream is closed, without writing what the failed
+    record left in its buffer, and `AuditError` is raised; the next append
+    opens the file again. Before each write the path is checked (one
+    `stat`): when the file was moved or deleted since it was opened, the
+    stream is closed and the path opened anew, so the record goes where a
+    reopen per record would put it. `close()` may be called any number of
+    times; an append after it reopens the file."""
 
     def __init__(self, path: Optional[Path] = None):
         self._path = path
+        self._where = None if path is None else os.fspath(path)
+        self._stream: Optional[io.BufferedWriter] = None
+        self._file_id: Optional[tuple[int, int]] = None
         self._last_at: Optional[dt.datetime] = None
 
     def append(self, record: AuditRecord) -> None:
@@ -105,11 +140,43 @@ class AuditLog:
             raise AuditError("audit timestamps must not decrease")
         if self._path is not None:
             try:
-                with open(self._path, "a", encoding="utf-8") as stream:
-                    stream.write(record.to_line() + "\n")
+                if self._stream is not None and self._moved():
+                    self.close()
+                if self._stream is None:
+                    self._stream = open(self._path, "ab")
+                    opened = os.fstat(self._stream.fileno())
+                    self._file_id = opened.st_ino, opened.st_dev
+                self._stream.write(f"{record.to_line()}\n".encode("utf-8"))
+                self._stream.flush()
             except OSError as exc:
+                stream, self._stream = self._stream, None
+                if stream is not None:
+                    # Close the file under the buffer: stream.close() would
+                    # try once more to write the record this error refused.
+                    with contextlib.suppress(OSError):
+                        stream.raw.close()
                 raise AuditError(f"audit storage failed: {exc}") from exc
         self._last_at = record.at
+
+    def _moved(self) -> bool:
+        """Whether the open file is no longer the one at the path: it was
+        moved or deleted under the log (a rotation without `close()`)."""
+        try:
+            now = os.stat(self._where)
+        except FileNotFoundError:
+            return True
+        return (now.st_ino, now.st_dev) != self._file_id
+
+    def close(self) -> None:
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            stream.close()
+
+    def __enter__(self) -> "AuditLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def pseudonym(key: str, identifier: str) -> str:

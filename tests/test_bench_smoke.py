@@ -26,8 +26,25 @@ def bench():
         yield module
 
 
+@pytest.fixture
+def audit_logs_closed(bench, monkeypatch):
+    # The run drops its monitor's audit log without closing it; the test
+    # keeps each log the run builds and closes it once the run is over.
+    program = bench.import_program()
+    built = []
+
+    def audit_log(path):
+        built.append(program["AuditLog"](path))
+        return built[-1]
+
+    monkeypatch.setattr(bench, "import_program", lambda: {**program, "AuditLog": audit_log})
+    yield
+    for log in built:
+        log.close()
+
+
 @pytest.mark.parametrize("workload", ["pack-mix", "forest-600", "world-200", "reject-mix"])
-def test_workload_runs_correct_with_no_failures(bench, workload):
+def test_workload_runs_correct_with_no_failures(bench, audit_logs_closed, workload):
     assert workload in bench.WORKLOADS
     result = bench.run(workload, seed=1, seconds=0, trace=False, max_requests=REQUESTS,
                        emit=lambda lines: None)

@@ -1,6 +1,8 @@
 import datetime as dt
 import gc
+import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,80 +258,141 @@ def _record(at_minute: int, decision=Decision.PERMIT) -> AuditRecord:
 
 
 def test_audit_appends_in_order_with_monotone_timestamps(tmp_path):
-    log = AuditLog(tmp_path / "audit.log")
-    log.append(_record(1))
-    log.append(_record(2, Decision.DENY))
+    with AuditLog(tmp_path / "audit.log") as log:
+        log.append(_record(1))
+        log.append(_record(2, Decision.DENY))
     lines = (tmp_path / "audit.log").read_text().splitlines()
     assert [line.split("|")[4] for line in lines] == ["Permit", "Deny"]
 
 
 def test_audit_rejects_backwards_timestamps(tmp_path):
-    log = AuditLog(tmp_path / "audit.log")
-    log.append(_record(5))
-    with pytest.raises(AuditError):
-        log.append(_record(4))
+    with AuditLog(tmp_path / "audit.log") as log:
+        log.append(_record(5))
+        with pytest.raises(AuditError):
+            log.append(_record(4))
+
+
+def test_close_is_idempotent_and_an_append_after_it_reopens_the_file(tmp_path):
+    audit_path = tmp_path / "audit.log"
+    log = AuditLog(audit_path)
+    log.close()  # nothing opened yet
+    log.append(_record(1))
+    log.close()
+    log.close()
+    assert audit_path.read_text() == _record(1).to_line() + "\n"
+    # A rotation: the closed file is moved away, the next append makes a new one.
+    audit_path.rename(tmp_path / "audit.log.1")
+    with log:
+        log.append(_record(2))
+    assert audit_path.read_text() == _record(2).to_line() + "\n"
+    assert (tmp_path / "audit.log.1").read_text() == _record(1).to_line() + "\n"
+
+
+def test_a_file_moved_or_deleted_under_the_open_log_is_noticed(tmp_path):
+    audit_path = tmp_path / "audit.log"
+    with AuditLog(audit_path) as log:
+        log.append(_record(1))
+        # Rotated without close(), the way logrotate's `create` does it.
+        audit_path.rename(tmp_path / "audit.log.1")
+        audit_path.touch()
+        log.append(_record(2))
+        assert audit_path.read_text() == _record(2).to_line() + "\n"
+        audit_path.unlink()
+        log.append(_record(3))
+    assert audit_path.read_text() == _record(3).to_line() + "\n"
+    assert (tmp_path / "audit.log.1").read_text() == _record(1).to_line() + "\n"
+
+
+_PERMITTED_REQUEST = wire_request(
+    resource="cust/4711/portfolio",
+    point="47.37 8.54",
+    tokens=("cust:4711",),
+    token_at="2026-03-10T13:40:00Z",
+)
+
+
+def _assert_audit_failure(response_bytes):
+    response, view = parse_response(response_bytes)
+    assert response.decision is Decision.INDETERMINATE
+    assert response.status == STATUS_PROCESSING_ERROR
+    assert response.trace[-1].node_id == "<audit>"
+    assert view is None  # fail-safe: no data with an error response
 
 
 def test_unwritable_audit_storage_yields_processing_error(policy_pack, tmp_path):
     # A vanished parent directory makes every append fail, root or not.
     audit_path = tmp_path / "gone" / "audit.log"
-    monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=AuditLog(audit_path))
-    raw = wire_request(
-        resource="cust/4711/portfolio",
-        point="47.37 8.54",
-        tokens=("cust:4711",),
-        token_at="2026-03-10T13:40:00Z",
-    )
-    response_bytes, _ = monitor.handle_request(raw, GOOD_SESSION)
-    response, view = parse_response(response_bytes)
-    assert response.decision is Decision.INDETERMINATE
-    assert response.status == STATUS_PROCESSING_ERROR
-    assert view is None  # fail-safe: no data with an error response
+    with AuditLog(audit_path) as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        failed, _ = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+        _assert_audit_failure(failed)
+
+        # The failed open left no stream behind, so once the directory is
+        # back the next append opens the path and audits normally.
+        audit_path.parent.mkdir()
+        response_bytes, record = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+    assert parse_response(response_bytes)[0].decision is Decision.PERMIT
+    assert audit_path.read_text() == record.to_line() + "\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_failed_flush_yields_processing_error(policy_pack):
+    # /dev/full accepts the open and the buffered write; only the flush
+    # that hands the record to the operating system fails.
+    with AuditLog(Path("/dev/full")) as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        for _ in range(2):
+            response_bytes, _ = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+            _assert_audit_failure(response_bytes)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_the_held_stream_leaks_no_descriptor(policy_pack, tmp_path):
+    audit_path = tmp_path / "audit.log"
+
+    def descriptors_on_the_audit_file():
+        links = []
+        for fd in Path("/proc/self/fd").iterdir():
+            try:
+                links.append(os.readlink(fd))
+            except OSError:  # the directory's own descriptor, closed by now
+                pass
+        return links.count(str(audit_path))
+
+    with AuditLog(audit_path) as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        for _ in range(1_000):
+            monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+            assert descriptors_on_the_audit_file() <= 1
+    assert descriptors_on_the_audit_file() == 0
+    assert len(audit_path.read_text().splitlines()) == 1_000
 
 
 def test_a_clock_step_back_is_refused_until_the_clock_catches_up(policy_pack, tmp_path):
     # The audit trail must stay monotone, so a request stamped before the
     # last audited instant gets no decision and leaves no audit line.
     audit_path = tmp_path / "audit.log"
-    monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=AuditLog(audit_path))
-    raw = wire_request(
-        resource="cust/4711/portfolio",
-        point="47.37 8.54",
-        tokens=("cust:4711",),
-        token_at="2026-03-10T13:40:00Z",
-    )
-    first, _ = monitor.handle_request(raw, GOOD_SESSION)
-    assert parse_response(first)[0].decision is Decision.PERMIT
+    with AuditLog(audit_path) as audit:
+        monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        first, _ = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+        assert parse_response(first)[0].decision is Decision.PERMIT
 
-    pips.clock.set(parse_instant("2026-03-10T13:39:59Z"))
-    refused, _ = monitor.handle_request(raw, GOOD_SESSION)
-    response, view = parse_response(refused)
-    assert response.decision is Decision.INDETERMINATE
-    assert response.status == STATUS_PROCESSING_ERROR
-    assert response.trace[-1].node_id == "<audit>"
-    assert view is None
-    assert len(audit_path.read_text().splitlines()) == 1
+        pips.clock.set(parse_instant("2026-03-10T13:39:59Z"))
+        refused, _ = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+        _assert_audit_failure(refused)
+        assert len(audit_path.read_text().splitlines()) == 1
 
-    pips.clock.set(parse_instant("2026-03-10T13:40:00Z"))
-    again, _ = monitor.handle_request(raw, GOOD_SESSION)
-    assert again == first
-    assert len(audit_path.read_text().splitlines()) == 2
+        pips.clock.set(parse_instant("2026-03-10T13:40:00Z"))
+        again, _ = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+        assert again == first
+        assert len(audit_path.read_text().splitlines()) == 2
 
 
 def test_every_pdp_invocation_has_exactly_one_audit_record(policy_pack, tmp_path):
-    audit = AuditLog(tmp_path / "audit.log")
-    pips = make_bundle("2026-03-10T13:40:00Z")
-    monitor = ReferenceMonitor(
-        PolicyDecisionPoint(), policy_pack, pips, audit=audit, pseudonym_key=KEY
-    )
-    raw = wire_request(
-        resource="cust/4711/portfolio",
-        point="47.37 8.54",
-        tokens=("cust:4711",),
-        token_at="2026-03-10T13:40:00Z",
-    )
-    for _ in range(3):
-        monitor.handle_request(raw, GOOD_SESSION)
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        for _ in range(3):
+            monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
     assert pips.log.pdp_calls == 3
     assert len((tmp_path / "audit.log").read_text().splitlines()) == 3
 
@@ -347,10 +410,10 @@ def test_trace_digest_is_stable():
 
 
 def test_non_utf8_request_is_a_syntax_error_with_one_audit_record(policy_pack, tmp_path):
-    audit = AuditLog(tmp_path / "audit.log")
-    monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
     raw = wire_request(extra_lines=("resource note string caf\xe9",)).replace("\xe9".encode(), b"\xe9\xff")
-    response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
     response, view = parse_response(response_bytes)
     assert response.decision is Decision.INDETERMINATE
     assert response.status == "syntax-error"
@@ -410,6 +473,10 @@ _FORGED = "2026-03-10T13:40:00.000000Z|c.miller|cust/4711/portfolio|read|Permit|
             id="str-request-surrogate",
         ),
         pytest.param("", "mallory\n" + _FORGED, _VALID_REQUEST, id="session-user-forges-a-record"),
+        pytest.param(
+            "", "x|c.miller|cust/4711/portfolio|read|Permit|ok", _VALID_REQUEST,
+            id="session-user-shifts-the-fields",
+        ),
     ],
 )
 def test_caller_text_cannot_break_the_response_or_the_audit_line(tmp_path, message, user, raw):
@@ -419,14 +486,16 @@ def test_caller_text_cannot_break_the_response_or_the_audit_line(tmp_path, messa
     forest = [document(policy("p", [rule("r", Effect.PERMIT, FunctionApplication("function:explode", ()))]))]
     audit_path = tmp_path / "audit.log"
     pips = make_bundle("2026-03-10T13:40:00Z")
-    monitor = ReferenceMonitor(engine, forest, pips, audit=AuditLog(audit_path), pseudonym_key=KEY)
-    response_bytes, _record = monitor.handle_request(raw, AuthState(user, "miller-pass-1"))
+    with AuditLog(audit_path) as audit:
+        monitor = ReferenceMonitor(engine, forest, pips, audit=audit, pseudonym_key=KEY)
+        response_bytes, _record = monitor.handle_request(raw, AuthState(user, "miller-pass-1"))
     response, _view = parse_response(response_bytes)
     lines = audit_path.read_bytes().decode("utf-8").splitlines()
     assert len(lines) == 1
-    # Read from the right: the caller's fields come first and may hold '|'.
-    _head, decision, status, _digest, _obligations = lines[0].rsplit("|", 4)
-    assert (decision, status) == (response.decision.value, response.status)
+    # Split from the left: no caller text may add a field.
+    fields = lines[0].split("|")
+    assert len(fields) == 8
+    assert (fields[4], fields[5]) == (response.decision.value, response.status)
 
 
 @st.composite
@@ -446,8 +515,9 @@ def test_any_bytes_yield_a_response_and_exactly_one_audit_record(
     policy_pack, tmp_path_factory, raw
 ):
     audit_path = tmp_path_factory.mktemp("audit") / "audit.log"
-    monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=AuditLog(audit_path))
-    response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    with AuditLog(audit_path) as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
     response, _view = parse_response(response_bytes)
     assert audit_path.read_text() == record.to_line() + "\n"
     assert record.decision is response.decision
