@@ -108,8 +108,6 @@ class DiaryStore:
         by_owner: dict[str, list[DiaryEntry]] = {}
         for entry in self.entries:
             by_owner.setdefault(entry.owner, []).append(entry)
-        # Each owner's entries in file order, for entries_for.
-        self._by_owner = {owner: tuple(owned) for owner, owned in by_owner.items()}
         # Each owner's entries by the start of their extended window, those
         # starts, and the longest extended window: an entry whose window
         # holds `now` starts in [now - longest, now], so check_task bisects.
@@ -129,13 +127,6 @@ class DiaryStore:
                         f"cross-border entry {entry.task!r} of {entry.owner!r} "
                         "lacks a travel authorization"
                     )
-
-    def entries_for(self, user: str, resource: str) -> tuple[DiaryEntry, ...]:
-        return tuple(
-            entry
-            for entry in self._by_owner.get(user, ())
-            if resource in entry.planned_resources
-        )
 
     def check_task(
         self,

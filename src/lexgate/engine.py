@@ -26,8 +26,6 @@ deny-overrides; see README for the exact semantics.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .combining import CombinerRegistry
@@ -79,19 +77,6 @@ RESOURCE_CATEGORY = "category"
 TOP_COMBINER = "deny-overrides"
 
 _STRING_EQUAL = "function:string-equal"
-
-
-class Applicability(Enum):
-    APPLICABLE = "Applicable"
-    NOT_APPLICABLE = "NotApplicable"
-    INDETERMINATE = "Indeterminate"
-
-
-@dataclass(frozen=True)
-class ConditionOutcome:
-    value: Optional[bool]  # None means Indeterminate
-    status: str = STATUS_OK
-    reason: str = ""
 
 
 class _EvalError(Exception):
@@ -378,9 +363,9 @@ class PolicyDecisionPoint:
         self.combiners = combiners or CombinerRegistry()
 
     def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
-        """The forest indexed for this engine; each root is compiled to
-        closures over this engine's registries the first time a request
-        walks it."""
+        """The forest indexed for this engine, the one way to build a
+        `CompiledForest`; each root is compiled to closures over this
+        engine's registries the first time a request walks it."""
         return CompiledForest(documents, self)
 
     # -- context construction ---------------------------------------------
@@ -646,31 +631,7 @@ class PolicyDecisionPoint:
 
         return walk
 
-    # -- entry points ----------------------------------------------------------
-
-    def is_applicable(
-        self, node: PolicyNode, ctx: EvaluationContext
-    ) -> tuple[Applicability, str]:
-        """Target and legislation applicability with a trace reason."""
-        applies = self._compile_applicability(node)
-        record = None if applies is None else applies(ctx)
-        if record is None:
-            return Applicability.APPLICABLE, ""
-        if record.decision is Decision.NOT_APPLICABLE:
-            return Applicability.NOT_APPLICABLE, record.reason
-        return Applicability.INDETERMINATE, record.reason
-
-    def evaluate_condition(self, expr: ConditionExpr, ctx: EvaluationContext) -> ConditionOutcome:
-        """Three-valued condition evaluation; errors fold to Indeterminate."""
-        try:
-            value = self._compile_expr(expr)(ctx)
-        except _EvalError as exc:
-            return ConditionOutcome(None, exc.status, str(exc))
-        if isinstance(value, bool):
-            return ConditionOutcome(value)
-        return ConditionOutcome(
-            None, STATUS_PROCESSING_ERROR, "condition did not produce a boolean"
-        )
+    # -- the entry point ------------------------------------------------------
 
     def evaluate(
         self,
@@ -680,14 +641,20 @@ class PolicyDecisionPoint:
         *,
         legislation_mode: str = "aware",
     ) -> ResponseContext:
-        """Evaluate the document forest; never raises past this boundary.
-        A plain document sequence, or a forest compiled for another engine
-        or for none, is compiled for this engine on entry."""
+        """Evaluate the document forest: a forest from this engine's
+        `compile`, or a plain document sequence, which is compiled on entry.
+        No evaluation failure raises past this boundary; only a bad argument
+        does, with ValueError: an unknown legislation mode, or a forest
+        compiled by another engine, whose closures hold that engine's
+        registries."""
         if legislation_mode not in ("aware", "ignore-tags"):
             raise ValueError(f"unknown legislation mode {legislation_mode!r}")
-        forest = documents if isinstance(documents, CompiledForest) else CompiledForest(documents)
-        if forest.engine is not self:
-            forest = self.compile(forest.documents)
+        if isinstance(documents, CompiledForest):
+            if documents.engine is not self:
+                raise ValueError("the forest was compiled by another engine")
+            forest = documents
+        else:
+            forest = self.compile(documents)
         pips.log.pdp_entered()
         # The trace is built in document order; `visited` holds the (record,
         # node) pairs of every walked document, those of the document being
@@ -800,18 +767,12 @@ class CompiledForest:
     built here once, and the trace stays the one a full walk produces.
 
     A walked root runs as the closures `engine` compiles it to, the first
-    time a request walks it; a forest built without an engine is only an
-    index, and `PolicyDecisionPoint.evaluate` compiles its documents anew.
+    time a request walks it. Build one with `PolicyDecisionPoint.compile`.
     """
 
-    def __init__(
-        self,
-        documents: Iterable[PolicyDocument],
-        engine: Optional[PolicyDecisionPoint] = None,
-    ):
-        self.documents = tuple(documents)
+    def __init__(self, documents: Iterable[PolicyDocument], engine: PolicyDecisionPoint):
         self.engine = engine
-        self.roots = tuple(document.root for document in self.documents)
+        self.roots = tuple(document.root for document in documents)
         self._walks: list[Optional[Walk]] = [None] * len(self.roots)
         keys = [_literal_key(root.target) for root in self.roots]
         # Per document: the record of a legislation miss (None when the root

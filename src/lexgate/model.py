@@ -229,9 +229,12 @@ class PolicyDocument:
             stack.extend(reversed(node.children))
 
 
-# Line breaks as str.splitlines sees them, and lone surrogates, which
-# UTF-8 cannot encode.
-_UNSAFE_TEXT = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
+# Line breaks as str.splitlines sees them.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+# What single_line escapes: line breaks, lone surrogates, which UTF-8
+# cannot encode, and the backslash, so that the escaping can be undone.
+_UNSAFE_TEXT = re.compile(f"[\\\\{_LINE_BREAKS}\ud800-\udfff]")
 
 
 def _escape(match: re.Match) -> str:
@@ -239,11 +242,29 @@ def _escape(match: re.Match) -> str:
 
 
 def single_line(text: str) -> str:
-    """The text as one line of encodable UTF-8: line breaks and lone
-    surrogates are backslash-escaped (LF becomes \\n), the rest is kept."""
+    """The text as one line of encodable UTF-8: line breaks, lone
+    surrogates and the backslash itself are backslash-escaped (LF becomes
+    \\n, `\\` becomes `\\\\`), the rest is kept."""
     if _UNSAFE_TEXT.search(text) is None:
         return text
     return _UNSAFE_TEXT.sub(_escape, text)
+
+
+# The escapes single_line writes: `\\`, `\n`, `\r`, `\xhh` and `\uhhhh`.
+_ESCAPED = re.compile(r"\\(?:\\|[nr]|x[0-9a-f]{2}|u[0-9a-f]{4})")
+_SHORT_ESCAPES = {"\\\\": "\\", "\\n": "\n", "\\r": "\r"}
+
+
+def _unescape(match: re.Match) -> str:
+    escape = match.group()
+    return _SHORT_ESCAPES.get(escape) or chr(int(escape[2:], 16))
+
+
+def undo_single_line(line: str) -> str:
+    """The text that single_line turned into this line."""
+    if "\\" not in line:
+        return line
+    return _ESCAPED.sub(_unescape, line)
 
 
 @dataclass(frozen=True)
@@ -320,22 +341,16 @@ def _condition_functions(expr: ConditionExpr):
             yield from _condition_functions(arg)
 
 
-def validate_document(
-    doc: PolicyDocument,
-    *,
-    known_functions=BUILTIN_FUNCTIONS,
-    known_combiners=STANDARD_COMBINERS,
-    known_scopes=None,
-) -> list[Violation]:
+def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violation]:
     """Check the document against the structural rules of the dialect.
 
     Returns every violation found (an empty list iff the document is
-    well-formed). known_scopes is the legal-scope registry's id set; pass
-    None to skip referential scope checks.
+    well-formed). Functions and combiners are checked against
+    BUILTIN_FUNCTIONS and STANDARD_COMBINERS. known_scopes is the
+    legal-scope registry's id set; pass None to skip referential scope
+    checks.
     """
     violations: list[Violation] = []
-    functions = set(known_functions)
-    combiners = set(known_combiners)
     seen_ids: set[str] = set()
 
     for node in doc.walk():
@@ -351,7 +366,7 @@ def validate_document(
         else:
             if node.combining is None:
                 violations.append(Violation("missing-combiner", node.id))
-            elif node.combining not in combiners:
+            elif node.combining not in STANDARD_COMBINERS:
                 violations.append(Violation(f"unknown-combiner:{node.combining}", node.id))
             if node.effect is not None:
                 violations.append(Violation("effect-on-container", node.id))
@@ -374,11 +389,11 @@ def validate_document(
             for clause in clauses
         ]
         for fn in clause_functions:
-            if fn not in functions:
+            if fn not in BUILTIN_FUNCTIONS:
                 violations.append(Violation(f"unknown-function:{fn}", node.id))
         if node.condition is not None:
             for fn in _condition_functions(node.condition):
-                if fn not in functions:
+                if fn not in BUILTIN_FUNCTIONS:
                     violations.append(Violation(f"unknown-function:{fn}", node.id))
 
         if node.legislation is not None:

@@ -27,6 +27,7 @@ from ..model import (
     Effect,
     FunctionApplication,
     GeoPoint,
+    LINE_BREAK,
     Literal,
     MatchClause,
     NodeKind,
@@ -263,14 +264,24 @@ def _parse_obligations(node: XmlNode | None) -> tuple[Obligation, ...]:
                 ob_node.path(),
                 ob_node.line,
             )
+        # A parameter travels on one wire line, `param <name> <type> <value>`.
         params = []
         for assign in ob_node.findall("AttributeAssignment"):
             name = assign.attrs.get("AttributeId")
-            if not name:
+            if not name or name.split() != [name]:
                 raise PolicySyntaxError(
-                    "AttributeAssignment needs AttributeId", assign.path(), assign.line
+                    "AttributeAssignment needs an AttributeId without whitespace",
+                    assign.path(),
+                    assign.line,
                 )
-            params.append((name, _parse_literal(assign)))
+            value = _parse_literal(assign)
+            if isinstance(value.value, str) and LINE_BREAK.search(value.value):
+                raise PolicySyntaxError(
+                    "an obligation parameter must not contain a line break",
+                    assign.path(),
+                    assign.line,
+                )
+            params.append((name, value))
         obligations.append(Obligation(ob_id, Effect(fulfill_on), tuple(params)))
     return tuple(obligations)
 

@@ -26,9 +26,11 @@ from ..model import (
     Decision,
     Effect,
     GeoPoint,
+    LINE_BREAK,
     Obligation,
     ResponseContext,
     TraceRecord,
+    undo_single_line,
 )
 from .location_xml import LocationReport, ZoneKind, country_code
 from .policy_xml import format_typed_value, parse_typed_value
@@ -110,8 +112,8 @@ class WireView:
 
 
 def _check_single_line(text: str, what: str) -> str:
-    if "\n" in text or "\r" in text:
-        raise WireFormatError(f"{what} must not contain newlines: {text!r}")
+    if LINE_BREAK.search(text):
+        raise WireFormatError(f"{what} must not contain line breaks: {text!r}")
     return text
 
 
@@ -327,7 +329,12 @@ def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireVie
             except ValueError as exc:
                 raise WireFormatError(f"unknown decision on line {line_no}: {pieces[1]!r}") from exc
             reason = pieces[2] if len(pieces) > 2 else ""
-            trace.append(TraceRecord(pieces[0], node_decision, reason))
+            # The record escapes its reason again; only the text single_line
+            # writes comes back as the same bytes, and so the same digest.
+            record = TraceRecord(pieces[0], node_decision, undo_single_line(reason))
+            if record.reason != reason:
+                raise WireFormatError(f"trace reason is not escaped as written on line {line_no}")
+            trace.append(record)
         elif head == "view":
             pieces = rest.split(" ", 2)
             if len(pieces) == 2:

@@ -1,7 +1,12 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lexgate
 from lexgate.cli import main, parse_scenario
 from lexgate.errors import ScenarioFormatError
 
@@ -230,26 +235,30 @@ def test_scenario_steps_must_be_clock_monotone():
 # -- serve -----------------------------------------------------------------------
 
 
-def test_serve_handles_one_request_over_stdio(fixtures_root, tmp_path):
-    import os
-    import subprocess
-    import sys
+def serve(request, *argv, **env):
+    """`lexgate serve` in a child process that imports the package this
+    test process imported, whether or not PYTHONPATH names it."""
+    source = str(Path(lexgate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "lexgate.cli", "serve", *argv],
+        input=request,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        check=False,
+    )
 
+
+def test_serve_handles_one_request_over_stdio(fixtures_root, tmp_path):
     from lexgate.parsing.wire import parse_response
 
     request = (fixtures_root / "requests" / "portfolio-ch-window.req").read_bytes()
-    env = dict(os.environ, LEXGATE_PSEUDONYM_KEY="stdio-key")
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "lexgate.cli", "serve",
-            "--user", "c.miller", "--secret", "miller-pass-1",
-            "--at", "2026-03-10T12:45:00Z",
-            "--audit", str(tmp_path / "audit.log"),
-        ],
-        input=request,
-        capture_output=True,
-        env=env,
-        check=False,
+    result = serve(
+        request,
+        "--user", "c.miller", "--secret", "miller-pass-1",
+        "--at", "2026-03-10T12:45:00Z",
+        "--audit", str(tmp_path / "audit.log"),
+        LEXGATE_PSEUDONYM_KEY="stdio-key",
     )
     assert result.returncode == 0, result.stderr
     response, view = parse_response(result.stdout)
@@ -263,22 +272,14 @@ def test_serve_handles_one_request_over_stdio(fixtures_root, tmp_path):
 
 
 def test_serve_rejects_bad_credentials_over_stdio(fixtures_root):
-    import subprocess
-    import sys
-
     from lexgate.model import Decision
     from lexgate.parsing.wire import parse_response
 
     request = (fixtures_root / "requests" / "login-noon.req").read_bytes()
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "lexgate.cli", "serve",
-            "--user", "c.miller", "--secret", "wrong",
-            "--at", "2026-03-10T12:00:00Z",
-        ],
-        input=request,
-        capture_output=True,
-        check=False,
+    result = serve(
+        request,
+        "--user", "c.miller", "--secret", "wrong",
+        "--at", "2026-03-10T12:00:00Z",
     )
     assert result.returncode == 0
     response, view = parse_response(result.stdout)

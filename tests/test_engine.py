@@ -1,17 +1,19 @@
+import datetime as dt
 import random
 
 import pytest
 
 from conftest import make_bundle, wire_request
-from lexgate.engine import (
-    Applicability,
-    EvaluationContext,
-    FunctionRegistry,
-    PolicyDecisionPoint,
-)
+from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.model import (
+    AttributeSelector,
+    AttributeValue,
+    Category,
+    DataType,
     Decision,
     Effect,
+    FunctionApplication,
+    Literal,
     STATUS_MISSING_ATTRIBUTE,
     STATUS_OK,
     STATUS_PROCESSING_ERROR,
@@ -28,14 +30,14 @@ def _working_time_doc(policy_pack):
     return [d for d in policy_pack if d.root.id == "WorkingTimePolicy"]
 
 
-def _ctx(engine, at=NOON, request=None, mode="aware"):
-    pips = make_bundle(at)
-    request = request or parse_request(wire_request(point=LONDON_POINT))
-    ctx = engine._build_context(request, pips, mode)
-    ctx.applicable_scopes = pips.scopes.select_legislation(
-        ctx.source_country, ctx.destination_country
-    )
-    return ctx
+def _decide(engine, node, at=NOON):
+    """The response to the London request over a forest of one policy."""
+    request = parse_request(wire_request(point=LONDON_POINT))
+    return engine.evaluate([document(node)], request, make_bundle(at))
+
+
+def _record(response, node_id):
+    return {t.node_id: t for t in response.trace}[node_id]
 
 
 # -- applicability -------------------------------------------------------------
@@ -43,41 +45,36 @@ def _ctx(engine, at=NOON, request=None, mode="aware"):
 
 def test_node_tagged_with_destination_scope_is_applicable(engine):
     # GB -> LU connection: a node tagged {LU} applies (destination country).
-    ctx = _ctx(engine)
     node = policy("p", [rule("r", Effect.DENY)], legislation=frozenset({"LU"}))
-    applicability, _ = engine.is_applicable(node, ctx)
-    assert applicability is Applicability.APPLICABLE
+    response = _decide(engine, node)
+    assert response.decision is Decision.DENY
+    assert _record(response, "p").reason == "combined:deny-overrides"
 
 
 def test_unrelated_scope_tag_is_not_applicable(engine):
-    ctx = _ctx(engine)
     node = policy("p", [rule("r", Effect.DENY)], legislation=frozenset({"FR"}))
-    applicability, reason = engine.is_applicable(node, ctx)
-    assert applicability is Applicability.NOT_APPLICABLE
-    assert reason.startswith("legislation-scope-miss")
+    response = _decide(engine, node)
+    assert response.decision is Decision.NOT_APPLICABLE
+    assert _record(response, "p").reason == "legislation-scope-miss:FR"
 
 
 def test_match_any_node_applies_to_every_request(engine):
-    ctx = _ctx(engine)
-    node = policy("p", [rule("r", Effect.PERMIT)])
-    assert engine.is_applicable(node, ctx)[0] is Applicability.APPLICABLE
+    assert _decide(engine, policy("p", [rule("r", Effect.PERMIT)])).decision is Decision.PERMIT
 
 
 def test_target_clause_matching(engine):
-    ctx = _ctx(engine)
     matching = Target(subjects=(string_clause("user-id", "c.miller"),))
     other = Target(subjects=(string_clause("user-id", "someone-else"),))
-    assert engine.is_applicable(policy("a", [], target=matching), ctx)[0] \
-        is Applicability.APPLICABLE
-    assert engine.is_applicable(policy("b", [], target=other), ctx)[0] \
-        is Applicability.NOT_APPLICABLE
+    assert _decide(engine, policy("a", [rule("a-r")], target=matching)).decision is Decision.PERMIT
+    missed = _decide(engine, policy("b", [rule("b-r")], target=other))
+    assert missed.decision is Decision.NOT_APPLICABLE
+    assert _record(missed, "b").reason == "target-no-match:subject"
 
 
 def test_string_clause_matches_identifier_typed_value(engine):
     # user-id travels as an identifier; string-equal still compares text.
-    ctx = _ctx(engine)
-    node = policy("p", [], target=Target(subjects=(string_clause("user-id", "c.miller"),)))
-    assert engine.is_applicable(node, ctx)[0] is Applicability.APPLICABLE
+    node = policy("p", [rule("r")], target=Target(subjects=(string_clause("user-id", "c.miller"),)))
+    assert _decide(engine, node).decision is Decision.PERMIT
 
 
 # -- condition evaluation ---------------------------------------------------------
@@ -95,37 +92,42 @@ def test_string_clause_matches_identifier_typed_value(engine):
 )
 def test_working_time_condition_boundaries(engine, policy_pack, at, expected):
     condition = _working_time_doc(policy_pack)[0].root.children[0].condition
-    ctx = _ctx(engine, at=at)  # London: local time equals UTC
-    outcome = engine.evaluate_condition(condition, ctx)
-    assert outcome.value is expected
+    # London: local time equals UTC.
+    response = _decide(engine, policy("p", [rule("r", Effect.PERMIT, condition=condition)]), at=at)
+    if expected:
+        assert response.decision is Decision.PERMIT
+    else:
+        assert response.decision is Decision.NOT_APPLICABLE
+        assert _record(response, "r").reason == "condition-false"
 
 
-def test_missing_current_time_is_indeterminate_missing_attribute(engine, policy_pack):
-    condition = _working_time_doc(policy_pack)[0].root.children[0].condition
-    pips = make_bundle(NOON)
-    request = parse_request(wire_request(point=LONDON_POINT))
-    bare = EvaluationContext(
-        request=request,
-        pips=pips,
-        now_utc=pips.clock.now_utc(),
-        source_location=None,  # no resolved report, so no local time
-        source_country="GB",
-        destination_country="LU",
+def test_missing_current_time_is_indeterminate_missing_attribute(engine):
+    # A time the request does not carry has an empty bag, as current-time
+    # would without a resolved location; time-one-and-only refuses it.
+    shift_start = FunctionApplication(
+        "function:time-one-and-only",
+        (AttributeSelector(Category.ENVIRONMENT, "shift-start", DataType.TIME_OF_DAY),),
     )
-    outcome = engine.evaluate_condition(condition, bare)
-    assert outcome.value is None
-    assert outcome.status == STATUS_MISSING_ATTRIBUTE
+    condition = FunctionApplication(
+        "function:time-greater-than-or-equal",
+        (shift_start, Literal(AttributeValue(DataType.TIME_OF_DAY, dt.time(8)))),
+    )
+    response = _decide(engine, policy("p", [rule("r", Effect.PERMIT, condition=condition)]))
+    record = _record(response, "r")
+    assert record.decision is Decision.INDETERMINATE
+    assert record.reason == f"condition-error:{STATUS_MISSING_ATTRIBUTE}"
+    assert response.decision is Decision.DENY  # deny-overrides folds Indeterminate
 
 
 def test_location_match_function(engine):
-    ctx = _ctx(engine)  # London point
-    from lexgate.model import AttributeValue, DataType, FunctionApplication, Literal
-
+    # London point.
     def match(name):
-        expr = FunctionApplication(
+        condition = FunctionApplication(
             "function:location-match", (Literal(AttributeValue(DataType.STRING, name)),)
         )
-        return engine.evaluate_condition(expr, ctx).value
+        decision = _decide(engine, policy("p", [rule("r", condition=condition)])).decision
+        assert decision in (Decision.PERMIT, Decision.NOT_APPLICABLE)
+        return decision is Decision.PERMIT
 
     assert match("GB") is True
     assert match("unrestricted") is True
@@ -373,8 +375,6 @@ def test_obligation_coherence(engine, policy_pack):
 def test_user_registered_function_is_callable(policy_pack):
     functions = FunctionRegistry({"function:always-true": lambda ctx, args: True})
     engine = PolicyDecisionPoint(functions=functions)
-    from lexgate.model import FunctionApplication
-
     doc = document(
         policy("p", [rule("r", Effect.PERMIT, condition=FunctionApplication("function:always-true", ()))])
     )
@@ -387,3 +387,12 @@ def test_duplicate_function_registration_is_rejected():
     registry = FunctionRegistry()
     with pytest.raises(ValueError):
         registry.register("function:and", lambda ctx, args: True)
+
+
+def test_forest_compiled_by_another_engine_is_refused(engine, policy_pack):
+    request = parse_request(wire_request(point=LONDON_POINT))
+    forest = PolicyDecisionPoint().compile(policy_pack)
+    with pytest.raises(ValueError, match="another engine"):
+        engine.evaluate(forest, request, make_bundle(NOON))
+    assert engine.evaluate(engine.compile(policy_pack), request, make_bundle(NOON)) == \
+        engine.evaluate(policy_pack, request, make_bundle(NOON))

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import engine_oracle
 from conftest import make_bundle
-from lexgate.engine import CompiledForest, FunctionRegistry, PolicyDecisionPoint
+from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.model import AttributeValue, Category, DataType, GeoPoint, Target
 from lexgate.parsing.wire import RequestContext, serialize_response
 from lexgate.pep import trace_digest
@@ -87,7 +87,7 @@ def requests(draw):
 )
 def test_engine_agrees_with_the_oracle(pips, seed, request, mode):
     forest = random_forest(random.Random(seed), hostile=True)
-    got = ENGINE.evaluate(CompiledForest(forest), request, pips, legislation_mode=mode)
+    got = ENGINE.evaluate(ENGINE.compile(forest), request, pips, legislation_mode=mode)
     want = engine_oracle.evaluate(ENGINE, forest, request, pips, legislation_mode=mode)
     assert got.decision is want.decision
     assert got.status == want.status
@@ -100,7 +100,7 @@ def test_engine_agrees_with_the_oracle(pips, seed, request, mode):
 def test_only_candidate_documents_are_walked(pips):
     # GB -> LU: LU and EU apply, FR does not; the request reads
     # products/overview, so the res-x document is screened on its literal.
-    forest = CompiledForest([
+    forest = ENGINE.compile([
         document(policy("lu", [rule("lu-r")], legislation=frozenset({"LU"}))),
         document(policy("fr", [rule("fr-r")], legislation=frozenset({"FR"}))),
         document(policy("untagged", [rule("u-r")])),

@@ -3,6 +3,9 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
+from lexgate import model
+from lexgate.combining import CombinerRegistry
+from lexgate.engine import FunctionRegistry
 from lexgate.model import (
     AttributeValue,
     DataType,
@@ -13,6 +16,8 @@ from lexgate.model import (
     NodeKind,
     PolicyNode,
     Target,
+    single_line,
+    undo_single_line,
     validate_document,
 )
 from policybuild import always, document, policy, policy_set, rule, string_clause
@@ -24,6 +29,27 @@ def test_effects_are_a_strict_subset_of_decisions():
     assert effect_values < decision_values
     for effect in Effect:
         assert effect.to_decision().value == effect.value
+
+
+def test_validator_knows_exactly_the_engine_registries():
+    assert set(model.BUILTIN_FUNCTIONS) == FunctionRegistry().ids()
+    assert set(model.STANDARD_COMBINERS) == CombinerRegistry().ids()
+
+
+def test_single_line_tells_a_line_feed_from_backslash_n():
+    assert single_line("a\nb") == "a\\nb"
+    assert single_line("a\\nb") == "a\\\\nb"
+    assert single_line("a\nb") != single_line("a\\nb")
+
+
+# Backslashes, letters of escapes and line breaks are drawn often, so
+# that text which looks escaped meets real line breaks.
+@given(st.text(st.sampled_from("\\nux2\n\u2028\udc80") | st.characters()))
+def test_single_line_can_be_undone(text):
+    line = single_line(text)
+    assert line.splitlines() == [line] or line == ""
+    line.encode("utf-8")
+    assert undo_single_line(line) == text
 
 
 def test_attribute_value_type_checks():

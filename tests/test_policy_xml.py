@@ -13,6 +13,7 @@ from lexgate.model import (
     Literal,
     AttributeSelector,
     MatchClause,
+    LINE_BREAK,
     NodeKind,
     Obligation,
     Target,
@@ -164,6 +165,31 @@ def test_policy_may_not_nest_policies():
         parse_policy_document(data)
 
 
+@pytest.mark.parametrize(
+    "attribute_id,text",
+    [("note", "a&#10;b"), ("note", "a&#13;b"), ("note", "a&#x2028;b"), ("my note", "ab")],
+    ids=["lf", "cr", "u2028", "space-in-attribute-id"],
+)
+def test_obligation_parameter_must_fit_one_wire_line(attribute_id, text):
+    # `param <name> <type> <value>` is one line of the response: a name with
+    # whitespace or a value with a line break would break it after the audit
+    # record is written.
+    data = f"""
+<Policy PolicyId="p" RuleCombiningAlgId="deny-overrides">
+  <Rule RuleId="r" Effect="Permit">
+    <Obligations>
+      <Obligation ObligationId="limit-duration" FulfillOn="Permit">
+        <AttributeAssignment AttributeId="{attribute_id}" DataType="XMLSchema#string">{text}</AttributeAssignment>
+      </Obligation>
+    </Obligations>
+  </Rule>
+</Policy>
+""".encode()
+    with pytest.raises(PolicySyntaxError) as err:
+        parse_policy_document(data)
+    assert err.value.line == 6
+
+
 # -- round-trip property -------------------------------------------------------
 
 _names = st.uuids().map(lambda u: f"n{u.hex[:10]}")
@@ -179,6 +205,11 @@ _literals = st.one_of(
     st.booleans().map(lambda b: AttributeValue(DataType.BOOLEAN, b)),
     st.times().map(lambda t: AttributeValue(DataType.TIME_OF_DAY, t.replace(microsecond=0))),
     st.sampled_from(("LU", "DE", "JP")).map(lambda c: AttributeValue(DataType.COUNTRY_CODE, c)),
+)
+
+# Obligation parameters must not hold a line break (U+2028 is not in Cc).
+_one_line_literals = _literals.filter(
+    lambda literal: not (isinstance(literal.value, str) and LINE_BREAK.search(literal.value))
 )
 
 
@@ -216,7 +247,7 @@ def documents(draw):
                 Obligation(
                     fresh("ob-"),
                     draw(st.sampled_from((Effect.PERMIT, Effect.DENY))),
-                    (("note", draw(_literals)),),
+                    (("note", draw(_one_line_literals)),),
                 ),
             )
         return rule(

@@ -140,10 +140,25 @@ def test_bad_lines_are_rejected():
         parse_response(b"response\nstatus ok\nend\n")  # decision missing
 
 
+@pytest.mark.parametrize("text", ["a\nb", "a\rb", "a\u2028b", "a\x85b"])
+def test_a_value_with_a_line_break_is_not_serialized(text):
+    # parse_request splits lines as str.splitlines does.
+    request = RequestContext(subject=(("note", AttributeValue(DataType.STRING, text)),))
+    with pytest.raises(WireFormatError, match="line breaks"):
+        serialize_request(request)
+
+
+def test_a_trace_reason_not_escaped_as_written_is_rejected():
+    for reason in ("a\\q", "a\\x41", "a\\"):
+        with pytest.raises(WireFormatError, match="not escaped"):
+            parse_response(f"response\ndecision Deny\ntrace p1 Deny {reason}\nend\n".encode())
+
+
 # -- round-trip properties ------------------------------------------------------
 
+# Zl and Zp hold U+2028 and U+2029, line breaks a value may not carry.
 _clean = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc")),
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
     min_size=1,
     max_size=24,
 ).map(str.strip).filter(bool)
@@ -218,7 +233,19 @@ _responses = st.builds(
             TraceRecord,
             node_id=st.sampled_from(("p1", "r1", "root")),
             decision=_decisions,
-            reason=st.sampled_from(("effect", "condition-false", "combined:deny-overrides", "")),
+            reason=st.sampled_from(
+                (
+                    "effect",
+                    "condition-false",
+                    "combined:deny-overrides",
+                    "",
+                    # single_line escapes these; parsing must undo it.
+                    "condition-error:a\nb",
+                    "a\\nb",
+                    "x\\y",
+                    "bad\udc80 \u2028 \x85",
+                )
+            ),
         ),
         max_size=3,
     ).map(tuple),
