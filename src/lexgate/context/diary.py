@@ -107,6 +107,12 @@ class DiaryStore:
         self.entries = tuple(entries)
         by_owner: dict[str, list[DiaryEntry]] = {}
         for entry in self.entries:
+            country = entry.expected_location.country
+            if home_country and country != home_country and not entry.travel_authorized_by:
+                raise FixtureError(
+                    f"cross-border entry {entry.task!r} of {entry.owner!r} "
+                    "lacks a travel authorization"
+                )
             by_owner.setdefault(entry.owner, []).append(entry)
         # Each owner's entries by the start of their extended window, those
         # starts, and the longest extended window: an entry whose window
@@ -120,13 +126,6 @@ class DiaryStore:
                 for entry, start in zip(owned, starts)
             )
             self._by_window[owner] = (tuple(owned), starts, longest)
-        if home_country:
-            for entry in self.entries:
-                if entry.expected_location.country != home_country and not entry.travel_authorized_by:
-                    raise FixtureError(
-                        f"cross-border entry {entry.task!r} of {entry.owner!r} "
-                        "lacks a travel authorization"
-                    )
 
     def check_task(
         self,

@@ -97,12 +97,13 @@ def disc_polygon_relation(
     return "outside" if boundary_distance > radius_m else "straddles"
 
 
-def _proper_intersection(a: GeoPoint, b: GeoPoint, c: GeoPoint, d: GeoPoint) -> bool:
-    def orient(p: GeoPoint, q: GeoPoint, r: GeoPoint) -> float:
-        return (q.lon - p.lon) * (r.lat - p.lat) - (q.lat - p.lat) * (r.lon - p.lon)
+def _orient(p: GeoPoint, q: GeoPoint, r: GeoPoint) -> float:
+    return (q.lon - p.lon) * (r.lat - p.lat) - (q.lat - p.lat) * (r.lon - p.lon)
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
+
+def _proper_intersection(a: GeoPoint, b: GeoPoint, c: GeoPoint, d: GeoPoint) -> bool:
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
     return o1 * o2 < 0 and o3 * o4 < 0
 
 

@@ -4,6 +4,13 @@ Each store is a line-oriented file: blank lines and '#' comments are
 skipped, every other line is split into a record head plus key=value
 fields by split_record (POSIX shell quoting, so values may hold spaces).
 docs/fixture-formats.md freezes the field lists.
+
+Loading is paid before a process's first decision, so the common line
+takes a short path: a line without backslash or single quote is split by
+one regex pass, which is exact because there a double quote can neither
+be escaped nor quoted, so quotes pair up in order (see split_record).
+load_diary builds one value per distinct instant, extension, place and id
+list text within a load.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ _WORD = re.compile(r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*")+
 # The escaped character, or the inside of a single- or double-quoted piece.
 _QUOTED = re.compile(r"""\\(.)|'([^']*)'|"([^"\\]*(?:\\.[^"\\]*)*)["]""", re.DOTALL)
 _DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+# A word of a line that holds no backslash and no single quote: plain
+# characters and "..." pieces, taken literally.
+_PLAIN_WORD = re.compile(r'(?:[^ \t\r\n"]+|"[^"]*")+')
 _SEPARATORS = " \t\r\n"
 
 
@@ -45,7 +55,19 @@ def split_record(line: str) -> list[str]:
     """Split one record line into words by the rules of shlex.split: POSIX
     quoting, no comments. An unclosed quote raises ValueError("No closing
     quotation"), a backslash at the very end ValueError("No escaped
-    character"), with the messages shlex gives."""
+    character"), with the messages shlex gives.
+
+    A line with no backslash and no single quote, such as a typical diary
+    line, takes one regex pass. There the double quote is the only
+    quoting character and nothing escapes it, so the quotes pair up in
+    order: an odd count leaves the last one unclosed, an even count closes
+    every piece, and a piece unquotes by dropping its quote characters.
+    That is the general path below restricted to such lines, not a second
+    grammar."""
+    if "\\" not in line and "'" not in line:
+        if line.count('"') % 2:
+            raise ValueError("No closing quotation")
+        return [word.replace('"', "") if '"' in word else word for word in _PLAIN_WORD.findall(line)]
     words = _WORD.findall(line)
     # What no word took is separators, up to a quote or backslash that
     # could not close; the rest of the line then lies inside it.
@@ -84,8 +106,8 @@ def _records(text: str, where: str):
         head, fields = tokens[0], {}
         positional = []
         for token in tokens[1:]:
-            if "=" in token:
-                key, _, value = token.partition("=")
+            key, separator, value = token.partition("=")
+            if separator:
                 fields[key] = value
             else:
                 positional.append(token)
@@ -93,7 +115,8 @@ def _records(text: str, where: str):
 
 
 def _split_ids(value: str) -> frozenset[str]:
-    return frozenset(part for part in value.split(",") if part)
+    ids = frozenset(value.split(","))
+    return ids - {""} if "" in ids else ids
 
 
 def _parse_point(value: str) -> GeoPoint:
@@ -141,32 +164,60 @@ def load_identities(path: Path) -> IdentityRegistry:
     return IdentityRegistry(records, delegations, positions)
 
 
+class _Shared(dict):
+    """Text -> the value `build` makes of it, built on the first lookup, so
+    that equal texts share one value."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, text):
+        value = self[text] = self._build(text)
+        return value
+
+
+def _minutes(text: str) -> dt.timedelta:
+    return dt.timedelta(minutes=int(text))
+
+
 def load_diary(path: Path, home_country: str | None = None) -> DiaryStore:
     entries: list[DiaryEntry] = []
     where = path.name
+    # Diary lines repeat their instants, extensions, places and id lists, so
+    # one load builds one value per distinct text. The statements below keep
+    # the order in which a line's fields are read, so a line with several
+    # faults reports the same one.
+    instants, minutes, id_sets = _Shared(parse_instant), _Shared(_minutes), _Shared(_split_ids)
+    locations: dict[tuple, ExpectedLocation] = {}
     for line_no, head, positional, fields in _records(read_utf8(path), where):
         if head != "entry":
             raise FixtureError(f"{where}:{line_no}: unknown record kind {head!r}")
         try:
             point = _parse_point(fields["point"]) if "point" in fields else None
+            owner, task = fields["owner"], fields.get("task", "")
+            time = TimeRange(
+                start=instants[fields["start"]],
+                end=instants[fields["end"]],
+                pre_extension=minutes[fields.get("pre", "0")],
+                post_extension=minutes[fields.get("post", "0")],
+            )
+            country, city, radius = fields["country"], fields.get("city", ""), fields.get("radius", "0")
+            # The point's text, not its value, since GeoPoint(-0.0, 0) == GeoPoint(0, 0).
+            place = (country, city, fields.get("point"), radius)
+            location = locations.get(place)
+            if location is None:
+                location = locations[place] = ExpectedLocation(
+                    country=country, city=city, point=point, radius_m=float(radius)
+                )
             entries.append(
                 DiaryEntry(
-                    owner=fields["owner"],
-                    task=fields.get("task", ""),
-                    time=TimeRange(
-                        start=parse_instant(fields["start"]),
-                        end=parse_instant(fields["end"]),
-                        pre_extension=dt.timedelta(minutes=int(fields.get("pre", "0"))),
-                        post_extension=dt.timedelta(minutes=int(fields.get("post", "0"))),
-                    ),
-                    expected_location=ExpectedLocation(
-                        country=fields["country"],
-                        city=fields.get("city", ""),
-                        point=point,
-                        radius_m=float(fields.get("radius", "0")),
-                    ),
-                    participants=_split_ids(fields.get("participants", "")),
-                    planned_resources=_split_ids(fields.get("resources", "")),
+                    owner=owner,
+                    task=task,
+                    time=time,
+                    expected_location=location,
+                    participants=id_sets[fields.get("participants", "")],
+                    planned_resources=id_sets[fields.get("resources", "")],
                     travel_authorized_by=fields.get("travel-authorized-by"),
                 )
             )

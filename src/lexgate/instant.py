@@ -11,8 +11,12 @@ def parse_instant(text: str) -> dt.datetime:
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
     value = dt.datetime.fromisoformat(raw)
+    # fromisoformat gives the timezone.utc singleton for a zero offset, and
+    # astimezone would return such a value unchanged.
+    if value.tzinfo is dt.timezone.utc:
+        return value
     if value.tzinfo is None:
-        value = value.replace(tzinfo=dt.timezone.utc)
+        return value.replace(tzinfo=dt.timezone.utc)
     return value.astimezone(dt.timezone.utc)
 
 

@@ -295,6 +295,15 @@ def _parse_legislation(node: XmlNode | None) -> frozenset[str]:
     return scopes
 
 
+def _check_node_id(attribute: str, node_id: str, node: XmlNode) -> None:
+    # A node id travels as one field of a `trace <node> <decision> <reason>`
+    # wire line.
+    if node_id.split() != [node_id]:
+        raise PolicySyntaxError(
+            f"{attribute} must not contain whitespace or a line break", node.path(), node.line
+        )
+
+
 def _parse_rule(node: XmlNode) -> PolicyNode:
     rule_id = node.attrs.get("RuleId")
     effect = node.attrs.get("Effect")
@@ -302,6 +311,7 @@ def _parse_rule(node: XmlNode) -> PolicyNode:
         raise PolicySyntaxError(
             "Rule needs RuleId and Effect of Permit or Deny", node.path(), node.line
         )
+    _check_node_id("RuleId", rule_id, node)
     target, lifted = _parse_target(node.find("Target"))
     condition_node = node.find("Condition")
     condition = _parse_expression(condition_node) if condition_node is not None else None
@@ -345,6 +355,7 @@ def _parse_container(node: XmlNode) -> PolicyNode:
         raise PolicySyntaxError(f"unexpected element {node.tag!r}", node.path(), node.line)
     if not node_id:
         raise PolicySyntaxError(f"{node.tag} is missing its id attribute", node.path(), node.line)
+    _check_node_id(f"{node.tag}Id", node_id, node)
     if not combining_raw:
         raise PolicySyntaxError(
             f"{node.tag} is missing its combining algorithm", node.path(), node.line

@@ -1,6 +1,9 @@
 import datetime as dt
 
+from hypothesis import given, settings, strategies as st
+
 from lexgate.context.clock import FixedClock, local_time
+from lexgate.instant import parse_instant
 
 
 def test_zero_offset_is_identity():
@@ -28,3 +31,54 @@ def test_fixed_clock_is_settable():
     assert clock.now_utc().hour == 7
     clock.set(dt.datetime(2026, 3, 10, 9, 10, tzinfo=dt.timezone.utc))
     assert clock.now_utc().hour == 9
+
+
+def _reference_parse_instant(text):
+    """parse_instant as it was before it returned UTC values as they are."""
+    raw = text.strip()
+    if raw.endswith("Z"):
+        raw = raw[:-1] + "+00:00"
+    value = dt.datetime.fromisoformat(raw)
+    if value.tzinfo is None:
+        value = value.replace(tzinfo=dt.timezone.utc)
+    return value.astimezone(dt.timezone.utc)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:  # the kind and message are the outcome
+        return type(exc), str(exc)
+    return value, value.tzinfo
+
+
+_OFFSETS = st.one_of(
+    st.sampled_from(["Z", "", "+00:00", "-00:00"]),
+    st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59)),
+)
+_INSTANTS = st.builds(
+    "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}{}{}".format,
+    st.integers(1, 9999), st.integers(1, 12), st.integers(1, 28),
+    st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
+    st.one_of(st.just(""), st.from_regex(r"\.[0-9]{1,6}", fullmatch=True)),
+    _OFFSETS,
+)
+_INVALID = st.one_of(
+    st.text(max_size=30),
+    st.builds(lambda text, cut: text[:cut] + "x" + text[cut + 1:], _INSTANTS, st.integers(0, 30)),
+)
+
+
+@settings(max_examples=500)
+@given(_INSTANTS, st.sampled_from(["", " ", "\t"]))
+def test_parse_instant_matches_the_reference_formula(text, pad):
+    assert _outcome(parse_instant, pad + text + pad) == _outcome(_reference_parse_instant, pad + text + pad)
+
+
+@settings(max_examples=500)
+@given(_INVALID)
+def test_parse_instant_rejects_what_the_reference_formula_rejects(text):
+    outcome = _outcome(parse_instant, text)
+    assert outcome == _outcome(_reference_parse_instant, text)
+    if not isinstance(outcome[0], dt.datetime):
+        assert issubclass(outcome[0], ValueError)

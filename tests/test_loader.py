@@ -32,6 +32,10 @@ def _split(split, line):
 @example("'x\\")
 @example('"\\\\\\')
 @example("k=\"v w\" '' \"\" \\ ")
+@example('a""b')
+@example('k="v w"x "y')
+@example('"" ""')
+@example('x="a b"c=d')
 def test_split_record_follows_shlex(line):
     """Same words and the same ValueError message as shlex.split."""
     assert _split(split_record, line) == _split(shlex.split, line)
@@ -48,6 +52,16 @@ def test_unclosed_quote_in_a_store_names_file_and_line(tmp_path):
     path = tmp_path / "diary.txt"
     path.write_text('# header\nentry owner=c1 task="open\n')
     with pytest.raises(FixtureError, match=r"diary.txt:2: No closing quotation"):
+        load_diary(path)
+
+
+def test_negative_extension_in_a_store_names_file_and_line(tmp_path):
+    path = tmp_path / "diary.txt"
+    path.write_text(
+        "entry owner=c1 start=2026-03-10T09:00:00Z end=2026-03-10T10:00:00Z country=LU\n"
+        "entry owner=c1 start=2026-03-10T11:00:00Z end=2026-03-10T12:00:00Z pre=-5 country=LU\n"
+    )
+    with pytest.raises(FixtureError, match=r"^diary.txt:2: extensions must be >= 0$"):
         load_diary(path)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_bundle, wire_request
+from lexgate.combining import CombinerRegistry
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError
 from lexgate.instant import parse_instant
@@ -521,3 +522,79 @@ def test_any_bytes_yield_a_response_and_exactly_one_audit_record(
     response, _view = parse_response(response_bytes)
     assert audit_path.read_text() == record.to_line() + "\n"
     assert record.decision is response.decision
+
+
+class _Hostile(Exception):
+    """An extension point's own exception type."""
+
+
+_RAISED = (Exception, ValueError, TypeError, KeyError, RuntimeError, ZeroDivisionError, OSError, _Hostile)
+# Text no reason, response or audit line may carry as it is.
+_HOSTILE_TEXT = st.builds(
+    lambda text, piece, long: text + piece + ("x" * 100_000 if long else ""),
+    st.text(alphabet=st.characters(exclude_categories=()), max_size=20),
+    st.sampled_from(["", "\r\n", "\n", "\r", "\x00", "\ud800", "a\udc80b", " ", "\\n"]),
+    st.booleans(),
+)
+_WRONG_TYPES = st.sampled_from([None, "Permit", 1, 0.5, b"", [], object(), Effect.PERMIT])
+
+
+def _recurse(*args):
+    return _recurse(*args)
+
+
+@st.composite
+def _hostile_behaviour(draw):
+    """A callable that raises, returns the wrong type, or recurses past the
+    recursion limit, whatever it is called with."""
+    kind = draw(st.sampled_from(["raise", "return", "recurse"]))
+    if kind == "raise":
+        error = draw(st.sampled_from(_RAISED))(draw(_HOSTILE_TEXT))
+
+        def behave(*_args):
+            raise error
+
+        return behave
+    if kind == "return":
+        value = draw(_WRONG_TYPES)
+        return lambda *_args: value
+    return _recurse
+
+
+@st.composite
+def _str_request(draw):
+    """The valid request as text, with a lone surrogate spliced in or not."""
+    text = _VALID_REQUEST.decode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["\ud800", "\udfff", "\udc80x"])) + text[at:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hostile_behaviour(), st.sampled_from(["function", "combiner"]), _str_request())
+def test_hostile_extension_points_yield_a_response_and_one_matching_audit_line(
+    policy_pack, tmp_path_factory, behaviour, point, raw
+):
+    # One more policy over the packaged forest and bundle, whose condition
+    # function or rule combiner is the hostile extension point.
+    if point == "function":
+        engine = PolicyDecisionPoint(FunctionRegistry({"function:hostile": behaviour}))
+        combiner = "deny-overrides"
+    else:
+        engine = PolicyDecisionPoint(combiners=CombinerRegistry({"hostile": behaviour}))
+        combiner = "hostile"
+    condition = FunctionApplication("function:hostile", ()) if point == "function" else None
+    extra = document(policy("hostile", [rule("r", Effect.PERMIT, condition)], combining=combiner))
+    audit_path = tmp_path_factory.mktemp("audit") / "audit.log"
+    with AuditLog(audit_path) as audit:
+        monitor = ReferenceMonitor(
+            engine, [*policy_pack, extra], make_bundle("2026-03-10T13:40:00Z"),
+            audit=audit, pseudonym_key=KEY,
+        )
+        response_bytes, _record = monitor.handle_request(raw, GOOD_SESSION)
+    response, _view = parse_response(response_bytes)
+    lines = audit_path.read_bytes().decode("utf-8").splitlines()
+    assert len(lines) == 1
+    fields = lines[0].split("|")
+    assert (fields[4], fields[5]) == (response.decision.value, response.status)

@@ -190,6 +190,24 @@ def test_obligation_parameter_must_fit_one_wire_line(attribute_id, text):
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize("bad_id", ["a b", "a&#10;b", "a&#x2028;b"], ids=["space", "lf", "u2028"])
+@pytest.mark.parametrize("attribute,line", [("PolicySetId", 2), ("PolicyId", 3), ("RuleId", 4)])
+def test_node_id_must_fit_one_wire_field(attribute, line, bad_id):
+    # A node id is one field of the response's `trace <node> <decision>
+    # <reason>` line.
+    ids = {"PolicySetId": "s", "PolicyId": "p", "RuleId": "r", attribute: bad_id}
+    data = f"""
+<PolicySet PolicySetId="{ids['PolicySetId']}" PolicyCombiningAlgId="deny-overrides">
+  <Policy PolicyId="{ids['PolicyId']}" RuleCombiningAlgId="deny-overrides">
+    <Rule RuleId="{ids['RuleId']}" Effect="Permit"/>
+  </Policy>
+</PolicySet>
+""".encode()
+    with pytest.raises(PolicySyntaxError, match=attribute) as err:
+        parse_policy_document(data)
+    assert err.value.line == line
+
+
 # -- round-trip property -------------------------------------------------------
 
 _names = st.uuids().map(lambda u: f"n{u.hex[:10]}")

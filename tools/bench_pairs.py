@@ -11,8 +11,14 @@ sides run `perfbench/run.py` with the same command line, for the
 `run_seconds` BENCHMARK.json fixes, one after the other, and the side that
 runs first alternates from pair to pair. Each run's last line of output (the
 benchmark's JSON result) is kept. The summary prints, per workload and
-end-to-end metric of BENCHMARK.json, each side's median and quartiles and
-the pairs the change won (ties count for neither side). The output file
+end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
+pairs the change won (ties count for neither side) and two verdicts, also
+kept in the output file's summary. The claim verdict is "met" when the
+change won at least nine tenths of the pairs and its median beats the
+parent's by more than the parent's interquartile range (q3 - q1). The
+regression verdict is "beyond bound" when the change's median is worse
+than the parent's by more than the metric's BENCHMARK.json `bound`, a
+fraction of the parent's median, else "within bound". The output file
 holds the machine, the Python version, both revisions and every run; it
 is rewritten after each run, so an interrupted session keeps what it ran.
 The change side is identified by the git tree of its tracked files as
@@ -109,9 +115,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdicts(row: dict, pairs: int, higher: bool, bound: float) -> tuple[str, str]:
+    """The claim verdict and the regression verdict of one metric's row."""
+    parent, change = row["parent"]["median"], row["change"]["median"]
+    gain = change - parent if higher else parent - change
+    missing = []
+    if row["change_wins"] * 10 < 9 * pairs:
+        missing.append(f"wins {row['change_wins']}/{pairs} < 9/10")
+    if gain <= row["parent"]["q3"] - row["parent"]["q1"]:
+        missing.append("median gap <= parent q3-q1")
+    claim = "not met: " + ", ".join(missing) if missing else "met"
+    beyond = -gain > bound * abs(parent)
+    return claim, "beyond bound" if beyond else "within bound"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: the complete pairs, attempted and failed counts, and
-    per end-to-end metric each side's quartiles and the change's wins."""
+    per end-to-end metric each side's quartiles, the change's wins and the
+    claim and regression verdicts."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -135,6 +156,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             row["change_wins"] = sum(
                 (c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"])
             )
+            row["claim"], row["regression"] = verdicts(row, len(complete), higher, metric["bound"])
             rows["metrics"][name] = row
         summary[workload] = rows
     return summary
@@ -149,7 +171,8 @@ def print_summary(summary: dict) -> None:
             ratio = c["median"] / p["median"] if p["median"] else float("nan")
             print(f"  {name:16} parent {p['median']:12.3f} [{p['q1']:.3f}, {p['q3']:.3f}]  "
                   f"change {c['median']:12.3f} [{c['q1']:.3f}, {c['q3']:.3f}]  "
-                  f"ratio {ratio:.3f}  change wins {row['change_wins']}/{rows['pairs']}")
+                  f"ratio {ratio:.3f}  change wins {row['change_wins']}/{rows['pairs']}  "
+                  f"claim {row['claim']}; {row['regression']}")
         for side in SIDES:
             print(f"  attempted {side} {rows['attempted'][side]}")
 
