@@ -110,15 +110,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _load_deployment(args: argparse.Namespace) -> tuple[PipBundle, list[PolicyDocument]]:
+    """The bundle, on a clock pinned by --at if given, and the policy
+    documents of the fixtures root and policy subdir `args` name."""
+    fixtures = Path(args.fixtures) if args.fixtures else default_fixtures_root()
+    clock = FixedClock(parse_instant(args.at)) if args.at else SystemClock()
+    return load_bundle(fixtures, clock=clock), load_policy_dir(fixtures / args.policies)
+
+
 # -- eval --------------------------------------------------------------------
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    fixtures = Path(args.fixtures) if args.fixtures else default_fixtures_root()
-    clock = FixedClock(parse_instant(args.at)) if args.at else SystemClock()
     try:
-        pips = load_bundle(fixtures, clock=clock)
-        documents = load_policy_dir(fixtures / args.policies)
+        pips, documents = _load_deployment(args)
         request = parse_request(Path(args.request).read_bytes())
     except (OSError, LexgateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -146,11 +151,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Handle one wire-format request from stdin through the full
     enforcement path and write the response to stdout."""
-    fixtures = Path(args.fixtures) if args.fixtures else default_fixtures_root()
-    clock = FixedClock(parse_instant(args.at)) if args.at else SystemClock()
     try:
-        pips = load_bundle(fixtures, clock=clock)
-        documents = load_policy_dir(fixtures / args.policies)
+        pips, documents = _load_deployment(args)
     except (OSError, LexgateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

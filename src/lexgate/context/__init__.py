@@ -1,4 +1,4 @@
-from .bundle import InteractionLog, LocationSupplier, PipBundle, load_bundle, organization_home
+from .bundle import LocationSupplier, PipBundle, load_bundle, organization_home
 from .clock import Clock, FixedClock, SystemClock, local_time
 from .diary import DiaryEntry, DiaryStore, ExpectedLocation, TaskAssessment, TimeRange
 from .identity import (
@@ -23,7 +23,6 @@ __all__ = [
     "IdentityKind",
     "IdentityRecord",
     "IdentityRegistry",
-    "InteractionLog",
     "LegalScope",
     "LegalScopeRegistry",
     "LocationSupplier",

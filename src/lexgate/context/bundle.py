@@ -1,13 +1,14 @@
 """Wiring of the context suppliers handed to the decision engine.
 
 The bundle is assembled once (per process or per CLI invocation) from
-immutable fixture stores; the only mutable member is the interaction log,
-which exists purely so tests and audits can observe the component order.
+immutable fixture stores and is itself frozen: it holds no per-request
+state, so a decision depends only on the request and the snapshot the
+engine takes of these suppliers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -24,29 +25,6 @@ from .resources import ResourceCatalog
 from .zones import ZoneTree, load_zone_tree, resolve_location
 
 POSITION_ACCURACY = "position-accuracy"
-
-
-class InteractionLog:
-    """The component interactions of the current request, plus a running
-    count of decision-point calls."""
-
-    def __init__(self) -> None:
-        self.events: list[str] = []
-        self.pdp_calls = 0
-
-    def start_request(self) -> None:
-        """Forget the previous request's events; pdp_calls keeps counting."""
-        self.events.clear()
-
-    def record(self, event: str) -> None:
-        self.events.append(event)
-
-    def pdp_entered(self) -> None:
-        self.pdp_calls += 1
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.pdp_calls = 0
 
 
 class LocationSupplier:
@@ -86,7 +64,7 @@ class LocationSupplier:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipBundle:
     """Everything the engine consults besides the policy store."""
 
@@ -97,7 +75,6 @@ class PipBundle:
     diary: DiaryStore
     scopes: LegalScopeRegistry
     resources: ResourceCatalog
-    log: InteractionLog = field(default_factory=InteractionLog)
 
 
 def organization_home(scopes: LegalScopeRegistry) -> Optional[str]:

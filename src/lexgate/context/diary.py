@@ -35,6 +35,10 @@ class TimeRange:
             raise ValueError("time range is empty")
         if self.pre_extension < dt.timedelta(0) or self.post_extension < dt.timedelta(0):
             raise ValueError("extensions must be >= 0")
+        try:
+            self.start - self.pre_extension, self.end + self.post_extension
+        except OverflowError:
+            raise ValueError("extended time range is out of range") from None
 
     def contains(self, at: dt.datetime) -> bool:
         return self.start <= at <= self.end

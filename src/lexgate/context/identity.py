@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 from ..errors import FixtureError, UnknownCustomerError
 from ..model import GeoPoint
 
-DEFAULT_FRESHNESS = dt.timedelta(minutes=15)
+# How long a proximity verification stays evidence of presence.
+FRESHNESS = dt.timedelta(minutes=15)
 
 TOKEN_METHODS = ("code-card-subset", "hardware-token", "phone-code")
 
@@ -78,12 +79,10 @@ class IdentityRegistry:
         records: Iterable[IdentityRecord],
         delegations: Iterable[Delegation] = (),
         device_positions: Optional[dict[str, GeoPoint]] = None,
-        freshness: dt.timedelta = DEFAULT_FRESHNESS,
     ):
         self._records = {record.id: record for record in records}
         self._delegations = tuple(delegations)
         self._device_positions = dict(device_positions or {})
-        self.freshness = freshness
         for record in self._records.values():
             for customer in record.assigned_customers:
                 if customer not in self._records:
@@ -120,7 +119,7 @@ class IdentityRegistry:
         if not record.credentials:
             return False
         age = now - evidence.verified_at
-        return dt.timedelta(0) <= age <= self.freshness
+        return dt.timedelta(0) <= age <= FRESHNESS
 
     def verified_customers(
         self, tokens: Iterable[ProximityToken], now: dt.datetime

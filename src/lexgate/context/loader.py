@@ -178,7 +178,10 @@ class _Shared(dict):
 
 
 def _minutes(text: str) -> dt.timedelta:
-    return dt.timedelta(minutes=int(text))
+    try:
+        return dt.timedelta(minutes=int(text))
+    except OverflowError:
+        raise ValueError(f"{text} minutes is out of range") from None
 
 
 def load_diary(path: Path, home_country: str | None = None) -> DiaryStore:

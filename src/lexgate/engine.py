@@ -94,7 +94,6 @@ class EvaluationContext:
         self,
         request: RequestContext,
         pips: PipBundle,
-        now_utc: dt.datetime,
         source_location: Optional[LocationReport],
         source_country: Optional[str],
         destination_country: str,
@@ -102,7 +101,6 @@ class EvaluationContext:
     ):
         self.request = request
         self.pips = pips
-        self.now_utc = now_utc
         self.source_location = source_location
         self.source_country = source_country
         self.destination_country = destination_country
@@ -118,9 +116,6 @@ class EvaluationContext:
         if key in self._cache:
             raise LexgateError(f"attribute {key} written twice")
         self._cache[key] = (value,)
-
-    def bag(self, category: Category, attribute_id: str) -> tuple[AttributeValue, ...]:
-        return self.lookup((category, attribute_id))
 
     def lookup(self, key: tuple[Category, str]) -> tuple[AttributeValue, ...]:
         """The bag for a (category, attribute id) key."""
@@ -378,7 +373,6 @@ class PolicyDecisionPoint:
         report = request.source_location
         precision_country: Optional[str] = None
         if report is None:
-            pips.log.record("locate")
             try:
                 report = pips.location.locate(request)
             except PrecisionError as exc:
@@ -398,7 +392,6 @@ class PolicyDecisionPoint:
         ctx = EvaluationContext(
             request=request,
             pips=pips,
-            now_utc=now,
             source_location=report,
             source_country=source_country,
             destination_country=destination,
@@ -409,7 +402,6 @@ class PolicyDecisionPoint:
         # snapshot, never from the request, so they skip the payload checks.
         put = ctx._put
         trusted = AttributeValue._trusted
-        pips.log.record("attributes")
         # Local time survives a zone-precision failure: the country (and so
         # its timezone) is still certain, only the zone classification is
         # not, so current-zone stays absent while current-time is served.
@@ -442,7 +434,6 @@ class PolicyDecisionPoint:
                 relation = pips.identities.check_relationship(subject_id, record.customers, now)
                 put(Category.SUBJECT, SUBJECT_RELATIONSHIP, trusted(DataType.STRING, relation.value))
 
-        pips.log.record("diary")
         assessment = pips.diary.check_task(
             subject_id or "",
             resource_id or "",
@@ -655,7 +646,6 @@ class PolicyDecisionPoint:
             forest = documents
         else:
             forest = self.compile(documents)
-        pips.log.pdp_entered()
         # The trace is built in document order; `visited` holds the (record,
         # node) pairs of every walked document, those of the document being
         # walked from `mark` on.
@@ -664,7 +654,6 @@ class PolicyDecisionPoint:
         mark = 0
         try:
             ctx = self._build_context(request, pips, legislation_mode)
-            pips.log.record("policies")
             ctx.applicable_scopes = pips.scopes.select_legislation(
                 ctx.source_country, ctx.destination_country
             )
@@ -679,7 +668,6 @@ class PolicyDecisionPoint:
                 if decision is not Decision.NOT_APPLICABLE:
                     decisions.append(decision)
             trace += screened[start:]
-            pips.log.record("decide")
             final = self.combiners.combine(TOP_COMBINER, decisions)
         except Exception as exc:  # PIP failures must not escape the boundary
             trace += [record for record, _node in visited[mark:]]
@@ -821,7 +809,7 @@ class CompiledForest:
                     candidates |= bucket
         matching = set(self.unkeyed)
         for category, attribute_id, keyed, by_literal in self.selectors:
-            payloads = _string_payloads(ctx.bag(category, attribute_id))
+            payloads = _string_payloads(ctx.lookup((category, attribute_id)))
             if payloads is None:
                 matching |= keyed
                 continue

@@ -6,7 +6,9 @@ import datetime as dt
 
 
 def parse_instant(text: str) -> dt.datetime:
-    """Parse an ISO 8601 instant; naive values are taken as UTC."""
+    """Parse an ISO 8601 instant; naive values are taken as UTC. Raises
+    ValueError for text that is not an instant, or one whose UTC time
+    falls outside datetime's range."""
     raw = text.strip()
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
@@ -17,7 +19,10 @@ def parse_instant(text: str) -> dt.datetime:
         return value
     if value.tzinfo is None:
         return value.replace(tzinfo=dt.timezone.utc)
-    return value.astimezone(dt.timezone.utc)
+    try:
+        return value.astimezone(dt.timezone.utc)
+    except OverflowError:
+        raise ValueError(f"instant {text!r} is out of range") from None
 
 
 def format_instant(value: dt.datetime) -> str:

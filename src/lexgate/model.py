@@ -250,6 +250,12 @@ def single_line(text: str) -> str:
     return _UNSAFE_TEXT.sub(_escape, text)
 
 
+def is_one_field(text: str) -> bool:
+    """True iff the text is one field of a space-separated wire line:
+    non-empty, without whitespace or a line break."""
+    return text.split() == [text]
+
+
 # The escapes single_line writes: `\\`, `\n`, `\r`, `\xhh` and `\uhhhh`.
 _ESCAPED = re.compile(r"\\(?:\\|[nr]|x[0-9a-f]{2}|u[0-9a-f]{4})")
 _SHORT_ESCAPES = {"\\\\": "\\", "\\n": "\n", "\\r": "\r"}
@@ -357,6 +363,8 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
         if node.id in seen_ids:
             violations.append(Violation(f"duplicate-id:{node.id}", node.id))
         seen_ids.add(node.id)
+        if not is_one_field(node.id):
+            violations.append(Violation("id-not-one-field", node.id))
 
         if node.kind is NodeKind.RULE:
             if node.children:

@@ -36,6 +36,7 @@ from ..model import (
     PolicyNode,
     AttributeSelector,
     Target,
+    is_one_field,
 )
 from .xmlread import XmlNode, XmlWriter, parse_xml
 
@@ -298,7 +299,7 @@ def _parse_legislation(node: XmlNode | None) -> frozenset[str]:
 def _check_node_id(attribute: str, node_id: str, node: XmlNode) -> None:
     # A node id travels as one field of a `trace <node> <decision> <reason>`
     # wire line.
-    if node_id.split() != [node_id]:
+    if not is_one_field(node_id):
         raise PolicySyntaxError(
             f"{attribute} must not contain whitespace or a line break", node.path(), node.line
         )

@@ -341,7 +341,10 @@ def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireVie
                 pieces.append("")  # an empty payload, its separator stripped with the line
             if len(pieces) != 3:
                 raise WireFormatError(f"expected 'view <mode> <expires> <base64>' on line {line_no}")
-            expires = None if pieces[1] == "-" else parse_instant(pieces[1])
+            try:
+                expires = None if pieces[1] == "-" else parse_instant(pieces[1])
+            except ValueError as exc:
+                raise WireFormatError(f"bad view expiry on line {line_no}: {exc}") from exc
             try:
                 payload = base64.b64decode(pieces[2]).decode("utf-8")
             except Exception as exc:

@@ -301,7 +301,6 @@ class ReferenceMonitor:
                 + (TraceRecord("<audit>", Decision.INDETERMINATE, str(exc)),),
             )
             view = None
-        self.pips.log.record("respond")
         wire_view = view.to_wire() if view is not None else None
         return serialize_response(response, wire_view), record
 
@@ -309,9 +308,6 @@ class ReferenceMonitor:
 
     def handle_request(self, raw: bytes | str, session: AuthState) -> tuple[bytes, AuditRecord]:
         """Authenticate, decide, fulfil obligations, audit, respond."""
-        log = self.pips.log
-        log.start_request()
-        log.record("authenticate")
         authenticated = self.pips.identities.authenticate(session.user, session.secret)
 
         if not authenticated:
@@ -332,7 +328,6 @@ class ReferenceMonitor:
         # supplier query) and never raises past its boundary.
         response = self.engine.evaluate(self.forest, request, self.pips)
 
-        log.record("obligations")
         view: Optional[DataView] = None
         now = self.pips.clock.now_utc()
         record = self.pips.resources.get(request.resource_id() or "")

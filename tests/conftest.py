@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 from pathlib import Path
 
@@ -43,8 +44,53 @@ def make_bundle(at: str | dt.datetime, count_locates: bool = False) -> PipBundle
     instant = parse_instant(at) if isinstance(at, str) else at
     bundle = load_bundle(FIXTURES, clock=FixedClock(instant))
     if count_locates:
-        bundle.location = CountingLocationSupplier(bundle.location)
+        bundle = dataclasses.replace(bundle, location=CountingLocationSupplier(bundle.location))
     return bundle
+
+
+# The event flow of a permitted request with customer data and an
+# obligation, as the components the monitor and its engine call see it.
+EVENT_FLOW = (
+    "identities.authenticate",
+    "location.locate",
+    "identities.check_relationship",
+    "diary.check_task",
+    "scopes.select_legislation",
+    "combiners.combine",
+    "obligations.apply_all",
+    "audit.append",
+)
+
+
+def watch(monkeypatch, monitor, steps=EVENT_FLOW) -> list[str]:
+    """Wrap the methods `steps` names ("component.method") on the
+    instances the monitor uses, so that each call appends its step to the
+    returned list. Components: the bundle's suppliers, the engine and its
+    combiners, the obligation service and the audit log."""
+    owners = {
+        "identities": monitor.pips.identities,
+        "location": monitor.pips.location,
+        "diary": monitor.pips.diary,
+        "scopes": monitor.pips.scopes,
+        "engine": monitor.engine,
+        "combiners": monitor.engine.combiners,
+        "obligations": monitor.obligations,
+        "audit": monitor.audit,
+    }
+    calls: list[str] = []
+
+    def recording(step, method):
+        def recorded(*args, **kwargs):
+            calls.append(step)
+            return method(*args, **kwargs)
+
+        return recorded
+
+    for step in steps:
+        owner, name = step.split(".")
+        instance = owners[owner]
+        monkeypatch.setattr(instance, name, recording(step, getattr(instance, name)))
+    return calls
 
 
 def wire_request(

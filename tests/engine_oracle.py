@@ -51,7 +51,7 @@ class _Oracle:
         if isinstance(expr, Literal):
             return expr.value.value
         if isinstance(expr, AttributeSelector):
-            bag = self.ctx.bag(expr.category, expr.attribute_id)
+            bag = self.ctx.lookup((expr.category, expr.attribute_id))
             return tuple(v.value for v in bag if v.data_type is expr.data_type)
         if isinstance(expr, FunctionApplication):
             if expr.function in ("function:and", "function:or"):
@@ -112,7 +112,7 @@ class _Oracle:
     def section_matches(self, category, clauses):
         for clause in clauses:
             function = self.functions.get(clause.match_function)
-            for value in self.ctx.bag(category, clause.attribute_id):
+            for value in self.ctx.lookup((category, clause.attribute_id)):
                 if function(self.ctx, [value.value, clause.literal.value]) is True:
                     return True
         return False

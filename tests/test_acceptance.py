@@ -10,7 +10,7 @@ import random
 import time
 
 from combining_oracle import ORACLE, all_vectors
-from conftest import FIXTURES, make_bundle, wire_request
+from conftest import EVENT_FLOW, FIXTURES, make_bundle, watch, wire_request
 from lexgate.cli import main
 from lexgate.combining import combine
 from lexgate.engine import PolicyDecisionPoint
@@ -146,12 +146,13 @@ def test_criterion_4_legislation_applicability():
     _report("4 legislation applicability + ignore-tags over-restriction", check)
 
 
-def test_criterion_5_event_flow_conformance(policy_pack):
+def test_criterion_5_event_flow_conformance(policy_pack, monkeypatch):
     def check():
         pips = make_bundle("2026-03-10T13:40:00Z")
         monitor = ReferenceMonitor(
             ENGINE, policy_pack, pips, pseudonym_key="acceptance-key"
         )
+        flow = watch(monkeypatch, monitor)
         raw = wire_request(
             resource="cust/4711/portfolio",
             point="47.37 8.54",
@@ -161,20 +162,11 @@ def test_criterion_5_event_flow_conformance(policy_pack):
         response_bytes, _ = monitor.handle_request(raw, AuthState("c.miller", "miller-pass-1"))
         response, _view = parse_response(response_bytes)
         assert response.decision is Decision.PERMIT
-        assert pips.log.events == [
-            "authenticate",
-            "locate",
-            "attributes",
-            "diary",
-            "policies",
-            "decide",
-            "obligations",
-            "respond",
-        ]
+        assert flow == list(EVENT_FLOW)
 
-        pips.log.clear()
+        evaluations = watch(monkeypatch, monitor, ("engine.evaluate",))
         monitor.handle_request(raw, AuthState("c.miller", "nope"))
-        assert pips.log.pdp_calls == 0
+        assert evaluations == []
 
     _report("5 event-flow order + unauthenticated never reaches PDP", check)
 

@@ -1,4 +1,5 @@
-"""The benchmark in perfbench/ runs on every workload and checks out.
+"""The benchmark in perfbench/ runs on every workload and checks out, and
+every per-layer hook of its traced run still finds its target.
 
 Each workload runs untraced for 48 requests with a single set-up load and
 no timing gate: every response must match the expectation the generator
@@ -51,3 +52,17 @@ def test_workload_runs_correct_with_no_failures(bench, audit_logs_closed, worklo
     assert result["correct"], result
     assert result["failed"] == 0, result["failed_kinds"]
     assert result["attempted"] == REQUESTS
+
+
+def test_every_trace_hook_resolves():
+    # The traced run reports a hook whose target is gone as absent and its
+    # layer as 0, so a rename or deletion would otherwise go unnoticed.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    absent = [
+        f"{name} ({module}.{path})"
+        for name, module, path in tracing.SPANS + tracing.COUNTERS
+        if tracing._resolve(module, path) is None
+    ]
+    assert absent == []

@@ -150,6 +150,17 @@ def test_eval_missing_request_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [
+    ("eval", "--request", "absent.req"),
+    ("serve", "--user", "c.miller", "--secret", "miller-pass-1"),
+], ids=["eval", "serve"])
+def test_unreadable_at_is_an_input_error(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--at", "garbage")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "garbage" in err
+
+
 # -- scenario ----------------------------------------------------------------------
 
 

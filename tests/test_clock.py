@@ -1,6 +1,6 @@
 import datetime as dt
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexgate.context.clock import FixedClock, local_time
 from lexgate.instant import parse_instant
@@ -34,14 +34,18 @@ def test_fixed_clock_is_settable():
 
 
 def _reference_parse_instant(text):
-    """parse_instant as it was before it returned UTC values as they are."""
+    """parse_instant as it was before it returned UTC values as they are,
+    an instant whose UTC time leaves datetime's range being a ValueError."""
     raw = text.strip()
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
     value = dt.datetime.fromisoformat(raw)
     if value.tzinfo is None:
         value = value.replace(tzinfo=dt.timezone.utc)
-    return value.astimezone(dt.timezone.utc)
+    try:
+        return value.astimezone(dt.timezone.utc)
+    except OverflowError:
+        raise ValueError(f"instant {text!r} is out of range") from None
 
 
 def _outcome(parse, text):
@@ -71,6 +75,8 @@ _INVALID = st.one_of(
 
 @settings(max_examples=500)
 @given(_INSTANTS, st.sampled_from(["", " ", "\t"]))
+@example("0001-01-01T00:00:00+00:01", "")
+@example("9999-12-31T23:59:59-00:01", " ")
 def test_parse_instant_matches_the_reference_formula(text, pad):
     assert _outcome(parse_instant, pad + text + pad) == _outcome(_reference_parse_instant, pad + text + pad)
 

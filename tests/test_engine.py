@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import random
 
@@ -203,8 +204,7 @@ class _ExplodingSupplier:
 
 
 def test_location_pip_failure_folds_to_processing_error(engine, policy_pack):
-    pips = make_bundle(NOON)
-    pips.location = _ExplodingSupplier()
+    pips = dataclasses.replace(make_bundle(NOON), location=_ExplodingSupplier())
     request = parse_request(wire_request(point=LONDON_POINT))
     response = engine.evaluate(policy_pack, request, pips)
     assert response.decision is Decision.INDETERMINATE

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lexgate.cli import default_fixtures_root, load_policy_dir, parse_scenario
 from lexgate.context.bundle import STORE_FILES, load_bundle
-from lexgate.context.loader import load_diary, split_record
+from lexgate.context.loader import load_diary, load_identities, split_record
 from lexgate.context.zones import load_zone_tree
 from lexgate.errors import FixtureError, LexgateError, PolicySyntaxError, ScenarioFormatError
 from lexgate.parsing.policy_xml import parse_policy_document
@@ -63,6 +63,35 @@ def test_negative_extension_in_a_store_names_file_and_line(tmp_path):
     )
     with pytest.raises(FixtureError, match=r"^diary.txt:2: extensions must be >= 0$"):
         load_diary(path)
+
+
+@pytest.mark.parametrize(
+    "store, line, message",
+    [
+        ("diary.txt",
+         "entry owner=c1 start=2026-03-10T09:00:00Z end=2026-03-10T10:00:00Z post=99999999999999 country=LU",
+         "99999999999999 minutes is out of range"),
+        ("diary.txt",
+         "entry owner=c1 start=0001-01-01T00:30:00+01:00 end=2026-03-10T10:00:00Z country=LU",
+         r"instant '0001-01-01T00:30:00\+01:00' is out of range"),
+        ("diary.txt",
+         "entry owner=c1 start=0001-01-01T00:30:00Z end=2026-03-10T10:00:00Z pre=60 country=LU",
+         "extended time range is out of range"),
+        ("diary.txt",
+         "entry owner=c1 start=2026-03-10T09:00:00Z end=9999-12-31T23:00:00Z post=120 country=LU",
+         "extended time range is out of range"),
+        ("identities.txt",
+         "delegation consultant=c1 customers=k1 from=0001-01-01T00:30:00+01:00 to=2026-01-01T00:00:00Z",
+         r"instant '0001-01-01T00:30:00\+01:00' is out of range"),
+    ],
+    ids=["diary-post", "diary-start", "diary-pre-window", "diary-post-window", "delegation-from"],
+)
+def test_out_of_range_value_in_a_store_names_file_and_line(tmp_path, store, line, message):
+    path = tmp_path / store
+    path.write_text("# header\n" + line + "\n")
+    load = load_diary if store == "diary.txt" else load_identities
+    with pytest.raises(FixtureError, match=f"^{store}:2: {message}$"):
+        load(path)
 
 
 def test_scenario_lines_use_the_same_quoting():

@@ -148,6 +148,7 @@ MUTATIONS = {
     ),
     "empty-legislation": lambda d: _mutate(d, "r2", legislation=frozenset()),
     "rule-missing-effect": lambda d: _mutate(d, "r2", effect=None),
+    "id-not-one-field": lambda d: _mutate(d, "r2", id="r 2"),
 }
 
 

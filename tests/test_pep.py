@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import gc
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_bundle, wire_request
+from conftest import EVENT_FLOW, make_bundle, watch, wire_request
 from lexgate.combining import CombinerRegistry
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError
@@ -38,17 +39,6 @@ from policybuild import document, policy, rule
 GOOD_SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
 
-EXPECTED_FLOW = [
-    "authenticate",
-    "locate",
-    "attributes",
-    "diary",
-    "policies",
-    "decide",
-    "obligations",
-    "respond",
-]
-
 
 def make_monitor(policy_pack, at, key=KEY, audit=None):
     pips = make_bundle(at)
@@ -61,8 +51,10 @@ def make_monitor(policy_pack, at, key=KEY, audit=None):
 # -- event flow -----------------------------------------------------------------
 
 
-def test_permitted_request_follows_the_event_flow(policy_pack):
-    monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+def test_permitted_request_follows_the_event_flow(policy_pack, monkeypatch):
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+    flow = watch(monkeypatch, monitor)
+    evaluations = watch(monkeypatch, monitor, ("engine.evaluate",))
     raw = wire_request(
         resource="cust/4711/portfolio",
         point="47.37 8.54",
@@ -72,44 +64,37 @@ def test_permitted_request_follows_the_event_flow(policy_pack):
     response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
     response, view = parse_response(response_bytes)
     assert response.decision is Decision.PERMIT
-    assert pips.log.events == EXPECTED_FLOW
-    assert pips.log.pdp_calls == 1
+    assert flow == list(EVENT_FLOW)
+    assert len(evaluations) == 1
     assert view is not None and view.mode == "cleartext"
     assert record.decision is Decision.PERMIT
 
 
-def test_interaction_log_holds_one_request(policy_pack):
-    monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
-    raw = wire_request(
-        resource="cust/4711/portfolio",
-        point="47.37 8.54",
-        tokens=("cust:4711",),
-        token_at="2026-03-10T13:40:00Z",
-    )
-    for _ in range(50):
-        monitor.handle_request(raw, GOOD_SESSION)
-    assert pips.log.events == EXPECTED_FLOW
-    assert pips.log.pdp_calls == 50
-
-
-def test_unauthenticated_request_never_reaches_the_pdp(policy_pack):
-    monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+def test_unauthenticated_request_never_reaches_the_pdp(policy_pack, monkeypatch):
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+    reached = watch(monkeypatch, monitor, ("engine.evaluate", "location.locate"))
     raw = wire_request(resource="cust/4711/portfolio", point="47.37 8.54")
     response_bytes, record = monitor.handle_request(raw, AuthState("c.miller", "wrong"))
     response, view = parse_response(response_bytes)
-    assert pips.log.pdp_calls == 0
-    assert "locate" not in pips.log.events
+    assert reached == []
     assert response.decision is Decision.DENY
     assert response.status == STATUS_PROCESSING_ERROR
     assert view is None
     assert record.decision is Decision.DENY
 
 
-def test_session_subject_mismatch_is_rejected_before_the_pdp(policy_pack):
-    monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+def test_the_bundle_is_frozen():
+    pips = make_bundle("2026-03-10T13:40:00Z")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pips.clock = None
+
+
+def test_session_subject_mismatch_is_rejected_before_the_pdp(policy_pack, monkeypatch):
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+    evaluations = watch(monkeypatch, monitor, ("engine.evaluate",))
     raw = wire_request(subject="a.chen", resource="cust/4711/portfolio", point="47.37 8.54")
     monitor.handle_request(raw, GOOD_SESSION)
-    assert pips.log.pdp_calls == 0
+    assert evaluations == []
 
 
 def test_malformed_request_is_a_syntax_error(policy_pack):
@@ -119,6 +104,20 @@ def test_malformed_request_is_a_syntax_error(policy_pack):
     assert response.decision is Decision.INDETERMINATE
     assert response.status == "syntax-error"
     assert view is None
+
+
+@pytest.mark.parametrize("token_at", ["yesterday", "0001-01-01T00:30:00+01:00"])
+def test_an_unreadable_token_is_skipped(policy_pack, token_at):
+    # A token is only evidence: one whose instant cannot be read counts as
+    # no token at all, so the request is decided as if it carried none.
+    monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+    request = dict(resource="cust/4711/portfolio", point="47.37 8.54")
+    with_token, _ = monitor.handle_request(
+        wire_request(tokens=("cust:4711",), token_at=token_at, **request), GOOD_SESSION
+    )
+    without, _ = monitor.handle_request(wire_request(**request), GOOD_SESSION)
+    assert with_token == without
+    assert parse_response(without)[0].status == "ok"
 
 
 # -- obligations and data views ----------------------------------------------------
@@ -389,12 +388,13 @@ def test_a_clock_step_back_is_refused_until_the_clock_catches_up(policy_pack, tm
         assert len(audit_path.read_text().splitlines()) == 2
 
 
-def test_every_pdp_invocation_has_exactly_one_audit_record(policy_pack, tmp_path):
+def test_every_pdp_invocation_has_exactly_one_audit_record(policy_pack, tmp_path, monkeypatch):
     with AuditLog(tmp_path / "audit.log") as audit:
-        monitor, pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        monitor, _pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        evaluations = watch(monkeypatch, monitor, ("engine.evaluate",))
         for _ in range(3):
             monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
-    assert pips.log.pdp_calls == 3
+    assert len(evaluations) == 3
     assert len((tmp_path / "audit.log").read_text().splitlines()) == 3
 
 

@@ -138,6 +138,9 @@ def test_bad_lines_are_rejected():
         parse_request(b"subject user-id string x\nend\n")
     with pytest.raises(WireFormatError):
         parse_response(b"response\nstatus ok\nend\n")  # decision missing
+    for expiry in (b"noon", b"0001-01-01T00:30:00+01:00"):
+        with pytest.raises(WireFormatError, match="bad view expiry on line 3"):
+            parse_response(b"response\ndecision Permit\nview cleartext " + expiry + b" \nend\n")
 
 
 @pytest.mark.parametrize("text", ["a\nb", "a\rb", "a\u2028b", "a\x85b"])
