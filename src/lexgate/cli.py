@@ -122,16 +122,17 @@ def _load_deployment(args: argparse.Namespace) -> tuple[PipBundle, list[PolicyDo
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    engine = PolicyDecisionPoint()
     try:
         pips, documents = _load_deployment(args)
+        forest = engine.compile(documents)
         request = parse_request(Path(args.request).read_bytes())
     except (OSError, LexgateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    engine = PolicyDecisionPoint()
     mode = "ignore-tags" if args.ignore_legislation_tags else "aware"
-    response = engine.evaluate(documents, request, pips, legislation_mode=mode)
+    response = engine.evaluate(forest, request, pips, legislation_mode=mode)
 
     print(f"decision: {response.decision.value}")
     print(f"status: {response.status}")

@@ -154,9 +154,13 @@ class DiaryStore:
         if window is None:
             return best
         owned, starts, longest = window
+        try:
+            first = bisect_left(starts, now - longest)
+        except OverflowError:  # a window longer than the time since year 1
+            first = 0
         # The order does not matter: the result is the best assessment, and
         # FULL_MATCH, the only early return, is the best there is.
-        for index in range(bisect_left(starts, now - longest), bisect_right(starts, now)):
+        for index in range(first, bisect_right(starts, now)):
             entry = owned[index]
             if resource not in entry.planned_resources:
                 continue

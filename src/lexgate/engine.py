@@ -26,7 +26,7 @@ deny-overrides; see README for the exact semantics.
 from __future__ import annotations
 
 import datetime as dt
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .combining import CombinerRegistry
 from .context.bundle import PipBundle
@@ -53,7 +53,10 @@ from .model import (
     STATUS_OK,
     STATUS_PROCESSING_ERROR,
     Target,
+    Trace,
     TraceRecord,
+    is_one_field,
+    trace_digest,
 )
 from .parsing.location_xml import LocationReport
 from .parsing.wire import PROXIMITY_TOKEN, RequestContext
@@ -626,26 +629,23 @@ class PolicyDecisionPoint:
 
     def evaluate(
         self,
-        documents: Union["CompiledForest", Sequence[PolicyDocument]],
+        forest: "CompiledForest",
         request: RequestContext,
         pips: PipBundle,
         *,
         legislation_mode: str = "aware",
     ) -> ResponseContext:
-        """Evaluate the document forest: a forest from this engine's
-        `compile`, or a plain document sequence, which is compiled on entry.
-        No evaluation failure raises past this boundary; only a bad argument
-        does, with ValueError: an unknown legislation mode, or a forest
-        compiled by another engine, whose closures hold that engine's
-        registries."""
+        """Evaluate the document forest this engine's `compile` built. No
+        evaluation failure raises past this boundary; only a bad argument
+        does: an unknown legislation mode or a forest compiled by another
+        engine, whose closures hold that engine's registries, with
+        ValueError, and anything but a `CompiledForest` with TypeError."""
         if legislation_mode not in ("aware", "ignore-tags"):
             raise ValueError(f"unknown legislation mode {legislation_mode!r}")
-        if isinstance(documents, CompiledForest):
-            if documents.engine is not self:
-                raise ValueError("the forest was compiled by another engine")
-            forest = documents
-        else:
-            forest = self.compile(documents)
+        if not isinstance(forest, CompiledForest):
+            raise TypeError("evaluate takes a CompiledForest; build it with compile")
+        if forest.engine is not self:
+            raise ValueError("the forest was compiled by another engine")
         # The trace is built in document order; `visited` holds the (record,
         # node) pairs of every walked document, those of the document being
         # walked from `mark` on.
@@ -657,17 +657,19 @@ class PolicyDecisionPoint:
             ctx.applicable_scopes = pips.scopes.select_legislation(
                 ctx.source_country, ctx.destination_country
             )
-            screened, walk = forest.plan(ctx)
+            plan = forest.plan(ctx)
+            runs = plan.runs
+            trace += runs[0]
+            marks = []  # where each walked document's pairs end in `visited`
             decisions = []  # NotApplicable is the identity of the top combiner
-            start = 0
-            for index in walk:
-                trace += screened[start:index]
+            for index, run in zip(plan.walk, runs[1:]):
                 decision = forest.walker(index)(ctx, visited)
                 trace += [record for record, _node in visited[mark:]]
-                mark, start = len(visited), index + 1
+                trace += run
+                mark = len(visited)
+                marks.append(mark)
                 if decision is not Decision.NOT_APPLICABLE:
                     decisions.append(decision)
-            trace += screened[start:]
             final = self.combiners.combine(TOP_COMBINER, decisions)
         except Exception as exc:  # PIP failures must not escape the boundary
             trace += [record for record, _node in visited[mark:]]
@@ -688,11 +690,17 @@ class PolicyDecisionPoint:
             status = ctx.first_error_status()
         else:
             status = STATUS_OK
+        # Under one plan the walked documents' records fix the whole trace.
+        key = (tuple([record.digest_text for record, _node in visited]), tuple(marks))
+        digest = plan.digests.get(key)
+        if digest is None:
+            digest = trace_digest(trace)
+            _remember(plan.digests, _DIGESTS_HELD, key, digest)
         return ResponseContext(
             decision=final,
             status=status,
             obligations=tuple(obligations),
-            trace=tuple(trace),
+            trace=Trace(trace, digest),
         )
 
 
@@ -741,6 +749,33 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
     return None
 
 
+# How many plans a forest keeps, and how many digests each plan keeps.
+_PLANS_HELD = 256
+_DIGESTS_HELD = 32
+
+
+def _remember(memo: dict, held: int, key: object, value: object) -> None:
+    """Put `value` into `memo`, emptying the memo first when it holds
+    `held` entries. Emptying keeps no order to update, and `dict.clear`
+    cannot fail when two threads share the memo."""
+    if len(memo) >= held:
+        memo.clear()
+    memo[key] = value
+
+
+class Plan(NamedTuple):
+    """How one kind of request meets the forest."""
+
+    # The screened documents' records: those before each walked document,
+    # then those after the last; len(runs) == len(walk) + 1.
+    runs: tuple[tuple[TraceRecord, ...], ...]
+    # The documents to walk, in document order.
+    walk: tuple[int, ...]
+    # Trace digests by the digest texts of the walked documents' records
+    # and the number of records up to the end of each walked document.
+    digests: dict
+
+
 class CompiledForest:
     """The document forest, compiled once at load time so that per-request
     work follows the applicable documents rather than the forest's size
@@ -754,14 +789,36 @@ class CompiledForest:
     root's NotApplicable record alone, so it contributes that record,
     built here once, and the trace stays the one a full walk produces.
 
+    The plan for a request depends only on the legislation mode, the
+    request's scopes and, per attribute that roots are keyed on, which of
+    its literals the bag holds (or that the bag holds a value that is not
+    a string). That is the plan memo's key, so caller text that is no
+    literal never enters it. A plan is made on the first request with its
+    key and kept with the screened records grouped into runs between the
+    walked documents, and with a memo of trace digests keyed by the
+    records the walked documents gave: equal records under one plan make
+    an equal trace, so its digest is hashed once. At most `_PLANS_HELD`
+    plans are kept, and `_DIGESTS_HELD` digests per plan; a full memo is
+    emptied before the next entry goes in.
+
     A walked root runs as the closures `engine` compiles it to, the first
-    time a request walks it. Build one with `PolicyDecisionPoint.compile`.
+    time a request walks it. Build one with `PolicyDecisionPoint.compile`;
+    a node id that is not one wire field (`is_one_field`) is refused with
+    ValueError, since no response could carry its trace line.
     """
 
     def __init__(self, documents: Iterable[PolicyDocument], engine: PolicyDecisionPoint):
+        documents = tuple(documents)
+        for document in documents:
+            for node in document.walk():
+                if not is_one_field(node.id):
+                    raise ValueError(
+                        f"node id {node.id!r} in {document.source_name} is not one wire field"
+                    )
         self.engine = engine
         self.roots = tuple(document.root for document in documents)
         self._walks: list[Optional[Walk]] = [None] * len(self.roots)
+        self._plans: dict[tuple, Plan] = {}
         keys = [_literal_key(root.target) for root in self.roots]
         # Per document: the record of a legislation miss (None when the root
         # is untagged) and of a miss on the literal key (None without one).
@@ -791,36 +848,52 @@ class CompiledForest:
                 category, attribute_id, literal = key
                 by_literal.setdefault((category, attribute_id), {}).setdefault(literal, set()).add(index)
         self.selectors = tuple(
-            (category, attribute_id, frozenset().union(*literals.values()),
+            (attribute, frozenset().union(*literals.values()),
              {literal: frozenset(indices) for literal, indices in literals.items()})
-            for (category, attribute_id), literals in by_literal.items()
+            for attribute, literals in by_literal.items()
         )
 
-    def plan(self, ctx: EvaluationContext) -> tuple[list[Optional[TraceRecord]], list[int]]:
-        """(the record of each screened document by position, the documents
-        to walk in document order)."""
-        if ctx.legislation_mode == "ignore-tags":
+    def plan(self, ctx: EvaluationContext) -> Plan:
+        """The plan for the request, from the memo when a request with the
+        same key was planned before."""
+        parts = [None if ctx.legislation_mode == "ignore-tags" else ctx.applicable_scopes]
+        for attribute, _keyed, by_literal in self.selectors:
+            payloads = _string_payloads(ctx.lookup(attribute))
+            parts.append(None if payloads is None else tuple([p for p in payloads if p in by_literal]))
+        key = tuple(parts)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plan(key)
+            _remember(self._plans, _PLANS_HELD, key, plan)
+        return plan
+
+    def _plan(self, key: tuple) -> Plan:
+        """The plan for a memo key: (the scopes, or None under ignore-tags;
+        then per selector the literals hit, or None for a bag that is not
+        all strings)."""
+        scopes, hits = key[0], key[1:]
+        if scopes is None:
             candidates = self.everything
         else:
             candidates = set(self.untagged)
-            for scope in ctx.applicable_scopes:
+            for scope in scopes:
                 bucket = self.by_scope.get(scope)
                 if bucket:
                     candidates |= bucket
         matching = set(self.unkeyed)
-        for category, attribute_id, keyed, by_literal in self.selectors:
-            payloads = _string_payloads(ctx.lookup((category, attribute_id)))
-            if payloads is None:
+        for (_attribute, keyed, by_literal), literals in zip(self.selectors, hits):
+            if literals is None:
                 matching |= keyed
                 continue
-            for payload in payloads:
-                documents = by_literal.get(payload)
-                if documents:
-                    matching |= documents
+            for literal in literals:
+                matching |= by_literal[literal]
         screened = list(self.legislation_misses)
         for index in candidates - matching:
             screened[index] = self.target_misses[index]
-        return screened, sorted(candidates & matching)
+        walk = sorted(candidates & matching)
+        bounds = [-1, *walk, len(screened)]
+        runs = tuple(tuple(screened[start + 1:end]) for start, end in zip(bounds, bounds[1:]))
+        return Plan(runs, tuple(walk), {})
 
     def walker(self, index: int) -> Walk:
         """The compiled walk of document `index`, compiled on first use."""

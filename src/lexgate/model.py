@@ -7,10 +7,12 @@ threads; the parser builds these values and the engine only reads them.
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 
 class Decision(Enum):
@@ -284,7 +286,7 @@ class TraceRecord:
     node_id: str
     decision: Decision
     reason: str
-    # "<node> <decision> <reason>": the line pep.trace_digest hashes.
+    # "<node> <decision> <reason>": the line trace_digest hashes.
     digest_text: str = field(init=False, repr=False, compare=False)
     # "trace <node> <decision> [reason]" (docs/wire-format.md).
     wire_line: str = field(init=False, repr=False, compare=False)
@@ -298,10 +300,40 @@ class TraceRecord:
         object.__setattr__(self, "wire_line", f"trace {text}".rstrip())
 
 
+_DIGEST_TEXT = operator.attrgetter("digest_text")
+
+
+class Trace(tuple):
+    """The trace records of one evaluation, with their audit digest
+    (`trace_digest`) found as the trace was built. It is equal to, and
+    hashes like, the plain tuple of the same records. A tuple made from
+    it, such as `trace + (record,)`, is a plain tuple and so carries no
+    digest."""
+
+    # `digest` defaults to None only so that copy and pickle, which call
+    # the constructor with the records alone, can rebuild a Trace.
+    def __new__(cls, records: Sequence[TraceRecord], digest: Optional[str] = None) -> "Trace":
+        trace = super().__new__(cls, records)
+        trace.digest = digest
+        return trace
+
+
+def trace_digest(trace: Sequence[TraceRecord]) -> str:
+    """The audit digest of a trace: the SHA-256 hex digest of its records'
+    digest texts, joined by line feeds. A `Trace` built with its digest
+    gives that digest without hashing."""
+    digest = trace.digest if type(trace) is Trace else None
+    if digest is None:
+        body = "\n".join(map(_DIGEST_TEXT, trace))
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return digest
+
+
 @dataclass(frozen=True)
 class ResponseContext:
     """Outcome of one evaluation: decision, status, obligations to fulfil
-    and a per-node trace in completion order."""
+    and a per-node trace in completion order (a `Trace` from the engine's
+    evaluation, any tuple of records otherwise)."""
 
     decision: Decision
     status: str = STATUS_OK

@@ -23,7 +23,6 @@ import datetime as dt
 import hashlib
 import hmac
 import io
-import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +43,7 @@ from .model import (
     STATUS_SYNTAX_ERROR,
     TraceRecord,
     single_line,
+    trace_digest,
 )
 from .parsing.wire import RequestContext, WireView, parse_request, serialize_response
 
@@ -52,8 +52,6 @@ OB_ANONYMIZE = "anonymize"
 OB_LIMIT_DURATION = "limit-duration"
 
 ANONYMIZED_MARKER = "[REDACTED]"
-
-_DIGEST_TEXT = operator.attrgetter("digest_text")
 
 
 class ViewMode(Enum):
@@ -107,11 +105,6 @@ def _audit_field(text: str) -> str:
     if "|" in text or "%" in text:
         text = text.replace("%", "%25").replace("|", "%7C")
     return text
-
-
-def trace_digest(trace: Sequence[TraceRecord]) -> str:
-    body = "\n".join(map(_DIGEST_TEXT, trace))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 class AuditLog:

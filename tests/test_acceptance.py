@@ -55,7 +55,7 @@ def _load_request(name):
 
 def test_criterion_1_working_time_boundary_table(policy_pack):
     def check():
-        working_time = [d for d in policy_pack if d.root.id == "WorkingTimePolicy"]
+        working_time = ENGINE.compile(d for d in policy_pack if d.root.id == "WorkingTimePolicy")
         table = {
             "07:59:59": Decision.DENY,
             "08:00:00": Decision.PERMIT,
@@ -121,7 +121,7 @@ def test_criterion_4_legislation_applicability():
             for scope in ("DE", "LU", "EU", "FR")
         }
         response = ENGINE.evaluate(
-            list(tagged.values()), request, make_bundle("2026-03-10T09:10:00Z")
+            ENGINE.compile(tagged.values()), request, make_bundle("2026-03-10T09:10:00Z")
         )
         by_node = {t.node_id: t for t in response.trace}
         for scope in ("DE", "LU", "EU"):
@@ -132,7 +132,7 @@ def test_criterion_4_legislation_applicability():
         # Dual-mode property over 1000 randomized deny-constraining forests.
         rng = random.Random(4711)
         for _ in range(1000):
-            forest = random_forest(rng)
+            forest = ENGINE.compile(random_forest(rng))
             pips = make_bundle("2026-03-10T09:10:00Z")
             aware = ENGINE.evaluate(forest, request, pips)
             ignoring = ENGINE.evaluate(
@@ -187,11 +187,12 @@ def test_criterion_6_border_trip_scenario(capsys):
 
 def test_criterion_7_determinism(policy_pack):
     def check():
+        forest = ENGINE.compile(policy_pack)
         for name, at in REQUEST_CORPUS:
             request = _load_request(name)
             baseline = None
             for _ in range(100):
-                response = ENGINE.evaluate(policy_pack, request, make_bundle(at))
+                response = ENGINE.evaluate(forest, request, make_bundle(at))
                 blob = serialize_response(response)
                 if baseline is None:
                     baseline = blob
@@ -206,7 +207,7 @@ def test_criterion_8_no_tracking_single_location_query(policy_pack):
         for name, at in REQUEST_CORPUS:
             request = _load_request(name)
             pips = make_bundle(at, count_locates=True)
-            ENGINE.evaluate(policy_pack, request, pips)
+            ENGINE.evaluate(ENGINE.compile(policy_pack), request, pips)
             assert pips.location.calls == 1, name
 
         # Full enforcement path over every border-trip step.

@@ -1,10 +1,14 @@
 import dataclasses
 import datetime as dt
 import random
+import sys
+import threading
+from unittest import mock
 
 import pytest
 
 from conftest import make_bundle, wire_request
+from lexgate import engine as engine_module
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.model import (
     AttributeSelector,
@@ -21,6 +25,7 @@ from lexgate.model import (
     Target,
 )
 from lexgate.parsing.wire import parse_request
+from lexgate.pep import ReferenceMonitor, trace_digest
 from policybuild import document, policy, random_forest, rule, string_clause
 
 NOON = "2026-03-10T12:00:00Z"
@@ -34,7 +39,7 @@ def _working_time_doc(policy_pack):
 def _decide(engine, node, at=NOON):
     """The response to the London request over a forest of one policy."""
     request = parse_request(wire_request(point=LONDON_POINT))
-    return engine.evaluate([document(node)], request, make_bundle(at))
+    return engine.evaluate(engine.compile([document(node)]), request, make_bundle(at))
 
 
 def _record(response, node_id):
@@ -142,7 +147,7 @@ def test_location_match_function(engine):
 def test_working_time_policy_noon_permits(engine, policy_pack):
     pips = make_bundle(NOON)
     request = parse_request(wire_request(point=LONDON_POINT))
-    response = engine.evaluate(_working_time_doc(policy_pack), request, pips)
+    response = engine.evaluate(engine.compile(_working_time_doc(policy_pack)), request, pips)
     assert response.decision is Decision.PERMIT
     assert response.status == STATUS_OK
     by_node = {t.node_id: t for t in response.trace}
@@ -153,7 +158,7 @@ def test_working_time_policy_noon_permits(engine, policy_pack):
 def test_working_time_policy_evening_denies(engine, policy_pack):
     pips = make_bundle("2026-03-10T19:30:00Z")
     request = parse_request(wire_request(point=LONDON_POINT))
-    response = engine.evaluate(_working_time_doc(policy_pack), request, pips)
+    response = engine.evaluate(engine.compile(_working_time_doc(policy_pack)), request, pips)
     assert response.decision is Decision.DENY
     by_node = {t.node_id: t for t in response.trace}
     assert by_node["LoginRule"].decision is Decision.NOT_APPLICABLE
@@ -162,7 +167,7 @@ def test_working_time_policy_evening_denies(engine, policy_pack):
 
 
 def test_zone_insulation_policy_in_isolation(engine, policy_pack):
-    insulation = [d for d in policy_pack if d.root.id == "RestrictedZoneInsulation"]
+    insulation = engine.compile(d for d in policy_pack if d.root.id == "RestrictedZoneInsulation")
     in_customs = parse_request(
         wire_request(resource="cust/4711/portfolio", point="51.505 0.05")
     )
@@ -183,7 +188,7 @@ def test_rule_with_non_matching_target_is_not_applicable(engine):
     )
     pips = make_bundle(NOON)
     request = parse_request(wire_request(point=LONDON_POINT))
-    response = engine.evaluate([doc], request, pips)
+    response = engine.evaluate(engine.compile([doc]), request, pips)
     assert response.decision is Decision.NOT_APPLICABLE
     by_node = {t.node_id: t for t in response.trace}
     assert by_node["r"].decision is Decision.NOT_APPLICABLE
@@ -192,7 +197,7 @@ def test_rule_with_non_matching_target_is_not_applicable(engine):
 def test_empty_forest_is_not_applicable(engine):
     pips = make_bundle(NOON)
     request = parse_request(wire_request(point=LONDON_POINT))
-    response = engine.evaluate([], request, pips)
+    response = engine.evaluate(engine.compile([]), request, pips)
     assert response.decision is Decision.NOT_APPLICABLE
     assert response.status == STATUS_OK
     assert response.obligations == ()
@@ -206,7 +211,7 @@ class _ExplodingSupplier:
 def test_location_pip_failure_folds_to_processing_error(engine, policy_pack):
     pips = dataclasses.replace(make_bundle(NOON), location=_ExplodingSupplier())
     request = parse_request(wire_request(point=LONDON_POINT))
-    response = engine.evaluate(policy_pack, request, pips)
+    response = engine.evaluate(engine.compile(policy_pack), request, pips)
     assert response.decision is Decision.INDETERMINATE
     assert response.status == STATUS_PROCESSING_ERROR
 
@@ -214,7 +219,7 @@ def test_location_pip_failure_folds_to_processing_error(engine, policy_pack):
 def test_unlocatable_request_folds_to_processing_error(engine, policy_pack):
     pips = make_bundle(NOON)
     request = parse_request(wire_request(subject="s.boss", point=""))  # no point, no device
-    response = engine.evaluate(policy_pack, request, pips)
+    response = engine.evaluate(engine.compile(policy_pack), request, pips)
     assert response.decision is Decision.INDETERMINATE
     assert response.status == STATUS_PROCESSING_ERROR
 
@@ -225,7 +230,7 @@ def test_unknown_combiner_in_document_folds_fail_safe(engine):
     doc = document(policy("p", [rule("r", Effect.PERMIT)], combining="mystery"))
     pips = make_bundle(NOON)
     request = parse_request(wire_request(point=LONDON_POINT))
-    response = engine.evaluate([doc], request, pips)
+    response = engine.evaluate(engine.compile([doc]), request, pips)
     assert response.decision is Decision.DENY
     by_node = {t.node_id: t for t in response.trace}
     assert by_node["p"].decision is Decision.INDETERMINATE
@@ -244,21 +249,18 @@ def _fr_tagged_deny():
 
 def test_tag_modes_diverge_on_foreign_tagged_policy(engine):
     request = parse_request(wire_request(point=LONDON_POINT))  # GB -> LU
-    aware = engine.evaluate([_fr_tagged_deny()], request, make_bundle(NOON))
-    ignoring = engine.evaluate(
-        [_fr_tagged_deny()], request, make_bundle(NOON), legislation_mode="ignore-tags"
-    )
+    forest = engine.compile([_fr_tagged_deny()])
+    aware = engine.evaluate(forest, request, make_bundle(NOON))
+    ignoring = engine.evaluate(forest, request, make_bundle(NOON), legislation_mode="ignore-tags")
     assert aware.decision is Decision.NOT_APPLICABLE
     assert ignoring.decision is Decision.DENY  # over-restrictive, never permissive
 
 
 def test_tag_modes_agree_without_tagged_policies(engine, policy_pack):
-    untagged = [d for d in policy_pack if d.root.id == "WorkingTimePolicy"]
+    untagged = engine.compile(d for d in policy_pack if d.root.id == "WorkingTimePolicy")
     request = parse_request(wire_request(point=LONDON_POINT))
     aware = engine.evaluate(untagged, request, make_bundle(NOON))
-    ignoring = engine.evaluate(
-        untagged, request, make_bundle(NOON), legislation_mode="ignore-tags"
-    )
+    ignoring = engine.evaluate(untagged, request, make_bundle(NOON), legislation_mode="ignore-tags")
     assert aware == ignoring
 
 
@@ -267,7 +269,7 @@ def test_ignore_tags_never_flips_deny_to_permit_over_random_forests(engine):
     request = parse_request(wire_request(point=LONDON_POINT))
     flips = 0
     for _ in range(1000):
-        forest = random_forest(rng)
+        forest = engine.compile(random_forest(rng))
         pips = make_bundle(NOON)
         aware = engine.evaluate(forest, request, pips)
         ignoring = engine.evaluate(forest, request, pips, legislation_mode="ignore-tags")
@@ -300,7 +302,7 @@ def test_precision_failure_degrades_to_pseudonymous_access(engine, policy_pack):
         extra_lines=("environment position-accuracy integer 200",),
     )
     request = parse_request(raw)
-    response = engine.evaluate(policy_pack, request, pips)
+    response = engine.evaluate(engine.compile(policy_pack), request, pips)
     assert response.decision is Decision.PERMIT
     assert [ob.id for ob in response.obligations] == ["pseudonymize"]
 
@@ -314,7 +316,7 @@ def test_precision_failure_across_countries_is_a_processing_error(engine, policy
         extra_lines=("environment position-accuracy integer 15000",),
     )
     response = engine.evaluate(
-        policy_pack, parse_request(raw), make_bundle("2026-03-10T12:45:00Z")
+        engine.compile(policy_pack), parse_request(raw), make_bundle("2026-03-10T12:45:00Z")
     )
     assert response.decision is Decision.INDETERMINATE
     assert response.status == STATUS_PROCESSING_ERROR
@@ -333,7 +335,7 @@ action action-id string read
 end
 """
     pips = make_bundle(NOON, count_locates=True)
-    response = engine.evaluate(policy_pack, parse_request(data), pips)
+    response = engine.evaluate(engine.compile(policy_pack), parse_request(data), pips)
     assert response.decision is Decision.PERMIT
     assert pips.location.calls == 0  # the embedded snapshot is trusted
 
@@ -341,16 +343,16 @@ end
 def test_location_supplier_called_exactly_once_per_evaluate(engine, policy_pack):
     pips = make_bundle(NOON, count_locates=True)
     request = parse_request(wire_request(point=LONDON_POINT))
-    engine.evaluate(policy_pack, request, pips)
+    engine.evaluate(engine.compile(policy_pack), request, pips)
     assert pips.location.calls == 1
-    engine.evaluate(policy_pack, request, pips)
+    engine.evaluate(engine.compile(policy_pack), request, pips)
     assert pips.location.calls == 2  # once more for the second evaluation
 
 
 def test_repeated_evaluations_are_identical(engine, policy_pack):
     request = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53"))
     responses = {
-        engine.evaluate(policy_pack, request, make_bundle("2026-03-10T12:45:00Z"))
+        engine.evaluate(engine.compile(policy_pack), request, make_bundle("2026-03-10T12:45:00Z"))
         for _ in range(25)
     }
     assert len(responses) == 1
@@ -358,14 +360,14 @@ def test_repeated_evaluations_are_identical(engine, policy_pack):
 
 def test_trace_covers_every_visited_node_exactly_once(engine, policy_pack):
     request = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53"))
-    response = engine.evaluate(policy_pack, request, make_bundle("2026-03-10T12:45:00Z"))
+    response = engine.evaluate(engine.compile(policy_pack), request, make_bundle("2026-03-10T12:45:00Z"))
     node_ids = [t.node_id for t in response.trace]
     assert len(node_ids) == len(set(node_ids))
 
 
 def test_obligation_coherence(engine, policy_pack):
     request = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53"))
-    response = engine.evaluate(policy_pack, request, make_bundle("2026-03-10T12:45:00Z"))
+    response = engine.evaluate(engine.compile(policy_pack), request, make_bundle("2026-03-10T12:45:00Z"))
     assert response.decision is Decision.PERMIT
     assert [ob.id for ob in response.obligations] == ["pseudonymize"]
     for ob in response.obligations:
@@ -380,7 +382,7 @@ def test_user_registered_function_is_callable(policy_pack):
     )
     pips = make_bundle(NOON)
     request = parse_request(wire_request(point=LONDON_POINT))
-    assert engine.evaluate([doc], request, pips).decision is Decision.PERMIT
+    assert engine.evaluate(engine.compile([doc]), request, pips).decision is Decision.PERMIT
 
 
 def test_duplicate_function_registration_is_rejected():
@@ -394,5 +396,55 @@ def test_forest_compiled_by_another_engine_is_refused(engine, policy_pack):
     forest = PolicyDecisionPoint().compile(policy_pack)
     with pytest.raises(ValueError, match="another engine"):
         engine.evaluate(forest, request, make_bundle(NOON))
-    assert engine.evaluate(engine.compile(policy_pack), request, make_bundle(NOON)) == \
+    with pytest.raises(TypeError, match="CompiledForest"):
         engine.evaluate(policy_pack, request, make_bundle(NOON))
+
+
+@pytest.mark.parametrize("bad_id", ["a b", "a\nb", "a\u2028b", ""], ids=["space", "lf", "u2028", "empty"])
+@pytest.mark.parametrize("where", ["root", "rule"])
+def test_a_node_id_that_is_not_one_wire_field_is_refused_when_the_forest_is_built(
+    policy_pack, bad_id, where
+):
+    # Its trace line could not be read back from the response.
+    node = policy(bad_id, [rule("r")]) if where == "root" else policy("p", [rule(bad_id)])
+    with pytest.raises(ValueError, match="not one wire field"):
+        ReferenceMonitor(PolicyDecisionPoint(), [*policy_pack, document(node)], make_bundle(NOON))
+
+
+def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
+    # Memos of one entry: each change of plan among the threads empties
+    # them, so the threads keep replacing what the others just put in.
+    requests = [
+        parse_request(wire_request(resource=resource, point=point))
+        for resource in ("products/overview", "cust/4711/portfolio")
+        for point in (LONDON_POINT, "47.36 8.53", "50.40 8.70")
+    ]
+    pips = make_bundle("2026-03-10T12:45:00Z")
+    expected = [engine.evaluate(engine.compile(policy_pack), request, pips) for request in requests]
+    forest = engine.compile(policy_pack)
+    failures = []
+
+    def work():
+        try:
+            for _ in range(50):
+                for request, want in zip(requests, expected):
+                    got = engine.evaluate(forest, request, pips)
+                    if got != want or trace_digest(got.trace) != trace_digest(want.trace):
+                        failures.append(request)
+        except Exception as exc:  # reported below, with the thread's failures
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(engine_module, "_PLANS_HELD", 1), \
+                mock.patch.object(engine_module, "_DIGESTS_HELD", 1):
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

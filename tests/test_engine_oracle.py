@@ -8,15 +8,21 @@ must give the same decision, status, obligations and trace, down to the
 response bytes and the audit trace digest, in both legislation modes. The requests carry
 missing, multi-valued and non-string bags for the attributes the forests'
 targets name, so the literal index meets every case it must not screen.
+A second property checks the plan and digest memos: a request gives the
+same response, bytes and digest on a cold forest, on a second call and on
+a forest warmed by other requests.
 """
 
+import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import engine_oracle
 from conftest import make_bundle
+from lexgate import engine
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.model import AttributeValue, Category, DataType, GeoPoint, Target
 from lexgate.parsing.wire import RequestContext, serialize_response
@@ -97,6 +103,36 @@ def test_engine_agrees_with_the_oracle(pips, seed, request, mode):
     assert trace_digest(got.trace) == trace_digest(want.trace)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    request=requests(),
+    mode=st.sampled_from(("aware", "ignore-tags")),
+    earlier=st.lists(st.tuples(requests(), st.sampled_from(("aware", "ignore-tags"))), max_size=6),
+)
+def test_the_plan_and_digest_memos_change_no_response(pips, seed, request, mode, earlier):
+    # The same request on a cold forest, on that forest a second time, and
+    # on a forest warmed by earlier requests, the last of them this one in
+    # the other mode, whose memos hold one entry at most, so that every new
+    # plan and digest empties them.
+    forest = random_forest(random.Random(seed), hostile=True)
+    cold = ENGINE.compile(forest)
+    first = ENGINE.evaluate(cold, request, pips, legislation_mode=mode)
+    second = ENGINE.evaluate(cold, request, pips, legislation_mode=mode)
+    other_mode = "ignore-tags" if mode == "aware" else "aware"
+    with mock.patch.object(engine, "_PLANS_HELD", 1), mock.patch.object(engine, "_DIGESTS_HELD", 1):
+        warm = ENGINE.compile(forest)
+        for other, its_mode in [*earlier, (request, other_mode)]:
+            ENGINE.evaluate(warm, other, pips, legislation_mode=its_mode)
+        warmed = ENGINE.evaluate(warm, request, pips, legislation_mode=mode)
+    body = "\n".join(record.digest_text for record in first.trace)
+    assert trace_digest(first.trace) == hashlib.sha256(body.encode("utf-8")).hexdigest()
+    for again in (second, warmed):
+        assert again == first
+        assert serialize_response(again) == serialize_response(first)
+        assert trace_digest(again.trace) == trace_digest(first.trace)
+
+
 def test_only_candidate_documents_are_walked(pips):
     # GB -> LU: LU and EU apply, FR does not; the request reads
     # products/overview, so the res-x document is screened on its literal.
@@ -120,7 +156,15 @@ def test_only_candidate_documents_are_walked(pips):
     )
     ctx = ENGINE._build_context(request, pips, "aware")
     ctx.applicable_scopes = pips.scopes.select_legislation(ctx.source_country, ctx.destination_country)
-    screened, walk = forest.plan(ctx)
+    plan = forest.plan(ctx)
+    walk = list(plan.walk)
+    # Each run holds the screened documents between two walked ones.
+    bounds = [-1, *walk]
+    screened = {
+        bounds[k] + 1 + offset: record
+        for k, run in enumerate(plan.runs)
+        for offset, record in enumerate(run)
+    }
     assert walk == [0, 2, 4]
     assert [screened[i].reason for i in (1, 3)] == [
         "legislation-scope-miss:FR", "target-no-match:resource",

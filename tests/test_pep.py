@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import gc
+import hashlib
 import os
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EVENT_FLOW, make_bundle, watch, wire_request
 from lexgate.combining import CombinerRegistry
+from lexgate.context.bundle import load_bundle
+from lexgate.context.clock import FixedClock
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError
 from lexgate.instant import parse_instant
@@ -21,6 +24,7 @@ from lexgate.model import (
     FunctionApplication,
     Obligation,
     STATUS_PROCESSING_ERROR,
+    Target,
 )
 from lexgate.parsing.wire import parse_response
 from lexgate.pep import (
@@ -34,7 +38,7 @@ from lexgate.pep import (
     pseudonym,
     trace_digest,
 )
-from policybuild import document, policy, rule
+from policybuild import document, policy, rule, string_clause
 
 GOOD_SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
@@ -136,6 +140,26 @@ def test_window_permit_carries_pseudonymized_view(policy_pack):
     assert record.obligations_executed == ("pseudonymize",)
 
 
+def test_a_diary_window_reaching_back_to_year_two_leaves_the_permit(policy_pack, fixtures_root, tmp_path):
+    # The entry's window is longer than the time since year 1, so the
+    # lower bound of the diary's bisection cannot be computed.
+    diary = tmp_path / "diary.txt"
+    diary.write_bytes(
+        (fixtures_root / "diary.txt").read_bytes()
+        + b"entry owner=c.miller task=long start=0002-01-01T00:30:00Z "
+        b"end=9999-12-31T20:00:00Z country=LU resources=other\n"
+    )
+    pips = load_bundle(
+        fixtures_root, clock=FixedClock(parse_instant("2026-03-10T12:45:00Z")),
+        stores={"diary": str(diary)},
+    )
+    monitor = ReferenceMonitor(PolicyDecisionPoint(), policy_pack, pips, pseudonym_key=KEY)
+    raw = (fixtures_root / "requests" / "portfolio-ch-window.req").read_bytes()
+    response, view = parse_response(monitor.handle_request(raw, GOOD_SESSION)[0])
+    assert (response.decision, response.status) == (Decision.PERMIT, "ok")
+    assert view.mode == "pseudonymous"
+
+
 def test_missing_pseudonym_key_downgrades_permit_to_deny(policy_pack):
     monitor, _ = make_monitor(policy_pack, "2026-03-10T12:45:00Z", key=None)
     raw = wire_request(resource="cust/4711/portfolio", point="47.36 8.53")
@@ -144,6 +168,20 @@ def test_missing_pseudonym_key_downgrades_permit_to_deny(policy_pack):
     assert response.decision is Decision.DENY
     assert response.status == STATUS_PROCESSING_ERROR
     assert view is None
+
+
+@pytest.mark.parametrize("key", [KEY, None], ids=["permit", "obligation-failure"])
+def test_the_audit_digest_is_that_of_the_trace_the_response_carries(policy_pack, key):
+    # Without a key the monitor adds an <obligations> record to the trace
+    # the engine gave, so the engine's digest no longer holds.
+    monitor, _ = make_monitor(policy_pack, "2026-03-10T12:45:00Z", key=key)
+    raw = wire_request(resource="cust/4711/portfolio", point="47.36 8.53")
+    for _ in range(2):  # the second request finds its digest memoized
+        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+        trace = parse_response(response_bytes)[0].trace
+        body = "\n".join(item.digest_text for item in trace).encode("utf-8")
+        assert record.trace_digest == hashlib.sha256(body).hexdigest()
+    assert (trace[-1].node_id == "<obligations>") is (key is None)
 
 
 def test_no_response_ever_pairs_cleartext_with_non_permit(policy_pack):
@@ -432,21 +470,48 @@ def test_memory_stays_bounded_over_many_requests(policy_pack, fixtures_root):
         for name in ("portfolio-de-office", "login-noon", "portfolio-ch-window")
     ]
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+    held = _held_after_warm_up(lambda n: monitor.handle_request(requests[n % 3], GOOD_SESSION))
+    assert held < 16 * 1024
 
-    def serve(count):
-        for n in range(count):
-            monitor.handle_request(requests[n % 3], GOOD_SESSION)
 
-    serve(1_000)
+def test_the_plan_memo_stays_bounded_over_distinct_requests(policy_pack):
+    # 100 documents keyed on resource-id literals. Request n carries a
+    # resource-id no document names and the pair of literals n % 100 and
+    # n // 100: each request has a plan of its own, and no caller text may
+    # enter a plan's key.
+    keyed = [
+        document(policy(
+            f"lit-{i}", [rule(f"lit-{i}-r", Effect.DENY)],
+            target=Target(resources=(string_clause("resource-id", f"lit/{i}"),)),
+        ))
+        for i in range(100)
+    ]
+    monitor, _pips = make_monitor([*policy_pack, *keyed], "2026-03-10T12:45:00Z", audit=AuditLog())
+
+    def send(n):
+        hits = tuple(f"resource resource-id string lit/{i}" for i in (n % 100, n // 100))
+        monitor.handle_request(wire_request(resource=f"caller/{n}", extra_lines=hits), GOOD_SESSION)
+
+    # A full memo of 256 plans holds about 0.6 MiB; a memo that kept
+    # every plan would hold some 20 MiB.
+    assert _held_after_warm_up(send) < 1024 * 1024
+
+
+def _held_after_warm_up(send) -> int:
+    """Bytes still held after send(n) for 9,000 more n, once 1,000 have
+    warmed up (roots compiled, scopes selected)."""
+    for n in range(1_000):
+        send(n)
     gc.collect()
     tracemalloc.start()
     try:
-        serve(9_000)
+        for n in range(1_000, 10_000):
+            send(n)
         gc.collect()
         held, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held < 16 * 1024
+    return held
 
 
 _VALID_REQUEST = wire_request(resource="cust/4711/portfolio", point="47.37 8.54")
