@@ -26,6 +26,8 @@ deny-overrides; see README for the exact semantics.
 from __future__ import annotations
 
 import datetime as dt
+from array import array
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .combining import CombinerRegistry
@@ -661,10 +663,13 @@ class PolicyDecisionPoint:
             runs = plan.runs
             trace += runs[0]
             marks = []  # where each walked document's pairs end in `visited`
+            walked = []  # each walked document's records
             decisions = []  # NotApplicable is the identity of the top combiner
             for index, run in zip(plan.walk, runs[1:]):
                 decision = forest.walker(index)(ctx, visited)
-                trace += [record for record, _node in visited[mark:]]
+                records = tuple([record for record, _node in visited[mark:]])
+                walked.append(records)
+                trace += records
                 trace += run
                 mark = len(visited)
                 marks.append(mark)
@@ -700,7 +705,7 @@ class PolicyDecisionPoint:
             decision=final,
             status=status,
             obligations=tuple(obligations),
-            trace=Trace(trace, digest),
+            trace=Trace(trace, digest, plan.text, plan.cuts, tuple(walked)),
         )
 
 
@@ -749,7 +754,8 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
     return None
 
 
-# How many plans a forest keeps, and how many digests each plan keeps.
+# How many plans (and screens) a forest keeps, and how many digests each
+# plan keeps.
 _PLANS_HELD = 256
 _DIGESTS_HELD = 32
 
@@ -763,6 +769,24 @@ def _remember(memo: dict, held: int, key: object, value: object) -> None:
     memo[key] = value
 
 
+class Screen(NamedTuple):
+    """What one legislation-scope set makes of the forest before any
+    literal is read."""
+
+    # The documents whose root's legislation set meets the scopes (every
+    # document under ignore-tags).
+    candidates: frozenset[int]
+    # Per document, the record it gives when it is not walked: a
+    # candidate's target miss, any other document's legislation miss;
+    # None for a candidate without a literal key, which is always walked.
+    records: tuple[Optional[TraceRecord], ...]
+    # Those records' wire lines, each ending in a line feed, in document
+    # order, as UTF-8; every plan of the scope set shares this text.
+    text: bytes
+    # The byte offset of each document's line in `text`, then len(text).
+    offsets: array
+
+
 class Plan(NamedTuple):
     """How one kind of request meets the forest."""
 
@@ -774,6 +798,10 @@ class Plan(NamedTuple):
     # Trace digests by the digest texts of the walked documents' records
     # and the number of records up to the end of each walked document.
     digests: dict
+    # The screen's shared wire text, and the (start, end) byte offsets in
+    # it of each run's lines.
+    text: bytes
+    cuts: tuple[tuple[int, int], ...]
 
 
 class CompiledForest:
@@ -789,17 +817,24 @@ class CompiledForest:
     root's NotApplicable record alone, so it contributes that record,
     built here once, and the trace stays the one a full walk produces.
 
+    Which record a document gives when it is not walked depends on the
+    scopes alone, so a `Screen` per scope set (None under ignore-tags)
+    holds those records and, rendered once, their wire lines as one
+    UTF-8 text with each document's byte offset in it.
+
     The plan for a request depends only on the legislation mode, the
     request's scopes and, per attribute that roots are keyed on, which of
     its literals the bag holds (or that the bag holds a value that is not
     a string). That is the plan memo's key, so caller text that is no
     literal never enters it. A plan is made on the first request with its
     key and kept with the screened records grouped into runs between the
-    walked documents, and with a memo of trace digests keyed by the
-    records the walked documents gave: equal records under one plan make
-    an equal trace, so its digest is hashed once. At most `_PLANS_HELD`
-    plans are kept, and `_DIGESTS_HELD` digests per plan; a full memo is
-    emptied before the next entry goes in.
+    walked documents, the byte offsets of those runs in its screen's text
+    (a plan holds no text of its own), and a memo of trace digests keyed
+    by the records the walked documents gave: equal records under one
+    plan make an equal trace, so its digest is hashed once. At most
+    `_PLANS_HELD` screens and as many plans are kept, and `_DIGESTS_HELD`
+    digests per plan; a full memo is emptied before the next entry goes
+    in.
 
     A walked root runs as the closures `engine` compiles it to, the first
     time a request walks it. Build one with `PolicyDecisionPoint.compile`;
@@ -818,6 +853,7 @@ class CompiledForest:
         self.engine = engine
         self.roots = tuple(document.root for document in documents)
         self._walks: list[Optional[Walk]] = [None] * len(self.roots)
+        self._screens: dict[Optional[frozenset[str]], Screen] = {}
         self._plans: dict[tuple, Plan] = {}
         keys = [_literal_key(root.target) for root in self.roots]
         # Per document: the record of a legislation miss (None when the root
@@ -872,6 +908,26 @@ class CompiledForest:
         then per selector the literals hit, or None for a bag that is not
         all strings)."""
         scopes, hits = key[0], key[1:]
+        screen = self._screens.get(scopes)
+        if screen is None:
+            screen = self._screen(scopes)
+            _remember(self._screens, _PLANS_HELD, scopes, screen)
+        matching = set(self.unkeyed)
+        for (_attribute, keyed, by_literal), literals in zip(self.selectors, hits):
+            if literals is None:
+                matching |= keyed
+                continue
+            for literal in literals:
+                matching |= by_literal[literal]
+        walk = sorted(screen.candidates & matching)
+        bounds = list(zip([-1, *walk], [*walk, len(self.roots)]))
+        runs = tuple(screen.records[start + 1:end] for start, end in bounds)
+        offsets = screen.offsets
+        cuts = tuple((offsets[start + 1], offsets[end]) for start, end in bounds)
+        return Plan(runs, tuple(walk), {}, screen.text, cuts)
+
+    def _screen(self, scopes: Optional[frozenset[str]]) -> Screen:
+        """The screen for a scope set, or for None under ignore-tags."""
         if scopes is None:
             candidates = self.everything
         else:
@@ -880,20 +936,15 @@ class CompiledForest:
                 bucket = self.by_scope.get(scope)
                 if bucket:
                     candidates |= bucket
-        matching = set(self.unkeyed)
-        for (_attribute, keyed, by_literal), literals in zip(self.selectors, hits):
-            if literals is None:
-                matching |= keyed
-                continue
-            for literal in literals:
-                matching |= by_literal[literal]
-        screened = list(self.legislation_misses)
-        for index in candidates - matching:
-            screened[index] = self.target_misses[index]
-        walk = sorted(candidates & matching)
-        bounds = [-1, *walk, len(screened)]
-        runs = tuple(tuple(screened[start + 1:end]) for start, end in zip(bounds, bounds[1:]))
-        return Plan(runs, tuple(walk), {})
+            candidates = frozenset(candidates)
+        records = tuple(
+            self.target_misses[index] if index in candidates else self.legislation_misses[index]
+            for index in range(len(self.roots))
+        )
+        lines = [b"" if record is None else f"{record.wire_line}\n".encode("utf-8") for record in records]
+        offsets = array("q", [0])
+        offsets.extend(accumulate(map(len, lines)))
+        return Screen(candidates, records, b"".join(lines), offsets)
 
     def walker(self, index: int) -> Walk:
         """The compiled walk of document `index`, compiled on first use."""

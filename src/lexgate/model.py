@@ -12,6 +12,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 
@@ -299,22 +300,50 @@ class TraceRecord:
         object.__setattr__(self, "digest_text", text)
         object.__setattr__(self, "wire_line", f"trace {text}".rstrip())
 
+    @cached_property
+    def wire_bytes(self) -> bytes:
+        """The wire line and its line feed, as UTF-8, made the first time a
+        response carries the record among a walked document's records
+        (`serialize_response`)."""
+        return f"{self.wire_line}\n".encode("utf-8")
+
 
 _DIGEST_TEXT = operator.attrgetter("digest_text")
 
 
 class Trace(tuple):
     """The trace records of one evaluation, with their audit digest
-    (`trace_digest`) found as the trace was built. It is equal to, and
-    hashes like, the plain tuple of the same records. A tuple made from
-    it, such as `trace + (record,)`, is a plain tuple and so carries no
-    digest."""
+    (`trace_digest`) found as the trace was built, and their wire lines
+    in the pieces `serialize_response` joins: `text` holds, as UTF-8, the
+    wire lines of the screened records, each ending in a line feed, of
+    every plan of one legislation-scope set, and is shared by those
+    plans; `cuts` are the (start, end) byte offsets in it of the runs of
+    screened records before each walked document and after the last;
+    `walked` holds the records of each walked document. The records are
+    those of the text cut by `cuts[0]`, then `walked[0]`, the text cut by
+    `cuts[1]`, and so on; len(cuts) == len(walked) + 1.
 
-    # `digest` defaults to None only so that copy and pickle, which call
-    # the constructor with the records alone, can rebuild a Trace.
-    def __new__(cls, records: Sequence[TraceRecord], digest: Optional[str] = None) -> "Trace":
+    It is equal to, and hashes like, the plain tuple of the same records.
+    A tuple made from it, such as `trace + (record,)`, is a plain tuple
+    and so carries neither digest nor text. Every attribute is an
+    immutable value, so `copy` and `pickle` rebuild a Trace whole."""
+
+    # The arguments after `records` default to none only so that copy and
+    # pickle, which call the constructor with the records alone, can
+    # rebuild a Trace; they then restore the attributes.
+    def __new__(
+        cls,
+        records: Sequence[TraceRecord],
+        digest: Optional[str] = None,
+        text: Optional[bytes] = None,
+        cuts: tuple[tuple[int, int], ...] = (),
+        walked: tuple[tuple[TraceRecord, ...], ...] = (),
+    ) -> "Trace":
         trace = super().__new__(cls, records)
         trace.digest = digest
+        trace.text = text
+        trace.cuts = cuts
+        trace.walked = walked
         return trace
 
 

@@ -245,13 +245,17 @@ def random_forest(
     no target. Conditions are literal booleans, errors and and/or/not over
     them, so decisions vary without touching context.
 
+    Every second and third document of each three has a non-ASCII id
+    (its nodes' ids start with it), so that UTF-8 byte offsets and
+    character offsets differ in the wire text.
+
     hostile=True also draws unknown function ids in conditions and target
     clauses, builtins with the wrong arity, unknown combiners and the
     misbehaving HOSTILE_FUNCTIONS, which the evaluating engine must
     register. Without it the forests, draw for draw, are as before."""
     documents = []
     for doc_index in range(rng.randint(1, 6)):
-        doc_id = f"d{doc_index}"
+        doc_id = f"{('d', 'dé', 'd文')[doc_index % 3]}{doc_index}"
         if rng.random() < 0.15:
             root = policy_set(
                 doc_id,

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import datetime as dt
+import pickle
 import random
 import sys
 import threading
@@ -23,8 +25,9 @@ from lexgate.model import (
     STATUS_OK,
     STATUS_PROCESSING_ERROR,
     Target,
+    Trace,
 )
-from lexgate.parsing.wire import parse_request
+from lexgate.parsing.wire import parse_request, serialize_response
 from lexgate.pep import ReferenceMonitor, trace_digest
 from policybuild import document, policy, random_forest, rule, string_clause
 
@@ -411,9 +414,34 @@ def test_a_node_id_that_is_not_one_wire_field_is_refused_when_the_forest_is_buil
         ReferenceMonitor(PolicyDecisionPoint(), [*policy_pack, document(node)], make_bundle(NOON))
 
 
+def test_a_trace_from_a_forest_survives_pickle_and_deepcopy(engine, policy_pack):
+    # Screened documents before and after the walked ones, with non-ASCII
+    # ids, so that the trace carries runs of its forest's shared text.
+    forest = engine.compile([
+        document(policy("jp-é", [rule("jp-r")], legislation=frozenset({"JP"}))),
+        *policy_pack,
+        document(policy(
+            "res-文", [rule("x-r")],
+            target=Target(resources=(string_clause("resource-id", "res-x"),)),
+        )),
+    ])
+    request = parse_request(wire_request(point=LONDON_POINT))
+    response = engine.evaluate(forest, request, make_bundle(NOON))
+    trace = response.trace
+    assert type(trace) is Trace and trace.text is not None
+    for copied in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert type(copied) is Trace
+        assert copied == trace
+        assert copied.text == trace.text and copied.cuts == trace.cuts
+        assert trace_digest(copied) == trace_digest(trace)
+        again = dataclasses.replace(response, trace=copied)
+        assert serialize_response(again) == serialize_response(response)
+
+
 def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
-    # Memos of one entry: each change of plan among the threads empties
-    # them, so the threads keep replacing what the others just put in.
+    # Memos of one entry: each change of plan or scope set among the
+    # threads empties them, so the threads keep replacing what the others
+    # just put in.
     requests = [
         parse_request(wire_request(resource=resource, point=point))
         for resource in ("products/overview", "cust/4711/portfolio")
@@ -429,7 +457,11 @@ def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
             for _ in range(50):
                 for request, want in zip(requests, expected):
                     got = engine.evaluate(forest, request, pips)
-                    if got != want or trace_digest(got.trace) != trace_digest(want.trace):
+                    if (
+                        got != want
+                        or trace_digest(got.trace) != trace_digest(want.trace)
+                        or serialize_response(got) != serialize_response(want)
+                    ):
                         failures.append(request)
         except Exception as exc:  # reported below, with the thread's failures
             failures.append(exc)

@@ -8,11 +8,15 @@ must give the same decision, status, obligations and trace, down to the
 response bytes and the audit trace digest, in both legislation modes. The requests carry
 missing, multi-valued and non-string bags for the attributes the forests'
 targets name, so the literal index meets every case it must not screen.
-A second property checks the plan and digest memos: a request gives the
-same response, bytes and digest on a cold forest, on a second call and on
-a forest warmed by other requests.
+A second property checks the plan, screen and digest memos: a request
+gives the same response, bytes and digest on a cold forest, on a second
+call and on a forest warmed by other requests, and each of those
+responses serializes, from the forest's shared wire text, to the bytes
+its records give line by line. The forests' node ids include non-ASCII
+ones, so a byte offset taken for a character offset shows in the bytes.
 """
 
+import dataclasses
 import hashlib
 import random
 from unittest import mock
@@ -24,7 +28,7 @@ import engine_oracle
 from conftest import make_bundle
 from lexgate import engine
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
-from lexgate.model import AttributeValue, Category, DataType, GeoPoint, Target
+from lexgate.model import AttributeValue, Category, DataType, GeoPoint, Target, Trace
 from lexgate.parsing.wire import RequestContext, serialize_response
 from lexgate.pep import trace_digest
 from policybuild import (
@@ -114,7 +118,8 @@ def test_the_plan_and_digest_memos_change_no_response(pips, seed, request, mode,
     # The same request on a cold forest, on that forest a second time, and
     # on a forest warmed by earlier requests, the last of them this one in
     # the other mode, whose memos hold one entry at most, so that every new
-    # plan and digest empties them.
+    # plan, scope set and digest empties them (`_PLANS_HELD` bounds the
+    # plans and the screens with their shared wire text).
     forest = random_forest(random.Random(seed), hostile=True)
     cold = ENGINE.compile(forest)
     first = ENGINE.evaluate(cold, request, pips, legislation_mode=mode)
@@ -131,6 +136,11 @@ def test_the_plan_and_digest_memos_change_no_response(pips, seed, request, mode,
         assert again == first
         assert serialize_response(again) == serialize_response(first)
         assert trace_digest(again.trace) == trace_digest(first.trace)
+    for response in (first, second, warmed):
+        # A plain tuple of the same records takes the per-record path.
+        assert isinstance(response.trace, Trace) or response.trace[-1].node_id == "<context>"
+        per_record = dataclasses.replace(response, trace=tuple(response.trace))
+        assert serialize_response(response) == serialize_response(per_record)
 
 
 def test_only_candidate_documents_are_walked(pips):
