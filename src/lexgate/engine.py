@@ -758,6 +758,13 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
 # plan keeps.
 _PLANS_HELD = 256
 _DIGESTS_HELD = 32
+# A plan's runs are spliced out of the shared text only when they hold at
+# least this many screened records on average. A spliced run costs a
+# slice and a loop step in `serialize_response` where a rendered record
+# costs one line, about a sixteenth as much (~1.1 against ~0.07 µs per
+# request on pack-mix and forest-600, CPython 3.11), so shorter runs, as
+# in the packaged forest, are rendered line by line.
+_RECORDS_PER_SPLICED_RUN = 16
 
 
 def _remember(memo: dict, held: int, key: object, value: object) -> None:
@@ -798,9 +805,10 @@ class Plan(NamedTuple):
     # Trace digests by the digest texts of the walked documents' records
     # and the number of records up to the end of each walked document.
     digests: dict
-    # The screen's shared wire text, and the (start, end) byte offsets in
-    # it of each run's lines.
-    text: bytes
+    # The screen's shared wire text and the (start, end) byte offsets in
+    # it of each run's lines; None and () when the runs are too short to
+    # splice (`_RECORDS_PER_SPLICED_RUN`).
+    text: Optional[bytes]
     cuts: tuple[tuple[int, int], ...]
 
 
@@ -829,7 +837,8 @@ class CompiledForest:
     literal never enters it. A plan is made on the first request with its
     key and kept with the screened records grouped into runs between the
     walked documents, the byte offsets of those runs in its screen's text
-    (a plan holds no text of its own), and a memo of trace digests keyed
+    when they are long enough to splice (a plan holds no text of its
+    own), and a memo of trace digests keyed
     by the records the walked documents gave: equal records under one
     plan make an equal trace, so its digest is hashed once. At most
     `_PLANS_HELD` screens and as many plans are kept, and `_DIGESTS_HELD`
@@ -922,6 +931,8 @@ class CompiledForest:
         walk = sorted(screen.candidates & matching)
         bounds = list(zip([-1, *walk], [*walk, len(self.roots)]))
         runs = tuple(screen.records[start + 1:end] for start, end in bounds)
+        if len(self.roots) - len(walk) < _RECORDS_PER_SPLICED_RUN * len(bounds):
+            return Plan(runs, tuple(walk), {}, None, ())
         offsets = screen.offsets
         cuts = tuple((offsets[start + 1], offsets[end]) for start, end in bounds)
         return Plan(runs, tuple(walk), {}, screen.text, cuts)

@@ -313,15 +313,17 @@ _DIGEST_TEXT = operator.attrgetter("digest_text")
 
 class Trace(tuple):
     """The trace records of one evaluation, with their audit digest
-    (`trace_digest`) found as the trace was built, and their wire lines
-    in the pieces `serialize_response` joins: `text` holds, as UTF-8, the
-    wire lines of the screened records, each ending in a line feed, of
-    every plan of one legislation-scope set, and is shared by those
-    plans; `cuts` are the (start, end) byte offsets in it of the runs of
-    screened records before each walked document and after the last;
-    `walked` holds the records of each walked document. The records are
-    those of the text cut by `cuts[0]`, then `walked[0]`, the text cut by
-    `cuts[1]`, and so on; len(cuts) == len(walked) + 1.
+    (`trace_digest`) found as the trace was built, and, when its plan
+    splices them, their wire lines in the pieces `serialize_response`
+    joins: `text` holds, as UTF-8, the wire lines of the screened records,
+    each ending in a line feed, of every plan of one legislation-scope
+    set, and is shared by those plans; `cuts` are the (start, end) byte
+    offsets in it of the runs of screened records before each walked
+    document and after the last; `walked` holds the records of each
+    walked document. The records are those of the text cut by `cuts[0]`,
+    then `walked[0]`, the text cut by `cuts[1]`, and so on;
+    len(cuts) == len(walked) + 1. Without `text` the records are rendered
+    one by one.
 
     It is equal to, and hashes like, the plain tuple of the same records.
     A tuple made from it, such as `trace + (record,)`, is a plain tuple

@@ -260,10 +260,11 @@ def serialize_request(request: RequestContext) -> bytes:
 
 def serialize_response(response: ResponseContext, view: Optional[WireView] = None) -> bytes:
     """The response's wire text (docs/wire-format.md), as UTF-8. A `Trace`
-    from the engine brings its screened records' lines already rendered,
-    as runs of its shared text: those runs are sliced without a copy,
-    only the walked documents' lines are rendered here, and the response
-    is made in one join. Any other trace is rendered line by line."""
+    from the engine may bring its screened records' lines already
+    rendered, as runs of its forest's shared text: those runs are sliced
+    without a copy, only the walked documents' lines are rendered here,
+    and the response is made in one join. Any other trace is rendered
+    line by line."""
     out = ["response"]
     out.append(f"decision {response.decision.value}")
     out.append(f"status {response.status}")
@@ -272,10 +273,15 @@ def serialize_response(response: ResponseContext, view: Optional[WireView] = Non
         for name, value in ob.parameters:
             text = _check_single_line(format_typed_value(value), "obligation parameter")
             out.append(f"param {name} {value.data_type.value} {text}".rstrip())
+    closing = ["end"]
+    if view is not None:
+        expires = format_instant(view.expires_at) if view.expires_at else "-"
+        payload = base64.b64encode(str(view.payload).encode("utf-8")).decode("ascii")
+        closing.insert(0, f"view {view.mode} {expires} {payload}")
     trace = response.trace
     if type(trace) is not Trace or trace.text is None:
         out.extend(map(_WIRE_LINE, trace))
-        out += _closing_lines(view)
+        out += closing
         return ("\n".join(out) + "\n").encode("utf-8")
     pieces = [("\n".join(out) + "\n").encode("utf-8")]
     shared = memoryview(trace.text)
@@ -284,17 +290,8 @@ def serialize_response(response: ResponseContext, view: Optional[WireView] = Non
         pieces += map(_WIRE_BYTES, records)
     start, end = trace.cuts[-1]
     pieces.append(shared[start:end])
-    pieces.append(("\n".join(_closing_lines(view)) + "\n").encode("utf-8"))
+    pieces.append(("\n".join(closing) + "\n").encode("utf-8"))
     return b"".join(pieces)
-
-
-def _closing_lines(view: Optional[WireView]) -> list[str]:
-    """The lines after a response's trace: its view, if any, and `end`."""
-    if view is None:
-        return ["end"]
-    expires = format_instant(view.expires_at) if view.expires_at else "-"
-    payload = base64.b64encode(str(view.payload).encode("utf-8")).decode("ascii")
-    return [f"view {view.mode} {expires} {payload}", "end"]
 
 
 def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireView]]:

@@ -414,9 +414,44 @@ def test_a_node_id_that_is_not_one_wire_field_is_refused_when_the_forest_is_buil
         ReferenceMonitor(PolicyDecisionPoint(), [*policy_pack, document(node)], make_bundle(NOON))
 
 
+def test_plans_of_one_scope_set_splice_one_shared_text(engine, policy_pack):
+    # 200 documents keyed on resource-id literals after the packaged ones:
+    # two requests from London that hit different literals have plans of
+    # their own, long runs of screened records, and one text between them.
+    keyed = [
+        document(policy(
+            f"lit-{i}", [rule(f"lit-{i}-r", Effect.DENY)],
+            target=Target(resources=(string_clause("resource-id", f"lit/{i}"),)),
+        ))
+        for i in range(200)
+    ]
+    forest = engine.compile([*policy_pack, *keyed])
+    pips = make_bundle(NOON)
+    first, second = (
+        engine.evaluate(forest, parse_request(wire_request(resource=f"lit/{i}")), pips)
+        for i in (3, 150)
+    )
+    assert first.trace.text is not None and first.trace.text is second.trace.text
+    assert first.trace.cuts != second.trace.cuts
+    assert len(forest._plans) == 2 and len(forest._screens) == 1
+    for response in (first, second):
+        per_record = dataclasses.replace(response, trace=tuple(response.trace))
+        assert serialize_response(response) == serialize_response(per_record)
+    # The packaged forest's runs hold a record or two: rendered, not spliced.
+    packaged = engine.evaluate(engine.compile(policy_pack), parse_request(wire_request()), pips)
+    assert type(packaged.trace) is Trace and packaged.trace.text is None
+    # A memo of one entry keeps one scope set's text: Zurich's replaces
+    # London's.
+    london = set(forest._screens)
+    with mock.patch.object(engine_module, "_PLANS_HELD", 1):
+        engine.evaluate(forest, parse_request(wire_request(point="47.36 8.53")), pips)
+    assert len(forest._screens) == 1 and set(forest._screens) != london
+
+
 def test_a_trace_from_a_forest_survives_pickle_and_deepcopy(engine, policy_pack):
     # Screened documents before and after the walked ones, with non-ASCII
-    # ids, so that the trace carries runs of its forest's shared text.
+    # ids, spliced however short their runs, so that the trace carries
+    # runs of its forest's shared text.
     forest = engine.compile([
         document(policy("jp-é", [rule("jp-r")], legislation=frozenset({"JP"}))),
         *policy_pack,
@@ -426,7 +461,8 @@ def test_a_trace_from_a_forest_survives_pickle_and_deepcopy(engine, policy_pack)
         )),
     ])
     request = parse_request(wire_request(point=LONDON_POINT))
-    response = engine.evaluate(forest, request, make_bundle(NOON))
+    with mock.patch.object(engine_module, "_RECORDS_PER_SPLICED_RUN", 0):
+        response = engine.evaluate(forest, request, make_bundle(NOON))
     trace = response.trace
     assert type(trace) is Trace and trace.text is not None
     for copied in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
@@ -441,7 +477,7 @@ def test_a_trace_from_a_forest_survives_pickle_and_deepcopy(engine, policy_pack)
 def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
     # Memos of one entry: each change of plan or scope set among the
     # threads empties them, so the threads keep replacing what the others
-    # just put in.
+    # just put in; every plan splices its runs out of the shared text.
     requests = [
         parse_request(wire_request(resource=resource, point=point))
         for resource in ("products/overview", "cust/4711/portfolio")
@@ -470,7 +506,8 @@ def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
     sys.setswitchinterval(1e-6)
     try:
         with mock.patch.object(engine_module, "_PLANS_HELD", 1), \
-                mock.patch.object(engine_module, "_DIGESTS_HELD", 1):
+                mock.patch.object(engine_module, "_DIGESTS_HELD", 1), \
+                mock.patch.object(engine_module, "_RECORDS_PER_SPLICED_RUN", 0):
             threads = [threading.Thread(target=work) for _ in range(4)]
             for thread in threads:
                 thread.start()
