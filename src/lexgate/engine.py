@@ -836,14 +836,13 @@ class CompiledForest:
     a string). That is the plan memo's key, so caller text that is no
     literal never enters it. A plan is made on the first request with its
     key and kept with the screened records grouped into runs between the
-    walked documents, the byte offsets of those runs in its screen's text
-    when they are long enough to splice (a plan holds no text of its
-    own), and a memo of trace digests keyed
-    by the records the walked documents gave: equal records under one
-    plan make an equal trace, so its digest is hashed once. At most
-    `_PLANS_HELD` screens and as many plans are kept, and `_DIGESTS_HELD`
-    digests per plan; a full memo is emptied before the next entry goes
-    in.
+    walked documents; when the runs are long enough to splice, the byte
+    offsets of those runs in its screen's text (a plan holds no text of
+    its own); and a memo of trace digests keyed by the records the walked
+    documents gave: equal records under one plan make an equal trace, so
+    its digest is hashed once. At most `_PLANS_HELD` screens and as many
+    plans are kept, and `_DIGESTS_HELD` digests per plan; a full memo is
+    emptied before the next entry goes in.
 
     A walked root runs as the closures `engine` compiles it to, the first
     time a request walks it. Build one with `PolicyDecisionPoint.compile`;
@@ -953,8 +952,7 @@ class CompiledForest:
             for index in range(len(self.roots))
         )
         lines = [b"" if record is None else f"{record.wire_line}\n".encode("utf-8") for record in records]
-        offsets = array("q", [0])
-        offsets.extend(accumulate(map(len, lines)))
+        offsets = array("q", accumulate(map(len, lines), initial=0))
         return Screen(candidates, records, b"".join(lines), offsets)
 
     def walker(self, index: int) -> Walk:
