@@ -261,10 +261,8 @@ def serialize_request(request: RequestContext) -> bytes:
 def serialize_response(response: ResponseContext, view: Optional[WireView] = None) -> bytes:
     """The response's wire text (docs/wire-format.md), as UTF-8. A `Trace`
     from the engine may bring its screened records' lines already
-    rendered, as runs of its forest's shared text: those runs are sliced
-    without a copy, only the walked documents' lines are rendered here,
-    and the response is made in one join. Any other trace is rendered
-    line by line."""
+    rendered, as runs of its forest's shared text (`_join_spliced`); any
+    other trace is rendered line by line."""
     out = ["response"]
     out.append(f"decision {response.decision.value}")
     out.append(f"status {response.status}")
@@ -273,25 +271,36 @@ def serialize_response(response: ResponseContext, view: Optional[WireView] = Non
         for name, value in ob.parameters:
             text = _check_single_line(format_typed_value(value), "obligation parameter")
             out.append(f"param {name} {value.data_type.value} {text}".rstrip())
-    closing = ["end"]
-    if view is not None:
-        expires = format_instant(view.expires_at) if view.expires_at else "-"
-        payload = base64.b64encode(str(view.payload).encode("utf-8")).decode("ascii")
-        closing.insert(0, f"view {view.mode} {expires} {payload}")
     trace = response.trace
-    if type(trace) is not Trace or trace.text is None:
-        out.extend(map(_WIRE_LINE, trace))
-        out += closing
-        return ("\n".join(out) + "\n").encode("utf-8")
-    pieces = [("\n".join(out) + "\n").encode("utf-8")]
+    if type(trace) is Trace and trace.text is not None:
+        return _join_spliced(out, trace, view)
+    out.extend(map(_WIRE_LINE, trace))
+    if view is not None:
+        out.append(_view_line(view))
+    out.append("end")
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def _join_spliced(head: list[str], trace: Trace, view: Optional[WireView]) -> bytes:
+    """The response from its head lines, its trace's runs sliced out of
+    the shared text without a copy, the walked documents' lines and its
+    closing lines, made in one join."""
+    pieces = [("\n".join(head) + "\n").encode("utf-8")]
     shared = memoryview(trace.text)
     for (start, end), records in zip(trace.cuts, trace.walked):
         pieces.append(shared[start:end])
         pieces += map(_WIRE_BYTES, records)
     start, end = trace.cuts[-1]
     pieces.append(shared[start:end])
-    pieces.append(("\n".join(closing) + "\n").encode("utf-8"))
+    closing = "end\n" if view is None else f"{_view_line(view)}\nend\n"
+    pieces.append(closing.encode("utf-8"))
     return b"".join(pieces)
+
+
+def _view_line(view: WireView) -> str:
+    expires = format_instant(view.expires_at) if view.expires_at else "-"
+    payload = base64.b64encode(str(view.payload).encode("utf-8")).decode("ascii")
+    return f"view {view.mode} {expires} {payload}"
 
 
 def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireView]]:
