@@ -761,9 +761,10 @@ _DIGESTS_HELD = 32
 # A plan's runs are spliced out of the shared text only when they hold at
 # least this many screened records on average. A spliced run costs a
 # slice and a loop step in `serialize_response` where a rendered record
-# costs one line, about a sixteenth as much (~1.1 against ~0.07 µs per
-# request on pack-mix and forest-600, CPython 3.11), so shorter runs, as
-# in the packaged forest, are rendered line by line.
+# costs one line, about a sixteenth as much (~1.1 against ~0.07 µs in
+# pack-mix and forest-600 requests on a 2-core x86-64 host, CPython
+# 3.11), so shorter runs, as in the packaged forest, are rendered line by
+# line.
 _RECORDS_PER_SPLICED_RUN = 16
 
 
