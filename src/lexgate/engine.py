@@ -54,10 +54,14 @@ from .model import (
     STATUS_MISSING_ATTRIBUTE,
     STATUS_OK,
     STATUS_PROCESSING_ERROR,
+    SIGNATURES,
+    Signature,
     Target,
     Trace,
     TraceRecord,
+    fits,
     is_one_field,
+    operand_type,
     trace_digest,
 )
 from .parsing.location_xml import LocationReport
@@ -116,12 +120,6 @@ class EvaluationContext:
 
     # -- attribute snapshot ------------------------------------------------
 
-    def _put(self, category: Category, attribute_id: str, value: AttributeValue) -> None:
-        key = (category, attribute_id)
-        if key in self._cache:
-            raise LexgateError(f"attribute {key} written twice")
-        self._cache[key] = (value,)
-
     def lookup(self, key: tuple[Category, str]) -> tuple[AttributeValue, ...]:
         """The bag for a (category, attribute id) key."""
         values = self._cache.get(key)
@@ -163,13 +161,6 @@ def _proximity_tokens(request: RequestContext) -> tuple[ProximityToken, ...]:
 FunctionImpl = Callable[[EvaluationContext, list[object]], object]
 
 
-def _need(args: list[object], count: int, function: str) -> None:
-    if len(args) != count:
-        raise _EvalError(
-            STATUS_PROCESSING_ERROR, f"{function} takes {count} arguments, got {len(args)}"
-        )
-
-
 def _scalar(value: object, expected: type, function: str) -> object:
     if isinstance(value, tuple):
         raise _EvalError(STATUS_PROCESSING_ERROR, f"{function} expects a scalar, got a bag")
@@ -181,57 +172,33 @@ def _scalar(value: object, expected: type, function: str) -> object:
     return value
 
 
-def _fn_not(ctx: EvaluationContext, args: list[object]) -> object:
-    _need(args, 1, "function:not")
-    return not _scalar(args[0], bool, "function:not")
-
-
-def _fn_string_equal(ctx: EvaluationContext, args: list[object]) -> object:
-    _need(args, 2, "function:string-equal")
-    a = _scalar(args[0], str, "function:string-equal")
-    b = _scalar(args[1], str, "function:string-equal")
-    return a == b
-
-
-def _fn_boolean_equal(ctx: EvaluationContext, args: list[object]) -> object:
-    _need(args, 2, "function:boolean-equal")
-    a = _scalar(args[0], bool, "function:boolean-equal")
-    b = _scalar(args[1], bool, "function:boolean-equal")
-    return a == b
-
-
-def _fn_time_ge(ctx: EvaluationContext, args: list[object]) -> object:
-    _need(args, 2, "function:time-greater-than-or-equal")
-    a = _scalar(args[0], dt.time, "function:time-greater-than-or-equal")
-    b = _scalar(args[1], dt.time, "function:time-greater-than-or-equal")
-    return a >= b
-
-
-def _fn_time_le(ctx: EvaluationContext, args: list[object]) -> object:
-    _need(args, 2, "function:time-less-than-or-equal")
-    a = _scalar(args[0], dt.time, "function:time-less-than-or-equal")
-    b = _scalar(args[1], dt.time, "function:time-less-than-or-equal")
-    return a <= b
-
-
-def _one_and_only(args: list[object], expected: type, function: str) -> object:
-    _need(args, 1, function)
-    bag = args[0]
-    if not isinstance(bag, tuple):
-        bag = (bag,)
-    if len(bag) == 0:
+def _only(bag: tuple, function: str) -> object:
+    """The one value of a bag argument."""
+    if len(bag) == 1:
+        return bag[0]
+    if not bag:
         raise _EvalError(STATUS_MISSING_ATTRIBUTE, f"{function}: empty bag")
-    if len(bag) > 1:
-        raise _EvalError(STATUS_PROCESSING_ERROR, f"{function}: bag holds {len(bag)} values")
-    return _scalar(bag[0], expected, function)
+    raise _EvalError(STATUS_PROCESSING_ERROR, f"{function}: bag holds {len(bag)} values")
 
 
-def _fn_time_one_and_only(ctx: EvaluationContext, args: list[object]) -> object:
-    return _one_and_only(args, dt.time, "function:time-one-and-only")
+def _checked(function: str, signature: Signature) -> FunctionImpl:
+    """The registry function of a built-in with a signature: it checks the
+    argument count, then each argument in order (a bag, or a scalar taken
+    as a bag of one, for its one value), then applies the kernel."""
+    kinds, kernel = signature.args, signature.kernel
 
+    def checked(ctx: EvaluationContext, args: list[object]) -> object:
+        if len(args) != len(kinds):
+            message = f"{function} takes {len(kinds)} arguments, got {len(args)}"
+            raise _EvalError(STATUS_PROCESSING_ERROR, message)
+        values = []
+        for value, (expected, bag) in zip(args, kinds):
+            if bag:
+                value = _only(value if isinstance(value, tuple) else (value,), function)
+            values.append(_scalar(value, expected, function))
+        return kernel(*values)
 
-def _fn_string_one_and_only(ctx: EvaluationContext, args: list[object]) -> object:
-    return _one_and_only(args, str, "function:string-one-and-only")
+    return checked
 
 
 def _fn_location_match(ctx: EvaluationContext, args: list[object]) -> object:
@@ -259,13 +226,7 @@ def _fn_location_match(ctx: EvaluationContext, args: list[object]) -> object:
 
 
 _BUILTINS: dict[str, FunctionImpl] = {
-    "function:not": _fn_not,
-    "function:string-equal": _fn_string_equal,
-    "function:boolean-equal": _fn_boolean_equal,
-    "function:time-greater-than-or-equal": _fn_time_ge,
-    "function:time-less-than-or-equal": _fn_time_le,
-    "function:time-one-and-only": _fn_time_one_and_only,
-    "function:string-one-and-only": _fn_string_one_and_only,
+    **{function: _checked(function, signature) for function, signature in SIGNATURES.items()},
     "function:location-match": _fn_location_match,
 }
 
@@ -317,6 +278,19 @@ def _raiser(error: _EvalError) -> Callable[..., object]:
     return fail
 
 
+def _typed(function: str, signature: Signature, operands: tuple) -> Callable[[EvaluationContext], object]:
+    """A well-typed built-in application: the kernel over its operands'
+    values, taking a bag operand's (a selector's) one value."""
+    kernel = signature.kernel
+    if len(operands) == 2:
+        first, second = operands
+        return lambda ctx: kernel(first(ctx), second(ctx))
+    (only,) = operands
+    if signature.args[0][1]:
+        return lambda ctx: kernel(_only(only(ctx), function))
+    return lambda ctx: kernel(only(ctx))
+
+
 def _compile_logical(function: str, operands: tuple) -> Callable[[EvaluationContext], bool]:
     """Short-circuit and/or; an operand error surfaces only when the
     remaining operands cannot decide the outcome."""
@@ -361,6 +335,8 @@ class PolicyDecisionPoint:
     ):
         self.functions = functions or FunctionRegistry()
         self.combiners = combiners or CombinerRegistry()
+        # The one-value bags of trusted values, by (data type, payload).
+        self._bags: dict[tuple[DataType, object], tuple[AttributeValue]] = {}
 
     def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
         """The forest indexed for this engine, the one way to build a
@@ -404,8 +380,9 @@ class PolicyDecisionPoint:
         )
 
         # The values below come from the loaded stores and the location
-        # snapshot, never from the request, so they skip the payload checks.
-        put = ctx._put
+        # snapshot, never from the request, so they skip the payload checks;
+        # all but the local time and date are shared bags (`_bag`).
+        cache, bag = ctx._cache, self._bag
         trusted = AttributeValue._trusted
         # Local time survives a zone-precision failure: the country (and so
         # its timezone) is still certain, only the zone classification is
@@ -417,27 +394,27 @@ class PolicyDecisionPoint:
             tz_offset = pips.zones.country(precision_country).timezone_offset
         if tz_offset is not None:
             local_date, local_clock = local_time(now, tz_offset)
-            put(Category.ENVIRONMENT, ENV_CURRENT_TIME, trusted(DataType.TIME_OF_DAY, local_clock))
-            put(Category.ENVIRONMENT, ENV_CURRENT_DATE, trusted(DataType.DATE, local_date))
+            cache[Category.ENVIRONMENT, ENV_CURRENT_TIME] = (trusted(DataType.TIME_OF_DAY, local_clock),)
+            cache[Category.ENVIRONMENT, ENV_CURRENT_DATE] = (trusted(DataType.DATE, local_date),)
         if report is not None:
-            put(Category.ENVIRONMENT, ENV_CURRENT_ZONE, trusted(DataType.STRING, report.zone.value))
-        put(Category.ENVIRONMENT, ENV_SOURCE_COUNTRY, trusted(DataType.COUNTRY_CODE, source_country))
-        put(Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY, trusted(DataType.COUNTRY_CODE, destination))
+            cache[Category.ENVIRONMENT, ENV_CURRENT_ZONE] = bag(DataType.STRING, report.zone.value)
+        cache[Category.ENVIRONMENT, ENV_SOURCE_COUNTRY] = bag(DataType.COUNTRY_CODE, source_country)
+        cache[Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY] = bag(DataType.COUNTRY_CODE, destination)
 
         subject_id = request.subject_id()
         subject_record = pips.identities.get(subject_id) if subject_id else None
         if subject_record is not None:
-            put(Category.SUBJECT, SUBJECT_KIND, trusted(DataType.STRING, subject_record.kind.value))
+            cache[Category.SUBJECT, SUBJECT_KIND] = bag(DataType.STRING, subject_record.kind.value)
 
         if record is not None:
-            put(Category.RESOURCE, RESOURCE_CONFIDENTIAL, trusted(DataType.BOOLEAN, record.confidential))
-            put(Category.RESOURCE, RESOURCE_CUSTOMER_RELATED, trusted(DataType.BOOLEAN, record.customer_related))
-            put(Category.RESOURCE, RESOURCE_HOST_COUNTRY, trusted(DataType.COUNTRY_CODE, record.host_country))
+            cache[Category.RESOURCE, RESOURCE_CONFIDENTIAL] = bag(DataType.BOOLEAN, record.confidential)
+            cache[Category.RESOURCE, RESOURCE_CUSTOMER_RELATED] = bag(DataType.BOOLEAN, record.customer_related)
+            cache[Category.RESOURCE, RESOURCE_HOST_COUNTRY] = bag(DataType.COUNTRY_CODE, record.host_country)
             if record.category:
-                put(Category.RESOURCE, RESOURCE_CATEGORY, trusted(DataType.STRING, record.category))
+                cache[Category.RESOURCE, RESOURCE_CATEGORY] = bag(DataType.STRING, record.category)
             if subject_id and record.customers:
                 relation = pips.identities.check_relationship(subject_id, record.customers, now)
-                put(Category.SUBJECT, SUBJECT_RELATIONSHIP, trusted(DataType.STRING, relation.value))
+                cache[Category.SUBJECT, SUBJECT_RELATIONSHIP] = bag(DataType.STRING, relation.value)
 
         assessment = pips.diary.check_task(
             subject_id or "",
@@ -447,8 +424,18 @@ class PolicyDecisionPoint:
             _proximity_tokens(request),
             pips.identities,
         )
-        put(Category.ENVIRONMENT, ENV_TASK_STATUS, trusted(DataType.STRING, assessment.value))
+        cache[Category.ENVIRONMENT, ENV_TASK_STATUS] = bag(DataType.STRING, assessment.value)
         return ctx
+
+    def _bag(self, data_type: DataType, value: object) -> tuple[AttributeValue]:
+        """The shared one-value bag of a trusted value, from a memo of at most
+        `_BAGS_HELD` (a request can name its destination country)."""
+        key = (data_type, value)
+        found = self._bags.get(key)
+        if found is None:
+            found = (AttributeValue._trusted(data_type, value),)
+            _remember(self._bags, _BAGS_HELD, key, found)
+        return found
 
     # -- compilation -----------------------------------------------------------
     #
@@ -511,23 +498,33 @@ class PolicyDecisionPoint:
         return applies
 
     def _compile_clause(self, category: Category, clause: MatchClause) -> Callable[[EvaluationContext], bool]:
-        """True when any request value for the attribute matches the literal."""
+        """True when any request value for the attribute matches the literal.
+        Once the literal fits, a value of the first argument's exact type
+        skips the checks; any other takes the checked function."""
+        function = clause.match_function
         try:
-            match = self.functions.get(clause.match_function)
+            match = self.functions.get(function)
         except _EvalError as exc:
             return _raiser(exc)  # before the bag is read, so even when it is empty
         key = (category, clause.attribute_id)
         literal = clause.literal.value
+        signature = SIGNATURES.get(function)
+        expected = kernel = None  # no payload's type is None: every value is checked
+        if signature is not None and fits(signature, (None, (type(literal), False))) is not False:
+            expected, kernel = signature.args[0][0], signature.kernel
 
         def matches(ctx: EvaluationContext) -> bool:
             for value in ctx.lookup(key):
-                if match(ctx, [value.value, literal]) is True:
+                payload = value.value
+                if kernel(payload, literal) if type(payload) is expected else match(ctx, [payload, literal]) is True:
                     return True
             return False
 
         return matches
 
     def _compile_expr(self, expr: ConditionExpr) -> Callable[[EvaluationContext], object]:
+        """The expression as a closure. A built-in application whose operands
+        fit its signature (`fits`) skips the checks it cannot fail."""
         if isinstance(expr, Literal):
             payload = expr.value.value
             return lambda ctx: payload
@@ -544,12 +541,9 @@ class PolicyDecisionPoint:
                 fn = self.functions.get(function)
             except _EvalError as exc:
                 return _raiser(exc)  # before any operand is evaluated
-            if len(operands) == 1:
-                (only,) = operands
-                return lambda ctx: fn(ctx, [only(ctx)])
-            if len(operands) == 2:
-                first, second = operands
-                return lambda ctx: fn(ctx, [first(ctx), second(ctx)])
+            signature = SIGNATURES.get(function)
+            if signature is not None and fits(signature, [operand_type(a) for a in expr.args]):
+                return _typed(function, signature, operands)
             return lambda ctx: fn(ctx, [operand(ctx) for operand in operands])
         return _raiser(_EvalError(STATUS_PROCESSING_ERROR, f"unknown expression node {expr!r}"))
 
@@ -754,10 +748,11 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
     return None
 
 
-# How many plans (and screens) a forest keeps, and how many digests each
-# plan keeps.
+# How many plans (and screens) a forest keeps, how many digests each plan
+# keeps, and how many trusted bags an engine keeps.
 _PLANS_HELD = 256
 _DIGESTS_HELD = 32
+_BAGS_HELD = 1024
 # A plan's runs are spliced out of the shared text only when they hold at
 # least this many screened records on average. A spliced run costs a
 # slice and a loop step in `serialize_response` where a rendered record

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 
 class Decision(Enum):
@@ -55,6 +55,9 @@ class DataType(Enum):
     GEO_POINT = "geo-point"
     COUNTRY_CODE = "country-code"
     IDENTIFIER = "identifier"
+
+    # Identity hashing, as for Category, for the tables keyed on members.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -388,26 +391,63 @@ STANDARD_COMBINERS = (
     "only-one-applicable",
 )
 
-# Condition/match functions every engine instance registers.
-BUILTIN_FUNCTIONS = (
-    "function:and",
-    "function:or",
-    "function:not",
-    "function:string-equal",
-    "function:boolean-equal",
-    "function:time-greater-than-or-equal",
-    "function:time-less-than-or-equal",
-    "function:time-one-and-only",
-    "function:string-one-and-only",
-    "function:location-match",
-)
+
+class Signature(NamedTuple):
+    """A built-in function's type, after the XACML 3.0 core function list
+    (Appendix A.3): per argument its payload type (`_PAYLOAD_TYPES`, so
+    country codes and identifiers are strings) and whether it is a bag,
+    whose one value the kernel gets; the result type; the kernel."""
+
+    args: tuple[tuple[type, bool], ...]
+    result: type
+    kernel: Callable[..., object]
 
 
-def _condition_functions(expr: ConditionExpr):
+SIGNATURES = {
+    "function:not": Signature(((bool, False),), bool, operator.not_),
+    "function:string-equal": Signature(((str, False),) * 2, bool, operator.eq),
+    "function:boolean-equal": Signature(((bool, False),) * 2, bool, operator.eq),
+    "function:time-greater-than-or-equal": Signature(((dt.time, False),) * 2, bool, operator.ge),
+    "function:time-less-than-or-equal": Signature(((dt.time, False),) * 2, bool, operator.le),
+    "function:time-one-and-only": Signature(((dt.time, True),), dt.time, lambda value: value),
+    "function:string-one-and-only": Signature(((str, True),), str, lambda value: value),
+}
+
+# Condition/match functions every engine instance registers; those without
+# a signature (and, or, and location-match over strings) give a boolean.
+BUILTIN_FUNCTIONS = ("function:and", "function:or", *SIGNATURES, "function:location-match")
+
+
+def operand_type(expr: ConditionExpr) -> Optional[tuple[type, bool]]:
+    """(payload type, whether a bag) of any value the operand evaluates
+    to; None for a function that is not built in."""
+    if isinstance(expr, Literal):
+        return type(expr.value.value), False
+    if isinstance(expr, AttributeSelector):
+        return _PAYLOAD_TYPES[expr.data_type], True
+    if isinstance(expr, FunctionApplication) and expr.function in BUILTIN_FUNCTIONS:
+        signature = SIGNATURES.get(expr.function)
+        return (bool if signature is None else signature.result), False
+    return None
+
+
+def fits(signature: Signature, operands: Sequence[Optional[tuple[type, bool]]]) -> Optional[bool]:
+    """False when operands of these types (`operand_type`) cannot fit the
+    signature, so that the application always fails once its operands are
+    evaluated; else True, or None when an operand's type is unknown."""
+    if len(operands) != len(signature.args) or any(
+        operand is not None and (operand[1] is not bag or not issubclass(operand[0], expected))
+        for operand, (expected, bag) in zip(operands, signature.args)
+    ):
+        return False
+    return None if None in operands else True
+
+
+def _applications(expr: ConditionExpr):
     if isinstance(expr, FunctionApplication):
-        yield expr.function
+        yield expr
         for arg in expr.args:
-            yield from _condition_functions(arg)
+            yield from _applications(arg)
 
 
 def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violation]:
@@ -415,7 +455,8 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
 
     Returns every violation found (an empty list iff the document is
     well-formed). Functions and combiners are checked against
-    BUILTIN_FUNCTIONS and STANDARD_COMBINERS. known_scopes is the
+    BUILTIN_FUNCTIONS and STANDARD_COMBINERS, and a built-in application
+    or match clause against its signature (`fits`). known_scopes is the
     legal-scope registry's id set; pass None to skip referential scope
     checks.
     """
@@ -449,8 +490,10 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
                 if node.kind is NodeKind.POLICY_SET and child.kind is NodeKind.RULE:
                     violations.append(Violation("policy-set-contains-rule", node.id))
 
-        clause_functions = [
-            clause.match_function
+        # Each function application with its operands' types; a clause
+        # applies its function to a request value and the literal.
+        applications = [
+            (clause.match_function, (None, (type(clause.literal.value), False)))
             for clauses in (
                 node.target.subjects,
                 node.target.resources,
@@ -458,14 +501,15 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
                 node.target.environments,
             )
             for clause in clauses
+        ] + [
+            (application.function, [operand_type(arg) for arg in application.args])
+            for application in _applications(node.condition)
         ]
-        for fn in clause_functions:
+        for fn, operands in applications:
             if fn not in BUILTIN_FUNCTIONS:
                 violations.append(Violation(f"unknown-function:{fn}", node.id))
-        if node.condition is not None:
-            for fn in _condition_functions(node.condition):
-                if fn not in BUILTIN_FUNCTIONS:
-                    violations.append(Violation(f"unknown-function:{fn}", node.id))
+            elif fn in SIGNATURES and fits(SIGNATURES[fn], operands) is False:
+                violations.append(Violation(f"ill-typed:{fn}", node.id))
 
         if node.legislation is not None:
             if not node.legislation:

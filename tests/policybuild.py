@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import random
 
 from lexgate.engine import _EvalError
@@ -13,6 +14,7 @@ from lexgate.model import (
     DataType,
     Effect,
     FunctionApplication,
+    GeoPoint,
     Literal,
     MatchClause,
     Obligation,
@@ -85,6 +87,61 @@ TARGET_LITERALS = {
     (Category.ENVIRONMENT, "channel"): ("branch", "remote"),
 }
 
+# Typed conditions compare the one value of attributes read as any data
+# type, or literals of any type, right or wrong: "level" is carried by
+# generated requests with 0 to 2 values of TYPED_VALUES, the others are
+# filled by the context build.
+TYPED_ATTRIBUTES = (
+    (Category.ENVIRONMENT, "level"),
+    (Category.ENVIRONMENT, "current-time"),
+    (Category.ENVIRONMENT, "task-status"),
+    (Category.ENVIRONMENT, "source-country"),
+    (Category.RESOURCE, "confidential"),
+    (Category.SUBJECT, "user-id"),
+)
+TYPED_VALUES = (
+    AttributeValue(DataType.STRING, "full-match"),
+    AttributeValue(DataType.STRING, "GB"),
+    AttributeValue(DataType.COUNTRY_CODE, "GB"),
+    AttributeValue(DataType.IDENTIFIER, "c.miller"),
+    AttributeValue(DataType.TIME_OF_DAY, dt.time(9, 30)),
+    AttributeValue(DataType.TIME_OF_DAY, dt.time(12, 0)),
+    AttributeValue(DataType.BOOLEAN, True),
+    AttributeValue(DataType.BOOLEAN, False),
+    AttributeValue(DataType.INTEGER, 1),
+    AttributeValue(DataType.DATE, dt.date(2026, 3, 10)),
+    AttributeValue(DataType.GEO_POINT, GeoPoint(51.5, -0.1)),
+)
+_COMPARISONS = (
+    "function:string-equal",
+    "function:boolean-equal",
+    "function:time-greater-than-or-equal",
+    "function:time-less-than-or-equal",
+)
+
+
+def _random_operand(rng: random.Random, depth: int):
+    """The one value of a typed attribute read as any data type (most often
+    through the one-and-only function of its payload type), a literal, or,
+    at depth 0, a comparison."""
+    roll = rng.random()
+    if roll < 0.5:
+        category, attribute_id = rng.choice(TYPED_ATTRIBUTES)
+        data_type = rng.choice(list(DataType))
+        unwrap = ("string", "time")[(data_type is DataType.TIME_OF_DAY) != (rng.random() < 0.2)]
+        selector = AttributeSelector(category, attribute_id, data_type)
+        return FunctionApplication(f"function:{unwrap}-one-and-only", (selector,))
+    if depth == 0 and roll < 0.6:
+        return _random_comparison(rng, depth + 1)
+    return Literal(rng.choice(TYPED_VALUES))
+
+
+def _random_comparison(rng: random.Random, depth: int = 0):
+    return FunctionApplication(
+        rng.choice(_COMPARISONS), (_random_operand(rng, depth), _random_operand(rng, depth))
+    )
+
+
 _ERRORS = (
     # function:not of a string: processing-error.
     FunctionApplication("function:not", (Literal(AttributeValue(DataType.STRING, "x")),)),
@@ -126,9 +183,9 @@ _HOSTILE_CONDITIONS = (
 
 
 def _random_condition(rng: random.Random, depth: int = 0, hostile: bool = False):
-    """None, a literal boolean, an error, or and/or/not over those; when
-    hostile, also unknown functions, wrong arities and misbehaving
-    registered functions."""
+    """None, a literal boolean, a typed comparison, an error, or and/or/not
+    over those; when hostile, also unknown functions, wrong arities and
+    misbehaving registered functions."""
     roll = rng.random()
     if depth == 0 and roll < 0.3:
         return None
@@ -139,8 +196,10 @@ def _random_condition(rng: random.Random, depth: int = 0, hostile: bool = False)
             function,
             tuple(_random_condition(rng, depth + 1, hostile) or always(True) for _ in range(count)),
         )
-    if roll < 0.9:
+    if roll < 0.75:
         return always(rng.random() < 0.5)
+    if roll < 0.9:
+        return _random_comparison(rng)
     if hostile and rng.random() < 0.6:
         return rng.choice(_HOSTILE_CONDITIONS)
     return rng.choice(_ERRORS)
@@ -161,15 +220,18 @@ def _random_target(rng: random.Random, hostile: bool = False) -> Target:
         for _ in range(rng.choice((1, 1, 1, 2))):
             literal = rng.choice(TARGET_LITERALS[(category, attribute_id)])
             sections[category].append(string_clause(attribute_id, literal))
-    if roll > 0.9:
-        # One clause that is not string-equal on a string literal: half the
-        # time location-match (true for a GB source whatever the string
-        # value), else a boolean or an integer literal.
+    if roll > 0.85:
+        # One clause that is not string-equal on a string literal: a third
+        # of the time location-match (true for a GB source whatever the
+        # string value), else boolean-equal against a bag of strings,
+        # integers and booleans, or an integer literal.
         category, attribute_id = selectors[0]
         location = MatchClause(attribute_id, "function:location-match", AttributeValue(DataType.STRING, "GB"))
         sections[category] = [rng.choice((
             location,
             location,
+            MatchClause(attribute_id, "function:boolean-equal", AttributeValue(DataType.BOOLEAN, True)),
+            MatchClause(attribute_id, "function:boolean-equal", AttributeValue(DataType.BOOLEAN, False)),
             MatchClause(attribute_id, "function:boolean-equal", AttributeValue(DataType.BOOLEAN, True)),
             MatchClause(attribute_id, "function:string-equal", AttributeValue(DataType.INTEGER, 1)),
         ))]
@@ -242,8 +304,9 @@ def random_forest(
     legislation-tagged policies whose rules are all Deny, some inside a
     policy set. Roots carry string-equal target literals from
     TARGET_LITERALS, several clauses, clauses no literal index keys on, or
-    no target. Conditions are literal booleans, errors and and/or/not over
-    them, so decisions vary without touching context.
+    no target. Conditions are literal booleans, errors, comparisons over
+    typed attributes and literals (TYPED_ATTRIBUTES, TYPED_VALUES), well-
+    or ill-typed, and and/or/not over those.
 
     Every second and third document of each three has a non-ASCII id
     (its nodes' ids start with it), so that UTF-8 byte offsets and
@@ -252,7 +315,7 @@ def random_forest(
     hostile=True also draws unknown function ids in conditions and target
     clauses, builtins with the wrong arity, unknown combiners and the
     misbehaving HOSTILE_FUNCTIONS, which the evaluating engine must
-    register. Without it the forests, draw for draw, are as before."""
+    register."""
     documents = []
     for doc_index in range(rng.randint(1, 6)):
         doc_id = f"{('d', 'dé', 'd文')[doc_index % 3]}{doc_index}"

@@ -50,6 +50,25 @@ def test_validate_reports_seeded_defect_with_file_and_line(capsys, tmp_path, fix
     assert line.split(":")[1].isdigit()  # file:line: node: code
 
 
+def test_validate_reports_an_ill_typed_application(capsys, tmp_path, fixtures_root):
+    # The lower bound of the login window compared with a string.
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    mutant = (fixtures_root / "policies" / "working-time.xml").read_text().replace(
+        '<Apply FunctionId="function:time-one-and-only">\n'
+        '          <EnvironmentAttributeSelector DataType="XMLSchema#time"',
+        '<Apply FunctionId="function:string-one-and-only">\n'
+        '          <EnvironmentAttributeSelector DataType="XMLSchema#string"',
+        1,
+    )
+    (policy_dir / "mutant.xml").write_text(mutant)
+    code, out, _ = run_cli(capsys, "validate", str(policy_dir))
+    assert code == 1
+    assert out.splitlines() == [
+        "mutant.xml:4: LoginRule: ill-typed:function:time-greater-than-or-equal"
+    ]
+
+
 def test_validate_empty_directory_warns_and_succeeds(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", str(tmp_path))
     assert code == 0

@@ -8,11 +8,14 @@ import threading
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import engine_oracle
 from conftest import make_bundle, wire_request
 from lexgate import engine as engine_module
-from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
+from lexgate.engine import EvaluationContext, FunctionRegistry, PolicyDecisionPoint, _EvalError
 from lexgate.model import (
+    SIGNATURES,
     AttributeSelector,
     AttributeValue,
     Category,
@@ -20,14 +23,16 @@ from lexgate.model import (
     Decision,
     Effect,
     FunctionApplication,
+    GeoPoint,
     Literal,
+    MatchClause,
     STATUS_MISSING_ATTRIBUTE,
     STATUS_OK,
     STATUS_PROCESSING_ERROR,
     Target,
     Trace,
 )
-from lexgate.parsing.wire import parse_request, serialize_response
+from lexgate.parsing.wire import RequestContext, parse_request, serialize_response
 from lexgate.pep import ReferenceMonitor, trace_digest
 from policybuild import document, policy, random_forest, rule, string_clause
 
@@ -517,3 +522,185 @@ def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+# -- typed closures and trusted bags ---------------------------------------------
+
+
+class _Text(str):
+    """A str subclass: a string to the string functions."""
+
+
+ECHO = "function:echo"
+# An extension function, so of no known type: its first argument, or,
+# without one, a datetime, which is no time.
+TYPING_ENGINE = PolicyDecisionPoint(FunctionRegistry(
+    {ECHO: lambda ctx, args: args[0] if args else dt.datetime(2026, 3, 10, 9, 0)}
+))
+_VALUES = (
+    AttributeValue(DataType.BOOLEAN, True),
+    AttributeValue(DataType.BOOLEAN, False),
+    AttributeValue(DataType.INTEGER, 1),
+    AttributeValue(DataType.STRING, "GB"),
+    AttributeValue(DataType.STRING, _Text("GB")),
+    AttributeValue(DataType.COUNTRY_CODE, "GB"),
+    AttributeValue(DataType.IDENTIFIER, "c.miller"),
+    AttributeValue(DataType.TIME_OF_DAY, dt.time(9, 0)),
+    AttributeValue(DataType.TIME_OF_DAY, dt.time(18, 0)),
+    AttributeValue(DataType.DATE, dt.date(2026, 3, 10)),
+    AttributeValue(DataType.GEO_POINT, GeoPoint(0.0, 0.0)),
+)
+_ATTRIBUTES = ("a", "b")
+_FUNCTIONS = sorted(SIGNATURES)
+
+
+def _selectors():
+    return st.builds(
+        AttributeSelector, st.just(Category.ENVIRONMENT), st.sampled_from(_ATTRIBUTES), st.sampled_from(DataType)
+    )
+
+
+def _operands(depth=0):
+    """Literals, selectors (bags of 0 to 2 values of any type), echoes of
+    those, and built-in applications over them, right or wrong."""
+    leaves = st.one_of(
+        st.sampled_from(_VALUES).map(Literal),
+        _selectors(),
+        st.builds(lambda fn, selector: FunctionApplication(fn, (selector,)),
+                  st.sampled_from(("function:string-one-and-only", "function:time-one-and-only")), _selectors()),
+    )
+    if depth >= 2:
+        return leaves
+    inner = _operands(depth + 1)
+    return st.one_of(
+        leaves,
+        st.lists(inner, max_size=1).map(lambda args: FunctionApplication(ECHO, tuple(args))),
+        _applications(inner),
+    )
+
+
+def _applications(operands):
+    """A built-in with a signature over its number of operands, or, in one
+    case of three, one more or one fewer."""
+
+    def applied(function):
+        arity = len(SIGNATURES[function].args)
+        counts = st.sampled_from((arity, arity, arity, arity, arity - 1, arity + 1))
+        return counts.flatmap(lambda n: st.lists(operands, min_size=n, max_size=n)).map(
+            lambda args: FunctionApplication(function, tuple(args))
+        )
+
+    return st.sampled_from(_FUNCTIONS).flatmap(applied)
+
+
+@st.composite
+def _typing_contexts(draw):
+    bags = tuple(
+        (attribute, value)
+        for attribute in _ATTRIBUTES
+        for value in draw(st.lists(st.sampled_from(_VALUES), max_size=2))
+    )
+    request = RequestContext(subject=(), environment=bags)
+    return EvaluationContext(request, None, None, None, "GB")
+
+
+def _outcome(thunk):
+    """The value with its type, or the error's status and message."""
+    try:
+        value = thunk()
+    except _EvalError as exc:
+        return "error", exc.status, str(exc)
+    except TypeError as exc:  # a comparison of a datetime with a time
+        return "raised", str(exc)
+    return "value", type(value), value
+
+
+@settings(max_examples=1000, deadline=None)
+@given(expr=_applications(_operands()), ctx=_typing_contexts())
+def test_typed_closures_give_what_the_checked_functions_give(expr, ctx):
+    # The oracle applies the registry's checked functions to its operands.
+    oracle = engine_oracle._Oracle(TYPING_ENGINE, ctx, frozenset(), "aware")
+    compiled = TYPING_ENGINE._compile_expr(expr)
+    assert _outcome(lambda: compiled(ctx)) == _outcome(lambda: oracle.value(expr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(function=st.sampled_from(_FUNCTIONS), literal=st.sampled_from(_VALUES), ctx=_typing_contexts())
+def test_typed_match_clauses_give_what_the_checked_functions_give(function, literal, ctx):
+    clause = MatchClause("a", function, literal)
+    oracle = engine_oracle._Oracle(TYPING_ENGINE, ctx, frozenset(), "aware")
+    compiled = TYPING_ENGINE._compile_clause(Category.ENVIRONMENT, clause)
+    assert _outcome(lambda: compiled(ctx)) == _outcome(
+        lambda: oracle.section_matches(Category.ENVIRONMENT, [clause])
+    )
+
+
+def test_well_typed_packaged_conditions_make_no_checks(engine, policy_pack, monkeypatch):
+    def check(*args):
+        raise AssertionError("a well-typed application was checked")
+
+    monkeypatch.setattr(engine_module, "_scalar", check)
+    request = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53"))
+    ctx = engine._build_context(request, make_bundle("2026-03-10T12:45:00Z"), "aware")
+    conditions = [node.condition for d in policy_pack for node in d.walk() if node.condition is not None]
+    assert len(conditions) == 6
+    for condition in conditions:
+        assert engine._compile_expr(condition)(ctx) in (True, False)
+
+
+# Store- and enum-derived attributes: one shared bag per value.
+_TRUSTED_KEYS = (
+    (Category.ENVIRONMENT, "current-zone"),
+    (Category.ENVIRONMENT, "source-country"),
+    (Category.ENVIRONMENT, "destination-country"),
+    (Category.ENVIRONMENT, "task-status"),
+    (Category.SUBJECT, "kind"),
+    (Category.SUBJECT, "relationship"),
+    (Category.RESOURCE, "confidential"),
+    (Category.RESOURCE, "customer-related"),
+    (Category.RESOURCE, "host-country"),
+    (Category.RESOURCE, "category"),
+)
+_CLOCK_KEYS = ((Category.ENVIRONMENT, "current-time"), (Category.ENVIRONMENT, "current-date"))
+
+
+def test_trusted_bags_are_shared_and_immutable(engine):
+    request = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53"))
+    first, again, later = (
+        engine._build_context(request, make_bundle(at), "aware")
+        for at in ("2026-03-10T12:45:00Z", "2026-03-10T12:45:00Z", "2026-03-10T13:10:00Z")
+    )
+    assert set(first._cache) == set(_TRUSTED_KEYS + _CLOCK_KEYS)
+    for key in _TRUSTED_KEYS:
+        assert later._cache[key] is first._cache[key] is again._cache[key]
+    for key in _CLOCK_KEYS:
+        # Made per request, even at the same instant.
+        assert again._cache[key] == first._cache[key]
+        assert again._cache[key] is not first._cache[key]
+    assert later._cache[_CLOCK_KEYS[0]] != first._cache[_CLOCK_KEYS[0]]
+    (value,) = first._cache[(Category.RESOURCE, "category")]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.value = "strategic"
+
+
+def test_the_trusted_bag_memo_is_bounded_and_changes_no_decision(policy_pack, monkeypatch):
+    # Requests name 60 destination countries; an engine that holds at most
+    # four bags decides each like one that holds them all.
+    pips = make_bundle("2026-03-10T12:45:00Z")
+    requests = [
+        parse_request(wire_request(
+            resource="cust/4711/portfolio", point="47.36 8.53",
+            extra_lines=(f"destination-country {chr(65 + n // 26)}{chr(65 + n % 26)}",),
+        ))
+        for n in range(60)
+    ]
+    roomy = PolicyDecisionPoint()
+    roomy_forest = roomy.compile(policy_pack)
+    want = [roomy.evaluate(roomy_forest, request, pips) for request in requests]
+    assert len(roomy._bags) > 60
+    monkeypatch.setattr(engine_module, "_BAGS_HELD", 4)
+    small = PolicyDecisionPoint()
+    small_forest = small.compile(policy_pack)
+    for request, expected in zip(requests, want):
+        assert small.evaluate(small_forest, request, pips) == expected
+        assert len(small._bags) <= 4

@@ -8,6 +8,10 @@ must give the same decision, status, obligations and trace, down to the
 response bytes and the audit trace digest, in both legislation modes. The requests carry
 missing, multi-valued and non-string bags for the attributes the forests'
 targets name, so the literal index meets every case it must not screen.
+The forests' conditions compare typed attributes and literals, well- or
+ill-typed, and their targets match booleans against bags of other
+types, so the engine's typed closures meet the checked functions the
+oracle calls.
 A second property checks the plan, screen and digest memos: a request
 gives the same response, bytes and digest on a cold forest, on a second
 call and on a forest warmed by other requests, and each of those
@@ -34,6 +38,7 @@ from lexgate.pep import trace_digest
 from policybuild import (
     HOSTILE_FUNCTIONS,
     TARGET_LITERALS,
+    TYPED_VALUES,
     document,
     policy,
     random_forest,
@@ -72,13 +77,16 @@ def _values(pool):
 
 @st.composite
 def requests(draw):
-    """A request whose target attributes have empty, single or two-valued
-    bags, with non-string values among them."""
+    """A request whose target attributes, and the "level" attribute that
+    typed conditions read, have empty, single or two-valued bags, with
+    values of other types among them."""
     bags = {category: [] for category in Category}
     bags[Category.SUBJECT].append(("user-id", AttributeValue(DataType.IDENTIFIER, "c.miller")))
     for (category, attribute_id), pool in TARGET_LITERALS.items():
         for value in draw(st.lists(_values(pool), max_size=2)):
             bags[category].append((attribute_id, value))
+    for value in draw(st.lists(st.sampled_from(TYPED_VALUES), max_size=2)):
+        bags[Category.ENVIRONMENT].append(("level", value))
     point = draw(st.sampled_from(POINTS))
     bags[Category.ENVIRONMENT].append(("current-position", AttributeValue(DataType.GEO_POINT, point)))
     return RequestContext(

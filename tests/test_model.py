@@ -1,4 +1,7 @@
 import datetime as dt
+import importlib.util
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,13 +9,19 @@ from hypothesis import given, strategies as st
 from lexgate import model
 from lexgate.combining import CombinerRegistry
 from lexgate.engine import FunctionRegistry
+from lexgate.cli import load_policy_dir
+from lexgate.context.loader import load_scopes
 from lexgate.model import (
+    AttributeSelector,
     AttributeValue,
+    Category,
     DataType,
     Decision,
     Effect,
     FunctionApplication,
     GeoPoint,
+    Literal,
+    MatchClause,
     NodeKind,
     PolicyNode,
     Target,
@@ -21,6 +30,8 @@ from lexgate.model import (
     validate_document,
 )
 from policybuild import always, document, policy, policy_set, rule, string_clause
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_effects_are_a_strict_subset_of_decisions():
@@ -149,6 +160,15 @@ MUTATIONS = {
     "empty-legislation": lambda d: _mutate(d, "r2", legislation=frozenset()),
     "rule-missing-effect": lambda d: _mutate(d, "r2", effect=None),
     "id-not-one-field": lambda d: _mutate(d, "r2", id="r 2"),
+    # A time compared with the one value of a string attribute.
+    "ill-typed:function:time-greater-than-or-equal": lambda d: _mutate(
+        d, "r1", condition=FunctionApplication("function:time-greater-than-or-equal", (
+            FunctionApplication("function:string-one-and-only", (
+                AttributeSelector(Category.ENVIRONMENT, "task-status", DataType.STRING),
+            )),
+            Literal(AttributeValue(DataType.TIME_OF_DAY, dt.time(8, 0))),
+        ))
+    ),
 }
 
 
@@ -214,3 +234,86 @@ def test_decision_domain_closure_over_generated_documents(doc):
         assert node.kind in NodeKind
         if node.effect is not None:
             assert node.effect.to_decision() in Decision
+
+
+# -- typing against the signature table -------------------------------------------
+
+
+def _literal(data_type, value):
+    return Literal(AttributeValue(data_type, value))
+
+
+def _apply(function, *args):
+    return FunctionApplication(function, args)
+
+
+def _one_and_only(kind, data_type, attribute="a"):
+    return _apply(f"function:{kind}-one-and-only", AttributeSelector(Category.ENVIRONMENT, attribute, data_type))
+
+
+COUNTRY = _literal(DataType.COUNTRY_CODE, "LU")
+
+
+@pytest.mark.parametrize(
+    "condition,codes",
+    [
+        # Country codes and identifiers are strings to the string functions.
+        (_apply("function:string-equal", _one_and_only("string", DataType.COUNTRY_CODE), COUNTRY), []),
+        (_apply("function:string-equal", _one_and_only("string", DataType.IDENTIFIER),
+                _literal(DataType.STRING, "c.miller")), []),
+        (_apply("function:not", _apply("function:and")), []),
+        # A bag where a scalar is due, and a scalar where a bag is due.
+        (_apply("function:string-equal", AttributeSelector(Category.ENVIRONMENT, "a", DataType.STRING), COUNTRY),
+         ["ill-typed:function:string-equal"]),
+        (_apply("function:string-one-and-only", COUNTRY), ["ill-typed:function:string-one-and-only"]),
+        # An integer is no boolean; a time bag is no string bag; arity.
+        (_apply("function:not", _literal(DataType.INTEGER, 1)), ["ill-typed:function:not"]),
+        (_apply("function:boolean-equal", _literal(DataType.BOOLEAN, True), _literal(DataType.INTEGER, 1)),
+         ["ill-typed:function:boolean-equal"]),
+        (_one_and_only("string", DataType.TIME_OF_DAY), ["ill-typed:function:string-one-and-only"]),
+        (_apply("function:time-less-than-or-equal", _literal(DataType.TIME_OF_DAY, dt.time(8, 0))),
+         ["ill-typed:function:time-less-than-or-equal"]),
+        # Nested: the inner application is ill-typed, the outer one fits.
+        (_apply("function:not", _apply("function:string-equal", COUNTRY, _literal(DataType.DATE, dt.date(2026, 3, 10)))),
+         ["ill-typed:function:string-equal"]),
+        # A function that is not built in has no signature, and its value
+        # no known type.
+        (_apply("function:string-equal", _apply("function:ext"), COUNTRY), ["unknown-function:function:ext"]),
+    ],
+)
+def test_ill_typed_applications_are_reported(condition, codes):
+    mutated = _mutate(_well_formed_doc(), "r1", condition=condition)
+    assert [v.code for v in validate_document(mutated, known_scopes=KNOWN_SCOPES)] == codes
+
+
+@pytest.mark.parametrize(
+    "function,literal,codes",
+    [
+        ("function:string-equal", AttributeValue(DataType.COUNTRY_CODE, "LU"), []),
+        ("function:boolean-equal", AttributeValue(DataType.BOOLEAN, False), []),
+        ("function:location-match", AttributeValue(DataType.STRING, "GB"), []),
+        ("function:string-equal", AttributeValue(DataType.INTEGER, 1), ["ill-typed:function:string-equal"]),
+        ("function:boolean-equal", AttributeValue(DataType.STRING, "true"), ["ill-typed:function:boolean-equal"]),
+        # A clause applies its function to two arguments.
+        ("function:not", AttributeValue(DataType.BOOLEAN, True), ["ill-typed:function:not"]),
+        ("function:time-one-and-only", AttributeValue(DataType.TIME_OF_DAY, dt.time(8, 0)),
+         ["ill-typed:function:time-one-and-only"]),
+    ],
+)
+def test_ill_typed_match_clauses_are_reported(function, literal, codes):
+    target = Target(resources=(MatchClause("confidential", function, literal),))
+    mutated = _mutate(_well_formed_doc(), "p1", target=target)
+    assert [v.code for v in validate_document(mutated, known_scopes=KNOWN_SCOPES)] == codes
+
+
+def test_generated_forest_documents_are_clean(tmp_path):
+    # The benchmark's forest-600 documents compare string-one-and-only of a
+    # country-code selector with a country-code literal.
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.gen_forest(REPO / "src" / "lexgate" / "fixtures", tmp_path, random.Random(5), days=2, documents=60)
+    known = load_scopes(tmp_path / "scopes.txt").ids()
+    documents = load_policy_dir(tmp_path / "policies")
+    assert len(documents) >= 60
+    assert [v for d in documents for v in validate_document(d, known_scopes=known)] == []

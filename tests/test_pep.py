@@ -13,6 +13,7 @@ from conftest import EVENT_FLOW, make_bundle, watch, wire_request
 from lexgate.combining import CombinerRegistry
 from lexgate.context.bundle import load_bundle
 from lexgate.context.clock import FixedClock
+from lexgate import engine as engine_module
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError
 from lexgate.instant import parse_instant
@@ -495,6 +496,24 @@ def test_the_plan_memo_stays_bounded_over_distinct_requests(policy_pack):
     # A full memo of 256 plans holds about 0.6 MiB; a memo that kept
     # every plan would hold some 20 MiB.
     assert _held_after_warm_up(send) < 1024 * 1024
+
+
+def test_the_trusted_bag_memo_stays_bounded_over_distinct_resources_and_countries(
+    policy_pack, monkeypatch
+):
+    # Request n names resource caller/n and one of the 676 destination
+    # countries; the engine keeps one shared bag per country it has seen,
+    # here at most 64 of them.
+    monkeypatch.setattr(engine_module, "_BAGS_HELD", 64)
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+
+    def send(n):
+        code = f"{chr(65 + n // 26 % 26)}{chr(65 + n % 26)}"
+        raw = wire_request(resource=f"caller/{n}", extra_lines=(f"destination-country {code}",))
+        monitor.handle_request(raw, GOOD_SESSION)
+        assert len(monitor.engine._bags) <= 64
+
+    assert _held_after_warm_up(send) < 256 * 1024
 
 
 def _held_after_warm_up(send) -> int:
