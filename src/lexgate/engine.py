@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import datetime as dt
 from array import array
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -132,6 +133,13 @@ class EvaluationContext:
 
     def first_error_status(self) -> str:
         return self.errors[0] if self.errors else STATUS_PROCESSING_ERROR
+
+
+@lru_cache(maxsize=1024)
+def _trusted_bag(data_type: DataType, value: object) -> tuple[AttributeValue]:
+    """The one-value bag of a trusted value, shared by every request; at
+    most 1,024 are kept, since a request can name its destination country."""
+    return (AttributeValue._trusted(data_type, value),)
 
 
 def _proximity_tokens(request: RequestContext) -> tuple[ProximityToken, ...]:
@@ -335,8 +343,6 @@ class PolicyDecisionPoint:
     ):
         self.functions = functions or FunctionRegistry()
         self.combiners = combiners or CombinerRegistry()
-        # The one-value bags of trusted values, by (data type, payload).
-        self._bags: dict[tuple[DataType, object], tuple[AttributeValue]] = {}
 
     def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
         """The forest indexed for this engine, the one way to build a
@@ -381,8 +387,8 @@ class PolicyDecisionPoint:
 
         # The values below come from the loaded stores and the location
         # snapshot, never from the request, so they skip the payload checks;
-        # all but the local time and date are shared bags (`_bag`).
-        cache, bag = ctx._cache, self._bag
+        # all but the local time and date are shared bags.
+        cache, bag = ctx._cache, _trusted_bag
         trusted = AttributeValue._trusted
         # Local time survives a zone-precision failure: the country (and so
         # its timezone) is still certain, only the zone classification is
@@ -426,16 +432,6 @@ class PolicyDecisionPoint:
         )
         cache[Category.ENVIRONMENT, ENV_TASK_STATUS] = bag(DataType.STRING, assessment.value)
         return ctx
-
-    def _bag(self, data_type: DataType, value: object) -> tuple[AttributeValue]:
-        """The shared one-value bag of a trusted value, from a memo of at most
-        `_BAGS_HELD` (a request can name its destination country)."""
-        key = (data_type, value)
-        found = self._bags.get(key)
-        if found is None:
-            found = (AttributeValue._trusted(data_type, value),)
-            _remember(self._bags, _BAGS_HELD, key, found)
-        return found
 
     # -- compilation -----------------------------------------------------------
     #
@@ -748,11 +744,10 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
     return None
 
 
-# How many plans (and screens) a forest keeps, how many digests each plan
-# keeps, and how many trusted bags an engine keeps.
+# How many plans (and screens) a forest keeps, and how many digests each
+# plan keeps.
 _PLANS_HELD = 256
 _DIGESTS_HELD = 32
-_BAGS_HELD = 1024
 # A plan's runs are spliced out of the shared text only when they hold at
 # least this many screened records on average. A spliced run costs a
 # slice and a loop step in `serialize_response` where a rendered record

@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -683,10 +684,11 @@ def test_trusted_bags_are_shared_and_immutable(engine):
         value.value = "strategic"
 
 
-def test_the_trusted_bag_memo_is_bounded_and_changes_no_decision(policy_pack, monkeypatch):
-    # Requests name 60 destination countries; an engine that holds at most
-    # four bags decides each like one that holds them all.
+def test_the_trusted_bag_memo_is_bounded_and_changes_no_decision(engine, policy_pack, monkeypatch):
+    # Requests name 60 destination countries; with a memo of at most four
+    # bags the engine decides each as it does with room for them all.
     pips = make_bundle("2026-03-10T12:45:00Z")
+    forest = engine.compile(policy_pack)
     requests = [
         parse_request(wire_request(
             resource="cust/4711/portfolio", point="47.36 8.53",
@@ -694,13 +696,10 @@ def test_the_trusted_bag_memo_is_bounded_and_changes_no_decision(policy_pack, mo
         ))
         for n in range(60)
     ]
-    roomy = PolicyDecisionPoint()
-    roomy_forest = roomy.compile(policy_pack)
-    want = [roomy.evaluate(roomy_forest, request, pips) for request in requests]
-    assert len(roomy._bags) > 60
-    monkeypatch.setattr(engine_module, "_BAGS_HELD", 4)
-    small = PolicyDecisionPoint()
-    small_forest = small.compile(policy_pack)
+    want = [engine.evaluate(forest, request, pips) for request in requests]
+    small = lru_cache(maxsize=4)(engine_module._trusted_bag.__wrapped__)
+    monkeypatch.setattr(engine_module, "_trusted_bag", small)
     for request, expected in zip(requests, want):
-        assert small.evaluate(small_forest, request, pips) == expected
-        assert len(small._bags) <= 4
+        assert engine.evaluate(forest, request, pips) == expected
+        assert small.cache_info().currsize <= 4
+    assert small.cache_info().misses > 60

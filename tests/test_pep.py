@@ -4,6 +4,7 @@ import gc
 import hashlib
 import os
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -502,18 +503,19 @@ def test_the_trusted_bag_memo_stays_bounded_over_distinct_resources_and_countrie
     policy_pack, monkeypatch
 ):
     # Request n names resource caller/n and one of the 676 destination
-    # countries; the engine keeps one shared bag per country it has seen,
-    # here at most 64 of them.
-    monkeypatch.setattr(engine_module, "_BAGS_HELD", 64)
+    # countries; one shared bag is kept per country seen, here at most 64.
+    memo = lru_cache(maxsize=64)(engine_module._trusted_bag.__wrapped__)
+    monkeypatch.setattr(engine_module, "_trusted_bag", memo)
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
 
     def send(n):
         code = f"{chr(65 + n // 26 % 26)}{chr(65 + n % 26)}"
         raw = wire_request(resource=f"caller/{n}", extra_lines=(f"destination-country {code}",))
         monitor.handle_request(raw, GOOD_SESSION)
-        assert len(monitor.engine._bags) <= 64
+        assert memo.cache_info().currsize <= 64
 
     assert _held_after_warm_up(send) < 256 * 1024
+    assert memo.cache_info().misses > 676
 
 
 def _held_after_warm_up(send) -> int:
