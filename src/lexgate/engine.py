@@ -25,7 +25,6 @@ deny-overrides; see README for the exact semantics.
 
 from __future__ import annotations
 
-import datetime as dt
 from array import array
 from functools import lru_cache
 from itertools import accumulate
