@@ -88,6 +88,9 @@ class TaskAssessment(Enum):
     def __str__(self) -> str:
         return self.value
 
+    # Identity hashing, as for Category, for the engine's bags keyed on members.
+    __hash__ = object.__hash__
+
 
 _PRIORITY = {
     TaskAssessment.NO_TASK: 0,

@@ -33,53 +33,40 @@ def distance_m(a: GeoPoint, b: GeoPoint) -> float:
     return math.hypot(east, north)
 
 
-def _on_segment(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
-    cross = (b.lat - a.lat) * (p.lon - a.lon) - (b.lon - a.lon) * (p.lat - a.lat)
-    if abs(cross) > _EPS:
-        return False
-    return (
-        min(a.lat, b.lat) - _EPS <= p.lat <= max(a.lat, b.lat) + _EPS
-        and min(a.lon, b.lon) - _EPS <= p.lon <= max(a.lon, b.lon) + _EPS
-    )
-
-
 def point_in_polygon(point: GeoPoint, vertices: tuple[GeoPoint, ...]) -> bool:
-    """Ray-casting containment; boundary points are inside."""
-    n = len(vertices)
-    for i in range(n):
-        if _on_segment(point, vertices[i], vertices[(i + 1) % n]):
-            return True
-    inside = False
+    """Ray-casting containment; boundary points are inside.
+
+    One pass over the edges (Haines, "Point in Polygon Strategies",
+    Graphics Gems IV, 1994): a point within _EPS of an edge is inside at
+    once, else each edge the eastward ray crosses flips the answer. The
+    comparisons are written out in place of min/max, with the same float
+    expressions.
+    """
     x, y = point.lon, point.lat
-    p1 = vertices[0]
-    for i in range(1, n + 1):
-        p2 = vertices[i % n]
-        if y > min(p1.lat, p2.lat) and y <= max(p1.lat, p2.lat) and x <= max(p1.lon, p2.lon):
-            if p1.lat != p2.lat:
-                x_cross = (y - p1.lat) * (p2.lon - p1.lon) / (p2.lat - p1.lat) + p1.lon
-                if p1.lon == p2.lon or x <= x_cross:
-                    inside = not inside
-        p1 = p2
+    inside = False
+    last = vertices[-1]
+    alat, alon = last.lat, last.lon
+    for vertex in vertices:
+        blat, blon = vertex.lat, vertex.lon
+        if blat < alat:
+            lat_lo, lat_hi = blat, alat
+        else:
+            lat_lo, lat_hi = alat, blat
+        if lat_lo - _EPS <= y <= lat_hi + _EPS:
+            if blon < alon:
+                lon_lo, lon_hi = blon, alon
+            else:
+                lon_lo, lon_hi = alon, blon
+            if lon_lo - _EPS <= x <= lon_hi + _EPS:
+                cross = (blat - alat) * (x - alon) - (blon - alon) * (y - alat)
+                if -_EPS <= cross <= _EPS:
+                    return True
+            if lat_lo < y <= lat_hi and x <= lon_hi and (
+                alon == blon or x <= (y - alat) * (blon - alon) / (blat - alat) + alon
+            ):
+                inside = not inside
+        alat, alon = blat, blon
     return inside
-
-
-def _segment_distance_m(point: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
-    ax, ay = _project(a, point)
-    bx, by = _project(b, point)
-    dx, dy = bx - ax, by - ay
-    length_sq = dx * dx + dy * dy
-    if length_sq == 0:
-        return math.hypot(ax, ay)
-    # Projection parameter of the origin (the query point) onto the segment.
-    t = max(0.0, min(1.0, -(ax * dx + ay * dy) / length_sq))
-    return math.hypot(ax + t * dx, ay + t * dy)
-
-
-def distance_to_boundary_m(point: GeoPoint, vertices: tuple[GeoPoint, ...]) -> float:
-    n = len(vertices)
-    return min(
-        _segment_distance_m(point, vertices[i], vertices[(i + 1) % n]) for i in range(n)
-    )
 
 
 def disc_polygon_relation(
@@ -88,11 +75,54 @@ def disc_polygon_relation(
     """How the accuracy disc around point relates to a polygon.
 
     Returns 'inside' (disc wholly contained), 'outside' (disjoint) or
-    'straddles' (the disc crosses the boundary).
+    'straddles' (the disc crosses the boundary). One pass over the edges
+    finds both the containment, as point_in_polygon does, and the distance
+    to the nearest edge in the local projection of _project.
     """
-    contained = point_in_polygon(point, vertices)
-    boundary_distance = distance_to_boundary_m(point, vertices)
-    if contained:
+    x, y = point.lon, point.lat
+    meters_per_degree_lon = METERS_PER_DEGREE_LAT * math.cos(math.radians(y))
+    on_edge = inside = False
+    boundary_distance = math.inf
+    last = vertices[-1]
+    alat, alon = last.lat, last.lon
+    ax, ay = (alon - x) * meters_per_degree_lon, (alat - y) * METERS_PER_DEGREE_LAT
+    for vertex in vertices:
+        blat, blon = vertex.lat, vertex.lon
+        bx, by = (blon - x) * meters_per_degree_lon, (blat - y) * METERS_PER_DEGREE_LAT
+        if not on_edge:
+            if blat < alat:
+                lat_lo, lat_hi = blat, alat
+            else:
+                lat_lo, lat_hi = alat, blat
+            if lat_lo - _EPS <= y <= lat_hi + _EPS:
+                if blon < alon:
+                    lon_lo, lon_hi = blon, alon
+                else:
+                    lon_lo, lon_hi = alon, blon
+                if lon_lo - _EPS <= x <= lon_hi + _EPS:
+                    cross = (blat - alat) * (x - alon) - (blon - alon) * (y - alat)
+                    on_edge = -_EPS <= cross <= _EPS
+                if lat_lo < y <= lat_hi and x <= lon_hi and (
+                    alon == blon or x <= (y - alat) * (blon - alon) / (blat - alat) + alon
+                ):
+                    inside = not inside
+        # Distance from the point (the origin) to the edge: the nearest
+        # point of the segment is at t, clamped to [0, 1].
+        dx, dy = bx - ax, by - ay
+        length_sq = dx * dx + dy * dy
+        if length_sq == 0:
+            distance = math.hypot(ax, ay)
+        else:
+            t = -(ax * dx + ay * dy) / length_sq
+            if t >= 1.0:
+                t = 1.0
+            elif not t > 0.0:
+                t = 0.0
+            distance = math.hypot(ax + t * dx, ay + t * dy)
+        if distance < boundary_distance:
+            boundary_distance = distance
+        alat, alon, ax, ay = blat, blon, bx, by
+    if on_edge or inside:
         return "inside" if boundary_distance >= radius_m else "straddles"
     return "outside" if boundary_distance > radius_m else "straddles"
 

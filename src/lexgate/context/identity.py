@@ -29,6 +29,9 @@ class IdentityKind(Enum):
     SUPPLIER = "supplier"
     SUPERVISOR = "supervisor"
 
+    # Identity hashing, as for Category, for the engine's bags keyed on members.
+    __hash__ = object.__hash__
+
 
 class Relationship(Enum):
     ONE_TO_ONE = "one-to-one"
@@ -37,6 +40,9 @@ class Relationship(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    # Identity hashing, as for Category, for the engine's bags keyed on members.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ Box = tuple[float, float, float, float]
 _BOX_PAD = 1e-9
 # Below this |cos(lat)| a disc's east-west reach in degrees is not pruned.
 _MIN_COS_LAT = 1e-9
+# The country grid has at most this many cells per country.
+_CELLS_PER_COUNTRY = 4
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def _bounding_box(polygon: Polygon) -> Box:
 
 def _disc_reach(point: GeoPoint, radius_m: float) -> Box:
     """The box an accuracy disc spans, in the local projection that
-    geometry._project uses; a little over, never under. A polygon whose box
+    the geometry module uses; a little over, never under. A polygon whose box
     lies beyond it is "outside" the disc. A NaN radius spans a NaN box,
     beyond which nothing lies."""
     radius = max(radius_m, 0.0) * (1.0 + _BOX_PAD)
@@ -97,6 +99,109 @@ class _IndexedCountry:
     cities: tuple[tuple[Box, CityArea], ...]
 
 
+def _low_cell(value: float, origin: float, size: float, last: int) -> int:
+    """The cell along one axis that holds value, clamped to [0, last]; a
+    NaN gives 0. It never decreases as value grows, so a box registered in
+    the cells from its low edge's to its high edge's is in the cell of any
+    point it contains, and in some cell of any range that meets it."""
+    offset = (value - origin) / size
+    if offset > 0:
+        return int(offset) if offset < last else last
+    return 0
+
+
+def _high_cell(value: float, origin: float, size: float, last: int) -> int:
+    """_low_cell, except that a NaN gives last."""
+    offset = (value - origin) / size
+    if offset < last:
+        return int(offset) if offset > 0 else 0
+    return last
+
+
+class _Grid:
+    """A uniform grid over the country boxes (W. R. Franklin, "Adaptive
+    grids for geometric operations", 1984), so that a point or a disc meets
+    a few boxes whatever the country count.
+
+    Cells are about the median box in size, at most _CELLS_PER_COUNTRY per
+    country, and tile the boxes' extent. Each cell holds the (tree
+    position, box, entry) triples of the boxes it overlaps, in tree order.
+    """
+
+    def __init__(self, indexed: tuple[tuple[Box, _IndexedCountry], ...]):
+        if not indexed:
+            # One empty cell: every point and disc gets no candidates.
+            self.south = self.west = self.north = self.east = 0.0
+            self.cell_height = self.cell_width = 1.0
+            self.rows = self.cols = 1
+            self.cells: tuple[tuple[tuple[int, Box, _IndexedCountry], ...], ...] = ((),)
+            return
+        boxes = [box for box, _ in indexed]
+        self.south = min(box[0] for box in boxes)
+        self.west = min(box[1] for box in boxes)
+        self.north = max(box[2] for box in boxes)
+        self.east = max(box[3] for box in boxes)
+        height, width = self.north - self.south, self.east - self.west
+        middle = len(boxes) // 2
+        median_height = sorted(box[2] - box[0] for box in boxes)[middle]
+        median_width = sorted(box[3] - box[1] for box in boxes)[middle]
+        # Boxes are padded, so both medians are positive.
+        most = _CELLS_PER_COUNTRY * len(boxes)
+        rows = min(math.ceil(height / median_height), most)
+        cols = min(math.ceil(width / median_width), most)
+        while rows * cols > most:
+            if rows >= cols:
+                rows = (rows + 1) // 2
+            else:
+                cols = (cols + 1) // 2
+        self.rows, self.cols = rows, cols
+        self.cell_height, self.cell_width = height / rows, width / cols
+        cells: list[list[tuple[int, Box, _IndexedCountry]]] = [[] for _ in range(rows * cols)]
+        for position, (box, entry) in enumerate(indexed):
+            for row, col in self._span(box):
+                cells[row * cols + col].append((position, box, entry))
+        self.cells = tuple(tuple(cell) for cell in cells)
+
+    def _span(self, box: Box):
+        """The (row, col) of every cell that the box overlaps, clamped to
+        the grid; a NaN edge spans the grid."""
+        south, west, north, east = box
+        last_row, last_col = self.rows - 1, self.cols - 1
+        rows = range(
+            _low_cell(south, self.south, self.cell_height, last_row),
+            _high_cell(north, self.south, self.cell_height, last_row) + 1,
+        )
+        cols = range(
+            _low_cell(west, self.west, self.cell_width, last_col),
+            _high_cell(east, self.west, self.cell_width, last_col) + 1,
+        )
+        return [(row, col) for row in rows for col in cols]
+
+    def at(self, lat: float, lon: float) -> tuple[tuple[int, Box, _IndexedCountry], ...]:
+        """The triples of the cell holding the point; none outside the grid."""
+        if not (self.south <= lat <= self.north and self.west <= lon <= self.east):
+            return ()
+        # _low_cell, inlined: within the grid neither offset is negative.
+        row = int((lat - self.south) / self.cell_height)
+        col = int((lon - self.west) / self.cell_width)
+        if row >= self.rows:
+            row = self.rows - 1
+        if col >= self.cols:
+            col = self.cols - 1
+        return self.cells[row * self.cols + col]
+
+    def over(self, box: Box) -> tuple[tuple[int, Box, _IndexedCountry], ...]:
+        """The triples of every cell the box overlaps, once each and in
+        tree order; none for a box beyond the grid."""
+        south, west, north, east = box
+        if north < self.south or south > self.north or east < self.west or west > self.east:
+            return ()
+        cells = [self.cells[row * self.cols + col] for row, col in self._span(box)]
+        if len(cells) == 1:
+            return cells[0]
+        return tuple(sorted({triple[0]: triple for cell in cells for triple in cell}.values()))
+
+
 class ZoneTree:
     """Immutable territory hierarchy with point classification."""
 
@@ -105,12 +210,15 @@ class ZoneTree:
         self._by_id: dict[str, TerritoryNode] = {}
         self._countries: list[TerritoryNode] = []
         self._places: dict[str, tuple[Place, TerritoryNode]] = {}
-        self._country_membership: dict[str, set[str]] = {}
+        members: dict[str, set[str]] = {}
         for root in roots:
-            self._index(root, ())
+            self._index(root, (), members)
         self._validate()
-        # Boxes computed once here let resolve_location skip most polygons.
-        self._indexed = tuple(
+        # Built once: location-match asks for a territory's countries per argument.
+        self._members = {territory: frozenset(countries) for territory, countries in members.items()}
+        # The boxes, and the grid over the country boxes, are computed once
+        # here so that resolve_location skips most countries and polygons.
+        self._grid = _Grid(tuple(
             (
                 _bounding_box(country.boundary),
                 _IndexedCountry(
@@ -120,22 +228,22 @@ class ZoneTree:
                 ),
             )
             for country in self._countries
-        )
+        ))
 
-    def _index(self, node: TerritoryNode, ancestors: tuple[str, ...]) -> None:
+    def _index(self, node: TerritoryNode, ancestors: tuple[str, ...], members: dict[str, set[str]]) -> None:
         if node.id in self._by_id:
             raise FixtureError(f"duplicate territory id {node.id!r}")
         self._by_id[node.id] = node
         if node.kind == "country":
             self._countries.append(node)
             for territory in ancestors + (node.id,):
-                self._country_membership.setdefault(territory, set()).add(node.id)
+                members.setdefault(territory, set()).add(node.id)
         for place in node.places:
             if place.name in self._places:
                 raise FixtureError(f"duplicate place name {place.name!r}")
             self._places[place.name] = (place, node)
         for child in node.children:
-            self._index(child, ancestors + (node.id,))
+            self._index(child, ancestors + (node.id,), members)
 
     def _validate(self) -> None:
         for country in self._countries:
@@ -162,7 +270,7 @@ class ZoneTree:
         return node
 
     def member_countries(self, territory_id: str) -> frozenset[str]:
-        return frozenset(self._country_membership.get(territory_id, ()))
+        return self._members.get(territory_id, frozenset())
 
     def place(self, name: str) -> tuple[Place, TerritoryNode]:
         entry = self._places.get(name)
@@ -181,7 +289,7 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
     lat, lon = point.lat, point.lon
     containing = [
         entry
-        for (lat0, lon0, lat1, lon1), entry in zones._indexed
+        for _, (lat0, lon0, lat1, lon1), entry in zones._grid.at(lat, lon)
         if lat0 <= lat <= lat1 and lon0 <= lon <= lon1 and point_in_polygon(point, entry.node.boundary)
     ]
     if not containing:
@@ -193,10 +301,11 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
         raise PrecisionError(f"point lies in several countries: {ids}")
     located = containing[0]
     country = located.node
-    south, west, north, east = _disc_reach(point, accuracy_radius)
+    reach = _disc_reach(point, accuracy_radius)
+    south, west, north, east = reach
 
     if accuracy_radius > 0:
-        for (lat0, lon0, lat1, lon1), other in zones._indexed:
+        for _, (lat0, lon0, lat1, lon1), other in zones._grid.over(reach):
             if other is located or north < lat0 or south > lat1 or east < lon0 or west > lon1:
                 continue
             if disc_polygon_relation(point, accuracy_radius, other.node.boundary) != "outside":

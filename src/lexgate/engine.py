@@ -33,7 +33,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .combining import CombinerRegistry
 from .context.bundle import PipBundle
 from .context.clock import local_time
-from .context.identity import ProximityToken
+from .context.diary import TaskAssessment
+from .context.identity import IdentityKind, ProximityToken, Relationship
 from .errors import LexgateError, PrecisionError, UnknownCombinerError
 from .instant import parse_instant
 from .model import (
@@ -64,7 +65,7 @@ from .model import (
     operand_type,
     trace_digest,
 )
-from .parsing.location_xml import LocationReport
+from .parsing.location_xml import LocationReport, ZoneKind
 from .parsing.wire import PROXIMITY_TOKEN, RequestContext
 
 # Reserved attribute ids the context handler fills from trusted suppliers;
@@ -139,6 +140,15 @@ def _trusted_bag(data_type: DataType, value: object) -> tuple[AttributeValue]:
     """The one-value bag of a trusted value, shared by every request; at
     most 1,024 are kept, since a request can name its destination country."""
     return (AttributeValue._trusted(data_type, value),)
+
+
+# The one-value string bag of each member of the enums the context build
+# reads (zone, identity kind, relationship, task status), built once.
+_MEMBER_BAGS = {
+    member: (AttributeValue._trusted(DataType.STRING, member.value),)
+    for enum in (ZoneKind, IdentityKind, Relationship, TaskAssessment)
+    for member in enum
+}
 
 
 def _proximity_tokens(request: RequestContext) -> tuple[ProximityToken, ...]:
@@ -402,14 +412,14 @@ class PolicyDecisionPoint:
             cache[Category.ENVIRONMENT, ENV_CURRENT_TIME] = (trusted(DataType.TIME_OF_DAY, local_clock),)
             cache[Category.ENVIRONMENT, ENV_CURRENT_DATE] = (trusted(DataType.DATE, local_date),)
         if report is not None:
-            cache[Category.ENVIRONMENT, ENV_CURRENT_ZONE] = bag(DataType.STRING, report.zone.value)
+            cache[Category.ENVIRONMENT, ENV_CURRENT_ZONE] = _MEMBER_BAGS[report.zone]
         cache[Category.ENVIRONMENT, ENV_SOURCE_COUNTRY] = bag(DataType.COUNTRY_CODE, source_country)
         cache[Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY] = bag(DataType.COUNTRY_CODE, destination)
 
         subject_id = request.subject_id()
         subject_record = pips.identities.get(subject_id) if subject_id else None
         if subject_record is not None:
-            cache[Category.SUBJECT, SUBJECT_KIND] = bag(DataType.STRING, subject_record.kind.value)
+            cache[Category.SUBJECT, SUBJECT_KIND] = _MEMBER_BAGS[subject_record.kind]
 
         if record is not None:
             cache[Category.RESOURCE, RESOURCE_CONFIDENTIAL] = bag(DataType.BOOLEAN, record.confidential)
@@ -419,7 +429,7 @@ class PolicyDecisionPoint:
                 cache[Category.RESOURCE, RESOURCE_CATEGORY] = bag(DataType.STRING, record.category)
             if subject_id and record.customers:
                 relation = pips.identities.check_relationship(subject_id, record.customers, now)
-                cache[Category.SUBJECT, SUBJECT_RELATIONSHIP] = bag(DataType.STRING, relation.value)
+                cache[Category.SUBJECT, SUBJECT_RELATIONSHIP] = _MEMBER_BAGS[relation]
 
         assessment = pips.diary.check_task(
             subject_id or "",
@@ -429,7 +439,7 @@ class PolicyDecisionPoint:
             _proximity_tokens(request),
             pips.identities,
         )
-        cache[Category.ENVIRONMENT, ENV_TASK_STATUS] = bag(DataType.STRING, assessment.value)
+        cache[Category.ENVIRONMENT, ENV_TASK_STATUS] = _MEMBER_BAGS[assessment]
         return ctx
 
     # -- compilation -----------------------------------------------------------

@@ -443,6 +443,15 @@ def fits(signature: Signature, operands: Sequence[Optional[tuple[type, bool]]]) 
     return None if None in operands else True
 
 
+def _strings_only(operands: Sequence[Optional[tuple[type, bool]]]) -> bool:
+    """Whether operands (`operand_type`) may be location-match's: one or
+    more strings, none of them a bag. It has no fixed arity, so no
+    Signature."""
+    return bool(operands) and all(
+        operand is None or (not operand[1] and issubclass(operand[0], str)) for operand in operands
+    )
+
+
 def _applications(expr: ConditionExpr):
     if isinstance(expr, FunctionApplication):
         yield expr
@@ -456,9 +465,9 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
     Returns every violation found (an empty list iff the document is
     well-formed). Functions and combiners are checked against
     BUILTIN_FUNCTIONS and STANDARD_COMBINERS, and a built-in application
-    or match clause against its signature (`fits`). known_scopes is the
-    legal-scope registry's id set; pass None to skip referential scope
-    checks.
+    or match clause against its signature (`fits`; `_strings_only` for
+    location-match). known_scopes is the legal-scope registry's id set;
+    pass None to skip referential scope checks.
     """
     violations: list[Violation] = []
     seen_ids: set[str] = set()
@@ -508,7 +517,9 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
         for fn, operands in applications:
             if fn not in BUILTIN_FUNCTIONS:
                 violations.append(Violation(f"unknown-function:{fn}", node.id))
-            elif fn in SIGNATURES and fits(SIGNATURES[fn], operands) is False:
+            elif (fn in SIGNATURES and fits(SIGNATURES[fn], operands) is False) or (
+                fn == "function:location-match" and not _strings_only(operands)
+            ):
                 violations.append(Violation(f"ill-typed:{fn}", node.id))
 
         if node.legislation is not None:

@@ -23,6 +23,9 @@ class ZoneKind(Enum):
     def __str__(self) -> str:
         return self.value
 
+    # Identity hashing, as for Category, for the engine's bags keyed on members.
+    __hash__ = object.__hash__
+
 
 # Display names for the fixture countries; <country> accepts either the
 # name or the ISO code and serialization prefers the name.

@@ -2,9 +2,12 @@
 
 `resolve_location` tests every polygon of the zone tree and `check_task`
 scans every diary entry, exactly as lexgate did before it indexed both at
-load time (bounding boxes per polygon, entries per owner). The indexed code
-must agree with these on every input: the same LocationReport or
-TaskAssessment, or the same exception type with the same message.
+load time (bounding boxes per polygon and a grid over the country boxes,
+entries per owner). The indexed code must agree with these on every
+input: the same LocationReport or TaskAssessment, or the same exception
+type with the same message. Both sides call the same polygon kernels;
+tests/geometry_oracle.py holds those kernels as they were before they
+became one pass each.
 """
 
 from __future__ import annotations

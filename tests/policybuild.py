@@ -7,6 +7,7 @@ import random
 
 from lexgate.engine import _EvalError
 from lexgate.model import (
+    SIGNATURES,
     STATUS_MISSING_ATTRIBUTE,
     AttributeSelector,
     AttributeValue,
@@ -103,14 +104,24 @@ TYPED_VALUES = (
     AttributeValue(DataType.STRING, "full-match"),
     AttributeValue(DataType.STRING, "GB"),
     AttributeValue(DataType.COUNTRY_CODE, "GB"),
+    AttributeValue(DataType.COUNTRY_CODE, "LU"),
     AttributeValue(DataType.IDENTIFIER, "c.miller"),
+    AttributeValue(DataType.IDENTIFIER, "d.weber"),
     AttributeValue(DataType.TIME_OF_DAY, dt.time(9, 30)),
     AttributeValue(DataType.TIME_OF_DAY, dt.time(12, 0)),
     AttributeValue(DataType.BOOLEAN, True),
     AttributeValue(DataType.BOOLEAN, False),
     AttributeValue(DataType.INTEGER, 1),
+    AttributeValue(DataType.INTEGER, 7),
     AttributeValue(DataType.DATE, dt.date(2026, 3, 10)),
+    AttributeValue(DataType.DATE, dt.date(2026, 3, 11)),
     AttributeValue(DataType.GEO_POINT, GeoPoint(51.5, -0.1)),
+    AttributeValue(DataType.GEO_POINT, GeoPoint(49.6, 6.1)),
+)
+# Two values of each data type: a bag of two of one type is what makes a
+# typed one-and-only fail, so generated requests often carry such a pair.
+TYPED_PAIRS = tuple(
+    tuple(value for value in TYPED_VALUES if value.data_type is data_type) for data_type in DataType
 )
 _COMPARISONS = (
     "function:string-equal",
@@ -120,25 +131,33 @@ _COMPARISONS = (
 )
 
 
-def _random_operand(rng: random.Random, depth: int):
+def _random_operand(rng: random.Random, depth: int, payload: type):
     """The one value of a typed attribute read as any data type (most often
     through the one-and-only function of its payload type), a literal, or,
-    at depth 0, a comparison."""
+    at depth 0, a comparison. The attribute is "level", the one that can
+    hold two values of a type, half the time, and the data type or literal
+    has the payload type the comparison takes half the time, so that typed
+    one-and-only functions over two values are often reached."""
     roll = rng.random()
+    fitting = rng.random() < 0.5
     if roll < 0.5:
-        category, attribute_id = rng.choice(TYPED_ATTRIBUTES)
-        data_type = rng.choice(list(DataType))
+        category, attribute_id = TYPED_ATTRIBUTES[0] if rng.random() < 0.5 else rng.choice(TYPED_ATTRIBUTES)
+        pairs = [pair for pair in TYPED_PAIRS if isinstance(pair[0].value, payload)] if fitting else TYPED_PAIRS
+        data_type = rng.choice(pairs)[0].data_type
         unwrap = ("string", "time")[(data_type is DataType.TIME_OF_DAY) != (rng.random() < 0.2)]
         selector = AttributeSelector(category, attribute_id, data_type)
         return FunctionApplication(f"function:{unwrap}-one-and-only", (selector,))
     if depth == 0 and roll < 0.6:
-        return _random_comparison(rng, depth + 1)
-    return Literal(rng.choice(TYPED_VALUES))
+        return random_comparison(rng, depth + 1)
+    values = [value for value in TYPED_VALUES if isinstance(value.value, payload)] if fitting else TYPED_VALUES
+    return Literal(rng.choice(values))
 
 
-def _random_comparison(rng: random.Random, depth: int = 0):
+def random_comparison(rng: random.Random, depth: int = 0):
+    function = rng.choice(_COMPARISONS)
+    payload = SIGNATURES[function].args[0][0]
     return FunctionApplication(
-        rng.choice(_COMPARISONS), (_random_operand(rng, depth), _random_operand(rng, depth))
+        function, (_random_operand(rng, depth, payload), _random_operand(rng, depth, payload))
     )
 
 
@@ -199,7 +218,7 @@ def _random_condition(rng: random.Random, depth: int = 0, hostile: bool = False)
     if roll < 0.75:
         return always(rng.random() < 0.5)
     if roll < 0.9:
-        return _random_comparison(rng)
+        return random_comparison(rng)
     if hostile and rng.random() < 0.6:
         return rng.choice(_HOSTILE_CONDITIONS)
     return rng.choice(_ERRORS)

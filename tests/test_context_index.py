@@ -1,14 +1,20 @@
 """The load-time indexes of the context build agree with the linear scans.
 
-ZoneTree keeps a bounding box per polygon and DiaryStore an owner index;
-tests/context_oracle.py holds the linear code they replaced. Hypothesis
-compares both on the packaged tree, on generated grids of polygons (high
-latitudes included), on vertices, edges and discs tangent to a box, and
-on random diary stores.
+ZoneTree keeps a bounding box per polygon and a uniform grid over the
+country boxes, and DiaryStore an owner index; tests/context_oracle.py
+holds the linear code they replaced. Hypothesis compares both on the
+packaged tree, on generated grids of polygons (high latitudes included),
+on vertices, edges and discs tangent to a box, and on random diary
+stores. For the grid it also draws trees with one far-off country, so
+that most cells are empty, and points anywhere on the globe or at a
+pole, with discs larger than the grid, infinite or NaN; fixed cases
+cover trees with no country, tree order against cell order, and how few
+boxes a point or a disc meets among 520 countries.
 """
 
 import datetime as dt
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +24,7 @@ from lexgate.context import zones as zones_module
 from lexgate.context.diary import DiaryEntry, DiaryStore, ExpectedLocation, TimeRange
 from lexgate.context.geometry import METERS_PER_DEGREE_LAT
 from lexgate.context.identity import IdentityKind, IdentityRecord, IdentityRegistry, ProximityToken
+from lexgate.errors import UnknownTerritoryError
 from lexgate.context.zones import (
     CityArea,
     RestrictedArea,
@@ -201,6 +208,100 @@ def test_polygon_tests_go_through_the_module_globals(packaged, monkeypatch):
     # Only GB's boundary and London's polygon have boxes near the point: the
     # disc misses every other country and the customs area east of London.
     assert calls == ["point_in_polygon", "point_in_polygon"]
+
+
+# -- the country grid ----------------------------------------------------------------
+
+
+def with_far_country(tree, lat, lon, size):
+    """The tree and one more country far off, so that most grid cells are empty."""
+    far = TerritoryNode(id="ZZ", name="far", kind="country", boundary=_square(lat, lon, size))
+    return ZoneTree(tree.roots + (far,))
+
+
+skewed = st.builds(
+    with_far_country,
+    grids,
+    lat=st.sampled_from((-89.0, 60.0)) | st.floats(-89.0, 89.0),
+    lon=st.sampled_from((-179.0, 179.0)) | st.floats(-179.0, 179.0),
+    size=st.sampled_from((0.001, 0.05, 2.0)),
+)
+EXTREME_RADII = st.sampled_from((math.nan, math.inf, 1e6, 2e7)) | RADII
+
+
+@st.composite
+def extremes(draw, tree):
+    """(point, radius): anywhere on the globe, so mostly outside the grid;
+    at or next to a pole, where a disc's east-west reach is infinite or
+    vast; or near the polygons, with a disc larger than the grid, an
+    infinite or a NaN radius."""
+    kind = draw(st.sampled_from(("globe", "polar", "near")))
+    if kind == "globe":
+        point = GeoPoint(draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)))
+    elif kind == "polar":
+        lons = [v.lon for p in _polygons(tree) for v in p]
+        pole = draw(st.sampled_from((90.0, -90.0)))
+        lat = pole - math.copysign(draw(st.sampled_from((0.0, 1e-8, 1e-7))), pole)
+        point = _clamp_point(lat, draw(st.floats(min(lons), max(lons)) | st.floats(-180.0, 180.0)))
+    else:
+        point, _ = draw(probes(tree))
+    return point, draw(EXTREME_RADII)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skewed, st.data())
+def test_skewed_trees_match_the_linear_scan(tree, data):
+    point, radius = data.draw(probes(tree) | extremes(tree))
+    _agree(point, radius, tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids, st.data())
+def test_far_polar_huge_and_nan_probes_match_the_linear_scan(tree, data):
+    point, radius = data.draw(extremes(tree))
+    _agree(point, radius, tree)
+
+
+@pytest.mark.parametrize("radius", [40_000.0, 2e7, math.inf])
+def test_a_disc_over_many_cells_names_the_countries_in_tree_order(radius):
+    # The rows are listed last to first, so that tree order runs against
+    # the order of the grid's cells.
+    rows = grid_tree(10.0, 10.0, rows=3, cols=3, size=0.3, gap=0.0, cut=0.1).roots
+    tree = ZoneTree(tuple(reversed(rows)))
+    for country in tree.countries():
+        for vertex in country.boundary:
+            _agree(vertex, radius, tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [ZoneTree(()), ZoneTree((TerritoryNode(id="UN", name="union", kind="union"),))],
+    ids=["no-roots", "empty-union"],
+)
+@pytest.mark.parametrize("lat,lon", [(0.0, 0.0), (51.5, -0.1), (90.0, 12.0), (-90.0, -180.0)])
+@pytest.mark.parametrize("radius", [0.0, 500.0, math.inf, math.nan])
+def test_a_tree_with_no_countries_contains_no_point(tree, lat, lon, radius):
+    _agree(GeoPoint(lat, lon), radius, tree)
+    with pytest.raises(UnknownTerritoryError):
+        resolve_location(GeoPoint(lat, lon), radius, tree)
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.2])
+def test_a_point_or_disc_meets_a_handful_of_boxes_among_520(gap):
+    tree = grid_tree(-40.0, -30.0, rows=20, cols=26, size=2.0, gap=gap, cut=0.1)
+    grid = tree._grid
+    assert len(tree.countries()) == 520
+    rng = random.Random(14)
+    for _ in range(2_000):
+        point = GeoPoint(rng.uniform(grid.south, grid.north), rng.uniform(grid.west, grid.east))
+        assert len(grid.at(point.lat, point.lon)) <= 12
+        assert len(grid.over(zones_module._disc_reach(point, 500.0))) <= 12
+    # Beyond the grid's edges a point gets no candidates.
+    for lat, lon in [
+        (grid.south - 1e-6, grid.west), (grid.north + 1e-6, grid.east),
+        (grid.south, grid.west - 1e-6), (grid.north, grid.east + 1e-6),
+    ]:
+        assert grid.at(lat, lon) == ()
 
 
 # -- diary ---------------------------------------------------------------------------

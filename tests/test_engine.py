@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 import engine_oracle
 from conftest import make_bundle, wire_request
 from lexgate import engine as engine_module
+from lexgate.context.diary import TaskAssessment
+from lexgate.context.identity import IdentityKind, Relationship
 from lexgate.engine import EvaluationContext, FunctionRegistry, PolicyDecisionPoint, _EvalError
 from lexgate.model import (
     SIGNATURES,
@@ -32,7 +34,9 @@ from lexgate.model import (
     STATUS_PROCESSING_ERROR,
     Target,
     Trace,
+    validate_document,
 )
+from lexgate.parsing.location_xml import ZoneKind
 from lexgate.parsing.wire import RequestContext, parse_request, serialize_response
 from lexgate.pep import ReferenceMonitor, trace_digest
 from policybuild import document, policy, random_forest, rule, string_clause
@@ -148,6 +152,17 @@ def test_location_match_function(engine):
     assert match("unrestricted") is True
     assert match("EU") is False  # GB is not an EU member in the fixtures
     assert match("restricted") is False
+
+
+def test_location_match_over_an_integer_is_reported_and_always_fails(engine):
+    condition = FunctionApplication("function:location-match", (Literal(AttributeValue(DataType.INTEGER, 1)),))
+    node = policy("p", [rule("r", condition=condition)])
+    assert [v.code for v in validate_document(document(node))] == ["ill-typed:function:location-match"]
+    for at in (NOON, "2026-03-10T21:00:00Z"):
+        record = _record(_decide(engine, node, at), "r")
+        assert (record.decision, record.reason) == (
+            Decision.INDETERMINATE, f"condition-error:{STATUS_PROCESSING_ERROR}"
+        )
 
 
 # -- rule and forest evaluation ----------------------------------------------------
@@ -682,6 +697,21 @@ def test_trusted_bags_are_shared_and_immutable(engine):
     (value,) = first._cache[(Category.RESOURCE, "category")]
     with pytest.raises(dataclasses.FrozenInstanceError):
         value.value = "strategic"
+    # Enum-derived bags are built once per member, looked up by identity.
+    enums = (ZoneKind, IdentityKind, Relationship, TaskAssessment)
+    assert set(engine_module._MEMBER_BAGS) == {member for enum in enums for member in enum}
+    for member, bag in engine_module._MEMBER_BAGS.items():
+        assert hash(member) == object.__hash__(member)
+        assert bag == (AttributeValue(DataType.STRING, member.value),)
+    for key, enum in zip(
+        [(Category.ENVIRONMENT, "current-zone"), (Category.SUBJECT, "kind"),
+         (Category.SUBJECT, "relationship"), (Category.ENVIRONMENT, "task-status")],
+        enums,
+    ):
+        (value,) = first._cache[key]
+        assert first._cache[key] is engine_module._MEMBER_BAGS[enum(value.value)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        engine_module._MEMBER_BAGS[ZoneKind.RESTRICTED][0].value = "unrestricted"
 
 
 def test_the_trusted_bag_memo_is_bounded_and_changes_no_decision(engine, policy_pack, monkeypatch):

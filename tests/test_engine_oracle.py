@@ -11,7 +11,9 @@ targets name, so the literal index meets every case it must not screen.
 The forests' conditions compare typed attributes and literals, well- or
 ill-typed, and their targets match booleans against bags of other
 types, so the engine's typed closures meet the checked functions the
-oracle calls.
+oracle calls; the "level" bags the comparisons read often hold two
+values of one type, and a further property evaluates single comparisons,
+so a typed one-and-only meets the two-value bags it must refuse.
 A second property checks the plan, screen and digest memos: a request
 gives the same response, bytes and digest on a cold forest, on a second
 call and on a forest warmed by other requests, and each of those
@@ -38,9 +40,11 @@ from lexgate.pep import trace_digest
 from policybuild import (
     HOSTILE_FUNCTIONS,
     TARGET_LITERALS,
+    TYPED_PAIRS,
     TYPED_VALUES,
     document,
     policy,
+    random_comparison,
     random_forest,
     rule,
     string_clause,
@@ -85,7 +89,9 @@ def requests(draw):
     for (category, attribute_id), pool in TARGET_LITERALS.items():
         for value in draw(st.lists(_values(pool), max_size=2)):
             bags[category].append((attribute_id, value))
-    for value in draw(st.lists(st.sampled_from(TYPED_VALUES), max_size=2)):
+    pairs = st.lists(st.sampled_from(TYPED_PAIRS), min_size=1, max_size=3)
+    level = st.just(TYPED_VALUES) | pairs.map(lambda drawn: [value for pair in drawn for value in pair])
+    for value in draw(level | st.lists(st.sampled_from(TYPED_VALUES), max_size=2)):
         bags[Category.ENVIRONMENT].append(("level", value))
     point = draw(st.sampled_from(POINTS))
     bags[Category.ENVIRONMENT].append(("current-position", AttributeValue(DataType.GEO_POINT, point)))
@@ -152,6 +158,20 @@ def test_the_plan_and_digest_memos_change_no_response(pips, seed, request, mode,
         assert spliced or response.trace[-1].node_id == "<context>"
         per_record = dataclasses.replace(response, trace=tuple(response.trace))
         assert serialize_response(response) == serialize_response(per_record)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(), request=requests())
+def test_a_typed_comparison_agrees_with_the_oracle(pips, rng, request):
+    # One rule that always applies, so its condition is evaluated, over
+    # requests that often carry two "level" values of the type a typed
+    # one-and-only reads. The comparison is drawn step by step, so that
+    # Hypothesis varies each choice.
+    condition = random_comparison(rng)
+    forest = [document(policy("p", [rule("r", condition=condition)]))]
+    got = ENGINE.evaluate(ENGINE.compile(forest), request, pips)
+    want = engine_oracle.evaluate(ENGINE, forest, request, pips)
+    assert (got.decision, got.status, got.trace) == (want.decision, want.status, want.trace)
 
 
 def test_only_candidate_documents_are_walked(pips):

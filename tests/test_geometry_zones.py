@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import geometry_oracle
 from lexgate.context.geometry import (
     METERS_PER_DEGREE_LAT,
     disc_polygon_relation,
@@ -36,6 +38,52 @@ def test_simple_polygon_detection():
     assert is_simple_polygon(SQUARE)
     bowtie = (GeoPoint(0, 0), GeoPoint(1, 1), GeoPoint(1, 0), GeoPoint(0, 1))
     assert not is_simple_polygon(bowtie)
+
+
+# -- the one-pass kernels against the reference ------------------------------
+
+
+def _clamped(lat, lon):
+    return GeoPoint(min(90.0, max(-90.0, lat)), min(180.0, max(-180.0, lon)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(point, radius, polygon): vertices on a small lattice, so that edges
+    run level, upright or along one another, or anywhere near it; the point
+    on a vertex, on an edge, on the lattice or anywhere near it. Polygons
+    need not be simple."""
+    base_lat = draw(st.sampled_from((0.0, 51.5, -33.9, 89.5, 90.0)))
+    base_lon = draw(st.sampled_from((0.0, -0.1, 179.9, -180.0)))
+    step = draw(st.sampled_from((1e-4, 0.01, 0.5)))
+    offset = st.integers(-2, 2).map(float) | st.floats(-2.0, 2.0)
+
+    def near():
+        return _clamped(base_lat + step * draw(offset), base_lon + step * draw(offset))
+
+    vertices = tuple(near() for _ in range(draw(st.integers(3, 8))))
+    kind = draw(st.sampled_from(("vertex", "edge", "near")))
+    if kind == "vertex":
+        point = draw(st.sampled_from(vertices))
+    elif kind == "edge":
+        i = draw(st.integers(0, len(vertices) - 1))
+        a, b = vertices[i], vertices[(i + 1) % len(vertices)]
+        t = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
+        point = _clamped(a.lat + t * (b.lat - a.lat), a.lon + t * (b.lon - a.lon))
+    else:
+        point = near()
+    radius = draw(st.sampled_from((0.0, 1.0, 500.0, math.inf, math.nan)) | st.floats(0.0, 1e5))
+    return point, radius, vertices
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_cases())
+def test_one_pass_kernels_match_the_reference(case):
+    point, radius, vertices = case
+    assert point_in_polygon(point, vertices) is geometry_oracle.point_in_polygon(point, vertices)
+    assert disc_polygon_relation(point, radius, vertices) == geometry_oracle.disc_polygon_relation(
+        point, radius, vertices
+    )
 
 
 # -- brute-force oracle for disc/polygon classification ----------------------

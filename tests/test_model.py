@@ -279,6 +279,16 @@ COUNTRY = _literal(DataType.COUNTRY_CODE, "LU")
         # A function that is not built in has no signature, and its value
         # no known type.
         (_apply("function:string-equal", _apply("function:ext"), COUNTRY), ["unknown-function:function:ext"]),
+        # location-match takes one or more strings, none of them a bag.
+        (_apply("function:location-match", COUNTRY, _literal(DataType.STRING, "restricted")), []),
+        (_apply("function:location-match", _one_and_only("string", DataType.STRING)), []),
+        (_apply("function:location-match", _apply("function:ext")), ["unknown-function:function:ext"]),
+        (_apply("function:location-match", _literal(DataType.INTEGER, 1)), ["ill-typed:function:location-match"]),
+        (_apply("function:location-match", COUNTRY, _literal(DataType.BOOLEAN, True)),
+         ["ill-typed:function:location-match"]),
+        (_apply("function:location-match", AttributeSelector(Category.ENVIRONMENT, "a", DataType.STRING)),
+         ["ill-typed:function:location-match"]),
+        (_apply("function:location-match"), ["ill-typed:function:location-match"]),
     ],
 )
 def test_ill_typed_applications_are_reported(condition, codes):
@@ -292,6 +302,7 @@ def test_ill_typed_applications_are_reported(condition, codes):
         ("function:string-equal", AttributeValue(DataType.COUNTRY_CODE, "LU"), []),
         ("function:boolean-equal", AttributeValue(DataType.BOOLEAN, False), []),
         ("function:location-match", AttributeValue(DataType.STRING, "GB"), []),
+        ("function:location-match", AttributeValue(DataType.INTEGER, 1), ["ill-typed:function:location-match"]),
         ("function:string-equal", AttributeValue(DataType.INTEGER, 1), ["ill-typed:function:string-equal"]),
         ("function:boolean-equal", AttributeValue(DataType.STRING, "true"), ["ill-typed:function:boolean-equal"]),
         # A clause applies its function to two arguments.
