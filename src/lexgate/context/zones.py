@@ -124,8 +124,9 @@ class _Grid:
     a few boxes whatever the country count.
 
     Cells are about the median box in size, at most _CELLS_PER_COUNTRY per
-    country, and tile the boxes' extent. Each cell holds the (tree
-    position, box, entry) triples of the boxes it overlaps, in tree order.
+    country, and tile the boxes' extent. `everything` holds a (tree
+    position, box, entry) triple per country in tree order, and each cell
+    those of the boxes it overlaps.
     """
 
     def __init__(self, indexed: tuple[tuple[Box, _IndexedCountry], ...]):
@@ -134,6 +135,7 @@ class _Grid:
             self.south = self.west = self.north = self.east = 0.0
             self.cell_height = self.cell_width = 1.0
             self.rows = self.cols = 1
+            self.everything: tuple[tuple[int, Box, _IndexedCountry], ...] = ()
             self.cells: tuple[tuple[tuple[int, Box, _IndexedCountry], ...], ...] = ((),)
             return
         boxes = [box for box, _ in indexed]
@@ -156,26 +158,30 @@ class _Grid:
                 cols = (cols + 1) // 2
         self.rows, self.cols = rows, cols
         self.cell_height, self.cell_width = height / rows, width / cols
+        self.everything = tuple((position, box, entry) for position, (box, entry) in enumerate(indexed))
         cells: list[list[tuple[int, Box, _IndexedCountry]]] = [[] for _ in range(rows * cols)]
-        for position, (box, entry) in enumerate(indexed):
-            for row, col in self._span(box):
-                cells[row * cols + col].append((position, box, entry))
+        for triple in self.everything:
+            rows_spanned, cols_spanned = self._spans(triple[1])
+            for row in rows_spanned:
+                for col in cols_spanned:
+                    cells[row * cols + col].append(triple)
         self.cells = tuple(tuple(cell) for cell in cells)
 
-    def _span(self, box: Box):
-        """The (row, col) of every cell that the box overlaps, clamped to
-        the grid; a NaN edge spans the grid."""
+    def _spans(self, box: Box) -> tuple[range, range]:
+        """The rows and the columns of the cells that the box overlaps,
+        clamped to the grid; a NaN edge spans the grid."""
         south, west, north, east = box
         last_row, last_col = self.rows - 1, self.cols - 1
-        rows = range(
-            _low_cell(south, self.south, self.cell_height, last_row),
-            _high_cell(north, self.south, self.cell_height, last_row) + 1,
+        return (
+            range(
+                _low_cell(south, self.south, self.cell_height, last_row),
+                _high_cell(north, self.south, self.cell_height, last_row) + 1,
+            ),
+            range(
+                _low_cell(west, self.west, self.cell_width, last_col),
+                _high_cell(east, self.west, self.cell_width, last_col) + 1,
+            ),
         )
-        cols = range(
-            _low_cell(west, self.west, self.cell_width, last_col),
-            _high_cell(east, self.west, self.cell_width, last_col) + 1,
-        )
-        return [(row, col) for row in rows for col in cols]
 
     def at(self, lat: float, lon: float) -> tuple[tuple[int, Box, _IndexedCountry], ...]:
         """The triples of the cell holding the point; none outside the grid."""
@@ -192,13 +198,19 @@ class _Grid:
 
     def over(self, box: Box) -> tuple[tuple[int, Box, _IndexedCountry], ...]:
         """The triples of every cell the box overlaps, once each and in
-        tree order; none for a box beyond the grid."""
+        tree order, or every triple when it overlaps as many cells as
+        there are countries; none for a box beyond the grid."""
         south, west, north, east = box
         if north < self.south or south > self.north or east < self.west or west > self.east:
             return ()
-        cells = [self.cells[row * self.cols + col] for row, col in self._span(box)]
-        if len(cells) == 1:
-            return cells[0]
+        rows, cols = self._spans(box)
+        if len(rows) * len(cols) == 1:
+            return self.cells[rows[0] * self.cols + cols[0]]
+        if len(rows) * len(cols) >= len(self.everything):
+            # A box over as many cells as there are countries: every
+            # country, already in tree order, costs no more to go through.
+            return self.everything
+        cells = [self.cells[row * self.cols + col] for row in rows for col in cols]
         return tuple(sorted({triple[0]: triple for cell in cells for triple in cell}.values()))
 
 

@@ -265,8 +265,9 @@ def test_far_polar_huge_and_nan_probes_match_the_linear_scan(tree, data):
 @pytest.mark.parametrize("radius", [40_000.0, 2e7, math.inf])
 def test_a_disc_over_many_cells_names_the_countries_in_tree_order(radius):
     # The rows are listed last to first, so that tree order runs against
-    # the order of the grid's cells.
-    rows = grid_tree(10.0, 10.0, rows=3, cols=3, size=0.3, gap=0.0, cut=0.1).roots
+    # the order of the grid's cells; a 40 km disc spans a few of its 36
+    # cells, the larger ones every cell.
+    rows = grid_tree(10.0, 10.0, rows=6, cols=6, size=0.3, gap=0.0, cut=0.1).roots
     tree = ZoneTree(tuple(reversed(rows)))
     for country in tree.countries():
         for vertex in country.boundary:
