@@ -24,7 +24,6 @@ from lexgate.context import zones as zones_module
 from lexgate.context.diary import DiaryEntry, DiaryStore, ExpectedLocation, TimeRange
 from lexgate.context.geometry import METERS_PER_DEGREE_LAT
 from lexgate.context.identity import IdentityKind, IdentityRecord, IdentityRegistry, ProximityToken
-from lexgate.errors import UnknownTerritoryError
 from lexgate.context.zones import (
     CityArea,
     RestrictedArea,
@@ -33,6 +32,7 @@ from lexgate.context.zones import (
     load_zone_tree,
     resolve_location,
 )
+from lexgate.errors import UnknownTerritoryError
 from lexgate.model import GeoPoint
 from lexgate.parsing.location_xml import LocationReport, ZoneKind
 

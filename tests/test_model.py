@@ -302,13 +302,13 @@ def test_ill_typed_applications_are_reported(condition, codes):
         ("function:string-equal", AttributeValue(DataType.COUNTRY_CODE, "LU"), []),
         ("function:boolean-equal", AttributeValue(DataType.BOOLEAN, False), []),
         ("function:location-match", AttributeValue(DataType.STRING, "GB"), []),
-        ("function:location-match", AttributeValue(DataType.INTEGER, 1), ["ill-typed:function:location-match"]),
         ("function:string-equal", AttributeValue(DataType.INTEGER, 1), ["ill-typed:function:string-equal"]),
         ("function:boolean-equal", AttributeValue(DataType.STRING, "true"), ["ill-typed:function:boolean-equal"]),
         # A clause applies its function to two arguments.
         ("function:not", AttributeValue(DataType.BOOLEAN, True), ["ill-typed:function:not"]),
         ("function:time-one-and-only", AttributeValue(DataType.TIME_OF_DAY, dt.time(8, 0)),
          ["ill-typed:function:time-one-and-only"]),
+        ("function:location-match", AttributeValue(DataType.INTEGER, 1), ["ill-typed:function:location-match"]),
     ],
 )
 def test_ill_typed_match_clauses_are_reported(function, literal, codes):
