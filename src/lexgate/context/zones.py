@@ -80,7 +80,7 @@ def _bounding_box(polygon: Polygon) -> Box:
 
 def _disc_reach(point: GeoPoint, radius_m: float) -> Box:
     """The box an accuracy disc spans, in the local projection that
-    the geometry module uses; a little over, never under. A polygon whose box
+    geometry._project uses; a little over, never under. A polygon whose box
     lies beyond it is "outside" the disc. A NaN radius spans a NaN box,
     beyond which nothing lies."""
     radius = max(radius_m, 0.0) * (1.0 + _BOX_PAD)
