@@ -75,37 +75,18 @@ def disc_polygon_relation(
     """How the accuracy disc around point relates to a polygon.
 
     Returns 'inside' (disc wholly contained), 'outside' (disjoint) or
-    'straddles' (the disc crosses the boundary). One pass over the edges
-    finds both the containment, as point_in_polygon does, and the distance
-    to the nearest edge in the local projection of _project.
+    'straddles' (the disc crosses the boundary). Containment is
+    point_in_polygon's; one pass over the edges finds the distance to the
+    nearest edge in the local projection of _project.
     """
+    contained = point_in_polygon(point, vertices)
     x, y = point.lon, point.lat
     meters_per_degree_lon = METERS_PER_DEGREE_LAT * math.cos(math.radians(y))
-    on_edge = inside = False
     boundary_distance = math.inf
     last = vertices[-1]
-    alat, alon = last.lat, last.lon
-    ax, ay = (alon - x) * meters_per_degree_lon, (alat - y) * METERS_PER_DEGREE_LAT
+    ax, ay = (last.lon - x) * meters_per_degree_lon, (last.lat - y) * METERS_PER_DEGREE_LAT
     for vertex in vertices:
-        blat, blon = vertex.lat, vertex.lon
-        bx, by = (blon - x) * meters_per_degree_lon, (blat - y) * METERS_PER_DEGREE_LAT
-        if not on_edge:
-            if blat < alat:
-                lat_lo, lat_hi = blat, alat
-            else:
-                lat_lo, lat_hi = alat, blat
-            if lat_lo - _EPS <= y <= lat_hi + _EPS:
-                if blon < alon:
-                    lon_lo, lon_hi = blon, alon
-                else:
-                    lon_lo, lon_hi = alon, blon
-                if lon_lo - _EPS <= x <= lon_hi + _EPS:
-                    cross = (blat - alat) * (x - alon) - (blon - alon) * (y - alat)
-                    on_edge = -_EPS <= cross <= _EPS
-                if lat_lo < y <= lat_hi and x <= lon_hi and (
-                    alon == blon or x <= (y - alat) * (blon - alon) / (blat - alat) + alon
-                ):
-                    inside = not inside
+        bx, by = (vertex.lon - x) * meters_per_degree_lon, (vertex.lat - y) * METERS_PER_DEGREE_LAT
         # Distance from the point (the origin) to the edge: the nearest
         # point of the segment is at t, clamped to [0, 1].
         dx, dy = bx - ax, by - ay
@@ -121,8 +102,8 @@ def disc_polygon_relation(
             distance = math.hypot(ax + t * dx, ay + t * dy)
         if distance < boundary_distance:
             boundary_distance = distance
-        alat, alon, ax, ay = blat, blon, bx, by
-    if on_edge or inside:
+        ax, ay = bx, by
+    if contained:
         return "inside" if boundary_distance >= radius_m else "straddles"
     return "outside" if boundary_distance > radius_m else "straddles"
 

@@ -99,23 +99,15 @@ class _IndexedCountry:
     cities: tuple[tuple[Box, CityArea], ...]
 
 
-def _low_cell(value: float, origin: float, size: float, last: int) -> int:
-    """The cell along one axis that holds value, clamped to [0, last]; a
-    NaN gives 0. It never decreases as value grows, so a box registered in
-    the cells from its low edge's to its high edge's is in the cell of any
-    point it contains, and in some cell of any range that meets it."""
+def _cell(value: float, origin: float, size: float, last: int) -> int:
+    """The cell along one axis that holds value, clamped to [0, last]. It
+    never decreases as value grows, so a box registered in the cells from
+    its low edge's to its high edge's is in the cell of any point it
+    contains, and in some cell of any range that meets it."""
     offset = (value - origin) / size
     if offset > 0:
         return int(offset) if offset < last else last
     return 0
-
-
-def _high_cell(value: float, origin: float, size: float, last: int) -> int:
-    """_low_cell, except that a NaN gives last."""
-    offset = (value - origin) / size
-    if offset < last:
-        return int(offset) if offset > 0 else 0
-    return last
 
 
 class _Grid:
@@ -124,9 +116,8 @@ class _Grid:
     a few boxes whatever the country count.
 
     Cells are about the median box in size, at most _CELLS_PER_COUNTRY per
-    country, and tile the boxes' extent. `everything` holds a (tree
-    position, box, entry) triple per country in tree order, and each cell
-    those of the boxes it overlaps.
+    country, and tile the boxes' extent. Each cell holds a (tree position,
+    box, entry) triple per box it overlaps, in tree order.
     """
 
     def __init__(self, indexed: tuple[tuple[Box, _IndexedCountry], ...]):
@@ -135,7 +126,6 @@ class _Grid:
             self.south = self.west = self.north = self.east = 0.0
             self.cell_height = self.cell_width = 1.0
             self.rows = self.cols = 1
-            self.everything: tuple[tuple[int, Box, _IndexedCountry], ...] = ()
             self.cells: tuple[tuple[tuple[int, Box, _IndexedCountry], ...], ...] = ((),)
             return
         boxes = [box for box, _ in indexed]
@@ -158,28 +148,27 @@ class _Grid:
                 cols = (cols + 1) // 2
         self.rows, self.cols = rows, cols
         self.cell_height, self.cell_width = height / rows, width / cols
-        self.everything = tuple((position, box, entry) for position, (box, entry) in enumerate(indexed))
         cells: list[list[tuple[int, Box, _IndexedCountry]]] = [[] for _ in range(rows * cols)]
-        for triple in self.everything:
-            rows_spanned, cols_spanned = self._spans(triple[1])
+        for position, (box, entry) in enumerate(indexed):
+            rows_spanned, cols_spanned = self._spans(box)
             for row in rows_spanned:
                 for col in cols_spanned:
-                    cells[row * cols + col].append(triple)
+                    cells[row * cols + col].append((position, box, entry))
         self.cells = tuple(tuple(cell) for cell in cells)
 
     def _spans(self, box: Box) -> tuple[range, range]:
         """The rows and the columns of the cells that the box overlaps,
-        clamped to the grid; a NaN edge spans the grid."""
+        clamped to the grid."""
         south, west, north, east = box
         last_row, last_col = self.rows - 1, self.cols - 1
         return (
             range(
-                _low_cell(south, self.south, self.cell_height, last_row),
-                _high_cell(north, self.south, self.cell_height, last_row) + 1,
+                _cell(south, self.south, self.cell_height, last_row),
+                _cell(north, self.south, self.cell_height, last_row) + 1,
             ),
             range(
-                _low_cell(west, self.west, self.cell_width, last_col),
-                _high_cell(east, self.west, self.cell_width, last_col) + 1,
+                _cell(west, self.west, self.cell_width, last_col),
+                _cell(east, self.west, self.cell_width, last_col) + 1,
             ),
         )
 
@@ -187,7 +176,7 @@ class _Grid:
         """The triples of the cell holding the point; none outside the grid."""
         if not (self.south <= lat <= self.north and self.west <= lon <= self.east):
             return ()
-        # _low_cell, inlined: within the grid neither offset is negative.
+        # _cell, inlined: within the grid neither offset is negative.
         row = int((lat - self.south) / self.cell_height)
         col = int((lon - self.west) / self.cell_width)
         if row >= self.rows:
@@ -198,18 +187,13 @@ class _Grid:
 
     def over(self, box: Box) -> tuple[tuple[int, Box, _IndexedCountry], ...]:
         """The triples of every cell the box overlaps, once each and in
-        tree order, or every triple when it overlaps as many cells as
-        there are countries; none for a box beyond the grid."""
+        tree order; none for a box beyond the grid."""
         south, west, north, east = box
         if north < self.south or south > self.north or east < self.west or west > self.east:
             return ()
         rows, cols = self._spans(box)
         if len(rows) * len(cols) == 1:
             return self.cells[rows[0] * self.cols + cols[0]]
-        if len(rows) * len(cols) >= len(self.everything):
-            # A box over as many cells as there are countries: every
-            # country, already in tree order, costs no more to go through.
-            return self.everything
         cells = [self.cells[row * self.cols + col] for row in rows for col in cols]
         return tuple(sorted({triple[0]: triple for cell in cells for triple in cell}.values()))
 

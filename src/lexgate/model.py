@@ -446,7 +446,9 @@ def fits(signature: Signature, operands: Sequence[Optional[tuple[type, bool]]]) 
 def _strings_only(operands: Sequence[Optional[tuple[type, bool]]]) -> bool:
     """Whether operands (`operand_type`) may be location-match's: one or
     more strings, none of them a bag. It has no fixed arity, so no
-    Signature."""
+    Signature. This is stricter than `fits`: an operand that cannot be a
+    string is reported even where an earlier argument may match first,
+    in which case the application evaluates to true without reaching it."""
     return bool(operands) and all(
         operand is None or (not operand[1] and issubclass(operand[0], str)) for operand in operands
     )
