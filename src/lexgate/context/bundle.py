@@ -30,10 +30,11 @@ POSITION_ACCURACY = "position-accuracy"
 class LocationSupplier:
     """The single channel that produces one location snapshot per request.
 
-    Resolution order: a report already embedded in the request, else the
-    request's raw geo-point environment attribute, else the device
-    position registered for the requesting subject. Raw points are
-    classified through the zone tree.
+    Resolution order: the request's raw geo-point environment attribute,
+    else the device position registered for the requesting subject. Raw
+    points are classified through the zone tree. A report embedded in the
+    request is taken by the engine itself, which then does not ask the
+    supplier.
     """
 
     def __init__(self, zones: ZoneTree, identities: IdentityRegistry):
@@ -41,9 +42,6 @@ class LocationSupplier:
         self._identities = identities
 
     def locate(self, request: RequestContext) -> LocationReport:
-        if request.source_location is not None:
-            return request.source_location
-
         accuracy = 0.0
         accuracy_value = request.first(Category.ENVIRONMENT, POSITION_ACCURACY)
         if accuracy_value is not None and accuracy_value.data_type is DataType.INTEGER:

@@ -8,7 +8,8 @@ docs/fixture-formats.md freezes the field lists.
 Loading is paid before a process's first decision, so the common line
 takes a short path: a line without backslash or single quote is split by
 one regex pass, which is exact because there a double quote can neither
-be escaped nor quoted, so quotes pair up in order (see split_record).
+be escaped nor quoted, so quotes pair up in order. Any other line goes to
+shlex.split (see split_record).
 load_diary builds one value per distinct instant, extension, place and id
 list text within a load.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import datetime as dt
 import re
+import shlex
 from pathlib import Path
 
 from ..errors import FixtureError, LexgateError
@@ -28,27 +30,9 @@ from .legal import LegalScope, LegalScopeRegistry
 from .resources import ResourceCatalog, ResourceRecord
 
 
-# A word runs up to the next space, tab, CR or LF outside quotes. Its pieces:
-# plain characters, a backslash escaping any next character, '...' taken
-# literally, or "..." in which a backslash escapes only a backslash or a
-# double quote and is kept before anything else.
-_WORD = re.compile(r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"[^"\\]*(?:\\.[^"\\]*)*")+""", re.DOTALL)
-# The escaped character, or the inside of a single- or double-quoted piece.
-_QUOTED = re.compile(r"""\\(.)|'([^']*)'|"([^"\\]*(?:\\.[^"\\]*)*)["]""", re.DOTALL)
-_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
 # A word of a line that holds no backslash and no single quote: plain
 # characters and "..." pieces, taken literally.
 _PLAIN_WORD = re.compile(r'(?:[^ \t\r\n"]+|"[^"]*")+')
-_SEPARATORS = " \t\r\n"
-
-
-def _unquote(piece: re.Match) -> str:
-    escaped, single, double = piece.groups()
-    if escaped is not None:
-        return escaped
-    if single is not None:
-        return single
-    return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", double)
 
 
 def split_record(line: str) -> list[str]:
@@ -62,25 +46,12 @@ def split_record(line: str) -> list[str]:
     quoting character and nothing escapes it, so the quotes pair up in
     order: an odd count leaves the last one unclosed, an even count closes
     every piece, and a piece unquotes by dropping its quote characters.
-    That is the general path below restricted to such lines, not a second
-    grammar."""
-    if "\\" not in line and "'" not in line:
-        if line.count('"') % 2:
-            raise ValueError("No closing quotation")
-        return [word.replace('"', "") if '"' in word else word for word in _PLAIN_WORD.findall(line)]
-    words = _WORD.findall(line)
-    # What no word took is separators, up to a quote or backslash that
-    # could not close; the rest of the line then lies inside it.
-    unclosed = _WORD.sub("", line).lstrip(_SEPARATORS)
-    if unclosed:
-        trailing_backslashes = len(line) - len(line.rstrip("\\"))
-        if unclosed[0] == "'" or trailing_backslashes % 2 == 0:
-            raise ValueError("No closing quotation")
-        raise ValueError("No escaped character")
-    return [
-        _QUOTED.sub(_unquote, word) if "'" in word or '"' in word or "\\" in word else word
-        for word in words
-    ]
+    Any other line goes to shlex.split itself."""
+    if "\\" in line or "'" in line:
+        return shlex.split(line)
+    if line.count('"') % 2:
+        raise ValueError("No closing quotation")
+    return [word.replace('"', "") if '"' in word else word for word in _PLAIN_WORD.findall(line)]
 
 
 def read_utf8(path: Path, error: type[LexgateError] = FixtureError) -> str:

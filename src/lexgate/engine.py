@@ -200,8 +200,8 @@ def _only(bag: tuple, function: str) -> object:
 
 def _checked(function: str, signature: Signature) -> FunctionImpl:
     """The registry function of a built-in with a signature: it checks the
-    argument count, then each argument in order (a bag, or a scalar taken
-    as a bag of one, for its one value), then applies the kernel."""
+    argument count, then each argument in order (a bag for its one value,
+    or a scalar), then applies the kernel."""
     kinds, kernel = signature.args, signature.kernel
 
     def checked(ctx: EvaluationContext, args: list[object]) -> object:
@@ -211,7 +211,9 @@ def _checked(function: str, signature: Signature) -> FunctionImpl:
         values = []
         for value, (expected, bag) in zip(args, kinds):
             if bag:
-                value = _only(value if isinstance(value, tuple) else (value,), function)
+                if not isinstance(value, tuple):
+                    raise _EvalError(STATUS_PROCESSING_ERROR, f"{function} expects a bag, got a scalar")
+                value = _only(value, function)
             values.append(_scalar(value, expected, function))
         return kernel(*values)
 
@@ -475,7 +477,7 @@ class PolicyDecisionPoint:
                 TraceRecord(node_id, Decision.NOT_APPLICABLE, _target_miss(category)),
                 tuple(self._compile_clause(category, clause) for clause in clauses),
             )
-            for category, clauses in _sections(node.target)
+            for category, clauses in node.target.sections()
             if clauses
         )
         if legislation is None and not sections:
@@ -711,16 +713,6 @@ class PolicyDecisionPoint:
 # -- the compiled forest -----------------------------------------------------------
 
 
-def _sections(target: Target) -> tuple[tuple[Category, tuple[MatchClause, ...]], ...]:
-    """The four clause lists in the order applicability checks them."""
-    return (
-        (Category.SUBJECT, target.subjects),
-        (Category.RESOURCE, target.resources),
-        (Category.ACTION, target.actions),
-        (Category.ENVIRONMENT, target.environments),
-    )
-
-
 def _legislation_miss(legislation: frozenset[str]) -> str:
     return "legislation-scope-miss:" + ",".join(sorted(legislation))
 
@@ -732,7 +724,7 @@ def _target_miss(category: Category) -> str:
 def _literal_key(target: Target) -> Optional[tuple[Category, str, str]]:
     """(category, attribute, literal) when the first non-empty clause list
     is one string-equal clause on a string literal, else None."""
-    for category, clauses in _sections(target):
+    for category, clauses in target.sections():
         if not clauses:
             continue
         if len(clauses) != 1:

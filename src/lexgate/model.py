@@ -142,6 +142,16 @@ class Target:
     def is_match_any(self) -> bool:
         return not (self.subjects or self.resources or self.actions or self.environments)
 
+    def sections(self) -> tuple[tuple[Category, tuple[MatchClause, ...]], ...]:
+        """The four clause lists with their categories, in the order
+        applicability checks them."""
+        return (
+            (Category.SUBJECT, self.subjects),
+            (Category.RESOURCE, self.resources),
+            (Category.ACTION, self.actions),
+            (Category.ENVIRONMENT, self.environments),
+        )
+
 
 MATCH_ANY = Target()
 
@@ -505,12 +515,7 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
         # applies its function to a request value and the literal.
         applications = [
             (clause.match_function, (None, (type(clause.literal.value), False)))
-            for clauses in (
-                node.target.subjects,
-                node.target.resources,
-                node.target.actions,
-                node.target.environments,
-            )
+            for _, clauses in node.target.sections()
             for clause in clauses
         ] + [
             (application.function, [operand_type(arg) for arg in application.args])

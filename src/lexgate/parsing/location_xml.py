@@ -69,10 +69,11 @@ class LocationReport:
     accuracy_radius: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.timezone_offset * 4 != int(self.timezone_offset * 4):
-            raise ValueError("timezone offset must have quarter-hour resolution")
+        # The range first: the quarter-hour test cannot take NaN or infinity.
         if not -12.0 <= self.timezone_offset <= 14.0:
             raise ValueError(f"timezone offset out of range: {self.timezone_offset}")
+        if self.timezone_offset * 4 != int(self.timezone_offset * 4):
+            raise ValueError("timezone offset must have quarter-hour resolution")
         if self.accuracy_radius < 0:
             raise ValueError("accuracy radius must be >= 0")
 
@@ -184,7 +185,8 @@ def parse_location_report(data: bytes | str) -> LocationReport:
         raise PolicySyntaxError(str(exc), root.path(), root.line) from exc
 
 
-def _format_offset(offset: float) -> str:
+def format_offset(offset: float) -> str:
+    """A timezone offset's text in a report or a wire request."""
     if offset == int(offset):
         return str(int(offset))
     return repr(offset)
@@ -200,7 +202,7 @@ def serialize_location_report(report: LocationReport) -> bytes:
     writer.close("zone")
     writer.open("timezone")
     writer.leaf("name", report.timezone_name)
-    writer.leaf("value", _format_offset(report.timezone_offset))
+    writer.leaf("value", format_offset(report.timezone_offset))
     writer.close("timezone")
     writer.open("position")
     writer.open(

@@ -33,7 +33,7 @@ from ..model import (
     TraceRecord,
     undo_single_line,
 )
-from .location_xml import LocationReport, ZoneKind, country_code
+from .location_xml import LocationReport, ZoneKind, country_code, format_offset
 from .policy_xml import format_typed_value, parse_typed_value
 
 Attribute = tuple[str, AttributeValue]
@@ -233,10 +233,6 @@ def parse_request(data: bytes | str) -> RequestContext:
     )
 
 
-def _format_offset(offset: float) -> str:
-    return str(int(offset)) if offset == int(offset) else repr(offset)
-
-
 def serialize_request(request: RequestContext) -> bytes:
     out = ["request"]
     if request.destination_country:
@@ -246,7 +242,7 @@ def serialize_request(request: RequestContext) -> bytes:
         out.append(f"location country {report.country}")
         out.append(f"location city {_check_single_line(report.city, 'city')}")
         out.append(f"location zone {report.zone.value}")
-        out.append(f"location timezone {report.timezone_name} {_format_offset(report.timezone_offset)}")
+        out.append(f"location timezone {report.timezone_name} {format_offset(report.timezone_offset)}")
         out.append(f"location point {report.point.lat!r} {report.point.lon!r}")
         if report.accuracy_radius:
             out.append(f"location accuracy {report.accuracy_radius!r}")

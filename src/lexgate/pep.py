@@ -216,7 +216,11 @@ class ObligationService:
             seconds = obligation.parameter("duration-seconds")
             if seconds is None or not isinstance(seconds.value, int):
                 raise ObligationError("limit-duration needs an integer duration-seconds")
-            return DataView(view.mode, view.payload, now + dt.timedelta(seconds=seconds.value))
+            try:
+                expires_at = now + dt.timedelta(seconds=seconds.value)
+            except OverflowError:
+                raise ObligationError("limit-duration expiry is out of range") from None
+            return DataView(view.mode, view.payload, expires_at)
         raise ObligationError(f"unknown obligation {obligation.id!r}")
 
     def apply_all(
@@ -230,6 +234,13 @@ class ObligationService:
         for obligation in obligations:
             view = self.execute(obligation, record, view, original, now)
         return view
+
+
+def _refusal(node: str, decision: Decision, status: str, reason: str, trace: tuple = ()) -> ResponseContext:
+    """A response the monitor gives in place of a decision: `decision` and
+    `status`, with the trace so far ended by one record of the monitor's
+    step that refused."""
+    return ResponseContext(decision, status, trace=(*trace, TraceRecord(node, decision, reason)))
 
 
 @dataclass(frozen=True)
@@ -259,14 +270,6 @@ class ReferenceMonitor:
 
     # -- helpers -------------------------------------------------------------
 
-    def _error_response(self, reason: str, status: str) -> ResponseContext:
-        decision = Decision.DENY if status == STATUS_PROCESSING_ERROR else Decision.INDETERMINATE
-        return ResponseContext(
-            decision=decision,
-            status=status,
-            trace=(TraceRecord("<monitor>", decision, reason),),
-        )
-
     def _audit_and_respond(
         self,
         response: ResponseContext,
@@ -287,11 +290,8 @@ class ReferenceMonitor:
         try:
             self.audit.append(record)
         except AuditError as exc:
-            response = ResponseContext(
-                decision=Decision.INDETERMINATE,
-                status=STATUS_PROCESSING_ERROR,
-                trace=response.trace
-                + (TraceRecord("<audit>", Decision.INDETERMINATE, str(exc)),),
+            response = _refusal(
+                "<audit>", Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, str(exc), response.trace
             )
             view = None
         wire_view = view.to_wire() if view is not None else None
@@ -304,17 +304,23 @@ class ReferenceMonitor:
         authenticated = self.pips.identities.authenticate(session.user, session.secret)
 
         if not authenticated:
-            response = self._error_response("authentication-failed", STATUS_PROCESSING_ERROR)
+            response = _refusal(
+                "<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, "authentication-failed"
+            )
             return self._audit_and_respond(response, None, session.user, None)
 
         try:
             request = parse_request(raw)
         except WireFormatError as exc:
-            response = self._error_response(f"bad-request:{exc}", STATUS_SYNTAX_ERROR)
+            response = _refusal(
+                "<monitor>", Decision.INDETERMINATE, STATUS_SYNTAX_ERROR, f"bad-request:{exc}"
+            )
             return self._audit_and_respond(response, None, session.user, None)
 
         if request.subject_id() != session.user:
-            response = self._error_response("subject-session-mismatch", STATUS_PROCESSING_ERROR)
+            response = _refusal(
+                "<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, "subject-session-mismatch"
+            )
             return self._audit_and_respond(response, None, session.user, request)
 
         # The decision point resolves the location snapshot itself (single
@@ -330,11 +336,9 @@ class ReferenceMonitor:
             elif response.decision is Decision.DENY and response.obligations:
                 self.obligations.apply_all(response.obligations, record, now)
         except ObligationError as exc:
-            response = ResponseContext(
-                decision=Decision.DENY,
-                status=STATUS_PROCESSING_ERROR,
-                trace=response.trace
-                + (TraceRecord("<obligations>", Decision.DENY, f"obligation-failure:{exc}"),),
+            response = _refusal(
+                "<obligations>", Decision.DENY, STATUS_PROCESSING_ERROR,
+                f"obligation-failure:{exc}", response.trace,
             )
             view = None
 

@@ -165,6 +165,24 @@ def test_location_match_over_an_integer_is_reported_and_always_fails(engine):
         )
 
 
+def test_a_scalar_where_a_bag_is_due_is_reported_and_is_a_processing_error(engine):
+    # XACML types a *-one-and-only argument as a bag, so a literal is no
+    # bag of one: validate and evaluation refuse it alike.
+    only = FunctionApplication("function:string-one-and-only", (Literal(AttributeValue(DataType.STRING, "GB")),))
+    condition = FunctionApplication("function:string-equal", (only, Literal(AttributeValue(DataType.STRING, "GB"))))
+    node = policy("p", [rule("r", condition=condition)], combining="permit-overrides")
+    assert [(v.code, v.node_id) for v in validate_document(document(node))] == [
+        ("ill-typed:function:string-one-and-only", "r")
+    ]
+    response = _decide(engine, node)
+    record = _record(response, "r")
+    assert (record.decision, record.reason) == (Decision.INDETERMINATE, f"condition-error:{STATUS_PROCESSING_ERROR}")
+    assert _record(response, "p").decision is Decision.INDETERMINATE
+    assert response.decision is Decision.DENY  # the forest's deny-overrides folds Indeterminate
+    with pytest.raises(_EvalError, match="expects a bag, got a scalar"):
+        engine.functions.get("function:string-one-and-only")(None, ["GB"])
+
+
 # -- rule and forest evaluation ----------------------------------------------------
 
 

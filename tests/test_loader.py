@@ -102,6 +102,19 @@ def test_scenario_lines_use_the_same_quoting():
         parse_scenario("scenario trip\nstep at=x\\")
 
 
+def test_packaged_stores_and_scenario_never_reach_shlex(fixtures_root, monkeypatch):
+    # Every packaged line takes split_record's regex pass, so loading
+    # costs no shlex.split call.
+    def refuse(line):
+        raise AssertionError(f"shlex.split called on {line!r}")
+
+    monkeypatch.setattr(shlex, "split", refuse)
+    pips = load_bundle(fixtures_root)
+    assert pips.diary.entries
+    scenario = parse_scenario((fixtures_root / "scenarios" / "border-trip.scenario").read_text())
+    assert scenario.steps
+
+
 # -- any bytes in a store line --------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -81,3 +81,10 @@ _reports = st.builds(
 @given(_reports)
 def test_report_round_trip_property(report):
     assert parse_location_report(serialize_location_report(report)) == report
+
+
+@pytest.mark.parametrize("offset", ["inf", "-inf", "1e400", "nan", "1e308"])
+def test_a_non_finite_timezone_offset_is_a_syntax_error(offset):
+    data = LONDON.read_text().replace("<value>0</value>", f"<value>{offset}</value>")
+    with pytest.raises(PolicySyntaxError, match="timezone offset out of range"):
+        parse_location_report(data)

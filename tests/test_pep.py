@@ -610,6 +610,43 @@ def test_any_bytes_yield_a_response_and_exactly_one_audit_record(
     assert record.decision is response.decision
 
 
+# A location block without its timezone line; the offset 1e308 is finite,
+# but four times it is not.
+_LOCATION_LINES = ("location country GB", "location city London", "location zone unrestricted",
+                   "location point 51.507861 -0.099349")
+
+
+@pytest.mark.parametrize("offset", ["inf", "-inf", "1e400", "nan", "1e308"])
+def test_a_non_finite_timezone_offset_is_a_syntax_error_with_one_audit_record(policy_pack, tmp_path, offset):
+    raw = wire_request(point="", extra_lines=(*_LOCATION_LINES, f"location timezone Europe/London {offset}"))
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    response, _view = parse_response(response_bytes)
+    assert (response.decision, response.status) == (Decision.INDETERMINATE, "syntax-error")
+    assert "timezone offset out of range" in response.trace[0].reason
+    assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
+@pytest.mark.parametrize("seconds", [10**12, -(10**12), 10**20])
+def test_a_limit_duration_past_the_calendar_denies_with_one_audit_record(tmp_path, seconds):
+    duration = Obligation(
+        "limit-duration", Effect.PERMIT, (("duration-seconds", AttributeValue(DataType.INTEGER, seconds)),)
+    )
+    permit = document(policy("p", [rule("r", Effect.PERMIT)], obligations=(duration,)))
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor = ReferenceMonitor(
+            PolicyDecisionPoint(), [permit], make_bundle("2026-03-10T13:40:00Z"), audit=audit, pseudonym_key=KEY
+        )
+        response_bytes, record = monitor.handle_request(wire_request(), GOOD_SESSION)
+    response, view = parse_response(response_bytes)
+    assert (response.decision, response.status) == (Decision.DENY, STATUS_PROCESSING_ERROR)
+    assert response.trace[-1].node_id == "<obligations>"
+    assert response.trace[-1].reason == "obligation-failure:limit-duration expiry is out of range"
+    assert view is None
+    assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
 class _Hostile(Exception):
     """An extension point's own exception type."""
 

@@ -1,0 +1,29 @@
+"""tools/stream_digest.py gives the same digests on every run of a workload:
+the monitor's responses and audit lines depend only on the request stream
+and the pinned clock."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+REQUESTS = 40
+
+
+def _digests(workload):
+    completed = subprocess.run(
+        [sys.executable, "tools/stream_digest.py", "--workload", workload, "--seed", "3",
+         "--requests", str(REQUESTS)],
+        cwd=REPO, check=True, capture_output=True, text=True, timeout=300,
+    )
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["pack-mix", "forest-600", "world-200", "reject-mix"])
+def test_a_workload_replays_to_the_same_digests(workload):
+    first = _digests(workload)
+    assert first["requests"] == REQUESTS
+    assert _digests(workload) == first
