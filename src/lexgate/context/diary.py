@@ -9,6 +9,7 @@ concession window in which data is served pseudonymously only.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -56,6 +57,12 @@ class ExpectedLocation:
     city: str = ""
     point: Optional[GeoPoint] = None
     radius_m: float = 0.0
+
+    def __post_init__(self) -> None:
+        # A NaN, infinite or negative radius would switch the distance
+        # check off, so an expected point would accept any position.
+        if not 0.0 <= self.radius_m < math.inf:
+            raise ValueError(f"radius must be finite and >= 0 meters, got {self.radius_m}")
 
     def matches(self, report: LocationReport) -> bool:
         if report.country != self.country:

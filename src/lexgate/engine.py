@@ -5,6 +5,15 @@ the location supplier is consulted at most once per call, the clock once,
 and every derived attribute is cached write-once, so repeated evaluations
 return identical responses including the trace.
 
+Responses are recycled: the context is built for every request, but the
+walk of the documents is a function of the request's plan and of the
+attribute bags those documents read (a time compared only by order with
+literals counts by its place among them), so each plan of the compiled
+forest keeps a bounded memo from that walk key to the finished response
+(`CompiledForest`). A request whose key was seen before gets that
+response without a walk. Documents that call a registered function,
+which may read anything, are always walked.
+
 Legislation applicability: a node carrying a legislation scope set is
 applicable only when that set intersects the scopes observed by the
 connection (closure of the source and destination national scopes plus
@@ -25,7 +34,9 @@ deny-overrides; see README for the exact semantics.
 
 from __future__ import annotations
 
+import datetime as dt
 from array import array
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -655,15 +666,20 @@ class PolicyDecisionPoint:
         trace: list[TraceRecord] = []
         visited: list[tuple[TraceRecord, PolicyNode]] = []
         mark = 0
+        key = None
         try:
             ctx = self._build_context(request, pips, legislation_mode)
             ctx.applicable_scopes = pips.scopes.select_legislation(
                 ctx.source_country, ctx.destination_country
             )
             plan = forest.plan(ctx)
+            if plan.walk_key is not None:
+                key = plan.walk_key(ctx)
+                response = plan.responses.get(key)
+                if response is not None:
+                    return response
             runs = plan.runs
             trace += runs[0]
-            marks = []  # where each walked document's pairs end in `visited`
             walked = []  # each walked document's records
             decisions = []  # NotApplicable is the identity of the top combiner
             for index, run in zip(plan.walk, runs[1:]):
@@ -673,7 +689,6 @@ class PolicyDecisionPoint:
                 trace += records
                 trace += run
                 mark = len(visited)
-                marks.append(mark)
                 if decision is not Decision.NOT_APPLICABLE:
                     decisions.append(decision)
             final = self.combiners.combine(TOP_COMBINER, decisions)
@@ -696,18 +711,15 @@ class PolicyDecisionPoint:
             status = ctx.first_error_status()
         else:
             status = STATUS_OK
-        # Under one plan the walked documents' records fix the whole trace.
-        key = (tuple([record.digest_text for record, _node in visited]), tuple(marks))
-        digest = plan.digests.get(key)
-        if digest is None:
-            digest = trace_digest(trace)
-            _remember(plan.digests, _DIGESTS_HELD, key, digest)
-        return ResponseContext(
+        response = ResponseContext(
             decision=final,
             status=status,
             obligations=tuple(obligations),
-            trace=Trace(trace, digest, plan.text, plan.cuts, tuple(walked)),
+            trace=Trace(trace, trace_digest(trace), plan.text, plan.cuts, tuple(walked)),
         )
+        if key is not None:
+            _remember(plan.responses, forest.responses_held, key, response)
+        return response
 
 
 # -- the compiled forest -----------------------------------------------------------
@@ -745,10 +757,12 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
     return None
 
 
-# How many plans (and screens) a forest keeps, and how many digests each
-# plan keeps.
+# How many plans (and screens) a forest keeps; how many responses a plan
+# keeps at most; and the bound on the trace records that the responses of
+# all the plans hold together, at `len(roots)` records per response.
 _PLANS_HELD = 256
-_DIGESTS_HELD = 32
+_RESPONSES_HELD = 32
+_TRACE_RECORDS_HELD = 1 << 20
 # A plan's runs are spliced out of the shared text only when they hold at
 # least this many screened records on average. A spliced run costs a
 # slice and a loop step in `serialize_response` where a rendered record
@@ -794,14 +808,139 @@ class Plan(NamedTuple):
     runs: tuple[tuple[TraceRecord, ...], ...]
     # The documents to walk, in document order.
     walk: tuple[int, ...]
-    # Trace digests by the digest texts of the walked documents' records
-    # and the number of records up to the end of each walked document.
-    digests: dict
+    # The walk key of a request (`_walk_key`); None when the plan keeps no
+    # responses.
+    walk_key: Optional[Callable[[EvaluationContext], tuple]]
+    # The finished responses by walk key.
+    responses: dict
     # The screen's shared wire text and the (start, end) byte offsets in
     # it of each run's lines; None and () when the runs are too short to
     # splice (`_RECORDS_PER_SPLICED_RUN`).
     text: Optional[bytes]
     cuts: tuple[tuple[int, int], ...]
+
+
+_TIME_ORDER = ("function:time-greater-than-or-equal", "function:time-less-than-or-equal")
+_TIME_ONE_AND_ONLY = "function:time-one-and-only"
+_LOCATION_MATCH = "function:location-match"
+
+
+def _compared_time(expr: FunctionApplication) -> Optional[tuple[AttributeSelector, object]]:
+    """(selector, literal payload) when the application compares, by time
+    order, the time-one-and-only of a selector with a literal; else None."""
+    if expr.function not in _TIME_ORDER or len(expr.args) != 2:
+        return None
+    value, literal = expr.args
+    if isinstance(value, Literal):
+        value, literal = literal, value
+    if (
+        isinstance(literal, Literal)
+        and isinstance(value, FunctionApplication)
+        and value.function == _TIME_ONE_AND_ONLY
+        and len(value.args) == 1
+        and isinstance(value.args[0], AttributeSelector)
+    ):
+        return value.args[0], literal.value.value
+    return None
+
+
+def _time_slot(value: AttributeValue, times: tuple[dt.time, ...]) -> tuple:
+    """A bag value as an order comparison with the sorted time literals
+    `times` sees it, in three fields: a naive time by where it falls among
+    them, any other value exactly."""
+    payload = value.value
+    if type(payload) is dt.time and payload.tzinfo is None:
+        return value.data_type, None, (bisect_left(times, payload), bisect_right(times, payload))
+    return value.data_type, type(payload), payload
+
+
+def _walk_key(
+    roots: Iterable[PolicyNode], functions: FunctionRegistry
+) -> Optional[Callable[[EvaluationContext], tuple]]:
+    """The walk key of the requests that walk `roots`: a function of the
+    evaluation context whose value fixes every walk of those roots under
+    one plan, from a pass over their targets and conditions. Each
+    attribute that a match clause or a selector reads gives, per bag
+    value, (data type, payload type, payload), except an attribute whose
+    every read compares it, as a match clause or the time-one-and-only of
+    its selector, by time order with a time literal: its naive times give
+    their place among those literals (`_time_slot`). A location-match
+    adds the source country, the zone and the zone tree. None when a
+    node calls a registered function, which may read anything on the
+    context."""
+    # Per attribute read, the time literals it is compared with; None once
+    # a read needs its exact values.
+    literals: dict[tuple[Category, str], Optional[set]] = {}
+    location = False
+
+    def read(category: Category, attribute_id: str, literal: object = None) -> None:
+        attribute = (category, attribute_id)
+        if type(literal) is dt.time and literal.tzinfo is None:
+            times = literals.setdefault(attribute, set())
+            if times is not None:
+                times.add(literal)
+        else:
+            literals[attribute] = None
+
+    def registered(function: str) -> bool:
+        return function not in _BUILTINS and function not in _SPECIAL_FORMS and function in functions
+
+    def visit(expr: ConditionExpr) -> bool:
+        """Note what the expression reads; False when it calls a
+        registered function."""
+        nonlocal location
+        if isinstance(expr, AttributeSelector):
+            read(expr.category, expr.attribute_id)
+            return True
+        if not isinstance(expr, FunctionApplication):
+            return True
+        if registered(expr.function):
+            return False
+        location = location or expr.function == _LOCATION_MATCH
+        compared = _compared_time(expr)
+        if compared is not None:
+            selector, literal = compared
+            read(selector.category, selector.attribute_id, literal)
+            return True
+        return all([visit(arg) for arg in expr.args])
+
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        stack += node.children
+        for category, clauses in node.target.sections():
+            for clause in clauses:
+                if registered(clause.match_function):
+                    return None
+                compared = clause.match_function in _TIME_ORDER
+                read(category, clause.attribute_id, clause.literal.value if compared else None)
+        if node.condition is not None and not visit(node.condition):
+            return None
+    exact = tuple(attribute for attribute, times in literals.items() if times is None)
+    ordered = tuple((attribute, tuple(sorted(times))) for attribute, times in literals.items() if times is not None)
+
+    # One flat tuple: per attribute its bag's length, then three fields per
+    # value; nested tuples would cost a list and a tuple per attribute.
+    def walk_key(ctx: EvaluationContext) -> tuple:
+        lookup = ctx.lookup
+        key = []
+        for attribute in exact:
+            bag = lookup(attribute)
+            key.append(len(bag))
+            for value in bag:
+                payload = value.value
+                key += (value.data_type, type(payload), payload)
+        for attribute, times in ordered:
+            bag = lookup(attribute)
+            key.append(len(bag))
+            for value in bag:
+                key += _time_slot(value, times)
+        if location:
+            report = ctx.source_location
+            key += (ctx.source_country, None if report is None else report.zone, ctx.pips.zones)
+        return tuple(key)
+
+    return walk_key
 
 
 class CompiledForest:
@@ -830,11 +969,28 @@ class CompiledForest:
     key and kept with the screened records grouped into runs between the
     walked documents; when the runs are long enough to splice, the byte
     offsets of those runs in its screen's text (a plan holds no text of
-    its own); and a memo of trace digests keyed by the records the walked
-    documents gave: equal records under one plan make an equal trace, so
-    its digest is hashed once. At most `_PLANS_HELD` screens and as many
-    plans are kept, and `_DIGESTS_HELD` digests per plan; a full memo is
-    emptied before the next entry goes in.
+    its own); and a memo of finished responses. At most `_PLANS_HELD`
+    screens and as many plans are kept.
+
+    Under one plan, the walk is a function of what the walked documents
+    read: the bags their target clauses and selectors read (a time
+    compared only by order with time literals counts by its place among
+    those literals) and, for location-match, the source country, zone
+    and zone tree. That is the walk key (`_walk_key`), derived when the
+    plan is made. A plan maps it to the finished `ResponseContext`
+    (decision, status, obligations and the `Trace` with its digest and
+    splice fields), so a request whose walk key was seen before gets
+    that response without a walk, a trace build or a hash. Only
+    responses of a completed walk are kept, never the `<context>` error
+    response. A plan whose walked documents call a registered function
+    keeps none, since that function may read anything on the context.
+    An entry costs `len(roots)` trace records, and the entries of all
+    the plans together hold at most `_TRACE_RECORDS_HELD` records: a plan
+    keeps at most `_RESPONSES_HELD` responses, fewer for a large forest,
+    and none when not even one per plan fits. A full memo is emptied
+    before the next entry goes in. The walk key replaced a memo of trace
+    digests keyed by the records the walked documents gave, which still
+    walked and built every trace.
 
     A walked root runs as the closures `engine` compiles it to, the first
     time a request walks it. Build one with `PolicyDecisionPoint.compile`;
@@ -852,6 +1008,9 @@ class CompiledForest:
                     )
         self.engine = engine
         self.roots = tuple(document.root for document in documents)
+        self.responses_held = min(
+            _RESPONSES_HELD, _TRACE_RECORDS_HELD // (_PLANS_HELD * max(1, len(self.roots)))
+        )
         self._walks: list[Optional[Walk]] = [None] * len(self.roots)
         self._screens: dict[Optional[frozenset[str]], Screen] = {}
         self._plans: dict[tuple, Plan] = {}
@@ -922,11 +1081,14 @@ class CompiledForest:
         walk = sorted(screen.candidates & matching)
         bounds = list(zip([-1, *walk], [*walk, len(self.roots)]))
         runs = tuple(screen.records[start + 1:end] for start, end in bounds)
+        walk_key = None
+        if self.responses_held:
+            walk_key = _walk_key([self.roots[index] for index in walk], self.engine.functions)
         if len(self.roots) - len(walk) < _RECORDS_PER_SPLICED_RUN * len(bounds):
-            return Plan(runs, tuple(walk), {}, None, ())
+            return Plan(runs, tuple(walk), walk_key, {}, None, ())
         offsets = screen.offsets
         cuts = tuple((offsets[start + 1], offsets[end]) for start, end in bounds)
-        return Plan(runs, tuple(walk), {}, screen.text, cuts)
+        return Plan(runs, tuple(walk), walk_key, {}, screen.text, cuts)
 
     def _screen(self, scopes: Optional[frozenset[str]]) -> Screen:
         """The screen for a scope set, or for None under ignore-tags."""

@@ -8,6 +8,7 @@ timezone and a WGS84 point wrapped in the GML ``Point``/``pos`` pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,6 +77,8 @@ class LocationReport:
             raise ValueError("timezone offset must have quarter-hour resolution")
         if self.accuracy_radius < 0:
             raise ValueError("accuracy radius must be >= 0")
+        if not self.accuracy_radius < math.inf:  # NaN fails every comparison
+            raise ValueError(f"accuracy radius must be finite: {self.accuracy_radius}")
 
     @property
     def country_display_name(self) -> str:

@@ -16,6 +16,7 @@ from conftest import make_bundle, wire_request
 from lexgate import engine as engine_module
 from lexgate.context.diary import TaskAssessment
 from lexgate.context.identity import IdentityKind, Relationship
+from lexgate.context.zones import ZoneTree
 from lexgate.engine import EvaluationContext, FunctionRegistry, PolicyDecisionPoint, _EvalError
 from lexgate.model import (
     SIGNATURES,
@@ -524,7 +525,6 @@ def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
     ]
     pips = make_bundle("2026-03-10T12:45:00Z")
     expected = [engine.evaluate(engine.compile(policy_pack), request, pips) for request in requests]
-    forest = engine.compile(policy_pack)
     failures = []
 
     def work():
@@ -545,8 +545,9 @@ def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
     sys.setswitchinterval(1e-6)
     try:
         with mock.patch.object(engine_module, "_PLANS_HELD", 1), \
-                mock.patch.object(engine_module, "_DIGESTS_HELD", 1), \
+                mock.patch.object(engine_module, "_RESPONSES_HELD", 1), \
                 mock.patch.object(engine_module, "_RECORDS_PER_SPLICED_RUN", 0):
+            forest = engine.compile(policy_pack)
             threads = [threading.Thread(target=work) for _ in range(4)]
             for thread in threads:
                 thread.start()
@@ -556,6 +557,66 @@ def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+def test_a_warm_forest_answers_each_request_by_what_its_documents_read(engine):
+    # One policy reads "note" through a selector and "channel" through a
+    # rule's match clause, neither of them a root literal, so all the
+    # requests below share one plan and differ only in their walk keys.
+    note = FunctionApplication("function:string-one-and-only", (
+        AttributeSelector(Category.ENVIRONMENT, "note", DataType.STRING),
+    ))
+    documents = [document(policy("p", [
+        rule("by-note", Effect.PERMIT, FunctionApplication(
+            "function:string-equal", (note, Literal(AttributeValue(DataType.STRING, "yes")))
+        )),
+        rule("by-channel", Effect.DENY, target=Target(environments=(string_clause("channel", "remote"),))),
+    ]))]
+    forest = engine.compile(documents)
+    pips = make_bundle(NOON)
+    for notes in ("yes", "no"):
+        for channel in ("branch", "remote"):
+            extra = (f"environment note string {notes}", f"environment channel string {channel}")
+            request = parse_request(wire_request(extra_lines=extra))
+            assert engine.evaluate(forest, request, pips) == engine.evaluate(engine.compile(documents), request, pips)
+    assert len(forest._plans) == 1 and len(next(iter(forest._plans.values())).responses) == 4
+
+
+def test_a_registered_function_is_called_on_every_request(policy_pack):
+    # It may read anything on the context, so no response of a plan that
+    # walks it is kept.
+    calls = []
+
+    def count(ctx, args):
+        calls.append(args)
+        return True
+
+    engine = PolicyDecisionPoint(FunctionRegistry({"function:count": count}))
+    counted = document(policy("counted", [rule("counted-r", Effect.PERMIT, FunctionApplication("function:count", ()))]))
+    forest = engine.compile([*policy_pack, counted])
+    request = parse_request(wire_request())
+    pips = make_bundle(NOON)
+    responses = [engine.evaluate(forest, request, pips) for _ in range(5)]
+    assert len(calls) == 5
+    assert all(response == responses[0] for response in responses)
+    # Without it, the same forest's response comes from the memo.
+    plain = engine.compile(policy_pack)
+    assert engine.evaluate(plain, request, pips) is engine.evaluate(plain, request, pips)
+
+
+def test_a_forest_gives_each_bundle_its_own_location_match(engine):
+    # Frankfurt lies in the EU of the packaged zone tree, and in no EU of
+    # a tree whose union is dissolved into its countries.
+    in_eu = FunctionApplication("function:location-match", (Literal(AttributeValue(DataType.STRING, "EU")),))
+    forest = engine.compile([document(policy("eu", [rule("in-eu", Effect.PERMIT, in_eu)]))])
+    packaged = make_bundle(NOON)
+    union = next(root for root in packaged.zones.roots if root.id == "EU")
+    others = tuple(root for root in packaged.zones.roots if root is not union)
+    dissolved = dataclasses.replace(packaged, zones=ZoneTree(others + union.children))
+    request = parse_request(wire_request(point="50.40 8.70"))
+    for _ in range(2):
+        assert engine.evaluate(forest, request, packaged).decision is Decision.PERMIT
+        assert engine.evaluate(forest, request, dissolved).decision is Decision.NOT_APPLICABLE
 
 
 # -- typed closures and trusted bags ---------------------------------------------

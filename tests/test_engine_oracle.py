@@ -14,15 +14,18 @@ types, so the engine's typed closures meet the checked functions the
 oracle calls; the "level" bags the comparisons read often hold two
 values of one type, and a further property evaluates single comparisons,
 so a typed one-and-only meets the two-value bags it must refuse.
-A second property checks the plan, screen and digest memos: a request
+A second property checks the plan, screen and response memos: a request
 gives the same response, bytes and digest on a cold forest, on a second
-call and on a forest warmed by other requests, and each of those
+call and on a forest warmed by other requests at other instants, with
+the local time at, and 1 µs to either side of, each time literal that
+the forest compares it with; and each of those
 responses serializes, from the forest's shared wire text, to the bytes
 its records give line by line. The forests' node ids include non-ASCII
 ones, so a byte offset taken for a character offset shows in the bytes.
 """
 
 import dataclasses
+import datetime as dt
 import hashlib
 import random
 from unittest import mock
@@ -34,7 +37,20 @@ import engine_oracle
 from conftest import make_bundle
 from lexgate import engine
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
-from lexgate.model import AttributeValue, Category, DataType, GeoPoint, Target, Trace
+from lexgate.instant import parse_instant
+from lexgate.model import (
+    AttributeSelector,
+    AttributeValue,
+    Category,
+    DataType,
+    Effect,
+    FunctionApplication,
+    GeoPoint,
+    Literal,
+    MatchClause,
+    Target,
+    Trace,
+)
 from lexgate.parsing.wire import RequestContext, serialize_response
 from lexgate.pep import trace_digest
 from policybuild import (
@@ -121,31 +137,99 @@ def test_engine_agrees_with_the_oracle(pips, seed, request, mode):
     assert trace_digest(got.trace) == trace_digest(want.trace)
 
 
+# The time literals of the generated conditions; a document that compares
+# the local time by order with each of them, through a selector and a
+# match clause; and the instants at which the local time of a GB (UTC+0)
+# or a CH or DE (UTC+1) source is at one of them or 1 µs to either side.
+TIMES = sorted({value.value for value in TYPED_VALUES if value.data_type is DataType.TIME_OF_DAY})
+_LOCAL_TIME = FunctionApplication(
+    "function:time-one-and-only",
+    (AttributeSelector(Category.ENVIRONMENT, "current-time", DataType.TIME_OF_DAY),),
+)
+CLOCK_DOCUMENT = document(policy("clock", [
+    rule(f"clock-{k}-{kind}", effect, condition=condition, target=target)
+    for k, time in enumerate(TIMES)
+    for literal in [AttributeValue(DataType.TIME_OF_DAY, time)]
+    for kind, effect, condition, target in (
+        ("ge", Effect.PERMIT,
+         FunctionApplication("function:time-greater-than-or-equal", (_LOCAL_TIME, Literal(literal))), Target()),
+        ("le", Effect.DENY,
+         FunctionApplication("function:time-less-than-or-equal", (Literal(literal), _LOCAL_TIME)), Target()),
+        ("match", Effect.PERMIT, None,
+         Target(environments=(MatchClause("current-time", "function:time-less-than-or-equal", literal),))),
+    )
+], combining="first-applicable"))
+INSTANTS = [
+    dt.datetime.combine(dt.date(2026, 3, 10), time, tzinfo=dt.timezone.utc) + step - offset
+    for time in TIMES
+    for step in (-dt.timedelta(microseconds=1), dt.timedelta(0), dt.timedelta(microseconds=1))
+    for offset in (dt.timedelta(0), dt.timedelta(hours=1))
+]
+MODES = st.sampled_from(("aware", "ignore-tags"))
+
+
+# The attributes whose bags generated requests vary.
+VARIED = (*TARGET_LITERALS, (Category.ENVIRONMENT, "level"))
+
+
+def _with_bag(request, other, attribute):
+    """The request with its bag for `attribute` taken from `other`."""
+    category, attribute_id = attribute
+    kept = [pair for pair in request.category(category) if pair[0] != attribute_id]
+    taken = [pair for pair in other.category(category) if pair[0] == attribute_id]
+    return dataclasses.replace(request, **{category.value: (*kept, *taken)})
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     request=requests(),
-    mode=st.sampled_from(("aware", "ignore-tags")),
-    earlier=st.lists(st.tuples(requests(), st.sampled_from(("aware", "ignore-tags"))), max_size=6),
+    mode=MODES,
+    at=st.sampled_from(INSTANTS),
+    neighbour=st.sampled_from(INSTANTS),
+    earlier=st.lists(
+        st.tuples(requests(), st.sampled_from([None, *VARIED]), MODES, st.sampled_from(INSTANTS)), max_size=6
+    ),
 )
-def test_the_plan_and_digest_memos_change_no_response(pips, seed, request, mode, earlier):
-    # The same request on a cold forest, on that forest a second time, and
-    # on a forest warmed by earlier requests, the last of them this one in
-    # the other mode, whose memos hold one entry at most, so that every new
-    # plan, scope set and digest empties them (`_PLANS_HELD` bounds the
-    # plans and the screens with their shared wire text). Every plan
-    # splices its runs, however short, out of the shared text.
-    forest = random_forest(random.Random(seed), hostile=True)
-    with mock.patch.object(engine, "_RECORDS_PER_SPLICED_RUN", 0):
-        cold = ENGINE.compile(forest)
-        first = ENGINE.evaluate(cold, request, pips, legislation_mode=mode)
-        second = ENGINE.evaluate(cold, request, pips, legislation_mode=mode)
-        other_mode = "ignore-tags" if mode == "aware" else "aware"
-        with mock.patch.object(engine, "_PLANS_HELD", 1), mock.patch.object(engine, "_DIGESTS_HELD", 1):
-            warm = ENGINE.compile(forest)
-            for other, its_mode in [*earlier, (request, other_mode)]:
-                ENGINE.evaluate(warm, other, pips, legislation_mode=its_mode)
-            warmed = ENGINE.evaluate(warm, request, pips, legislation_mode=mode)
+def test_the_plan_and_response_memos_change_no_response(pips, seed, request, mode, at, neighbour, earlier):
+    # The same request at the same instant on a cold forest, on that forest
+    # a second time, and on a forest whose memos hold one entry at most, so
+    # that every new plan, scope set and walk key empties them
+    # (`_PLANS_HELD` bounds the plans and the screens with their shared
+    # wire text). That forest is warmed by this request in the other mode;
+    # then by earlier requests: generated ones in either mode at any
+    # instant, and this one in its mode at its instant with its bag for one
+    # attribute taken from a generated one; and last by this request at the
+    # `neighbour` instant, whose response the memo then holds. Every plan
+    # splices its runs, however short, out of the shared text. The forest
+    # ends with CLOCK_DOCUMENT, so a walk key that put two sides of a time
+    # literal together would show.
+    forest = [*random_forest(random.Random(seed), hostile=True), CLOCK_DOCUMENT]
+
+    def evaluate(compiled, request, mode, at):
+        pips.clock.set(at)
+        return ENGINE.evaluate(compiled, request, pips, legislation_mode=mode)
+
+    try:
+        with mock.patch.object(engine, "_RECORDS_PER_SPLICED_RUN", 0):
+            cold = ENGINE.compile(forest)
+            first = evaluate(cold, request, mode, at)
+            second = evaluate(cold, request, mode, at)
+            other_mode = "ignore-tags" if mode == "aware" else "aware"
+            with mock.patch.object(engine, "_PLANS_HELD", 1), mock.patch.object(engine, "_RESPONSES_HELD", 1):
+                warm = ENGINE.compile(forest)
+                variants = [
+                    (other, its_mode, its_at) if attribute is None else (_with_bag(request, other, attribute), mode, at)
+                    for other, attribute, its_mode, its_at in earlier
+                ]
+                for other, its_mode, its_at in [(request, other_mode, at), *variants, (request, mode, neighbour)]:
+                    # The memo holds the previous request's response: it
+                    # must not be this one's unless a cold forest agrees.
+                    got = evaluate(warm, other, its_mode, its_at)
+                    assert got == evaluate(ENGINE.compile(forest), other, its_mode, its_at)
+                warmed = evaluate(warm, request, mode, at)
+    finally:
+        pips.clock.set(parse_instant(NOON))
     body = "\n".join(record.digest_text for record in first.trace)
     assert trace_digest(first.trace) == hashlib.sha256(body.encode("utf-8")).hexdigest()
     for again in (second, warmed):

@@ -65,6 +65,20 @@ def test_negative_extension_in_a_store_names_file_and_line(tmp_path):
         load_diary(path)
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "-1000"])
+def test_a_non_finite_or_negative_diary_radius_names_file_and_line(tmp_path, radius):
+    # Such a radius would switch the distance check off, so the entry's
+    # point would accept a request from anywhere in its country.
+    path = tmp_path / "diary.txt"
+    path.write_text(
+        "entry owner=c1 start=2026-03-10T09:00:00Z end=2026-03-10T10:00:00Z country=LU\n"
+        "entry owner=c1 start=2026-03-10T11:00:00Z end=2026-03-10T12:00:00Z country=DE"
+        f" point=50.11,8.68 radius={radius}\n"
+    )
+    with pytest.raises(FixtureError, match=r"^diary.txt:2: radius must be finite and >= 0 meters"):
+        load_diary(path)
+
+
 @pytest.mark.parametrize(
     "store, line, message",
     [

@@ -88,3 +88,13 @@ def test_a_non_finite_timezone_offset_is_a_syntax_error(offset):
     data = LONDON.read_text().replace("<value>0</value>", f"<value>{offset}</value>")
     with pytest.raises(PolicySyntaxError, match="timezone offset out of range"):
         parse_location_report(data)
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [("nan", "must be finite"), ("inf", "must be finite"), ("-inf", "must be >= 0"), ("-1", "must be >= 0")],
+)
+def test_a_non_finite_or_negative_accuracy_radius_is_a_syntax_error(radius, message):
+    data = LONDON.read_text().replace("</location>", f"<accuracy>{radius}</accuracy></location>")
+    with pytest.raises(PolicySyntaxError, match=f"accuracy radius {message}"):
+        parse_location_report(data)

@@ -19,11 +19,14 @@ from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError
 from lexgate.instant import parse_instant
 from lexgate.model import (
+    AttributeSelector,
     AttributeValue,
+    Category,
     DataType,
     Decision,
     Effect,
     FunctionApplication,
+    Literal,
     Obligation,
     STATUS_PROCESSING_ERROR,
     Target,
@@ -499,6 +502,29 @@ def test_the_plan_memo_stays_bounded_over_distinct_requests(policy_pack):
     assert _held_after_warm_up(send) < 1024 * 1024
 
 
+def test_the_response_memo_stays_bounded_over_walk_keys_that_never_repeat(policy_pack):
+    # A condition reads the "note" attribute, and request n carries note
+    # n: one plan, and a walk key of its own for every request.
+    noted = document(policy("noted", [rule("noted-r", Effect.DENY, FunctionApplication(
+        "function:string-equal",
+        (
+            FunctionApplication(
+                "function:string-one-and-only",
+                (AttributeSelector(Category.ENVIRONMENT, "note", DataType.STRING),),
+            ),
+            Literal(AttributeValue(DataType.STRING, "never")),
+        ),
+    ))]))
+    monitor, _pips = make_monitor([*policy_pack, noted], "2026-03-10T12:45:00Z", audit=AuditLog())
+
+    def send(n):
+        monitor.handle_request(wire_request(extra_lines=(f"environment note string {n}",)), GOOD_SESSION)
+
+    # A full memo of 32 responses holds under 0.1 MiB; a memo that kept
+    # every response would hold some 11 MiB.
+    assert _held_after_warm_up(send) < 512 * 1024
+
+
 def test_the_trusted_bag_memo_stays_bounded_over_distinct_resources_and_countries(
     policy_pack, monkeypatch
 ):
@@ -625,6 +651,35 @@ def test_a_non_finite_timezone_offset_is_a_syntax_error_with_one_audit_record(po
     response, _view = parse_response(response_bytes)
     assert (response.decision, response.status) == (Decision.INDETERMINATE, "syntax-error")
     assert "timezone offset out of range" in response.trace[0].reason
+    assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
+@pytest.mark.parametrize(
+    "radius, message", [("nan", "must be finite"), ("inf", "must be finite"), ("-inf", "must be >= 0")]
+)
+def test_a_non_finite_accuracy_radius_is_a_syntax_error_with_one_audit_record(
+    policy_pack, tmp_path, radius, message
+):
+    # The same London block answers Permit/ok with `location accuracy 10`.
+    lines = (*_LOCATION_LINES, "location timezone Europe/London 0", f"location accuracy {radius}")
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        response_bytes, record = monitor.handle_request(wire_request(point="", extra_lines=lines), GOOD_SESSION)
+    response, _view = parse_response(response_bytes)
+    assert (response.decision, response.status) == (Decision.INDETERMINATE, "syntax-error")
+    assert f"accuracy radius {message}" in response.trace[0].reason
+    assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
+def test_a_negative_position_accuracy_is_a_processing_error(policy_pack, tmp_path):
+    raw = wire_request(extra_lines=("environment position-accuracy integer -50000",))
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    response, _view = parse_response(response_bytes)
+    assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_PROCESSING_ERROR)
+    assert response.trace[-1].node_id == "<context>"
+    assert response.trace[-1].reason == "accuracy radius must be >= 0"
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
 
 
