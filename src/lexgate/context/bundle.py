@@ -45,7 +45,10 @@ class LocationSupplier:
         accuracy = 0.0
         accuracy_value = request.first(Category.ENVIRONMENT, POSITION_ACCURACY)
         if accuracy_value is not None and accuracy_value.data_type is DataType.INTEGER:
-            accuracy = float(accuracy_value.value)
+            try:
+                accuracy = float(accuracy_value.value)
+            except OverflowError:  # more digits than a float holds
+                raise ValueError(f"{POSITION_ACCURACY} is out of range") from None
 
         point_value = request.first(Category.ENVIRONMENT, CURRENT_POSITION)
         if point_value is not None and point_value.data_type is DataType.GEO_POINT:

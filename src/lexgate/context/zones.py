@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..errors import FixtureError, PolicySyntaxError, PrecisionError, UnknownTerritoryError
 from ..model import GeoPoint
-from ..parsing.location_xml import LocationReport, ZoneKind
+from ..parsing.location_xml import LocationReport, ZoneKind, check_timezone_offset
 from ..parsing.xmlread import XmlNode, parse_xml
 from .geometry import (
     METERS_PER_DEGREE_LAT,
@@ -377,6 +377,7 @@ def _parse_territory(node: XmlNode) -> TerritoryNode:
         tz_name = name_node.text.strip()
         try:
             tz_offset = float(value_node.text.strip())
+            check_timezone_offset(tz_offset)
         except ValueError as exc:
             raise FixtureError(f"<value>: {exc} (line {value_node.line})") from exc
 

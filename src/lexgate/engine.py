@@ -74,6 +74,7 @@ from .model import (
     fits,
     is_one_field,
     operand_type,
+    refusal,
     trace_digest,
 )
 from .parsing.location_xml import LocationReport, ZoneKind
@@ -694,10 +695,7 @@ class PolicyDecisionPoint:
             final = self.combiners.combine(TOP_COMBINER, decisions)
         except Exception as exc:  # PIP failures must not escape the boundary
             trace += [record for record, _node in visited[mark:]]
-            trace.append(TraceRecord("<context>", Decision.INDETERMINATE, str(exc)))
-            return ResponseContext(
-                Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, (), tuple(trace)
-            )
+            return refusal("<context>", Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, str(exc), trace)
 
         obligations: list[Obligation] = []
         if final in (Decision.PERMIT, Decision.DENY):

@@ -385,6 +385,14 @@ class ResponseContext:
     trace: tuple[TraceRecord, ...] = ()
 
 
+def refusal(
+    node: str, decision: Decision, status: str, reason: str, trace: Sequence[TraceRecord] = ()
+) -> ResponseContext:
+    """A response given in place of a decision: `decision` and `status`,
+    with the trace so far ended by one record of the step that refused."""
+    return ResponseContext(decision, status, trace=(*trace, TraceRecord(node, decision, reason)))
+
+
 @dataclass(frozen=True)
 class Violation:
     """One structural defect found by validate_document; data, not an error."""

@@ -59,6 +59,17 @@ def country_name(code: str) -> str:
     return COUNTRY_NAMES.get(code, code)
 
 
+def check_timezone_offset(offset: float) -> None:
+    """Refuse, with ValueError, a timezone offset (hours) outside -12 to
+    14 or not a whole number of quarter hours; NaN and the infinities are
+    out of range."""
+    # The range first: the quarter-hour test cannot take NaN or infinity.
+    if not -12.0 <= offset <= 14.0:
+        raise ValueError(f"timezone offset out of range: {offset}")
+    if offset * 4 != int(offset * 4):
+        raise ValueError("timezone offset must have quarter-hour resolution")
+
+
 @dataclass(frozen=True)
 class LocationReport:
     country: str
@@ -70,11 +81,7 @@ class LocationReport:
     accuracy_radius: float = 0.0
 
     def __post_init__(self) -> None:
-        # The range first: the quarter-hour test cannot take NaN or infinity.
-        if not -12.0 <= self.timezone_offset <= 14.0:
-            raise ValueError(f"timezone offset out of range: {self.timezone_offset}")
-        if self.timezone_offset * 4 != int(self.timezone_offset * 4):
-            raise ValueError("timezone offset must have quarter-hour resolution")
+        check_timezone_offset(self.timezone_offset)
         if self.accuracy_radius < 0:
             raise ValueError("accuracy radius must be >= 0")
         if not self.accuracy_radius < math.inf:  # NaN fails every comparison

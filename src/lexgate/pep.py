@@ -7,6 +7,28 @@ downgrades Permit to Deny, an audit storage failure turns the response
 into Indeterminate/processing-error, and no response ever carries a
 cleartext view together with anything but Permit.
 
+`ReferenceMonitor._decide` gives the response; `handle_request` then
+audits it and answers in one place. Every request gets one of these
+responses. All but the decision come from `model.refusal`, which ends
+the trace so far with one record of the refusing step:
+
+| response           | trace ends with  | decision      | status           | audit line |
+|--------------------|------------------|---------------|------------------|------------|
+| wrong credentials  | `<monitor>`      | Deny          | processing-error | yes        |
+| not a request      | `<monitor>`      | Indeterminate | syntax-error     | yes        |
+| subject mismatch   | `<monitor>`      | Deny          | processing-error | yes        |
+| context failure    | `<context>`      | Indeterminate | processing-error | yes        |
+| decision           | forest's records | the engine's  | the engine's     | yes        |
+| obligation failure | `<obligations>`  | Deny          | processing-error | yes        |
+| audit failure      | `<audit>`        | Indeterminate | processing-error | no         |
+
+The refusing record's reason is `authentication-failed`,
+`bad-request:<error>`, `subject-session-mismatch`, the context error,
+`obligation-failure:<error>` or the audit error. Only a Permit decision
+carries a view. The audit line and the returned `AuditRecord` carry the
+response's decision and status, except after an audit failure: the
+record returned then is the one whose append failed.
+
 The audit trail is held open: `AuditLog` opens its file at the first
 append, flushes after every record, so each record reaches the operating
 system before the response is returned, and keeps the file open until
@@ -41,7 +63,7 @@ from .model import (
     ResponseContext,
     STATUS_PROCESSING_ERROR,
     STATUS_SYNTAX_ERROR,
-    TraceRecord,
+    refusal,
     single_line,
     trace_digest,
 )
@@ -236,13 +258,6 @@ class ObligationService:
         return view
 
 
-def _refusal(node: str, decision: Decision, status: str, reason: str, trace: tuple = ()) -> ResponseContext:
-    """A response the monitor gives in place of a decision: `decision` and
-    `status`, with the trace so far ended by one record of the monitor's
-    step that refused."""
-    return ResponseContext(decision, status, trace=(*trace, TraceRecord(node, decision, reason)))
-
-
 @dataclass(frozen=True)
 class AuthState:
     """Credentials presented with a request (fixture verifier: id+secret)."""
@@ -268,18 +283,15 @@ class ReferenceMonitor:
         self.audit = audit or AuditLog()
         self.obligations = ObligationService(pseudonym_key)
 
-    # -- helpers -------------------------------------------------------------
+    # -- the event flow --------------------------------------------------------
 
-    def _audit_and_respond(
-        self,
-        response: ResponseContext,
-        view: Optional[DataView],
-        requester: str,
-        request: Optional[RequestContext],
-    ) -> tuple[bytes, AuditRecord]:
+    def handle_request(self, raw: bytes | str, session: AuthState) -> tuple[bytes, AuditRecord]:
+        """Decide, audit, respond: the one exit of every request (see the
+        module docstring for the responses it can give)."""
+        request, response, view = self._decide(raw, session)
         record = AuditRecord(
             at=self.pips.clock.now_utc(),
-            requester=requester,
+            requester=session.user,
             resource=(request.resource_id() or "") if request else "",
             action=(request.action_id() or "") if request else "",
             decision=response.decision,
@@ -290,56 +302,49 @@ class ReferenceMonitor:
         try:
             self.audit.append(record)
         except AuditError as exc:
-            response = _refusal(
+            response = refusal(
                 "<audit>", Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, str(exc), response.trace
             )
             view = None
-        wire_view = view.to_wire() if view is not None else None
-        return serialize_response(response, wire_view), record
+        return serialize_response(response, view.to_wire() if view else None), record
 
-    # -- the event flow --------------------------------------------------------
-
-    def handle_request(self, raw: bytes | str, session: AuthState) -> tuple[bytes, AuditRecord]:
-        """Authenticate, decide, fulfil obligations, audit, respond."""
-        authenticated = self.pips.identities.authenticate(session.user, session.secret)
-
-        if not authenticated:
-            response = _refusal(
+    def _decide(
+        self, raw: bytes | str, session: AuthState
+    ) -> tuple[Optional[RequestContext], ResponseContext, Optional[DataView]]:
+        """Authenticate, parse, check the subject, evaluate and fulfil the
+        obligations: the request (None when it was not parsed), the
+        response and the view it releases (None unless Permit)."""
+        if not self.pips.identities.authenticate(session.user, session.secret):
+            return None, refusal(
                 "<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, "authentication-failed"
-            )
-            return self._audit_and_respond(response, None, session.user, None)
+            ), None
 
         try:
             request = parse_request(raw)
         except WireFormatError as exc:
-            response = _refusal(
+            return None, refusal(
                 "<monitor>", Decision.INDETERMINATE, STATUS_SYNTAX_ERROR, f"bad-request:{exc}"
-            )
-            return self._audit_and_respond(response, None, session.user, None)
+            ), None
 
         if request.subject_id() != session.user:
-            response = _refusal(
+            return request, refusal(
                 "<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, "subject-session-mismatch"
-            )
-            return self._audit_and_respond(response, None, session.user, request)
+            ), None
 
         # The decision point resolves the location snapshot itself (single
         # supplier query) and never raises past its boundary.
         response = self.engine.evaluate(self.forest, request, self.pips)
 
-        view: Optional[DataView] = None
         now = self.pips.clock.now_utc()
         record = self.pips.resources.get(request.resource_id() or "")
         try:
             if response.decision is Decision.PERMIT:
-                view = self.obligations.apply_all(response.obligations, record, now)
-            elif response.decision is Decision.DENY and response.obligations:
+                return request, response, self.obligations.apply_all(response.obligations, record, now)
+            if response.decision is Decision.DENY and response.obligations:
                 self.obligations.apply_all(response.obligations, record, now)
         except ObligationError as exc:
-            response = _refusal(
+            return request, refusal(
                 "<obligations>", Decision.DENY, STATUS_PROCESSING_ERROR,
                 f"obligation-failure:{exc}", response.trace,
-            )
-            view = None
-
-        return self._audit_and_respond(response, view, session.user, request)
+            ), None
+        return request, response, None

@@ -181,6 +181,24 @@ def test_bad_zone_coordinates_name_the_line(fixtures_root, prefix, message):
         load_zone_tree(text.replace("<posList>", "<posList>" + prefix, 1))
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("nan", "timezone offset out of range: nan"),
+        ("inf", "timezone offset out of range: inf"),
+        ("16", "timezone offset out of range: 16.0"),
+        ("1.1", "timezone offset must have quarter-hour resolution"),
+    ],
+)
+def test_a_timezone_offset_a_report_would_refuse_is_refused_at_load(fixtures_root, value, message):
+    # GB's offset: such a tree used to load, and then every request located
+    # in GB was answered Indeterminate/processing-error.
+    text = (fixtures_root / "zones.xml").read_text()
+    line_no = text.count("\n", 0, text.index("<value>0</value>")) + 1
+    with pytest.raises(FixtureError, match=rf"<value>: {message} \(line {line_no}\)"):
+        load_zone_tree(text.replace("<value>0</value>", f"<value>{value}</value>", 1))
+
+
 # -- XML declarations and any bytes in a policy line -----------------------------------
 
 # An unknown codec, and codecs expat cannot decode.

@@ -466,6 +466,95 @@ def test_non_utf8_request_is_a_syntax_error_with_one_audit_record(policy_pack, t
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
 
 
+def _response(*lines):
+    return "".join(f"{line}\n" for line in ("response", *lines, "end")).encode()
+
+
+# The packaged forest's trace for _PERMITTED_REQUEST at 13:40.
+_PERMIT_TRACE = (
+    "trace DECustomerDataLockdown NotApplicable legislation-scope-miss:DE",
+    "trace EUDenyWithoutTask NotApplicable condition-false",
+    "trace EUDenyUnauthorizedRelationship NotApplicable condition-false",
+    "trace EUDataProtection NotApplicable combined:deny-overrides",
+    "trace LUStrategicExportControl NotApplicable target-no-match:resource",
+    "trace PermitPublicResources NotApplicable target-no-match:resource",
+    "trace PermitCustomerServiceOnTask Permit effect",
+    "trace PermitPseudonymousWindow NotApplicable condition-false",
+    "trace OrgAccessGrants Permit combined:first-applicable",
+    "trace LoginRule Permit effect",
+    "trace WorkingTimePolicy Permit combined:deny-overrides",
+    "trace RestrictedZoneInsulation NotApplicable target-no-match:environment",
+)
+
+
+# Every exit of handle_request: (instant, pseudonym key, audit path, request,
+# session, response bytes).
+_EXITS = {
+    "wrong-secret": (
+        "2026-03-10T13:40:00Z", KEY, "audit.log", _PERMITTED_REQUEST, AuthState("c.miller", "wrong"),
+        _response("decision Deny", "status processing-error", "trace <monitor> Deny authentication-failed"),
+    ),
+    "not-a-request": (
+        "2026-03-10T13:40:00Z", KEY, "audit.log", b"not a request\n", GOOD_SESSION,
+        _response(
+            "decision Indeterminate", "status syntax-error",
+            "trace <monitor> Indeterminate bad-request:request must start with a 'request' line",
+        ),
+    ),
+    "subject-mismatch": (
+        "2026-03-10T13:40:00Z", KEY, "audit.log",
+        wire_request(subject="a.chen", resource="cust/4711/portfolio", point="47.37 8.54"), GOOD_SESSION,
+        _response("decision Deny", "status processing-error", "trace <monitor> Deny subject-session-mismatch"),
+    ),
+    "decision": (
+        "2026-03-10T13:40:00Z", KEY, "audit.log", _PERMITTED_REQUEST, GOOD_SESSION,
+        _response(
+            "decision Permit", "status ok", *_PERMIT_TRACE,
+            "view cleartext - UG9ydGZvbGlvIHN0YXRlbWVudCBmb3IgY3VzdDo0NzExOiBib25kcyBhbmQgZXF1aXRpZXMgaGVs"
+            "ZCBhdCB0aGUgTHV4ZW1ib3VyZyBoZWFkIG9mZmljZS4=",
+        ),
+    ),
+    "no-pseudonym-key": (
+        "2026-03-10T12:45:00Z", None, "audit.log",
+        wire_request(resource="cust/4711/portfolio", point="47.36 8.53"), GOOD_SESSION,
+        _response(
+            "decision Deny", "status processing-error",
+            *_PERMIT_TRACE[:6],
+            "trace PermitCustomerServiceOnTask NotApplicable condition-false",
+            "trace PermitPseudonymousWindow Permit effect",
+            *_PERMIT_TRACE[8:],
+            "trace <obligations> Deny obligation-failure:pseudonym mapping key is unavailable",
+        ),
+    ),
+    "unwritable-audit": (
+        "2026-03-10T13:40:00Z", KEY, "gone/audit.log", _PERMITTED_REQUEST, GOOD_SESSION,
+        _response(
+            "decision Indeterminate", "status processing-error", *_PERMIT_TRACE,
+            "trace <audit> Indeterminate audit storage failed: [Errno 2] No such file or directory: "
+            "'gone/audit.log'",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("exit_name", list(_EXITS))
+def test_every_exit_answers_and_audits_byte_for_byte(policy_pack, tmp_path, monkeypatch, exit_name):
+    at, key, path, raw, session, expected = _EXITS[exit_name]
+    monkeypatch.chdir(tmp_path)  # a relative audit path keeps the <audit> reason fixed
+    with AuditLog(Path(path)) as audit:
+        monitor, _ = make_monitor(policy_pack, at, key=key, audit=audit)
+        response_bytes, record = monitor.handle_request(raw, session)
+    assert response_bytes == expected
+    response, _view = parse_response(response_bytes)
+    if exit_name == "unwritable-audit":
+        assert not Path(path).exists()
+        # The record whose append failed: the decision it would have audited.
+        assert (record.decision, record.status) == (Decision.PERMIT, "ok")
+    else:
+        assert Path(path).read_text().splitlines() == [record.to_line()]
+        assert (record.decision, record.status) == (response.decision, response.status)
+
+
 def test_memory_stays_bounded_over_many_requests(policy_pack, fixtures_root):
     # One monitor serves the packaged requests. After the warm-up (roots
     # compiled, scopes selected) the memory still held must not grow with
@@ -680,6 +769,21 @@ def test_a_negative_position_accuracy_is_a_processing_error(policy_pack, tmp_pat
     assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_PROCESSING_ERROR)
     assert response.trace[-1].node_id == "<context>"
     assert response.trace[-1].reason == "accuracy radius must be >= 0"
+    assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_position_accuracy_past_a_float_is_a_processing_error_naming_the_field(
+    policy_pack, tmp_path, sign
+):
+    raw = wire_request(extra_lines=(f"environment position-accuracy integer {sign}1{'0' * 400}",))
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    response, _view = parse_response(response_bytes)
+    assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_PROCESSING_ERROR)
+    assert response.trace[-1].node_id == "<context>"
+    assert response.trace[-1].reason == "position-accuracy is out of range"
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
 
 

@@ -27,3 +27,15 @@ def test_a_workload_replays_to_the_same_digests(workload):
     first = _digests(workload)
     assert first["requests"] == REQUESTS
     assert _digests(workload) == first
+
+
+def test_against_the_same_checkout_reports_equal_digests():
+    completed = subprocess.run(
+        [sys.executable, "tools/stream_digest.py", "--workload", "reject-mix", "--seed", "3",
+         "--requests", str(REQUESTS), "--against", str(REPO)],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    here, there, verdict = (json.loads(line) for line in completed.stdout.splitlines()[-3:])
+    assert here == there and here["requests"] == REQUESTS
+    assert verdict == {"equal": True}

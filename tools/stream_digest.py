@@ -11,6 +11,13 @@ request's instant. Prints one JSON line: the workload, seed and request
 count, the SHA-256 of the response bytes in order, and that of the audit
 file. Two checkouts that give equal digests answer and audit the stream
 byte for byte alike. Standard library only.
+
+    python3 tools/stream_digest.py --workload pack-mix --seed 1 --requests 2000 --against ../parent
+
+With `--against DIR`, the same replay runs a second time with DIR (another
+checkout) as the working directory, so with DIR's generator, loader and
+program. Prints this checkout's line, DIR's line, then `{"equal": ...}`, and
+exits 1 when the digests differ.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -53,9 +61,19 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(bench.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--requests", type=int, required=True)
+    parser.add_argument("--against", type=Path, help="another checkout to replay the stream in")
     args = parser.parse_args(argv)
-    print(json.dumps(digests(args.workload, args.seed, args.requests), sort_keys=True))
-    return 0
+    here = digests(args.workload, args.seed, args.requests)
+    print(json.dumps(here, sort_keys=True))
+    if args.against is None:
+        return 0
+    replay = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
+              "--seed", str(args.seed), "--requests", str(args.requests)]
+    completed = subprocess.run(replay, cwd=args.against, check=True, stdout=subprocess.PIPE, text=True)
+    there = json.loads(completed.stdout.splitlines()[-1])
+    print(json.dumps(there, sort_keys=True))
+    print(json.dumps({"equal": here == there}))
+    return 0 if here == there else 1
 
 
 if __name__ == "__main__":
