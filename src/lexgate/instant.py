@@ -26,9 +26,13 @@ def parse_instant(text: str) -> dt.datetime:
 
 
 def format_instant(value: dt.datetime) -> str:
-    if value.tzinfo is None:
-        value = value.replace(tzinfo=dt.timezone.utc)
-    value = value.astimezone(dt.timezone.utc)
-    if value.microsecond:
-        return value.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
-    return value.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """The instant in UTC as 'YYYY-MM-DDTHH:MM:SSZ', with '.ffffff' before
+    the 'Z' when it has microseconds; the year has four digits, so years
+    before 1000 are written zero-padded. Naive values are taken as UTC."""
+    if value.tzinfo is not dt.timezone.utc:
+        if value.tzinfo is None:
+            value = value.replace(tzinfo=dt.timezone.utc)
+        else:
+            value = value.astimezone(dt.timezone.utc)
+    # A UTC value's isoformat ends in '+00:00'.
+    return f"{value.isoformat()[:-6]}Z"

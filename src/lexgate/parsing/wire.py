@@ -15,6 +15,7 @@ import base64
 import datetime as dt
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from ..errors import MissingCategoryError, WireFormatError
@@ -44,7 +45,6 @@ ACTION_ID = "action-id"
 CURRENT_POSITION = "current-position"
 PROXIMITY_TOKEN = "proximity-token"
 
-_CATEGORIES = {c.value: c for c in Category}
 # Category -> its bag of a RequestContext; reading `Category.value` is an
 # Enum property call, several times slower than the lookup.
 _CATEGORY_BAG = {c: operator.attrgetter(c.value) for c in Category}
@@ -71,9 +71,14 @@ class RequestContext:
     _action_id: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, category, attribute_id in _OWN_IDS:
-            value = self.first(category, attribute_id)
-            object.__setattr__(self, name, str(value.value) if value else None)
+        fields = self.__dict__
+        for name, bag, attribute_id in _OWN_IDS:
+            own = None
+            for key, value in fields[bag]:
+                if key == attribute_id:
+                    own = str(value.value)
+                    break
+            fields[name] = own
 
     def category(self, category: Category) -> tuple[Attribute, ...]:
         return _CATEGORY_BAG[category](self)
@@ -97,10 +102,11 @@ class RequestContext:
         return self._action_id
 
 
+# (own-id field, bag, attribute id) of the ids a RequestContext reads once.
 _OWN_IDS = (
-    ("_subject_id", Category.SUBJECT, SUBJECT_ID),
-    ("_resource_id", Category.RESOURCE, RESOURCE_ID),
-    ("_action_id", Category.ACTION, ACTION_ID),
+    ("_subject_id", "subject", SUBJECT_ID),
+    ("_resource_id", "resource", RESOURCE_ID),
+    ("_action_id", "action", ACTION_ID),
 )
 
 
@@ -120,9 +126,9 @@ def _check_single_line(text: str, what: str) -> str:
 
 
 def _split_lines(data: bytes | str) -> list[str]:
-    """The message's lines that are neither blank nor comments. Text that
-    UTF-8 cannot carry (bytes that do not decode, a str with a lone
-    surrogate) is a format error."""
+    """The message's lines that are neither blank nor comments, stripped.
+    Text that UTF-8 cannot carry (bytes that do not decode, a str with a
+    lone surrogate) is a format error."""
     try:
         if isinstance(data, bytes):
             text = data.decode("utf-8")
@@ -131,12 +137,7 @@ def _split_lines(data: bytes | str) -> list[str]:
             text.encode("utf-8")
     except UnicodeError as exc:
         raise WireFormatError(f"message is not UTF-8: {exc}") from exc
-    lines = []
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        lines.append(raw)
-    return lines
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 class _LocationAccumulator:
@@ -176,58 +177,84 @@ class _LocationAccumulator:
             raise WireFormatError(f"bad location block: {exc}") from exc
 
 
-def _parse_attribute_line(line: str, line_no: int) -> tuple[Category, Attribute]:
+def _parse_attribute_line(line: str, line_no: int) -> Attribute:
+    """The attribute of a '<category> <id> <type> <value>' line; the
+    category is the line's first word, which the caller reads."""
     parts = line.split(" ", 3)
     if len(parts) < 3:
         raise WireFormatError(f"expected '<category> <id> <type> <value>' on line {line_no}")
-    category_token, attr_id, type_token = parts[0], parts[1], parts[2]
+    attr_id, type_token = parts[1], parts[2]
     value_text = parts[3] if len(parts) > 3 else ""
-    category = _CATEGORIES[category_token]
     if type_token not in _TYPES:
         raise WireFormatError(f"unknown data type {type_token!r} on line {line_no}")
     try:
         value = parse_typed_value(_TYPES[type_token], value_text)
     except (ValueError, TypeError) as exc:
         raise WireFormatError(f"bad {type_token} value on line {line_no}: {exc}") from exc
-    return category, (attr_id, value)
+    return attr_id, value
+
+
+# The line memo: how many distinct attribute lines it keeps, and the
+# longest line it keeps, in characters, so that caller text pins at most
+# 256 lines of 512 characters and their values. Lines repeat across
+# requests (ids, positions, packaged values); a line that carries a fresh
+# instant, such as a proximity token's, only passes through.
+_LINES_HELD = 256
+_LONGEST_LINE_HELD = 512
+
+
+@lru_cache(maxsize=_LINES_HELD)
+def _parse_line_once(line: str) -> Attribute:
+    """`_parse_attribute_line` of a stripped attribute line, kept: the id
+    and the value are immutable. An error is not kept."""
+    return _parse_attribute_line(line, 0)
+
+
+def _parse_attribute(line: str, line_no: int) -> Attribute:
+    if len(line) > _LONGEST_LINE_HELD:
+        return _parse_attribute_line(line, line_no)
+    try:
+        return _parse_line_once(line)
+    except WireFormatError:
+        # Parsed again for the message, which names the line.
+        return _parse_attribute_line(line, line_no)
 
 
 def parse_request(data: bytes | str) -> RequestContext:
     lines = _split_lines(data)
-    if not lines or lines[0].strip() != "request":
+    if not lines or lines[0] != "request":
         raise WireFormatError("request must start with a 'request' line")
-    if lines[-1].strip() != "end":
+    if lines[-1] != "end":
         raise WireFormatError("request must finish with an 'end' line")
 
-    bags: dict[Category, list[Attribute]] = {c: [] for c in Category}
+    # Keyed by the category's wire token, the line's first word.
+    bags: dict[str, list[Attribute]] = {"subject": [], "resource": [], "action": [], "environment": []}
     location = _LocationAccumulator()
     destination: Optional[str] = None
 
-    for line_no, raw in enumerate(lines[1:-1], start=2):
-        line = raw.strip()
-        head = line.split(" ", 1)[0]
-        rest = line[len(head) + 1:] if " " in line else ""
-        if head == "destination-country":
+    for line_no, line in enumerate(lines[1:-1], start=2):
+        head, _, rest = line.partition(" ")
+        bag = bags.get(head)
+        if bag is not None:
+            bag.append(_parse_attribute(line, line_no))
+        elif head == "destination-country":
             try:
                 destination = country_code(rest)
             except ValueError as exc:
                 raise WireFormatError(f"bad destination-country on line {line_no}: {exc}") from exc
         elif head == "location":
             location.feed(rest, line_no)
-        elif head in _CATEGORIES:
-            category, attribute = _parse_attribute_line(line, line_no)
-            bags[category].append(attribute)
         else:
             raise WireFormatError(f"unknown line kind {head!r} on line {line_no}")
 
-    if not bags[Category.SUBJECT]:
+    if not bags["subject"]:
         raise MissingCategoryError("request carries no subject attributes")
 
     return RequestContext(
-        subject=tuple(bags[Category.SUBJECT]),
-        resource=tuple(bags[Category.RESOURCE]),
-        action=tuple(bags[Category.ACTION]),
-        environment=tuple(bags[Category.ENVIRONMENT]),
+        subject=tuple(bags["subject"]),
+        resource=tuple(bags["resource"]),
+        action=tuple(bags["action"]),
+        environment=tuple(bags["environment"]),
         source_location=location.build(),
         destination_country=destination,
     )
@@ -301,9 +328,9 @@ def _view_line(view: WireView) -> str:
 
 def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireView]]:
     lines = _split_lines(data)
-    if not lines or lines[0].strip() != "response":
+    if not lines or lines[0] != "response":
         raise WireFormatError("response must start with a 'response' line")
-    if lines[-1].strip() != "end":
+    if lines[-1] != "end":
         raise WireFormatError("response must finish with an 'end' line")
 
     decision: Optional[Decision] = None
@@ -312,8 +339,7 @@ def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireVie
     trace: list[TraceRecord] = []
     view: Optional[WireView] = None
 
-    for line_no, raw in enumerate(lines[1:-1], start=2):
-        line = raw.strip()
+    for line_no, line in enumerate(lines[1:-1], start=2):
         head, _, rest = line.partition(" ")
         if head == "decision":
             try:

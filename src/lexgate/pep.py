@@ -24,7 +24,9 @@ the trace so far with one record of the refusing step:
 
 The refusing record's reason is `authentication-failed`,
 `bad-request:<error>`, `subject-session-mismatch`, the context error,
-`obligation-failure:<error>` or the audit error. Only a Permit decision
+`obligation-failure:<error>` or the audit error. The two whose text never
+changes, wrong credentials and subject mismatch, are built once, with
+their trace's digest. Only a Permit decision
 carries a view. The audit line and the returned `AuditRecord` carry the
 response's decision and status, except after an audit failure: the
 record returned then is the one whose append failed.
@@ -46,7 +48,7 @@ import hashlib
 import hmac
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -63,6 +65,7 @@ from .model import (
     ResponseContext,
     STATUS_PROCESSING_ERROR,
     STATUS_SYNTAX_ERROR,
+    Trace,
     refusal,
     single_line,
     trace_digest,
@@ -113,10 +116,19 @@ class AuditRecord:
         shift its fields."""
         obligations = ",".join(self.obligations_executed) or "-"
         return (
-            f"{format_instant(self.at)}|{_audit_field(self.requester)}|"
-            f"{_audit_field(self.resource)}|{_audit_field(self.action)}|"
+            f"{format_instant(self.at)}|{_audit_fields(self.requester, self.resource, self.action)}|"
             f"{self.decision.value}|{self.status}|{self.trace_digest}|{obligations}"
         )
+
+
+def _audit_fields(*texts: str) -> str:
+    """The caller-supplied audit fields (`_audit_field`), joined by `|`.
+    Fields that need no escaping, the common case, are checked and joined
+    in one go."""
+    joined = "|".join([text or "-" for text in texts])
+    if "%" in joined or joined.count("|") != len(texts) - 1 or single_line(joined) is not joined:
+        return "|".join(map(_audit_field, texts))
+    return joined
 
 
 def _audit_field(text: str) -> str:
@@ -266,6 +278,18 @@ class AuthState:
     secret: str
 
 
+def _fixed_refusal(reason: str) -> ResponseContext:
+    """A `<monitor>` Deny/processing-error refusal whose text never
+    changes, built once with its trace's digest: answering it builds no
+    trace record and hashes nothing."""
+    response = refusal("<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, reason)
+    return replace(response, trace=Trace(response.trace, trace_digest(response.trace)))
+
+
+_AUTHENTICATION_FAILED = _fixed_refusal("authentication-failed")
+_SUBJECT_SESSION_MISMATCH = _fixed_refusal("subject-session-mismatch")
+
+
 class ReferenceMonitor:
     """Internal enforcement point in front of the decision engine."""
 
@@ -315,9 +339,7 @@ class ReferenceMonitor:
         obligations: the request (None when it was not parsed), the
         response and the view it releases (None unless Permit)."""
         if not self.pips.identities.authenticate(session.user, session.secret):
-            return None, refusal(
-                "<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, "authentication-failed"
-            ), None
+            return None, _AUTHENTICATION_FAILED, None
 
         try:
             request = parse_request(raw)
@@ -327,9 +349,7 @@ class ReferenceMonitor:
             ), None
 
         if request.subject_id() != session.user:
-            return request, refusal(
-                "<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, "subject-session-mismatch"
-            ), None
+            return request, _SUBJECT_SESSION_MISMATCH, None
 
         # The decision point resolves the location snapshot itself (single
         # supplier query) and never raises past its boundary.

@@ -12,6 +12,8 @@ became one pass each.
 
 from __future__ import annotations
 
+import math
+
 from lexgate.context.diary import DiaryStore, TaskAssessment, _better
 from lexgate.context.geometry import disc_polygon_relation, point_in_polygon
 from lexgate.context.zones import ZoneTree
@@ -29,6 +31,8 @@ def resolve_location(point, accuracy_radius, zones: ZoneTree) -> LocationReport:
         ids = ", ".join(c.id for c in containing)
         raise PrecisionError(f"point lies in several countries: {ids}")
     country = containing[0]
+    if not accuracy_radius < math.inf:
+        raise PrecisionError(f"accuracy radius {accuracy_radius!r} m is not finite")
 
     if accuracy_radius > 0:
         for other in zones.countries():

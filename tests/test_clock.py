@@ -3,7 +3,7 @@ import datetime as dt
 from hypothesis import example, given, settings, strategies as st
 
 from lexgate.context.clock import FixedClock, local_time
-from lexgate.instant import parse_instant
+from lexgate.instant import format_instant, parse_instant
 
 
 def test_zero_offset_is_identity():
@@ -88,3 +88,41 @@ def test_parse_instant_rejects_what_the_reference_formula_rejects(text):
     assert outcome == _outcome(_reference_parse_instant, text)
     if not isinstance(outcome[0], dt.datetime):
         assert issubclass(outcome[0], ValueError)
+
+
+def _strftime_instant(value):
+    """format_instant as it was, by strftime: right for years from 1000,
+    while glibc writes an earlier year without its leading zeros."""
+    value = value.astimezone(dt.timezone.utc)
+    if value.microsecond:
+        return value.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
+    return value.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+@settings(max_examples=300)
+@given(st.datetimes(dt.datetime(1, 1, 1), dt.datetime(9999, 12, 31, 23, 59, 59, 999999)), st.booleans())
+@example(dt.datetime(1, 1, 1), False)
+@example(dt.datetime(124, 3, 11, 1, 40), False)
+@example(dt.datetime(999, 12, 31, 23, 59, 59, 999999), True)
+@example(dt.datetime(1000, 1, 1), True)
+@example(dt.datetime(9999, 12, 31, 23, 59, 59, 999999), True)
+def test_format_instant_round_trips_in_every_year(value, whole_second):
+    if whole_second:
+        value = value.replace(microsecond=0)
+    instant = value.replace(tzinfo=dt.timezone.utc)
+    text = format_instant(instant)
+    assert text == format_instant(value)  # a naive value is taken as UTC
+    assert parse_instant(text) == instant
+    assert text[4] == "-" and text.endswith("Z")
+    if value.year >= 1000:
+        assert text == _strftime_instant(instant)
+
+
+@given(
+    st.datetimes(dt.datetime(1001, 1, 1), dt.datetime(9998, 12, 31)),
+    st.integers(-14 * 60, 14 * 60).map(lambda minutes: dt.timezone(dt.timedelta(minutes=minutes))),
+)
+def test_format_instant_writes_an_offset_value_in_utc(value, zone):
+    local = value.replace(tzinfo=zone)
+    assert format_instant(local) == _strftime_instant(local.astimezone(dt.timezone.utc))
+    assert parse_instant(format_instant(local)) == local

@@ -32,7 +32,7 @@ from lexgate.context.zones import (
     load_zone_tree,
     resolve_location,
 )
-from lexgate.errors import UnknownTerritoryError
+from lexgate.errors import PrecisionError, UnknownTerritoryError
 from lexgate.model import GeoPoint
 from lexgate.parsing.location_xml import LocationReport, ZoneKind
 
@@ -285,6 +285,17 @@ def test_a_tree_with_no_countries_contains_no_point(tree, lat, lon, radius):
     _agree(GeoPoint(lat, lon), radius, tree)
     with pytest.raises(UnknownTerritoryError):
         resolve_location(GeoPoint(lat, lon), radius, tree)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_a_radius_that_is_not_finite_is_a_precision_error_at_a_located_point(radius):
+    # The far country's corner lies in that country alone; a report would
+    # refuse the radius, so the lookup does before it builds one.
+    tree = with_far_country(grid_tree(-60.0, 0.0, rows=1, cols=1, size=0.001, gap=0.0, cut=0.0), -89.0, -179.0, 0.001)
+    point = GeoPoint(-89.0, -179.0)
+    _agree(point, radius, tree)
+    with pytest.raises(PrecisionError, match="is not finite"):
+        resolve_location(point, radius, tree)
 
 
 @pytest.mark.parametrize("gap", [0.0, 0.2])

@@ -217,6 +217,7 @@ def test_restricted_area_outside_country_is_rejected():
     bad = """
     <zones>
       <territory kind="country" id="AA" name="A">
+        <timezone><name>UTC</name><value>0</value></timezone>
         <boundary><posList>0 0  0 1  1 1  1 0</posList></boundary>
         <restricted id="AA-r" name="r">
           <boundary><posList>2 2  2 3  3 3  3 2</posList></boundary>
@@ -224,5 +225,26 @@ def test_restricted_area_outside_country_is_rejected():
       </territory>
     </zones>
     """
-    with pytest.raises(FixtureError):
+    with pytest.raises(FixtureError, match="restricted area 'AA-r' leaves country 'AA'"):
         load_zone_tree(bad)
+
+
+def test_a_country_without_a_timezone_is_refused_by_name():
+    tree = """
+    <zones>
+      <territory kind="union" id="U" name="U">
+        {union_timezone}
+        <territory kind="country" id="AA" name="A">
+          {country_timezone}
+          <boundary><posList>0 0  0 1  1 1  1 0</posList></boundary>
+        </territory>
+      </territory>
+    </zones>
+    """
+    timezone = "<timezone><name>CET</name><value>1</value></timezone>"
+    # A timezone on the enclosing union does not stand in for the country's.
+    with pytest.raises(FixtureError, match=r"country 'AA' has no <timezone> \(line 5\)"):
+        load_zone_tree(tree.format(union_timezone=timezone, country_timezone=""))
+    # A territory that is no country may go without one.
+    loaded = load_zone_tree(tree.format(union_timezone="", country_timezone=timezone))
+    assert [(c.id, c.timezone_name, c.timezone_offset) for c in loaded.countries()] == [("AA", "CET", 1.0)]

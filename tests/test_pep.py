@@ -31,6 +31,8 @@ from lexgate.model import (
     STATUS_PROCESSING_ERROR,
     Target,
 )
+from lexgate import pep as pep_module
+from lexgate.parsing import wire
 from lexgate.parsing.wire import parse_response
 from lexgate.pep import (
     AuditLog,
@@ -633,6 +635,25 @@ def test_the_trusted_bag_memo_stays_bounded_over_distinct_resources_and_countrie
     assert memo.cache_info().misses > 676
 
 
+def test_the_line_memo_stays_bounded_over_long_and_distinct_lines(policy_pack):
+    # Request n carries a distinct 10 KB line, which passes by the memo,
+    # and a distinct short line, which enters it and is pushed out again.
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+    memo = wire._parse_line_once
+    memo.cache_clear()
+
+    def send(n):
+        long_line = f"environment long-note string {n:05d}{'x' * 10_000}"
+        short_line = f"environment note string {n}"
+        monitor.handle_request(wire_request(extra_lines=(long_line, short_line)), GOOD_SESSION)
+        assert memo.cache_info().currsize <= wire._LINES_HELD
+
+    # A full memo of 256 short lines holds about 0.1 MiB; one that kept
+    # the long lines would hold some 5 MiB.
+    assert _held_after_warm_up(send) < 256 * 1024
+    assert memo.cache_info().hits > 0
+
+
 def _held_after_warm_up(send) -> int:
     """Bytes still held after send(n) for 9,000 more n, once 1,000 have
     warmed up (roots compiled, scopes selected)."""
@@ -698,6 +719,20 @@ def test_caller_text_cannot_break_the_response_or_the_audit_line(tmp_path, messa
     fields = lines[0].split("|")
     assert len(fields) == 8
     assert (fields[4], fields[5]) == (response.decision.value, response.status)
+
+
+_FIELD_TEXT = st.text(alphabet=st.sampled_from("ab|%\\\n\u2028\ud800 -"), max_size=6)
+
+
+@settings(max_examples=300)
+@given(_FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT)
+def test_the_audit_fields_are_written_alike_checked_together_or_one_by_one(requester, resource, action):
+    record = AuditRecord(
+        dt.datetime(2026, 3, 10, 13, 40, tzinfo=dt.timezone.utc), requester, resource, action,
+        Decision.DENY, "ok", "0", (),
+    )
+    one_by_one = "|".join(pep_module._audit_field(text) for text in (requester, resource, action))
+    assert record.to_line() == f"2026-03-10T13:40:00Z|{one_by_one}|Deny|ok|0|-"
 
 
 @st.composite
@@ -804,6 +839,26 @@ def test_a_limit_duration_past_the_calendar_denies_with_one_audit_record(tmp_pat
     assert response.trace[-1].reason == "obligation-failure:limit-duration expiry is out of range"
     assert view is None
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
+def test_a_permit_whose_expiry_falls_before_year_1000_parses_back(tmp_path):
+    # 2026-03-10T13:40Z less 60,021,259,200 s is 0124-03-11T01:40Z; the
+    # view line writes its year with four digits, as docs/wire-format.md
+    # spells an instant and parse_response reads it.
+    duration = Obligation(
+        "limit-duration", Effect.PERMIT,
+        (("duration-seconds", AttributeValue(DataType.INTEGER, -60_021_259_200)),),
+    )
+    permit = document(policy("p", [rule("r", Effect.PERMIT)], obligations=(duration,)))
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor = ReferenceMonitor(
+            PolicyDecisionPoint(), [permit], make_bundle("2026-03-10T13:40:00Z"), audit=audit, pseudonym_key=KEY
+        )
+        response_bytes, _record = monitor.handle_request(wire_request(), GOOD_SESSION)
+    assert b"\nview cleartext 0124-03-11T01:40:00Z " in response_bytes
+    response, view = parse_response(response_bytes)
+    assert response.decision is Decision.PERMIT
+    assert view.expires_at == dt.datetime(124, 3, 11, 1, 40, tzinfo=dt.timezone.utc)
 
 
 class _Hostile(Exception):

@@ -1,7 +1,8 @@
 import datetime as dt
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexgate.errors import MissingCategoryError, WireFormatError
 from lexgate.model import (
@@ -16,6 +17,7 @@ from lexgate.model import (
     TraceRecord,
     STATUS_PROCESSING_ERROR,
 )
+from lexgate.parsing import wire
 from lexgate.parsing.location_xml import LocationReport, ZoneKind
 from lexgate.parsing.wire import (
     RequestContext,
@@ -260,3 +262,113 @@ def test_response_round_trip_property(response):
     rebuilt, view = parse_response(serialize_response(response))
     assert rebuilt == response
     assert view is None
+
+
+# -- the line memo ----------------------------------------------------------------
+
+# Request lines after the grammar of docs/wire-format.md: values of each
+# type, and lines its parser refuses.
+_TYPED_TEXT = {
+    "string": st.sampled_from(("read", "cust/4711/portfolio", "sparkly  unicorn value", "")),
+    "identifier": st.sampled_from(("c.miller", "a.chen")),
+    "time-of-day": st.sampled_from(("08:00:00", "23:59:59")),
+    "date": st.just("2026-03-10"),
+    "integer": st.integers(-10**6, 10**6).map(str),
+    "boolean": st.sampled_from(("true", "false")),
+    "geo-point": st.tuples(st.floats(-90, 90), st.floats(-180, 180)).map(lambda p: f"{p[0]!r} {p[1]!r}"),
+    "country-code": st.sampled_from(("LU", "GB")),
+}
+_attribute_lines = st.builds(
+    "{} {} {}".format,
+    st.sampled_from(("subject", "resource", "action", "environment")),
+    st.sampled_from(("user-id", "resource-id", "action-id", "note", "position-accuracy")),
+    st.sampled_from(sorted(_TYPED_TEXT)).flatmap(lambda t: _TYPED_TEXT[t].map(f"{t} {{}}".format)),
+)
+_refused_lines = st.sampled_from((
+    "environment t time-of-day 24:00:00",
+    "environment t time-of-day 8:0",
+    "environment d date 2026-02-30",
+    "subject b boolean yes",
+    "resource c country-code lu",
+    "action n no-such-type 5",
+    "bogus line",
+    "subject",
+    "subject user-id",
+    "destination-country gb",
+))
+_LOCATION_BLOCK = (
+    "location country GB",
+    "location city London",
+    "location zone unrestricted",
+    "location timezone IST 5.5",
+    "location point 51.507861 -0.099349",
+    "location accuracy 30.5",
+)
+_location_blocks = st.sampled_from(((), (), _LOCATION_BLOCK[:5], _LOCATION_BLOCK, _LOCATION_BLOCK[1:]))
+_request_lines = st.one_of(
+    _attribute_lines,
+    _attribute_lines,
+    _attribute_lines,
+    st.sampled_from(("destination-country LU", "# a comment", "")),
+    _refused_lines,
+)
+# Mutations: a number token made hostile, a line dropped or repeated, a
+# line separator inserted.
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+_HOSTILE_NUMBERS = ("nan", "inf", "-inf", "-0", "1e400", "9" * 400)
+_mutations = st.lists(
+    st.tuples(
+        st.sampled_from(("number", "drop", "repeat", "separator")),
+        st.integers(0, 30),
+        st.sampled_from(_HOSTILE_NUMBERS),
+    ),
+    max_size=4,
+)
+
+
+def _mutate(lines: list[str], mutations) -> list[str]:
+    lines = list(lines)
+    for kind, at, number in mutations:
+        if not lines:
+            break
+        at %= len(lines)
+        if kind == "number":
+            lines[at] = _NUMBER.sub(number, lines[at], count=1)
+        elif kind == "drop":
+            del lines[at]
+        elif kind == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = lines[at][: at % 7] + "\u2028" + lines[at][at % 7:]
+    return lines
+
+
+_wire_requests = st.builds(
+    lambda subject, location, body, mutations, as_bytes: (
+        lambda text: text.encode("utf-8") if as_bytes else text
+    )("\n".join(_mutate(["request", *subject, *location, *body, "end"], mutations)) + "\n"),
+    st.sampled_from(((), *[("subject user-id identifier c.miller",)] * 3)),
+    _location_blocks,
+    st.lists(_request_lines, max_size=8),
+    _mutations,
+    st.booleans(),
+)
+
+
+def _parsed(data):
+    try:
+        return parse_request(data)
+    except Exception as exc:  # the kind and message are the outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(_wire_requests)
+def test_the_line_memo_changes_no_result(data):
+    wire._parse_line_once.cache_clear()
+    cold = _parsed(data)
+    warm = _parsed(data)  # every line the memo keeps is in it now
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wire, "_LONGEST_LINE_HELD", -1)  # no line is kept
+        unkept = _parsed(data)
+    assert cold == warm == unkept
