@@ -279,9 +279,8 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
     """Classify a position against the territory tree.
 
     Raises UnknownTerritoryError when no country contains the point,
-    PrecisionError when the accuracy radius is NaN or infinite, or when
-    the accuracy disc overlaps several countries (country=None) or
-    straddles a restricted boundary (country set).
+    PrecisionError when the accuracy disc overlaps several countries
+    (country=None) or straddles a restricted boundary (country set).
     """
     lat, lon = point.lat, point.lon
     containing = [
@@ -298,8 +297,6 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
         raise PrecisionError(f"point lies in several countries: {ids}")
     located = containing[0]
     country = located.node
-    if not accuracy_radius < math.inf:  # NaN fails every comparison
-        raise PrecisionError(f"accuracy radius {accuracy_radius!r} m is not finite")
     reach = _disc_reach(point, accuracy_radius)
     south, west, north, east = reach
 

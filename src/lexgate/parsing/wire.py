@@ -45,6 +45,9 @@ ACTION_ID = "action-id"
 CURRENT_POSITION = "current-position"
 PROXIMITY_TOKEN = "proximity-token"
 
+# A category's wire token, the first word of its attribute lines, is also
+# the name of its bag in a RequestContext.
+_BAG_TOKENS = tuple(c.value for c in Category)
 # Category -> its bag of a RequestContext; reading `Category.value` is an
 # Enum property call, several times slower than the lookup.
 _CATEGORY_BAG = {c: operator.attrgetter(c.value) for c in Category}
@@ -71,14 +74,9 @@ class RequestContext:
     _action_id: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        fields = self.__dict__
-        for name, bag, attribute_id in _OWN_IDS:
-            own = None
-            for key, value in fields[bag]:
-                if key == attribute_id:
-                    own = str(value.value)
-                    break
-            fields[name] = own
+        for name, category, attribute_id in _OWN_IDS:
+            value = self.first(category, attribute_id)
+            object.__setattr__(self, name, str(value.value) if value else None)
 
     def category(self, category: Category) -> tuple[Attribute, ...]:
         return _CATEGORY_BAG[category](self)
@@ -102,11 +100,10 @@ class RequestContext:
         return self._action_id
 
 
-# (own-id field, bag, attribute id) of the ids a RequestContext reads once.
 _OWN_IDS = (
-    ("_subject_id", "subject", SUBJECT_ID),
-    ("_resource_id", "resource", RESOURCE_ID),
-    ("_action_id", "action", ACTION_ID),
+    ("_subject_id", Category.SUBJECT, SUBJECT_ID),
+    ("_resource_id", Category.RESOURCE, RESOURCE_ID),
+    ("_action_id", Category.ACTION, ACTION_ID),
 )
 
 
@@ -227,8 +224,7 @@ def parse_request(data: bytes | str) -> RequestContext:
     if lines[-1] != "end":
         raise WireFormatError("request must finish with an 'end' line")
 
-    # Keyed by the category's wire token, the line's first word.
-    bags: dict[str, list[Attribute]] = {"subject": [], "resource": [], "action": [], "environment": []}
+    bags: dict[str, list[Attribute]] = {token: [] for token in _BAG_TOKENS}
     location = _LocationAccumulator()
     destination: Optional[str] = None
 
@@ -247,14 +243,11 @@ def parse_request(data: bytes | str) -> RequestContext:
         else:
             raise WireFormatError(f"unknown line kind {head!r} on line {line_no}")
 
-    if not bags["subject"]:
+    if not bags[Category.SUBJECT.value]:
         raise MissingCategoryError("request carries no subject attributes")
 
     return RequestContext(
-        subject=tuple(bags["subject"]),
-        resource=tuple(bags["resource"]),
-        action=tuple(bags["action"]),
-        environment=tuple(bags["environment"]),
+        **{token: tuple(bag) for token, bag in bags.items()},
         source_location=location.build(),
         destination_country=destination,
     )

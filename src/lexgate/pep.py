@@ -116,19 +116,10 @@ class AuditRecord:
         shift its fields."""
         obligations = ",".join(self.obligations_executed) or "-"
         return (
-            f"{format_instant(self.at)}|{_audit_fields(self.requester, self.resource, self.action)}|"
+            f"{format_instant(self.at)}|{_audit_field(self.requester)}|"
+            f"{_audit_field(self.resource)}|{_audit_field(self.action)}|"
             f"{self.decision.value}|{self.status}|{self.trace_digest}|{obligations}"
         )
-
-
-def _audit_fields(*texts: str) -> str:
-    """The caller-supplied audit fields (`_audit_field`), joined by `|`.
-    Fields that need no escaping, the common case, are checked and joined
-    in one go."""
-    joined = "|".join([text or "-" for text in texts])
-    if "%" in joined or joined.count("|") != len(texts) - 1 or single_line(joined) is not joined:
-        return "|".join(map(_audit_field, texts))
-    return joined
 
 
 def _audit_field(text: str) -> str:

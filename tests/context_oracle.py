@@ -12,8 +12,6 @@ became one pass each.
 
 from __future__ import annotations
 
-import math
-
 from lexgate.context.diary import DiaryStore, TaskAssessment, _better
 from lexgate.context.geometry import disc_polygon_relation, point_in_polygon
 from lexgate.context.zones import ZoneTree
@@ -31,8 +29,6 @@ def resolve_location(point, accuracy_radius, zones: ZoneTree) -> LocationReport:
         ids = ", ".join(c.id for c in containing)
         raise PrecisionError(f"point lies in several countries: {ids}")
     country = containing[0]
-    if not accuracy_radius < math.inf:
-        raise PrecisionError(f"accuracy radius {accuracy_radius!r} m is not finite")
 
     if accuracy_radius > 0:
         for other in zones.countries():
@@ -101,8 +97,10 @@ def check_task(store: DiaryStore, user, resource, now, location, tokens, identit
 
 
 def outcome(call, *args):
-    """The value of call(*args), or (exception type, message, country)."""
+    """The value of call(*args), or (exception type, message, country).
+    A ValueError counts too: a report refuses a radius that is NaN, and
+    both sides build one."""
     try:
         return call(*args)
-    except (PrecisionError, UnknownTerritoryError) as exc:
+    except (PrecisionError, UnknownTerritoryError, ValueError) as exc:
         return type(exc), str(exc), getattr(exc, "country", None)

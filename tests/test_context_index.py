@@ -287,15 +287,18 @@ def test_a_tree_with_no_countries_contains_no_point(tree, lat, lon, radius):
         resolve_location(GeoPoint(lat, lon), radius, tree)
 
 
-@pytest.mark.parametrize("radius", [math.nan, math.inf])
-def test_a_radius_that_is_not_finite_is_a_precision_error_at_a_located_point(radius):
-    # The far country's corner lies in that country alone; a report would
-    # refuse the radius, so the lookup does before it builds one.
+def test_a_radius_that_is_not_finite_at_a_located_point():
+    # The far country's corner lies in that country alone. An infinite disc
+    # meets the other country; a NaN one meets nothing, so both sides build
+    # a report, and the report refuses the radius.
     tree = with_far_country(grid_tree(-60.0, 0.0, rows=1, cols=1, size=0.001, gap=0.0, cut=0.0), -89.0, -179.0, 0.001)
     point = GeoPoint(-89.0, -179.0)
-    _agree(point, radius, tree)
-    with pytest.raises(PrecisionError, match="is not finite"):
-        resolve_location(point, radius, tree)
+    for radius in (math.inf, math.nan):
+        _agree(point, radius, tree)
+    with pytest.raises(PrecisionError, match="accuracy disc of inf m overlaps both ZZ and "):
+        resolve_location(point, math.inf, tree)
+    with pytest.raises(ValueError, match="accuracy radius must be finite: nan"):
+        resolve_location(point, math.nan, tree)
 
 
 @pytest.mark.parametrize("gap", [0.0, 0.2])

@@ -31,7 +31,6 @@ from lexgate.model import (
     STATUS_PROCESSING_ERROR,
     Target,
 )
-from lexgate import pep as pep_module
 from lexgate.parsing import wire
 from lexgate.parsing.wire import parse_response
 from lexgate.pep import (
@@ -719,20 +718,6 @@ def test_caller_text_cannot_break_the_response_or_the_audit_line(tmp_path, messa
     fields = lines[0].split("|")
     assert len(fields) == 8
     assert (fields[4], fields[5]) == (response.decision.value, response.status)
-
-
-_FIELD_TEXT = st.text(alphabet=st.sampled_from("ab|%\\\n\u2028\ud800 -"), max_size=6)
-
-
-@settings(max_examples=300)
-@given(_FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT)
-def test_the_audit_fields_are_written_alike_checked_together_or_one_by_one(requester, resource, action):
-    record = AuditRecord(
-        dt.datetime(2026, 3, 10, 13, 40, tzinfo=dt.timezone.utc), requester, resource, action,
-        Decision.DENY, "ok", "0", (),
-    )
-    one_by_one = "|".join(pep_module._audit_field(text) for text in (requester, resource, action))
-    assert record.to_line() == f"2026-03-10T13:40:00Z|{one_by_one}|Deny|ok|0|-"
 
 
 @st.composite
