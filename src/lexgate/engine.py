@@ -76,6 +76,7 @@ from .model import (
     operand_type,
     refusal,
     trace_digest,
+    trace_text,
 )
 from .parsing.location_xml import LocationReport, ZoneKind
 from .parsing.wire import PROXIMITY_TOKEN, RequestContext
@@ -679,16 +680,16 @@ class PolicyDecisionPoint:
                 response = plan.responses.get(key)
                 if response is not None:
                     return response
-            runs = plan.runs
+            runs, views = plan.runs, plan.views
             trace += runs[0]
-            walked = []  # each walked document's records
+            body = [views[0]]
             decisions = []  # NotApplicable is the identity of the top combiner
-            for index, run in zip(plan.walk, runs[1:]):
+            for index, run, view in zip(plan.walk, runs[1:], views[1:]):
                 decision = forest.walker(index)(ctx, visited)
-                records = tuple([record for record, _node in visited[mark:]])
-                walked.append(records)
+                records = [record for record, _node in visited[mark:]]
                 trace += records
                 trace += run
+                body += (trace_text(records), view)
                 mark = len(visited)
                 if decision is not Decision.NOT_APPLICABLE:
                     decisions.append(decision)
@@ -713,7 +714,7 @@ class PolicyDecisionPoint:
             decision=final,
             status=status,
             obligations=tuple(obligations),
-            trace=Trace(trace, trace_digest(trace), plan.text, plan.cuts, tuple(walked)),
+            trace=Trace(trace, trace_digest(trace), tuple(body)),
         )
         if key is not None:
             _remember(plan.responses, forest.responses_held, key, response)
@@ -761,14 +762,6 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
 _PLANS_HELD = 256
 _RESPONSES_HELD = 32
 _TRACE_RECORDS_HELD = 1 << 20
-# A plan's runs are spliced out of the shared text only when they hold at
-# least this many screened records on average. A spliced run costs a
-# slice and a loop step in `serialize_response` where a rendered record
-# costs one line, about a sixteenth as much (~1.1 against ~0.07 µs in
-# pack-mix and forest-600 requests on a 2-core x86-64 host, CPython
-# 3.11), so shorter runs, as in the packaged forest, are rendered line by
-# line.
-_RECORDS_PER_SPLICED_RUN = 16
 
 
 def _remember(memo: dict, held: int, key: object, value: object) -> None:
@@ -792,7 +785,7 @@ class Screen(NamedTuple):
     # None for a candidate without a literal key, which is always walked.
     records: tuple[Optional[TraceRecord], ...]
     # Those records' wire lines, each ending in a line feed, in document
-    # order, as UTF-8; every plan of the scope set shares this text.
+    # order, as UTF-8; every plan of the scope set takes views of this text.
     text: bytes
     # The byte offset of each document's line in `text`, then len(text).
     offsets: array
@@ -811,11 +804,8 @@ class Plan(NamedTuple):
     walk_key: Optional[Callable[[EvaluationContext], tuple]]
     # The finished responses by walk key.
     responses: dict
-    # The screen's shared wire text and the (start, end) byte offsets in
-    # it of each run's lines; None and () when the runs are too short to
-    # splice (`_RECORDS_PER_SPLICED_RUN`).
-    text: Optional[bytes]
-    cuts: tuple[tuple[int, int], ...]
+    # Per run, the view of its records' wire lines in the screen's text.
+    views: tuple[memoryview, ...]
 
 
 _TIME_ORDER = ("function:time-greater-than-or-equal", "function:time-less-than-or-equal")
@@ -965,10 +955,11 @@ class CompiledForest:
     a string). That is the plan memo's key, so caller text that is no
     literal never enters it. A plan is made on the first request with its
     key and kept with the screened records grouped into runs between the
-    walked documents; when the runs are long enough to splice, the byte
-    offsets of those runs in its screen's text (a plan holds no text of
-    its own); and a memo of finished responses. At most `_PLANS_HELD`
-    screens and as many plans are kept.
+    walked documents; per run, a view of its records' lines in its
+    screen's text (a plan holds no text of its own); and a memo of
+    finished responses. A response's trace body is those views with, in
+    between, each walked document's lines, rendered as it is walked. At
+    most `_PLANS_HELD` screens and as many plans are kept.
 
     Under one plan, the walk is a function of what the walked documents
     read: the bags their target clauses and selectors read (a time
@@ -977,7 +968,7 @@ class CompiledForest:
     and zone tree. That is the walk key (`_walk_key`), derived when the
     plan is made. A plan maps it to the finished `ResponseContext`
     (decision, status, obligations and the `Trace` with its digest and
-    splice fields), so a request whose walk key was seen before gets
+    body), so a request whose walk key was seen before gets
     that response without a walk, a trace build or a hash. Only
     responses of a completed walk are kept, never the `<context>` error
     response. A plan whose walked documents call a registered function
@@ -992,18 +983,19 @@ class CompiledForest:
 
     A walked root runs as the closures `engine` compiles it to, the first
     time a request walks it. Build one with `PolicyDecisionPoint.compile`;
-    a node id that is not one wire field (`is_one_field`) is refused with
-    ValueError, since no response could carry its trace line.
+    a node id or an obligation id that is not one wire field
+    (`is_one_field`) is refused with ValueError, since no response could
+    carry its trace or obligation line.
     """
 
     def __init__(self, documents: Iterable[PolicyDocument], engine: PolicyDecisionPoint):
         documents = tuple(documents)
         for document in documents:
             for node in document.walk():
-                if not is_one_field(node.id):
-                    raise ValueError(
-                        f"node id {node.id!r} in {document.source_name} is not one wire field"
-                    )
+                fields = [("node id", node.id), *(("obligation id", ob.id) for ob in node.obligations)]
+                for what, text in fields:
+                    if not is_one_field(text):
+                        raise ValueError(f"{what} {text!r} in {document.source_name} is not one wire field")
         self.engine = engine
         self.roots = tuple(document.root for document in documents)
         self.responses_held = min(
@@ -1082,11 +1074,9 @@ class CompiledForest:
         walk_key = None
         if self.responses_held:
             walk_key = _walk_key([self.roots[index] for index in walk], self.engine.functions)
-        if len(self.roots) - len(walk) < _RECORDS_PER_SPLICED_RUN * len(bounds):
-            return Plan(runs, tuple(walk), walk_key, {}, None, ())
-        offsets = screen.offsets
-        cuts = tuple((offsets[start + 1], offsets[end]) for start, end in bounds)
-        return Plan(runs, tuple(walk), walk_key, {}, screen.text, cuts)
+        text, offsets = memoryview(screen.text), screen.offsets
+        views = tuple(text[offsets[start + 1]:offsets[end]] for start, end in bounds)
+        return Plan(runs, tuple(walk), walk_key, {}, views)
 
     def _screen(self, scopes: Optional[frozenset[str]]) -> Screen:
         """The screen for a scope set, or for None under ignore-tags."""

@@ -12,7 +12,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 
@@ -313,64 +312,50 @@ class TraceRecord:
         object.__setattr__(self, "digest_text", text)
         object.__setattr__(self, "wire_line", f"trace {text}".rstrip())
 
-    @cached_property
-    def wire_bytes(self) -> bytes:
-        """The wire line and its line feed, as UTF-8, made the first time a
-        response carries the record among a walked document's records
-        (`serialize_response`)."""
-        return f"{self.wire_line}\n".encode("utf-8")
-
 
 _DIGEST_TEXT = operator.attrgetter("digest_text")
+_WIRE_LINE = operator.attrgetter("wire_line")
+
+
+def trace_text(records: Sequence[TraceRecord]) -> bytes:
+    """The records' wire lines, each ending in a line feed, as UTF-8."""
+    if not records:
+        return b""
+    return ("\n".join(map(_WIRE_LINE, records)) + "\n").encode("utf-8")
 
 
 class Trace(tuple):
     """The trace records of one evaluation, with their audit digest
-    (`trace_digest`) found as the trace was built, and, when its plan
-    splices them, their wire lines in the pieces `serialize_response`
-    joins: `text` holds, as UTF-8, the wire lines of the screened records,
-    each ending in a line feed, of every plan of one legislation-scope
-    set, and is shared by those plans; `cuts` are the (start, end) byte
-    offsets in it of the runs of screened records before each walked
-    document and after the last; `walked` holds the records of each
-    walked document. The records are those of the text cut by `cuts[0]`,
-    then `walked[0]`, the text cut by `cuts[1]`, and so on;
-    len(cuts) == len(walked) + 1. Without `text` the records are rendered
-    one by one.
+    (`trace_digest`) and their wire text (`serialize_response`), both
+    found as the trace was built. `body` is a tuple of UTF-8 pieces whose
+    join is the records' wire lines, each ending in a line feed: the
+    engine gives views of its screen's shared text for the runs of
+    screened records and one `trace_text` per walked document.
 
     It is equal to, and hashes like, the plain tuple of the same records.
     A tuple made from it, such as `trace + (record,)`, is a plain tuple
-    and so carries neither digest nor text. Every attribute is an
-    immutable value, so `copy` and `pickle` rebuild a Trace whole."""
+    and so carries neither digest nor body. `copy` and `pickle` rebuild a
+    Trace whole, its body as bytes, since a memoryview cannot be
+    pickled."""
 
-    # The arguments after `records` default to none only so that copy and
-    # pickle, which call the constructor with the records alone, can
-    # rebuild a Trace; they then restore the attributes.
-    def __new__(
-        cls,
-        records: Sequence[TraceRecord],
-        digest: Optional[str] = None,
-        text: Optional[bytes] = None,
-        cuts: tuple[tuple[int, int], ...] = (),
-        walked: tuple[tuple[TraceRecord, ...], ...] = (),
-    ) -> "Trace":
+    def __new__(cls, records: Sequence[TraceRecord], digest: str, body: tuple) -> "Trace":
         trace = super().__new__(cls, records)
         trace.digest = digest
-        trace.text = text
-        trace.cuts = cuts
-        trace.walked = walked
+        trace.body = body
         return trace
+
+    def __reduce__(self):
+        return Trace, (tuple(self), self.digest, tuple(map(bytes, self.body)))
 
 
 def trace_digest(trace: Sequence[TraceRecord]) -> str:
     """The audit digest of a trace: the SHA-256 hex digest of its records'
-    digest texts, joined by line feeds. A `Trace` built with its digest
-    gives that digest without hashing."""
-    digest = trace.digest if type(trace) is Trace else None
-    if digest is None:
-        body = "\n".join(map(_DIGEST_TEXT, trace))
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return digest
+    digest texts, joined by line feeds. A `Trace` gives the digest it was
+    built with, without hashing."""
+    if type(trace) is Trace:
+        return trace.digest
+    body = "\n".join(map(_DIGEST_TEXT, trace))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,11 @@ def _parse_obligations(node: XmlNode | None) -> tuple[Obligation, ...]:
                 ob_node.path(),
                 ob_node.line,
             )
+        # An obligation travels on one wire line, `obligation <id> <effect>`.
+        if not is_one_field(ob_id):
+            raise PolicySyntaxError(
+                "ObligationId must not contain whitespace or a line break", ob_node.path(), ob_node.line
+            )
         # A parameter travels on one wire line, `param <name> <type> <value>`.
         params = []
         for assign in ob_node.findall("AttributeAssignment"):

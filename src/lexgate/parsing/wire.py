@@ -32,6 +32,7 @@ from ..model import (
     ResponseContext,
     Trace,
     TraceRecord,
+    trace_text,
     undo_single_line,
 )
 from .location_xml import LocationReport, ZoneKind, country_code, format_offset
@@ -51,8 +52,6 @@ _BAG_TOKENS = tuple(c.value for c in Category)
 # Category -> its bag of a RequestContext; reading `Category.value` is an
 # Enum property call, several times slower than the lookup.
 _CATEGORY_BAG = {c: operator.attrgetter(c.value) for c in Category}
-_WIRE_LINE = operator.attrgetter("wire_line")
-_WIRE_BYTES = operator.attrgetter("wire_bytes")
 _TYPES = {t.value: t for t in DataType}
 
 
@@ -275,10 +274,10 @@ def serialize_request(request: RequestContext) -> bytes:
 
 
 def serialize_response(response: ResponseContext, view: Optional[WireView] = None) -> bytes:
-    """The response's wire text (docs/wire-format.md), as UTF-8. A `Trace`
-    from the engine may bring its screened records' lines already
-    rendered, as runs of its forest's shared text (`_join_spliced`); any
-    other trace is rendered line by line."""
+    """The response's wire text (docs/wire-format.md), as UTF-8, made in
+    one join: its head lines, its trace's wire lines and its closing
+    lines. A `Trace` brings its lines already rendered (`Trace.body`);
+    any other trace is rendered here (`trace_text`)."""
     out = ["response"]
     out.append(f"decision {response.decision.value}")
     out.append(f"status {response.status}")
@@ -287,30 +286,11 @@ def serialize_response(response: ResponseContext, view: Optional[WireView] = Non
         for name, value in ob.parameters:
             text = _check_single_line(format_typed_value(value), "obligation parameter")
             out.append(f"param {name} {value.data_type.value} {text}".rstrip())
+    head = "\n".join(out) + "\n"
     trace = response.trace
-    if type(trace) is Trace and trace.text is not None:
-        return _join_spliced(out, trace, view)
-    out.extend(map(_WIRE_LINE, trace))
-    if view is not None:
-        out.append(_view_line(view))
-    out.append("end")
-    return ("\n".join(out) + "\n").encode("utf-8")
-
-
-def _join_spliced(head: list[str], trace: Trace, view: Optional[WireView]) -> bytes:
-    """The response from its head lines, its trace's runs sliced out of
-    the shared text without a copy, the walked documents' lines and its
-    closing lines, made in one join."""
-    pieces = [("\n".join(head) + "\n").encode("utf-8")]
-    shared = memoryview(trace.text)
-    for (start, end), records in zip(trace.cuts, trace.walked):
-        pieces.append(shared[start:end])
-        pieces += map(_WIRE_BYTES, records)
-    start, end = trace.cuts[-1]
-    pieces.append(shared[start:end])
+    body = trace.body if type(trace) is Trace else (trace_text(trace),)
     closing = "end\n" if view is None else f"{_view_line(view)}\nend\n"
-    pieces.append(closing.encode("utf-8"))
-    return b"".join(pieces)
+    return b"".join([head.encode("utf-8"), *body, closing.encode("utf-8")])
 
 
 def _view_line(view: WireView) -> str:

@@ -26,7 +26,7 @@ The refusing record's reason is `authentication-failed`,
 `bad-request:<error>`, `subject-session-mismatch`, the context error,
 `obligation-failure:<error>` or the audit error. The two whose text never
 changes, wrong credentials and subject mismatch, are built once, with
-their trace's digest. Only a Permit decision
+their trace's digest and wire text. Only a Permit decision
 carries a view. The audit line and the returned `AuditRecord` carry the
 response's decision and status, except after an audit failure: the
 record returned then is the one whose append failed.
@@ -69,6 +69,7 @@ from .model import (
     refusal,
     single_line,
     trace_digest,
+    trace_text,
 )
 from .parsing.wire import RequestContext, WireView, parse_request, serialize_response
 
@@ -271,10 +272,11 @@ class AuthState:
 
 def _fixed_refusal(reason: str) -> ResponseContext:
     """A `<monitor>` Deny/processing-error refusal whose text never
-    changes, built once with its trace's digest: answering it builds no
-    trace record and hashes nothing."""
+    changes, built once with its trace's digest and wire text: answering
+    it builds no trace record, hashes nothing and renders no trace line."""
     response = refusal("<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, reason)
-    return replace(response, trace=Trace(response.trace, trace_digest(response.trace)))
+    records = response.trace
+    return replace(response, trace=Trace(records, trace_digest(records), (trace_text(records),)))
 
 
 _AUTHENTICATION_FAILED = _fixed_refusal("authentication-failed")

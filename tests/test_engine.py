@@ -30,11 +30,13 @@ from lexgate.model import (
     GeoPoint,
     Literal,
     MatchClause,
+    Obligation,
     STATUS_MISSING_ATTRIBUTE,
     STATUS_OK,
     STATUS_PROCESSING_ERROR,
     Target,
     Trace,
+    trace_text,
     validate_document,
 )
 from lexgate.parsing.location_xml import ZoneKind
@@ -454,6 +456,15 @@ def test_a_node_id_that_is_not_one_wire_field_is_refused_when_the_forest_is_buil
         ReferenceMonitor(PolicyDecisionPoint(), [*policy_pack, document(node)], make_bundle(NOON))
 
 
+@pytest.mark.parametrize("bad_id", ["limit duration\nx", "a b", "a\u2028b", ""], ids=["lf", "space", "u2028", "empty"])
+def test_an_obligation_id_that_is_not_one_wire_field_is_refused_when_the_forest_is_built(policy_pack, bad_id):
+    # Its `obligation <id> <effect>` line could not be read back from the
+    # response.
+    node = policy("p", [rule("r", obligations=(Obligation(bad_id, Effect.PERMIT),))])
+    with pytest.raises(ValueError, match="obligation id .* not one wire field"):
+        ReferenceMonitor(PolicyDecisionPoint(), [*policy_pack, document(node)], make_bundle(NOON))
+
+
 def test_plans_of_one_scope_set_splice_one_shared_text(engine, policy_pack):
     # 200 documents keyed on resource-id literals after the packaged ones:
     # two requests from London that hit different literals have plans of
@@ -471,15 +482,19 @@ def test_plans_of_one_scope_set_splice_one_shared_text(engine, policy_pack):
         engine.evaluate(forest, parse_request(wire_request(resource=f"lit/{i}")), pips)
         for i in (3, 150)
     )
-    assert first.trace.text is not None and first.trace.text is second.trace.text
-    assert first.trace.cuts != second.trace.cuts
     assert len(forest._plans) == 2 and len(forest._screens) == 1
+    (screen,) = forest._screens.values()
     for response in (first, second):
+        views = [piece for piece in response.trace.body if isinstance(piece, memoryview)]
+        assert views and all(view.obj is screen.text for view in views)
+        assert b"".join(response.trace.body) == trace_text(response.trace)
         per_record = dataclasses.replace(response, trace=tuple(response.trace))
         assert serialize_response(response) == serialize_response(per_record)
-    # The packaged forest's runs hold a record or two: rendered, not spliced.
+    # The packaged forest's runs hold a record or two, and splice all the same.
     packaged = engine.evaluate(engine.compile(policy_pack), parse_request(wire_request()), pips)
-    assert type(packaged.trace) is Trace and packaged.trace.text is None
+    assert type(packaged.trace) is Trace
+    assert any(isinstance(piece, memoryview) and piece for piece in packaged.trace.body)
+    assert b"".join(packaged.trace.body) == trace_text(packaged.trace)
     # A memo of one entry keeps one scope set's text: Zurich's replaces
     # London's.
     london = set(forest._screens)
@@ -490,8 +505,8 @@ def test_plans_of_one_scope_set_splice_one_shared_text(engine, policy_pack):
 
 def test_a_trace_from_a_forest_survives_pickle_and_deepcopy(engine, policy_pack):
     # Screened documents before and after the walked ones, with non-ASCII
-    # ids, spliced however short their runs, so that the trace carries
-    # runs of its forest's shared text.
+    # ids, so that the trace's body carries views of its forest's shared
+    # text, which pickle cannot take as they are.
     forest = engine.compile([
         document(policy("jp-é", [rule("jp-r")], legislation=frozenset({"JP"}))),
         *policy_pack,
@@ -501,14 +516,13 @@ def test_a_trace_from_a_forest_survives_pickle_and_deepcopy(engine, policy_pack)
         )),
     ])
     request = parse_request(wire_request(point=LONDON_POINT))
-    with mock.patch.object(engine_module, "_RECORDS_PER_SPLICED_RUN", 0):
-        response = engine.evaluate(forest, request, make_bundle(NOON))
+    response = engine.evaluate(forest, request, make_bundle(NOON))
     trace = response.trace
-    assert type(trace) is Trace and trace.text is not None
-    for copied in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+    assert type(trace) is Trace and any(isinstance(piece, memoryview) for piece in trace.body)
+    for copied in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace), copy.copy(trace)):
         assert type(copied) is Trace
         assert copied == trace
-        assert copied.text == trace.text and copied.cuts == trace.cuts
+        assert b"".join(copied.body) == b"".join(trace.body)
         assert trace_digest(copied) == trace_digest(trace)
         again = dataclasses.replace(response, trace=copied)
         assert serialize_response(again) == serialize_response(response)
@@ -545,8 +559,7 @@ def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
     sys.setswitchinterval(1e-6)
     try:
         with mock.patch.object(engine_module, "_PLANS_HELD", 1), \
-                mock.patch.object(engine_module, "_RESPONSES_HELD", 1), \
-                mock.patch.object(engine_module, "_RECORDS_PER_SPLICED_RUN", 0):
+                mock.patch.object(engine_module, "_RESPONSES_HELD", 1):
             forest = engine.compile(policy_pack)
             threads = [threading.Thread(target=work) for _ in range(4)]
             for thread in threads:

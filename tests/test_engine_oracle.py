@@ -200,8 +200,7 @@ def test_the_plan_and_response_memos_change_no_response(pips, seed, request, mod
     # then by earlier requests: generated ones in either mode at any
     # instant, and this one in its mode at its instant with its bag for one
     # attribute taken from a generated one; and last by this request at the
-    # `neighbour` instant, whose response the memo then holds. Every plan
-    # splices its runs, however short, out of the shared text. The forest
+    # `neighbour` instant, whose response the memo then holds. The forest
     # ends with CLOCK_DOCUMENT, so a walk key that put two sides of a time
     # literal together would show.
     forest = [*random_forest(random.Random(seed), hostile=True), CLOCK_DOCUMENT]
@@ -211,23 +210,22 @@ def test_the_plan_and_response_memos_change_no_response(pips, seed, request, mod
         return ENGINE.evaluate(compiled, request, pips, legislation_mode=mode)
 
     try:
-        with mock.patch.object(engine, "_RECORDS_PER_SPLICED_RUN", 0):
-            cold = ENGINE.compile(forest)
-            first = evaluate(cold, request, mode, at)
-            second = evaluate(cold, request, mode, at)
-            other_mode = "ignore-tags" if mode == "aware" else "aware"
-            with mock.patch.object(engine, "_PLANS_HELD", 1), mock.patch.object(engine, "_RESPONSES_HELD", 1):
-                warm = ENGINE.compile(forest)
-                variants = [
-                    (other, its_mode, its_at) if attribute is None else (_with_bag(request, other, attribute), mode, at)
-                    for other, attribute, its_mode, its_at in earlier
-                ]
-                for other, its_mode, its_at in [(request, other_mode, at), *variants, (request, mode, neighbour)]:
-                    # The memo holds the previous request's response: it
-                    # must not be this one's unless a cold forest agrees.
-                    got = evaluate(warm, other, its_mode, its_at)
-                    assert got == evaluate(ENGINE.compile(forest), other, its_mode, its_at)
-                warmed = evaluate(warm, request, mode, at)
+        cold = ENGINE.compile(forest)
+        first = evaluate(cold, request, mode, at)
+        second = evaluate(cold, request, mode, at)
+        other_mode = "ignore-tags" if mode == "aware" else "aware"
+        with mock.patch.object(engine, "_PLANS_HELD", 1), mock.patch.object(engine, "_RESPONSES_HELD", 1):
+            warm = ENGINE.compile(forest)
+            variants = [
+                (other, its_mode, its_at) if attribute is None else (_with_bag(request, other, attribute), mode, at)
+                for other, attribute, its_mode, its_at in earlier
+            ]
+            for other, its_mode, its_at in [(request, other_mode, at), *variants, (request, mode, neighbour)]:
+                # The memo holds the previous request's response: it
+                # must not be this one's unless a cold forest agrees.
+                got = evaluate(warm, other, its_mode, its_at)
+                assert got == evaluate(ENGINE.compile(forest), other, its_mode, its_at)
+            warmed = evaluate(warm, request, mode, at)
     finally:
         pips.clock.set(parse_instant(NOON))
     body = "\n".join(record.digest_text for record in first.trace)
@@ -237,9 +235,8 @@ def test_the_plan_and_response_memos_change_no_response(pips, seed, request, mod
         assert serialize_response(again) == serialize_response(first)
         assert trace_digest(again.trace) == trace_digest(first.trace)
     for response in (first, second, warmed):
-        # A plain tuple of the same records takes the per-record path.
-        spliced = isinstance(response.trace, Trace) and response.trace.text is not None
-        assert spliced or response.trace[-1].node_id == "<context>"
+        # A plain tuple of the same records is rendered in `serialize_response`.
+        assert type(response.trace) is Trace or response.trace[-1].node_id == "<context>"
         per_record = dataclasses.replace(response, trace=tuple(response.trace))
         assert serialize_response(response) == serialize_response(per_record)
 

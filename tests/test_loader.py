@@ -1,6 +1,7 @@
 """Record splitting for the line-oriented fixture stores and scenarios, and
 the store loaders on damaged input."""
 
+import re
 import shlex
 import shutil
 
@@ -9,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from lexgate.cli import default_fixtures_root, load_policy_dir, parse_scenario
 from lexgate.context.bundle import STORE_FILES, load_bundle
-from lexgate.context.loader import load_diary, load_identities, split_record
+from lexgate.context.loader import load_diary, load_identities, load_scopes, split_record
 from lexgate.context.zones import load_zone_tree
 from lexgate.errors import FixtureError, LexgateError, PolicySyntaxError, ScenarioFormatError
+from lexgate.model import validate_document
+from lexgate.parsing.location_xml import parse_location_report
 from lexgate.parsing.policy_xml import parse_policy_document
 
 # Quotes, backslashes, the separators and other whitespace, key=value and
@@ -261,5 +264,55 @@ def test_bytes_spliced_into_a_policy_line_raise_only_lexgate_errors(fixtures_roo
     (directory / name).write_bytes(fuzzed)
     try:
         load_policy_dir(directory)
+    except LexgateError:
+        pass
+
+
+# -- one number made extreme in a packaged input ---------------------------------
+
+_NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?")
+# Every packaged input but the wire requests that holds a number, by its
+# path under the fixtures root: the stores, the location report, the
+# scenario and the one policy with a number (working-time's times).
+NUMBER_SURFACES = tuple(
+    path
+    for path in (
+        *STORE_FILES.values(),
+        "location-report-london.xml",
+        "scenarios/border-trip.scenario",
+        *(f"policies/{name}" for name in POLICY_FILES),
+    )
+    if _NUMBER.search((default_fixtures_root() / path).read_bytes())
+)
+_EXTREMES = (b"nan", b"inf", b"-inf", b"1e400", b"-0", b"9" * 400)
+
+
+def _load(store_root, path, fuzzed):
+    """Load `fuzzed` as the input at `path` is loaded."""
+    stores = {name: store for store, name in STORE_FILES.items()}
+    if path in stores:
+        (store_root / f"fuzzed-{path}").write_bytes(fuzzed)
+        load_bundle(store_root, stores={stores[path]: f"fuzzed-{path}"})
+    elif path.startswith("policies/"):
+        document = parse_policy_document(fuzzed, source_name=path)
+        validate_document(document, known_scopes=load_scopes(store_root / "scopes.txt").ids())
+    elif path.endswith(".scenario"):
+        parse_scenario(fuzzed.decode("utf-8"))
+    else:
+        parse_location_report(fuzzed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("path", NUMBER_SURFACES)
+def test_an_extreme_number_in_a_packaged_input_raises_only_lexgate_errors(fixtures_root, store_root, path, data):
+    # One number token (a coordinate, an offset, a minute count, a digit
+    # run of a date or an id) becomes NaN, an infinity, an overflowing
+    # float, a negative zero or a 400-digit integer.
+    text = (fixtures_root / path).read_bytes()
+    number = data.draw(st.sampled_from(list(_NUMBER.finditer(text))), label="number")
+    extreme = data.draw(st.sampled_from(_EXTREMES), label="extreme")
+    try:
+        _load(store_root, path, text[:number.start()] + extreme + text[number.end():])
     except LexgateError:
         pass

@@ -190,6 +190,26 @@ def test_obligation_parameter_must_fit_one_wire_line(attribute_id, text):
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize(
+    "bad_id", ["limit duration&#10;x", "a b", "a&#x2028;b"], ids=["lf", "space", "u2028"]
+)
+def test_obligation_id_must_fit_one_wire_field(bad_id):
+    # `obligation <id> <effect>` is one line of the response: an id with a
+    # line break would split it in two, which parse_response refuses.
+    data = f"""
+<Policy PolicyId="p" RuleCombiningAlgId="deny-overrides">
+  <Rule RuleId="r" Effect="Permit">
+    <Obligations>
+      <Obligation ObligationId="{bad_id}" FulfillOn="Permit"/>
+    </Obligations>
+  </Rule>
+</Policy>
+""".encode()
+    with pytest.raises(PolicySyntaxError, match="ObligationId") as err:
+        parse_policy_document(data)
+    assert err.value.line == 5
+
+
 @pytest.mark.parametrize("bad_id", ["a b", "a&#10;b", "a&#x2028;b"], ids=["space", "lf", "u2028"])
 @pytest.mark.parametrize("attribute,line", [("PolicySetId", 2), ("PolicyId", 3), ("RuleId", 4)])
 def test_node_id_must_fit_one_wire_field(attribute, line, bad_id):

@@ -1,13 +1,20 @@
 """tools/stream_digest.py gives the same digests on every run of a workload:
 the monitor's responses and audit lines depend only on the request stream
-and the pinned clock."""
+and the pinned clock. The workloads' streams, replayed the same way, also
+check that a trace's body is its records' wire text."""
 
+import dataclasses
+import importlib.util
+import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from lexgate.model import Trace
+from lexgate.parsing.wire import serialize_response
 
 REPO = Path(__file__).resolve().parent.parent
 REQUESTS = 40
@@ -39,3 +46,36 @@ def test_against_the_same_checkout_reports_equal_digests():
     here, there, verdict = (json.loads(line) for line in completed.stdout.splitlines()[-3:])
     assert here == there and here["requests"] == REQUESTS
     assert verdict == {"equal": True}
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # run.py resolves the checkout from the working directory at import.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO)
+        spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("workload", ["forest-600", "world-200"])
+def test_a_workload_trace_serializes_as_its_records_do(bench, tmp_path, workload):
+    # The first 200 requests of the stream, as tools/stream_digest.py
+    # generates, loads and replays them: each response, its trace's body
+    # spliced from views of the forest's shared text or recalled from the
+    # response memo, gives the bytes of the plain tuple of its records.
+    program = bench.import_program()
+    fixtures = tmp_path / "fixtures"
+    meta = bench.generate(workload, 1, fixtures)
+    monitor, clock, _raw, _scaled = bench.set_up(program, fixtures, tmp_path / "audit.log", meta["pseudonym_key"], 1)
+    spliced = 0
+    for _round, at, user, secret, raw, _outcome, _kind in itertools.islice(bench.request_stream(fixtures, meta), 200):
+        clock.set(at)
+        _request, response, view = monitor._decide(raw, program["AuthState"](user, secret))
+        wire = view.to_wire() if view else None
+        plain = dataclasses.replace(response, trace=tuple(response.trace))
+        assert serialize_response(response, wire) == serialize_response(plain, wire)
+        spliced += type(response.trace) is Trace and any(isinstance(p, memoryview) for p in response.trace.body)
+    monitor.audit.close()
+    assert spliced > 100
