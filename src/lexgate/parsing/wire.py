@@ -289,8 +289,8 @@ def serialize_response(response: ResponseContext, view: Optional[WireView] = Non
     head = "\n".join(out) + "\n"
     trace = response.trace
     body = trace.body if type(trace) is Trace else (trace_text(trace),)
-    closing = "end\n" if view is None else f"{_view_line(view)}\nend\n"
-    return b"".join([head.encode("utf-8"), *body, closing.encode("utf-8")])
+    closing = b"end\n" if view is None else f"{_view_line(view)}\nend\n".encode("utf-8")
+    return b"".join([head.encode("utf-8"), *body, closing])
 
 
 def _view_line(view: WireView) -> str:
