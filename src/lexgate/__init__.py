@@ -41,7 +41,7 @@ from .parsing import (
     serialize_request,
     serialize_response,
 )
-from .pep import AuditLog, AuditRecord, AuthState, DataView, ReferenceMonitor, ViewMode
+from .pep import AuditLog, AuditRecord, AuthState, ReferenceMonitor, ViewMode
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "Category",
     "CombinerRegistry",
     "DataType",
-    "DataView",
     "Decision",
     "Effect",
     "FunctionRegistry",

@@ -73,9 +73,9 @@ from .model import (
     TraceRecord,
     fits,
     is_one_field,
+    is_wire_text,
     operand_type,
     refusal,
-    trace_digest,
     trace_text,
 )
 from .parsing.location_xml import LocationReport, ZoneKind
@@ -714,7 +714,7 @@ class PolicyDecisionPoint:
             decision=final,
             status=status,
             obligations=tuple(obligations),
-            trace=Trace(trace, trace_digest(trace), tuple(body)),
+            trace=Trace(trace, tuple(body)),
         )
         if key is not None:
             _remember(plan.responses, forest.responses_held, key, response)
@@ -977,25 +977,30 @@ class CompiledForest:
     the plans together hold at most `_TRACE_RECORDS_HELD` records: a plan
     keeps at most `_RESPONSES_HELD` responses, fewer for a large forest,
     and none when not even one per plan fits. A full memo is emptied
-    before the next entry goes in. The walk key replaced a memo of trace
-    digests keyed by the records the walked documents gave, which still
-    walked and built every trace.
+    before the next entry goes in.
 
     A walked root runs as the closures `engine` compiles it to, the first
     time a request walks it. Build one with `PolicyDecisionPoint.compile`;
-    a node id or an obligation id that is not one wire field
-    (`is_one_field`) is refused with ValueError, since no response could
-    carry its trace or obligation line.
+    a node id, obligation id or obligation parameter name that is not one
+    wire field (`is_one_field`), or a string parameter value that is not
+    wire text (`is_wire_text`), is refused with ValueError, since no
+    response could carry its trace, obligation or param line.
     """
 
     def __init__(self, documents: Iterable[PolicyDocument], engine: PolicyDecisionPoint):
         documents = tuple(documents)
         for document in documents:
             for node in document.walk():
+                parameters = [parameter for ob in node.obligations for parameter in ob.parameters]
                 fields = [("node id", node.id), *(("obligation id", ob.id) for ob in node.obligations)]
+                fields += [("obligation parameter", name) for name, _ in parameters]
                 for what, text in fields:
                     if not is_one_field(text):
                         raise ValueError(f"{what} {text!r} in {document.source_name} is not one wire field")
+                for name, value in parameters:
+                    if isinstance(value.value, str) and not is_wire_text(value.value):
+                        where = f"obligation parameter {name} in {document.source_name}"
+                        raise ValueError(f"{where}: value {value.value!r} is not wire text")
         self.engine = engine
         self.roots = tuple(document.root for document in documents)
         self.responses_held = min(

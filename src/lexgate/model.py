@@ -246,9 +246,11 @@ class PolicyDocument:
 
 # Line breaks as str.splitlines sees them.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
-LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
-# What single_line escapes: line breaks, lone surrogates, which UTF-8
-# cannot encode, and the backslash, so that the escaping can be undone.
+# What a wire line cannot carry: line breaks and lone surrogates, which
+# UTF-8 cannot encode.
+_NOT_WIRE_TEXT = re.compile(f"[{_LINE_BREAKS}\ud800-\udfff]")
+# What single_line escapes: that, and the backslash, so that the escaping
+# can be undone.
 _UNSAFE_TEXT = re.compile(f"[\\\\{_LINE_BREAKS}\ud800-\udfff]")
 
 
@@ -265,10 +267,16 @@ def single_line(text: str) -> str:
     return _UNSAFE_TEXT.sub(_escape, text)
 
 
+def is_wire_text(text: str) -> bool:
+    """True iff the text fits on one wire line: it holds no line break,
+    and UTF-8 can encode it (no lone surrogate)."""
+    return _NOT_WIRE_TEXT.search(text) is None
+
+
 def is_one_field(text: str) -> bool:
     """True iff the text is one field of a space-separated wire line:
-    non-empty, without whitespace or a line break."""
-    return text.split() == [text]
+    non-empty wire text (`is_wire_text`) without whitespace."""
+    return text.split() == [text] and is_wire_text(text)
 
 
 # The escapes single_line writes: `\\`, `\n`, `\r`, `\xhh` and `\uhhhh`.
@@ -324,50 +332,53 @@ def trace_text(records: Sequence[TraceRecord]) -> bytes:
     return ("\n".join(map(_WIRE_LINE, records)) + "\n").encode("utf-8")
 
 
+def trace_digest(records: Sequence[TraceRecord]) -> str:
+    """The audit digest of trace records: the SHA-256 hex digest of their
+    digest texts, joined by line feeds."""
+    body = "\n".join(map(_DIGEST_TEXT, records))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
 class Trace(tuple):
-    """The trace records of one evaluation, with their audit digest
-    (`trace_digest`) and their wire text (`serialize_response`), both
-    found as the trace was built. `body` is a tuple of UTF-8 pieces whose
-    join is the records' wire lines, each ending in a line feed: the
-    engine gives views of its screen's shared text for the runs of
-    screened records and one `trace_text` per walked document.
+    """The trace records of one response, in completion order, with their
+    audit digest (`digest`, by `trace_digest`) and their wire text
+    (`body`): a tuple of UTF-8 pieces whose join is the records' wire
+    lines, each ending in a line feed. Both are found once, when the
+    trace is built. Without a body the records are rendered here
+    (`trace_text`); the engine passes views of its screen's shared text
+    for the runs of screened records and one `trace_text` per walked
+    document.
 
     It is equal to, and hashes like, the plain tuple of the same records.
-    A tuple made from it, such as `trace + (record,)`, is a plain tuple
-    and so carries neither digest nor body. `copy` and `pickle` rebuild a
-    Trace whole, its body as bytes, since a memoryview cannot be
-    pickled."""
+    A tuple made from it, such as `trace + (record,)`, is a plain tuple.
+    `copy` and `pickle` rebuild a Trace whole, its body as bytes, since a
+    memoryview cannot be pickled."""
 
-    def __new__(cls, records: Sequence[TraceRecord], digest: str, body: tuple) -> "Trace":
+    def __new__(cls, records: Sequence[TraceRecord], body: Optional[tuple] = None) -> "Trace":
         trace = super().__new__(cls, records)
-        trace.digest = digest
-        trace.body = body
+        trace.digest = trace_digest(trace)
+        trace.body = (trace_text(trace),) if body is None else body
         return trace
 
     def __reduce__(self):
-        return Trace, (tuple(self), self.digest, tuple(map(bytes, self.body)))
-
-
-def trace_digest(trace: Sequence[TraceRecord]) -> str:
-    """The audit digest of a trace: the SHA-256 hex digest of its records'
-    digest texts, joined by line feeds. A `Trace` gives the digest it was
-    built with, without hashing."""
-    if type(trace) is Trace:
-        return trace.digest
-    body = "\n".join(map(_DIGEST_TEXT, trace))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return Trace, (tuple(self), tuple(map(bytes, self.body)))
 
 
 @dataclass(frozen=True)
 class ResponseContext:
     """Outcome of one evaluation: decision, status, obligations to fulfil
-    and a per-node trace in completion order (a `Trace` from the engine's
-    evaluation, any tuple of records otherwise)."""
+    and a per-node trace in completion order. The trace is always a
+    `Trace`: any other sequence of records is made one here, so every
+    response carries its audit digest and wire text."""
 
     decision: Decision
     status: str = STATUS_OK
     obligations: tuple[Obligation, ...] = ()
-    trace: tuple[TraceRecord, ...] = ()
+    trace: Trace = ()
+
+    def __post_init__(self) -> None:
+        if type(self.trace) is not Trace:
+            object.__setattr__(self, "trace", Trace(self.trace))
 
 
 def refusal(

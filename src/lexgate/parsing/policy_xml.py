@@ -27,7 +27,6 @@ from ..model import (
     Effect,
     FunctionApplication,
     GeoPoint,
-    LINE_BREAK,
     Literal,
     MatchClause,
     NodeKind,
@@ -37,6 +36,7 @@ from ..model import (
     AttributeSelector,
     Target,
     is_one_field,
+    is_wire_text,
 )
 from .xmlread import XmlNode, XmlWriter, parse_xml
 
@@ -274,16 +274,16 @@ def _parse_obligations(node: XmlNode | None) -> tuple[Obligation, ...]:
         params = []
         for assign in ob_node.findall("AttributeAssignment"):
             name = assign.attrs.get("AttributeId")
-            if not name or name.split() != [name]:
+            if not name or not is_one_field(name):
                 raise PolicySyntaxError(
                     "AttributeAssignment needs an AttributeId without whitespace",
                     assign.path(),
                     assign.line,
                 )
             value = _parse_literal(assign)
-            if isinstance(value.value, str) and LINE_BREAK.search(value.value):
+            if isinstance(value.value, str) and not is_wire_text(value.value):
                 raise PolicySyntaxError(
-                    "an obligation parameter must not contain a line break",
+                    "an obligation parameter must be one line of UTF-8, without line breaks",
                     assign.path(),
                     assign.line,
                 )

@@ -15,6 +15,7 @@ import base64
 import datetime as dt
 import operator
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
@@ -27,12 +28,10 @@ from ..model import (
     Decision,
     Effect,
     GeoPoint,
-    LINE_BREAK,
     Obligation,
     ResponseContext,
-    Trace,
     TraceRecord,
-    trace_text,
+    is_wire_text,
     undo_single_line,
 )
 from .location_xml import LocationReport, ZoneKind, country_code, format_offset
@@ -106,18 +105,25 @@ _OWN_IDS = (
 )
 
 
+class ViewMode(Enum):
+    CLEARTEXT = "cleartext"
+    PSEUDONYMOUS = "pseudonymous"
+    ANONYMOUS = "anonymous"
+
+
 @dataclass(frozen=True)
 class WireView:
-    """Payload view attached to a permitted response on the wire."""
+    """The view of the resource a permitted response releases: the
+    payload as the obligations left it, its mode and its expiry."""
 
-    mode: str
+    mode: ViewMode
     payload: str
     expires_at: Optional[dt.datetime] = None
 
 
 def _check_single_line(text: str, what: str) -> str:
-    if LINE_BREAK.search(text):
-        raise WireFormatError(f"{what} must not contain line breaks: {text!r}")
+    if not is_wire_text(text):
+        raise WireFormatError(f"{what} must be one line of UTF-8, without line breaks: {text!r}")
     return text
 
 
@@ -275,9 +281,8 @@ def serialize_request(request: RequestContext) -> bytes:
 
 def serialize_response(response: ResponseContext, view: Optional[WireView] = None) -> bytes:
     """The response's wire text (docs/wire-format.md), as UTF-8, made in
-    one join: its head lines, its trace's wire lines and its closing
-    lines. A `Trace` brings its lines already rendered (`Trace.body`);
-    any other trace is rendered here (`trace_text`)."""
+    one join: its head lines, its trace's body (`Trace.body`, rendered
+    when the trace was built) and its closing lines."""
     out = ["response"]
     out.append(f"decision {response.decision.value}")
     out.append(f"status {response.status}")
@@ -287,16 +292,14 @@ def serialize_response(response: ResponseContext, view: Optional[WireView] = Non
             text = _check_single_line(format_typed_value(value), "obligation parameter")
             out.append(f"param {name} {value.data_type.value} {text}".rstrip())
     head = "\n".join(out) + "\n"
-    trace = response.trace
-    body = trace.body if type(trace) is Trace else (trace_text(trace),)
     closing = b"end\n" if view is None else f"{_view_line(view)}\nend\n".encode("utf-8")
-    return b"".join([head.encode("utf-8"), *body, closing])
+    return b"".join([head.encode("utf-8"), *response.trace.body, closing])
 
 
 def _view_line(view: WireView) -> str:
     expires = format_instant(view.expires_at) if view.expires_at else "-"
     payload = base64.b64encode(str(view.payload).encode("utf-8")).decode("ascii")
-    return f"view {view.mode} {expires} {payload}"
+    return f"view {view.mode.value} {expires} {payload}"
 
 
 def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireView]]:
@@ -366,6 +369,10 @@ def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireVie
             if len(pieces) != 3:
                 raise WireFormatError(f"expected 'view <mode> <expires> <base64>' on line {line_no}")
             try:
+                mode = ViewMode(pieces[0])
+            except ValueError:
+                raise WireFormatError(f"unknown view mode on line {line_no}: {pieces[0]!r}") from None
+            try:
                 expires = None if pieces[1] == "-" else parse_instant(pieces[1])
             except ValueError as exc:
                 raise WireFormatError(f"bad view expiry on line {line_no}: {exc}") from exc
@@ -373,7 +380,7 @@ def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireVie
                 payload = base64.b64decode(pieces[2]).decode("utf-8")
             except Exception as exc:
                 raise WireFormatError(f"bad view payload on line {line_no}: {exc}") from exc
-            view = WireView(mode=pieces[0], payload=payload, expires_at=expires)
+            view = WireView(mode, payload, expires)
         else:
             raise WireFormatError(f"unknown line kind {head!r} on line {line_no}")
 
@@ -384,7 +391,7 @@ def parse_response(data: bytes | str) -> tuple[ResponseContext, Optional[WireVie
             decision=decision,
             status=status if status is not None else "ok",
             obligations=tuple(obligations),
-            trace=tuple(trace),
+            trace=trace,
         ),
         view,
     )

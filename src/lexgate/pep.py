@@ -24,12 +24,14 @@ the trace so far with one record of the refusing step:
 
 The refusing record's reason is `authentication-failed`,
 `bad-request:<error>`, `subject-session-mismatch`, the context error,
-`obligation-failure:<error>` or the audit error. The two whose text never
-changes, wrong credentials and subject mismatch, are built once, with
-their trace's digest and wire text. Only a Permit decision
-carries a view. The audit line and the returned `AuditRecord` carry the
-response's decision and status, except after an audit failure: the
-record returned then is the one whose append failed.
+`obligation-failure:<error>` or the audit error. Every response's trace
+is a `model.Trace`, which carries its audit digest and wire text. The
+two refusals whose text never changes, wrong credentials and subject
+mismatch, are built once, at import, so answering them hashes and
+renders nothing. Only a Permit decision carries a view. The audit line
+and the returned `AuditRecord` carry the response's decision and status,
+except after an audit failure: the record returned then is the one whose
+append failed.
 
 The audit trail is held open: `AuditLog` opens its file at the first
 append, flushes after every record, so each record reaches the operating
@@ -48,8 +50,7 @@ import hashlib
 import hmac
 import io
 import os
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,38 +66,16 @@ from .model import (
     ResponseContext,
     STATUS_PROCESSING_ERROR,
     STATUS_SYNTAX_ERROR,
-    Trace,
     refusal,
     single_line,
-    trace_digest,
-    trace_text,
 )
-from .parsing.wire import RequestContext, WireView, parse_request, serialize_response
+from .parsing.wire import RequestContext, ViewMode, WireView, parse_request, serialize_response
 
 OB_PSEUDONYMIZE = "pseudonymize"
 OB_ANONYMIZE = "anonymize"
 OB_LIMIT_DURATION = "limit-duration"
 
 ANONYMIZED_MARKER = "[REDACTED]"
-
-
-class ViewMode(Enum):
-    CLEARTEXT = "cleartext"
-    PSEUDONYMOUS = "pseudonymous"
-    ANONYMOUS = "anonymous"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class DataView:
-    mode: ViewMode
-    payload: str
-    expires_at: Optional[dt.datetime] = None
-
-    def to_wire(self) -> WireView:
-        return WireView(mode=self.mode.value, payload=self.payload, expires_at=self.expires_at)
 
 
 @dataclass(frozen=True)
@@ -214,10 +193,10 @@ class ObligationService:
         self,
         obligation: Obligation,
         record: Optional[ResourceRecord],
-        view: DataView,
+        view: WireView,
         original: str,
         now: dt.datetime,
-    ) -> DataView:
+    ) -> WireView:
         """Apply one obligation to the current view.
 
         `original` is the untransformed payload so anonymize always works
@@ -228,7 +207,7 @@ class ObligationService:
             payload = original
             for customer in customers:
                 payload = payload.replace(customer, ANONYMIZED_MARKER)
-            return DataView(ViewMode.ANONYMOUS, payload, view.expires_at)
+            return WireView(ViewMode.ANONYMOUS, payload, view.expires_at)
         if obligation.id == OB_PSEUDONYMIZE:
             if not self.pseudonym_key:
                 raise ObligationError("pseudonym mapping key is unavailable")
@@ -237,7 +216,7 @@ class ObligationService:
             payload = original
             for customer in customers:
                 payload = payload.replace(customer, pseudonym(self.pseudonym_key, customer))
-            return DataView(ViewMode.PSEUDONYMOUS, payload, view.expires_at)
+            return WireView(ViewMode.PSEUDONYMOUS, payload, view.expires_at)
         if obligation.id == OB_LIMIT_DURATION:
             seconds = obligation.parameter("duration-seconds")
             if seconds is None or not isinstance(seconds.value, int):
@@ -246,7 +225,7 @@ class ObligationService:
                 expires_at = now + dt.timedelta(seconds=seconds.value)
             except OverflowError:
                 raise ObligationError("limit-duration expiry is out of range") from None
-            return DataView(view.mode, view.payload, expires_at)
+            return WireView(view.mode, view.payload, expires_at)
         raise ObligationError(f"unknown obligation {obligation.id!r}")
 
     def apply_all(
@@ -254,9 +233,9 @@ class ObligationService:
         obligations: Sequence[Obligation],
         record: Optional[ResourceRecord],
         now: dt.datetime,
-    ) -> DataView:
+    ) -> WireView:
         original = record.content if record else ""
-        view = DataView(ViewMode.CLEARTEXT, original)
+        view = WireView(ViewMode.CLEARTEXT, original)
         for obligation in obligations:
             view = self.execute(obligation, record, view, original, now)
         return view
@@ -270,17 +249,11 @@ class AuthState:
     secret: str
 
 
-def _fixed_refusal(reason: str) -> ResponseContext:
-    """A `<monitor>` Deny/processing-error refusal whose text never
-    changes, built once with its trace's digest and wire text: answering
-    it builds no trace record, hashes nothing and renders no trace line."""
-    response = refusal("<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, reason)
-    records = response.trace
-    return replace(response, trace=Trace(records, trace_digest(records), (trace_text(records),)))
-
-
-_AUTHENTICATION_FAILED = _fixed_refusal("authentication-failed")
-_SUBJECT_SESSION_MISMATCH = _fixed_refusal("subject-session-mismatch")
+# The two refusals whose text never changes, built once with their trace.
+_AUTHENTICATION_FAILED, _SUBJECT_SESSION_MISMATCH = (
+    refusal("<monitor>", Decision.DENY, STATUS_PROCESSING_ERROR, reason)
+    for reason in ("authentication-failed", "subject-session-mismatch")
+)
 
 
 class ReferenceMonitor:
@@ -313,7 +286,7 @@ class ReferenceMonitor:
             action=(request.action_id() or "") if request else "",
             decision=response.decision,
             status=response.status,
-            trace_digest=trace_digest(response.trace),
+            trace_digest=response.trace.digest,
             obligations_executed=tuple(ob.id for ob in response.obligations),
         )
         try:
@@ -323,11 +296,11 @@ class ReferenceMonitor:
                 "<audit>", Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, str(exc), response.trace
             )
             view = None
-        return serialize_response(response, view.to_wire() if view else None), record
+        return serialize_response(response, view), record
 
     def _decide(
         self, raw: bytes | str, session: AuthState
-    ) -> tuple[Optional[RequestContext], ResponseContext, Optional[DataView]]:
+    ) -> tuple[Optional[RequestContext], ResponseContext, Optional[WireView]]:
         """Authenticate, parse, check the subject, evaluate and fulfil the
         obligations: the request (None when it was not parsed), the
         response and the view it releases (None unless Permit)."""

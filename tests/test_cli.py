@@ -296,7 +296,7 @@ def test_serve_handles_one_request_over_stdio(fixtures_root, tmp_path):
 
     assert response.decision is Decision.PERMIT
     assert [ob.id for ob in response.obligations] == ["pseudonymize"]
-    assert view is not None and view.mode == "pseudonymous"
+    assert view is not None and view.mode is lexgate.ViewMode.PSEUDONYMOUS
     assert "cust:4711" not in view.payload
     assert (tmp_path / "audit.log").read_text().count("\n") == 1
 

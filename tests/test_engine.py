@@ -36,12 +36,13 @@ from lexgate.model import (
     STATUS_PROCESSING_ERROR,
     Target,
     Trace,
+    trace_digest,
     trace_text,
     validate_document,
 )
 from lexgate.parsing.location_xml import ZoneKind
 from lexgate.parsing.wire import RequestContext, parse_request, serialize_response
-from lexgate.pep import ReferenceMonitor, trace_digest
+from lexgate.pep import ReferenceMonitor
 from policybuild import document, policy, random_forest, rule, string_clause
 
 NOON = "2026-03-10T12:00:00Z"
@@ -445,7 +446,9 @@ def test_forest_compiled_by_another_engine_is_refused(engine, policy_pack):
         engine.evaluate(policy_pack, request, make_bundle(NOON))
 
 
-@pytest.mark.parametrize("bad_id", ["a b", "a\nb", "a\u2028b", ""], ids=["space", "lf", "u2028", "empty"])
+@pytest.mark.parametrize(
+    "bad_id", ["a b", "a\nb", "a\u2028b", "", "a\ud800b"], ids=["space", "lf", "u2028", "empty", "surrogate"]
+)
 @pytest.mark.parametrize("where", ["root", "rule"])
 def test_a_node_id_that_is_not_one_wire_field_is_refused_when_the_forest_is_built(
     policy_pack, bad_id, where
@@ -462,6 +465,18 @@ def test_an_obligation_id_that_is_not_one_wire_field_is_refused_when_the_forest_
     # response.
     node = policy("p", [rule("r", obligations=(Obligation(bad_id, Effect.PERMIT),))])
     with pytest.raises(ValueError, match="obligation id .* not one wire field"):
+        ReferenceMonitor(PolicyDecisionPoint(), [*policy_pack, document(node)], make_bundle(NOON))
+
+
+@pytest.mark.parametrize(
+    "name,text", [("note", "a\nb"), ("my note", "ab"), ("note", "a\ud800b")], ids=["lf", "space-in-name", "surrogate"]
+)
+def test_an_obligation_parameter_no_param_line_carries_is_refused_when_the_forest_is_built(policy_pack, name, text):
+    # Its `param <name> <type> <value>` line could not be written, or not
+    # be read back, after the audit line.
+    parameter = (name, AttributeValue(DataType.STRING, text))
+    node = policy("p", [rule("r", obligations=(Obligation("limit-duration", Effect.PERMIT, (parameter,)),))])
+    with pytest.raises(ValueError, match=r"obligation parameter .* in test\.xml"):
         ReferenceMonitor(PolicyDecisionPoint(), [*policy_pack, document(node)], make_bundle(NOON))
 
 

@@ -50,9 +50,9 @@ from lexgate.model import (
     MatchClause,
     Target,
     Trace,
+    trace_digest,
 )
 from lexgate.parsing.wire import RequestContext, serialize_response
-from lexgate.pep import trace_digest
 from policybuild import (
     HOSTILE_FUNCTIONS,
     TARGET_LITERALS,

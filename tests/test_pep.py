@@ -30,6 +30,7 @@ from lexgate.model import (
     Obligation,
     STATUS_PROCESSING_ERROR,
     Target,
+    trace_digest,
 )
 from lexgate.parsing import wire
 from lexgate.parsing.wire import parse_response
@@ -37,12 +38,10 @@ from lexgate.pep import (
     AuditLog,
     AuditRecord,
     AuthState,
-    DataView,
     ObligationService,
     ReferenceMonitor,
     ViewMode,
     pseudonym,
-    trace_digest,
 )
 from policybuild import document, policy, rule, string_clause
 
@@ -76,7 +75,7 @@ def test_permitted_request_follows_the_event_flow(policy_pack, monkeypatch):
     assert response.decision is Decision.PERMIT
     assert flow == list(EVENT_FLOW)
     assert len(evaluations) == 1
-    assert view is not None and view.mode == "cleartext"
+    assert view is not None and view.mode is ViewMode.CLEARTEXT
     assert record.decision is Decision.PERMIT
 
 
@@ -140,7 +139,7 @@ def test_window_permit_carries_pseudonymized_view(policy_pack):
     response, view = parse_response(response_bytes)
     assert response.decision is Decision.PERMIT
     assert [ob.id for ob in response.obligations] == ["pseudonymize"]
-    assert view.mode == "pseudonymous"
+    assert view.mode is ViewMode.PSEUDONYMOUS
     assert "cust:4711" not in view.payload
     assert pseudonym(KEY, "cust:4711") in view.payload
     assert record.obligations_executed == ("pseudonymize",)
@@ -163,7 +162,7 @@ def test_a_diary_window_reaching_back_to_year_two_leaves_the_permit(policy_pack,
     raw = (fixtures_root / "requests" / "portfolio-ch-window.req").read_bytes()
     response, view = parse_response(monitor.handle_request(raw, GOOD_SESSION)[0])
     assert (response.decision, response.status) == (Decision.PERMIT, "ok")
-    assert view.mode == "pseudonymous"
+    assert view.mode is ViewMode.PSEUDONYMOUS
 
 
 def test_missing_pseudonym_key_downgrades_permit_to_deny(policy_pack):
@@ -443,12 +442,10 @@ def test_every_pdp_invocation_has_exactly_one_audit_record(policy_pack, tmp_path
 
 
 def test_trace_digest_is_stable():
-    view = DataView(ViewMode.CLEARTEXT, "x")
-    assert view.to_wire().mode == "cleartext"
-    from lexgate.model import TraceRecord
+    from lexgate.model import Trace, TraceRecord
 
     trace = (TraceRecord("a", Decision.PERMIT, "effect"),)
-    assert trace_digest(trace) == trace_digest(tuple(trace))
+    assert trace_digest(trace) == trace_digest(tuple(trace)) == Trace(trace).digest
 
 
 # -- the monitor boundary -----------------------------------------------------------

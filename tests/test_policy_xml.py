@@ -13,10 +13,10 @@ from lexgate.model import (
     Literal,
     AttributeSelector,
     MatchClause,
-    LINE_BREAK,
     NodeKind,
     Obligation,
     Target,
+    is_wire_text,
     validate_document,
 )
 from lexgate.parsing.policy_xml import (
@@ -245,9 +245,9 @@ _literals = st.one_of(
     st.sampled_from(("LU", "DE", "JP")).map(lambda c: AttributeValue(DataType.COUNTRY_CODE, c)),
 )
 
-# Obligation parameters must not hold a line break (U+2028 is not in Cc).
+# Obligation parameters must be wire text (U+2028 is not in Cc).
 _one_line_literals = _literals.filter(
-    lambda literal: not (isinstance(literal.value, str) and LINE_BREAK.search(literal.value))
+    lambda literal: not isinstance(literal.value, str) or is_wire_text(literal.value)
 )
 
 

@@ -73,9 +73,8 @@ def test_a_workload_trace_serializes_as_its_records_do(bench, tmp_path, workload
     for _round, at, user, secret, raw, _outcome, _kind in itertools.islice(bench.request_stream(fixtures, meta), 200):
         clock.set(at)
         _request, response, view = monitor._decide(raw, program["AuthState"](user, secret))
-        wire = view.to_wire() if view else None
         plain = dataclasses.replace(response, trace=tuple(response.trace))
-        assert serialize_response(response, wire) == serialize_response(plain, wire)
+        assert serialize_response(response, view) == serialize_response(plain, view)
         spliced += type(response.trace) is Trace and any(isinstance(p, memoryview) for p in response.trace.body)
     monitor.audit.close()
     assert spliced > 100

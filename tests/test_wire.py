@@ -21,6 +21,7 @@ from lexgate.parsing import wire
 from lexgate.parsing.location_xml import LocationReport, ZoneKind
 from lexgate.parsing.wire import (
     RequestContext,
+    ViewMode,
     WireView,
     parse_request,
     parse_response,
@@ -112,7 +113,7 @@ def test_response_with_obligation_round_trips():
 def test_view_round_trips_with_payload_and_expiry():
     response = ResponseContext(Decision.PERMIT)
     view = WireView(
-        mode="pseudonymous",
+        mode=ViewMode.PSEUDONYMOUS,
         payload="Portfolio of nym-aabbcc\nwith a newline",
         expires_at=dt.datetime(2026, 3, 10, 15, 0, tzinfo=dt.timezone.utc),
     )
@@ -122,7 +123,7 @@ def test_view_round_trips_with_payload_and_expiry():
 
 def test_view_with_an_empty_payload_round_trips():
     response = ResponseContext(Decision.PERMIT)
-    view = WireView(mode="cleartext", payload="")
+    view = WireView(mode=ViewMode.CLEARTEXT, payload="")
     data = serialize_response(response, view)
     assert b"\nview cleartext - \n" in data
     assert parse_response(data) == (response, view)
@@ -143,14 +144,22 @@ def test_bad_lines_are_rejected():
     for expiry in (b"noon", b"0001-01-01T00:30:00+01:00"):
         with pytest.raises(WireFormatError, match="bad view expiry on line 3"):
             parse_response(b"response\ndecision Permit\nview cleartext " + expiry + b" \nend\n")
+    # The grammar allows three view modes.
+    with pytest.raises(WireFormatError, match="unknown view mode on line 3"):
+        parse_response(b"response\ndecision Permit\nview bogus - eA==\nend\n")
 
 
-@pytest.mark.parametrize("text", ["a\nb", "a\rb", "a\u2028b", "a\x85b"])
+@pytest.mark.parametrize("text", ["a\nb", "a\rb", "a\u2028b", "a\x85b", "a\ud800b"])
 def test_a_value_with_a_line_break_is_not_serialized(text):
-    # parse_request splits lines as str.splitlines does.
-    request = RequestContext(subject=(("note", AttributeValue(DataType.STRING, text)),))
+    # parse_request splits lines as str.splitlines does, and a lone
+    # surrogate has no UTF-8 encoding.
+    value = AttributeValue(DataType.STRING, text)
+    request = RequestContext(subject=(("note", value),))
     with pytest.raises(WireFormatError, match="line breaks"):
         serialize_request(request)
+    obligation = Obligation("limit-duration", Effect.PERMIT, (("note", value),))
+    with pytest.raises(WireFormatError, match="line breaks"):
+        serialize_response(ResponseContext(Decision.PERMIT, obligations=(obligation,)))
 
 
 def test_a_trace_reason_not_escaped_as_written_is_rejected():
@@ -259,9 +268,13 @@ _responses = st.builds(
 
 @given(_responses)
 def test_response_round_trip_property(response):
-    rebuilt, view = parse_response(serialize_response(response))
+    data = serialize_response(response)
+    rebuilt, view = parse_response(data)
     assert rebuilt == response
     assert view is None
+    # The audit digest and the bytes survive the wire.
+    assert rebuilt.trace.digest == response.trace.digest
+    assert serialize_response(rebuilt) == data
 
 
 # -- the line memo ----------------------------------------------------------------
