@@ -31,6 +31,7 @@ from ..model import (
     Obligation,
     ResponseContext,
     TraceRecord,
+    is_one_field,
     is_wire_text,
     undo_single_line,
 )
@@ -259,6 +260,9 @@ def parse_request(data: bytes | str) -> RequestContext:
 
 
 def serialize_request(request: RequestContext) -> bytes:
+    """The request's wire text, as UTF-8. An attribute id that is not one
+    wire field (`is_one_field`), or a value or city that is not one line of
+    UTF-8, raises WireFormatError: `parse_request` could not read it back."""
     out = ["request"]
     if request.destination_country:
         out.append(f"destination-country {request.destination_country}")
@@ -273,6 +277,8 @@ def serialize_request(request: RequestContext) -> bytes:
             out.append(f"location accuracy {report.accuracy_radius!r}")
     for category in Category:
         for attr_id, value in request.category(category):
+            if not is_one_field(attr_id):
+                raise WireFormatError(f"attribute id must be one field of one line of UTF-8: {attr_id!r}")
             text = _check_single_line(format_typed_value(value), "attribute value")
             out.append(f"{category.value} {attr_id} {value.data_type.value} {text}".rstrip())
     out.append("end")

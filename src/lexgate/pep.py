@@ -28,7 +28,10 @@ The refusing record's reason is `authentication-failed`,
 is a `model.Trace`, which carries its audit digest and wire text. The
 two refusals whose text never changes, wrong credentials and subject
 mismatch, are built once, at import, so answering them hashes and
-renders nothing. Only a Permit decision carries a view. The audit line
+renders nothing. A bad-request refusal is built once per distinct body:
+the body memo (`_read_body_once`) maps up to 256 bodies of at most 1,024
+bytes or characters, from authenticated callers only, to the request
+they parse to or to their refusal. Only a Permit decision carries a view. The audit line
 and the returned `AuditRecord` carry the response's decision and status,
 except after an audit failure: the record returned then is the one whose
 append failed.
@@ -51,6 +54,7 @@ import hmac
 import io
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -256,6 +260,41 @@ _AUTHENTICATION_FAILED, _SUBJECT_SESSION_MISMATCH = (
 )
 
 
+# The body memo: how many distinct request bodies it keeps, and the
+# longest body it keeps, in bytes or characters, so that callers who
+# authenticated pin at most 256 bodies of 1,024 and what they parse to (a
+# few MiB at most). Bodies repeat across requests (packaged requests,
+# malformed probes); one that carries a fresh instant or a long payload
+# only passes through.
+_BODIES_HELD = 256
+_LONGEST_BODY_HELD = 1_024
+
+
+def _read_body(raw: bytes | str) -> tuple[Optional[RequestContext], Optional[ResponseContext]]:
+    """The request the body carries and None, or None and the
+    `<monitor>` bad-request refusal of a body that is not a request."""
+    try:
+        return parse_request(raw), None
+    except WireFormatError as exc:
+        return None, refusal(
+            "<monitor>", Decision.INDETERMINATE, STATUS_SYNTAX_ERROR, f"bad-request:{exc}"
+        )
+
+
+# The request and the refusal are frozen and a pure function of the body,
+# so every request with that body shares them: a repeated bad body is
+# refused without a parse, a hash or a render.
+_read_body_once = lru_cache(maxsize=_BODIES_HELD)(_read_body)
+
+
+def _read(raw: bytes | str) -> tuple[Optional[RequestContext], Optional[ResponseContext]]:
+    """`_read_body`, through the memo for a body that is exactly `bytes`
+    or `str` and no longer than `_LONGEST_BODY_HELD`."""
+    if type(raw) in (bytes, str) and len(raw) <= _LONGEST_BODY_HELD:
+        return _read_body_once(raw)
+    return _read_body(raw)
+
+
 class ReferenceMonitor:
     """Internal enforcement point in front of the decision engine."""
 
@@ -307,12 +346,9 @@ class ReferenceMonitor:
         if not self.pips.identities.authenticate(session.user, session.secret):
             return None, _AUTHENTICATION_FAILED, None
 
-        try:
-            request = parse_request(raw)
-        except WireFormatError as exc:
-            return None, refusal(
-                "<monitor>", Decision.INDETERMINATE, STATUS_SYNTAX_ERROR, f"bad-request:{exc}"
-            ), None
+        request, refused = _read(raw)
+        if refused is not None:
+            return None, refused, None
 
         if request.subject_id() != session.user:
             return request, _SUBJECT_SESSION_MISMATCH, None

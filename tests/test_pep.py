@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import gc
 import hashlib
+import itertools
 import os
 import tracemalloc
 from functools import lru_cache
@@ -14,9 +15,9 @@ from conftest import EVENT_FLOW, make_bundle, watch, wire_request
 from lexgate.combining import CombinerRegistry
 from lexgate.context.bundle import load_bundle
 from lexgate.context.clock import FixedClock
-from lexgate import engine as engine_module
+from lexgate import engine as engine_module, pep
 from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
-from lexgate.errors import AuditError, ObligationError
+from lexgate.errors import AuditError, ObligationError, WireFormatError
 from lexgate.instant import parse_instant
 from lexgate.model import (
     AttributeSelector,
@@ -29,11 +30,13 @@ from lexgate.model import (
     Literal,
     Obligation,
     STATUS_PROCESSING_ERROR,
+    STATUS_SYNTAX_ERROR,
     Target,
+    refusal,
     trace_digest,
 )
 from lexgate.parsing import wire
-from lexgate.parsing.wire import parse_response
+from lexgate.parsing.wire import parse_response, serialize_response
 from lexgate.pep import (
     AuditLog,
     AuditRecord,
@@ -44,6 +47,7 @@ from lexgate.pep import (
     pseudonym,
 )
 from policybuild import document, policy, rule, string_clause
+from wire_grammar import wire_requests
 
 GOOD_SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
@@ -648,6 +652,140 @@ def test_the_line_memo_stays_bounded_over_long_and_distinct_lines(policy_pack):
     # the long lines would hold some 5 MiB.
     assert _held_after_warm_up(send) < 256 * 1024
     assert memo.cache_info().hits > 0
+
+
+
+def test_the_body_memo_stays_bounded_over_long_and_distinct_bodies(policy_pack):
+    # Request n is sent twice: as a distinct 10 KB body, which passes by
+    # the memo, and as a distinct short body, which enters it and is
+    # pushed out again.
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+    memo = pep._read_body_once
+    memo.cache_clear()
+
+    def send(n):
+        long_note = f"environment long-note string {n:05d}{'x' * 10_000}"
+        monitor.handle_request(wire_request(extra_lines=(long_note,)), GOOD_SESSION)
+        monitor.handle_request(wire_request(extra_lines=(f"environment note string {n}",)), GOOD_SESSION)
+        assert memo.cache_info().currsize <= pep._BODIES_HELD
+
+    # A full memo of 256 such short bodies holds about 0.25 MiB, and it
+    # is full after the warm-up; one that kept every body would grow by
+    # some 90 MiB.
+    assert _held_after_warm_up(send) < 256 * 1024
+    # Only the 10,000 short bodies were looked up, and none repeated.
+    assert memo.cache_info().misses == 10_000 and memo.cache_info().hits == 0
+
+
+@pytest.mark.parametrize(
+    "value,as_text,mib",
+    [
+        pytest.param("integer {k}{i:03d}", False, 3, id="integer-lines"),
+        # Text outside the Basic Multilingual Plane takes 4 bytes a character.
+        pytest.param("string \U0001F600{k}.{i}", True, 4, id="astral-str"),
+    ],
+)
+def test_a_full_body_memo_holds_a_few_mib(value, as_text, mib):
+    # 256 bodies of the longest kept length, each one subject line and as
+    # many distinct attribute lines as fit: the most a memo entry parses to.
+    def body(k):
+        lines = ["request", f"subject user-id identifier c{k}"]
+        for i in itertools.count():
+            line = f"environment n{i} {value.format(k=k, i=i)}"
+            if len("\n".join([*lines, line, "end\n"])) > pep._LONGEST_BODY_HELD:
+                text = "\n".join([*lines, "end\n"])
+                return text if as_text else text.encode()
+            lines.append(line)
+
+    pep._read_body_once.cache_clear()
+    wire._parse_line_once.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(pep._BODIES_HELD):
+            pep._read_body_once(body(k))
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pep._read_body_once.cache_info().currsize == pep._BODIES_HELD
+    assert held < mib * 1024 * 1024
+
+
+def test_the_body_memo_keeps_no_body_of_a_caller_who_did_not_authenticate(policy_pack):
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+    memo = pep._read_body_once
+    memo.cache_clear()
+    for n in range(10):
+        monitor.handle_request(wire_request(resource=f"caller/{n}"), GOOD_SESSION)
+    before = memo.cache_info()
+    for n in range(10, 600):
+        for raw in (wire_request(resource=f"caller/{n}"), b"not a request %d" % n):
+            monitor.handle_request(raw, AuthState(GOOD_SESSION.user, "wrong-secret"))
+            monitor.handle_request(raw, AuthState("mallory", GOOD_SESSION.secret))
+    assert memo.cache_info() == before
+    assert before.currsize == 10
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(b"", id="empty"),
+        pytest.param(wire_request()[:40], id="truncated"),
+        pytest.param(b"request\nsubject user-id string \xff\nend\n", id="non-utf8"),
+        pytest.param("request\nsubject user-id string caf\udc80\nend\n", id="str-surrogate"),
+        pytest.param(b"request\nsubject user-id integer many\nend\n", id="bad-value"),
+        pytest.param(b"request\nresource resource-id string x\nend\n", id="no-subject"),
+    ],
+)
+def test_a_repeated_bad_body_is_refused_with_the_one_refusal_it_first_got(policy_pack, raw):
+    # The refusal is built, hashed and rendered at the body's first
+    # request; later requests with the body share it.
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+    pep._read_body_once.cache_clear()
+    _request, first, _view = monitor._decide(raw, GOOD_SESSION)
+    _request, again, _view = monitor._decide(raw, GOOD_SESSION)
+    assert again is first
+    assert (first.decision, first.status) == (Decision.INDETERMINATE, STATUS_SYNTAX_ERROR)
+    with pytest.raises(WireFormatError) as refused:
+        wire.parse_request(raw)
+    fresh = refusal("<monitor>", Decision.INDETERMINATE, STATUS_SYNTAX_ERROR, f"bad-request:{refused.value}")
+    assert serialize_response(again) == serialize_response(fresh)
+
+
+def test_a_repeated_request_body_is_parsed_once(policy_pack):
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+    pep._read_body_once.cache_clear()
+    first, _response, _view = monitor._decide(_VALID_REQUEST, GOOD_SESSION)
+    again, _response, _view = monitor._decide(_VALID_REQUEST, GOOD_SESSION)
+    assert again is first
+    # The same text as str is a body of its own, and one over the length
+    # bound, or not bytes or str, is parsed on every request.
+    assert monitor._decide(_VALID_REQUEST.decode(), GOOD_SESSION)[0] is not first
+    padded = _VALID_REQUEST + b"#" * pep._LONGEST_BODY_HELD + b"\n"
+    assert monitor._decide(padded, GOOD_SESSION)[0] is not monitor._decide(padded, GOOD_SESSION)[0]
+    assert pep._read_body_once.cache_info().currsize == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(wire_requests())
+def test_the_body_memo_changes_no_response_and_no_audit_line(policy_pack, tmp_path_factory, raw):
+    # Each body is sent three times: cold, again from the memo, and with
+    # the memo bypassed.
+    pep._read_body_once.cache_clear()
+    audit_path = tmp_path_factory.mktemp("audit") / "audit.log"
+    sent = []
+    with AuditLog(audit_path) as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        for longest in (pep._LONGEST_BODY_HELD, pep._LONGEST_BODY_HELD, -1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pep, "_LONGEST_BODY_HELD", longest)  # -1: no body is kept
+                response_bytes, _record = monitor.handle_request(raw, GOOD_SESSION)
+            lines = audit_path.read_bytes().splitlines()
+            assert len(lines) == len(sent) + 1
+            sent.append((response_bytes, lines[-1]))
+    assert sent[0] == sent[1] == sent[2]
+    assert pep._read_body_once.cache_info().hits == (len(raw) <= pep._LONGEST_BODY_HELD)
 
 
 def _held_after_warm_up(send) -> int:

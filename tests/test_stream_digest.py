@@ -48,6 +48,32 @@ def test_against_the_same_checkout_reports_equal_digests():
     assert verdict == {"equal": True}
 
 
+def test_several_workloads_are_checked_against_a_checkout_in_one_command():
+    # A workload named twice is replayed once.
+    completed = subprocess.run(
+        [sys.executable, "tools/stream_digest.py", "--workload", "reject-mix", "--workload", "pack-mix",
+         "--workload", "reject-mix", "--seed", "3", "--requests", str(REQUESTS), "--against", str(REPO)],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    *lines, verdict = (json.loads(line) for line in completed.stdout.splitlines())
+    assert [line["workload"] for line in lines] == ["reject-mix", "reject-mix", "pack-mix", "pack-mix"]
+    assert lines[0] == lines[1] == _digests("reject-mix")
+    assert lines[2] == lines[3]
+    assert verdict == {"equal": True}
+
+
+def test_all_replays_every_workload():
+    completed = subprocess.run(
+        [sys.executable, "tools/stream_digest.py", "--workload", "all", "--seed", "3",
+         "--requests", str(REQUESTS)],
+        cwd=REPO, check=True, capture_output=True, text=True, timeout=300,
+    )
+    lines = [json.loads(line) for line in completed.stdout.splitlines()]
+    assert [line["workload"] for line in lines] == ["forest-600", "pack-mix", "reject-mix", "world-200"]
+    assert lines[1] == _digests("pack-mix")
+
+
 @pytest.fixture(scope="module")
 def bench():
     # run.py resolves the checkout from the working directory at import.

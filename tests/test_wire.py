@@ -1,5 +1,4 @@
 import datetime as dt
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +15,7 @@ from lexgate.model import (
     ResponseContext,
     TraceRecord,
     STATUS_PROCESSING_ERROR,
+    is_one_field,
 )
 from lexgate.parsing import wire
 from lexgate.parsing.location_xml import LocationReport, ZoneKind
@@ -28,6 +28,7 @@ from lexgate.parsing.wire import (
     serialize_request,
     serialize_response,
 )
+from wire_grammar import wire_requests
 
 SAMPLE = b"""request
 subject user-id identifier c.miller
@@ -194,38 +195,71 @@ _values = st.one_of(
     ).map(lambda p: AttributeValue(DataType.GEO_POINT, p)),
 )
 
-_bags = st.lists(st.tuples(_ids, _values), max_size=3).map(tuple)
 
-_requests = st.builds(
-    RequestContext,
-    subject=st.lists(st.tuples(_ids, _values), min_size=1, max_size=3).map(tuple),
-    resource=_bags,
-    action=_bags,
-    environment=_bags,
-    source_location=st.one_of(
-        st.none(),
-        st.builds(
-            LocationReport,
-            country=st.sampled_from(("GB", "LU", "CH")),
-            city=st.sampled_from(("London", "Zurich", "")),
-            zone=st.sampled_from(ZoneKind),
-            timezone_name=st.sampled_from(("GMT", "CET")),
-            timezone_offset=st.sampled_from((0.0, 1.0, 5.75)),
-            point=st.builds(
-                GeoPoint,
-                lat=st.floats(-90, 90, allow_nan=False),
-                lon=st.floats(-180, 180, allow_nan=False),
-            ),
-            accuracy_radius=st.sampled_from((0.0, 30.0)),
+def _requests_of(ids):
+    """RequestContexts whose attributes carry ids drawn from `ids`."""
+    bags = st.lists(st.tuples(ids, _values), max_size=3).map(tuple)
+    return st.builds(
+        RequestContext,
+        subject=st.lists(st.tuples(ids, _values), min_size=1, max_size=3).map(tuple),
+        resource=bags,
+        action=bags,
+        environment=bags,
+        source_location=_source_locations,
+        destination_country=st.one_of(st.none(), st.sampled_from(("LU", "DE"))),
+    )
+
+
+_source_locations = st.one_of(
+    st.none(),
+    st.builds(
+        LocationReport,
+        country=st.sampled_from(("GB", "LU", "CH")),
+        city=st.sampled_from(("London", "Zurich", "")),
+        zone=st.sampled_from(ZoneKind),
+        timezone_name=st.sampled_from(("GMT", "CET")),
+        timezone_offset=st.sampled_from((0.0, 1.0, 5.75)),
+        point=st.builds(
+            GeoPoint,
+            lat=st.floats(-90, 90, allow_nan=False),
+            lon=st.floats(-180, 180, allow_nan=False),
         ),
+        accuracy_radius=st.sampled_from((0.0, 30.0)),
     ),
-    destination_country=st.one_of(st.none(), st.sampled_from(("LU", "DE"))),
 )
+_requests = _requests_of(_ids)
 
 
 @given(_requests)
 def test_request_round_trip_property(request):
     assert parse_request(serialize_request(request)) == request
+
+
+_NOT_ONE_FIELD = ("my note", "a\ud800", "", " x", "a\tb", "a\u2028b", "a\x1cb")
+
+
+@pytest.mark.parametrize("attr_id", _NOT_ONE_FIELD)
+def test_an_attribute_id_that_is_not_one_field_is_not_serialized(attr_id):
+    # "my note" would be read back as the id "my" of type "note", and a
+    # lone surrogate has no UTF-8 encoding.
+    request = RequestContext(subject=((attr_id, AttributeValue(DataType.STRING, "x")),))
+    with pytest.raises(WireFormatError, match="attribute id"):
+        serialize_request(request)
+
+
+# Ids as a caller may build them in memory, one wire field or not.
+_any_ids = st.one_of(_ids, st.sampled_from(_NOT_ONE_FIELD), st.text(max_size=6))
+
+
+@given(_requests_of(_any_ids))
+def test_a_request_built_in_memory_serializes_to_itself_or_is_refused(request):
+    ids = [attr_id for category in Category for attr_id, _value in request.category(category)]
+    try:
+        data = serialize_request(request)
+    except WireFormatError:
+        assert not all(map(is_one_field, ids))
+        return
+    assert parse_request(data) == request
 
 
 _decisions = st.sampled_from(Decision)
@@ -279,95 +313,6 @@ def test_response_round_trip_property(response):
 
 # -- the line memo ----------------------------------------------------------------
 
-# Request lines after the grammar of docs/wire-format.md: values of each
-# type, and lines its parser refuses.
-_TYPED_TEXT = {
-    # Text that other types also spell, so that a line's type matters.
-    "string": st.sampled_from(("read", "sparkly  unicorn value", "", "c.miller", "LU", "08:00:00", "true", "600")),
-    "identifier": st.sampled_from(("c.miller", "a.chen")),
-    "time-of-day": st.sampled_from(("08:00:00", "23:59:59")),
-    "date": st.just("2026-03-10"),
-    "integer": st.integers(-10**6, 10**6).map(str),
-    "boolean": st.sampled_from(("true", "false")),
-    "geo-point": st.tuples(st.floats(-90, 90), st.floats(-180, 180)).map(lambda p: f"{p[0]!r} {p[1]!r}"),
-    "country-code": st.sampled_from(("LU", "GB")),
-}
-_attribute_lines = st.builds(
-    "{} {} {}".format,
-    st.sampled_from(("subject", "resource", "action", "environment")),
-    st.sampled_from(("user-id", "resource-id", "action-id", "note", "position-accuracy")),
-    st.sampled_from(sorted(_TYPED_TEXT)).flatmap(lambda t: _TYPED_TEXT[t].map(f"{t} {{}}".format)),
-)
-_refused_lines = st.sampled_from((
-    "environment t time-of-day 24:00:00",
-    "environment t time-of-day 8:0",
-    "environment d date 2026-02-30",
-    "subject b boolean yes",
-    "resource c country-code lu",
-    "action n no-such-type 5",
-    "bogus line",
-    "subject",
-    "subject user-id",
-    "destination-country gb",
-))
-_LOCATION_BLOCK = (
-    "location country GB",
-    "location city London",
-    "location zone unrestricted",
-    "location timezone IST 5.5",
-    "location point 51.507861 -0.099349",
-    "location accuracy 30.5",
-)
-_location_blocks = st.sampled_from(((), (), _LOCATION_BLOCK[:5], _LOCATION_BLOCK, _LOCATION_BLOCK[1:]))
-_request_lines = st.one_of(
-    _attribute_lines,
-    _attribute_lines,
-    _attribute_lines,
-    st.sampled_from(("destination-country LU", "# a comment", "")),
-    _refused_lines,
-)
-# Mutations: a number token made hostile, a line dropped or repeated, a
-# line separator inserted.
-_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
-_HOSTILE_NUMBERS = ("nan", "inf", "-inf", "-0", "1e400", "9" * 400)
-_mutations = st.lists(
-    st.tuples(
-        st.sampled_from(("number", "drop", "repeat", "separator")),
-        st.integers(0, 30),
-        st.sampled_from(_HOSTILE_NUMBERS),
-    ),
-    max_size=4,
-)
-
-
-def _mutate(lines: list[str], mutations) -> list[str]:
-    lines = list(lines)
-    for kind, at, number in mutations:
-        if not lines:
-            break
-        at %= len(lines)
-        if kind == "number":
-            lines[at] = _NUMBER.sub(number, lines[at], count=1)
-        elif kind == "drop":
-            del lines[at]
-        elif kind == "repeat":
-            lines.insert(at, lines[at])
-        else:
-            lines[at] = lines[at][: at % 7] + "\u2028" + lines[at][at % 7:]
-    return lines
-
-
-@st.composite
-def _wire_requests(draw):
-    """A request as text or UTF-8 bytes: maybe a subject id line, maybe a
-    location block, up to eight more lines, then the mutations."""
-    subject = draw(st.sampled_from(((), *[("subject user-id identifier c.miller",)] * 3)))
-    body = draw(st.lists(_request_lines, max_size=8))
-    lines = _mutate(["request", *subject, *draw(_location_blocks), *body, "end"], draw(_mutations))
-    text = "\n".join(lines) + "\n"
-    return text.encode("utf-8") if draw(st.booleans()) else text
-
-
 def _parsed(data):
     try:
         return parse_request(data)
@@ -376,7 +321,7 @@ def _parsed(data):
 
 
 @settings(max_examples=150)
-@given(_wire_requests())
+@given(wire_requests())
 def test_the_line_memo_changes_no_result(data):
     wire._parse_line_once.cache_clear()
     cold = _parsed(data)

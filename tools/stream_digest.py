@@ -18,6 +18,13 @@ With `--against DIR`, the same replay runs a second time with DIR (another
 checkout) as the working directory, so with DIR's generator, loader and
 program. Prints this checkout's line, DIR's line, then `{"equal": ...}`, and
 exits 1 when the digests differ.
+
+    python3 tools/stream_digest.py --workload all --seed 1 --requests 2000 --against ../parent
+
+`--workload` may be given more than once, or as `all` for every workload of
+`perfbench/run.py`; each is replayed in turn. With `--against`, each
+workload's line from this checkout is followed by DIR's, and the closing
+`{"equal": ...}` holds only when every workload's digests are equal.
 """
 
 from __future__ import annotations
@@ -58,20 +65,28 @@ def digests(workload: str, seed: int, requests: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(bench.WORKLOADS))
+    parser.add_argument("--workload", required=True, action="append",
+                        choices=[*sorted(bench.WORKLOADS), "all"])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--requests", type=int, required=True)
     parser.add_argument("--against", type=Path, help="another checkout to replay the stream in")
     args = parser.parse_args(argv)
-    here = digests(args.workload, args.seed, args.requests)
-    print(json.dumps(here, sort_keys=True))
+    named = sorted(bench.WORKLOADS) if "all" in args.workload else args.workload
+    workloads = list(dict.fromkeys(named))
+    here = [digests(workload, args.seed, args.requests) for workload in workloads]
     if args.against is None:
+        for line in here:
+            print(json.dumps(line, sort_keys=True))
         return 0
-    replay = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
-              "--seed", str(args.seed), "--requests", str(args.requests)]
+    replay = [sys.executable, str(Path(__file__).resolve()), "--seed", str(args.seed),
+              "--requests", str(args.requests)]
+    for workload in workloads:
+        replay += ["--workload", workload]
     completed = subprocess.run(replay, cwd=args.against, check=True, stdout=subprocess.PIPE, text=True)
-    there = json.loads(completed.stdout.splitlines()[-1])
-    print(json.dumps(there, sort_keys=True))
+    there = [json.loads(line) for line in completed.stdout.splitlines()[-len(workloads):]]
+    for pair in zip(here, there):
+        for line in pair:
+            print(json.dumps(line, sort_keys=True))
     print(json.dumps({"equal": here == there}))
     return 0 if here == there else 1
 
