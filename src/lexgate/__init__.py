@@ -1,14 +1,14 @@
 """lexgate: jurisdiction-aware policy decision engine and enforcement kit.
 
 The pieces compose bottom-up: the policy model and parsers, the decision
-engine with its function/combiner registries, the pluggable context
+engine with its built-in functions and combiners, the pluggable context
 suppliers (identity, diary, clock, zone+ location, legal scopes) and the
 reference monitor that enforces decisions, executes obligations and keeps
 the audit trail. `lexgate.cli` exposes all of it as a command line.
 """
 
-from .combining import CombinerRegistry, combine
-from .engine import FunctionRegistry, PolicyDecisionPoint
+from .combining import combine
+from .engine import PolicyDecisionPoint
 from .errors import LexgateError
 from .model import (
     AttributeValue,
@@ -51,11 +51,9 @@ __all__ = [
     "AuditRecord",
     "AuthState",
     "Category",
-    "CombinerRegistry",
     "DataType",
     "Decision",
     "Effect",
-    "FunctionRegistry",
     "GeoPoint",
     "LexgateError",
     "LocationReport",

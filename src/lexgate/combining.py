@@ -1,7 +1,5 @@
-"""Decision combining algorithms and their registry.
-
-The four standard algorithms are always registered; engines may add their
-own under fresh ids. An empty decision list combines to NotApplicable.
+"""The four standard decision combining algorithms, the only ones an
+engine combines with. An empty decision list combines to NotApplicable.
 Error handling: deny-overrides folds Indeterminate into Deny (fail-safe),
 permit-overrides ranks it below Deny, first-applicable treats it as a
 terminal result, only-one-applicable counts it as applicable.
@@ -63,7 +61,7 @@ def _only_one_applicable(decisions: Sequence[Decision]) -> Decision:
     return applicable[0]
 
 
-_STANDARD: dict[str, Combiner] = {
+STANDARD: dict[str, Combiner] = {
     "deny-overrides": _deny_overrides,
     "permit-overrides": _permit_overrides,
     "first-applicable": _first_applicable,
@@ -71,38 +69,11 @@ _STANDARD: dict[str, Combiner] = {
 }
 
 
-class CombinerRegistry:
-    """Immutable-after-setup map of combining algorithm ids."""
-
-    def __init__(self, extra: dict[str, Combiner] | None = None):
-        self._combiners = dict(_STANDARD)
-        for combiner_id, fn in (extra or {}).items():
-            self.register(combiner_id, fn)
-
-    def register(self, combiner_id: str, fn: Combiner) -> None:
-        if combiner_id in self._combiners:
-            raise ValueError(f"combiner {combiner_id!r} is already registered")
-        self._combiners[combiner_id] = fn
-
-    def __contains__(self, combiner_id: str) -> bool:
-        return combiner_id in self._combiners
-
-    def ids(self) -> frozenset[str]:
-        return frozenset(self._combiners)
-
-    def get(self, combiner_id: str) -> Combiner:
-        try:
-            return self._combiners[combiner_id]
-        except KeyError:
-            raise UnknownCombinerError(f"unknown combining algorithm {combiner_id!r}") from None
-
-    def combine(self, combiner_id: str, decisions: Iterable[Decision]) -> Decision:
-        return self.get(combiner_id)(tuple(decisions))
-
-
-_DEFAULT_REGISTRY = CombinerRegistry()
-
-
 def combine(combiner_id: str, decisions: Iterable[Decision]) -> Decision:
-    """Combine with a standard algorithm (module-level convenience)."""
-    return _DEFAULT_REGISTRY.combine(combiner_id, decisions)
+    """Combine with the standard algorithm `combiner_id`; any other id
+    raises UnknownCombinerError."""
+    try:
+        algorithm = STANDARD[combiner_id]
+    except KeyError:
+        raise UnknownCombinerError(f"unknown combining algorithm {combiner_id!r}") from None
+    return algorithm(tuple(decisions))

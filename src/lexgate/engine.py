@@ -11,8 +11,7 @@ attribute bags those documents read (a time compared only by order with
 literals counts by its place among them), so each plan of the compiled
 forest keeps a bounded memo from that walk key to the finished response
 (`CompiledForest`). A request whose key was seen before gets that
-response without a walk. Documents that call a registered function,
-which may read anything, are always walked.
+response without a walk.
 
 Legislation applicability: a node carrying a legislation scope set is
 applicable only when that set intersects the scopes observed by the
@@ -41,12 +40,12 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .combining import CombinerRegistry
+from .combining import STANDARD, combine
 from .context.bundle import PipBundle
 from .context.clock import local_time
 from .context.diary import TaskAssessment
 from .context.identity import IdentityKind, ProximityToken, Relationship
-from .errors import LexgateError, PrecisionError, UnknownCombinerError
+from .errors import LexgateError, PrecisionError
 from .instant import parse_instant
 from .model import (
     AttributeSelector,
@@ -212,7 +211,7 @@ def _only(bag: tuple, function: str) -> object:
 
 
 def _checked(function: str, signature: Signature) -> FunctionImpl:
-    """The registry function of a built-in with a signature: it checks the
+    """The checked function of a built-in with a signature: it checks the
     argument count, then each argument in order (a bag for its one value,
     or a scalar), then applies the kernel."""
     kinds, kernel = signature.args, signature.kernel
@@ -267,32 +266,6 @@ _BUILTINS: dict[str, FunctionImpl] = {
 _SPECIAL_FORMS = ("function:and", "function:or")
 
 
-class FunctionRegistry:
-    def __init__(self, extra: dict[str, FunctionImpl] | None = None):
-        self._functions = dict(_BUILTINS)
-        for function_id, fn in (extra or {}).items():
-            self.register(function_id, fn)
-
-    def register(self, function_id: str, fn: FunctionImpl) -> None:
-        if function_id in self._functions or function_id in _SPECIAL_FORMS:
-            raise ValueError(f"function {function_id!r} is already registered")
-        self._functions[function_id] = fn
-
-    def __contains__(self, function_id: str) -> bool:
-        return function_id in self._functions or function_id in _SPECIAL_FORMS
-
-    def ids(self) -> frozenset[str]:
-        return frozenset(self._functions) | frozenset(_SPECIAL_FORMS)
-
-    def get(self, function_id: str) -> FunctionImpl:
-        try:
-            return self._functions[function_id]
-        except KeyError:
-            raise _EvalError(
-                STATUS_PROCESSING_ERROR, f"unknown function {function_id!r}"
-            ) from None
-
-
 # A compiled target check: None when the node applies, else its record.
 Applies = Callable[[EvaluationContext], Optional[TraceRecord]]
 # A compiled node: appends (record, node) per completed node, returns the
@@ -300,9 +273,9 @@ Applies = Callable[[EvaluationContext], Optional[TraceRecord]]
 Walk = Callable[[EvaluationContext, list], Decision]
 
 
-def _raiser(error: _EvalError) -> Callable[..., object]:
-    """Code that raises a fresh copy of `error` each time it runs."""
-    status, message = error.status, str(error)
+def _raiser(status: str, message: str) -> Callable[..., object]:
+    """Code that raises a fresh `_EvalError(status, message)` each time it
+    runs."""
 
     def fail(*_args: object) -> object:
         raise _EvalError(status, message)
@@ -358,20 +331,13 @@ def _is_default_rule(node: PolicyNode) -> bool:
 
 
 class PolicyDecisionPoint:
-    """Immutable engine: registries are frozen at construction."""
-
-    def __init__(
-        self,
-        functions: Optional[FunctionRegistry] = None,
-        combiners: Optional[CombinerRegistry] = None,
-    ):
-        self.functions = functions or FunctionRegistry()
-        self.combiners = combiners or CombinerRegistry()
+    """The decision engine. It holds no state; the memos of a forest live
+    in its `CompiledForest`."""
 
     def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
         """The forest indexed for this engine, the one way to build a
-        `CompiledForest`; each root is compiled to closures over this
-        engine's registries the first time a request walks it."""
+        `CompiledForest`; each root is compiled to closures the first time
+        a request walks it."""
         return CompiledForest(documents, self)
 
     # -- context construction ---------------------------------------------
@@ -522,10 +488,9 @@ class PolicyDecisionPoint:
         Once the literal fits, a value of the first argument's exact type
         skips the checks; any other takes the checked function."""
         function = clause.match_function
-        try:
-            match = self.functions.get(function)
-        except _EvalError as exc:
-            return _raiser(exc)  # before the bag is read, so even when it is empty
+        match = _BUILTINS.get(function)
+        if match is None:  # fails before the bag is read, so even when it is empty
+            return _raiser(STATUS_PROCESSING_ERROR, f"unknown function {function!r}")
         key = (category, clause.attribute_id)
         literal = clause.literal.value
         signature = SIGNATURES.get(function)
@@ -557,15 +522,14 @@ class PolicyDecisionPoint:
             operands = tuple(self._compile_expr(arg) for arg in expr.args)
             if function in _SPECIAL_FORMS:
                 return _compile_logical(function, operands)
-            try:
-                fn = self.functions.get(function)
-            except _EvalError as exc:
-                return _raiser(exc)  # before any operand is evaluated
+            fn = _BUILTINS.get(function)
+            if fn is None:  # fails before any operand is evaluated
+                return _raiser(STATUS_PROCESSING_ERROR, f"unknown function {function!r}")
             signature = SIGNATURES.get(function)
             if signature is not None and fits(signature, [operand_type(a) for a in expr.args]):
                 return _typed(function, signature, operands)
             return lambda ctx: fn(ctx, [operand(ctx) for operand in operands])
-        return _raiser(_EvalError(STATUS_PROCESSING_ERROR, f"unknown expression node {expr!r}"))
+        return _raiser(STATUS_PROCESSING_ERROR, f"unknown expression node {expr!r}")
 
     def _compile_rule(self, rule: PolicyNode, applies: Optional[Applies]) -> "Walk":
         node_id = rule.id
@@ -611,11 +575,10 @@ class PolicyDecisionPoint:
             default_decision = default.effect.to_decision()
             default_record = TraceRecord(default.id, default_decision, "default-rule")
         walks = tuple(self._compile_node(child) for child in children)
-        try:
-            combiner = self.combiners.get(node.combining)
-        except UnknownCombinerError as exc:
-            combiner = None
-            combiner_error = TraceRecord(node.id, Decision.INDETERMINATE, f"combiner-error:{exc}")
+        combiner = STANDARD.get(node.combining)
+        if combiner is None:
+            reason = f"combiner-error:unknown combining algorithm {node.combining!r}"
+            combiner_error = TraceRecord(node.id, Decision.INDETERMINATE, reason)
         combined = {
             decision: TraceRecord(node.id, decision, f"combined:{node.combining}")
             for decision in Decision
@@ -651,17 +614,14 @@ class PolicyDecisionPoint:
         *,
         legislation_mode: str = "aware",
     ) -> ResponseContext:
-        """Evaluate the document forest this engine's `compile` built. No
-        evaluation failure raises past this boundary; only a bad argument
-        does: an unknown legislation mode or a forest compiled by another
-        engine, whose closures hold that engine's registries, with
-        ValueError, and anything but a `CompiledForest` with TypeError."""
+        """Evaluate the document forest `compile` built. No evaluation
+        failure raises past this boundary; only a bad argument does: an
+        unknown legislation mode with ValueError, and anything but a
+        `CompiledForest` with TypeError."""
         if legislation_mode not in ("aware", "ignore-tags"):
             raise ValueError(f"unknown legislation mode {legislation_mode!r}")
         if not isinstance(forest, CompiledForest):
             raise TypeError("evaluate takes a CompiledForest; build it with compile")
-        if forest.engine is not self:
-            raise ValueError("the forest was compiled by another engine")
         # The trace is built in document order; `visited` holds the (record,
         # node) pairs of every walked document, those of the document being
         # walked from `mark` on.
@@ -693,7 +653,7 @@ class PolicyDecisionPoint:
                 mark = len(visited)
                 if decision is not Decision.NOT_APPLICABLE:
                     decisions.append(decision)
-            final = self.combiners.combine(TOP_COMBINER, decisions)
+            final = combine(TOP_COMBINER, decisions)
         except Exception as exc:  # PIP failures must not escape the boundary
             trace += [record for record, _node in visited[mark:]]
             return refusal("<context>", Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, str(exc), trace)
@@ -842,9 +802,7 @@ def _time_slot(value: AttributeValue, times: tuple[dt.time, ...]) -> tuple:
     return value.data_type, type(payload), payload
 
 
-def _walk_key(
-    roots: Iterable[PolicyNode], functions: FunctionRegistry
-) -> Optional[Callable[[EvaluationContext], tuple]]:
+def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tuple]:
     """The walk key of the requests that walk `roots`: a function of the
     evaluation context whose value fixes every walk of those roots under
     one plan, from a pass over their targets and conditions. Each
@@ -853,9 +811,7 @@ def _walk_key(
     every read compares it, as a match clause or the time-one-and-only of
     its selector, by time order with a time literal: its naive times give
     their place among those literals (`_time_slot`). A location-match
-    adds the source country, the zone and the zone tree. None when a
-    node calls a registered function, which may read anything on the
-    context."""
+    adds the source country, the zone and the zone tree."""
     # Per attribute read, the time literals it is compared with; None once
     # a read needs its exact values.
     literals: dict[tuple[Category, str], Optional[set]] = {}
@@ -870,27 +826,22 @@ def _walk_key(
         else:
             literals[attribute] = None
 
-    def registered(function: str) -> bool:
-        return function not in _BUILTINS and function not in _SPECIAL_FORMS and function in functions
-
-    def visit(expr: ConditionExpr) -> bool:
-        """Note what the expression reads; False when it calls a
-        registered function."""
+    def visit(expr: ConditionExpr) -> None:
+        """Note what the expression reads."""
         nonlocal location
         if isinstance(expr, AttributeSelector):
             read(expr.category, expr.attribute_id)
-            return True
+            return
         if not isinstance(expr, FunctionApplication):
-            return True
-        if registered(expr.function):
-            return False
+            return
         location = location or expr.function == _LOCATION_MATCH
         compared = _compared_time(expr)
         if compared is not None:
             selector, literal = compared
             read(selector.category, selector.attribute_id, literal)
-            return True
-        return all([visit(arg) for arg in expr.args])
+            return
+        for arg in expr.args:
+            visit(arg)
 
     stack = list(roots)
     while stack:
@@ -898,12 +849,10 @@ def _walk_key(
         stack += node.children
         for category, clauses in node.target.sections():
             for clause in clauses:
-                if registered(clause.match_function):
-                    return None
                 compared = clause.match_function in _TIME_ORDER
                 read(category, clause.attribute_id, clause.literal.value if compared else None)
-        if node.condition is not None and not visit(node.condition):
-            return None
+        if node.condition is not None:
+            visit(node.condition)
     exact = tuple(attribute for attribute, times in literals.items() if times is None)
     ordered = tuple((attribute, tuple(sorted(times))) for attribute, times in literals.items() if times is not None)
 
@@ -971,9 +920,7 @@ class CompiledForest:
     body), so a request whose walk key was seen before gets
     that response without a walk, a trace build or a hash. Only
     responses of a completed walk are kept, never the `<context>` error
-    response. A plan whose walked documents call a registered function
-    keeps none, since that function may read anything on the context.
-    An entry costs `len(roots)` trace records, and the entries of all
+    response. An entry costs `len(roots)` trace records, and the entries of all
     the plans together hold at most `_TRACE_RECORDS_HELD` records: a plan
     keeps at most `_RESPONSES_HELD` responses, fewer for a large forest,
     and none when not even one per plan fits. A full memo is emptied
@@ -1078,7 +1025,7 @@ class CompiledForest:
         runs = tuple(screen.records[start + 1:end] for start, end in bounds)
         walk_key = None
         if self.responses_held:
-            walk_key = _walk_key([self.roots[index] for index in walk], self.engine.functions)
+            walk_key = _walk_key([self.roots[index] for index in walk])
         text, offsets = memoryview(screen.text), screen.offsets
         views = tuple(text[offsets[start + 1]:offsets[end]] for start, end in bounds)
         return Plan(runs, tuple(walk), walk_key, {}, views)

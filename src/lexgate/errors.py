@@ -72,7 +72,7 @@ class LocationUnavailableError(LexgateError):
 
 
 class UnknownCombinerError(LexgateError):
-    """A combining algorithm id is not registered."""
+    """A combining algorithm id names no standard algorithm."""
 
 
 class ObligationError(LexgateError):

@@ -122,6 +122,16 @@ class WireView:
     expires_at: Optional[dt.datetime] = None
 
 
+def _check_country(code: str, what: str) -> str:
+    """`code`, when `parse_request` reads it back as itself."""
+    try:
+        if country_code(code) == code:
+            return code
+    except ValueError:
+        pass
+    raise WireFormatError(f"{what} must be a country code that reads back as itself: {code!r}")
+
+
 def _check_single_line(text: str, what: str) -> str:
     if not is_wire_text(text):
         raise WireFormatError(f"{what} must be one line of UTF-8, without line breaks: {text!r}")
@@ -130,14 +140,17 @@ def _check_single_line(text: str, what: str) -> str:
 
 def _split_lines(data: bytes | str) -> list[str]:
     """The message's lines that are neither blank nor comments, stripped.
-    Text that UTF-8 cannot carry (bytes that do not decode, a str with a
-    lone surrogate) is a format error."""
+    A message that is neither bytes nor str, and text that UTF-8 cannot
+    carry (bytes that do not decode, a str with a lone surrogate), is a
+    format error."""
     try:
         if isinstance(data, bytes):
             text = data.decode("utf-8")
-        else:
+        elif isinstance(data, str):
             text = data
             text.encode("utf-8")
+        else:
+            raise WireFormatError(f"message must be bytes or str, not {type(data).__name__}")
     except UnicodeError as exc:
         raise WireFormatError(f"message is not UTF-8: {exc}") from exc
     return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
@@ -260,17 +273,20 @@ def parse_request(data: bytes | str) -> RequestContext:
 
 
 def serialize_request(request: RequestContext) -> bytes:
-    """The request's wire text, as UTF-8. An attribute id that is not one
-    wire field (`is_one_field`), or a value or city that is not one line of
-    UTF-8, raises WireFormatError: `parse_request` could not read it back."""
+    """The request's wire text, as UTF-8. An attribute id or timezone name
+    that is not one wire field (`is_one_field`), a value or city that is
+    not one line of UTF-8, or a country that `country_code` would change,
+    raises WireFormatError: `parse_request` could not read it back."""
     out = ["request"]
     if request.destination_country:
-        out.append(f"destination-country {request.destination_country}")
+        out.append(f"destination-country {_check_country(request.destination_country, 'destination country')}")
     if request.source_location is not None:
         report = request.source_location
-        out.append(f"location country {report.country}")
+        out.append(f"location country {_check_country(report.country, 'location country')}")
         out.append(f"location city {_check_single_line(report.city, 'city')}")
         out.append(f"location zone {report.zone.value}")
+        if not is_one_field(report.timezone_name):
+            raise WireFormatError(f"timezone name must be one field of one line of UTF-8: {report.timezone_name!r}")
         out.append(f"location timezone {report.timezone_name} {format_offset(report.timezone_offset)}")
         out.append(f"location point {report.point.lat!r} {report.point.lon!r}")
         if report.accuracy_radius:

@@ -7,6 +7,7 @@ import pytest
 from lexgate.cli import default_fixtures_root, load_policy_dir
 from lexgate.context.bundle import LocationSupplier, PipBundle, load_bundle
 from lexgate.context.clock import FixedClock
+from lexgate import engine as engine_module
 from lexgate.engine import PolicyDecisionPoint
 from lexgate.instant import parse_instant
 
@@ -65,15 +66,16 @@ EVENT_FLOW = (
 def watch(monkeypatch, monitor, steps=EVENT_FLOW) -> list[str]:
     """Wrap the methods `steps` names ("component.method") on the
     instances the monitor uses, so that each call appends its step to the
-    returned list. Components: the bundle's suppliers, the engine and its
-    combiners, the obligation service and the audit log."""
+    returned list. Components: the bundle's suppliers, the engine, the
+    obligation service and the audit log; "combiners" is the engine
+    module, whose `combine` combines the forest's decisions."""
     owners = {
         "identities": monitor.pips.identities,
         "location": monitor.pips.location,
         "diary": monitor.pips.diary,
         "scopes": monitor.pips.scopes,
         "engine": monitor.engine,
-        "combiners": monitor.engine.combiners,
+        "combiners": engine_module,
         "obligations": monitor.obligations,
         "audit": monitor.audit,
     }

@@ -15,7 +15,7 @@ wins and the first error (before any match) makes the node Indeterminate.
 """
 
 from combining_oracle import ORACLE
-from lexgate.engine import _EvalError
+from lexgate.engine import _BUILTINS, _EvalError
 from lexgate.model import (
     AttributeSelector,
     Category,
@@ -35,9 +35,17 @@ NOT_APPLICABLE = Decision.NOT_APPLICABLE
 INDETERMINATE = Decision.INDETERMINATE
 
 
+def _function(function_id):
+    """The engine's built-in function `function_id`; an unknown id is an
+    error."""
+    try:
+        return _BUILTINS[function_id]
+    except KeyError:
+        raise _EvalError(STATUS_PROCESSING_ERROR, f"unknown function {function_id!r}") from None
+
+
 class _Oracle:
-    def __init__(self, engine, ctx, scopes, legislation_mode):
-        self.functions = engine.functions
+    def __init__(self, ctx, scopes, legislation_mode):
         self.ctx = ctx
         self.scopes = scopes
         self.ignore_tags = legislation_mode == "ignore-tags"
@@ -56,7 +64,7 @@ class _Oracle:
         if isinstance(expr, FunctionApplication):
             if expr.function in ("function:and", "function:or"):
                 return self.logical(expr)
-            function = self.functions.get(expr.function)
+            function = _function(expr.function)
             return function(self.ctx, [self.value(arg) for arg in expr.args])
         raise _EvalError(STATUS_PROCESSING_ERROR, f"unknown expression node {expr!r}")
 
@@ -111,7 +119,7 @@ class _Oracle:
 
     def section_matches(self, category, clauses):
         for clause in clauses:
-            function = self.functions.get(clause.match_function)
+            function = _function(clause.match_function)
             for value in self.ctx.lookup((category, clause.attribute_id)):
                 if function(self.ctx, [value.value, clause.literal.value]) is True:
                     return True
@@ -175,7 +183,7 @@ def evaluate(engine, documents, request, pips, legislation_mode="aware"):
     try:
         ctx = engine._build_context(request, pips, legislation_mode)
         scopes = pips.scopes.select_legislation(ctx.source_country, ctx.destination_country)
-        oracle = _Oracle(engine, ctx, scopes, legislation_mode)
+        oracle = _Oracle(ctx, scopes, legislation_mode)
         decisions = [oracle.node(document.root) for document in documents]
         final = ORACLE["deny-overrides"](decisions)
     except Exception as exc:

@@ -5,10 +5,8 @@ from __future__ import annotations
 import datetime as dt
 import random
 
-from lexgate.engine import _EvalError
 from lexgate.model import (
     SIGNATURES,
-    STATUS_MISSING_ATTRIBUTE,
     AttributeSelector,
     AttributeValue,
     Category,
@@ -172,39 +170,19 @@ _ERRORS = (
 )
 
 
-# Extension points that misbehave, for engines built with
-# FunctionRegistry(HOSTILE_FUNCTIONS): one function raises the engine's
-# evaluation error, the other returns text where a boolean is due.
-RAISES_EVAL_ERROR = "function:raises-eval-error"
-RETURNS_TEXT = "function:returns-text"
 UNKNOWN_FUNCTION = "function:no-such-function"
 UNKNOWN_COMBINER = "no-such-combiner"
-
-
-def _raises_eval_error(ctx, args):
-    raise _EvalError(STATUS_MISSING_ATTRIBUTE, "raised by a registered function")
-
-
-def _returns_text(ctx, args):
-    return "true"
-
-
-HOSTILE_FUNCTIONS = {RAISES_EVAL_ERROR: _raises_eval_error, RETURNS_TEXT: _returns_text}
-
 _HOSTILE_CONDITIONS = (
     FunctionApplication(UNKNOWN_FUNCTION, (boolean_literal(True),)),
     # Builtins with the wrong number of arguments.
     FunctionApplication("function:not", ()),
     FunctionApplication("function:string-equal", (Literal(AttributeValue(DataType.STRING, "x")),)),
-    FunctionApplication(RAISES_EVAL_ERROR, ()),
-    FunctionApplication(RETURNS_TEXT, (boolean_literal(True),)),
 )
 
 
 def _random_condition(rng: random.Random, depth: int = 0, hostile: bool = False):
     """None, a literal boolean, a typed comparison, an error, or and/or/not
-    over those; when hostile, also unknown functions, wrong arities and
-    misbehaving registered functions."""
+    over those; when hostile, also unknown functions and wrong arities."""
     roll = rng.random()
     if depth == 0 and roll < 0.3:
         return None
@@ -227,9 +205,9 @@ def _random_condition(rng: random.Random, depth: int = 0, hostile: bool = False)
 def _random_target(rng: random.Random, hostile: bool = False) -> Target:
     """Match-any, or string-equal literals on one or two categories (one or
     two clauses each), or a clause a literal index cannot key on; when
-    hostile, sometimes also a clause with an unknown or misbehaving match
-    function, on a carried attribute or on one no request carries (an
-    unknown function fails even on an empty bag)."""
+    hostile, sometimes also a clause with an unknown match function, on
+    a carried attribute or on one no request carries (an unknown function
+    fails even on an empty bag)."""
     roll = rng.random()
     if roll < 0.3:
         return Target()
@@ -258,7 +236,7 @@ def _random_target(rng: random.Random, hostile: bool = False) -> Target:
         category, attribute_id = rng.choice(selectors)
         clause = MatchClause(
             rng.choice((attribute_id, "absent")),
-            rng.choice((UNKNOWN_FUNCTION, UNKNOWN_FUNCTION, RAISES_EVAL_ERROR, RETURNS_TEXT)),
+            UNKNOWN_FUNCTION,
             AttributeValue(DataType.STRING, "x"),
         )
         sections[category].insert(rng.randint(0, len(sections[category])), clause)
@@ -332,9 +310,7 @@ def random_forest(
     character offsets differ in the wire text.
 
     hostile=True also draws unknown function ids in conditions and target
-    clauses, builtins with the wrong arity, unknown combiners and the
-    misbehaving HOSTILE_FUNCTIONS, which the evaluating engine must
-    register."""
+    clauses, builtins with the wrong arity and unknown combiners."""
     documents = []
     for doc_index in range(rng.randint(1, 6)):
         doc_id = f"{('d', 'dé', 'd文')[doc_index % 3]}{doc_index}"

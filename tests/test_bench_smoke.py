@@ -54,6 +54,14 @@ def test_workload_runs_correct_with_no_failures(bench, audit_logs_closed, worklo
     assert result["attempted"] == REQUESTS
 
 
+# Hooks whose target the program deleted on purpose: combining.calls
+# counted the calls of the combiner registry, which is gone; the engine
+# combines through `combining.combine`. The traced run reports it as 0
+# until the benchmark's next change drops it (ROADMAP item 1), and this
+# list empties with that change.
+KNOWN_ABSENT = ["combining.calls"]
+
+
 def test_every_trace_hook_resolves():
     # The traced run reports a hook whose target is gone as absent and its
     # layer as 0, so a rename or deletion would otherwise go unnoticed.
@@ -61,8 +69,8 @@ def test_every_trace_hook_resolves():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     absent = [
-        f"{name} ({module}.{path})"
+        name
         for name, module, path in tracing.SPANS + tracing.COUNTERS
         if tracing._resolve(module, path) is None
     ]
-    assert absent == []
+    assert absent == KNOWN_ABSENT

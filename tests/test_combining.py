@@ -1,7 +1,7 @@
 import pytest
 
 from combining_oracle import ORACLE, all_vectors
-from lexgate.combining import CombinerRegistry, combine
+from lexgate.combining import combine
 from lexgate.errors import UnknownCombinerError
 from lexgate.model import Decision
 
@@ -58,14 +58,3 @@ def test_unknown_combiner_raises():
     with pytest.raises(UnknownCombinerError):
         combine("sometimes-applicable", [P])
 
-
-def test_registry_rejects_duplicate_registration():
-    registry = CombinerRegistry()
-    with pytest.raises(ValueError):
-        registry.register("deny-overrides", lambda decisions: D)
-
-
-def test_user_defined_combiner_is_usable():
-    registry = CombinerRegistry({"always-deny": lambda decisions: D})
-    assert registry.combine("always-deny", [P, P]) is D
-    assert "always-deny" in registry

@@ -17,7 +17,7 @@ from lexgate import engine as engine_module
 from lexgate.context.diary import TaskAssessment
 from lexgate.context.identity import IdentityKind, Relationship
 from lexgate.context.zones import ZoneTree
-from lexgate.engine import EvaluationContext, FunctionRegistry, PolicyDecisionPoint, _EvalError
+from lexgate.engine import EvaluationContext, PolicyDecisionPoint, _EvalError
 from lexgate.model import (
     SIGNATURES,
     AttributeSelector,
@@ -184,7 +184,7 @@ def test_a_scalar_where_a_bag_is_due_is_reported_and_is_a_processing_error(engin
     assert _record(response, "p").decision is Decision.INDETERMINATE
     assert response.decision is Decision.DENY  # the forest's deny-overrides folds Indeterminate
     with pytest.raises(_EvalError, match="expects a bag, got a scalar"):
-        engine.functions.get("function:string-one-and-only")(None, ["GB"])
+        engine_module._BUILTINS["function:string-one-and-only"](None, ["GB"])
 
 
 # -- rule and forest evaluation ----------------------------------------------------
@@ -420,28 +420,8 @@ def test_obligation_coherence(engine, policy_pack):
         assert ob.fulfill_on.to_decision() is response.decision
 
 
-def test_user_registered_function_is_callable(policy_pack):
-    functions = FunctionRegistry({"function:always-true": lambda ctx, args: True})
-    engine = PolicyDecisionPoint(functions=functions)
-    doc = document(
-        policy("p", [rule("r", Effect.PERMIT, condition=FunctionApplication("function:always-true", ()))])
-    )
-    pips = make_bundle(NOON)
+def test_evaluate_refuses_anything_but_a_compiled_forest(engine, policy_pack):
     request = parse_request(wire_request(point=LONDON_POINT))
-    assert engine.evaluate(engine.compile([doc]), request, pips).decision is Decision.PERMIT
-
-
-def test_duplicate_function_registration_is_rejected():
-    registry = FunctionRegistry()
-    with pytest.raises(ValueError):
-        registry.register("function:and", lambda ctx, args: True)
-
-
-def test_forest_compiled_by_another_engine_is_refused(engine, policy_pack):
-    request = parse_request(wire_request(point=LONDON_POINT))
-    forest = PolicyDecisionPoint().compile(policy_pack)
-    with pytest.raises(ValueError, match="another engine"):
-        engine.evaluate(forest, request, make_bundle(NOON))
     with pytest.raises(TypeError, match="CompiledForest"):
         engine.evaluate(policy_pack, request, make_bundle(NOON))
 
@@ -610,28 +590,6 @@ def test_a_warm_forest_answers_each_request_by_what_its_documents_read(engine):
     assert len(forest._plans) == 1 and len(next(iter(forest._plans.values())).responses) == 4
 
 
-def test_a_registered_function_is_called_on_every_request(policy_pack):
-    # It may read anything on the context, so no response of a plan that
-    # walks it is kept.
-    calls = []
-
-    def count(ctx, args):
-        calls.append(args)
-        return True
-
-    engine = PolicyDecisionPoint(FunctionRegistry({"function:count": count}))
-    counted = document(policy("counted", [rule("counted-r", Effect.PERMIT, FunctionApplication("function:count", ()))]))
-    forest = engine.compile([*policy_pack, counted])
-    request = parse_request(wire_request())
-    pips = make_bundle(NOON)
-    responses = [engine.evaluate(forest, request, pips) for _ in range(5)]
-    assert len(calls) == 5
-    assert all(response == responses[0] for response in responses)
-    # Without it, the same forest's response comes from the memo.
-    plain = engine.compile(policy_pack)
-    assert engine.evaluate(plain, request, pips) is engine.evaluate(plain, request, pips)
-
-
 def test_a_forest_gives_each_bundle_its_own_location_match(engine):
     # Frankfurt lies in the EU of the packaged zone tree, and in no EU of
     # a tree whose union is dissolved into its countries.
@@ -654,12 +612,6 @@ class _Text(str):
     """A str subclass: a string to the string functions."""
 
 
-ECHO = "function:echo"
-# An extension function, so of no known type: its first argument, or,
-# without one, a datetime, which is no time.
-TYPING_ENGINE = PolicyDecisionPoint(FunctionRegistry(
-    {ECHO: lambda ctx, args: args[0] if args else dt.datetime(2026, 3, 10, 9, 0)}
-))
 _VALUES = (
     AttributeValue(DataType.BOOLEAN, True),
     AttributeValue(DataType.BOOLEAN, False),
@@ -684,8 +636,8 @@ def _selectors():
 
 
 def _operands(depth=0):
-    """Literals, selectors (bags of 0 to 2 values of any type), echoes of
-    those, and built-in applications over them, right or wrong."""
+    """Literals, selectors (bags of 0 to 2 values of any type), and
+    built-in applications over them, right or wrong."""
     leaves = st.one_of(
         st.sampled_from(_VALUES).map(Literal),
         _selectors(),
@@ -695,11 +647,7 @@ def _operands(depth=0):
     if depth >= 2:
         return leaves
     inner = _operands(depth + 1)
-    return st.one_of(
-        leaves,
-        st.lists(inner, max_size=1).map(lambda args: FunctionApplication(ECHO, tuple(args))),
-        _applications(inner),
-    )
+    return st.one_of(leaves, _applications(inner))
 
 
 def _applications(operands):
@@ -733,17 +681,15 @@ def _outcome(thunk):
         value = thunk()
     except _EvalError as exc:
         return "error", exc.status, str(exc)
-    except TypeError as exc:  # a comparison of a datetime with a time
-        return "raised", str(exc)
     return "value", type(value), value
 
 
 @settings(max_examples=1000, deadline=None)
 @given(expr=_applications(_operands()), ctx=_typing_contexts())
 def test_typed_closures_give_what_the_checked_functions_give(expr, ctx):
-    # The oracle applies the registry's checked functions to its operands.
-    oracle = engine_oracle._Oracle(TYPING_ENGINE, ctx, frozenset(), "aware")
-    compiled = TYPING_ENGINE._compile_expr(expr)
+    # The oracle applies the built-in checked functions to its operands.
+    oracle = engine_oracle._Oracle(ctx, frozenset(), "aware")
+    compiled = PolicyDecisionPoint()._compile_expr(expr)
     assert _outcome(lambda: compiled(ctx)) == _outcome(lambda: oracle.value(expr))
 
 
@@ -751,8 +697,8 @@ def test_typed_closures_give_what_the_checked_functions_give(expr, ctx):
 @given(function=st.sampled_from(_FUNCTIONS), literal=st.sampled_from(_VALUES), ctx=_typing_contexts())
 def test_typed_match_clauses_give_what_the_checked_functions_give(function, literal, ctx):
     clause = MatchClause("a", function, literal)
-    oracle = engine_oracle._Oracle(TYPING_ENGINE, ctx, frozenset(), "aware")
-    compiled = TYPING_ENGINE._compile_clause(Category.ENVIRONMENT, clause)
+    oracle = engine_oracle._Oracle(ctx, frozenset(), "aware")
+    compiled = PolicyDecisionPoint()._compile_clause(Category.ENVIRONMENT, clause)
     assert _outcome(lambda: compiled(ctx)) == _outcome(
         lambda: oracle.section_matches(Category.ENVIRONMENT, [clause])
     )

@@ -1,8 +1,7 @@
 """The engine against the reference evaluator in engine_oracle.py.
 
 Random forests (tests/policybuild.random_forest, with its hostile
-extension points: unknown functions and combiners, wrong arities,
-registered functions that raise or return a non-boolean) are evaluated
+draws: unknown functions and combiners, wrong arities) are evaluated
 through the compiled, indexed forest and by the oracle's full walk; both
 must give the same decision, status, obligations and trace, down to the
 response bytes and the audit trace digest, in both legislation modes. The requests carry
@@ -36,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 import engine_oracle
 from conftest import make_bundle
 from lexgate import engine
-from lexgate.engine import FunctionRegistry, PolicyDecisionPoint
+from lexgate.engine import PolicyDecisionPoint
 from lexgate.instant import parse_instant
 from lexgate.model import (
     AttributeSelector,
@@ -54,7 +53,6 @@ from lexgate.model import (
 )
 from lexgate.parsing.wire import RequestContext, serialize_response
 from policybuild import (
-    HOSTILE_FUNCTIONS,
     TARGET_LITERALS,
     TYPED_PAIRS,
     TYPED_VALUES,
@@ -66,8 +64,7 @@ from policybuild import (
     string_clause,
 )
 
-# Registers the misbehaving functions that hostile random forests call.
-ENGINE = PolicyDecisionPoint(FunctionRegistry(HOSTILE_FUNCTIONS))
+ENGINE = PolicyDecisionPoint()
 NOON = "2026-03-10T12:00:00Z"
 # London (GB), Zurich (CH) and Frankfurt (DE); and open sea, in one request
 # of ten: no country, so the context build fails and both sides fold to a

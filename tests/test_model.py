@@ -6,9 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from lexgate import model
-from lexgate.combining import CombinerRegistry
-from lexgate.engine import FunctionRegistry
+from lexgate import combining, engine, model
 from lexgate.cli import load_policy_dir
 from lexgate.context.loader import load_scopes
 from lexgate.model import (
@@ -43,8 +41,8 @@ def test_effects_are_a_strict_subset_of_decisions():
 
 
 def test_validator_knows_exactly_the_engine_registries():
-    assert set(model.BUILTIN_FUNCTIONS) == FunctionRegistry().ids()
-    assert set(model.STANDARD_COMBINERS) == CombinerRegistry().ids()
+    assert set(model.BUILTIN_FUNCTIONS) == set(engine._BUILTINS) | set(engine._SPECIAL_FORMS)
+    assert set(model.STANDARD_COMBINERS) == set(combining.STANDARD)
 
 
 def test_single_line_tells_a_line_feed_from_backslash_n():

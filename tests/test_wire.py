@@ -196,8 +196,10 @@ _values = st.one_of(
 )
 
 
-def _requests_of(ids):
-    """RequestContexts whose attributes carry ids drawn from `ids`."""
+def _requests_of(ids, countries=("GB", "LU", "CH", "DE"), timezones=("GMT", "CET")):
+    """RequestContexts whose attributes carry ids drawn from `ids`, and
+    whose location report and destination draw from `countries` and
+    `timezones`."""
     bags = st.lists(st.tuples(ids, _values), max_size=3).map(tuple)
     return st.builds(
         RequestContext,
@@ -205,19 +207,18 @@ def _requests_of(ids):
         resource=bags,
         action=bags,
         environment=bags,
-        source_location=_source_locations,
-        destination_country=st.one_of(st.none(), st.sampled_from(("LU", "DE"))),
+        source_location=_source_locations(countries, timezones),
+        destination_country=st.one_of(st.none(), st.sampled_from(countries)),
     )
 
 
-_source_locations = st.one_of(
-    st.none(),
-    st.builds(
+def _source_locations(countries, timezones):
+    return st.one_of(st.none(), st.builds(
         LocationReport,
-        country=st.sampled_from(("GB", "LU", "CH")),
+        country=st.sampled_from(countries),
         city=st.sampled_from(("London", "Zurich", "")),
         zone=st.sampled_from(ZoneKind),
-        timezone_name=st.sampled_from(("GMT", "CET")),
+        timezone_name=st.sampled_from(timezones),
         timezone_offset=st.sampled_from((0.0, 1.0, 5.75)),
         point=st.builds(
             GeoPoint,
@@ -225,8 +226,9 @@ _source_locations = st.one_of(
             lon=st.floats(-180, 180, allow_nan=False),
         ),
         accuracy_radius=st.sampled_from((0.0, 30.0)),
-    ),
-)
+    ))
+
+
 _requests = _requests_of(_ids)
 
 
@@ -247,17 +249,22 @@ def test_an_attribute_id_that_is_not_one_field_is_not_serialized(attr_id):
         serialize_request(request)
 
 
-# Ids as a caller may build them in memory, one wire field or not.
+# Ids, countries and timezone names as a caller may build them in memory;
+# parse_request reads the "bad" ones back as something else, or not at all.
 _any_ids = st.one_of(_ids, st.sampled_from(_NOT_ONE_FIELD), st.text(max_size=6))
+_BAD_COUNTRIES = ("G B", "gb", " GB", "Germany")
+_BAD_TIMEZONES = ("Europe Paris", "a\ud800")
 
 
-@given(_requests_of(_any_ids))
+@given(_requests_of(_any_ids, ("GB", "LU", *_BAD_COUNTRIES), ("CET", *_BAD_TIMEZONES)))
 def test_a_request_built_in_memory_serializes_to_itself_or_is_refused(request):
     ids = [attr_id for category in Category for attr_id, _value in request.category(category)]
+    report = request.source_location
+    fields = [request.destination_country, *((report.country, report.timezone_name) if report else ())]
     try:
         data = serialize_request(request)
     except WireFormatError:
-        assert not all(map(is_one_field, ids))
+        assert not all(map(is_one_field, ids)) or any(f in _BAD_COUNTRIES + _BAD_TIMEZONES for f in fields)
         return
     assert parse_request(data) == request
 
