@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import os
 import tracemalloc
+import types
 from functools import lru_cache
 from pathlib import Path
 
@@ -805,6 +806,28 @@ def test_the_body_memo_changes_no_response_and_no_audit_line(policy_pack, tmp_pa
         assert response.trace[0].reason.startswith("bad-request:message must be bytes or str")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(bytearray(wire_request()), id="bytearray"),
+        pytest.param(memoryview(wire_request()), id="memoryview"),
+        pytest.param(None, id="none"),
+        pytest.param(7, id="int"),
+    ],
+)
+def test_a_body_that_is_neither_bytes_nor_str_is_one_monitor_refusal(policy_pack, tmp_path, raw):
+    audit_path = tmp_path / "audit.log"
+    with AuditLog(audit_path) as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    response, view = parse_response(response_bytes)
+    assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_SYNTAX_ERROR)
+    assert [trace.node_id for trace in response.trace] == ["<monitor>"]
+    assert response.trace[0].reason == f"bad-request:message must be bytes or str, not {type(raw).__name__}"
+    assert view is None
+    assert audit_path.read_text() == record.to_line() + "\n"
+
+
 def _held_after_warm_up(send) -> int:
     """Bytes still held after send(n) for 9,000 more n, once 1,000 have
     warmed up (roots compiled, scopes selected)."""
@@ -998,3 +1021,75 @@ def test_a_permit_whose_expiry_falls_before_year_1000_parses_back(tmp_path):
     response, view = parse_response(response_bytes)
     assert response.decision is Decision.PERMIT
     assert view.expires_at == dt.datetime(124, 3, 11, 1, 40, tzinfo=dt.timezone.utc)
+
+
+class _Hostile(Exception):
+    """An extension point's own exception type."""
+
+
+_RAISED = (Exception, ValueError, TypeError, KeyError, RuntimeError, ZeroDivisionError, OSError, _Hostile)
+# Text no reason, response or audit line may carry as it is.
+_HOSTILE_TEXT = st.builds(
+    lambda text, piece, long: text + piece + ("x" * 100_000 if long else ""),
+    st.text(alphabet=st.characters(exclude_categories=()), max_size=20),
+    st.sampled_from(["", "\r\n", "\n", "\r", "\x00", "\ud800", "a\udc80b", " ", "\\n"]),
+    st.booleans(),
+)
+_WRONG_TYPES = st.sampled_from([None, "Permit", 1, 0.5, b"", [], object(), Effect.PERMIT])
+
+
+def _recurse(*args):
+    return _recurse(*args)
+
+
+@st.composite
+def _hostile_behaviour(draw):
+    """A callable that raises, returns the wrong type, or recurses past the
+    recursion limit, whatever it is called with."""
+    kind = draw(st.sampled_from(["raise", "return", "recurse"]))
+    if kind == "raise":
+        error = draw(st.sampled_from(_RAISED))(draw(_HOSTILE_TEXT))
+
+        def behave(*_args):
+            raise error
+
+        return behave
+    if kind == "return":
+        value = draw(_WRONG_TYPES)
+        return lambda *_args: value
+    return _recurse
+
+
+@st.composite
+def _str_request(draw):
+    """The valid request as text, with a lone surrogate spliced in or not."""
+    text = _VALID_REQUEST.decode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["\ud800", "\udfff", "\udc80x"])) + text[at:]
+    return text
+
+
+# The suppliers a deployment may swap into its bundle, by the one method
+# the engine calls on each.
+_EXTENSION_POINTS = {"location": "locate", "scopes": "select_legislation"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hostile_behaviour(), st.sampled_from(sorted(_EXTENSION_POINTS)), _str_request())
+def test_hostile_extension_points_yield_a_response_and_one_matching_audit_line(
+    policy_pack, tmp_path_factory, behaviour, point, raw
+):
+    # The packaged forest and bundle, whose location supplier or legal
+    # scope registry is the hostile extension point.
+    supplier = types.SimpleNamespace(**{_EXTENSION_POINTS[point]: behaviour})
+    pips = dataclasses.replace(make_bundle("2026-03-10T13:40:00Z"), **{point: supplier})
+    audit_path = tmp_path_factory.mktemp("audit") / "audit.log"
+    with AuditLog(audit_path) as audit:
+        monitor = ReferenceMonitor(PolicyDecisionPoint(), policy_pack, pips, audit=audit, pseudonym_key=KEY)
+        response_bytes, _record = monitor.handle_request(raw, GOOD_SESSION)
+    response, _view = parse_response(response_bytes)
+    lines = audit_path.read_bytes().decode("utf-8").splitlines()
+    assert len(lines) == 1
+    fields = lines[0].split("|")
+    assert (fields[4], fields[5]) == (response.decision.value, response.status)

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -247,6 +248,39 @@ def test_an_attribute_id_that_is_not_one_field_is_not_serialized(attr_id):
     request = RequestContext(subject=((attr_id, AttributeValue(DataType.STRING, "x")),))
     with pytest.raises(WireFormatError, match="attribute id"):
         serialize_request(request)
+
+
+_LONDON_REPORT = LocationReport(
+    country="GB", city="London", zone=ZoneKind.UNRESTRICTED, timezone_name="GMT",
+    timezone_offset=0.0, point=GeoPoint(51.5, -0.12), accuracy_radius=0.0,
+)
+
+
+@pytest.mark.parametrize(
+    "report,destination,match",
+    [
+        # parse_request reads "G B" as "G" and upper-cases "gb".
+        pytest.param({"country": "G B"}, None, "location country", id="country-spans-fields"),
+        pytest.param({"country": "gb"}, None, "location country", id="country-lower-case"),
+        pytest.param({"timezone_name": "Europe Paris"}, None, "timezone name", id="timezone-spans-fields"),
+        pytest.param({"timezone_name": "a\ud800"}, None, "timezone name", id="timezone-surrogate"),
+        pytest.param({}, "gb", "destination country", id="destination-lower-case"),
+    ],
+)
+def test_a_location_the_wire_cannot_carry_is_not_serialized(report, destination, match):
+    subject = (("user-id", AttributeValue(DataType.STRING, "u")),)
+    request = RequestContext(
+        subject=subject,
+        source_location=dataclasses.replace(_LONDON_REPORT, **report),
+        destination_country=destination,
+    )
+    with pytest.raises(WireFormatError, match=match):
+        serialize_request(request)
+    # The same request with the report's own values is carried.
+    carried = dataclasses.replace(
+        request, source_location=_LONDON_REPORT, destination_country=destination and "GB"
+    )
+    assert parse_request(serialize_request(carried)) == carried
 
 
 # Ids, countries and timezone names as a caller may build them in memory;
