@@ -283,23 +283,6 @@ def test_unknown_combiner_in_document_folds_fail_safe(engine):
     assert by_node["p"].reason.startswith("combiner-error")
 
 
-def test_a_function_outside_the_builtins_folds_fail_safe(engine):
-    # No function can be added to the engine's: an id it does not define
-    # makes the condition, or the target, Indeterminate.
-    condition = FunctionApplication("function:always-true", ())
-    clause = MatchClause("user-id", "function:always-true", AttributeValue(DataType.STRING, "x"))
-    docs = [
-        document(policy("p", [rule("r", Effect.PERMIT, condition=condition)]), name="condition.xml"),
-        document(policy("q", [rule("s", Effect.PERMIT)], target=Target(subjects=(clause,))), name="target.xml"),
-    ]
-    request = parse_request(wire_request(point=LONDON_POINT))
-    response = engine.evaluate(engine.compile(docs), request, make_bundle(NOON))
-    assert response.decision is Decision.DENY
-    by_node = {t.node_id: t for t in response.trace}
-    assert by_node["r"].reason == f"condition-error:{STATUS_PROCESSING_ERROR}"
-    assert by_node["q"].reason == "target-error:unknown function 'function:always-true'"
-
-
 # -- legislation tag handling ---------------------------------------------------
 
 

@@ -793,7 +793,7 @@ def test_the_body_memo_changes_no_response_and_no_audit_line(policy_pack, tmp_pa
         for longest in (pep._LONGEST_BODY_HELD, pep._LONGEST_BODY_HELD, -1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pep, "_LONGEST_BODY_HELD", longest)  # -1: no body is kept
-                response_bytes, _record = monitor.handle_request(raw, GOOD_SESSION)
+                response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
             lines = audit_path.read_bytes().splitlines()
             assert len(lines) == len(sent) + 1
             sent.append((response_bytes, lines[-1]))
@@ -801,31 +801,12 @@ def test_the_body_memo_changes_no_response_and_no_audit_line(policy_pack, tmp_pa
     kept = type(raw) in (bytes, str)
     assert pep._read_body_once.cache_info().hits == (kept and len(raw) <= pep._LONGEST_BODY_HELD)
     if not kept:
-        response, _view = parse_response(sent[0][0])
-        assert (response.status, response.trace[0].node_id) == (STATUS_SYNTAX_ERROR, "<monitor>")
-        assert response.trace[0].reason.startswith("bad-request:message must be bytes or str")
-
-
-@pytest.mark.parametrize(
-    "raw",
-    [
-        pytest.param(bytearray(wire_request()), id="bytearray"),
-        pytest.param(memoryview(wire_request()), id="memoryview"),
-        pytest.param(None, id="none"),
-        pytest.param(7, id="int"),
-    ],
-)
-def test_a_body_that_is_neither_bytes_nor_str_is_one_monitor_refusal(policy_pack, tmp_path, raw):
-    audit_path = tmp_path / "audit.log"
-    with AuditLog(audit_path) as audit:
-        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
-        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
-    response, view = parse_response(response_bytes)
-    assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_SYNTAX_ERROR)
-    assert [trace.node_id for trace in response.trace] == ["<monitor>"]
-    assert response.trace[0].reason == f"bad-request:message must be bytes or str, not {type(raw).__name__}"
-    assert view is None
-    assert audit_path.read_text() == record.to_line() + "\n"
+        response, view = parse_response(sent[0][0])
+        assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_SYNTAX_ERROR)
+        assert [trace.node_id for trace in response.trace] == ["<monitor>"]
+        assert response.trace[0].reason == f"bad-request:message must be bytes or str, not {type(raw).__name__}"
+        assert view is None
+        assert sent[0][1] == record.to_line().encode()
 
 
 def _held_after_warm_up(send) -> int:
@@ -1032,7 +1013,7 @@ _RAISED = (Exception, ValueError, TypeError, KeyError, RuntimeError, ZeroDivisio
 _HOSTILE_TEXT = st.builds(
     lambda text, piece, long: text + piece + ("x" * 100_000 if long else ""),
     st.text(alphabet=st.characters(exclude_categories=()), max_size=20),
-    st.sampled_from(["", "\r\n", "\n", "\r", "\x00", "\ud800", "a\udc80b", " ", "\\n"]),
+    st.sampled_from(["", "\r\n", "\n", "\r", "\x00", "\ud800", "a\udc80b", "\u2028", "\\n"]),
     st.booleans(),
 )
 _WRONG_TYPES = st.sampled_from([None, "Permit", 1, 0.5, b"", [], object(), Effect.PERMIT])

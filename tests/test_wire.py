@@ -259,7 +259,7 @@ _LONDON_REPORT = LocationReport(
 @pytest.mark.parametrize(
     "report,destination,match",
     [
-        # parse_request reads "G B" as "G" and upper-cases "gb".
+        # parse_request refuses "G B" and upper-cases "gb".
         pytest.param({"country": "G B"}, None, "location country", id="country-spans-fields"),
         pytest.param({"country": "gb"}, None, "location country", id="country-lower-case"),
         pytest.param({"timezone_name": "Europe Paris"}, None, "timezone name", id="timezone-spans-fields"),
