@@ -3,17 +3,21 @@
 The bundle is assembled once (per process or per CLI invocation) from
 immutable fixture stores and is itself frozen: it holds no per-request
 state, so a decision depends only on the request and the snapshot the
-engine takes of these suppliers.
+engine takes of these suppliers. The location supplier's memo keeps only
+what the immutable zone tree makes of a position, never who stood there
+or when.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional
 
 from ..errors import FixtureError, LocationUnavailableError
-from ..model import Category, DataType
+from ..model import Category, DataType, GeoPoint
 from ..parsing.location_xml import LocationReport
 from ..parsing.wire import CURRENT_POSITION, RequestContext
 from .clock import Clock, SystemClock
@@ -26,6 +30,22 @@ from .zones import ZoneTree, load_zone_tree, resolve_location
 
 POSITION_ACCURACY = "position-accuracy"
 
+# The location memo: how many distinct (position, accuracy radius) pairs
+# each supplier keeps. Positions repeat across requests (offices, devices,
+# packaged requests); a stream of fresh positions only passes through.
+_POSITIONS_HELD = 256
+
+# The memo key: the bytes of the three floats, so that -0.0 and 0.0 (equal
+# as floats, and as GeoPoints) are told apart and a hit keeps the sign a
+# fresh resolution would report.
+_POSITION = struct.Struct("3d")
+
+
+def _resolve(zones: ZoneTree, key: bytes) -> LocationReport:
+    """`resolve_location` of the position and radius packed in `key`."""
+    lat, lon, accuracy = _POSITION.unpack(key)
+    return resolve_location(GeoPoint(lat, lon), accuracy, zones)
+
 
 class LocationSupplier:
     """The single channel that produces one location snapshot per request.
@@ -35,11 +55,20 @@ class LocationSupplier:
     points are classified through the zone tree. A report embedded in the
     request is taken by the engine itself, which then does not ask the
     supplier.
+
+    The classification is a pure function of the position, the accuracy
+    radius and the immutable tree, so each supplier keeps the
+    `LocationReport` of its last 256 distinct (position, radius) pairs
+    and answers a repeated pair without a polygon test. The key holds no
+    subject and no time: the memo records where requests were placed,
+    not who moved where. A position that raises (PrecisionError,
+    UnknownTerritoryError) is not kept and raises afresh each time. The
+    supplier is still asked once per request.
     """
 
     def __init__(self, zones: ZoneTree, identities: IdentityRegistry):
-        self._zones = zones
         self._identities = identities
+        self._resolve_once = lru_cache(maxsize=_POSITIONS_HELD)(partial(_resolve, zones))
 
     def locate(self, request: RequestContext) -> LocationReport:
         accuracy = 0.0
@@ -52,17 +81,15 @@ class LocationSupplier:
 
         point_value = request.first(Category.ENVIRONMENT, CURRENT_POSITION)
         if point_value is not None and point_value.data_type is DataType.GEO_POINT:
-            return resolve_location(point_value.value, accuracy, self._zones)
-
-        subject = request.subject_id()
-        if subject:
-            position = self._identities.device_position(subject)
-            if position is not None:
-                return resolve_location(position, accuracy, self._zones)
-
-        raise LocationUnavailableError(
-            f"no position source for subject {subject!r}"
-        )
+            point = point_value.value
+        else:
+            subject = request.subject_id()
+            point = self._identities.device_position(subject) if subject else None
+            if point is None:
+                raise LocationUnavailableError(
+                    f"no position source for subject {subject!r}"
+                )
+        return self._resolve_once(_POSITION.pack(point.lat, point.lon, accuracy))
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,8 @@ class _LocationAccumulator:
             raise WireFormatError(f"location block missing fields: {', '.join(missing)}")
         try:
             tz_name, tz_value = self.fields["timezone"].split(" ", 1)
+            if not is_one_field(tz_name):
+                raise ValueError(f"timezone name must be one field: {tz_name!r}")
             lat_text, lon_text = self.fields["point"].split()
             return LocationReport(
                 country=country_code(self.fields["country"]),
@@ -200,6 +202,8 @@ def _parse_attribute_line(line: str, line_no: int) -> Attribute:
     if len(parts) < 3:
         raise WireFormatError(f"expected '<category> <id> <type> <value>' on line {line_no}")
     attr_id, type_token = parts[1], parts[2]
+    if not is_one_field(attr_id):
+        raise WireFormatError(f"attribute id must be one field on line {line_no}: {attr_id!r}")
     value_text = parts[3] if len(parts) > 3 else ""
     if type_token not in _TYPES:
         raise WireFormatError(f"unknown data type {type_token!r} on line {line_no}")
@@ -275,15 +279,19 @@ def parse_request(data: bytes | str) -> RequestContext:
 def serialize_request(request: RequestContext) -> bytes:
     """The request's wire text, as UTF-8. An attribute id or timezone name
     that is not one wire field (`is_one_field`), a value or city that is
-    not one line of UTF-8, or a country that `country_code` would change,
-    raises WireFormatError: `parse_request` could not read it back."""
+    not one line of UTF-8, a city that ends in whitespace, or a country
+    that `country_code` would change, raises WireFormatError:
+    `parse_request` could not read it back."""
     out = ["request"]
     if request.destination_country:
         out.append(f"destination-country {_check_country(request.destination_country, 'destination country')}")
     if request.source_location is not None:
         report = request.source_location
         out.append(f"location country {_check_country(report.country, 'location country')}")
-        out.append(f"location city {_check_single_line(report.city, 'city')}")
+        city = _check_single_line(report.city, "city")
+        if city.rstrip() != city:
+            raise WireFormatError(f"city must not end in whitespace, which parse_request strips: {city!r}")
+        out.append(f"location city {city}")
         out.append(f"location zone {report.zone.value}")
         if not is_one_field(report.timezone_name):
             raise WireFormatError(f"timezone name must be one field of one line of UTF-8: {report.timezone_name!r}")

@@ -10,6 +10,10 @@ that most cells are empty, and points anywhere on the globe or at a
 pole, with discs larger than the grid, infinite or NaN; fixed cases
 cover trees with no country, tree order against cell order, and how few
 boxes a point or a disc meets among 520 countries.
+
+The location supplier keeps the report of each (position, radius) pair
+it has resolved; Hypothesis locates drawn points, repeated, through it
+and compares each answer with the linear scan.
 """
 
 import datetime as dt
@@ -20,7 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import context_oracle as oracle
-from lexgate.context import zones as zones_module
+from conftest import FIXTURES, make_bundle, wire_request
+from lexgate.context import bundle as bundle_module, zones as zones_module
+from lexgate.context.bundle import LocationSupplier, load_bundle
 from lexgate.context.diary import DiaryEntry, DiaryStore, ExpectedLocation, TimeRange
 from lexgate.context.geometry import METERS_PER_DEGREE_LAT
 from lexgate.context.identity import IdentityKind, IdentityRecord, IdentityRegistry, ProximityToken
@@ -33,8 +39,9 @@ from lexgate.context.zones import (
     resolve_location,
 )
 from lexgate.errors import PrecisionError, UnknownTerritoryError
-from lexgate.model import GeoPoint
+from lexgate.model import AttributeValue, DataType, GeoPoint
 from lexgate.parsing.location_xml import LocationReport, ZoneKind
+from lexgate.parsing.wire import CURRENT_POSITION, SUBJECT_ID, RequestContext, parse_request
 
 RADII = st.sampled_from((0.0, 500.0, 40_000.0)) | st.floats(0.0, 60_000.0)
 # Relative nudges around a box edge or a disc's exact reach.
@@ -317,6 +324,87 @@ def test_a_point_or_disc_meets_a_handful_of_boxes_among_520(gap):
         (grid.south, grid.west - 1e-6), (grid.north, grid.east + 1e-6),
     ]:
         assert grid.at(lat, lon) == ()
+
+
+# -- the location memo ---------------------------------------------------------------
+
+
+def _placed(subject, point=None, accuracy=None):
+    """A request from `subject`, at `point` when one is given (else at the
+    subject's device position), with a position-accuracy attribute when
+    `accuracy` is given."""
+    environment = []
+    if point is not None:
+        environment.append((CURRENT_POSITION, AttributeValue(DataType.GEO_POINT, point)))
+    if accuracy is not None:
+        environment.append(("position-accuracy", AttributeValue(DataType.INTEGER, accuracy)))
+    return RequestContext(
+        subject=((SUBJECT_ID, AttributeValue(DataType.IDENTIFIER, subject)),),
+        environment=tuple(environment),
+    )
+
+
+ACCURACIES = st.sampled_from((None, 0, 500, 40_000, 20_000_000)) | st.integers(0, 60_000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids, st.data())
+def test_the_location_memo_answers_as_the_linear_scan(tree, data):
+    # A few points, then requests that repeat them, each placed by its own
+    # geo-point or by its subject's device position. Subject d<i> stands
+    # at point i.
+    points = data.draw(st.lists((probes(tree) | extremes(tree)).map(lambda probe: probe[0]), min_size=1, max_size=4))
+    steps = data.draw(st.lists(
+        st.tuples(st.integers(0, len(points) - 1), ACCURACIES, st.booleans()), min_size=1, max_size=12,
+    ))
+    devices = {f"d{i}": point for i, point in enumerate(points)}
+    supplier = LocationSupplier(tree, IdentityRegistry([], device_positions=devices))
+    for i, accuracy, by_device in steps:
+        request = _placed(f"d{i}", None if by_device else points[i], accuracy)
+        expected = oracle.outcome(oracle.resolve_location, points[i], float(accuracy or 0), tree)
+        assert oracle.outcome(supplier.locate, request) == expected
+        assert oracle.outcome(supplier.locate, request) == expected
+
+
+def test_a_repeated_position_is_resolved_once_and_located_every_time(engine, policy_pack, monkeypatch):
+    resolved = []
+
+    def counted(*args):
+        resolved.append(args)
+        return zones_module.resolve_location(*args)
+
+    monkeypatch.setattr(bundle_module, "resolve_location", counted)
+    pips = make_bundle("2026-03-10T12:00:00Z", count_locates=True)
+    forest = engine.compile(policy_pack)
+    request = parse_request(wire_request(point="51.507861 -0.099349"))
+    responses = {engine.evaluate(forest, request, pips) for _ in range(5)}
+    assert len(responses) == 1
+    assert pips.location.calls == 5
+    assert len(resolved) == 1
+
+
+def test_a_negative_zero_coordinate_keeps_its_sign_after_its_positive_twin():
+    # GeoPoint(0.0, 0.0) == GeoPoint(-0.0, -0.0), yet each report carries
+    # the point it was asked about.
+    square = TerritoryNode(id="AA", name="a", kind="country", boundary=_square(-1.0, -1.0, 2.0))
+    supplier = LocationSupplier(ZoneTree((square,)), IdentityRegistry([]))
+    for lat, lon in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]:
+        report = supplier.locate(_placed("u", GeoPoint(lat, lon)))
+        assert (repr(report.point.lat), repr(report.point.lon)) == (repr(lat), repr(lon))
+        assert report == resolve_location(GeoPoint(lat, lon), 0.0, ZoneTree((square,)))
+
+
+def test_two_bundles_each_locate_through_their_own_tree(tmp_path):
+    # The second tree renames London; each bundle's supplier keeps its own
+    # memo, so the point is London in one and Londinium in the other.
+    packaged_zones = (FIXTURES / "zones.xml").read_text()
+    (tmp_path / "zones.xml").write_text(packaged_zones.replace('<city name="London">', '<city name="Londinium">'))
+    renamed = load_bundle(FIXTURES, stores={"zones": str(tmp_path / "zones.xml")})
+    standard = load_bundle(FIXTURES)
+    request = _placed("c.miller", GeoPoint(51.507861, -0.099349))
+    for _ in range(2):
+        assert standard.location.locate(request).city == "London"
+        assert renamed.location.locate(request).city == "Londinium"
 
 
 # -- diary ---------------------------------------------------------------------------

@@ -149,6 +149,13 @@ def test_bad_lines_are_rejected():
     # The grammar allows three view modes.
     with pytest.raises(WireFormatError, match="unknown view mode on line 3"):
         parse_response(b"response\ndecision Permit\nview bogus - eA==\nend\n")
+    # An empty attribute id or timezone name, which serialize_request
+    # could not write back.
+    with pytest.raises(WireFormatError, match="attribute id must be one field on line 2: ''"):
+        parse_request(b"request\nsubject  string x\nend\n")
+    location = b"location country GB\nlocation city London\nlocation zone unrestricted\nlocation point 51.5 -0.12\n"
+    with pytest.raises(WireFormatError, match="timezone name must be one field: ''"):
+        parse_request(b"request\nsubject user-id string x\n" + location + b"location timezone  0\nend\n")
 
 
 @pytest.mark.parametrize("text", ["a\nb", "a\rb", "a\u2028b", "a\x85b", "a\ud800b"])
@@ -265,6 +272,10 @@ _LONDON_REPORT = LocationReport(
         pytest.param({"timezone_name": "Europe Paris"}, None, "timezone name", id="timezone-spans-fields"),
         pytest.param({"timezone_name": "a\ud800"}, None, "timezone name", id="timezone-surrogate"),
         pytest.param({}, "gb", "destination country", id="destination-lower-case"),
+        # parse_request strips each line, so a city's trailing whitespace
+        # would be lost; a leading space survives.
+        pytest.param({"city": "London "}, None, "city must not end in whitespace", id="city-trailing-space"),
+        pytest.param({"city": "a\xa0"}, None, "city must not end in whitespace", id="city-trailing-nbsp"),
     ],
 )
 def test_a_location_the_wire_cannot_carry_is_not_serialized(report, destination, match):
