@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional
 
 from ..errors import FixtureError, LocationUnavailableError
-from ..model import Category, DataType, GeoPoint
+from ..model import Category, DataType
 from ..parsing.location_xml import LocationReport
 from ..parsing.wire import CURRENT_POSITION, RequestContext
 from .clock import Clock, SystemClock
@@ -32,19 +31,16 @@ POSITION_ACCURACY = "position-accuracy"
 
 # The location memo: how many distinct (position, accuracy radius) pairs
 # each supplier keeps. Positions repeat across requests (offices, devices,
-# packaged requests); a stream of fresh positions only passes through.
+# packaged requests); a stream of fresh positions only passes through. A
+# full memo is emptied before its next entry, as the engine's memos are:
+# that keeps no order to update, and needs no lock when threads share a
+# supplier.
 _POSITIONS_HELD = 256
 
 # The memo key: the bytes of the three floats, so that -0.0 and 0.0 (equal
 # as floats, and as GeoPoints) are told apart and a hit keeps the sign a
 # fresh resolution would report.
 _POSITION = struct.Struct("3d")
-
-
-def _resolve(zones: ZoneTree, key: bytes) -> LocationReport:
-    """`resolve_location` of the position and radius packed in `key`."""
-    lat, lon, accuracy = _POSITION.unpack(key)
-    return resolve_location(GeoPoint(lat, lon), accuracy, zones)
 
 
 class LocationSupplier:
@@ -58,8 +54,8 @@ class LocationSupplier:
 
     The classification is a pure function of the position, the accuracy
     radius and the immutable tree, so each supplier keeps the
-    `LocationReport` of its last 256 distinct (position, radius) pairs
-    and answers a repeated pair without a polygon test. The key holds no
+    `LocationReport` of up to 256 distinct (position, radius) pairs and
+    answers a repeated pair without a polygon test. The key holds no
     subject and no time: the memo records where requests were placed,
     not who moved where. A position that raises (PrecisionError,
     UnknownTerritoryError) is not kept and raises afresh each time. The
@@ -67,8 +63,9 @@ class LocationSupplier:
     """
 
     def __init__(self, zones: ZoneTree, identities: IdentityRegistry):
+        self._zones = zones
         self._identities = identities
-        self._resolve_once = lru_cache(maxsize=_POSITIONS_HELD)(partial(_resolve, zones))
+        self._reports: dict[bytes, LocationReport] = {}
 
     def locate(self, request: RequestContext) -> LocationReport:
         accuracy = 0.0
@@ -89,7 +86,15 @@ class LocationSupplier:
                 raise LocationUnavailableError(
                     f"no position source for subject {subject!r}"
                 )
-        return self._resolve_once(_POSITION.pack(point.lat, point.lon, accuracy))
+
+        key = _POSITION.pack(point.lat, point.lon, accuracy)
+        report = self._reports.get(key)
+        if report is None:
+            report = resolve_location(point, accuracy, self._zones)
+            if len(self._reports) >= _POSITIONS_HELD:
+                self._reports.clear()
+            self._reports[key] = report
+        return report
 
 
 @dataclass(frozen=True)
