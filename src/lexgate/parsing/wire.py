@@ -179,8 +179,8 @@ class _LocationAccumulator:
             raise WireFormatError(f"location block missing fields: {', '.join(missing)}")
         try:
             tz_name, tz_value = self.fields["timezone"].split(" ", 1)
-            if not is_one_field(tz_name):
-                raise ValueError(f"timezone name must be one field: {tz_name!r}")
+            if not tz_name:
+                raise ValueError("empty timezone name")
             lat_text, lon_text = self.fields["point"].split()
             return LocationReport(
                 country=country_code(self.fields["country"]),
@@ -202,8 +202,8 @@ def _parse_attribute_line(line: str, line_no: int) -> Attribute:
     if len(parts) < 3:
         raise WireFormatError(f"expected '<category> <id> <type> <value>' on line {line_no}")
     attr_id, type_token = parts[1], parts[2]
-    if not is_one_field(attr_id):
-        raise WireFormatError(f"attribute id must be one field on line {line_no}: {attr_id!r}")
+    if not attr_id:
+        raise WireFormatError(f"empty attribute id on line {line_no}")
     value_text = parts[3] if len(parts) > 3 else ""
     if type_token not in _TYPES:
         raise WireFormatError(f"unknown data type {type_token!r} on line {line_no}")

@@ -680,7 +680,7 @@ def test_the_body_memo_stays_bounded_over_long_and_distinct_bodies(policy_pack):
 
 def test_the_location_memo_stays_bounded_over_distinct_positions(policy_pack):
     # Request n stands at a position of its own in London, which enters
-    # the location memo and is pushed out again.
+    # the location memo; the memo is emptied whenever it is full.
     monitor, pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
     memo = pips.location._reports
 
