@@ -16,8 +16,10 @@ response without a walk.
 Legislation applicability: a node carrying a legislation scope set is
 applicable only when that set intersects the scopes observed by the
 connection (closure of the source and destination national scopes plus
-the organization scope). `legislation_mode="ignore-tags"` skips that
-check, reproducing an engine that does not understand the tag. Ignoring
+the organization scope). `legislation_mode="ignore-tags"` observes every
+scope the forest names instead (`CompiledForest.scopes`), so every
+tagged node passes that check, reproducing an engine that does not
+understand the tag; a node's legislation set is never empty. Ignoring
 the tag only over-restricts while no tagged node can reach a Permit rule
 outside the organization scope: a policy tagged JP with one Permit rule,
 asked from London, is NotApplicable when tags are read and Permit when
@@ -57,7 +59,6 @@ from .model import (
     FunctionApplication,
     Literal,
     MatchClause,
-    Obligation,
     PolicyDocument,
     PolicyNode,
     NodeKind,
@@ -119,17 +120,14 @@ class EvaluationContext:
         source_location: Optional[LocationReport],
         source_country: Optional[str],
         destination_country: str,
-        legislation_mode: str = "aware",
     ):
         self.request = request
         self.pips = pips
         self.source_location = source_location
         self.source_country = source_country
         self.destination_country = destination_country
-        self.legislation_mode = legislation_mode
         self.applicable_scopes: frozenset[str] = frozenset()
         self._cache: dict[tuple[Category, str], tuple[AttributeValue, ...]] = {}
-        self.errors: list[str] = []
 
     # -- attribute snapshot ------------------------------------------------
 
@@ -139,12 +137,6 @@ class EvaluationContext:
         if values is None:
             values = self._cache[key] = self.request.bag(*key)
         return values
-
-    def note_error(self, status: str) -> None:
-        self.errors.append(status)
-
-    def first_error_status(self) -> str:
-        return self.errors[0] if self.errors else STATUS_PROCESSING_ERROR
 
 
 @lru_cache(maxsize=1024)
@@ -268,8 +260,8 @@ _SPECIAL_FORMS = ("function:and", "function:or")
 
 # A compiled target check: None when the node applies, else its record.
 Applies = Callable[[EvaluationContext], Optional[TraceRecord]]
-# A compiled node: appends (record, node) per completed node, returns the
-# node's decision.
+# A compiled node: appends the record of each node it completes, returns
+# the node's decision.
 Walk = Callable[[EvaluationContext, list], Decision]
 
 
@@ -330,6 +322,13 @@ def _is_default_rule(node: PolicyNode) -> bool:
     )
 
 
+def _fulfilled(node: PolicyNode, decision: Decision, reason: str) -> TraceRecord:
+    """The node's record with `decision`, carrying those of its obligations
+    that are fulfilled on that decision."""
+    obligations = tuple([ob for ob in node.obligations if ob.fulfill_on.to_decision() is decision])
+    return TraceRecord(node.id, decision, reason, obligations)
+
+
 class PolicyDecisionPoint:
     """The decision engine. It holds no state; the memos of a forest live
     in its `CompiledForest`."""
@@ -342,9 +341,7 @@ class PolicyDecisionPoint:
 
     # -- context construction ---------------------------------------------
 
-    def _build_context(
-        self, request: RequestContext, pips: PipBundle, legislation_mode: str
-    ) -> EvaluationContext:
+    def _build_context(self, request: RequestContext, pips: PipBundle) -> EvaluationContext:
         now = pips.clock.now_utc()
 
         report = request.source_location
@@ -372,7 +369,6 @@ class PolicyDecisionPoint:
             source_location=report,
             source_country=source_country,
             destination_country=destination,
-            legislation_mode=legislation_mode,
         )
 
         # The values below come from the loaded stores and the location
@@ -426,13 +422,14 @@ class PolicyDecisionPoint:
     # -- compilation -----------------------------------------------------------
     #
     # A node compiles to one closure walk(ctx, visited) -> Decision. The walk
-    # appends a (trace record, node) pair to `visited` for every node it
-    # completes, in completion order, and returns the node's decision. The
-    # functions, combiners and literal payloads are resolved here, and so is
-    # every record whose reason is fixed; only target-error and
-    # condition-error records are built per request. An unknown function or
-    # combiner compiles to code that fails at evaluation, at the point and
-    # with the message the walk has always given.
+    # appends the trace record of every node it completes to `visited`, in
+    # completion order, and returns the node's decision. The functions,
+    # combiners and literal payloads are resolved here, and so is every
+    # record whose reason is fixed, with the obligations it carries
+    # (`_fulfilled`); only target-error and condition-error records are
+    # built per request. An unknown function or combiner compiles to code
+    # that fails at evaluation, at the point and with the message the walk
+    # has always given.
 
     def _compile_node(self, node: PolicyNode) -> "Walk":
         applies = self._compile_applicability(node)
@@ -463,11 +460,7 @@ class PolicyDecisionPoint:
             return None
 
         def applies(ctx: EvaluationContext) -> Optional[TraceRecord]:
-            if (
-                legislation is not None
-                and ctx.legislation_mode != "ignore-tags"
-                and legislation.isdisjoint(ctx.applicable_scopes)
-            ):
+            if legislation is not None and legislation.isdisjoint(ctx.applicable_scopes):
                 return legislation_miss
             for miss, matchers in sections:
                 try:
@@ -477,7 +470,6 @@ class PolicyDecisionPoint:
                     else:  # no clause of the list matched
                         return miss
                 except _EvalError as exc:
-                    ctx.note_error(exc.status)
                     return TraceRecord(node_id, Decision.INDETERMINATE, f"target-error:{exc}")
             return None
 
@@ -495,7 +487,7 @@ class PolicyDecisionPoint:
         literal = clause.literal.value
         signature = SIGNATURES.get(function)
         expected = kernel = None  # no payload's type is None: every value is checked
-        if signature is not None and fits(signature, (None, (type(literal), False))) is not False:
+        if signature is not None and fits(signature, (None, (type(literal), False))):
             expected, kernel = signature.args[0][0], signature.kernel
 
         def matches(ctx: EvaluationContext) -> bool:
@@ -535,13 +527,13 @@ class PolicyDecisionPoint:
         node_id = rule.id
         condition = None if rule.condition is None else self._compile_expr(rule.condition)
         condition_false = TraceRecord(node_id, Decision.NOT_APPLICABLE, "condition-false")
-        fired = None if rule.effect is None else TraceRecord(node_id, rule.effect.to_decision(), "effect")
+        fired = None if rule.effect is None else _fulfilled(rule, rule.effect.to_decision(), "effect")
 
         def walk(ctx: EvaluationContext, visited: list) -> Decision:
             if applies is not None:
                 miss = applies(ctx)
                 if miss is not None:
-                    visited.append((miss, rule))
+                    visited.append(miss)
                     return miss.decision
             if condition is not None:
                 try:
@@ -550,56 +542,47 @@ class PolicyDecisionPoint:
                 except _EvalError as exc:
                     status = exc.status
                 if status is not None:
-                    ctx.note_error(status)
-                    visited.append(
-                        (TraceRecord(node_id, Decision.INDETERMINATE, f"condition-error:{status}"), rule)
-                    )
+                    visited.append(TraceRecord(node_id, Decision.INDETERMINATE, f"condition-error:{status}"))
                     return Decision.INDETERMINATE
                 if value is False:
-                    visited.append((condition_false, rule))
+                    visited.append(condition_false)
                     return Decision.NOT_APPLICABLE
             # Raises for a rule without an effect, which validate_document reports.
             record = fired or TraceRecord(node_id, rule.effect.to_decision(), "effect")
-            visited.append((record, rule))
+            visited.append(record)
             return record.decision
 
         return walk
 
     def _compile_container(self, node: PolicyNode, applies: Optional[Applies]) -> "Walk":
         children = node.children
-        default: Optional[PolicyNode] = None
-        default_decision = default_record = combiner_error = None
+        default_record = combiner_error = None
         if node.kind is NodeKind.POLICY and children and _is_default_rule(children[-1]):
             default = children[-1]
             children = children[:-1]
-            default_decision = default.effect.to_decision()
-            default_record = TraceRecord(default.id, default_decision, "default-rule")
+            default_record = _fulfilled(default, default.effect.to_decision(), "default-rule")
         walks = tuple(self._compile_node(child) for child in children)
         combiner = STANDARD.get(node.combining)
         if combiner is None:
             reason = f"combiner-error:unknown combining algorithm {node.combining!r}"
             combiner_error = TraceRecord(node.id, Decision.INDETERMINATE, reason)
-        combined = {
-            decision: TraceRecord(node.id, decision, f"combined:{node.combining}")
-            for decision in Decision
-        }
+        combined = {decision: _fulfilled(node, decision, f"combined:{node.combining}") for decision in Decision}
 
         def walk(ctx: EvaluationContext, visited: list) -> Decision:
             if applies is not None:
                 miss = applies(ctx)
                 if miss is not None:
-                    visited.append((miss, node))
+                    visited.append(miss)
                     return miss.decision
             decisions = tuple([child(ctx, visited) for child in walks])
             if combiner is None:
-                ctx.note_error(STATUS_PROCESSING_ERROR)
-                visited.append((combiner_error, node))
+                visited.append(combiner_error)
                 return Decision.INDETERMINATE
             decision = combiner(decisions)
-            if decision is Decision.NOT_APPLICABLE and default is not None:
-                visited.append((default_record, default))
-                decision = default_decision
-            visited.append((combined[decision], node))
+            if decision is Decision.NOT_APPLICABLE and default_record is not None:
+                visited.append(default_record)
+                decision = default_record.decision
+            visited.append(combined[decision])
             return decision
 
         return walk
@@ -622,18 +605,22 @@ class PolicyDecisionPoint:
             raise ValueError(f"unknown legislation mode {legislation_mode!r}")
         if not isinstance(forest, CompiledForest):
             raise TypeError("evaluate takes a CompiledForest; build it with compile")
-        # The trace is built in document order; `visited` holds the (record,
-        # node) pairs of every walked document, those of the document being
-        # walked from `mark` on.
+        # The trace is built in document order; `visited` holds the records
+        # of every walked document, those of the document being walked from
+        # `mark` on.
         trace: list[TraceRecord] = []
-        visited: list[tuple[TraceRecord, PolicyNode]] = []
+        visited: list[TraceRecord] = []
         mark = 0
         key = None
         try:
-            ctx = self._build_context(request, pips, legislation_mode)
+            ctx = self._build_context(request, pips)
+            # An undeclared country is refused in both modes; ignoring the
+            # tags observes every scope the forest names.
             ctx.applicable_scopes = pips.scopes.select_legislation(
                 ctx.source_country, ctx.destination_country
             )
+            if legislation_mode == "ignore-tags":
+                ctx.applicable_scopes = forest.scopes
             plan = forest.plan(ctx)
             if plan.walk_key is not None:
                 key = plan.walk_key(ctx)
@@ -646,7 +633,7 @@ class PolicyDecisionPoint:
             decisions = []  # NotApplicable is the identity of the top combiner
             for index, run, view in zip(plan.walk, runs[1:], views[1:]):
                 decision = forest.walker(index)(ctx, visited)
-                records = [record for record, _node in visited[mark:]]
+                records = visited[mark:]
                 trace += records
                 trace += run
                 body += (trace_text(records), view)
@@ -655,27 +642,14 @@ class PolicyDecisionPoint:
                     decisions.append(decision)
             final = combine(TOP_COMBINER, decisions)
         except Exception as exc:  # PIP failures must not escape the boundary
-            trace += [record for record, _node in visited[mark:]]
+            trace += visited[mark:]
             return refusal("<context>", Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, str(exc), trace)
 
-        obligations: list[Obligation] = []
-        if final in (Decision.PERMIT, Decision.DENY):
-            for record, node in visited:
-                if record.decision is final and node.obligations:
-                    obligations += [
-                        ob for ob in node.obligations if ob.fulfill_on.to_decision() is final
-                    ]
-
-        if final is Decision.INDETERMINATE:
-            status = ctx.first_error_status()
-        else:
-            status = STATUS_OK
-        response = ResponseContext(
-            decision=final,
-            status=status,
-            obligations=tuple(obligations),
-            trace=Trace(trace, tuple(body)),
-        )
+        # The top combiner, deny-overrides, never yields Indeterminate, so a
+        # completed walk answers ok, with the obligations its records carry
+        # for the final decision.
+        obligations = [ob for record in visited if record.decision is final for ob in record.obligations]
+        response = ResponseContext(final, STATUS_OK, tuple(obligations), Trace(trace, tuple(body)))
         if key is not None:
             _remember(plan.responses, forest.responses_held, key, response)
         return response
@@ -738,7 +712,7 @@ class Screen(NamedTuple):
     literal is read."""
 
     # The documents whose root's legislation set meets the scopes (every
-    # document under ignore-tags).
+    # document when the scopes are all those the forest names).
     candidates: frozenset[int]
     # Per document, the record it gives when it is not walked: a
     # candidate's target miss, any other document's legislation miss;
@@ -886,29 +860,30 @@ class CompiledForest:
     (the XEngine idea: Liu, Chen, Hwang and Xie, SIGMETRICS 2008).
 
     A document is walked only when its root's legislation set meets the
-    request's scopes (every document is, under ignore-tags) and, if its
-    root target opens with a single string-equal clause on a string
-    literal, the request's bag for that attribute holds the literal or a
-    value that is not a string. Any other document would evaluate to its
-    root's NotApplicable record alone, so it contributes that record,
-    built here once, and the trace stays the one a full walk produces.
+    request's scopes and, if its root target opens with a single
+    string-equal clause on a string literal, the request's bag for that
+    attribute holds the literal or a value that is not a string. Any
+    other document would evaluate to its root's NotApplicable record
+    alone, so it contributes that record, built here once, and the trace
+    stays the one a full walk produces.
 
-    Which record a document gives when it is not walked depends on the
-    scopes alone, so a `Screen` per scope set (None under ignore-tags)
-    holds those records and, rendered once, their wire lines as one
-    UTF-8 text with each document's byte offset in it.
+    `scopes` is the union of the legislation sets of every node, the
+    scopes a request observes under ignore-tags. Which record a document
+    gives when it is not walked depends on the scopes alone, so a
+    `Screen` per scope set holds those records and, rendered once, their
+    wire lines as one UTF-8 text with each document's byte offset in it.
 
-    The plan for a request depends only on the legislation mode, the
-    request's scopes and, per attribute that roots are keyed on, which of
-    its literals the bag holds (or that the bag holds a value that is not
-    a string). That is the plan memo's key, so caller text that is no
-    literal never enters it. A plan is made on the first request with its
-    key and kept with the screened records grouped into runs between the
-    walked documents; per run, a view of its records' lines in its
-    screen's text (a plan holds no text of its own); and a memo of
-    finished responses. A response's trace body is those views with, in
-    between, each walked document's lines, rendered as it is walked. At
-    most `_PLANS_HELD` screens and as many plans are kept.
+    The plan for a request depends only on the request's scopes and, per
+    attribute that roots are keyed on, which of its literals the bag holds
+    (or that the bag holds a value that is not a string). That is the
+    plan memo's key, so caller text that is no literal never enters it.
+    A plan is made on the first request with its key and kept with the
+    screened records grouped into runs between the walked documents; per
+    run, a view of its records' lines in its screen's text (a plan holds
+    no text of its own); and a memo of finished responses. A response's
+    trace body is those views with, in between, each walked document's
+    lines, rendered as it is walked. At most `_PLANS_HELD` screens and as
+    many plans are kept.
 
     Under one plan, the walk is a function of what the walked documents
     read: the bags their target clauses and selectors read (a time
@@ -918,9 +893,10 @@ class CompiledForest:
     plan is made. A plan maps it to the finished `ResponseContext`
     (decision, status, obligations and the `Trace` with its digest and
     body), so a request whose walk key was seen before gets
-    that response without a walk, a trace build or a hash. Only
-    responses of a completed walk are kept, never the `<context>` error
-    response. An entry costs `len(roots)` trace records, and the entries of all
+    that response without a walk, a trace build or a hash. Its
+    obligations are those its walked records carry for its decision
+    (`TraceRecord.obligations`). Only responses of a completed walk are
+    kept, never the `<context>` error response. An entry costs `len(roots)` trace records, and the entries of all
     the plans together hold at most `_TRACE_RECORDS_HELD` records: a plan
     keeps at most `_RESPONSES_HELD` responses, fewer for a large forest,
     and none when not even one per plan fits. A full memo is emptied
@@ -931,13 +907,21 @@ class CompiledForest:
     a node id, obligation id or obligation parameter name that is not one
     wire field (`is_one_field`), or a string parameter value that is not
     wire text (`is_wire_text`), is refused with ValueError, since no
-    response could carry its trace, obligation or param line.
+    response could carry its trace, obligation or param line. So is a
+    node whose legislation set is empty, which no scope meets, not even
+    under ignore-tags (`validate_document` reports it).
     """
 
     def __init__(self, documents: Iterable[PolicyDocument], engine: PolicyDecisionPoint):
         documents = tuple(documents)
+        scopes: set[str] = set()
         for document in documents:
             for node in document.walk():
+                if node.legislation is not None:
+                    if not node.legislation:
+                        where = f"node {node.id!r} in {document.source_name}"
+                        raise ValueError(f"{where} has an empty legislation set, which no scope meets")
+                    scopes |= node.legislation
                 parameters = [parameter for ob in node.obligations for parameter in ob.parameters]
                 fields = [("node id", node.id), *(("obligation id", ob.id) for ob in node.obligations)]
                 fields += [("obligation parameter", name) for name, _ in parameters]
@@ -949,12 +933,13 @@ class CompiledForest:
                         where = f"obligation parameter {name} in {document.source_name}"
                         raise ValueError(f"{where}: value {value.value!r} is not wire text")
         self.engine = engine
+        self.scopes = frozenset(scopes)
         self.roots = tuple(document.root for document in documents)
         self.responses_held = min(
             _RESPONSES_HELD, _TRACE_RECORDS_HELD // (_PLANS_HELD * max(1, len(self.roots)))
         )
         self._walks: list[Optional[Walk]] = [None] * len(self.roots)
-        self._screens: dict[Optional[frozenset[str]], Screen] = {}
+        self._screens: dict[frozenset[str], Screen] = {}
         self._plans: dict[tuple, Plan] = {}
         keys = [_literal_key(root.target) for root in self.roots]
         # Per document: the record of a legislation miss (None when the root
@@ -969,7 +954,6 @@ class CompiledForest:
             else TraceRecord(root.id, Decision.NOT_APPLICABLE, _target_miss(key[0]))
             for root, key in zip(self.roots, keys)
         )
-        self.everything = frozenset(range(len(self.roots)))
         self.untagged = frozenset(i for i, root in enumerate(self.roots) if root.legislation is None)
         by_scope: dict[str, set[int]] = {}
         for index, root in enumerate(self.roots):
@@ -993,7 +977,7 @@ class CompiledForest:
     def plan(self, ctx: EvaluationContext) -> Plan:
         """The plan for the request, from the memo when a request with the
         same key was planned before."""
-        parts = [None if ctx.legislation_mode == "ignore-tags" else ctx.applicable_scopes]
+        parts = [ctx.applicable_scopes]
         for attribute, _keyed, by_literal in self.selectors:
             payloads = _string_payloads(ctx.lookup(attribute))
             parts.append(None if payloads is None else tuple([p for p in payloads if p in by_literal]))
@@ -1005,9 +989,8 @@ class CompiledForest:
         return plan
 
     def _plan(self, key: tuple) -> Plan:
-        """The plan for a memo key: (the scopes, or None under ignore-tags;
-        then per selector the literals hit, or None for a bag that is not
-        all strings)."""
+        """The plan for a memo key: (the scopes; then per selector the
+        literals hit, or None for a bag that is not all strings)."""
         scopes, hits = key[0], key[1:]
         screen = self._screens.get(scopes)
         if screen is None:
@@ -1030,17 +1013,14 @@ class CompiledForest:
         views = tuple(text[offsets[start + 1]:offsets[end]] for start, end in bounds)
         return Plan(runs, tuple(walk), walk_key, {}, views)
 
-    def _screen(self, scopes: Optional[frozenset[str]]) -> Screen:
-        """The screen for a scope set, or for None under ignore-tags."""
-        if scopes is None:
-            candidates = self.everything
-        else:
-            candidates = set(self.untagged)
-            for scope in scopes:
-                bucket = self.by_scope.get(scope)
-                if bucket:
-                    candidates |= bucket
-            candidates = frozenset(candidates)
+    def _screen(self, scopes: frozenset[str]) -> Screen:
+        """The screen for a scope set."""
+        candidates = set(self.untagged)
+        for scope in scopes:
+            bucket = self.by_scope.get(scope)
+            if bucket:
+                candidates |= bucket
+        candidates = frozenset(candidates)
         records = tuple(
             self.target_misses[index] if index in candidates else self.legislation_misses[index]
             for index in range(len(self.roots))

@@ -302,11 +302,18 @@ class TraceRecord:
     since it may carry an exception's text, and its audit digest text and
     wire line are rendered once, when the record is built: the engine
     builds most records when it compiles a node, and every response and
-    audit digest that carries them reuses the strings."""
+    audit digest that carries them reuses the strings.
+
+    `obligations` holds those of the node's obligations whose FulfillOn
+    is the record's decision; the engine fills it on the Permit and Deny
+    records it compiles (a rule's effect, a default rule, a container's
+    combined decision), so a response's obligations are read off its
+    walked records. It enters neither the digest text nor the wire line."""
 
     node_id: str
     decision: Decision
     reason: str
+    obligations: tuple[Obligation, ...] = field(default=(), repr=False, compare=False)
     # "<node> <decision> <reason>": the line trace_digest hashes.
     digest_text: str = field(init=False, repr=False, compare=False)
     # "trace <node> <decision> [reason]" (docs/wire-format.md).
@@ -445,16 +452,16 @@ def operand_type(expr: ConditionExpr) -> Optional[tuple[type, bool]]:
     return None
 
 
-def fits(signature: Signature, operands: Sequence[Optional[tuple[type, bool]]]) -> Optional[bool]:
+def fits(signature: Signature, operands: Sequence[Optional[tuple[type, bool]]]) -> bool:
     """False when operands of these types (`operand_type`) cannot fit the
     signature, so that the application always fails once its operands are
-    evaluated; else True, or None when an operand's type is unknown."""
-    if len(operands) != len(signature.args) or any(
-        operand is not None and (operand[1] is not bag or not issubclass(operand[0], expected))
+    evaluated; else True. An operand whose type is unknown (None: an
+    unknown function's application) counts as fitting, since it raises
+    before any kernel runs."""
+    return len(operands) == len(signature.args) and all(
+        operand is None or (operand[1] is bag and issubclass(operand[0], expected))
         for operand, (expected, bag) in zip(operands, signature.args)
-    ):
-        return False
-    return None if None in operands else True
+    )
 
 
 def _strings_only(operands: Sequence[Optional[tuple[type, bool]]]) -> bool:
@@ -528,7 +535,7 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
         for fn, operands in applications:
             if fn not in BUILTIN_FUNCTIONS:
                 violations.append(Violation(f"unknown-function:{fn}", node.id))
-            elif (fn in SIGNATURES and fits(SIGNATURES[fn], operands) is False) or (
+            elif (fn in SIGNATURES and not fits(SIGNATURES[fn], operands)) or (
                 fn == "function:location-match" and not _strings_only(operands)
             ):
                 violations.append(Violation(f"ill-typed:{fn}", node.id))

@@ -179,8 +179,8 @@ class _LocationAccumulator:
             raise WireFormatError(f"location block missing fields: {', '.join(missing)}")
         try:
             tz_name, tz_value = self.fields["timezone"].split(" ", 1)
-            if not tz_name:
-                raise ValueError("empty timezone name")
+            if tz_name.split() != [tz_name]:  # empty, or holds whitespace
+                raise ValueError("empty timezone name" if not tz_name else f"whitespace in timezone name {tz_name!r}")
             lat_text, lon_text = self.fields["point"].split()
             return LocationReport(
                 country=country_code(self.fields["country"]),
@@ -202,8 +202,9 @@ def _parse_attribute_line(line: str, line_no: int) -> Attribute:
     if len(parts) < 3:
         raise WireFormatError(f"expected '<category> <id> <type> <value>' on line {line_no}")
     attr_id, type_token = parts[1], parts[2]
-    if not attr_id:
-        raise WireFormatError(f"empty attribute id on line {line_no}")
+    if attr_id.split() != [attr_id]:  # empty, or holds whitespace
+        what = "empty attribute id" if not attr_id else f"whitespace in attribute id {attr_id!r}"
+        raise WireFormatError(f"{what} on line {line_no}")
     value_text = parts[3] if len(parts) > 3 else ""
     if type_token not in _TYPES:
         raise WireFormatError(f"unknown data type {type_token!r} on line {line_no}")

@@ -181,7 +181,7 @@ def evaluate(engine, documents, request, pips, legislation_mode="aware"):
     """The ResponseContext README prescribes for the forest `documents`."""
     oracle = None
     try:
-        ctx = engine._build_context(request, pips, legislation_mode)
+        ctx = engine._build_context(request, pips)
         scopes = pips.scopes.select_legislation(ctx.source_country, ctx.destination_country)
         oracle = _Oracle(ctx, scopes, legislation_mode)
         decisions = [oracle.node(document.root) for document in documents]

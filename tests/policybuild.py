@@ -172,11 +172,16 @@ _ERRORS = (
 
 UNKNOWN_FUNCTION = "function:no-such-function"
 UNKNOWN_COMBINER = "no-such-combiner"
+_UNKNOWN_APPLICATION = FunctionApplication(UNKNOWN_FUNCTION, (boolean_literal(True),))
 _HOSTILE_CONDITIONS = (
-    FunctionApplication(UNKNOWN_FUNCTION, (boolean_literal(True),)),
+    _UNKNOWN_APPLICATION,
     # Builtins with the wrong number of arguments.
     FunctionApplication("function:not", ()),
     FunctionApplication("function:string-equal", (Literal(AttributeValue(DataType.STRING, "x")),)),
+    # Builtins that fit their signature around an operand of unknown type,
+    # which the engine evaluates on its typed path.
+    FunctionApplication("function:string-equal", (_UNKNOWN_APPLICATION, Literal(AttributeValue(DataType.STRING, "x")))),
+    FunctionApplication("function:time-one-and-only", (_UNKNOWN_APPLICATION,)),
 )
 
 

@@ -36,6 +36,7 @@ from lexgate.model import (
     STATUS_PROCESSING_ERROR,
     Target,
     Trace,
+    TraceRecord,
     trace_digest,
     trace_text,
     validate_document,
@@ -326,6 +327,15 @@ def test_ignore_tags_never_flips_deny_to_permit_over_random_forests(engine):
     assert flips == 0
 
 
+@pytest.mark.parametrize("mode", ["aware", "ignore-tags"])
+def test_an_undeclared_destination_country_is_refused_in_both_modes(engine, policy_pack, mode):
+    # Ignoring the tags still selects the request's scopes, which fails.
+    request = parse_request(wire_request(point=LONDON_POINT, extra_lines=("destination-country XX",)))
+    response = engine.evaluate(engine.compile(policy_pack), request, make_bundle(NOON), legislation_mode=mode)
+    assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_PROCESSING_ERROR)
+    assert response.trace[-1] == TraceRecord("<context>", Decision.INDETERMINATE, "unknown legal scope 'XX'")
+
+
 # -- purity and snapshots ----------------------------------------------------------
 
 
@@ -437,6 +447,18 @@ def test_a_node_id_that_is_not_one_wire_field_is_refused_when_the_forest_is_buil
     node = policy(bad_id, [rule("r")]) if where == "root" else policy("p", [rule(bad_id)])
     with pytest.raises(ValueError, match="not one wire field"):
         ReferenceMonitor(PolicyDecisionPoint(), [*policy_pack, document(node)], make_bundle(NOON))
+
+
+@pytest.mark.parametrize("where", ["root", "rule"])
+def test_a_node_with_an_empty_legislation_set_is_refused_when_the_forest_is_built(policy_pack, where):
+    # No scope meets it, so not even ignore-tags, which observes every
+    # scope the forest names, could walk it.
+    if where == "root":
+        node, node_id = policy("p", [rule("r")], legislation=frozenset()), "p"
+    else:
+        node, node_id = policy("p", [rule("r", legislation=frozenset())]), "r"
+    with pytest.raises(ValueError, match=rf"node '{node_id}' in test\.xml has an empty legislation set"):
+        PolicyDecisionPoint().compile([*policy_pack, document(node)])
 
 
 @pytest.mark.parametrize("bad_id", ["limit duration\nx", "a b", "a\u2028b", ""], ids=["lf", "space", "u2028", "empty"])
@@ -710,7 +732,7 @@ def test_well_typed_packaged_conditions_make_no_checks(engine, policy_pack, monk
 
     monkeypatch.setattr(engine_module, "_scalar", check)
     request = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53"))
-    ctx = engine._build_context(request, make_bundle("2026-03-10T12:45:00Z"), "aware")
+    ctx = engine._build_context(request, make_bundle("2026-03-10T12:45:00Z"))
     conditions = [node.condition for d in policy_pack for node in d.walk() if node.condition is not None]
     assert len(conditions) == 6
     for condition in conditions:
@@ -736,7 +758,7 @@ _CLOCK_KEYS = ((Category.ENVIRONMENT, "current-time"), (Category.ENVIRONMENT, "c
 def test_trusted_bags_are_shared_and_immutable(engine):
     request = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53"))
     first, again, later = (
-        engine._build_context(request, make_bundle(at), "aware")
+        engine._build_context(request, make_bundle(at))
         for at in ("2026-03-10T12:45:00Z", "2026-03-10T12:45:00Z", "2026-03-10T13:10:00Z")
     )
     assert set(first._cache) == set(_TRUSTED_KEYS + _CLOCK_KEYS)

@@ -156,6 +156,12 @@ def test_bad_lines_are_rejected():
     location = b"location country GB\nlocation city London\nlocation zone unrestricted\nlocation point 51.5 -0.12\n"
     with pytest.raises(WireFormatError, match="bad location block: empty timezone name"):
         parse_request(b"request\nsubject user-id string x\n" + location + b"location timezone  0\nend\n")
+    # Nor one that holds whitespace other than a space.
+    for attr_id in ("a\tb", "a\u00a0b", "a\u3000b"):
+        with pytest.raises(WireFormatError, match="whitespace in attribute id .* on line 2"):
+            parse_request(f"request\nsubject {attr_id} string x\nend\n")
+    with pytest.raises(WireFormatError, match="bad location block: whitespace in timezone name"):
+        parse_request(b"request\nsubject user-id string x\n" + location + b"location timezone a\tb 0\nend\n")
 
 
 @pytest.mark.parametrize("text", ["a\nb", "a\rb", "a\u2028b", "a\x85b", "a\ud800b"])
@@ -382,3 +388,5 @@ def test_the_line_memo_changes_no_result(data):
         patch.setattr(wire, "_LONGEST_LINE_HELD", -1)  # no line is kept
         unkept = _parsed(data)
     assert cold == warm == unkept
+    if isinstance(cold, RequestContext):  # what the parser accepts, it can write back
+        assert parse_request(serialize_request(cold)) == cold

@@ -22,7 +22,8 @@ _TYPED_TEXT = {
 _attribute_lines = st.builds(
     "{} {} {}".format,
     st.sampled_from(("subject", "resource", "action", "environment")),
-    st.sampled_from(("user-id", "resource-id", "action-id", "note", "position-accuracy")),
+    # The last three hold whitespace, which the parser refuses in an id.
+    st.sampled_from(("user-id", "resource-id", "action-id", "note", "position-accuracy", "a\tb", "a\xa0b", "a\u3000b")),
     st.sampled_from(sorted(_TYPED_TEXT)).flatmap(lambda t: _TYPED_TEXT[t].map(f"{t} {{}}".format)),
 )
 _refused_lines = st.sampled_from((
@@ -45,7 +46,12 @@ _LOCATION_BLOCK = (
     "location point 51.507861 -0.099349",
     "location accuracy 30.5",
 )
-_location_blocks = st.sampled_from(((), (), _LOCATION_BLOCK[:5], _LOCATION_BLOCK, _LOCATION_BLOCK[1:]))
+# The last block names a timezone that holds whitespace, which the parser
+# refuses.
+_location_blocks = st.sampled_from((
+    (), (), _LOCATION_BLOCK[:5], _LOCATION_BLOCK, _LOCATION_BLOCK[1:],
+    (*_LOCATION_BLOCK[:3], "location timezone I\u3000ST 5.5", *_LOCATION_BLOCK[4:]),
+))
 _request_lines = st.one_of(
     _attribute_lines,
     _attribute_lines,
