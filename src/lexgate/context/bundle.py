@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import FixtureError, LocationUnavailableError
-from ..model import Category, DataType
+from ..model import Category, DataType, Memo
 from ..parsing.location_xml import LocationReport
 from ..parsing.wire import CURRENT_POSITION, RequestContext
 from .clock import Clock, SystemClock
@@ -29,17 +29,9 @@ from .zones import ZoneTree, load_zone_tree, resolve_location
 
 POSITION_ACCURACY = "position-accuracy"
 
-# The location memo: how many distinct (position, accuracy radius) pairs
-# each supplier keeps. Positions repeat across requests (offices, devices,
-# packaged requests); a stream of fresh positions only passes through. A
-# full memo is emptied before its next entry, as the engine's memos are:
-# that keeps no order to update, and needs no lock when threads share a
-# supplier.
-_POSITIONS_HELD = 256
-
-# The memo key: the bytes of the three floats, so that -0.0 and 0.0 (equal
-# as floats, and as GeoPoints) are told apart and a hit keeps the sign a
-# fresh resolution would report.
+# The location memo's key: the bytes of the three floats, so that -0.0 and
+# 0.0 (equal as floats, and as GeoPoints) are told apart and a hit keeps
+# the sign a fresh resolution would report.
 _POSITION = struct.Struct("3d")
 
 
@@ -54,10 +46,10 @@ class LocationSupplier:
 
     The classification is a pure function of the position, the accuracy
     radius and the immutable tree, so each supplier keeps the
-    `LocationReport` of up to 256 distinct (position, radius) pairs and
-    answers a repeated pair without a polygon test. The key holds no
-    subject and no time: the memo records where requests were placed,
-    not who moved where. A position that raises (PrecisionError,
+    `LocationReport` of distinct (position, radius) pairs in a memo
+    (`model.Memo`) and answers a repeated pair without a polygon test.
+    The key holds no subject and no time: the memo records where
+    requests were placed, not who moved where. A position that raises (PrecisionError,
     UnknownTerritoryError) is not kept and raises afresh each time. The
     supplier is still asked once per request.
     """
@@ -65,7 +57,7 @@ class LocationSupplier:
     def __init__(self, zones: ZoneTree, identities: IdentityRegistry):
         self._zones = zones
         self._identities = identities
-        self._reports: dict[bytes, LocationReport] = {}
+        self._reports = Memo(256)
 
     def locate(self, request: RequestContext) -> LocationReport:
         accuracy = 0.0
@@ -90,10 +82,7 @@ class LocationSupplier:
         key = _POSITION.pack(point.lat, point.lon, accuracy)
         report = self._reports.get(key)
         if report is None:
-            report = resolve_location(point, accuracy, self._zones)
-            if len(self._reports) >= _POSITIONS_HELD:
-                self._reports.clear()
-            self._reports[key] = report
+            report = self._reports.put(key, resolve_location(point, accuracy, self._zones))
         return report
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..errors import FixtureError, UnknownScopeError
+from ..model import Memo
 
 SCOPE_KINDS = ("union", "sovereign-state", "state", "organization")
 
@@ -35,9 +36,7 @@ class LegalScopeRegistry:
             raise FixtureError(f"organization scope {organization!r} is not declared")
         self._check_edges()
         self._check_acyclic()
-        # select_legislation by (source, destination); only declared scopes
-        # get an entry, so it holds at most len(scopes)² of them.
-        self._selected: dict[tuple[str, str], frozenset[str]] = {}
+        self._selected = Memo(len(self._scopes) ** 2)
 
     def _check_edges(self) -> None:
         for scope in self._scopes.values():
@@ -99,5 +98,5 @@ class LegalScopeRegistry:
             scopes = self.closure(source) | self.closure(destination)
             if self.organization is not None:
                 scopes |= {self.organization}
-            self._selected[key] = scopes
+            self._selected.put(key, scopes)
         return scopes

@@ -38,7 +38,6 @@ from __future__ import annotations
 import datetime as dt
 from array import array
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -59,6 +58,7 @@ from .model import (
     FunctionApplication,
     Literal,
     MatchClause,
+    Memo,
     PolicyDocument,
     PolicyNode,
     NodeKind,
@@ -137,13 +137,6 @@ class EvaluationContext:
         if values is None:
             values = self._cache[key] = self.request.bag(*key)
         return values
-
-
-@lru_cache(maxsize=1024)
-def _trusted_bag(data_type: DataType, value: object) -> tuple[AttributeValue]:
-    """The one-value bag of a trusted value, shared by every request; at
-    most 1,024 are kept, since a request can name its destination country."""
-    return (AttributeValue._trusted(data_type, value),)
 
 
 # The one-value string bag of each member of the enums the context build
@@ -330,8 +323,16 @@ def _fulfilled(node: PolicyNode, decision: Decision, reason: str) -> TraceRecord
 
 
 class PolicyDecisionPoint:
-    """The decision engine. It holds no state; the memos of a forest live
-    in its `CompiledForest`."""
+    """The decision engine. Its one state is the trusted-bag memo
+    (`model.Memo`); the memos of a forest live in its `CompiledForest`."""
+
+    def __init__(self) -> None:
+        self._bags = Memo(1024)
+
+    def _trusted_bag(self, data_type: DataType, value: object) -> tuple[AttributeValue]:
+        """The one-value bag of a trusted value, shared by every request."""
+        key = data_type, value
+        return self._bags.get(key) or self._bags.put(key, (AttributeValue._trusted(data_type, value),))
 
     def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
         """The forest indexed for this engine, the one way to build a
@@ -374,7 +375,7 @@ class PolicyDecisionPoint:
         # The values below come from the loaded stores and the location
         # snapshot, never from the request, so they skip the payload checks;
         # all but the local time and date are shared bags.
-        cache, bag = ctx._cache, _trusted_bag
+        cache, bag = ctx._cache, self._trusted_bag
         trusted = AttributeValue._trusted
         # Local time survives a zone-precision failure: the country (and so
         # its timezone) is still certain, only the zone classification is
@@ -651,7 +652,7 @@ class PolicyDecisionPoint:
         obligations = [ob for record in visited if record.decision is final for ob in record.obligations]
         response = ResponseContext(final, STATUS_OK, tuple(obligations), Trace(trace, tuple(body)))
         if key is not None:
-            _remember(plan.responses, forest.responses_held, key, response)
+            plan.responses.put(key, response)
         return response
 
 
@@ -690,21 +691,10 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
     return None
 
 
-# How many plans (and screens) a forest keeps; how many responses a plan
-# keeps at most; and the bound on the trace records that the responses of
-# all the plans hold together, at `len(roots)` records per response.
+# The plan and screen memos' bound, and the terms of `responses_held`.
 _PLANS_HELD = 256
 _RESPONSES_HELD = 32
 _TRACE_RECORDS_HELD = 1 << 20
-
-
-def _remember(memo: dict, held: int, key: object, value: object) -> None:
-    """Put `value` into `memo`, emptying the memo first when it holds
-    `held` entries. Emptying keeps no order to update, and `dict.clear`
-    cannot fail when two threads share the memo."""
-    if len(memo) >= held:
-        memo.clear()
-    memo[key] = value
 
 
 class Screen(NamedTuple):
@@ -737,7 +727,7 @@ class Plan(NamedTuple):
     # responses.
     walk_key: Optional[Callable[[EvaluationContext], tuple]]
     # The finished responses by walk key.
-    responses: dict
+    responses: Memo
     # Per run, the view of its records' wire lines in the screen's text.
     views: tuple[memoryview, ...]
 
@@ -882,8 +872,7 @@ class CompiledForest:
     run, a view of its records' lines in its screen's text (a plan holds
     no text of its own); and a memo of finished responses. A response's
     trace body is those views with, in between, each walked document's
-    lines, rendered as it is walked. At most `_PLANS_HELD` screens and as
-    many plans are kept.
+    lines, rendered as it is walked.
 
     Under one plan, the walk is a function of what the walked documents
     read: the bags their target clauses and selectors read (a time
@@ -892,15 +881,13 @@ class CompiledForest:
     and zone tree. That is the walk key (`_walk_key`), derived when the
     plan is made. A plan maps it to the finished `ResponseContext`
     (decision, status, obligations and the `Trace` with its digest and
-    body), so a request whose walk key was seen before gets
-    that response without a walk, a trace build or a hash. Its
-    obligations are those its walked records carry for its decision
-    (`TraceRecord.obligations`). Only responses of a completed walk are
-    kept, never the `<context>` error response. An entry costs `len(roots)` trace records, and the entries of all
-    the plans together hold at most `_TRACE_RECORDS_HELD` records: a plan
-    keeps at most `_RESPONSES_HELD` responses, fewer for a large forest,
-    and none when not even one per plan fits. A full memo is emptied
-    before the next entry goes in.
+    body), so a request whose walk key was seen before gets that response
+    without a walk, a trace build or a hash. Its obligations are those its
+    walked records carry for its decision (`TraceRecord.obligations`).
+    Only responses of a completed walk are kept, never the `<context>`
+    error response. The plan, screen and response memos are `model.Memo`s,
+    bounded as its table says; a plan's response memo takes its bound from
+    `responses_held` when the plan is made.
 
     A walked root runs as the closures `engine` compiles it to, the first
     time a request walks it. Build one with `PolicyDecisionPoint.compile`;
@@ -939,8 +926,8 @@ class CompiledForest:
             _RESPONSES_HELD, _TRACE_RECORDS_HELD // (_PLANS_HELD * max(1, len(self.roots)))
         )
         self._walks: list[Optional[Walk]] = [None] * len(self.roots)
-        self._screens: dict[frozenset[str], Screen] = {}
-        self._plans: dict[tuple, Plan] = {}
+        self._screens = Memo(_PLANS_HELD)
+        self._plans = Memo(_PLANS_HELD)
         keys = [_literal_key(root.target) for root in self.roots]
         # Per document: the record of a legislation miss (None when the root
         # is untagged) and of a miss on the literal key (None without one).
@@ -984,8 +971,7 @@ class CompiledForest:
         key = tuple(parts)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plan(key)
-            _remember(self._plans, _PLANS_HELD, key, plan)
+            plan = self._plans.put(key, self._plan(key))
         return plan
 
     def _plan(self, key: tuple) -> Plan:
@@ -994,8 +980,7 @@ class CompiledForest:
         scopes, hits = key[0], key[1:]
         screen = self._screens.get(scopes)
         if screen is None:
-            screen = self._screen(scopes)
-            _remember(self._screens, _PLANS_HELD, scopes, screen)
+            screen = self._screens.put(scopes, self._screen(scopes))
         matching = set(self.unkeyed)
         for (_attribute, keyed, by_literal), literals in zip(self.selectors, hits):
             if literals is None:
@@ -1011,7 +996,7 @@ class CompiledForest:
             walk_key = _walk_key([self.roots[index] for index in walk])
         text, offsets = memoryview(screen.text), screen.offsets
         views = tuple(text[offsets[start + 1]:offsets[end]] for start, end in bounds)
-        return Plan(runs, tuple(walk), walk_key, {}, views)
+        return Plan(runs, tuple(walk), walk_key, Memo(self.responses_held), views)
 
     def _screen(self, scopes: frozenset[str]) -> Screen:
         """The screen for a scope set."""

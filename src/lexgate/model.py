@@ -1,6 +1,6 @@
 """Policy document tree, attribute values, decisions and obligations.
 
-Everything here is immutable after construction and safe to share across
+Everything here but `Memo` is immutable and safe to share across
 threads; the parser builds these values and the engine only reads them.
 """
 
@@ -394,6 +394,45 @@ def refusal(
     """A response given in place of a decision: `decision` and `status`,
     with the trace so far ended by one record of the step that refused."""
     return ResponseContext(decision, status, trace=(*trace, TraceRecord(node, decision, reason)))
+
+
+class Memo(dict):
+    """A bounded memo of values that are a pure function of their key: a
+    hit is a bare `get`, and a miss `put`s its value, which counts the
+    miss and first empties a memo that holds `bound` entries (no order to
+    keep, no lock when threads share it). At bound 0 nothing is stored, and
+    no memo stores an error. `misses` is exact for one thread only: `+=`
+    may lose counts under threads, which never changes a stored value.
+
+    | name        | owner                        | key                         | bound          | never kept                           |
+    |-------------|------------------------------|-----------------------------|----------------|--------------------------------------|
+    | body        | `pep.ReferenceMonitor`       | body, exactly `bytes`/`str` | 256            | over 1,024; unauthenticated callers' |
+    | line        | `parsing.wire`, per process  | stripped attribute line     | 256            | over 512 chars; `WireFormatError`    |
+    | trusted-bag | `engine.PolicyDecisionPoint` | (data type, trusted value)  | 1,024          | request values but a destination     |
+    | plan        | `engine.CompiledForest`      | scopes, root literals hit   | 256            | caller text that is no root literal  |
+    | screen      | `engine.CompiledForest`      | scope set                   | 256            | -                                    |
+    | response    | each `engine.Plan`           | walk key                    | responses_held | `<context>` refusals                 |
+    | location    | `bundle.LocationSupplier`    | bytes of lat, lon, accuracy | 256            | subject, time; its errors            |
+    | legislation | `legal.LegalScopeRegistry`   | (source, destination)       | len(scopes)²   | `UnknownScopeError`                  |
+
+    `ReferenceMonitor.memos()` names all but the per-plan response memos,
+    whose bound `responses_held` is min(32, 2^20 // (256 × documents)), so
+    that all the responses hold at most 2^20 trace records."""
+
+    __slots__ = ("bound", "misses")
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.misses = 0
+
+    def put(self, key: object, value: object) -> object:
+        """Store `value` under `key` as a miss, and return it."""
+        self.misses += 1
+        if len(self) >= self.bound:
+            self.clear()
+        if self.bound:
+            self[key] = value
+        return value
 
 
 @dataclass(frozen=True)

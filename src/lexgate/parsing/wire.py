@@ -16,7 +16,6 @@ import datetime as dt
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 from ..errors import MissingCategoryError, WireFormatError
@@ -28,6 +27,7 @@ from ..model import (
     Decision,
     Effect,
     GeoPoint,
+    Memo,
     Obligation,
     ResponseContext,
     TraceRecord,
@@ -215,30 +215,20 @@ def _parse_attribute_line(line: str, line_no: int) -> Attribute:
     return attr_id, value
 
 
-# The line memo: how many distinct attribute lines it keeps, and the
-# longest line it keeps, in characters, so that caller text pins at most
-# 256 lines of 512 characters and their values. Lines repeat across
-# requests (ids, positions, packaged values); a line that carries a fresh
-# instant, such as a proximity token's, only passes through.
-_LINES_HELD = 256
+# The line memo (`model.Memo`) and the longest line it keeps, in characters.
+_LINES = Memo(256)
 _LONGEST_LINE_HELD = 512
 
 
-@lru_cache(maxsize=_LINES_HELD)
-def _parse_line_once(line: str) -> Attribute:
-    """`_parse_attribute_line` of a stripped attribute line, kept: the id
-    and the value are immutable. An error is not kept."""
-    return _parse_attribute_line(line, 0)
-
-
 def _parse_attribute(line: str, line_no: int) -> Attribute:
+    """`_parse_attribute_line`, through the line memo for a line no longer
+    than `_LONGEST_LINE_HELD`: the id and the value are immutable."""
     if len(line) > _LONGEST_LINE_HELD:
         return _parse_attribute_line(line, line_no)
-    try:
-        return _parse_line_once(line)
-    except WireFormatError:
-        # Parsed again for the message, which names the line.
-        return _parse_attribute_line(line, line_no)
+    attribute = _LINES.get(line)
+    if attribute is None:
+        attribute = _LINES.put(line, _parse_attribute_line(line, line_no))
+    return attribute
 
 
 def parse_request(data: bytes | str) -> RequestContext:

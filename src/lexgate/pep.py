@@ -29,12 +29,11 @@ is a `model.Trace`, which carries its audit digest and wire text. The
 two refusals whose text never changes, wrong credentials and subject
 mismatch, are built once, at import, so answering them hashes and
 renders nothing. A bad-request refusal is built once per distinct body:
-the body memo (`_read_body_once`) maps up to 256 bodies of at most 1,024
-bytes or characters, from authenticated callers only, to the request
-they parse to or to their refusal. Only a Permit decision carries a view. The audit line
-and the returned `AuditRecord` carry the response's decision and status,
-except after an audit failure: the record returned then is the one whose
-append failed.
+the body memo (`model.Memo`) maps the bodies of authenticated callers to
+the request they parse to or to their refusal. Only a Permit decision
+carries a view. The audit line and the returned `AuditRecord` carry the
+response's decision and status, except after an audit failure: the
+record returned then is the one whose append failed.
 
 The audit trail is held open: `AuditLog` opens its file at the first
 append, flushes after every record, so each record reaches the operating
@@ -53,8 +52,8 @@ import hashlib
 import hmac
 import io
 import os
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,6 +64,7 @@ from .errors import AuditError, ObligationError, WireFormatError
 from .instant import format_instant
 from .model import (
     Decision,
+    Memo,
     Obligation,
     PolicyDocument,
     ResponseContext,
@@ -73,6 +73,7 @@ from .model import (
     refusal,
     single_line,
 )
+from .parsing import wire
 from .parsing.wire import RequestContext, ViewMode, WireView, parse_request, serialize_response
 
 OB_PSEUDONYMIZE = "pseudonymize"
@@ -127,8 +128,9 @@ class AuditLog:
     opens the file again. Before each write the path is checked (one
     `stat`): when the file was moved or deleted since it was opened, the
     stream is closed and the path opened anew, so the record goes where a
-    reopen per record would put it. `close()` may be called any number of
-    times; an append after it reopens the file."""
+    reopen per record would put it. One lock orders appends from threads.
+    `close()` may be called any number of times; an append after it
+    reopens the file."""
 
     def __init__(self, path: Optional[Path] = None):
         self._path = path
@@ -136,29 +138,31 @@ class AuditLog:
         self._stream: Optional[io.BufferedWriter] = None
         self._file_id: Optional[tuple[int, int]] = None
         self._last_at: Optional[dt.datetime] = None
+        self._lock = threading.Lock()
 
     def append(self, record: AuditRecord) -> None:
-        if self._last_at is not None and record.at < self._last_at:
-            raise AuditError("audit timestamps must not decrease")
-        if self._path is not None:
-            try:
-                if self._stream is not None and self._moved():
-                    self.close()
-                if self._stream is None:
-                    self._stream = open(self._path, "ab")
-                    opened = os.fstat(self._stream.fileno())
-                    self._file_id = opened.st_ino, opened.st_dev
-                self._stream.write(f"{record.to_line()}\n".encode("utf-8"))
-                self._stream.flush()
-            except OSError as exc:
-                stream, self._stream = self._stream, None
-                if stream is not None:
-                    # Close the file under the buffer: stream.close() would
-                    # try once more to write the record this error refused.
-                    with contextlib.suppress(OSError):
-                        stream.raw.close()
-                raise AuditError(f"audit storage failed: {exc}") from exc
-        self._last_at = record.at
+        with self._lock:
+            if self._last_at is not None and record.at < self._last_at:
+                raise AuditError("audit timestamps must not decrease")
+            if self._path is not None:
+                try:
+                    if self._stream is not None and self._moved():
+                        self.close()
+                    if self._stream is None:
+                        self._stream = open(self._path, "ab")
+                        opened = os.fstat(self._stream.fileno())
+                        self._file_id = opened.st_ino, opened.st_dev
+                    self._stream.write(f"{record.to_line()}\n".encode("utf-8"))
+                    self._stream.flush()
+                except OSError as exc:
+                    stream, self._stream = self._stream, None
+                    if stream is not None:
+                        # Close the file under the buffer: stream.close() would
+                        # try once more to write the record this error refused.
+                        with contextlib.suppress(OSError):
+                            stream.raw.close()
+                    raise AuditError(f"audit storage failed: {exc}") from exc
+            self._last_at = record.at
 
     def _moved(self) -> bool:
         """Whether the open file is no longer the one at the path: it was
@@ -260,39 +264,8 @@ _AUTHENTICATION_FAILED, _SUBJECT_SESSION_MISMATCH = (
 )
 
 
-# The body memo: how many distinct request bodies it keeps, and the
-# longest body it keeps, in bytes or characters, so that callers who
-# authenticated pin at most 256 bodies of 1,024 and what they parse to (a
-# few MiB at most). Bodies repeat across requests (packaged requests,
-# malformed probes); one that carries a fresh instant or a long payload
-# only passes through.
-_BODIES_HELD = 256
+# The longest body the body memo keeps, in bytes or characters.
 _LONGEST_BODY_HELD = 1_024
-
-
-def _read_body(raw: bytes | str) -> tuple[Optional[RequestContext], Optional[ResponseContext]]:
-    """The request the body carries and None, or None and the
-    `<monitor>` bad-request refusal of a body that is not a request."""
-    try:
-        return parse_request(raw), None
-    except WireFormatError as exc:
-        return None, refusal(
-            "<monitor>", Decision.INDETERMINATE, STATUS_SYNTAX_ERROR, f"bad-request:{exc}"
-        )
-
-
-# The request and the refusal are frozen and a pure function of the body,
-# so every request with that body shares them: a repeated bad body is
-# refused without a parse, a hash or a render.
-_read_body_once = lru_cache(maxsize=_BODIES_HELD)(_read_body)
-
-
-def _read(raw: bytes | str) -> tuple[Optional[RequestContext], Optional[ResponseContext]]:
-    """`_read_body`, through the memo for a body that is exactly `bytes`
-    or `str` and no longer than `_LONGEST_BODY_HELD`."""
-    if type(raw) in (bytes, str) and len(raw) <= _LONGEST_BODY_HELD:
-        return _read_body_once(raw)
-    return _read_body(raw)
 
 
 class ReferenceMonitor:
@@ -311,6 +284,20 @@ class ReferenceMonitor:
         self.pips = pips
         self.audit = audit or AuditLog()
         self.obligations = ObligationService(pseudonym_key)
+        self._bodies = Memo(256)
+
+    def memos(self) -> dict[str, Memo]:
+        """The memos a request passes through, by name (`model.Memo`); the
+        line memo is shared by every monitor in the process."""
+        return {
+            "body": self._bodies,
+            "line": wire._LINES,
+            "trusted-bag": self.engine._bags,
+            "plan": self.forest._plans,
+            "screen": self.forest._screens,
+            "location": self.pips.location._reports,
+            "legislation": self.pips.scopes._selected,
+        }
 
     # -- the event flow --------------------------------------------------------
 
@@ -346,7 +333,18 @@ class ReferenceMonitor:
         if not self.pips.identities.authenticate(session.user, session.secret):
             return None, _AUTHENTICATION_FAILED, None
 
-        request, refused = _read(raw)
+        # The request or refusal is a frozen function of the body: a repeated
+        # bad body is refused without a parse, a hash or a render.
+        kept = type(raw) in (bytes, str) and len(raw) <= _LONGEST_BODY_HELD
+        read = self._bodies.get(raw) if kept else None
+        if read is None:
+            try:
+                read = parse_request(raw), None
+            except WireFormatError as exc:
+                read = None, refusal("<monitor>", Decision.INDETERMINATE, STATUS_SYNTAX_ERROR, f"bad-request:{exc}")
+            if kept:
+                self._bodies.put(raw, read)
+        request, refused = read
         if refused is not None:
             return None, refused, None
 

@@ -5,8 +5,6 @@ import pickle
 import random
 import sys
 import threading
-from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +28,7 @@ from lexgate.model import (
     GeoPoint,
     Literal,
     MatchClause,
+    Memo,
     Obligation,
     STATUS_MISSING_ATTRIBUTE,
     STATUS_OK,
@@ -515,8 +514,8 @@ def test_plans_of_one_scope_set_splice_one_shared_text(engine, policy_pack):
     # A memo of one entry keeps one scope set's text: Zurich's replaces
     # London's.
     london = set(forest._screens)
-    with mock.patch.object(engine_module, "_PLANS_HELD", 1):
-        engine.evaluate(forest, parse_request(wire_request(point="47.36 8.53")), pips)
+    forest._plans.bound = forest._screens.bound = 1
+    engine.evaluate(forest, parse_request(wire_request(point="47.36 8.53")), pips)
     assert len(forest._screens) == 1 and set(forest._screens) != london
 
 
@@ -575,14 +574,13 @@ def test_threads_sharing_a_forest_get_what_one_thread_gets(engine, policy_pack):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(engine_module, "_PLANS_HELD", 1), \
-                mock.patch.object(engine_module, "_RESPONSES_HELD", 1):
-            forest = engine.compile(policy_pack)
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+        forest = engine.compile(policy_pack)
+        forest._plans.bound = forest._screens.bound = forest.responses_held = 1
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
@@ -802,9 +800,9 @@ def test_the_trusted_bag_memo_is_bounded_and_changes_no_decision(engine, policy_
         for n in range(60)
     ]
     want = [engine.evaluate(forest, request, pips) for request in requests]
-    small = lru_cache(maxsize=4)(engine_module._trusted_bag.__wrapped__)
-    monkeypatch.setattr(engine_module, "_trusted_bag", small)
+    small = Memo(4)
+    monkeypatch.setattr(engine, "_bags", small)
     for request, expected in zip(requests, want):
         assert engine.evaluate(forest, request, pips) == expected
-        assert small.cache_info().currsize <= 4
-    assert small.cache_info().misses > 60
+        assert len(small) <= 4
+    assert small.misses > 60

@@ -27,14 +27,12 @@ import dataclasses
 import datetime as dt
 import hashlib
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import engine_oracle
 from conftest import make_bundle
-from lexgate import engine
 from lexgate.engine import PolicyDecisionPoint
 from lexgate.instant import parse_instant
 from lexgate.model import (
@@ -195,10 +193,10 @@ def _with_bag(request, other, attribute):
 def test_the_plan_and_response_memos_change_no_response(pips, seed, request, mode, at, neighbour, earlier):
     # The same request at the same instant on a cold forest, on that forest
     # a second time, and on a forest whose memos hold one entry at most, so
-    # that every new plan, scope set and walk key empties them
-    # (`_PLANS_HELD` bounds the plans and the screens with their shared
-    # wire text). That forest is warmed by this request in the other mode;
-    # then by earlier requests: generated ones in either mode at any
+    # that every new plan, scope set and walk key empties them (the plan
+    # memo, the screen memo with its shared wire text, and each plan's
+    # response memo). That forest is warmed by this request in the other
+    # mode; then by earlier requests: generated ones in either mode at any
     # instant, and this one in its mode at its instant with its bag for one
     # attribute taken from a generated one; and last by this request at the
     # `neighbour` instant, whose response the memo then holds. The forest
@@ -215,18 +213,18 @@ def test_the_plan_and_response_memos_change_no_response(pips, seed, request, mod
         first = evaluate(cold, request, mode, at)
         second = evaluate(cold, request, mode, at)
         other_mode = "ignore-tags" if mode == "aware" else "aware"
-        with mock.patch.object(engine, "_PLANS_HELD", 1), mock.patch.object(engine, "_RESPONSES_HELD", 1):
-            warm = ENGINE.compile(forest)
-            variants = [
-                (other, its_mode, its_at) if attribute is None else (_with_bag(request, other, attribute), mode, at)
-                for other, attribute, its_mode, its_at in earlier
-            ]
-            for other, its_mode, its_at in [(request, other_mode, at), *variants, (request, mode, neighbour)]:
-                # The memo holds the previous request's response: it
-                # must not be this one's unless a cold forest agrees.
-                got = evaluate(warm, other, its_mode, its_at)
-                assert got == evaluate(ENGINE.compile(forest), other, its_mode, its_at)
-            warmed = evaluate(warm, request, mode, at)
+        warm = ENGINE.compile(forest)
+        warm._plans.bound = warm._screens.bound = warm.responses_held = 1
+        variants = [
+            (other, its_mode, its_at) if attribute is None else (_with_bag(request, other, attribute), mode, at)
+            for other, attribute, its_mode, its_at in earlier
+        ]
+        for other, its_mode, its_at in [(request, other_mode, at), *variants, (request, mode, neighbour)]:
+            # The memo holds the previous request's response: it
+            # must not be this one's unless a cold forest agrees.
+            got = evaluate(warm, other, its_mode, its_at)
+            assert got == evaluate(ENGINE.compile(forest), other, its_mode, its_at)
+        warmed = evaluate(warm, request, mode, at)
     finally:
         pips.clock.set(parse_instant(NOON))
     body = "\n".join(record.digest_text for record in first.trace)

@@ -1,0 +1,234 @@
+"""The one memo type (`model.Memo`): its bound and counter, the memos a
+monitor names, a twin monitor with every memo off, and threads sharing
+one monitor whose memos are kept small."""
+
+import collections
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from conftest import FIXTURES, wire_request
+from lexgate.cli import _step_request, load_policy_dir, parse_scenario
+from lexgate.context.bundle import load_bundle
+from lexgate.context.clock import FixedClock
+from lexgate.engine import PolicyDecisionPoint
+from lexgate.instant import parse_instant
+from lexgate.model import Memo
+from lexgate.parsing import wire
+from lexgate.pep import AuditLog, AuthState, ReferenceMonitor
+from wire_grammar import wire_requests
+
+SESSION = AuthState("c.miller", "miller-pass-1")
+KEY = "unit-test-key"
+NAMES = {"body", "line", "trusted-bag", "plan", "screen", "location", "legislation"}
+# The packaged requests, each at the instant its header names, in order.
+PACKAGED = (
+    ("portfolio-de-office.req", "2026-03-10T09:10:00Z"),
+    ("login-noon.req", "2026-03-10T12:00:00Z"),
+    ("portfolio-ch-window.req", "2026-03-10T12:45:00Z"),
+)
+
+
+# -- the memo ---------------------------------------------------------------------
+
+
+def test_a_memo_at_bound_zero_stores_nothing():
+    memo = Memo(0)
+    assert memo.put("k", 1) == 1
+    assert memo.put("k", 1) == 1
+    assert len(memo) == 0 and memo.get("k") is None
+    assert memo.misses == 2
+
+
+def test_a_full_memo_is_emptied_before_the_next_put():
+    memo = Memo(2)
+    value = object()
+    assert memo.put("a", 1) == 1 and memo.put("b", 2) == 2
+    assert dict(memo) == {"a": 1, "b": 2}
+    assert memo.put("c", value) is value
+    assert dict(memo) == {"c": value}
+
+
+def test_misses_count_the_puts_and_not_the_lookups():
+    memo = Memo(3)
+    for n in range(5):
+        memo.put(n, str(n))
+    for n in range(10):
+        memo.get(n)
+    assert memo.misses == 5
+    assert dict(memo) == {3: "3", 4: "4"}
+
+
+def test_a_monitor_names_every_memo_it_passes_through():
+    monitor = _monitor(FixedClock(parse_instant("2026-03-10T12:45:00Z")), AuditLog())
+    memos = monitor.memos()
+    assert set(memos) == NAMES
+    assert all(type(memo) is Memo and memo.bound > 0 for memo in memos.values())
+    assert memos["line"] is wire._LINES
+    assert monitor.forest.responses_held > 0
+
+
+def test_no_module_keeps_a_memo_of_its_own_kind():
+    package = Path(wire.__file__).resolve().parents[1]
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "lru_cache" not in text, path
+        assert "_remember" not in text, path
+
+
+# -- the memo-off twin ------------------------------------------------------------
+
+
+def _monitor(clock, audit, key=KEY):
+    documents = load_policy_dir(FIXTURES / "policies")
+    pips = load_bundle(FIXTURES, clock=clock)
+    return ReferenceMonitor(PolicyDecisionPoint(), documents, pips, audit=audit, pseudonym_key=key)
+
+
+class _Twins:
+    """A monitor with its memos, and a twin on the same clock with every
+    memo at bound 0: its own at once, and the line memo, which every
+    monitor shares, swapped for one at bound 0 around each twin request.
+    Each writes an audit file of its own, closed at the end of a `with`
+    block."""
+
+    def __init__(self, directory, clock, key=KEY):
+        self.paths = directory / "memo-on.log", directory / "memo-off.log"
+        self.on = _monitor(clock, AuditLog(self.paths[0]), key)
+        self.off = _monitor(clock, AuditLog(self.paths[1]), key)
+        self.line_off = Memo(0)
+        for name, memo in self.off.memos().items():
+            if name != "line":
+                memo.bound = 0
+        self.off.forest.responses_held = 0
+
+    def send(self, raw, session):
+        """Send the body to both, twice, and check they answer alike."""
+        for _ in range(2):
+            on = self.on.handle_request(raw, session)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(wire, "_LINES", self.line_off)
+                off = self.off.handle_request(raw, session)
+                assert off == on
+
+    def off_memos(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wire, "_LINES", self.line_off)
+            return self.off.memos()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.on.audit.close()
+        self.off.audit.close()
+
+    def check(self):
+        """The audit files are alike, and the twin kept nothing."""
+        on, off = (path.read_bytes() for path in self.paths)
+        assert on and off == on
+        assert {name: len(memo) for name, memo in self.off_memos().items()} == dict.fromkeys(NAMES, 0)
+        assert not self.off.forest._plans  # so no response memo either
+
+
+def test_the_memo_off_twin_answers_the_border_trip_alike(tmp_path):
+    scenario = parse_scenario((FIXTURES / "scenarios" / "border-trip.scenario").read_text())
+    clock = FixedClock(scenario.steps[0].at)
+    with _Twins(tmp_path, clock, scenario.pseudonym_key) as twins:
+        for step in scenario.steps:
+            clock.set(step.at)
+            record = twins.on.pips.identities.get(step.actor)
+            twins.send(_step_request(step, twins.on.pips), AuthState(step.actor, record.credentials))
+    twins.check()
+    # The monitor kept something in each memo, and the twin looked in each.
+    assert all(memo for memo in twins.on.memos().values())
+    assert all(memo.misses for memo in twins.off_memos().values())
+
+
+def test_the_memo_off_twin_answers_the_packaged_requests_alike(tmp_path):
+    clock = FixedClock(parse_instant(PACKAGED[0][1]))
+    with _Twins(tmp_path, clock) as twins:
+        for name, at in PACKAGED:
+            clock.set(parse_instant(at))
+            twins.send((FIXTURES / "requests" / name).read_bytes(), SESSION)
+    twins.check()
+
+
+@settings(max_examples=40, deadline=None)
+@given(wire_requests())
+def test_the_memo_off_twin_answers_grammar_drawn_bodies_alike(tmp_path_factory, raw):
+    clock = FixedClock(parse_instant("2026-03-10T13:40:00Z"))
+    with _Twins(tmp_path_factory.mktemp("twins"), clock) as twins:
+        twins.send(raw, SESSION)
+    twins.check()
+
+
+# -- threads ------------------------------------------------------------------------
+
+
+def _thread_bodies():
+    """1,400 bodies: packaged ones, others at fresh positions, for fresh
+    resources and destinations, and 200 that are no request."""
+    bodies = []
+    for n in range(200):
+        bodies += [
+            wire_request(),
+            wire_request(resource="cust/4711/portfolio", point="47.36 8.53"),
+            wire_request(point=f"{51.4 + n * 1e-4:.4f} -0.099349"),
+            wire_request(resource=f"caller/{n % 50}"),
+            wire_request(extra_lines=(f"destination-country {chr(65 + n % 26)}{chr(65 + n // 26 % 26)}",)),
+            wire_request(subject="a.chen" if n % 2 else "c.miller", point="50.40 8.70"),
+            b"not a request %d\n" % (n % 20) if n % 3 else wire_request()[:40 + n % 30],
+        ]
+    return bodies
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_threads_sharing_one_monitor_and_audit_log_answer_as_one_thread(tmp_path, monkeypatch, threads):
+    clock = FixedClock(parse_instant("2026-03-10T12:45:00Z"))
+    bodies = _thread_bodies()
+    with AuditLog(tmp_path / "sequential.log") as audit:
+        sequential = _monitor(clock, audit)
+        want = [sequential.handle_request(raw, SESSION) for raw in bodies]
+
+    # Memos of four entries, so that the threads keep emptying them.
+    monkeypatch.setattr(wire, "_LINES", Memo(4))
+    shared = _monitor(clock, AuditLog(tmp_path / "shared.log"))
+    for memo in shared.memos().values():
+        memo.bound = 4
+    shared.forest.responses_held = 4
+    got = [None] * len(bodies)
+    failures = []
+
+    def work(start):
+        try:
+            for index in range(start, len(bodies), threads):
+                got[index] = shared.handle_request(bodies[index], SESSION)
+        except Exception as exc:  # reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(start,)) for start in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        shared.audit.close()
+    assert not any(worker.is_alive() for worker in workers)
+    assert failures == []
+    assert got == want
+    text = (tmp_path / "shared.log").read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    assert len(lines) == len(bodies)
+    assert all(len(line.split("|")) == 8 for line in lines)
+    expected = (tmp_path / "sequential.log").read_text(encoding="utf-8").splitlines()
+    assert collections.Counter(lines) == collections.Counter(expected)
+    assert all(len(memo) <= 4 for memo in shared.memos().values())

@@ -6,17 +6,15 @@ import itertools
 import os
 import tracemalloc
 import types
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EVENT_FLOW, make_bundle, watch, wire_request
-from lexgate.context import bundle as bundle_module
 from lexgate.context.bundle import load_bundle
 from lexgate.context.clock import FixedClock
-from lexgate import engine as engine_module, pep
+from lexgate import pep
 from lexgate.engine import PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError, WireFormatError
 from lexgate.instant import parse_instant
@@ -29,6 +27,7 @@ from lexgate.model import (
     Effect,
     FunctionApplication,
     Literal,
+    Memo,
     Obligation,
     STATUS_PROCESSING_ERROR,
     STATUS_SYNTAX_ERROR,
@@ -52,6 +51,21 @@ from wire_grammar import wire_requests
 
 GOOD_SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
+
+
+class _CountedMemo(Memo):
+    """A memo that also counts the lookups that found a value."""
+
+    __slots__ = ("hits",)
+
+    def __init__(self, bound):
+        super().__init__(bound)
+        self.hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += value is not None
+        return value
 
 
 def make_monitor(policy_pack, at, key=KEY, audit=None):
@@ -622,37 +636,36 @@ def test_the_trusted_bag_memo_stays_bounded_over_distinct_resources_and_countrie
 ):
     # Request n names resource caller/n and one of the 676 destination
     # countries; one shared bag is kept per country seen, here at most 64.
-    memo = lru_cache(maxsize=64)(engine_module._trusted_bag.__wrapped__)
-    monkeypatch.setattr(engine_module, "_trusted_bag", memo)
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+    memo = monitor.engine._bags = Memo(64)
 
     def send(n):
         code = f"{chr(65 + n // 26 % 26)}{chr(65 + n % 26)}"
         raw = wire_request(resource=f"caller/{n}", extra_lines=(f"destination-country {code}",))
         monitor.handle_request(raw, GOOD_SESSION)
-        assert memo.cache_info().currsize <= 64
+        assert len(memo) <= 64
 
     assert _held_after_warm_up(send) < 256 * 1024
-    assert memo.cache_info().misses > 676
+    assert memo.misses > 676
 
 
-def test_the_line_memo_stays_bounded_over_long_and_distinct_lines(policy_pack):
+def test_the_line_memo_stays_bounded_over_long_and_distinct_lines(policy_pack, monkeypatch):
     # Request n carries a distinct 10 KB line, which passes by the memo,
     # and a distinct short line, which enters it and is pushed out again.
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    memo = wire._parse_line_once
-    memo.cache_clear()
+    memo = _CountedMemo(wire._LINES.bound)
+    monkeypatch.setattr(wire, "_LINES", memo)
 
     def send(n):
         long_line = f"environment long-note string {n:05d}{'x' * 10_000}"
         short_line = f"environment note string {n}"
         monitor.handle_request(wire_request(extra_lines=(long_line, short_line)), GOOD_SESSION)
-        assert memo.cache_info().currsize <= wire._LINES_HELD
+        assert len(memo) <= memo.bound
 
     # A full memo of 256 short lines holds about 0.1 MiB; one that kept
     # the long lines would hold some 5 MiB.
     assert _held_after_warm_up(send) < 256 * 1024
-    assert memo.cache_info().hits > 0
+    assert memo.hits > 0
 
 
 
@@ -661,21 +674,20 @@ def test_the_body_memo_stays_bounded_over_long_and_distinct_bodies(policy_pack):
     # the memo, and as a distinct short body, which enters it and is
     # pushed out again.
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    memo = pep._read_body_once
-    memo.cache_clear()
+    memo = monitor._bodies = _CountedMemo(monitor._bodies.bound)
 
     def send(n):
         long_note = f"environment long-note string {n:05d}{'x' * 10_000}"
         monitor.handle_request(wire_request(extra_lines=(long_note,)), GOOD_SESSION)
         monitor.handle_request(wire_request(extra_lines=(f"environment note string {n}",)), GOOD_SESSION)
-        assert memo.cache_info().currsize <= pep._BODIES_HELD
+        assert len(memo) <= memo.bound
 
     # A full memo of 256 such short bodies holds about 0.25 MiB, and it
     # is full after the warm-up; one that kept every body would grow by
     # some 90 MiB.
     assert _held_after_warm_up(send) < 256 * 1024
     # Only the 10,000 short bodies were looked up, and none repeated.
-    assert memo.cache_info().misses == 10_000 and memo.cache_info().hits == 0
+    assert memo.misses == 10_000 and memo.hits == 0
 
 
 def test_the_location_memo_stays_bounded_over_distinct_positions(policy_pack):
@@ -686,7 +698,7 @@ def test_the_location_memo_stays_bounded_over_distinct_positions(policy_pack):
 
     def send(n):
         monitor.handle_request(wire_request(point=f"{51.4 + n * 1e-5:.5f} -0.099349"), GOOD_SESSION)
-        assert 0 < len(memo) <= bundle_module._POSITIONS_HELD
+        assert 0 < len(memo) <= memo.bound
 
     # A full memo of 256 reports holds about 0.1 MiB, on top of the 0.2 MiB
     # the body and line memos hold for these requests; a memo that kept
@@ -702,7 +714,7 @@ def test_the_location_memo_stays_bounded_over_distinct_positions(policy_pack):
         pytest.param("string \U0001F600{k}.{i}", True, 4, id="astral-str"),
     ],
 )
-def test_a_full_body_memo_holds_a_few_mib(value, as_text, mib):
+def test_a_full_body_memo_holds_a_few_mib(policy_pack, value, as_text, mib):
     # 256 bodies of the longest kept length, each one subject line and as
     # many distinct attribute lines as fit: the most a memo entry parses to.
     def body(k):
@@ -714,34 +726,36 @@ def test_a_full_body_memo_holds_a_few_mib(value, as_text, mib):
                 return text if as_text else text.encode()
             lines.append(line)
 
-    pep._read_body_once.cache_clear()
-    wire._parse_line_once.cache_clear()
+    # Each body names a subject of its own, so it is read into the memo and
+    # refused as a subject mismatch, before any evaluation.
+    monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
+    memo = monitor._bodies
+    wire._LINES.clear()
     gc.collect()
     tracemalloc.start()
     try:
-        for k in range(pep._BODIES_HELD):
-            pep._read_body_once(body(k))
+        for k in range(memo.bound):
+            monitor._decide(body(k), GOOD_SESSION)
         gc.collect()
         held, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pep._read_body_once.cache_info().currsize == pep._BODIES_HELD
+    assert len(memo) == memo.bound
     assert held < mib * 1024 * 1024
 
 
 def test_the_body_memo_keeps_no_body_of_a_caller_who_did_not_authenticate(policy_pack):
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    memo = pep._read_body_once
-    memo.cache_clear()
+    memo = monitor._bodies = _CountedMemo(monitor._bodies.bound)
     for n in range(10):
         monitor.handle_request(wire_request(resource=f"caller/{n}"), GOOD_SESSION)
-    before = memo.cache_info()
+    before = dict(memo), memo.hits, memo.misses
     for n in range(10, 600):
         for raw in (wire_request(resource=f"caller/{n}"), b"not a request %d" % n):
             monitor.handle_request(raw, AuthState(GOOD_SESSION.user, "wrong-secret"))
             monitor.handle_request(raw, AuthState("mallory", GOOD_SESSION.secret))
-    assert memo.cache_info() == before
-    assert before.currsize == 10
+    assert (dict(memo), memo.hits, memo.misses) == before
+    assert len(before[0]) == 10
 
 
 @pytest.mark.parametrize(
@@ -759,7 +773,6 @@ def test_a_repeated_bad_body_is_refused_with_the_one_refusal_it_first_got(policy
     # The refusal is built, hashed and rendered at the body's first
     # request; later requests with the body share it.
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    pep._read_body_once.cache_clear()
     _request, first, _view = monitor._decide(raw, GOOD_SESSION)
     _request, again, _view = monitor._decide(raw, GOOD_SESSION)
     assert again is first
@@ -772,7 +785,6 @@ def test_a_repeated_bad_body_is_refused_with_the_one_refusal_it_first_got(policy
 
 def test_a_repeated_request_body_is_parsed_once(policy_pack):
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    pep._read_body_once.cache_clear()
     first, _response, _view = monitor._decide(_VALID_REQUEST, GOOD_SESSION)
     again, _response, _view = monitor._decide(_VALID_REQUEST, GOOD_SESSION)
     assert again is first
@@ -781,7 +793,7 @@ def test_a_repeated_request_body_is_parsed_once(policy_pack):
     assert monitor._decide(_VALID_REQUEST.decode(), GOOD_SESSION)[0] is not first
     padded = _VALID_REQUEST + b"#" * pep._LONGEST_BODY_HELD + b"\n"
     assert monitor._decide(padded, GOOD_SESSION)[0] is not monitor._decide(padded, GOOD_SESSION)[0]
-    assert pep._read_body_once.cache_info().currsize == 2
+    assert len(monitor._bodies) == 2
 
 
 # Grammar-drawn bodies, and bodies that are neither bytes nor str: a
@@ -802,11 +814,11 @@ def test_the_body_memo_changes_no_response_and_no_audit_line(policy_pack, tmp_pa
     # Each body is sent three times: cold, again from the memo, and with
     # the memo bypassed. A body that is neither bytes nor str is the
     # `<monitor>` bad-request refusal, and is never kept.
-    pep._read_body_once.cache_clear()
     audit_path = tmp_path_factory.mktemp("audit") / "audit.log"
     sent = []
     with AuditLog(audit_path) as audit:
         monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        monitor._bodies = _CountedMemo(monitor._bodies.bound)
         for longest in (pep._LONGEST_BODY_HELD, pep._LONGEST_BODY_HELD, -1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pep, "_LONGEST_BODY_HELD", longest)  # -1: no body is kept
@@ -816,7 +828,7 @@ def test_the_body_memo_changes_no_response_and_no_audit_line(policy_pack, tmp_pa
             sent.append((response_bytes, lines[-1]))
     assert sent[0] == sent[1] == sent[2]
     kept = type(raw) in (bytes, str)
-    assert pep._read_body_once.cache_info().hits == (kept and len(raw) <= pep._LONGEST_BODY_HELD)
+    assert monitor._bodies.hits == (kept and len(raw) <= pep._LONGEST_BODY_HELD)
     if not kept:
         response, view = parse_response(sent[0][0])
         assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_SYNTAX_ERROR)
