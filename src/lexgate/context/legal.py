@@ -36,7 +36,7 @@ class LegalScopeRegistry:
             raise FixtureError(f"organization scope {organization!r} is not declared")
         self._check_edges()
         self._check_acyclic()
-        self._selected = Memo(len(self._scopes) ** 2)
+        self._selected = Memo(1_024)
 
     def _check_edges(self) -> None:
         for scope in self._scopes.values():

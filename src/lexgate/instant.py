@@ -29,10 +29,8 @@ def format_instant(value: dt.datetime) -> str:
     """The instant in UTC as 'YYYY-MM-DDTHH:MM:SSZ', with '.ffffff' before
     the 'Z' when it has microseconds; the year has four digits, so years
     before 1000 are written zero-padded. Naive values are taken as UTC."""
-    if value.tzinfo is not dt.timezone.utc:
-        if value.tzinfo is None:
-            value = value.replace(tzinfo=dt.timezone.utc)
-        else:
-            value = value.astimezone(dt.timezone.utc)
-    # A UTC value's isoformat ends in '+00:00'.
-    return f"{value.isoformat()[:-6]}Z"
+    if value.tzinfo is not dt.timezone.utc and value.tzinfo is not None:
+        value = value.astimezone(dt.timezone.utc)
+    # The date's and the naive time's isoformat: the datetime's, without
+    # its offset, and without the offset's costly lookup.
+    return f"{value.date().isoformat()}T{value.time().isoformat()}Z"

@@ -12,6 +12,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 
@@ -250,8 +251,9 @@ _LINE_BREAKS = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 # UTF-8 cannot encode.
 _NOT_WIRE_TEXT = re.compile(f"[{_LINE_BREAKS}\ud800-\udfff]")
 # What single_line escapes: that, and the backslash, so that the escaping
-# can be undone.
-_UNSAFE_TEXT = re.compile(f"[\\\\{_LINE_BREAKS}\ud800-\udfff]")
+# can be undone; the body of a regular expression's character class.
+SINGLE_LINE_ESCAPED = f"\\\\{_LINE_BREAKS}\ud800-\udfff"
+_UNSAFE_TEXT = re.compile(f"[{SINGLE_LINE_ESCAPED}]")
 
 
 def _escape(match: re.Match) -> str:
@@ -376,7 +378,11 @@ class ResponseContext:
     """Outcome of one evaluation: decision, status, obligations to fulfil
     and a per-node trace in completion order. The trace is always a
     `Trace`: any other sequence of records is made one here, so every
-    response carries its audit digest and wire text."""
+    response carries its audit digest and wire text.
+
+    The wire head and the obligation ids are found on first use and kept
+    on the response (in its `__dict__`, which `dataclasses.replace` does
+    not copy), so a memoized response renders them once."""
 
     decision: Decision
     status: str = STATUS_OK
@@ -386,6 +392,21 @@ class ResponseContext:
     def __post_init__(self) -> None:
         if type(self.trace) is not Trace:
             object.__setattr__(self, "trace", Trace(self.trace))
+
+    @cached_property
+    def wire_head(self) -> bytes:
+        """The `response`, `decision`, `status`, `obligation` and `param`
+        lines of the wire text, as UTF-8 (`parsing.wire.response_head`,
+        which raises `WireFormatError` and keeps nothing for a param that
+        is not wire text)."""
+        from .parsing.wire import response_head  # wire imports this module
+
+        return response_head(self)
+
+    @cached_property
+    def obligation_ids(self) -> tuple[str, ...]:
+        """The ids of the obligations, in order: the audit record's."""
+        return tuple(ob.id for ob in self.obligations)
 
 
 def refusal(
@@ -413,7 +434,7 @@ class Memo(dict):
     | screen      | `engine.CompiledForest`      | scope set                   | 256            | -                                    |
     | response    | each `engine.Plan`           | walk key                    | responses_held | `<context>` refusals                 |
     | location    | `bundle.LocationSupplier`    | bytes of lat, lon, accuracy | 256            | subject, time; its errors            |
-    | legislation | `legal.LegalScopeRegistry`   | (source, destination)       | len(scopes)²   | `UnknownScopeError`                  |
+    | legislation | `legal.LegalScopeRegistry`   | (source, destination)       | 1,024          | `UnknownScopeError`                  |
 
     `ReferenceMonitor.memos()` names all but the per-plan response memos,
     whose bound `responses_held` is min(32, 2^20 // (256 × documents)), so

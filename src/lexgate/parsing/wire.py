@@ -302,19 +302,25 @@ def serialize_request(request: RequestContext) -> bytes:
 
 def serialize_response(response: ResponseContext, view: Optional[WireView] = None) -> bytes:
     """The response's wire text (docs/wire-format.md), as UTF-8, made in
-    one join: its head lines, its trace's body (`Trace.body`, rendered
-    when the trace was built) and its closing lines."""
-    out = ["response"]
-    out.append(f"decision {response.decision.value}")
-    out.append(f"status {response.status}")
+    one join: its head lines (`ResponseContext.wire_head`, rendered at the
+    response's first serialization and kept), its trace's body
+    (`Trace.body`, rendered when the trace was built) and its closing
+    lines."""
+    closing = b"end\n" if view is None else f"{_view_line(view)}\nend\n".encode("utf-8")
+    return b"".join((response.wire_head, *response.trace.body, closing))
+
+
+def response_head(response: ResponseContext) -> bytes:
+    """The response's head lines as UTF-8: `response`, `decision`,
+    `status`, then each obligation's line and its `param` lines. A param
+    value that is not one line of UTF-8 raises WireFormatError."""
+    out = ["response", f"decision {response.decision.value}", f"status {response.status}"]
     for ob in response.obligations:
         out.append(f"obligation {ob.id} {ob.fulfill_on.value}")
         for name, value in ob.parameters:
             text = _check_single_line(format_typed_value(value), "obligation parameter")
             out.append(f"param {name} {value.data_type.value} {text}".rstrip())
-    head = "\n".join(out) + "\n"
-    closing = b"end\n" if view is None else f"{_view_line(view)}\nend\n".encode("utf-8")
-    return b"".join([head.encode("utf-8"), *response.trace.body, closing])
+    return ("\n".join(out) + "\n").encode("utf-8")
 
 
 def _view_line(view: WireView) -> str:

@@ -35,13 +35,15 @@ carries a view. The audit line and the returned `AuditRecord` carry the
 response's decision and status, except after an audit failure: the
 record returned then is the one whose append failed.
 
-The audit trail is held open: `AuditLog` opens its file at the first
-append, flushes after every record, so each record reaches the operating
-system before the response is returned, and keeps the file open until
-`close()` (or the end of a `with` block). To rotate the file, call
-`close()` and move it; the next append opens the path again. A file moved
-or deleted without `close()` is noticed at the next append, which then
-opens the path again too.
+The audit trail is held open: `AuditLog` opens its file, unbuffered, at
+the first append, writes each record with one `write`, so that it
+reaches the operating system before the response is returned, and keeps
+the file open until `close()` (or the end of a `with` block). To rotate
+the file, call `close()` and move it; the next append opens the path
+again. A file moved or deleted without `close()` is noticed at the next
+append, which then opens the path again too. The monitor stamps each
+record under the log's lock, so the records of threads that share a log
+are appended in the order of their timestamps.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ import hashlib
 import hmac
 import io
 import os
+import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .context.bundle import PipBundle
 from .context.resources import ResourceRecord
@@ -68,6 +71,7 @@ from .model import (
     Obligation,
     PolicyDocument,
     ResponseContext,
+    SINGLE_LINE_ESCAPED,
     STATUS_PROCESSING_ERROR,
     STATUS_SYNTAX_ERROR,
     refusal,
@@ -83,8 +87,7 @@ OB_LIMIT_DURATION = "limit-duration"
 ANONYMIZED_MARKER = "[REDACTED]"
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     at: dt.datetime
     requester: str
     resource: str
@@ -98,13 +101,23 @@ class AuditRecord:
         """One line of UTF-8 text with eight `|`-separated fields: the
         caller-supplied fields are made single-line and `|`-free
         (`_audit_field`), so no request can split its record in two or
-        shift its fields."""
-        obligations = ",".join(self.obligations_executed) or "-"
+        shift its fields. One scan finds the fields that are kept as
+        they are, the usual case."""
+        requester, resource, action = fields = self.requester or "-", self.resource or "-", self.action or "-"
+        if _AUDIT_ESCAPED.search("".join(fields)):
+            requester, resource, action = map(_audit_field, fields)
         return (
-            f"{format_instant(self.at)}|{_audit_field(self.requester)}|"
-            f"{_audit_field(self.resource)}|{_audit_field(self.action)}|"
-            f"{self.decision.value}|{self.status}|{self.trace_digest}|{obligations}"
+            f"{format_instant(self.at)}|{requester}|{resource}|{action}|"
+            f"{_DECISION_TEXT[self.decision]}|{self.status}|{self.trace_digest}|"
+            f"{','.join(self.obligations_executed) or '-'}"
         )
+
+
+# What `_audit_field` changes in a caller-supplied field: what
+# `single_line` escapes, `%` and `|`.
+_AUDIT_ESCAPED = re.compile(f"[%|{SINGLE_LINE_ESCAPED}]")
+# Decision -> its text; reading `Decision.value` is an Enum property call.
+_DECISION_TEXT = {decision: decision.value for decision in Decision}
 
 
 def _audit_field(text: str) -> str:
@@ -121,27 +134,29 @@ class AuditLog:
     """Append-only, monotonically timestamped decision trail. The records
     go to the file; memory holds only the last timestamp written.
 
-    One append-mode stream is opened at the first append, and each record
-    is written as a UTF-8 line and flushed. After an `OSError` from open,
-    write or flush the stream is closed, without writing what the failed
-    record left in its buffer, and `AuditError` is raised; the next append
-    opens the file again. Before each write the path is checked (one
-    `stat`): when the file was moved or deleted since it was opened, the
-    stream is closed and the path opened anew, so the record goes where a
-    reopen per record would put it. One lock orders appends from threads.
-    `close()` may be called any number of times; an append after it
-    reopens the file."""
+    One unbuffered append-mode file is opened at the first append, and
+    each record is written as a UTF-8 line with one `write` (repeated
+    after a short write until the whole line is written), so it reaches
+    the operating system before `append` returns. After an `OSError` from
+    open or write the file is closed and `AuditError` is raised; the next
+    append opens the file again. Before each write the path is checked
+    (one `stat`): when the file was moved or deleted since it was opened,
+    the file is closed and the path opened anew, so the record goes where
+    a reopen per record would put it. `lock` orders appends from threads;
+    it is reentrant, so a caller that holds it while stamping its record
+    appends records in the order of their timestamps. `close()` may be
+    called any number of times; an append after it reopens the file."""
 
     def __init__(self, path: Optional[Path] = None):
         self._path = path
         self._where = None if path is None else os.fspath(path)
-        self._stream: Optional[io.BufferedWriter] = None
+        self._stream: Optional[io.FileIO] = None
         self._file_id: Optional[tuple[int, int]] = None
         self._last_at: Optional[dt.datetime] = None
-        self._lock = threading.Lock()
+        self.lock = threading.RLock()
 
     def append(self, record: AuditRecord) -> None:
-        with self._lock:
+        with self.lock:
             if self._last_at is not None and record.at < self._last_at:
                 raise AuditError("audit timestamps must not decrease")
             if self._path is not None:
@@ -149,18 +164,17 @@ class AuditLog:
                     if self._stream is not None and self._moved():
                         self.close()
                     if self._stream is None:
-                        self._stream = open(self._path, "ab")
+                        self._stream = open(self._path, "ab", buffering=0)
                         opened = os.fstat(self._stream.fileno())
                         self._file_id = opened.st_ino, opened.st_dev
-                    self._stream.write(f"{record.to_line()}\n".encode("utf-8"))
-                    self._stream.flush()
+                    line = f"{record.to_line()}\n".encode("utf-8")
+                    written = self._stream.write(line)
+                    while written < len(line):
+                        line = line[written:]
+                        written = self._stream.write(line)
                 except OSError as exc:
-                    stream, self._stream = self._stream, None
-                    if stream is not None:
-                        # Close the file under the buffer: stream.close() would
-                        # try once more to write the record this error refused.
-                        with contextlib.suppress(OSError):
-                            stream.raw.close()
+                    with contextlib.suppress(OSError):
+                        self.close()
                     raise AuditError(f"audit storage failed: {exc}") from exc
             self._last_at = record.at
 
@@ -305,23 +319,21 @@ class ReferenceMonitor:
         """Decide, audit, respond: the one exit of every request (see the
         module docstring for the responses it can give)."""
         request, response, view = self._decide(raw, session)
-        record = AuditRecord(
-            at=self.pips.clock.now_utc(),
-            requester=session.user,
-            resource=(request.resource_id() or "") if request else "",
-            action=(request.action_id() or "") if request else "",
-            decision=response.decision,
-            status=response.status,
-            trace_digest=response.trace.digest,
-            obligations_executed=tuple(ob.id for ob in response.obligations),
-        )
-        try:
-            self.audit.append(record)
-        except AuditError as exc:
-            response = refusal(
-                "<audit>", Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, str(exc), response.trace
+        resource = (request.resource_id() or "") if request else ""
+        action = (request.action_id() or "") if request else ""
+        # Stamped under the log's lock, so threads append in time order.
+        with self.audit.lock:
+            record = AuditRecord(
+                self.pips.clock.now_utc(), session.user, resource, action, response.decision,
+                response.status, response.trace.digest, response.obligation_ids,
             )
-            view = None
+            try:
+                self.audit.append(record)
+            except AuditError as exc:
+                response = refusal(
+                    "<audit>", Decision.INDETERMINATE, STATUS_PROCESSING_ERROR, str(exc), response.trace
+                )
+                view = None
         return serialize_response(response, view), record
 
     def _decide(

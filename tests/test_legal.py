@@ -1,3 +1,7 @@
+import gc
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,3 +122,25 @@ def test_adding_a_membership_edge_never_shrinks_results(registry, a, b, child, p
         return  # the extra edge would create a cycle; not a comparable case
     after = grown_registry.select_legislation(a, b)
     assert before <= after
+
+
+def test_the_legislation_memo_stays_bounded_over_distinct_pairs():
+    # 150 states give 22,500 pairs; unbounded, the 20,000 asked would hold
+    # some 6 MiB of scope sets.
+    states = [LegalScope(f"S{n:03d}", "sovereign-state", frozenset({"U"} if n % 2 else ())) for n in range(150)]
+    registry = LegalScopeRegistry(
+        [LegalScope("U", "union"), LegalScope("org", "organization"), *states], organization="org"
+    )
+    pairs = itertools.islice(itertools.product([state.id for state in states], repeat=2), 20_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for source, destination in pairs:
+            assert registry.select_legislation(source, destination) >= {source, destination, "org"}
+            assert len(registry._selected) <= 1_024
+        gc.collect()
+        _held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert registry._selected.misses == 20_000
+    assert peak < 1 << 20  # a full memo holds about 0.3 MiB

@@ -1,9 +1,12 @@
 import dataclasses
 import datetime as dt
+import errno
 import gc
 import hashlib
 import itertools
 import os
+import sys
+import threading
 import tracemalloc
 import types
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EVENT_FLOW, make_bundle, watch, wire_request
 from lexgate.context.bundle import load_bundle
-from lexgate.context.clock import FixedClock
+from lexgate.context.clock import FixedClock, SystemClock
 from lexgate import pep
 from lexgate.engine import PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError, WireFormatError
@@ -399,13 +402,102 @@ def test_unwritable_audit_storage_yields_processing_error(policy_pack, tmp_path)
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 def test_a_failed_flush_yields_processing_error(policy_pack):
-    # /dev/full accepts the open and the buffered write; only the flush
-    # that hands the record to the operating system fails.
+    # /dev/full accepts the open; the one unbuffered write that hands the
+    # record to the operating system fails, each time the file is reopened.
     with AuditLog(Path("/dev/full")) as audit:
         monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
         for _ in range(2):
             response_bytes, _ = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
             _assert_audit_failure(response_bytes)
+
+
+class _InjectedFile:
+    """An opened audit file whose writes take at most `most` bytes each,
+    or raise `OSError` when `most` is None."""
+
+    def __init__(self, file, most):
+        self.file, self.most, self.writes = file, most, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.most is None:
+            raise OSError(errno.EIO, "injected write failure")
+        return self.file.write(data[: self.most])
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def close(self):
+        self.file.close()
+
+
+def _inject(monkeypatch, *mosts):
+    """Make the audit log's next opens return `_InjectedFile`s with these
+    `most`s, in turn; the opened files are returned."""
+    opened, mosts = [], iter(mosts)
+
+    def injected_open(*args, **kwargs):
+        opened.append(_InjectedFile(open(*args, **kwargs), next(mosts)))
+        return opened[-1]
+
+    monkeypatch.setattr(pep, "open", injected_open, raising=False)
+    return opened
+
+
+def test_a_short_write_still_lands_the_whole_line(tmp_path, monkeypatch):
+    audit_path = tmp_path / "audit.log"
+    opened = _inject(monkeypatch, 3)
+    with AuditLog(audit_path) as log:
+        log.append(_record(1))
+        log.append(_record(2))
+    lines = [_record(1).to_line() + "\n", _record(2).to_line() + "\n"]
+    assert audit_path.read_text() == "".join(lines)
+    assert len(opened) == 1 and opened[0].file.closed
+    assert opened[0].writes == sum(-(-len(line) // 3) for line in lines)
+
+
+def test_a_failed_write_yields_processing_error_and_the_next_append_reopens(policy_pack, tmp_path, monkeypatch):
+    audit_path = tmp_path / "audit.log"
+    opened = _inject(monkeypatch, None, 1 << 20)
+    with AuditLog(audit_path) as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        failed, _ = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+        _assert_audit_failure(failed)
+        assert len(opened) == 1 and opened[0].file.closed
+        response_bytes, record = monitor.handle_request(_PERMITTED_REQUEST, GOOD_SESSION)
+        assert parse_response(response_bytes)[0].decision is Decision.PERMIT
+        assert len(opened) == 2 and not opened[1].file.closed
+    assert audit_path.read_text() == record.to_line() + "\n"
+
+
+def test_threads_sharing_a_monitor_append_in_timestamp_order(policy_pack, tmp_path):
+    # Each record is stamped under the log's lock: stamped before it, a
+    # thread switch could let a later stamp be appended first, and the
+    # earlier one would then be refused as a step back of the clock.
+    audit_path = tmp_path / "audit.log"
+    pips = dataclasses.replace(make_bundle("2026-03-10T13:40:00Z"), clock=SystemClock())
+    refused = []
+
+    def send(monitor):
+        for _ in range(2_000):
+            response_bytes, _record = monitor.handle_request(wire_request(), GOOD_SESSION)
+            refused.append(b"<audit>" in response_bytes)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many thread switches, each a chance to interleave
+    try:
+        with AuditLog(audit_path) as audit:
+            monitor = ReferenceMonitor(PolicyDecisionPoint(), policy_pack, pips, audit=audit, pseudonym_key=KEY)
+            threads = [threading.Thread(target=send, args=(monitor,)) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(refused) == 4_000 and not any(refused)
+    stamps = [parse_instant(line.split("|")[0]) for line in audit_path.read_text().splitlines()]
+    assert len(stamps) == 4_000 and stamps == sorted(stamps)
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
