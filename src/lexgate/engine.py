@@ -612,7 +612,6 @@ class PolicyDecisionPoint:
         trace: list[TraceRecord] = []
         visited: list[TraceRecord] = []
         mark = 0
-        key = None
         try:
             ctx = self._build_context(request, pips)
             # An undeclared country is refused in both modes; ignoring the
@@ -623,11 +622,10 @@ class PolicyDecisionPoint:
             if legislation_mode == "ignore-tags":
                 ctx.applicable_scopes = forest.scopes
             plan = forest.plan(ctx)
-            if plan.walk_key is not None:
-                key = plan.walk_key(ctx)
-                response = plan.responses.get(key)
-                if response is not None:
-                    return response
+            key = plan.walk_key(ctx)
+            response = plan.responses.get(key)
+            if response is not None:
+                return response
             runs, views = plan.runs, plan.views
             trace += runs[0]
             body = [views[0]]
@@ -651,9 +649,7 @@ class PolicyDecisionPoint:
         # for the final decision.
         obligations = [ob for record in visited if record.decision is final for ob in record.obligations]
         response = ResponseContext(final, STATUS_OK, tuple(obligations), Trace(trace, tuple(body)))
-        if key is not None:
-            plan.responses.put(key, response)
-        return response
+        return plan.responses.put(key, response)
 
 
 # -- the compiled forest -----------------------------------------------------------
@@ -694,7 +690,7 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
 # The plan and screen memos' bound, and the terms of `responses_held`.
 _PLANS_HELD = 256
 _RESPONSES_HELD = 32
-_TRACE_RECORDS_HELD = 1 << 20
+_PLAN_RECORDS_HELD = 4096
 
 
 class Screen(NamedTuple):
@@ -723,9 +719,8 @@ class Plan(NamedTuple):
     runs: tuple[tuple[TraceRecord, ...], ...]
     # The documents to walk, in document order.
     walk: tuple[int, ...]
-    # The walk key of a request (`_walk_key`); None when the plan keeps no
-    # responses.
-    walk_key: Optional[Callable[[EvaluationContext], tuple]]
+    # The walk key of a request (`_walk_key`).
+    walk_key: Callable[[EvaluationContext], tuple]
     # The finished responses by walk key.
     responses: Memo
     # Per run, the view of its records' wire lines in the screen's text.
@@ -734,7 +729,6 @@ class Plan(NamedTuple):
 
 _TIME_ORDER = ("function:time-greater-than-or-equal", "function:time-less-than-or-equal")
 _TIME_ONE_AND_ONLY = "function:time-one-and-only"
-_LOCATION_MATCH = "function:location-match"
 
 
 def _compared_time(expr: FunctionApplication) -> Optional[tuple[AttributeSelector, object]]:
@@ -774,12 +768,12 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
     value, (data type, payload type, payload), except an attribute whose
     every read compares it, as a match clause or the time-one-and-only of
     its selector, by time order with a time literal: its naive times give
-    their place among those literals (`_time_slot`). A location-match
-    adds the source country, the zone and the zone tree."""
+    their place among those literals (`_time_slot`). Every key ends with
+    the source country, the zone and the zone tree, which location-match
+    reads wherever it stands, in a target clause or a condition."""
     # Per attribute read, the time literals it is compared with; None once
     # a read needs its exact values.
     literals: dict[tuple[Category, str], Optional[set]] = {}
-    location = False
 
     def read(category: Category, attribute_id: str, literal: object = None) -> None:
         attribute = (category, attribute_id)
@@ -792,13 +786,11 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
 
     def visit(expr: ConditionExpr) -> None:
         """Note what the expression reads."""
-        nonlocal location
         if isinstance(expr, AttributeSelector):
             read(expr.category, expr.attribute_id)
             return
         if not isinstance(expr, FunctionApplication):
             return
-        location = location or expr.function == _LOCATION_MATCH
         compared = _compared_time(expr)
         if compared is not None:
             selector, literal = compared
@@ -836,9 +828,8 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
             key.append(len(bag))
             for value in bag:
                 key += _time_slot(value, times)
-        if location:
-            report = ctx.source_location
-            key += (ctx.source_country, None if report is None else report.zone, ctx.pips.zones)
+        report = ctx.source_location
+        key += (ctx.source_country, None if report is None else report.zone, ctx.pips.zones)
         return tuple(key)
 
     return walk_key
@@ -877,9 +868,11 @@ class CompiledForest:
     Under one plan, the walk is a function of what the walked documents
     read: the bags their target clauses and selectors read (a time
     compared only by order with time literals counts by its place among
-    those literals) and, for location-match, the source country, zone
-    and zone tree. That is the walk key (`_walk_key`), derived when the
-    plan is made. A plan maps it to the finished `ResponseContext`
+    those literals) and the source country, zone and zone tree, which
+    location-match reads in a target clause or a condition. That is the
+    walk key (`_walk_key`), derived when the plan is made; besides the
+    bags and the location, a walk reads only the scopes, which the plan
+    key holds. A plan maps it to the finished `ResponseContext`
     (decision, status, obligations and the `Trace` with its digest and
     body), so a request whose walk key was seen before gets that response
     without a walk, a trace build or a hash. Its obligations are those its
@@ -887,7 +880,8 @@ class CompiledForest:
     Only responses of a completed walk are kept, never the `<context>`
     error response. The plan, screen and response memos are `model.Memo`s,
     bounded as its table says; a plan's response memo takes its bound from
-    `responses_held` when the plan is made.
+    `responses_held` when the plan is made, and keeps at least one
+    response at any forest size.
 
     A walked root runs as the closures `engine` compiles it to, the first
     time a request walks it. Build one with `PolicyDecisionPoint.compile`;
@@ -922,9 +916,7 @@ class CompiledForest:
         self.engine = engine
         self.scopes = frozenset(scopes)
         self.roots = tuple(document.root for document in documents)
-        self.responses_held = min(
-            _RESPONSES_HELD, _TRACE_RECORDS_HELD // (_PLANS_HELD * max(1, len(self.roots)))
-        )
+        self.responses_held = max(1, min(_RESPONSES_HELD, _PLAN_RECORDS_HELD // max(1, len(self.roots))))
         self._walks: list[Optional[Walk]] = [None] * len(self.roots)
         self._screens = Memo(_PLANS_HELD)
         self._plans = Memo(_PLANS_HELD)
@@ -991,9 +983,7 @@ class CompiledForest:
         walk = sorted(screen.candidates & matching)
         bounds = list(zip([-1, *walk], [*walk, len(self.roots)]))
         runs = tuple(screen.records[start + 1:end] for start, end in bounds)
-        walk_key = None
-        if self.responses_held:
-            walk_key = _walk_key([self.roots[index] for index in walk])
+        walk_key = _walk_key([self.roots[index] for index in walk])
         text, offsets = memoryview(screen.text), screen.offsets
         views = tuple(text[offsets[start + 1]:offsets[end]] for start, end in bounds)
         return Plan(runs, tuple(walk), walk_key, Memo(self.responses_held), views)

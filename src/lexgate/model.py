@@ -432,13 +432,14 @@ class Memo(dict):
     | trusted-bag | `engine.PolicyDecisionPoint` | (data type, trusted value)  | 1,024          | request values but a destination     |
     | plan        | `engine.CompiledForest`      | scopes, root literals hit   | 256            | caller text that is no root literal  |
     | screen      | `engine.CompiledForest`      | scope set                   | 256            | -                                    |
-    | response    | each `engine.Plan`           | walk key                    | responses_held | `<context>` refusals                 |
+    | response    | each `engine.Plan`           | walk key with the location  | responses_held | `<context>` refusals                 |
     | location    | `bundle.LocationSupplier`    | bytes of lat, lon, accuracy | 256            | subject, time; its errors            |
     | legislation | `legal.LegalScopeRegistry`   | (source, destination)       | 1,024          | `UnknownScopeError`                  |
 
     `ReferenceMonitor.memos()` names all but the per-plan response memos,
-    whose bound `responses_held` is min(32, 2^20 // (256 × documents)), so
-    that all the responses hold at most 2^20 trace records."""
+    whose bound `responses_held` is max(1, min(32, 4,096 // documents)):
+    a plan's responses hold at most 4,096 trace records, or one response
+    past 4,096 documents."""
 
     __slots__ = ("bound", "misses")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from lexgate.engine import PolicyDecisionPoint
 from lexgate.instant import parse_instant
 
 FIXTURES = default_fixtures_root()
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +24,18 @@ def fixtures_root() -> Path:
 @pytest.fixture(scope="session")
 def policy_pack():
     return load_policy_dir(FIXTURES / "policies")
+
+
+@pytest.fixture(scope="session")
+def bench():
+    """perfbench/run.py, the benchmark harness, as a module."""
+    # run.py resolves the checkout from the working directory at import.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO)
+        spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

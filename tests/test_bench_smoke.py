@@ -8,23 +8,12 @@ handle_request or grow the audit trail by other than one line).
 """
 
 import importlib.util
-from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO
+
 REQUESTS = 48
-
-
-@pytest.fixture(scope="module")
-def bench():
-    # run.py resolves the checkout from the working directory at import.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.chdir(REPO)
-        spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        yield module
 
 
 @pytest.fixture

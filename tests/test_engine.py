@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import datetime as dt
+import gc
 import pickle
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -623,6 +625,73 @@ def test_a_forest_gives_each_bundle_its_own_location_match(engine):
     for _ in range(2):
         assert engine.evaluate(forest, request, packaged).decision is Decision.PERMIT
         assert engine.evaluate(forest, request, dissolved).decision is Decision.NOT_APPLICABLE
+
+
+CUSTOMS_HALL_POINT = "51.505 0.05"  # GB, in the LCY customs restricted area
+
+
+@pytest.mark.parametrize("mode, literal, points, decisions", [
+    # London (GB) and Zurich (CH) observe other scopes, so only under
+    # ignore-tags do they share a plan; the customs hall and the bank are
+    # both in GB.
+    ("ignore-tags", "GB", (LONDON_POINT, "47.36 8.53"), ("Permit", "NotApplicable")),
+    ("aware", "restricted", (CUSTOMS_HALL_POINT, LONDON_POINT), ("Permit", "NotApplicable")),
+    ("aware", "restricted", (LONDON_POINT, CUSTOMS_HALL_POINT), ("NotApplicable", "Permit")),
+])
+def test_a_location_match_in_a_target_keys_the_response_on_the_location(engine, mode, literal, points, decisions):
+    # The target asks location-match of the action's value and the
+    # literal: true where the literal names the source. The requests carry
+    # the same bags, so they share a plan and differ only in the location.
+    where = MatchClause("action-id", "function:location-match", AttributeValue(DataType.STRING, literal))
+    documents = [document(policy("where", [rule("where-r", Effect.PERMIT)], target=Target(actions=(where,))))]
+    assert validate_document(documents[0]) == []
+    forest = engine.compile(documents)
+    pips = make_bundle(NOON)
+    for point, decision in zip(points, decisions):
+        request = parse_request(wire_request(point=point))
+        warm = engine.evaluate(forest, request, pips, legislation_mode=mode)
+        cold = engine.evaluate(engine.compile(documents), request, pips, legislation_mode=mode)
+        assert warm == cold
+        assert serialize_response(warm) == serialize_response(cold)
+        assert trace_digest(warm.trace) == trace_digest(cold.trace)
+        assert warm.decision.value == decision
+    assert len(forest._plans) == 1
+
+
+def test_a_forest_of_more_than_4096_documents_keeps_one_response_per_plan(engine):
+    # One-rule documents, each keyed on a resource-id literal of its own.
+    documents = [
+        document(policy(f"lit-{i}", [rule(f"lit-{i}-r", Effect.DENY)],
+                        target=Target(resources=(string_clause("resource-id", f"lit/{i}"),))))
+        for i in range(4100)
+    ]
+    forest = engine.compile(documents)
+    assert forest.responses_held == 1
+    pips = make_bundle(NOON)
+    request = parse_request(wire_request(resource="lit/0"))
+    first = engine.evaluate(forest, request, pips)
+    assert first.decision is Decision.DENY
+    assert engine.evaluate(forest, request, pips) is first
+    # 300 plans of one walked document each, every one asked with two
+    # walk keys: the resource-id bag also holds a value no document names.
+    requests = [
+        parse_request(wire_request(resource=f"lit/{n}", extra_lines=(f"resource resource-id string caller/{k}",)))
+        for n in range(300)
+        for k in range(2)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for request in requests:
+            engine.evaluate(forest, request, pips)
+        _held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A plan's runs hold a reference per document, and so does the trace
+    # of the one response it keeps: two references of 8 bytes per document
+    # for each of the 256 plans the memo holds, with room for what else a
+    # plan keeps, and none for a second response.
+    assert peak < 256 * len(documents) * 8 * 3
 
 
 # -- typed closures and trusted bags ---------------------------------------------

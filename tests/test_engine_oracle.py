@@ -15,9 +15,9 @@ values of one type, and a further property evaluates single comparisons,
 so a typed one-and-only meets the two-value bags it must refuse.
 A second property checks the plan, screen and response memos: a request
 gives the same response, bytes and digest on a cold forest, on a second
-call and on a forest warmed by other requests at other instants, with
-the local time at, and 1 µs to either side of, each time literal that
-the forest compares it with; and each of those
+call and on a forest warmed by other requests at other instants and
+from other places, with the local time at, and 1 µs to either side of,
+each time literal that the forest compares it with; and each of those
 responses serializes, from the forest's shared wire text, to the bytes
 its records give line by line. The forests' node ids include non-ASCII
 ones, so a byte offset taken for a character offset shows in the bytes.
@@ -71,6 +71,8 @@ NOON = "2026-03-10T12:00:00Z"
 # processing error.
 LAND = (GeoPoint(51.507861, -0.099349), GeoPoint(47.36, 8.53), GeoPoint(50.40, 8.70))
 POINTS = LAND * 3 + (GeoPoint(0.0, 0.0),)
+# The hours by which each point's local time is ahead of UTC.
+UTC_OFFSETS = dict(zip(POINTS, (0, 1, 1) * 3 + (0,)))
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +160,11 @@ CLOCK_DOCUMENT = document(policy("clock", [
          Target(environments=(MatchClause("current-time", "function:time-less-than-or-equal", literal),))),
     )
 ], combining="first-applicable"))
+# A document whose target reads the location: its location-match on the
+# user id, which every request carries, is true for a GB source.
+PLACE_DOCUMENT = document(policy("place", [rule("place-r", Effect.PERMIT)], target=Target(
+    subjects=(MatchClause("user-id", "function:location-match", AttributeValue(DataType.STRING, "GB")),),
+)))
 INSTANTS = [
     dt.datetime.combine(dt.date(2026, 3, 10), time, tzinfo=dt.timezone.utc) + step - offset
     for time in TIMES
@@ -167,8 +174,10 @@ INSTANTS = [
 MODES = st.sampled_from(("aware", "ignore-tags"))
 
 
-# The attributes whose bags generated requests vary.
-VARIED = (*TARGET_LITERALS, (Category.ENVIRONMENT, "level"))
+# The attributes whose bags generated requests vary, and their position,
+# which location-match reads through the source country and zone.
+POSITION = (Category.ENVIRONMENT, "current-position")
+VARIED = (*TARGET_LITERALS, (Category.ENVIRONMENT, "level"), POSITION)
 
 
 def _with_bag(request, other, attribute):
@@ -198,11 +207,16 @@ def test_the_plan_and_response_memos_change_no_response(pips, seed, request, mod
     # response memo). That forest is warmed by this request in the other
     # mode; then by earlier requests: generated ones in either mode at any
     # instant, and this one in its mode at its instant with its bag for one
-    # attribute taken from a generated one; and last by this request at the
-    # `neighbour` instant, whose response the memo then holds. The forest
-    # ends with CLOCK_DOCUMENT, so a walk key that put two sides of a time
-    # literal together would show.
-    forest = [*random_forest(random.Random(seed), hostile=True), CLOCK_DOCUMENT]
+    # attribute taken from a generated one. A position taken so (another of
+    # the POINTS) follows this request itself, in each mode, and is sent at
+    # the instant with the same local time, so the two differ in their
+    # location alone, which a target's location-match reads (under
+    # ignore-tags, a request from another country keeps its plan); and
+    # last by this request at the `neighbour` instant, whose response the
+    # memo then holds. The forest ends with PLACE_DOCUMENT and
+    # CLOCK_DOCUMENT, so a walk key that left out the location, or put two
+    # sides of a time literal together, would show.
+    forest = [*random_forest(random.Random(seed), hostile=True), PLACE_DOCUMENT, CLOCK_DOCUMENT]
 
     def evaluate(compiled, request, mode, at):
         pips.clock.set(at)
@@ -215,10 +229,20 @@ def test_the_plan_and_response_memos_change_no_response(pips, seed, request, mod
         other_mode = "ignore-tags" if mode == "aware" else "aware"
         warm = ENGINE.compile(forest)
         warm._plans.bound = warm._screens.bound = warm.responses_held = 1
-        variants = [
-            (other, its_mode, its_at) if attribute is None else (_with_bag(request, other, attribute), mode, at)
-            for other, attribute, its_mode, its_at in earlier
-        ]
+        variants = []
+        for other, attribute, its_mode, its_at in earlier:
+            if attribute is None:
+                variants.append((other, its_mode, its_at))
+                continue
+            moved = _with_bag(request, other, attribute)
+            if attribute != POSITION:
+                variants.append((moved, mode, at))
+                continue
+            (here,), (there,) = (r.bag(*POSITION) for r in (request, moved))
+            shift = dt.timedelta(hours=UTC_OFFSETS[here.value] - UTC_OFFSETS[there.value])
+            variants += [pair for its_mode in ("aware", "ignore-tags") for pair in (
+                (request, its_mode, at), (moved, its_mode, at + shift)
+            )]
         for other, its_mode, its_at in [(request, other_mode, at), *variants, (request, mode, neighbour)]:
             # The memo holds the previous request's response: it
             # must not be this one's unless a cold forest agrees.

@@ -3,6 +3,7 @@ monitor names, a twin monitor with every memo off, and threads sharing
 one monitor whose memos are kept small."""
 
 import collections
+import itertools
 import sys
 import threading
 from pathlib import Path
@@ -89,16 +90,15 @@ def _monitor(clock, audit, key=KEY):
 
 
 class _Twins:
-    """A monitor with its memos, and a twin on the same clock with every
-    memo at bound 0: its own at once, and the line memo, which every
-    monitor shares, swapped for one at bound 0 around each twin request.
-    Each writes an audit file of its own, closed at the end of a `with`
-    block."""
+    """A monitor with its memos, and a twin with every memo at bound 0:
+    its own at once, and the line memo, which every monitor shares,
+    swapped for one at bound 0 around each twin request. `build` makes
+    each from the path of its own audit file, which is closed at the end
+    of a `with` block."""
 
-    def __init__(self, directory, clock, key=KEY):
+    def __init__(self, directory, build):
         self.paths = directory / "memo-on.log", directory / "memo-off.log"
-        self.on = _monitor(clock, AuditLog(self.paths[0]), key)
-        self.off = _monitor(clock, AuditLog(self.paths[1]), key)
+        self.on, self.off = (build(path) for path in self.paths)
         self.line_off = Memo(0)
         for name, memo in self.off.memos().items():
             if name != "line":
@@ -137,7 +137,7 @@ class _Twins:
 def test_the_memo_off_twin_answers_the_border_trip_alike(tmp_path):
     scenario = parse_scenario((FIXTURES / "scenarios" / "border-trip.scenario").read_text())
     clock = FixedClock(scenario.steps[0].at)
-    with _Twins(tmp_path, clock, scenario.pseudonym_key) as twins:
+    with _Twins(tmp_path, lambda path: _monitor(clock, AuditLog(path), scenario.pseudonym_key)) as twins:
         for step in scenario.steps:
             clock.set(step.at)
             record = twins.on.pips.identities.get(step.actor)
@@ -150,7 +150,7 @@ def test_the_memo_off_twin_answers_the_border_trip_alike(tmp_path):
 
 def test_the_memo_off_twin_answers_the_packaged_requests_alike(tmp_path):
     clock = FixedClock(parse_instant(PACKAGED[0][1]))
-    with _Twins(tmp_path, clock) as twins:
+    with _Twins(tmp_path, lambda path: _monitor(clock, AuditLog(path))) as twins:
         for name, at in PACKAGED:
             clock.set(parse_instant(at))
             twins.send((FIXTURES / "requests" / name).read_bytes(), SESSION)
@@ -161,8 +161,28 @@ def test_the_memo_off_twin_answers_the_packaged_requests_alike(tmp_path):
 @given(wire_requests())
 def test_the_memo_off_twin_answers_grammar_drawn_bodies_alike(tmp_path_factory, raw):
     clock = FixedClock(parse_instant("2026-03-10T13:40:00Z"))
-    with _Twins(tmp_path_factory.mktemp("twins"), clock) as twins:
+    with _Twins(tmp_path_factory.mktemp("twins"), lambda path: _monitor(clock, AuditLog(path))) as twins:
         twins.send(raw, SESSION)
+    twins.check()
+
+
+@pytest.mark.parametrize("workload", ["pack-mix", "forest-600", "world-200", "reject-mix"])
+def test_the_memo_off_twin_answers_a_benchmark_stream_alike(tmp_path, bench, workload):
+    # The first requests of the workload's generated stream, each monitor
+    # loaded as the benchmark loads it, on its own clock set to each
+    # request's instant.
+    program = bench.import_program()
+    meta = bench.generate(workload, 1, tmp_path / "fixtures")
+
+    def build(path):
+        return bench.set_up(program, tmp_path / "fixtures", path, meta["pseudonym_key"], 1)[0]
+
+    with _Twins(tmp_path, build) as twins:
+        stream = bench.request_stream(tmp_path / "fixtures", meta)
+        for _round, at, user, secret, raw, _outcome, _kind in itertools.islice(stream, 200):
+            twins.on.pips.clock.set(at)
+            twins.off.pips.clock.set(at)
+            twins.send(raw, AuthState(user, secret))
     twins.check()
 
 

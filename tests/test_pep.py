@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import EVENT_FLOW, make_bundle, watch, wire_request
 from lexgate.context.bundle import load_bundle
 from lexgate.context.clock import FixedClock, SystemClock
-from lexgate import pep
+from lexgate import cli, pep
 from lexgate.engine import PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError, WireFormatError
 from lexgate.instant import parse_instant
@@ -721,6 +721,45 @@ def test_the_response_memo_stays_bounded_over_walk_keys_that_never_repeat(policy
     # A full memo of 32 responses holds under 0.1 MiB; a memo that kept
     # every response would hold some 11 MiB.
     assert _held_after_warm_up(send) < 512 * 1024
+
+
+_RESTRICTED_ACTION_POLICY = """\
+<Policy PolicyId="RestrictedAction" RuleCombiningAlgId="rule-combining-algorithm:deny-overrides">
+  <Target>
+    <Actions>
+      <Match AttributeId="action-id" MatchId="function:location-match">
+        <AttributeValue DataType="XMLSchema#string">restricted</AttributeValue>
+      </Match>
+    </Actions>
+  </Target>
+  <Rule RuleId="PermitInRestrictedZone" Effect="Permit"/>
+</Policy>
+"""
+
+
+def test_a_monitor_answers_a_location_matching_target_by_the_location(tmp_path, fixtures_root, capsys):
+    # The customs hall and the bank are both in GB, and the two requests
+    # differ only in their position: one plan, and a walk key that must
+    # still tell a restricted zone from an unrestricted one.
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    (policy_dir / "restricted-action.xml").write_text(_RESTRICTED_ACTION_POLICY, encoding="utf-8")
+    assert cli.main(["validate", str(policy_dir), "--scopes", str(fixtures_root / "scopes.txt")]) == 0
+    capsys.readouterr()
+    documents = cli.load_policy_dir(policy_dir)
+    at = "2026-03-10T12:45:00Z"
+    monitor, _pips = make_monitor(documents, at, audit=AuditLog())
+    for points in (("51.505 0.05", "51.507861 -0.099349"), ("51.507861 -0.099349", "51.505 0.05")):
+        decisions = []
+        for point in points:
+            raw = wire_request(point=point)
+            response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+            cold, _ = make_monitor(documents, at, audit=AuditLog())
+            # The same bytes, and the same audit record with its trace digest.
+            assert (response_bytes, record) == cold.handle_request(raw, GOOD_SESSION)
+            response, _view = parse_response(response_bytes)
+            decisions.append(response.decision)
+        assert set(decisions) == {Decision.PERMIT, Decision.NOT_APPLICABLE}
 
 
 def test_the_trusted_bag_memo_stays_bounded_over_distinct_resources_and_countries(
