@@ -5,18 +5,29 @@ The tree is loaded from an XML fixture (see docs/fixture-formats.md):
 territories nest, countries carry a boundary polygon, a timezone, named
 restricted polygons (customs areas and the like), city polygons and named
 places that scenarios can reference instead of raw coordinates.
+
+`resolve_location` finds a point's candidate countries through a uniform
+grid over the country boxes (W. R. Franklin, "Adaptive grids for geometric
+operations", 1984). Each grid cell is cut into sub-cells, and a sub-cell
+that no country or restricted-area edge meets, inside one country, answers
+the points whose accuracy disc it holds without a polygon or disc test:
+the cell-based point-in-polygon test of B. Žalik and I. Kolingerová ("A
+cell-based point-in-polygon algorithm suitable for large sets of points",
+Computers & Geosciences 2001). A cell's sub-cells are classified at the
+first point that lands in the cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import FixtureError, PolicySyntaxError, PrecisionError, UnknownTerritoryError
-from ..model import GeoPoint
+from ..model import GeoPoint, Memo
 from ..parsing.location_xml import LocationReport, ZoneKind, check_timezone_offset
 from ..parsing.xmlread import XmlNode, parse_xml
+from . import geometry
 from .geometry import (
     METERS_PER_DEGREE_LAT,
     disc_polygon_relation,
@@ -36,6 +47,13 @@ _BOX_PAD = 1e-9
 _MIN_COS_LAT = 1e-9
 # The country grid has at most this many cells per country.
 _CELLS_PER_COUNTRY = 4
+# Each grid cell is cut into _SUB x _SUB sub-cells.
+_SUB = 4
+# An edge shorter than this, in degrees of latitude plus longitude, counts
+# as meeting every box its own box meets: the band around it that
+# point_in_polygon calls on the edge, geometry._EPS over its length, may
+# be wider than _BOX_PAD.
+_SHORT_EDGE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -110,25 +128,135 @@ def _cell(value: float, origin: float, size: float, last: int) -> int:
     return 0
 
 
+def _boxes_meet(a: Box, b: Box) -> bool:
+    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+
+
+def _edge_near(polygon: Polygon, box: Box) -> bool:
+    """Whether an edge of the polygon meets the box, or is shorter than
+    _SHORT_EDGE with its own box meeting it. A box, padded by _BOX_PAD,
+    that no edge is near lies wholly inside or wholly outside the polygon
+    for point_in_polygon, on-edge band included."""
+    south, west, north, east = box
+    last = polygon[-1]
+    alat, alon = last.lat, last.lon
+    for vertex in polygon:
+        blat, blon = vertex.lat, vertex.lon
+        if not (
+            (alat < south and blat < south) or (alat > north and blat > north)
+            or (alon < west and blon < west) or (alon > east and blon > east)
+        ):
+            dlat, dlon = blat - alat, blon - alon
+            if abs(dlat) + abs(dlon) < _SHORT_EDGE:
+                return True
+            # The boxes meet; the edge meets the box unless its line leaves
+            # all four corners on one side (the separating axis test).
+            sides = [dlat * (lon - alon) - dlon * (lat - alat) for lat in (south, north) for lon in (west, east)]
+            if min(sides) <= 0.0 <= max(sides):
+                return True
+        alat, alon = blat, blon
+    return False
+
+
+class _PureSubCell(NamedTuple):
+    """A sub-cell, south west north east, that lies in one country with no
+    edge of that country, of any other country or of a restricted area
+    near it: every point in it has the same country and zone. `cities`
+    are the country's cities, in tree order, whose edges come near it,
+    up to the first city that holds it whole; `city` names that city, or
+    is empty."""
+
+    south: float
+    west: float
+    north: float
+    east: float
+    country: TerritoryNode
+    zone: ZoneKind
+    cities: tuple[tuple[Box, CityArea], ...]
+    city: str
+
+
+# The sub-cells of a cell when none is answered from: the classification
+# of every cell at a sub-cell memo bound of 0.
+_NONE_PURE: tuple[Optional[_PureSubCell], ...] = (None,) * (_SUB * _SUB)
+
+
+def _classify(box: Box, candidates: tuple[tuple[int, Box, _IndexedCountry], ...]) -> Optional[_PureSubCell]:
+    """The sub-cell `box` as a _PureSubCell, or None when it is not pure.
+    `candidates` holds every country whose box meets the box, padded."""
+    south, west, north, east = box
+    pad = _BOX_PAD * (1.0 + max(abs(south), abs(west), abs(north), abs(east)))
+    padded = (south - pad, west - pad, north + pad, east + pad)
+    lat, lon = (south + north) / 2, (west + east) / 2
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        return None
+    centre = GeoPoint(lat, lon)
+    # The polygon tests of a classification go to geometry itself: they are
+    # paid once per cell, not per point.
+    located = None
+    for _, country_box, entry in candidates:
+        if not _boxes_meet(country_box, padded):
+            continue
+        if _edge_near(entry.node.boundary, padded):
+            return None
+        if geometry.point_in_polygon(centre, entry.node.boundary):
+            if located is not None:
+                return None
+            located = entry
+    if located is None:
+        return None
+    zone = ZoneKind.UNRESTRICTED
+    for area_box, area in located.restricted:
+        if _boxes_meet(area_box, padded):
+            if _edge_near(area.polygon, padded):
+                return None
+            if geometry.point_in_polygon(centre, area.polygon):
+                zone = ZoneKind.RESTRICTED
+    cities = []
+    for city_box, city_area in located.cities:
+        if not _boxes_meet(city_box, padded):
+            continue
+        if _edge_near(city_area.polygon, padded):
+            cities.append((city_box, city_area))
+        elif geometry.point_in_polygon(centre, city_area.polygon):
+            return _PureSubCell(south, west, north, east, located.node, zone, tuple(cities), city_area.name)
+    return _PureSubCell(south, west, north, east, located.node, zone, tuple(cities), "")
+
+
 class _Grid:
     """A uniform grid over the country boxes (W. R. Franklin, "Adaptive
     grids for geometric operations", 1984), so that a point or a disc meets
     a few boxes whatever the country count.
 
     Cells are about the median box in size, at most _CELLS_PER_COUNTRY per
-    country, and tile the boxes' extent. Each cell holds a (tree position,
-    box, entry) triple per box it overlaps, in tree order.
+    country, and tile the boxes' extent. `entries` holds a (tree position,
+    box, entry) triple per country, in tree order; each cell holds the
+    triples of the boxes it overlaps, in tree order, and `positions` their
+    tree positions.
+
+    Each cell is also cut into _SUB x _SUB sub-cells, after B. Žalik and
+    I. Kolingerová ("A cell-based point-in-polygon algorithm suitable for
+    large sets of points", Computers & Geosciences 2001). At the first
+    point that lands in a cell, `holding` classifies the cell's sub-cells
+    (`_classify`) and keeps them in `sub_cells`, a `model.Memo` keyed by
+    the cell's index, whose bound, rows x cols, is never reached.
     """
 
     def __init__(self, indexed: tuple[tuple[Box, _IndexedCountry], ...]):
+        self.entries = tuple((position, box, entry) for position, (box, entry) in enumerate(indexed))
         if not indexed:
             # One empty cell: every point and disc gets no candidates.
             self.south = self.west = self.north = self.east = 0.0
             self.cell_height = self.cell_width = 1.0
             self.rows = self.cols = 1
             self.cells: tuple[tuple[tuple[int, Box, _IndexedCountry], ...], ...] = ((),)
-            return
-        boxes = [box for box, _ in indexed]
+        else:
+            self._tile([box for box, _ in indexed])
+        self.positions = tuple(tuple(position for position, _, _ in cell) for cell in self.cells)
+        self.sub_height, self.sub_width = self.cell_height / _SUB, self.cell_width / _SUB
+        self.sub_cells = Memo(self.rows * self.cols)
+
+    def _tile(self, boxes: list[Box]) -> None:
         self.south = min(box[0] for box in boxes)
         self.west = min(box[1] for box in boxes)
         self.north = max(box[2] for box in boxes)
@@ -149,11 +277,11 @@ class _Grid:
         self.rows, self.cols = rows, cols
         self.cell_height, self.cell_width = height / rows, width / cols
         cells: list[list[tuple[int, Box, _IndexedCountry]]] = [[] for _ in range(rows * cols)]
-        for position, (box, entry) in enumerate(indexed):
-            rows_spanned, cols_spanned = self._spans(box)
+        for triple in self.entries:
+            rows_spanned, cols_spanned = self._spans(triple[1])
             for row in rows_spanned:
                 for col in cols_spanned:
-                    cells[row * cols + col].append((position, box, entry))
+                    cells[row * cols + col].append(triple)
         self.cells = tuple(tuple(cell) for cell in cells)
 
     def _spans(self, box: Box) -> tuple[range, range]:
@@ -187,15 +315,59 @@ class _Grid:
 
     def over(self, box: Box) -> tuple[tuple[int, Box, _IndexedCountry], ...]:
         """The triples of every cell the box overlaps, once each and in
-        tree order; none for a box beyond the grid."""
+        tree order; none for a box beyond the grid. Repeated positions are
+        dropped and the rest sorted as plain ints, in C."""
         south, west, north, east = box
         if north < self.south or south > self.north or east < self.west or west > self.east:
             return ()
         rows, cols = self._spans(box)
         if len(rows) * len(cols) == 1:
             return self.cells[rows[0] * self.cols + cols[0]]
-        cells = [self.cells[row * self.cols + col] for row in rows for col in cols]
-        return tuple(sorted({triple[0]: triple for cell in cells for triple in cell}.values()))
+        positions = set().union(*[self.positions[row * self.cols + col] for row in rows for col in cols])
+        return tuple(map(self.entries.__getitem__, sorted(positions)))
+
+    def holding(self, lat: float, lon: float, reach: Box) -> Optional[_PureSubCell]:
+        """The pure sub-cell that holds the point and its whole reach box,
+        if there is one: never outside the grid, nor at a `sub_cells`
+        bound of 0."""
+        if not (self.south <= lat <= self.north and self.west <= lon <= self.east):
+            return None
+        row = int((lat - self.south) / self.sub_height)
+        col = int((lon - self.west) / self.sub_width)
+        if row >= self.rows * _SUB:
+            row = self.rows * _SUB - 1
+        if col >= self.cols * _SUB:
+            col = self.cols * _SUB - 1
+        cell = row // _SUB * self.cols + col // _SUB
+        sub_cells = self.sub_cells.get(cell)
+        if sub_cells is None:
+            sub_cells = self.sub_cells.put(cell, self._sub_cells(cell) if self.sub_cells.bound else _NONE_PURE)
+        pure = sub_cells[row % _SUB * _SUB + col % _SUB]
+        if (
+            pure is not None and pure.south <= reach[0] and reach[2] <= pure.north
+            and pure.west <= reach[1] and reach[3] <= pure.east
+        ):
+            return pure
+        return None
+
+    def _sub_cells(self, cell: int) -> tuple[Optional[_PureSubCell], ...]:
+        """The cell's sub-cells, row by row, each classified (`_classify`)
+        against the countries whose boxes meet the cell, padded."""
+        first_row, first_col = cell // self.cols * _SUB, cell % self.cols * _SUB
+        boxes = [
+            (
+                self.south + row * self.sub_height, self.west + col * self.sub_width,
+                self.south + (row + 1) * self.sub_height, self.west + (col + 1) * self.sub_width,
+            )
+            for row in range(first_row, first_row + _SUB)
+            for col in range(first_col, first_col + _SUB)
+        ]
+        south, west = boxes[0][0], boxes[0][1]
+        north, east = boxes[-1][2], boxes[-1][3]
+        # Twice the pad of any one sub-cell, so each padded sub-cell lies inside.
+        pad = 2 * _BOX_PAD * (1.0 + max(abs(south), abs(west), abs(north), abs(east)))
+        candidates = self.over((south - pad, west - pad, north + pad, east + pad))
+        return tuple(_classify(box, candidates) for box in boxes)
 
 
 class ZoneTree:
@@ -281,7 +453,38 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
     Raises UnknownTerritoryError when no country contains the point,
     PrecisionError when the accuracy disc overlaps several countries
     (country=None) or straddles a restricted boundary (country set).
+
+    A point whose disc's reach box lies in a pure sub-cell (`_Grid.holding`)
+    takes its country and zone from the sub-cell, and every other point
+    from the polygon and disc tests of `_place`; both give the same report.
     """
+    lat, lon = point.lat, point.lon
+    reach = _disc_reach(point, accuracy_radius)
+    pure = zones._grid.holding(lat, lon, reach)
+    if pure is not None:
+        country, zone, cities, city = pure.country, pure.zone, pure.cities, pure.city
+    else:
+        located, zone = _place(point, accuracy_radius, reach, zones)
+        country, cities, city = located.node, located.cities, ""
+    for (lat0, lon0, lat1, lon1), city_area in cities:
+        if lat0 <= lat <= lat1 and lon0 <= lon <= lon1 and point_in_polygon(point, city_area.polygon):
+            city = city_area.name
+            break
+
+    return LocationReport(
+        country=country.id,
+        city=city,
+        zone=zone,
+        timezone_name=country.timezone_name,
+        timezone_offset=country.timezone_offset,
+        point=point,
+        accuracy_radius=accuracy_radius,
+    )
+
+
+def _place(point: GeoPoint, accuracy_radius: float, reach: Box, zones: ZoneTree) -> tuple[_IndexedCountry, ZoneKind]:
+    """The country holding the point and the zone its disc lies in, from
+    the polygons and discs; raises as resolve_location says."""
     lat, lon = point.lat, point.lon
     containing = [
         entry
@@ -297,7 +500,6 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
         raise PrecisionError(f"point lies in several countries: {ids}")
     located = containing[0]
     country = located.node
-    reach = _disc_reach(point, accuracy_radius)
     south, west, north, east = reach
 
     if accuracy_radius > 0:
@@ -322,22 +524,7 @@ def resolve_location(point: GeoPoint, accuracy_radius: float, zones: ZoneTree) -
             )
         if relation == "inside":
             zone = ZoneKind.RESTRICTED
-
-    city = ""
-    for (lat0, lon0, lat1, lon1), city_area in located.cities:
-        if lat0 <= lat <= lat1 and lon0 <= lon <= lon1 and point_in_polygon(point, city_area.polygon):
-            city = city_area.name
-            break
-
-    return LocationReport(
-        country=country.id,
-        city=city,
-        zone=zone,
-        timezone_name=country.timezone_name,
-        timezone_offset=country.timezone_offset,
-        point=point,
-        accuracy_radius=accuracy_radius,
-    )
+    return located, zone
 
 
 def _point(lat: str, lon: str, node: XmlNode) -> GeoPoint:

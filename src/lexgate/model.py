@@ -434,6 +434,7 @@ class Memo(dict):
     | screen      | `engine.CompiledForest`      | scope set                   | 256            | -                                    |
     | response    | each `engine.Plan`           | walk key with the location  | responses_held | `<context>` refusals                 |
     | location    | `bundle.LocationSupplier`    | bytes of lat, lon, accuracy | 256            | subject, time; its errors            |
+    | cell        | `zones._Grid`                | index of a grid cell        | rows × cols    | points                               |
     | legislation | `legal.LegalScopeRegistry`   | (source, destination)       | 1,024          | `UnknownScopeError`                  |
 
     `ReferenceMonitor.memos()` names all but the per-plan response memos,

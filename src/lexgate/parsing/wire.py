@@ -55,6 +55,15 @@ _CATEGORY_BAG = {c: operator.attrgetter(c.value) for c in Category}
 _TYPES = {t.value: t for t in DataType}
 
 
+def _first_id(bag: tuple[Attribute, ...], attribute_id: str) -> Optional[str]:
+    """The text of the bag's first value of attribute_id, if any: one pass,
+    as `RequestContext.first` reads it."""
+    for key, value in bag:
+        if key == attribute_id:
+            return str(value.value)
+    return None
+
+
 @dataclass(frozen=True)
 class RequestContext:
     """One decision request: four attribute bags plus the source location
@@ -73,9 +82,9 @@ class RequestContext:
     _action_id: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, category, attribute_id in _OWN_IDS:
-            value = self.first(category, attribute_id)
-            object.__setattr__(self, name, str(value.value) if value else None)
+        object.__setattr__(self, "_subject_id", _first_id(self.subject, SUBJECT_ID))
+        object.__setattr__(self, "_resource_id", _first_id(self.resource, RESOURCE_ID))
+        object.__setattr__(self, "_action_id", _first_id(self.action, ACTION_ID))
 
     def category(self, category: Category) -> tuple[Attribute, ...]:
         return _CATEGORY_BAG[category](self)
@@ -97,13 +106,6 @@ class RequestContext:
 
     def action_id(self) -> Optional[str]:
         return self._action_id
-
-
-_OWN_IDS = (
-    ("_subject_id", Category.SUBJECT, SUBJECT_ID),
-    ("_resource_id", Category.RESOURCE, RESOURCE_ID),
-    ("_action_id", Category.ACTION, ACTION_ID),
-)
 
 
 class ViewMode(Enum):
@@ -260,11 +262,8 @@ def parse_request(data: bytes | str) -> RequestContext:
     if not bags[Category.SUBJECT.value]:
         raise MissingCategoryError("request carries no subject attributes")
 
-    return RequestContext(
-        **{token: tuple(bag) for token, bag in bags.items()},
-        source_location=location.build(),
-        destination_country=destination,
-    )
+    # The bags in field order: _BAG_TOKENS follows Category, as do the fields.
+    return RequestContext(*map(tuple, bags.values()), location.build(), destination)
 
 
 def serialize_request(request: RequestContext) -> bytes:

@@ -310,6 +310,7 @@ class ReferenceMonitor:
             "plan": self.forest._plans,
             "screen": self.forest._screens,
             "location": self.pips.location._reports,
+            "cell": self.pips.zones._grid.sub_cells,
             "legislation": self.pips.scopes._selected,
         }
 

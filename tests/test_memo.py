@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from conftest import FIXTURES, wire_request
 from lexgate.cli import _step_request, load_policy_dir, parse_scenario
 from lexgate.context.bundle import load_bundle
+from lexgate.context import zones
 from lexgate.context.clock import FixedClock
 from lexgate.engine import PolicyDecisionPoint
 from lexgate.instant import parse_instant
@@ -24,7 +25,7 @@ from wire_grammar import wire_requests
 
 SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
-NAMES = {"body", "line", "trusted-bag", "plan", "screen", "location", "legislation"}
+NAMES = {"body", "line", "trusted-bag", "plan", "screen", "location", "cell", "legislation"}
 # The packaged requests, each at the instant its header names, in order.
 PACKAGED = (
     ("portfolio-de-office.req", "2026-03-10T09:10:00Z"),
@@ -66,9 +67,11 @@ def test_misses_count_the_puts_and_not_the_lookups():
 def test_a_monitor_names_every_memo_it_passes_through():
     monitor = _monitor(FixedClock(parse_instant("2026-03-10T12:45:00Z")), AuditLog())
     memos = monitor.memos()
-    assert set(memos) == NAMES
+    assert len(memos) == 8 and set(memos) == NAMES
     assert all(type(memo) is Memo and memo.bound > 0 for memo in memos.values())
     assert memos["line"] is wire._LINES
+    grid = monitor.pips.zones._grid
+    assert memos["cell"] is grid.sub_cells and memos["cell"].bound == grid.rows * grid.cols
     assert monitor.forest.responses_held > 0
 
 
@@ -170,7 +173,9 @@ def test_the_memo_off_twin_answers_grammar_drawn_bodies_alike(tmp_path_factory, 
 def test_the_memo_off_twin_answers_a_benchmark_stream_alike(tmp_path, bench, workload):
     # The first requests of the workload's generated stream, each monitor
     # loaded as the benchmark loads it, on its own clock set to each
-    # request's instant.
+    # request's instant. world-200's positions are fresh, so its replay is
+    # long enough for the monitor to answer many from pure sub-cells (the
+    # cell memo), where the twin tests the polygons.
     program = bench.import_program()
     meta = bench.generate(workload, 1, tmp_path / "fixtures")
 
@@ -179,11 +184,35 @@ def test_the_memo_off_twin_answers_a_benchmark_stream_alike(tmp_path, bench, wor
 
     with _Twins(tmp_path, build) as twins:
         stream = bench.request_stream(tmp_path / "fixtures", meta)
-        for _round, at, user, secret, raw, _outcome, _kind in itertools.islice(stream, 200):
+        requests = 2_000 if workload == "world-200" else 200
+        for _round, at, user, secret, raw, _outcome, _kind in itertools.islice(stream, requests):
             twins.on.pips.clock.set(at)
             twins.off.pips.clock.set(at)
             twins.send(raw, AuthState(user, secret))
+        if workload == "world-200":
+            assert any(pure for cell in twins.on.memos()["cell"].values() for pure in cell)
     twins.check()
+
+
+def test_the_cell_memo_holds_at_most_a_classification_per_grid_cell(tmp_path, bench):
+    # After a world-200 replay the memo holds one entry per grid cell
+    # that a point landed in: never more than rows x cols, and never
+    # emptied, so each cell was classified once.
+    program = bench.import_program()
+    meta = bench.generate("world-200", 2, tmp_path / "fixtures")
+    monitor = bench.set_up(program, tmp_path / "fixtures", tmp_path / "audit.log", meta["pseudonym_key"], 1)[0]
+    clock = monitor.pips.clock
+    with monitor.audit:
+        for _round, at, user, secret, raw, _outcome, _kind in itertools.islice(
+            bench.request_stream(tmp_path / "fixtures", meta), 3_000
+        ):
+            clock.set(at)
+            monitor.handle_request(raw, AuthState(user, secret))
+    grid = monitor.pips.zones._grid
+    cells = monitor.memos()["cell"]
+    assert 0 < len(cells) <= grid.rows * grid.cols == cells.bound
+    assert cells.misses == len(cells)
+    assert all(len(sub_cells) == zones._SUB ** 2 for sub_cells in cells.values())
 
 
 # -- threads ------------------------------------------------------------------------
