@@ -191,8 +191,9 @@ def _classify(box: Box, candidates: tuple[tuple[int, Box, _IndexedCountry], ...]
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         return None
     centre = GeoPoint(lat, lon)
-    # The polygon tests of a classification go to geometry itself: they are
-    # paid once per cell, not per point.
+    # The polygon tests of a classification go to geometry itself, not
+    # through this module's names, which per-request tracing counts: they
+    # are paid once per cell, not per point.
     located = None
     for _, country_box, entry in candidates:
         if not _boxes_meet(country_box, padded):
