@@ -47,17 +47,19 @@ class LocationSupplier:
     The classification is a pure function of the position, the accuracy
     radius and the immutable tree, so each supplier keeps the
     `LocationReport` of distinct (position, radius) pairs in a memo
-    (`model.Memo`) and answers a repeated pair without a polygon test.
-    The key holds no subject and no time: the memo records where
-    requests were placed, not who moved where. A position that raises (PrecisionError,
-    UnknownTerritoryError) is not kept and raises afresh each time. The
-    supplier is still asked once per request.
+    (`model.Memo`) and answers a pair it has kept without a polygon test.
+    The memo admits a pair at its second sighting: its doorkeeper holds
+    the hash of a pair seen once. The key holds no subject and no time:
+    the memo records where requests were placed, not who moved where. A
+    position that raises (PrecisionError, UnknownTerritoryError) is not
+    kept and raises afresh each time. The supplier is still asked once
+    per request.
     """
 
     def __init__(self, zones: ZoneTree, identities: IdentityRegistry):
         self._zones = zones
         self._identities = identities
-        self._reports = Memo(256)
+        self._reports = Memo(256, doorkeeper=True)
 
     def locate(self, request: RequestContext) -> LocationReport:
         accuracy = 0.0

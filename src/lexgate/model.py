@@ -425,32 +425,54 @@ class Memo(dict):
     no memo stores an error. `misses` is exact for one thread only: `+=`
     may lose counts under threads, which never changes a stored value.
 
-    | name        | owner                        | key                         | bound          | never kept                           |
-    |-------------|------------------------------|-----------------------------|----------------|--------------------------------------|
-    | body        | `pep.ReferenceMonitor`       | body, exactly `bytes`/`str` | 256            | over 1,024; unauthenticated callers' |
-    | line        | `parsing.wire`, per process  | stripped attribute line     | 256            | over 512 chars; `WireFormatError`    |
-    | trusted-bag | `engine.PolicyDecisionPoint` | (data type, trusted value)  | 1,024          | request values but a destination     |
-    | plan        | `engine.CompiledForest`      | scopes, root literals hit   | 256            | caller text that is no root literal  |
-    | screen      | `engine.CompiledForest`      | scope set                   | 256            | -                                    |
-    | response    | each `engine.Plan`           | walk key with the location  | responses_held | `<context>` refusals                 |
-    | location    | `bundle.LocationSupplier`    | bytes of lat, lon, accuracy | 256            | subject, time; its errors            |
-    | cell        | `zones._Grid`                | index of a grid cell        | rows × cols    | points                               |
-    | legislation | `legal.LegalScopeRegistry`   | (source, destination)       | 1,024          | `UnknownScopeError`                  |
+    A memo built with `doorkeeper=True` admits a key at its second miss:
+    the first records `hash(key)` in the doorkeeper, a set of at most
+    `bound` hashes emptied when full, and stores nothing. A key whose hash
+    the doorkeeper holds is stored at once, so one pushed out when the
+    memo was emptied comes back at its next miss. This is TinyLFU's
+    doorkeeper (Einziger, Friedman and Manes, ACM TOS 2017) with a set in
+    place of a Bloom filter. The memos of caller text use it, so text seen
+    once is not kept; a hash collision or a lost thread race only admits a
+    key early or late.
+
+    | name        | owner                        | key                         | bound          | admits | never kept                           |
+    |-------------|------------------------------|-----------------------------|----------------|--------|--------------------------------------|
+    | body        | `pep.ReferenceMonitor`       | body, exactly `bytes`/`str` | 256            | 2nd    | over 1,024; unauthenticated callers' |
+    | line        | `parsing.wire`, per process  | stripped attribute line     | 256            | 2nd    | over 512 chars; `WireFormatError`    |
+    | trusted-bag | `engine.PolicyDecisionPoint` | (data type, trusted value)  | 1,024          | 1st    | request values but a destination     |
+    | plan        | `engine.CompiledForest`      | scopes, root literals hit   | 256            | 1st    | caller text that is no root literal  |
+    | screen      | `engine.CompiledForest`      | scope set                   | 256            | 1st    | -                                    |
+    | response    | each `engine.Plan`           | walk key with the location  | responses_held | 1st    | `<context>` refusals                 |
+    | location    | `bundle.LocationSupplier`    | bytes of lat, lon, accuracy | 256            | 2nd    | subject, time; its errors            |
+    | cell        | `zones._Grid`                | index of a grid cell        | rows × cols    | 1st    | points                               |
+    | legislation | `legal.LegalScopeRegistry`   | (source, destination)       | 1,024          | 1st    | `UnknownScopeError`                  |
 
     `ReferenceMonitor.memos()` names all but the per-plan response memos,
     whose bound `responses_held` is max(1, min(32, 4,096 // documents)):
     a plan's responses hold at most 4,096 trace records, or one response
     past 4,096 documents."""
 
-    __slots__ = ("bound", "misses")
+    __slots__ = ("bound", "misses", "seen")
 
-    def __init__(self, bound: int):
+    def __init__(self, bound: int, *, doorkeeper: bool = False):
         self.bound = bound
         self.misses = 0
+        # The doorkeeper: the hashes of keys that missed since it was last emptied.
+        self.seen: Optional[set[int]] = set() if doorkeeper else None
 
     def put(self, key: object, value: object) -> object:
-        """Store `value` under `key` as a miss, and return it."""
+        """Store `value` under `key` as a miss (for a doorkeeper memo, a
+        key's second or later miss), and return it."""
         self.misses += 1
+        seen = self.seen
+        if seen is not None:
+            sighting = hash(key)
+            if sighting not in seen:
+                if len(seen) >= self.bound:
+                    seen.clear()
+                if self.bound:
+                    seen.add(sighting)
+                return value
         if len(self) >= self.bound:
             self.clear()
         if self.bound:

@@ -218,7 +218,7 @@ def _parse_attribute_line(line: str, line_no: int) -> Attribute:
 
 
 # The line memo (`model.Memo`) and the longest line it keeps, in characters.
-_LINES = Memo(256)
+_LINES = Memo(256, doorkeeper=True)
 _LONGEST_LINE_HELD = 512
 
 

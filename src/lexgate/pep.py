@@ -28,12 +28,13 @@ The refusing record's reason is `authentication-failed`,
 is a `model.Trace`, which carries its audit digest and wire text. The
 two refusals whose text never changes, wrong credentials and subject
 mismatch, are built once, at import, so answering them hashes and
-renders nothing. A bad-request refusal is built once per distinct body:
-the body memo (`model.Memo`) maps the bodies of authenticated callers to
-the request they parse to or to their refusal. Only a Permit decision
-carries a view. The audit line and the returned `AuditRecord` carry the
-response's decision and status, except after an audit failure: the
-record returned then is the one whose append failed.
+renders nothing. A bad-request refusal is built at most twice per
+distinct body: the body memo (`model.Memo`) maps the bodies of
+authenticated callers it has seen twice to the request they parse to or
+to their refusal. Only a Permit decision carries a view. The audit line
+and the returned `AuditRecord` carry the response's decision and status,
+except after an audit failure: the record returned then is the one whose
+append failed.
 
 The audit trail is held open: `AuditLog` opens its file, unbuffered, at
 the first append, writes each record with one `write`, so that it
@@ -298,7 +299,7 @@ class ReferenceMonitor:
         self.pips = pips
         self.audit = audit or AuditLog()
         self.obligations = ObligationService(pseudonym_key)
-        self._bodies = Memo(256)
+        self._bodies = Memo(256, doorkeeper=True)
 
     def memos(self) -> dict[str, Memo]:
         """The memos a request passes through, by name (`model.Memo`); the
@@ -346,8 +347,9 @@ class ReferenceMonitor:
         if not self.pips.identities.authenticate(session.user, session.secret):
             return None, _AUTHENTICATION_FAILED, None
 
-        # The request or refusal is a frozen function of the body: a repeated
-        # bad body is refused without a parse, a hash or a render.
+        # The request or refusal is a frozen function of the body: a bad
+        # body the memo has admitted, at its second sighting, is refused
+        # without a parse, a hash or a render.
         kept = type(raw) in (bytes, str) and len(raw) <= _LONGEST_BODY_HELD
         read = self._bodies.get(raw) if kept else None
         if read is None:

@@ -1,11 +1,14 @@
-"""The one memo type (`model.Memo`): its bound and counter, the memos a
-monitor names, a twin monitor with every memo off, and threads sharing
-one monitor whose memos are kept small."""
+"""The one memo type (`model.Memo`): its bound and counter, the doorkeeper
+of the memos of caller text, the memos a monitor names, a twin monitor with
+every memo off, and threads sharing one monitor whose memos are kept
+small."""
 
 import collections
+import gc
 import itertools
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,8 @@ from wire_grammar import wire_requests
 SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
 NAMES = {"body", "line", "trusted-bag", "plan", "screen", "location", "cell", "legislation"}
+# The memos whose keys are caller text, which admit a key at its second miss.
+CALLER_TEXT = {"body", "line", "location"}
 # The packaged requests, each at the instant its header names, in order.
 PACKAGED = (
     ("portfolio-de-office.req", "2026-03-10T09:10:00Z"),
@@ -62,6 +67,86 @@ def test_misses_count_the_puts_and_not_the_lookups():
         memo.get(n)
     assert memo.misses == 5
     assert dict(memo) == {3: "3", 4: "4"}
+
+
+# -- the doorkeeper -----------------------------------------------------------------
+
+
+def test_a_doorkeeper_memo_stores_a_key_at_its_second_put():
+    memo = Memo(4, doorkeeper=True)
+    first, second = object(), object()
+    assert memo.put("k", first) is first
+    assert "k" not in memo and memo.misses == 1
+    assert memo.seen == {hash("k")}
+    assert memo.put("k", second) is second
+    assert memo["k"] is second and memo.misses == 2
+
+
+def test_a_doorkeeper_holds_at_most_bound_hashes():
+    memo = Memo(64, doorkeeper=True)
+    for n in range(10_000):
+        memo.put(f"key {n}", n)
+        assert len(memo.seen) <= memo.bound
+    assert len(memo) == 0 and memo.misses == 10_000
+    # Every key was seen once; the last one's hash is still held, so its
+    # next miss is stored.
+    memo.put("key 9999", 9999)
+    assert dict(memo) == {"key 9999": 9999}
+
+
+def test_a_doorkeeper_memo_at_bound_zero_stores_and_records_nothing():
+    memo = Memo(0, doorkeeper=True)
+    for _ in range(3):
+        assert memo.put("k", 1) == 1
+    assert len(memo) == 0 and memo.seen == set() and memo.misses == 3
+
+
+def test_only_the_memos_of_caller_text_keep_a_doorkeeper():
+    monitor = _monitor(FixedClock(parse_instant("2026-03-10T12:45:00Z")), AuditLog())
+    monitor.handle_request((FIXTURES / "requests" / PACKAGED[2][0]).read_bytes(), SESSION)
+    plans = list(monitor.forest._plans.values())
+    memos = [*monitor.memos().items(), *(("response", plan.responses) for plan in plans)]
+    assert plans
+    for name, memo in memos:
+        key = object()
+        memo.put(key, name)
+        assert (key in memo) is (name not in CALLER_TEXT), name
+        assert (memo.seen is not None) is (name in CALLER_TEXT), name
+        memo.pop(key, None)
+
+
+def test_world_200_bodies_leave_the_caller_text_memos_small(tmp_path, bench):
+    # 10,000 requests of the world-200 stream, nearly every body, position
+    # and subject line of them seen once. What the body, line and location
+    # memos then hold, with their doorkeepers, is what emptying them frees.
+    program = bench.import_program()
+    meta = bench.generate("world-200", 3, tmp_path / "fixtures")
+    monitor = bench.set_up(program, tmp_path / "fixtures", tmp_path / "audit.log", meta["pseudonym_key"], 1)[0]
+    clock = monitor.pips.clock
+    memos = [memo for name, memo in monitor.memos().items() if name in CALLER_TEXT]
+    stream = list(itertools.islice(bench.request_stream(tmp_path / "fixtures", meta), 10_000))
+    assert len({raw for *_, raw, _outcome, _kind in stream}) > 9_000
+
+    def empty():
+        for memo in memos:
+            memo.clear()
+            memo.seen.clear()
+        gc.collect()
+
+    empty()
+    tracemalloc.start()
+    try:
+        with monitor.audit:
+            for _round, at, user, secret, raw, _outcome, _kind in stream:
+                clock.set(at)
+                monitor.handle_request(raw, AuthState(user, secret))
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+        empty()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < freed < 512 * 1024
 
 
 def test_a_monitor_names_every_memo_it_passes_through():

@@ -822,13 +822,16 @@ def test_the_body_memo_stays_bounded_over_long_and_distinct_bodies(policy_pack):
 
 
 def test_the_location_memo_stays_bounded_over_distinct_positions(policy_pack):
-    # Request n stands at a position of its own in London, which enters
-    # the location memo; the memo is emptied whenever it is full.
+    # Request n stands at a position of its own in London and is sent
+    # twice, so that the position enters the location memo at its second
+    # sighting; the memo is emptied whenever it is full.
     monitor, pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
     memo = pips.location._reports
 
     def send(n):
-        monitor.handle_request(wire_request(point=f"{51.4 + n * 1e-5:.5f} -0.099349"), GOOD_SESSION)
+        raw = wire_request(point=f"{51.4 + n * 1e-5:.5f} -0.099349")
+        monitor.handle_request(raw, GOOD_SESSION)
+        monitor.handle_request(raw, GOOD_SESSION)
         assert 0 < len(memo) <= memo.bound
 
     # A full memo of 256 reports holds about 0.1 MiB, on top of the 0.2 MiB
@@ -857,8 +860,9 @@ def test_a_full_body_memo_holds_a_few_mib(policy_pack, value, as_text, mib):
                 return text if as_text else text.encode()
             lines.append(line)
 
-    # Each body names a subject of its own, so it is read into the memo and
-    # refused as a subject mismatch, before any evaluation.
+    # Each body names a subject of its own and is sent twice, so it is read
+    # into the memo at its second sighting and refused as a subject
+    # mismatch, before any evaluation.
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
     memo = monitor._bodies
     wire._LINES.clear()
@@ -866,7 +870,9 @@ def test_a_full_body_memo_holds_a_few_mib(policy_pack, value, as_text, mib):
     tracemalloc.start()
     try:
         for k in range(memo.bound):
-            monitor._decide(body(k), GOOD_SESSION)
+            raw = body(k)
+            monitor._decide(raw, GOOD_SESSION)
+            monitor._decide(raw, GOOD_SESSION)
         gc.collect()
         held, _peak = tracemalloc.get_traced_memory()
     finally:
@@ -900,13 +906,16 @@ def test_the_body_memo_keeps_no_body_of_a_caller_who_did_not_authenticate(policy
         pytest.param(b"request\nresource resource-id string x\nend\n", id="no-subject"),
     ],
 )
-def test_a_repeated_bad_body_is_refused_with_the_one_refusal_it_first_got(policy_pack, raw):
-    # The refusal is built, hashed and rendered at the body's first
-    # request; later requests with the body share it.
+def test_a_repeated_bad_body_keeps_its_second_refusal_and_shares_it(policy_pack, raw):
+    # The body memo admits a body at its second sighting: the refusal
+    # built, hashed and rendered then is kept, and later requests with
+    # the body share it. The first refusal has the same bytes.
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
     _request, first, _view = monitor._decide(raw, GOOD_SESSION)
+    _request, second, _view = monitor._decide(raw, GOOD_SESSION)
     _request, again, _view = monitor._decide(raw, GOOD_SESSION)
-    assert again is first
+    assert again is second
+    assert serialize_response(second) == serialize_response(first)
     assert (first.decision, first.status) == (Decision.INDETERMINATE, STATUS_SYNTAX_ERROR)
     with pytest.raises(WireFormatError) as refused:
         wire.parse_request(raw)
@@ -914,16 +923,20 @@ def test_a_repeated_bad_body_is_refused_with_the_one_refusal_it_first_got(policy
     assert serialize_response(again) == serialize_response(fresh)
 
 
-def test_a_repeated_request_body_is_parsed_once(policy_pack):
+def test_a_repeated_request_body_is_parsed_at_most_twice_then_shared(policy_pack):
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    first, _response, _view = monitor._decide(_VALID_REQUEST, GOOD_SESSION)
-    again, _response, _view = monitor._decide(_VALID_REQUEST, GOOD_SESSION)
-    assert again is first
+
+    def parsed_three_times(raw):
+        return [monitor._decide(raw, GOOD_SESSION)[0] for _ in range(3)]
+
+    first, second, third = parsed_three_times(_VALID_REQUEST)
+    assert third is second and second == first
     # The same text as str is a body of its own, and one over the length
     # bound, or not bytes or str, is parsed on every request.
-    assert monitor._decide(_VALID_REQUEST.decode(), GOOD_SESSION)[0] is not first
-    padded = _VALID_REQUEST + b"#" * pep._LONGEST_BODY_HELD + b"\n"
-    assert monitor._decide(padded, GOOD_SESSION)[0] is not monitor._decide(padded, GOOD_SESSION)[0]
+    as_text = parsed_three_times(_VALID_REQUEST.decode())
+    assert as_text[2] is as_text[1] is not second
+    padded = parsed_three_times(_VALID_REQUEST + b"#" * pep._LONGEST_BODY_HELD + b"\n")
+    assert len({id(request) for request in padded}) == 3
     assert len(monitor._bodies) == 2
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,23 @@ def test_all_replays_every_workload():
     lines = [json.loads(line) for line in completed.stdout.splitlines()]
     assert [line["workload"] for line in lines] == ["forest-600", "pack-mix", "reject-mix", "world-200"]
     assert lines[1] == _digests("pack-mix")
+
+
+def test_the_digests_do_not_depend_on_string_hashing():
+    # The caller-text memos admit a key by its hash, and a set of strings
+    # iterates in hash order: neither may reach an output byte.
+    def digests(hash_seed):
+        completed = subprocess.run(
+            [sys.executable, "tools/stream_digest.py", "--workload", "reject-mix", "--workload", "world-200",
+             "--seed", "1", "--requests", "600"],
+            cwd=REPO, check=True, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        return [json.loads(line) for line in completed.stdout.splitlines()[-2:]]
+
+    zero = digests("0")
+    assert [line["requests"] for line in zero] == [600, 600]
+    assert digests("7") == zero
 
 
 @pytest.fixture(scope="module")
