@@ -3,7 +3,10 @@
 Scopes form an acyclic membership graph (country -> union, organization ->
 country, ...). A connection from a source country to a destination country
 observes the transitive membership closure of both national scopes plus
-the requesting organization's own scope.
+the requesting organization's own scope. Every closure is computed once,
+at load, in the pass that refuses a membership cycle; a connection's scopes
+are then the union of two load-time sets: the source's closure with the
+organization scope, and the destination's closure.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..errors import FixtureError, UnknownScopeError
-from ..model import Memo
 
 SCOPE_KINDS = ("union", "sovereign-state", "state", "organization")
 
@@ -35,8 +37,13 @@ class LegalScopeRegistry:
         if organization is not None and organization not in self._scopes:
             raise FixtureError(f"organization scope {organization!r} is not declared")
         self._check_edges()
-        self._check_acyclic()
-        self._selected = Memo(1_024)
+        self._closures: dict[str, frozenset[str]] = {}
+        for scope_id in self._scopes:
+            self._close(scope_id, set())
+        # A source's closure with the organization scope: what a connection
+        # from it observes before the destination's closure is added.
+        own = frozenset(() if organization is None else (organization,))
+        self._observed = {scope_id: closure | own for scope_id, closure in self._closures.items()}
 
     def _check_edges(self) -> None:
         for scope in self._scopes.values():
@@ -46,22 +53,22 @@ class LegalScopeRegistry:
                         f"scope {scope.id!r} is member of undeclared scope {parent!r}"
                     )
 
-    def _check_acyclic(self) -> None:
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {scope_id: WHITE for scope_id in self._scopes}
-
-        def visit(scope_id: str) -> None:
-            color[scope_id] = GREY
-            for parent in self._scopes[scope_id].parent_memberships:
-                if color[parent] == GREY:
-                    raise FixtureError(f"membership cycle through scope {parent!r}")
-                if color[parent] == WHITE:
-                    visit(parent)
-            color[scope_id] = BLACK
-
-        for scope_id in self._scopes:
-            if color[scope_id] == WHITE:
-                visit(scope_id)
+    def _close(self, scope_id: str, path: set[str]) -> frozenset[str]:
+        """Record and return the closure of `scope_id`, depth first; `path`
+        holds the scopes whose closure is being computed, so meeting one
+        of them again closes a membership cycle."""
+        closure = self._closures.get(scope_id)
+        if closure is not None:
+            return closure
+        path.add(scope_id)
+        members = {scope_id}
+        for parent in self._scopes[scope_id].parent_memberships:
+            if parent in path:
+                raise FixtureError(f"membership cycle through scope {parent!r}")
+            members |= self._close(parent, path)
+        path.discard(scope_id)
+        closure = self._closures[scope_id] = frozenset(members)
+        return closure
 
     def __contains__(self, scope_id: str) -> bool:
         return scope_id in self._scopes
@@ -78,25 +85,14 @@ class LegalScopeRegistry:
     def closure(self, scope_id: str) -> frozenset[str]:
         """The scope plus every scope reachable over membership edges."""
         self.get(scope_id)
-        seen: set[str] = set()
-        frontier = [scope_id]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self._scopes[current].parent_memberships)
-        return frozenset(seen)
+        return self._closures[scope_id]
 
     def select_legislation(self, source: str, destination: str) -> frozenset[str]:
         """All scope ids observed by a source->destination connection:
         the membership closures of both national scopes, plus the
-        requesting organization's own scope."""
-        key = (source, destination)
-        scopes = self._selected.get(key)
-        if scopes is None:
-            scopes = self.closure(source) | self.closure(destination)
-            if self.organization is not None:
-                scopes |= {self.organization}
-            self._selected.put(key, scopes)
-        return scopes
+        requesting organization's own scope. An undeclared source is
+        named before an undeclared destination."""
+        try:
+            return self._observed[source] | self._closures[destination]
+        except KeyError as unknown:
+            raise UnknownScopeError(f"unknown legal scope {unknown.args[0]!r}") from None

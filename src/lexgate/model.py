@@ -435,22 +435,9 @@ class Memo(dict):
     once is not kept; a hash collision or a lost thread race only admits a
     key early or late.
 
-    | name        | owner                        | key                         | bound          | admits | never kept                           |
-    |-------------|------------------------------|-----------------------------|----------------|--------|--------------------------------------|
-    | body        | `pep.ReferenceMonitor`       | body, exactly `bytes`/`str` | 256            | 2nd    | over 1,024; unauthenticated callers' |
-    | line        | `parsing.wire`, per process  | stripped attribute line     | 256            | 2nd    | over 512 chars; `WireFormatError`    |
-    | trusted-bag | `engine.PolicyDecisionPoint` | (data type, trusted value)  | 1,024          | 1st    | request values but a destination     |
-    | plan        | `engine.CompiledForest`      | scopes, root literals hit   | 256            | 1st    | caller text that is no root literal  |
-    | screen      | `engine.CompiledForest`      | scope set                   | 256            | 1st    | -                                    |
-    | response    | each `engine.Plan`           | walk key with the location  | responses_held | 1st    | `<context>` refusals                 |
-    | location    | `bundle.LocationSupplier`    | bytes of lat, lon, accuracy | 256            | 2nd    | subject, time; its errors            |
-    | cell        | `zones._Grid`                | index of a grid cell        | rows × cols    | 1st    | points                               |
-    | legislation | `legal.LegalScopeRegistry`   | (source, destination)       | 1,024          | 1st    | `UnknownScopeError`                  |
-
-    `ReferenceMonitor.memos()` names all but the per-plan response memos,
-    whose bound `responses_held` is max(1, min(32, 4,096 // documents)):
-    a plan's responses hold at most 4,096 trace records, or one response
-    past 4,096 documents."""
+    `ReferenceMonitor.memos()` names all but the per-plan response memos.
+    README's "Memos" section holds the one table of every memo: its owner,
+    key, bound, admission, what it never keeps and its size when full."""
 
     __slots__ = ("bound", "misses", "seen")
 

@@ -312,7 +312,6 @@ class ReferenceMonitor:
             "screen": self.forest._screens,
             "location": self.pips.location._reports,
             "cell": self.pips.zones._grid.sub_cells,
-            "legislation": self.pips.scopes._selected,
         }
 
     # -- the event flow --------------------------------------------------------

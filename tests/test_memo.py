@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIXTURES, wire_request
+from conftest import FIXTURES, REPO, wire_request
 from lexgate.cli import _step_request, load_policy_dir, parse_scenario
 from lexgate.context.bundle import load_bundle
 from lexgate.context import zones
@@ -28,7 +28,7 @@ from wire_grammar import wire_requests
 
 SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
-NAMES = {"body", "line", "trusted-bag", "plan", "screen", "location", "cell", "legislation"}
+NAMES = {"body", "line", "trusted-bag", "plan", "screen", "location", "cell"}
 # The memos whose keys are caller text, which admit a key at its second miss.
 CALLER_TEXT = {"body", "line", "location"}
 # The packaged requests, each at the instant its header names, in order.
@@ -152,12 +152,23 @@ def test_world_200_bodies_leave_the_caller_text_memos_small(tmp_path, bench):
 def test_a_monitor_names_every_memo_it_passes_through():
     monitor = _monitor(FixedClock(parse_instant("2026-03-10T12:45:00Z")), AuditLog())
     memos = monitor.memos()
-    assert len(memos) == 8 and set(memos) == NAMES
+    assert len(memos) == 7 and set(memos) == NAMES
     assert all(type(memo) is Memo and memo.bound > 0 for memo in memos.values())
     assert memos["line"] is wire._LINES
     grid = monitor.pips.zones._grid
     assert memos["cell"] is grid.sub_cells and memos["cell"].bound == grid.rows * grid.cols
     assert monitor.forest.responses_held > 0
+
+
+def test_the_readme_memo_table_names_every_memo():
+    # README's "Memos" table is the one table of the memos; `model.Memo`'s
+    # docstring points to it. It names the monitor's memos and the per-plan
+    # response memos.
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("\n### Memos\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("|")]
+    assert rows[:2] == ["name", "---"]
+    monitor = _monitor(FixedClock(parse_instant("2026-03-10T12:45:00Z")), AuditLog())
+    assert sorted(rows[2:]) == sorted([*monitor.memos(), "response"])
 
 
 def test_no_module_keeps_a_memo_of_its_own_kind():

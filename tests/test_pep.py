@@ -57,12 +57,13 @@ KEY = "unit-test-key"
 
 
 class _CountedMemo(Memo):
-    """A memo that also counts the lookups that found a value."""
+    """A memo built like `memo`, with its bound and a doorkeeper if it
+    has one, that also counts the lookups that found a value."""
 
     __slots__ = ("hits",)
 
-    def __init__(self, bound):
-        super().__init__(bound)
+    def __init__(self, memo):
+        super().__init__(memo.bound, doorkeeper=memo.seen is not None)
         self.hits = 0
 
     def get(self, key, default=None):
@@ -782,9 +783,10 @@ def test_the_trusted_bag_memo_stays_bounded_over_distinct_resources_and_countrie
 
 def test_the_line_memo_stays_bounded_over_long_and_distinct_lines(policy_pack, monkeypatch):
     # Request n carries a distinct 10 KB line, which passes by the memo,
-    # and a distinct short line, which enters it and is pushed out again.
+    # and a distinct short line, whose hash the doorkeeper records and
+    # forgets again; the request's other lines repeat, so they are admitted.
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    memo = _CountedMemo(wire._LINES.bound)
+    memo = _CountedMemo(wire._LINES)
     monkeypatch.setattr(wire, "_LINES", memo)
 
     def send(n):
@@ -801,24 +803,26 @@ def test_the_line_memo_stays_bounded_over_long_and_distinct_lines(policy_pack, m
 
 
 def test_the_body_memo_stays_bounded_over_long_and_distinct_bodies(policy_pack):
-    # Request n is sent twice: as a distinct 10 KB body, which passes by
-    # the memo, and as a distinct short body, which enters it and is
-    # pushed out again.
+    # Request n is sent as a distinct 10 KB body, which passes by the
+    # memo, and twice as a distinct short body, which enters it at its
+    # second sighting and is pushed out again.
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    memo = monitor._bodies = _CountedMemo(monitor._bodies.bound)
+    memo = monitor._bodies = _CountedMemo(monitor._bodies)
 
     def send(n):
         long_note = f"environment long-note string {n:05d}{'x' * 10_000}"
         monitor.handle_request(wire_request(extra_lines=(long_note,)), GOOD_SESSION)
-        monitor.handle_request(wire_request(extra_lines=(f"environment note string {n}",)), GOOD_SESSION)
-        assert len(memo) <= memo.bound
+        short = wire_request(extra_lines=(f"environment note string {n}",))
+        monitor.handle_request(short, GOOD_SESSION)
+        monitor.handle_request(short, GOOD_SESSION)
+        assert 0 < len(memo) <= memo.bound
 
     # A full memo of 256 such short bodies holds about 0.25 MiB, and it
     # is full after the warm-up; one that kept every body would grow by
     # some 90 MiB.
     assert _held_after_warm_up(send) < 256 * 1024
-    # Only the 10,000 short bodies were looked up, and none repeated.
-    assert memo.misses == 10_000 and memo.hits == 0
+    # Only the 10,000 short bodies were looked up, each missing twice.
+    assert memo.misses == 20_000 and memo.hits == 0
 
 
 def test_the_location_memo_stays_bounded_over_distinct_positions(policy_pack):
@@ -883,9 +887,11 @@ def test_a_full_body_memo_holds_a_few_mib(policy_pack, value, as_text, mib):
 
 def test_the_body_memo_keeps_no_body_of_a_caller_who_did_not_authenticate(policy_pack):
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    memo = monitor._bodies = _CountedMemo(monitor._bodies.bound)
+    memo = monitor._bodies = _CountedMemo(monitor._bodies)
     for n in range(10):
-        monitor.handle_request(wire_request(resource=f"caller/{n}"), GOOD_SESSION)
+        # Sent twice, so that the memo admits the body at its second sighting.
+        for _ in range(2):
+            monitor.handle_request(wire_request(resource=f"caller/{n}"), GOOD_SESSION)
     before = dict(memo), memo.hits, memo.misses
     for n in range(10, 600):
         for raw in (wire_request(resource=f"caller/{n}"), b"not a request %d" % n):
@@ -955,22 +961,23 @@ _bodies = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_bodies)
 def test_the_body_memo_changes_no_response_and_no_audit_line(policy_pack, tmp_path_factory, raw):
-    # Each body is sent three times: cold, again from the memo, and with
-    # the memo bypassed. A body that is neither bytes nor str is the
-    # `<monitor>` bad-request refusal, and is never kept.
+    # Each body is sent four times: cold, again (which the memo admits),
+    # from the memo, and with the memo bypassed. A body that is neither
+    # bytes nor str is the `<monitor>` bad-request refusal, and is never
+    # kept.
     audit_path = tmp_path_factory.mktemp("audit") / "audit.log"
     sent = []
     with AuditLog(audit_path) as audit:
         monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
-        monitor._bodies = _CountedMemo(monitor._bodies.bound)
-        for longest in (pep._LONGEST_BODY_HELD, pep._LONGEST_BODY_HELD, -1):
+        monitor._bodies = _CountedMemo(monitor._bodies)
+        for longest in (*(pep._LONGEST_BODY_HELD,) * 3, -1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pep, "_LONGEST_BODY_HELD", longest)  # -1: no body is kept
                 response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
             lines = audit_path.read_bytes().splitlines()
             assert len(lines) == len(sent) + 1
             sent.append((response_bytes, lines[-1]))
-    assert sent[0] == sent[1] == sent[2]
+    assert sent[0] == sent[1] == sent[2] == sent[3]
     kept = type(raw) in (bytes, str)
     assert monitor._bodies.hits == (kept and len(raw) <= pep._LONGEST_BODY_HELD)
     if not kept:

@@ -12,6 +12,10 @@ runs and the next `--requests` are counted. Prints one JSON line per
 workload with, per counted request:
 
 - `calls`: Python calls, as cProfile counts them (built-in calls included);
+- `calls_by_module`: those calls by the module of the function called:
+  a dotted name such as `lexgate.engine`, `<built-in>` for a function
+  written in C, or the file name of code no module holds (`<string>` for
+  the methods `dataclasses` generates);
 - `memo_misses`: each memo's misses (`ReferenceMonitor.memos()`);
 - `gc_collections`: collections by generation (`gc.get_stats` deltas);
 - `response_bytes` and `audit_bytes`;
@@ -42,6 +46,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path.cwd() / "perfbench"))
@@ -56,6 +61,18 @@ def _empty_line_memo() -> None:
     seen = getattr(lines, "seen", None)
     if seen:
         seen.clear()
+
+
+def _module_of(code: object, roots: list[Path]) -> str:
+    """The module a profiled function belongs to (see `calls_by_module`)."""
+    if isinstance(code, str):
+        return "<built-in>"
+    path = Path(code.co_filename)
+    for root in roots:
+        if path.is_relative_to(root):
+            parts = path.relative_to(root).with_suffix("").parts
+            return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    return code.co_filename
 
 
 def counts(workload: str, seed: int, warmup: int, requests: int) -> dict:
@@ -93,11 +110,18 @@ def counts(workload: str, seed: int, warmup: int, requests: int) -> dict:
     sent = len(counted)
     # Summed per code object: pstats would merge the entries of functions
     # that share a file, line and name (such as dataclasses' `__init__`s).
-    calls = sum(entry.callcount for entry in profile.getstats())
+    # The deepest import root first, so that `src/lexgate/engine.py` is
+    # `lexgate.engine` even when the checkout itself is on the path.
+    roots = sorted({Path(entry).resolve() for entry in sys.path if entry}, key=lambda root: -len(root.parts))
+    by_module: Counter[str] = Counter()
+    for entry in profile.getstats():
+        by_module[_module_of(entry.code, roots)] += entry.callcount
+    calls = sum(by_module.values())
     return {
         "checkout": str(Path.cwd()),
         "workload": workload, "seed": seed, "requests": sent,
         "calls": round(calls / sent, 4),
+        "calls_by_module": {module: round(count / sent, 4) for module, count in sorted(by_module.items())},
         "memo_misses": {name: round((memo.misses - misses[name]) / sent, 4) for name, memo in memos.items()},
         "memo_held": {name: len(memo) for name, memo in memos.items()},
         "gc_collections": [round(count / sent, 6) for count in collections],
