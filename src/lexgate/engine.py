@@ -8,7 +8,8 @@ return identical responses including the trace.
 Responses are recycled: the context is built for every request, but the
 walk of the documents is a function of the request's plan and of the
 attribute bags those documents read (a time compared only by order with
-literals counts by its place among them), so each plan of the compiled
+literals counts by its place among them), and of the source's place only
+where one of them calls location-match, so each plan of the compiled
 forest keeps a bounded memo from that walk key to the finished response
 (`CompiledForest`). A request whose key was seen before gets that
 response without a walk.
@@ -16,10 +17,13 @@ response without a walk.
 Legislation applicability: a node carrying a legislation scope set is
 applicable only when that set intersects the scopes observed by the
 connection (closure of the source and destination national scopes plus
-the organization scope). `legislation_mode="ignore-tags"` observes every
-scope the forest names instead (`CompiledForest.scopes`), so every
-tagged node passes that check, reproducing an engine that does not
-understand the tag; a node's legislation set is never empty. Ignoring
+the organization scope). Only the observed scopes the forest names are
+kept, since no legislation set holds another; so connections that differ
+only in scopes no document names share plans and responses.
+`legislation_mode="ignore-tags"` observes every scope the forest names
+instead (`CompiledForest.scopes`), so every tagged node passes that
+check, reproducing an engine that does not understand the tag; a node's
+legislation set is never empty. Ignoring
 the tag only over-restricts while no tagged node can reach a Permit rule
 outside the organization scope: a policy tagged JP with one Permit rule,
 asked from London, is NotApplicable when tags are read and Permit when
@@ -241,9 +245,13 @@ def _fn_location_match(ctx: EvaluationContext, args: list[object]) -> object:
     return False
 
 
+# The one function of the walk that reads the source country, zone or
+# zone tree (`_walk_key`).
+_LOCATION_MATCH = "function:location-match"
+
 _BUILTINS: dict[str, FunctionImpl] = {
     **{function: _checked(function, signature) for function, signature in SIGNATURES.items()},
-    "function:location-match": _fn_location_match,
+    _LOCATION_MATCH: _fn_location_match,
 }
 
 # and/or are special forms: the evaluator short-circuits them and tolerates
@@ -614,11 +622,14 @@ class PolicyDecisionPoint:
         mark = 0
         try:
             ctx = self._build_context(request, pips)
-            # An undeclared country is refused in both modes; ignoring the
-            # tags observes every scope the forest names.
+            # An undeclared country is refused in both modes. A node reads
+            # the scopes only through `isdisjoint` with its legislation set,
+            # a subset of the forest's scopes, so the observed scopes are
+            # kept only where the forest names them; ignoring the tags
+            # observes every scope the forest names.
             ctx.applicable_scopes = pips.scopes.select_legislation(
                 ctx.source_country, ctx.destination_country
-            )
+            ) & forest.scopes
             if legislation_mode == "ignore-tags":
                 ctx.applicable_scopes = forest.scopes
             plan = forest.plan(ctx)
@@ -768,12 +779,14 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
     value, (data type, payload type, payload), except an attribute whose
     every read compares it, as a match clause or the time-one-and-only of
     its selector, by time order with a time literal: its naive times give
-    their place among those literals (`_time_slot`). Every key ends with
-    the source country, the zone and the zone tree, which location-match
-    reads wherever it stands, in a target clause or a condition."""
+    their place among those literals (`_time_slot`). When a walked node
+    calls location-match, in a target clause or anywhere in a condition,
+    the key ends with the source country, the zone and the zone tree,
+    which that function alone of the walk reads."""
     # Per attribute read, the time literals it is compared with; None once
     # a read needs its exact values.
     literals: dict[tuple[Category, str], Optional[set]] = {}
+    located = False
 
     def read(category: Category, attribute_id: str, literal: object = None) -> None:
         attribute = (category, attribute_id)
@@ -786,11 +799,13 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
 
     def visit(expr: ConditionExpr) -> None:
         """Note what the expression reads."""
+        nonlocal located
         if isinstance(expr, AttributeSelector):
             read(expr.category, expr.attribute_id)
             return
         if not isinstance(expr, FunctionApplication):
             return
+        located = located or expr.function == _LOCATION_MATCH
         compared = _compared_time(expr)
         if compared is not None:
             selector, literal = compared
@@ -807,6 +822,7 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
             for clause in clauses:
                 compared = clause.match_function in _TIME_ORDER
                 read(category, clause.attribute_id, clause.literal.value if compared else None)
+                located = located or clause.match_function == _LOCATION_MATCH
         if node.condition is not None:
             visit(node.condition)
     exact = tuple(attribute for attribute, times in literals.items() if times is None)
@@ -828,8 +844,9 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
             key.append(len(bag))
             for value in bag:
                 key += _time_slot(value, times)
-        report = ctx.source_location
-        key += (ctx.source_country, None if report is None else report.zone, ctx.pips.zones)
+        if located:
+            report = ctx.source_location
+            key += (ctx.source_country, None if report is None else report.zone, ctx.pips.zones)
         return tuple(key)
 
     return walk_key
@@ -849,15 +866,18 @@ class CompiledForest:
     stays the one a full walk produces.
 
     `scopes` is the union of the legislation sets of every node, the
-    scopes a request observes under ignore-tags. Which record a document
-    gives when it is not walked depends on the scopes alone, so a
-    `Screen` per scope set holds those records and, rendered once, their
-    wire lines as one UTF-8 text with each document's byte offset in it.
+    scopes a request observes under ignore-tags; in aware mode `evaluate`
+    keeps only the observed scopes it names, which is all a legislation
+    check can tell apart. Which record a document gives when it is not
+    walked depends on the scopes alone, so a `Screen` per scope set holds
+    those records and, rendered once, their wire lines as one UTF-8 text
+    with each document's byte offset in it.
 
-    The plan for a request depends only on the request's scopes and, per
-    attribute that roots are keyed on, which of its literals the bag holds
-    (or that the bag holds a value that is not a string). That is the
-    plan memo's key, so caller text that is no literal never enters it.
+    The plan for a request depends only on the request's scopes (those
+    the forest names) and, per attribute that roots are keyed on, which
+    of its literals the bag holds (or that the bag holds a value that is
+    not a string). That is the plan memo's key, so caller text that is
+    no literal never enters it.
     A plan is made on the first request with its key and kept with the
     screened records grouped into runs between the walked documents; per
     run, a view of its records' lines in its screen's text (a plan holds
@@ -868,14 +888,15 @@ class CompiledForest:
     Under one plan, the walk is a function of what the walked documents
     read: the bags their target clauses and selectors read (a time
     compared only by order with time literals counts by its place among
-    those literals) and the source country, zone and zone tree, which
-    location-match reads in a target clause or a condition. That is the
-    walk key (`_walk_key`), derived when the plan is made; besides the
-    bags and the location, a walk reads only the scopes, which the plan
-    key holds. A plan maps it to the finished `ResponseContext`
-    (decision, status, obligations and the `Trace` with its digest and
-    body), so a request whose walk key was seen before gets that response
-    without a walk, a trace build or a hash. Its obligations are those its
+    those literals) and, when one of them calls location-match in a
+    target clause or a condition, the source country, zone and zone
+    tree, which that function alone reads. That is the walk key
+    (`_walk_key`), derived when the plan is made; besides the bags and
+    the location, a walk reads only the scopes, which the plan key holds.
+    A plan maps it to the finished `ResponseContext` (decision, status,
+    obligations and the `Trace` with its digest and body), so a request
+    whose walk key was seen before gets that response without a walk, a
+    trace build or a hash. Its obligations are those its
     walked records carry for its decision (`TraceRecord.obligations`).
     Only responses of a completed walk are kept, never the `<context>`
     error response. The plan, screen and response memos are `model.Memo`s,

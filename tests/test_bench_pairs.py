@@ -1,6 +1,8 @@
-"""The verdicts tools/bench_pairs.py prints for paired benchmark runs."""
+"""The verdicts tools/bench_pairs.py prints for paired benchmark runs, and
+the copy of the checkout its change side runs in."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,31 @@ def test_a_loss_is_judged_against_the_metrics_bound(factor, regression):
     assert row["change_wins"] == 0
     assert row["claim"].startswith("not met")
     assert row["regression"] == regression
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def test_the_change_side_is_a_copy_of_the_files_on_disk_outside_the_checkout(tmp_path, monkeypatch):
+    checkout = tmp_path / "checkout"
+    (checkout / "src").mkdir(parents=True)
+    (checkout / "src" / "program.py").write_text("VALUE = 1\n")
+    (checkout / "gone.py").write_text("")
+    (checkout / ".gitignore").write_text("ignored/\n")
+    _git(checkout, "init", "-q")
+    _git(checkout, "add", "-A")
+    _git(checkout, "commit", "-q", "-m", "first")
+    (checkout / "src" / "program.py").write_text("VALUE = 2\n")  # uncommitted
+    (checkout / "gone.py").unlink()
+    (checkout / "new.py").write_text("NEW = True\n")  # untracked
+    (checkout / "ignored").mkdir()
+    (checkout / "ignored" / "cache.bin").write_text("x")
+    (checkout / "BENCH.json").write_text("{}")  # the output file
+    monkeypatch.setattr(bench_pairs, "ROOT", checkout)
+    copy = bench_pairs.copy_checkout(tmp_path / "change", checkout / "BENCH.json")
+    assert not copy.resolve().is_relative_to(checkout.resolve())
+    assert (copy / "src" / "program.py").read_text() == "VALUE = 2\n"
+    files = sorted(str(path.relative_to(copy)) for path in copy.rglob("*") if path.is_file())
+    assert files == [".gitignore", "new.py", "src/program.py"]

@@ -45,7 +45,7 @@ from lexgate.model import (
 from lexgate.parsing.location_xml import ZoneKind
 from lexgate.parsing.wire import RequestContext, parse_request, serialize_response
 from lexgate.pep import ReferenceMonitor
-from policybuild import document, policy, random_forest, rule, string_clause
+from policybuild import TARGET_LITERALS, document, policy, policy_set, random_forest, rule, string_clause
 
 NOON = "2026-03-10T12:00:00Z"
 LONDON_POINT = "51.507861 -0.099349"
@@ -513,11 +513,12 @@ def test_plans_of_one_scope_set_splice_one_shared_text(engine, policy_pack):
     assert type(packaged.trace) is Trace
     assert any(isinstance(piece, memoryview) and piece for piece in packaged.trace.body)
     assert b"".join(packaged.trace.body) == trace_text(packaged.trace)
-    # A memo of one entry keeps one scope set's text: Zurich's replaces
-    # London's.
+    # A memo of one entry keeps one scope set's text: Frankfurt's
+    # replaces London's. (Zurich would not: it observes the same scopes
+    # the forest names as London does, and so shares London's screen.)
     london = set(forest._screens)
     forest._plans.bound = forest._screens.bound = 1
-    engine.evaluate(forest, parse_request(wire_request(point="47.36 8.53")), pips)
+    engine.evaluate(forest, parse_request(wire_request(point="50.40 8.70")), pips)
     assert len(forest._screens) == 1 and set(forest._screens) != london
 
 
@@ -628,13 +629,15 @@ def test_a_forest_gives_each_bundle_its_own_location_match(engine):
 
 
 CUSTOMS_HALL_POINT = "51.505 0.05"  # GB, in the LCY customs restricted area
+ZURICH_POINT = "47.36 8.53"
 
 
 @pytest.mark.parametrize("mode, literal, points, decisions", [
-    # London (GB) and Zurich (CH) observe other scopes, so only under
-    # ignore-tags do they share a plan; the customs hall and the bank are
-    # both in GB.
-    ("ignore-tags", "GB", (LONDON_POINT, "47.36 8.53"), ("Permit", "NotApplicable")),
+    # London (GB) and Zurich (CH) observe other scopes, but the forest
+    # names none, so they share a plan in either mode; the customs hall and
+    # the bank are both in GB.
+    ("ignore-tags", "GB", (LONDON_POINT, ZURICH_POINT), ("Permit", "NotApplicable")),
+    ("aware", "GB", (ZURICH_POINT, LONDON_POINT), ("NotApplicable", "Permit")),
     ("aware", "restricted", (CUSTOMS_HALL_POINT, LONDON_POINT), ("Permit", "NotApplicable")),
     ("aware", "restricted", (LONDON_POINT, CUSTOMS_HALL_POINT), ("NotApplicable", "Permit")),
 ])
@@ -656,6 +659,90 @@ def test_a_location_match_in_a_target_keys_the_response_on_the_location(engine, 
         assert trace_digest(warm.trace) == trace_digest(cold.trace)
         assert warm.decision.value == decision
     assert len(forest._plans) == 1
+
+
+def test_sources_whose_scopes_differ_only_outside_the_forest_share_plan_and_response(engine):
+    # London observes {GB, EU, LU, org:bank} and Zurich {CH, EU, LU,
+    # org:bank}; the forest names LU and JP alone, so both see {LU}, and
+    # nothing the forest reads tells them apart.
+    documents = [
+        document(policy("lu", [rule("lu-r", Effect.DENY)], legislation=frozenset({"LU"}))),
+        document(policy("jp", [rule("jp-r", Effect.PERMIT)], legislation=frozenset({"JP"}))),
+        document(policy("res", [rule("res-r", Effect.PERMIT)],
+                        target=Target(resources=(string_clause("resource-id", "products/overview"),)))),
+    ]
+    forest = engine.compile(documents)
+    pips = make_bundle(NOON)
+    london, zurich = (parse_request(wire_request(point=point)) for point in (LONDON_POINT, ZURICH_POINT))
+    first = engine.evaluate(forest, london, pips)
+    shared = engine.evaluate(forest, zurich, pips)
+    assert shared is first
+    assert len(forest._plans) == len(forest._screens) == 1
+    assert set(forest._screens) == {frozenset({"LU"})}
+    fresh = engine.evaluate(engine.compile(documents), zurich, pips)
+    assert serialize_response(shared) == serialize_response(fresh)
+    assert trace_digest(shared.trace) == trace_digest(fresh.trace)
+    assert shared.decision is Decision.DENY
+
+
+def test_a_location_match_in_a_nested_condition_keys_the_response_on_the_place(engine):
+    # The only location-match stands inside an and, in the condition of a
+    # rule of a policy inside a policy set; no target reads the place, and
+    # the forest names no scope, so London and Zurich share one plan.
+    in_gb = FunctionApplication("function:and", (
+        Literal(AttributeValue(DataType.BOOLEAN, True)),
+        FunctionApplication("function:location-match", (Literal(AttributeValue(DataType.STRING, "GB")),)),
+    ))
+    documents = [document(policy_set("outer", [policy("inner", [rule("in-gb", Effect.PERMIT, in_gb)])]))]
+    forest = engine.compile(documents)
+    pips = make_bundle(NOON)
+    for point, decision in ((LONDON_POINT, Decision.PERMIT), (ZURICH_POINT, Decision.NOT_APPLICABLE)) * 2:
+        request = parse_request(wire_request(point=point))
+        warm = engine.evaluate(forest, request, pips)
+        assert warm.decision is decision
+        assert serialize_response(warm) == serialize_response(engine.evaluate(engine.compile(documents), request, pips))
+    assert len(forest._plans) == 1
+    assert len(next(iter(forest._plans.values())).responses) == 2
+
+
+# Every place of the packaged zone tree, in GB, LU, DE, FR, CH and JP, the
+# customs halls among them.
+PACKAGED_PLACES = (
+    "GB-london-bank", "GB-LCY-customs-hall", "LU-hq", "DE-FRA-customs-hall", "DE-frankfurt-office",
+    "FR-paris-office", "CH-zurich-hotel", "CH-zurich-meeting", "JP-tokyo-office",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    sent=st.lists(
+        st.tuples(
+            st.sampled_from(PACKAGED_PLACES),
+            st.sampled_from(TARGET_LITERALS[Category.RESOURCE, "resource-id"]),
+            st.sampled_from(TARGET_LITERALS[Category.ACTION, "action-id"]),
+            st.sampled_from(("aware", "ignore-tags")),
+        ),
+        min_size=1, max_size=8,
+    ),
+)
+def test_a_shared_forest_answers_packaged_places_as_a_fresh_one_does(seed, sent):
+    # random_forest tags documents with a few of the packaged countries and
+    # puts location-match "GB" in some targets, so requests from places
+    # whose scopes differ only where the forest names none share plans
+    # and responses, while the place still decides where it is read.
+    engine = PolicyDecisionPoint()
+    documents = random_forest(random.Random(seed), hostile=True)
+    forest = engine.compile(documents)
+    pips = make_bundle(NOON)
+    for place, resource, action, mode in sent:
+        point = pips.zones.place(place)[0].point
+        request = parse_request(wire_request(resource=resource, action=action, point=f"{point.lat} {point.lon}"))
+        warm = engine.evaluate(forest, request, pips, legislation_mode=mode)
+        fresh = engine.evaluate(engine.compile(documents), request, pips, legislation_mode=mode)
+        assert warm == fresh
+        assert serialize_response(warm) == serialize_response(fresh)
+        assert trace_digest(warm.trace) == trace_digest(fresh.trace)
 
 
 def test_a_forest_of_more_than_4096_documents_keeps_one_response_per_plan(engine):

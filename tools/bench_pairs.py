@@ -5,8 +5,11 @@
         --trace 0 --out BENCH_pr7.json
 
 Run from the root of a lexgate checkout. The parent revision is extracted
-with `git archive <rev> | tar -x` into a temporary directory; the change is
-this checkout, committed or not. For each workload and seed the two
+with `git archive <rev> | tar -x` into a temporary directory, and the change
+is copied from this checkout, committed or not, into another one: its
+tracked files as they are on disk and the untracked files git does not
+ignore, so both sides run from fresh copies without the checkout's caches
+or build leftovers. For each workload and seed the two
 sides run `perfbench/run.py` with the same command line, for the
 `run_seconds` BENCHMARK.json fixes, one after the other, and the side that
 runs first alternates from pair to pair. Each run's last line of output (the
@@ -22,7 +25,7 @@ fraction of the parent's median, else "within bound". The output file
 holds the machine, the Python version, both revisions and every run; it
 is rewritten after each run, so an interrupted session keeps what it ran.
 The change side is identified by the git tree of its tracked files as
-run, the output file left out, and the list of untracked files git does
+copied, the output file left out, and the list of untracked files git does
 not ignore: a commit holds the measured code when `git diff --stat <tree>
 <commit>` names no program file (only the output file and documents
 written after the run).
@@ -88,6 +91,22 @@ def extract(rev: str, into: Path) -> Path:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"error: git archive {rev} failed")
+    return into
+
+
+def copy_checkout(into: Path, leave_out: Path) -> Path:
+    """The checkout's files as they are on disk, under `into`: its tracked
+    files (edits included, files deleted from disk left out) and the
+    untracked files git does not ignore, `leave_out` (the output file)
+    excepted."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    into.mkdir(parents=True)
+    for name in filter(None, dict.fromkeys(names)):
+        source = ROOT / name
+        if not source.exists() or source.resolve() == leave_out.resolve():
+            continue
+        (into / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, into / name)
     return into
 
 
@@ -189,7 +208,10 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], f"{benchmark['run_seconds']:g}"
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as temp:
-        checkouts = {"parent": extract(args.parent, Path(temp) / "parent"), "change": ROOT}
+        checkouts = {
+            "parent": extract(args.parent, Path(temp) / "parent"),
+            "change": copy_checkout(Path(temp) / "change", args.out),
+        }
         sides = {
             "parent": {"rev": args.parent, "commit": git("rev-parse", args.parent)},
             "change": measured_tree(args.out),

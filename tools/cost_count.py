@@ -16,11 +16,16 @@ workload with, per counted request:
   a dotted name such as `lexgate.engine`, `<built-in>` for a function
   written in C, or the file name of code no module holds (`<string>` for
   the methods `dataclasses` generates);
-- `memo_misses`: each memo's misses (`ReferenceMonitor.memos()`);
+- `memo_misses`: each memo's misses (`ReferenceMonitor.memos()`), and as
+  `response` those of every plan's response memo, summed over the plans
+  the forest holds at each end of the window (a plan evicted during the
+  window takes its misses with it; no workload evicts one after the
+  warm-up today);
 - `gc_collections`: collections by generation (`gc.get_stats` deltas);
 - `response_bytes` and `audit_bytes`;
 
-and `memo_held`, each memo's entries at the end of the replay. The line memo
+and `memo_held`, each memo's entries at the end of the replay (`response`:
+summed over the plans held then). The line memo
 is shared by the whole process; it is emptied before each workload, so a
 workload's counts do not depend on the one replayed before it. These counts
 do not depend on the speed of the host: two runs of one checkout give the
@@ -93,6 +98,7 @@ def counts(workload: str, seed: int, warmup: int, requests: int) -> dict:
             raise SystemExit(f"{workload}: the stream ended during the warm-up")
         memos = monitor.memos()
         misses = {name: memo.misses for name, memo in memos.items()}
+        misses["response"] = sum(plan.responses.misses for plan in monitor.forest._plans.values())
         audit_before = audit_path.stat().st_size if audit_path.exists() else 0
         response_bytes = 0
         gc.collect()
@@ -117,13 +123,18 @@ def counts(workload: str, seed: int, warmup: int, requests: int) -> dict:
     for entry in profile.getstats():
         by_module[_module_of(entry.code, roots)] += entry.callcount
     calls = sum(by_module.values())
+    plans = monitor.forest._plans.values()
+    memo_misses = {name: memo.misses - misses[name] for name, memo in memos.items()}
+    memo_misses["response"] = sum(plan.responses.misses for plan in plans) - misses["response"]
+    memo_held = {name: len(memo) for name, memo in memos.items()}
+    memo_held["response"] = sum(len(plan.responses) for plan in plans)
     return {
         "checkout": str(Path.cwd()),
         "workload": workload, "seed": seed, "requests": sent,
         "calls": round(calls / sent, 4),
         "calls_by_module": {module: round(count / sent, 4) for module, count in sorted(by_module.items())},
-        "memo_misses": {name: round((memo.misses - misses[name]) / sent, 4) for name, memo in memos.items()},
-        "memo_held": {name: len(memo) for name, memo in memos.items()},
+        "memo_misses": {name: round(count / sent, 4) for name, count in memo_misses.items()},
+        "memo_held": memo_held,
         "gc_collections": [round(count / sent, 6) for count in collections],
         "response_bytes": round(response_bytes / sent, 2),
         "audit_bytes": round(audit_bytes / sent, 2),
