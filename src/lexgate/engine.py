@@ -75,10 +75,8 @@ from .model import (
     Target,
     Trace,
     TraceRecord,
-    fits,
     is_one_field,
     is_wire_text,
-    operand_type,
     refusal,
     trace_text,
 )
@@ -259,60 +257,6 @@ _BUILTINS: dict[str, FunctionImpl] = {
 _SPECIAL_FORMS = ("function:and", "function:or")
 
 
-# A compiled target check: None when the node applies, else its record.
-Applies = Callable[[EvaluationContext], Optional[TraceRecord]]
-# A compiled node: appends the record of each node it completes, returns
-# the node's decision.
-Walk = Callable[[EvaluationContext, list], Decision]
-
-
-def _raiser(status: str, message: str) -> Callable[..., object]:
-    """Code that raises a fresh `_EvalError(status, message)` each time it
-    runs."""
-
-    def fail(*_args: object) -> object:
-        raise _EvalError(status, message)
-
-    return fail
-
-
-def _typed(function: str, signature: Signature, operands: tuple) -> Callable[[EvaluationContext], object]:
-    """A well-typed built-in application: the kernel over its operands'
-    values, taking a bag operand's (a selector's) one value."""
-    kernel = signature.kernel
-    if len(operands) == 2:
-        first, second = operands
-        return lambda ctx: kernel(first(ctx), second(ctx))
-    (only,) = operands
-    if signature.args[0][1]:
-        return lambda ctx: kernel(_only(only(ctx), function))
-    return lambda ctx: kernel(only(ctx))
-
-
-def _compile_logical(function: str, operands: tuple) -> Callable[[EvaluationContext], bool]:
-    """Short-circuit and/or; an operand error surfaces only when the
-    remaining operands cannot decide the outcome."""
-    want_all = function == "function:and"
-
-    def logical(ctx: EvaluationContext) -> bool:
-        pending_error: Optional[_EvalError] = None
-        for operand in operands:
-            try:
-                flag = operand(ctx)
-                if flag is not True and flag is not False:
-                    _scalar(flag, bool, function)  # raises
-            except _EvalError as exc:
-                pending_error = pending_error or exc
-                continue
-            if flag is not want_all:
-                return flag
-        if pending_error is not None:
-            raise pending_error
-        return want_all
-
-    return logical
-
-
 def _is_default_rule(node: PolicyNode) -> bool:
     return (
         node.kind is NodeKind.RULE
@@ -330,6 +274,121 @@ def _fulfilled(node: PolicyNode, decision: Decision, reason: str) -> TraceRecord
     return TraceRecord(node.id, decision, reason, obligations)
 
 
+# -- the walk -----------------------------------------------------------------
+#
+# A walk runs only on a response-memo miss. `_walk` appends the trace record
+# of every node it completes to `visited`, in completion order, and returns
+# the node's decision; every built-in application goes through its checked
+# function in `_BUILTINS`.
+
+
+def _value(expr: ConditionExpr, ctx: EvaluationContext) -> object:
+    """The expression's value; raises _EvalError for an error."""
+    if isinstance(expr, Literal):
+        return expr.value.value
+    if isinstance(expr, AttributeSelector):
+        data_type = expr.data_type
+        return tuple([v.value for v in ctx.lookup((expr.category, expr.attribute_id)) if v.data_type is data_type])
+    if isinstance(expr, FunctionApplication):
+        function = expr.function
+        if function in _SPECIAL_FORMS:
+            return _logical(function, expr.args, ctx)
+        fn = _BUILTINS.get(function)
+        if fn is None:  # fails before any operand is evaluated
+            raise _EvalError(STATUS_PROCESSING_ERROR, f"unknown function {function!r}")
+        return fn(ctx, [_value(arg, ctx) for arg in expr.args])
+    raise _EvalError(STATUS_PROCESSING_ERROR, f"unknown expression node {expr!r}")
+
+
+def _logical(function: str, operands: tuple[ConditionExpr, ...], ctx: EvaluationContext) -> bool:
+    """Short-circuit and/or; an operand error surfaces only when the
+    remaining operands cannot decide the outcome."""
+    want_all = function == "function:and"
+    pending_error: Optional[_EvalError] = None
+    for operand in operands:
+        try:
+            flag = _value(operand, ctx)
+            if flag is not True and flag is not False:
+                _scalar(flag, bool, function)  # raises
+        except _EvalError as exc:
+            pending_error = pending_error or exc
+            continue
+        if flag is not want_all:
+            return flag
+    if pending_error is not None:
+        raise pending_error
+    return want_all
+
+
+def _matches(category: Category, clause: MatchClause, ctx: EvaluationContext) -> bool:
+    """True when any request value for the attribute matches the literal."""
+    match = _BUILTINS.get(clause.match_function)
+    if match is None:  # fails before the bag is read, so even when it is empty
+        raise _EvalError(STATUS_PROCESSING_ERROR, f"unknown function {clause.match_function!r}")
+    literal = clause.literal.value
+    for value in ctx.lookup((category, clause.attribute_id)):
+        if match(ctx, [value.value, literal]) is True:
+            return True
+    return False
+
+
+def _miss(node: PolicyNode, ctx: EvaluationContext) -> Optional[TraceRecord]:
+    """None when the node applies, else its NotApplicable or Indeterminate
+    record: the legislation set is checked first, then each non-empty
+    clause list of the target in order."""
+    legislation = node.legislation
+    if legislation is not None and legislation.isdisjoint(ctx.applicable_scopes):
+        return TraceRecord(node.id, Decision.NOT_APPLICABLE, _legislation_miss(legislation))
+    for category, clauses in node.target.sections():
+        if not clauses:
+            continue
+        try:
+            if not any(_matches(category, clause, ctx) for clause in clauses):
+                return TraceRecord(node.id, Decision.NOT_APPLICABLE, _target_miss(category))
+        except _EvalError as exc:
+            return TraceRecord(node.id, Decision.INDETERMINATE, f"target-error:{exc}")
+    return None
+
+
+def _walk(node: PolicyNode, ctx: EvaluationContext, visited: list) -> Decision:
+    miss = _miss(node, ctx)
+    if miss is not None:
+        visited.append(miss)
+        return miss.decision
+    if node.kind is NodeKind.RULE:
+        if node.condition is not None:
+            try:
+                value = _value(node.condition, ctx)
+                status = None if value is True or value is False else STATUS_PROCESSING_ERROR
+            except _EvalError as exc:
+                status = exc.status
+            if status is not None:
+                visited.append(TraceRecord(node.id, Decision.INDETERMINATE, f"condition-error:{status}"))
+                return Decision.INDETERMINATE
+            if value is False:
+                visited.append(TraceRecord(node.id, Decision.NOT_APPLICABLE, "condition-false"))
+                return Decision.NOT_APPLICABLE
+        # Raises for a rule without an effect, which validate_document reports.
+        decision = node.effect.to_decision()
+        visited.append(_fulfilled(node, decision, "effect"))
+        return decision
+    children, default = node.children, None
+    if node.kind is NodeKind.POLICY and children and _is_default_rule(children[-1]):
+        children, default = children[:-1], children[-1]
+    decisions = tuple([_walk(child, ctx, visited) for child in children])
+    combiner = STANDARD.get(node.combining)
+    if combiner is None:
+        reason = f"combiner-error:unknown combining algorithm {node.combining!r}"
+        visited.append(TraceRecord(node.id, Decision.INDETERMINATE, reason))
+        return Decision.INDETERMINATE
+    decision = combiner(decisions)
+    if decision is Decision.NOT_APPLICABLE and default is not None:
+        decision = default.effect.to_decision()
+        visited.append(_fulfilled(default, decision, "default-rule"))
+    visited.append(_fulfilled(node, decision, f"combined:{node.combining}"))
+    return decision
+
+
 class PolicyDecisionPoint:
     """The decision engine. Its one state is the trusted-bag memo
     (`model.Memo`); the memos of a forest live in its `CompiledForest`."""
@@ -343,10 +402,9 @@ class PolicyDecisionPoint:
         return self._bags.get(key) or self._bags.put(key, (AttributeValue._trusted(data_type, value),))
 
     def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
-        """The forest indexed for this engine, the one way to build a
-        `CompiledForest`; each root is compiled to closures the first time
-        a request walks it."""
-        return CompiledForest(documents, self)
+        """The forest indexed for evaluation, the one way to build a
+        `CompiledForest`."""
+        return CompiledForest(documents)
 
     # -- context construction ---------------------------------------------
 
@@ -428,174 +486,6 @@ class PolicyDecisionPoint:
         cache[Category.ENVIRONMENT, ENV_TASK_STATUS] = _MEMBER_BAGS[assessment]
         return ctx
 
-    # -- compilation -----------------------------------------------------------
-    #
-    # A node compiles to one closure walk(ctx, visited) -> Decision. The walk
-    # appends the trace record of every node it completes to `visited`, in
-    # completion order, and returns the node's decision. The functions,
-    # combiners and literal payloads are resolved here, and so is every
-    # record whose reason is fixed, with the obligations it carries
-    # (`_fulfilled`); only target-error and condition-error records are
-    # built per request. An unknown function or combiner compiles to code
-    # that fails at evaluation, at the point and with the message the walk
-    # has always given.
-
-    def _compile_node(self, node: PolicyNode) -> "Walk":
-        applies = self._compile_applicability(node)
-        if node.kind is NodeKind.RULE:
-            return self._compile_rule(node, applies)
-        return self._compile_container(node, applies)
-
-    def _compile_applicability(self, node: PolicyNode) -> Optional[Applies]:
-        """None for a node that always applies, else a closure giving None
-        when the node applies and its NotApplicable or Indeterminate record
-        when it does not."""
-        node_id = node.id
-        legislation = node.legislation
-        legislation_miss = (
-            None if legislation is None
-            else TraceRecord(node_id, Decision.NOT_APPLICABLE, _legislation_miss(legislation))
-        )
-        # Per non-empty clause list: its record on a miss and its matchers.
-        sections = tuple(
-            (
-                TraceRecord(node_id, Decision.NOT_APPLICABLE, _target_miss(category)),
-                tuple(self._compile_clause(category, clause) for clause in clauses),
-            )
-            for category, clauses in node.target.sections()
-            if clauses
-        )
-        if legislation is None and not sections:
-            return None
-
-        def applies(ctx: EvaluationContext) -> Optional[TraceRecord]:
-            if legislation is not None and legislation.isdisjoint(ctx.applicable_scopes):
-                return legislation_miss
-            for miss, matchers in sections:
-                try:
-                    for matches in matchers:
-                        if matches(ctx):
-                            break
-                    else:  # no clause of the list matched
-                        return miss
-                except _EvalError as exc:
-                    return TraceRecord(node_id, Decision.INDETERMINATE, f"target-error:{exc}")
-            return None
-
-        return applies
-
-    def _compile_clause(self, category: Category, clause: MatchClause) -> Callable[[EvaluationContext], bool]:
-        """True when any request value for the attribute matches the literal.
-        Once the literal fits, a value of the first argument's exact type
-        skips the checks; any other takes the checked function."""
-        function = clause.match_function
-        match = _BUILTINS.get(function)
-        if match is None:  # fails before the bag is read, so even when it is empty
-            return _raiser(STATUS_PROCESSING_ERROR, f"unknown function {function!r}")
-        key = (category, clause.attribute_id)
-        literal = clause.literal.value
-        signature = SIGNATURES.get(function)
-        expected = kernel = None  # no payload's type is None: every value is checked
-        if signature is not None and fits(signature, (None, (type(literal), False))):
-            expected, kernel = signature.args[0][0], signature.kernel
-
-        def matches(ctx: EvaluationContext) -> bool:
-            for value in ctx.lookup(key):
-                payload = value.value
-                if kernel(payload, literal) if type(payload) is expected else match(ctx, [payload, literal]) is True:
-                    return True
-            return False
-
-        return matches
-
-    def _compile_expr(self, expr: ConditionExpr) -> Callable[[EvaluationContext], object]:
-        """The expression as a closure. A built-in application whose operands
-        fit its signature (`fits`) skips the checks it cannot fail."""
-        if isinstance(expr, Literal):
-            payload = expr.value.value
-            return lambda ctx: payload
-        if isinstance(expr, AttributeSelector):
-            key = (expr.category, expr.attribute_id)
-            data_type = expr.data_type
-            return lambda ctx: tuple([v.value for v in ctx.lookup(key) if v.data_type is data_type])
-        if isinstance(expr, FunctionApplication):
-            function = expr.function
-            operands = tuple(self._compile_expr(arg) for arg in expr.args)
-            if function in _SPECIAL_FORMS:
-                return _compile_logical(function, operands)
-            fn = _BUILTINS.get(function)
-            if fn is None:  # fails before any operand is evaluated
-                return _raiser(STATUS_PROCESSING_ERROR, f"unknown function {function!r}")
-            signature = SIGNATURES.get(function)
-            if signature is not None and fits(signature, [operand_type(a) for a in expr.args]):
-                return _typed(function, signature, operands)
-            return lambda ctx: fn(ctx, [operand(ctx) for operand in operands])
-        return _raiser(STATUS_PROCESSING_ERROR, f"unknown expression node {expr!r}")
-
-    def _compile_rule(self, rule: PolicyNode, applies: Optional[Applies]) -> "Walk":
-        node_id = rule.id
-        condition = None if rule.condition is None else self._compile_expr(rule.condition)
-        condition_false = TraceRecord(node_id, Decision.NOT_APPLICABLE, "condition-false")
-        fired = None if rule.effect is None else _fulfilled(rule, rule.effect.to_decision(), "effect")
-
-        def walk(ctx: EvaluationContext, visited: list) -> Decision:
-            if applies is not None:
-                miss = applies(ctx)
-                if miss is not None:
-                    visited.append(miss)
-                    return miss.decision
-            if condition is not None:
-                try:
-                    value = condition(ctx)
-                    status = None if value is True or value is False else STATUS_PROCESSING_ERROR
-                except _EvalError as exc:
-                    status = exc.status
-                if status is not None:
-                    visited.append(TraceRecord(node_id, Decision.INDETERMINATE, f"condition-error:{status}"))
-                    return Decision.INDETERMINATE
-                if value is False:
-                    visited.append(condition_false)
-                    return Decision.NOT_APPLICABLE
-            # Raises for a rule without an effect, which validate_document reports.
-            record = fired or TraceRecord(node_id, rule.effect.to_decision(), "effect")
-            visited.append(record)
-            return record.decision
-
-        return walk
-
-    def _compile_container(self, node: PolicyNode, applies: Optional[Applies]) -> "Walk":
-        children = node.children
-        default_record = combiner_error = None
-        if node.kind is NodeKind.POLICY and children and _is_default_rule(children[-1]):
-            default = children[-1]
-            children = children[:-1]
-            default_record = _fulfilled(default, default.effect.to_decision(), "default-rule")
-        walks = tuple(self._compile_node(child) for child in children)
-        combiner = STANDARD.get(node.combining)
-        if combiner is None:
-            reason = f"combiner-error:unknown combining algorithm {node.combining!r}"
-            combiner_error = TraceRecord(node.id, Decision.INDETERMINATE, reason)
-        combined = {decision: _fulfilled(node, decision, f"combined:{node.combining}") for decision in Decision}
-
-        def walk(ctx: EvaluationContext, visited: list) -> Decision:
-            if applies is not None:
-                miss = applies(ctx)
-                if miss is not None:
-                    visited.append(miss)
-                    return miss.decision
-            decisions = tuple([child(ctx, visited) for child in walks])
-            if combiner is None:
-                visited.append(combiner_error)
-                return Decision.INDETERMINATE
-            decision = combiner(decisions)
-            if decision is Decision.NOT_APPLICABLE and default_record is not None:
-                visited.append(default_record)
-                decision = default_record.decision
-            visited.append(combined[decision])
-            return decision
-
-        return walk
-
     # -- the entry point ------------------------------------------------------
 
     def evaluate(
@@ -642,7 +532,7 @@ class PolicyDecisionPoint:
             body = [views[0]]
             decisions = []  # NotApplicable is the identity of the top combiner
             for index, run, view in zip(plan.walk, runs[1:], views[1:]):
-                decision = forest.walker(index)(ctx, visited)
+                decision = _walk(forest.roots[index], ctx, visited)
                 records = visited[mark:]
                 trace += records
                 trace += run
@@ -853,7 +743,7 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
 
 
 class CompiledForest:
-    """The document forest, compiled once at load time so that per-request
+    """The document forest, indexed once at load time so that per-request
     work follows the applicable documents rather than the forest's size
     (the XEngine idea: Liu, Chen, Hwang and Xie, SIGMETRICS 2008).
 
@@ -904,17 +794,17 @@ class CompiledForest:
     `responses_held` when the plan is made, and keeps at least one
     response at any forest size.
 
-    A walked root runs as the closures `engine` compiles it to, the first
-    time a request walks it. Build one with `PolicyDecisionPoint.compile`;
-    a node id, obligation id or obligation parameter name that is not one
-    wire field (`is_one_field`), or a string parameter value that is not
-    wire text (`is_wire_text`), is refused with ValueError, since no
-    response could carry its trace, obligation or param line. So is a
-    node whose legislation set is empty, which no scope meets, not even
-    under ignore-tags (`validate_document` reports it).
+    A response-memo miss walks each of the plan's documents from its root
+    (`_walk`). Build one with `PolicyDecisionPoint.compile`; a node id,
+    obligation id or obligation parameter name that is not one wire field
+    (`is_one_field`), or a string parameter value that is not wire text
+    (`is_wire_text`), is refused with ValueError, since no response could
+    carry its trace, obligation or param line. So is a node whose
+    legislation set is empty, which no scope meets, not even under
+    ignore-tags (`validate_document` reports it).
     """
 
-    def __init__(self, documents: Iterable[PolicyDocument], engine: PolicyDecisionPoint):
+    def __init__(self, documents: Iterable[PolicyDocument]):
         documents = tuple(documents)
         scopes: set[str] = set()
         for document in documents:
@@ -934,11 +824,9 @@ class CompiledForest:
                     if isinstance(value.value, str) and not is_wire_text(value.value):
                         where = f"obligation parameter {name} in {document.source_name}"
                         raise ValueError(f"{where}: value {value.value!r} is not wire text")
-        self.engine = engine
         self.scopes = frozenset(scopes)
         self.roots = tuple(document.root for document in documents)
         self.responses_held = max(1, min(_RESPONSES_HELD, _PLAN_RECORDS_HELD // max(1, len(self.roots))))
-        self._walks: list[Optional[Walk]] = [None] * len(self.roots)
         self._screens = Memo(_PLANS_HELD)
         self._plans = Memo(_PLANS_HELD)
         keys = [_literal_key(root.target) for root in self.roots]
@@ -1024,10 +912,3 @@ class CompiledForest:
         lines = [b"" if record is None else f"{record.wire_line}\n".encode("utf-8") for record in records]
         offsets = array("q", accumulate(map(len, lines), initial=0))
         return Screen(candidates, records, b"".join(lines), offsets)
-
-    def walker(self, index: int) -> Walk:
-        """The compiled walk of document `index`, compiled on first use."""
-        walk = self._walks[index]
-        if walk is None:
-            walk = self._walks[index] = self.engine._compile_node(self.roots[index])
-        return walk

@@ -302,13 +302,12 @@ def undo_single_line(line: str) -> str:
 class TraceRecord:
     """One visited node. Its reason is made single-line (`single_line`),
     since it may carry an exception's text, and its audit digest text and
-    wire line are rendered once, when the record is built: the engine
-    builds most records when it compiles a node, and every response and
-    audit digest that carries them reuses the strings.
+    wire line are rendered once, when the record is built, and every
+    response and audit digest that carries it reuses the strings.
 
     `obligations` holds those of the node's obligations whose FulfillOn
     is the record's decision; the engine fills it on the Permit and Deny
-    records it compiles (a rule's effect, a default rule, a container's
+    records its walk builds (a rule's effect, a default rule, a container's
     combined decision), so a response's obligations are read off its
     walked records. It enters neither the digest text nor the wire line."""
 

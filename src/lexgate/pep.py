@@ -67,6 +67,7 @@ from .engine import PolicyDecisionPoint
 from .errors import AuditError, ObligationError, WireFormatError
 from .instant import format_instant
 from .model import (
+    DataType,
     Decision,
     Memo,
     Obligation,
@@ -242,7 +243,7 @@ class ObligationService:
             return WireView(ViewMode.PSEUDONYMOUS, payload, view.expires_at)
         if obligation.id == OB_LIMIT_DURATION:
             seconds = obligation.parameter("duration-seconds")
-            if seconds is None or not isinstance(seconds.value, int):
+            if seconds is None or seconds.data_type is not DataType.INTEGER:
                 raise ObligationError("limit-duration needs an integer duration-seconds")
             try:
                 expires_at = now + dt.timedelta(seconds=seconds.value)

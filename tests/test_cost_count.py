@@ -63,3 +63,28 @@ def test_calls_per_request_stay_within_their_bounds():
     assert not over, f"calls per request over their bounds (count, bound): {over}"
     for line in counted:
         assert sum(line["calls_by_module"].values()) == pytest.approx(line["calls"], abs=0.01)
+
+
+# Response-memo misses per request, each one a walk of the policy tree, over
+# the same seed-5 replay: the counts when the bounds were set plus one walk
+# in the 1,000 requests, since a share of 1% of so few walks is not one.
+# Walk keys that stop repeating would give a walk on most requests.
+WALKS_PER_REQUEST_BOUNDS = {
+    "forest-600": 0.001,  # 0.0
+    "pack-mix": 0.001,  # 0.0
+    "reject-mix": 0.001,  # 0.0
+    "world-200": 0.003,  # 0.002
+}
+
+
+def test_walks_per_request_stay_within_their_bounds():
+    completed = subprocess.run(
+        [sys.executable, "tools/cost_count.py", "--workload", "all", "--seed", "5",
+         "--warmup", "300", "--requests", "1000"],
+        cwd=REPO, check=True, capture_output=True, text=True, timeout=600,
+    )
+    counted = [json.loads(line) for line in completed.stdout.splitlines() if line.startswith("{")]
+    walks = {line["workload"]: line["memo_misses"]["response"] for line in counted}
+    assert set(walks) == set(WALKS_PER_REQUEST_BOUNDS)
+    over = {name: (walks[name], bound) for name, bound in WALKS_PER_REQUEST_BOUNDS.items() if walks[name] > bound}
+    assert not over, f"walks per request over their bounds (count, bound): {over}"

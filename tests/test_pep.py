@@ -1164,6 +1164,25 @@ def test_a_limit_duration_past_the_calendar_denies_with_one_audit_record(tmp_pat
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
 
 
+def test_a_boolean_limit_duration_denies_with_one_audit_record(tmp_path):
+    # A boolean is no duration, although Python counts True as the int 1.
+    duration = Obligation(
+        "limit-duration", Effect.PERMIT, (("duration-seconds", AttributeValue(DataType.BOOLEAN, True)),)
+    )
+    permit = document(policy("p", [rule("r", Effect.PERMIT)], obligations=(duration,)))
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor = ReferenceMonitor(
+            PolicyDecisionPoint(), [permit], make_bundle("2026-03-10T13:40:00Z"), audit=audit, pseudonym_key=KEY
+        )
+        response_bytes, record = monitor.handle_request(wire_request(), GOOD_SESSION)
+    response, view = parse_response(response_bytes)
+    assert (response.decision, response.status) == (Decision.DENY, STATUS_PROCESSING_ERROR)
+    assert response.trace[-1].node_id == "<obligations>"
+    assert response.trace[-1].reason == "obligation-failure:limit-duration needs an integer duration-seconds"
+    assert view is None
+    assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
 def test_a_permit_whose_expiry_falls_before_year_1000_parses_back(tmp_path):
     # 2026-03-10T13:40Z less 60,021,259,200 s is 0124-03-11T01:40Z; the
     # view line writes its year with four digits, as docs/wire-format.md
