@@ -31,7 +31,12 @@ mismatch, are built once, at import, so answering them hashes and
 renders nothing. A bad-request refusal is built at most twice per
 distinct body: the body memo (`model.Memo`) maps the bodies of
 authenticated callers it has seen twice to the request they parse to or
-to their refusal. Only a Permit decision carries a view. The audit line
+to their refusal. Only a Permit decision carries a view. The
+`pseudonymize` and `anonymize` obligations are fulfilled once per
+resource: the payload memo maps (obligation id, pseudonym key, content,
+customers) to the transformed payload, which replaces every customer id
+in one pass, so no id is matched inside text already written; only
+`limit-duration`'s expiry and the view are made per request. The audit line
 and the returned `AuditRecord` carry the response's decision and status,
 except after an audit failure: the record returned then is the one whose
 append failed.
@@ -207,11 +212,32 @@ def pseudonym(key: str, identifier: str) -> str:
     return "nym-" + digest.hexdigest()[:12]
 
 
+def _replaced(text: str, customers: frozenset[str], key: Optional[str]) -> str:
+    """`text` with each customer id replaced by its pseudonym under `key`,
+    or by `ANONYMIZED_MARKER` when `key` is None, in one left-to-right
+    pass that takes the longest id starting at each position: text already
+    written is never matched again. An empty id is skipped."""
+    if len(customers) > 1:
+        ids = sorted(filter(None, customers), key=len, reverse=True)
+        replacement = {customer: ANONYMIZED_MARKER if key is None else pseudonym(key, customer) for customer in ids}
+        return re.sub("|".join(map(re.escape, ids)), lambda match: replacement[match[0]], text)
+    for customer in customers:
+        if customer:
+            text = text.replace(customer, ANONYMIZED_MARKER if key is None else pseudonym(key, customer))
+    return text
+
+
 class ObligationService:
-    """Executes the built-in obligations against resource content."""
+    """Executes the built-in obligations against resource content.
+
+    `payload` memoizes a transformed payload by what the transform reads:
+    (obligation id, pseudonym key or None for anonymize, original content,
+    customers). A key reassigned to `pseudonym_key` is part of the next
+    lookup, so it never gets the old key's pseudonyms."""
 
     def __init__(self, pseudonym_key: Optional[str] = None):
         self.pseudonym_key = pseudonym_key
+        self.payload = Memo(4_096)
 
     def execute(
         self,
@@ -226,21 +252,6 @@ class ObligationService:
         `original` is the untransformed payload so anonymize always works
         from the source identifiers regardless of prior transformations.
         """
-        customers = sorted(record.customers, key=len, reverse=True) if record else []
-        if obligation.id == OB_ANONYMIZE:
-            payload = original
-            for customer in customers:
-                payload = payload.replace(customer, ANONYMIZED_MARKER)
-            return WireView(ViewMode.ANONYMOUS, payload, view.expires_at)
-        if obligation.id == OB_PSEUDONYMIZE:
-            if not self.pseudonym_key:
-                raise ObligationError("pseudonym mapping key is unavailable")
-            if view.mode is ViewMode.ANONYMOUS:
-                return view  # anonymous already reveals nothing
-            payload = original
-            for customer in customers:
-                payload = payload.replace(customer, pseudonym(self.pseudonym_key, customer))
-            return WireView(ViewMode.PSEUDONYMOUS, payload, view.expires_at)
         if obligation.id == OB_LIMIT_DURATION:
             seconds = obligation.parameter("duration-seconds")
             if seconds is None or seconds.data_type is not DataType.INTEGER:
@@ -250,7 +261,23 @@ class ObligationService:
             except OverflowError:
                 raise ObligationError("limit-duration expiry is out of range") from None
             return WireView(view.mode, view.payload, expires_at)
-        raise ObligationError(f"unknown obligation {obligation.id!r}")
+        if obligation.id == OB_ANONYMIZE:
+            key, mode = None, ViewMode.ANONYMOUS
+        elif obligation.id == OB_PSEUDONYMIZE:
+            key, mode = self.pseudonym_key, ViewMode.PSEUDONYMOUS
+            if not key:
+                raise ObligationError("pseudonym mapping key is unavailable")
+            if view.mode is ViewMode.ANONYMOUS:
+                return view  # anonymous already reveals nothing
+        else:
+            raise ObligationError(f"unknown obligation {obligation.id!r}")
+        # The payload is a function of what the transform reads, all in the key.
+        customers = record.customers if record else frozenset()
+        held = obligation.id, key, original, customers
+        payload = self.payload.get(held)
+        if payload is None:
+            payload = self.payload.put(held, _replaced(original, customers, key))
+        return WireView(mode, payload, view.expires_at)
 
     def apply_all(
         self,
@@ -313,6 +340,7 @@ class ReferenceMonitor:
             "screen": self.forest._screens,
             "location": self.pips.location._reports,
             "cell": self.pips.zones._grid.sub_cells,
+            "payload": self.obligations.payload,
         }
 
     # -- the event flow --------------------------------------------------------
