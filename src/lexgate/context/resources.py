@@ -9,6 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..model import AttributeValue, Category, DataType
+
+# The reserved resource attribute ids the catalog supplies, with their data types.
+TRUSTED_IDS = (("confidential", DataType.BOOLEAN), ("customer-related", DataType.BOOLEAN),
+               ("host-country", DataType.COUNTRY_CODE), ("category", DataType.STRING))
+
 
 @dataclass(frozen=True)
 class ResourceRecord:
@@ -22,16 +28,28 @@ class ResourceRecord:
 
 
 class ResourceCatalog:
+    """The records by id, each with its trusted attributes as the (key,
+    bag) pairs of `TRUSTED_IDS`, built here once; category only when the
+    record has one. Records with equal values share one tuple of pairs,
+    and equal values one bag."""
+
     def __init__(self, records: Iterable[ResourceRecord], default_host: Optional[str] = None):
-        self._records = {record.id: record for record in records}
         self.default_host = default_host
+        self._records: dict[str, tuple[ResourceRecord, tuple]] = {}
+        bags, shared = {}, {}
+        for record in records:
+            values = record.confidential, record.customer_related, record.host_country, record.category
+            pairs = shared.get(values)
+            if pairs is None:
+                pairs = shared[values] = tuple(
+                    ((Category.RESOURCE, attribute_id),
+                     bags.setdefault((data_type, value), (AttributeValue._trusted(data_type, value),)))
+                    for (attribute_id, data_type), value in zip(TRUSTED_IDS, values)
+                    if value or data_type is not DataType.STRING  # a category only when set
+                )
+            self._records[record.id] = record, pairs
 
-    def get(self, resource_id: str) -> Optional[ResourceRecord]:
-        return self._records.get(resource_id)
-
-    def host_country(self, resource_id: Optional[str]) -> Optional[str]:
-        if resource_id is not None:
-            record = self._records.get(resource_id)
-            if record is not None:
-                return record.host_country
-        return self.default_host
+    def lookup(self, resource_id: Optional[str]) -> tuple[Optional[ResourceRecord], tuple]:
+        """The record of a resource id with its trusted pairs; (None, ())
+        when there is no id or the catalog holds none by it."""
+        return self._records.get(resource_id, (None, ())) if resource_id else (None, ())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ..errors import FixtureError, PolicySyntaxError, PrecisionError, UnknownTerritoryError
-from ..model import GeoPoint, Memo
+from ..model import AttributeValue, DataType, GeoPoint, Memo
 from ..parsing.location_xml import LocationReport, ZoneKind, check_timezone_offset
 from ..parsing.xmlread import XmlNode, parse_xml
 from . import geometry
@@ -385,6 +385,8 @@ class ZoneTree:
         self._validate()
         # Built once: location-match asks for a territory's countries per argument.
         self._members = {territory: frozenset(countries) for territory, countries in members.items()}
+        # Each country's country-code bag, which every context build shares.
+        self.country_bags = {c.id: (AttributeValue._trusted(DataType.COUNTRY_CODE, c.id),) for c in self._countries}
         # The boxes, and the grid over the country boxes, are computed once
         # here so that resolve_location skips most countries and polygons.
         self._grid = _Grid(tuple(

@@ -50,6 +50,7 @@ from .context.bundle import PipBundle
 from .context.clock import local_time
 from .context.diary import TaskAssessment
 from .context.identity import IdentityKind, ProximityToken, Relationship
+from .context.resources import TRUSTED_IDS
 from .errors import LexgateError, PrecisionError
 from .instant import parse_instant
 from .model import (
@@ -83,8 +84,8 @@ from .model import (
 from .parsing.location_xml import LocationReport, ZoneKind
 from .parsing.wire import PROXIMITY_TOKEN, RequestContext
 
-# Reserved attribute ids the context handler fills from trusted suppliers;
-# request-supplied values never override them.
+# Reserved attribute ids, which only trusted suppliers fill (the resource ids,
+# `resources.TRUSTED_IDS`, the catalog); one the build leaves unset is absent.
 ENV_CURRENT_TIME = "current-time"
 ENV_CURRENT_DATE = "current-date"
 ENV_CURRENT_ZONE = "current-zone"
@@ -93,10 +94,12 @@ ENV_DESTINATION_COUNTRY = "destination-country"
 ENV_TASK_STATUS = "task-status"
 SUBJECT_KIND = "kind"
 SUBJECT_RELATIONSHIP = "relationship"
-RESOURCE_CONFIDENTIAL = "confidential"
-RESOURCE_CUSTOMER_RELATED = "customer-related"
-RESOURCE_HOST_COUNTRY = "host-country"
-RESOURCE_CATEGORY = "category"
+RESERVED = frozenset(
+    [(Category.ENVIRONMENT, name) for name in (ENV_CURRENT_TIME, ENV_CURRENT_DATE, ENV_CURRENT_ZONE,
+                                               ENV_SOURCE_COUNTRY, ENV_DESTINATION_COUNTRY, ENV_TASK_STATUS)]
+    + [(Category.SUBJECT, SUBJECT_KIND), (Category.SUBJECT, SUBJECT_RELATIONSHIP)]
+    + [(Category.RESOURCE, name) for name, _data_type in TRUSTED_IDS]
+)
 
 # The combiner over the document forest.
 TOP_COMBINER = "deny-overrides"
@@ -134,10 +137,11 @@ class EvaluationContext:
     # -- attribute snapshot ------------------------------------------------
 
     def lookup(self, key: tuple[Category, str]) -> tuple[AttributeValue, ...]:
-        """The bag for a (category, attribute id) key."""
+        """The bag for a (category, attribute id) key: the request's, but
+        for a reserved key, which only the build sets."""
         values = self._cache.get(key)
         if values is None:
-            values = self._cache[key] = self.request.bag(*key)
+            values = self._cache[key] = () if key in RESERVED else self.request.bag(*key)
         return values
 
 
@@ -390,16 +394,9 @@ def _walk(node: PolicyNode, ctx: EvaluationContext, visited: list) -> Decision:
 
 
 class PolicyDecisionPoint:
-    """The decision engine. Its one state is the trusted-bag memo
-    (`model.Memo`); the memos of a forest live in its `CompiledForest`."""
-
-    def __init__(self) -> None:
-        self._bags = Memo(1024)
-
-    def _trusted_bag(self, data_type: DataType, value: object) -> tuple[AttributeValue]:
-        """The one-value bag of a trusted value, shared by every request."""
-        key = data_type, value
-        return self._bags.get(key) or self._bags.put(key, (AttributeValue._trusted(data_type, value),))
+    """The decision engine. It holds no state: the trusted bags a context
+    takes are built at load, with the resource catalog and the zone tree,
+    and the memos of a forest live in its `CompiledForest`."""
 
     def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
         """The forest indexed for evaluation, the one way to build a
@@ -411,8 +408,7 @@ class PolicyDecisionPoint:
     def _build_context(self, request: RequestContext, pips: PipBundle) -> EvaluationContext:
         now = pips.clock.now_utc()
 
-        report = request.source_location
-        precision_country: Optional[str] = None
+        report, precision_country = request.source_location, None
         if report is None:
             try:
                 report = pips.location.locate(request)
@@ -425,55 +421,42 @@ class PolicyDecisionPoint:
 
         source_country = report.country if report is not None else precision_country
         resource_id = request.resource_id()
-        record = pips.resources.get(resource_id) if resource_id else None
-        destination = request.destination_country or pips.resources.host_country(resource_id)
+        record, pairs = pips.resources.lookup(resource_id)
+        destination = request.destination_country or (record.host_country if record else pips.resources.default_host)
         if source_country is None or destination is None:
             raise LexgateError("source or destination country cannot be resolved")
 
-        ctx = EvaluationContext(
-            request=request,
-            pips=pips,
-            source_location=report,
-            source_country=source_country,
-            destination_country=destination,
-        )
+        ctx = EvaluationContext(request, pips, report, source_country, destination)
 
         # The values below come from the loaded stores and the location
         # snapshot, never from the request, so they skip the payload checks;
-        # all but the local time and date are shared bags.
-        cache, bag = ctx._cache, self._trusted_bag
+        # all but the local time and date, and a country the zone tree does
+        # not hold, are bags built at load.
+        cache, countries = ctx._cache, pips.zones.country_bags
         trusted = AttributeValue._trusted
-        # Local time survives a zone-precision failure: the country (and so
-        # its timezone) is still certain, only the zone classification is
-        # not, so current-zone stays absent while current-time is served.
-        tz_offset: Optional[float] = None
+        # Local time survives a zone-precision failure: the country (the
+        # source country, without a report) and so its timezone are still
+        # certain, only the zone is not, so current-zone stays absent.
         if report is not None:
             tz_offset = report.timezone_offset
-        elif precision_country is not None:
-            tz_offset = pips.zones.country(precision_country).timezone_offset
-        if tz_offset is not None:
-            local_date, local_clock = local_time(now, tz_offset)
-            cache[Category.ENVIRONMENT, ENV_CURRENT_TIME] = (trusted(DataType.TIME_OF_DAY, local_clock),)
-            cache[Category.ENVIRONMENT, ENV_CURRENT_DATE] = (trusted(DataType.DATE, local_date),)
-        if report is not None:
             cache[Category.ENVIRONMENT, ENV_CURRENT_ZONE] = _MEMBER_BAGS[report.zone]
-        cache[Category.ENVIRONMENT, ENV_SOURCE_COUNTRY] = bag(DataType.COUNTRY_CODE, source_country)
-        cache[Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY] = bag(DataType.COUNTRY_CODE, destination)
+        else:
+            tz_offset = pips.zones.country(source_country).timezone_offset
+        local_date, local_clock = local_time(now, tz_offset)
+        cache[Category.ENVIRONMENT, ENV_CURRENT_TIME] = (trusted(DataType.TIME_OF_DAY, local_clock),)
+        cache[Category.ENVIRONMENT, ENV_CURRENT_DATE] = (trusted(DataType.DATE, local_date),)
+        for name, country in ((ENV_SOURCE_COUNTRY, source_country), (ENV_DESTINATION_COUNTRY, destination)):
+            cache[Category.ENVIRONMENT, name] = countries.get(country) or (trusted(DataType.COUNTRY_CODE, country),)
 
         subject_id = request.subject_id()
         subject_record = pips.identities.get(subject_id) if subject_id else None
         if subject_record is not None:
             cache[Category.SUBJECT, SUBJECT_KIND] = _MEMBER_BAGS[subject_record.kind]
 
-        if record is not None:
-            cache[Category.RESOURCE, RESOURCE_CONFIDENTIAL] = bag(DataType.BOOLEAN, record.confidential)
-            cache[Category.RESOURCE, RESOURCE_CUSTOMER_RELATED] = bag(DataType.BOOLEAN, record.customer_related)
-            cache[Category.RESOURCE, RESOURCE_HOST_COUNTRY] = bag(DataType.COUNTRY_CODE, record.host_country)
-            if record.category:
-                cache[Category.RESOURCE, RESOURCE_CATEGORY] = bag(DataType.STRING, record.category)
-            if subject_id and record.customers:
-                relation = pips.identities.check_relationship(subject_id, record.customers, now)
-                cache[Category.SUBJECT, SUBJECT_RELATIONSHIP] = _MEMBER_BAGS[relation]
+        cache.update(pairs)
+        if record is not None and subject_id and record.customers:
+            relation = pips.identities.check_relationship(subject_id, record.customers, now)
+            cache[Category.SUBJECT, SUBJECT_RELATIONSHIP] = _MEMBER_BAGS[relation]
 
         assessment = pips.diary.check_task(
             subject_id or "",
@@ -517,11 +500,8 @@ class PolicyDecisionPoint:
             # a subset of the forest's scopes, so the observed scopes are
             # kept only where the forest names them; ignoring the tags
             # observes every scope the forest names.
-            ctx.applicable_scopes = pips.scopes.select_legislation(
-                ctx.source_country, ctx.destination_country
-            ) & forest.scopes
-            if legislation_mode == "ignore-tags":
-                ctx.applicable_scopes = forest.scopes
+            scopes = pips.scopes.select_legislation(ctx.source_country, ctx.destination_country) & forest.scopes
+            ctx.applicable_scopes = forest.scopes if legislation_mode == "ignore-tags" else scopes
             plan = forest.plan(ctx)
             key = plan.walk_key(ctx)
             response = plan.responses.get(key)

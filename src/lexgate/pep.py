@@ -335,7 +335,6 @@ class ReferenceMonitor:
         return {
             "body": self._bodies,
             "line": wire._LINES,
-            "trusted-bag": self.engine._bags,
             "plan": self.forest._plans,
             "screen": self.forest._screens,
             "location": self.pips.location._reports,
@@ -399,7 +398,7 @@ class ReferenceMonitor:
         response = self.engine.evaluate(self.forest, request, self.pips)
 
         now = self.pips.clock.now_utc()
-        record = self.pips.resources.get(request.resource_id() or "")
+        record = self.pips.resources.lookup(request.resource_id())[0]
         try:
             if response.decision is Decision.PERMIT:
                 return request, response, self.obligations.apply_all(response.obligations, record, now)

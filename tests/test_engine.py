@@ -18,6 +18,7 @@ from lexgate.context.diary import TaskAssessment
 from lexgate.context.identity import IdentityKind, Relationship
 from lexgate.context.zones import ZoneTree
 from lexgate.engine import EvaluationContext, PolicyDecisionPoint, _EvalError
+from lexgate.instant import parse_instant
 from lexgate.model import (
     SIGNATURES,
     AttributeSelector,
@@ -30,7 +31,6 @@ from lexgate.model import (
     GeoPoint,
     Literal,
     MatchClause,
-    Memo,
     Obligation,
     STATUS_MISSING_ATTRIBUTE,
     STATUS_OK,
@@ -895,11 +895,15 @@ _CLOCK_KEYS = ((Category.ENVIRONMENT, "current-time"), (Category.ENVIRONMENT, "c
 
 
 def test_trusted_bags_are_shared_and_immutable(engine):
+    # The catalog and the zone tree build their bags at load, so requests
+    # share them within one bundle.
     request = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53"))
-    first, again, later = (
-        engine._build_context(request, make_bundle(at))
-        for at in ("2026-03-10T12:45:00Z", "2026-03-10T12:45:00Z", "2026-03-10T13:10:00Z")
-    )
+    pips = make_bundle("2026-03-10T12:45:00Z")
+    contexts = []
+    for at in ("2026-03-10T12:45:00Z", "2026-03-10T12:45:00Z", "2026-03-10T13:10:00Z"):
+        pips.clock.set(parse_instant(at))
+        contexts.append(engine._build_context(request, pips))
+    first, again, later = contexts
     assert set(first._cache) == set(_TRUSTED_KEYS + _CLOCK_KEYS)
     for key in _TRUSTED_KEYS:
         assert later._cache[key] is first._cache[key] is again._cache[key]
@@ -926,24 +930,25 @@ def test_trusted_bags_are_shared_and_immutable(engine):
         assert first._cache[key] is engine_module._MEMBER_BAGS[enum(value.value)]
     with pytest.raises(dataclasses.FrozenInstanceError):
         engine_module._MEMBER_BAGS[ZoneKind.RESTRICTED][0].value = "unrestricted"
+    # A destination the zone tree does not hold, as a caller may name one,
+    # gets an equal bag made per request.
+    named = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53",
+                                       extra_lines=("destination-country ZZ",)))
+    one, two = (engine._build_context(named, pips) for _ in range(2))
+    key = (Category.ENVIRONMENT, "destination-country")
+    assert one._cache[key] == two._cache[key] == (AttributeValue(DataType.COUNTRY_CODE, "ZZ"),)
+    assert one._cache[key] is not two._cache[key]
+    # The zone tree's bag for a country it holds; equal catalog records
+    # share one tuple of pairs, and every record hosted in LU one bag.
+    assert first._cache[(Category.ENVIRONMENT, "source-country")] is pips.zones.country_bags["CH"]
+    (_record, pairs), (_other, same) = map(pips.resources.lookup, ("cust/4711/portfolio", "cust/4712/portfolio"))
+    assert pairs is same and dict(pairs) == {key: first._cache[key] for key in _TRUSTED_KEYS[6:]}
+    (_overview, product) = pips.resources.lookup("products/overview")
+    assert dict(product)[(Category.RESOURCE, "host-country")] is dict(pairs)[(Category.RESOURCE, "host-country")]
 
 
-def test_the_trusted_bag_memo_is_bounded_and_changes_no_decision(engine, policy_pack, monkeypatch):
-    # Requests name 60 destination countries; with a memo of at most four
-    # bags the engine decides each as it does with room for them all.
-    pips = make_bundle("2026-03-10T12:45:00Z")
+def test_an_unknown_legislation_mode_raises_value_error(engine, policy_pack):
     forest = engine.compile(policy_pack)
-    requests = [
-        parse_request(wire_request(
-            resource="cust/4711/portfolio", point="47.36 8.53",
-            extra_lines=(f"destination-country {chr(65 + n // 26)}{chr(65 + n % 26)}",),
-        ))
-        for n in range(60)
-    ]
-    want = [engine.evaluate(forest, request, pips) for request in requests]
-    small = Memo(4)
-    monkeypatch.setattr(engine, "_bags", small)
-    for request, expected in zip(requests, want):
-        assert engine.evaluate(forest, request, pips) == expected
-        assert len(small) <= 4
-    assert small.misses > 60
+    request = parse_request(wire_request(point=LONDON_POINT))
+    with pytest.raises(ValueError, match="unknown legislation mode 'strict'"):
+        engine.evaluate(forest, request, make_bundle(NOON), legislation_mode="strict")

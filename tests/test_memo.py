@@ -28,7 +28,7 @@ from wire_grammar import wire_requests
 
 SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
-NAMES = {"body", "line", "trusted-bag", "plan", "screen", "location", "cell", "payload"}
+NAMES = {"body", "line", "plan", "screen", "location", "cell", "payload"}
 # The memos whose keys are caller text, which admit a key at its second miss.
 CALLER_TEXT = {"body", "line", "location"}
 # The packaged requests, each at the instant its header names, in order.
@@ -152,7 +152,7 @@ def test_world_200_bodies_leave_the_caller_text_memos_small(tmp_path, bench):
 def test_a_monitor_names_every_memo_it_passes_through():
     monitor = _monitor(FixedClock(parse_instant("2026-03-10T12:45:00Z")), AuditLog())
     memos = monitor.memos()
-    assert len(memos) == 8 and set(memos) == NAMES
+    assert len(memos) == 7 and set(memos) == NAMES
     assert all(type(memo) is Memo and memo.bound > 0 for memo in memos.values())
     assert memos["line"] is wire._LINES
     grid = monitor.pips.zones._grid

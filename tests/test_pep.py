@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import EVENT_FLOW, make_bundle, watch, wire_request
 from lexgate.context.bundle import load_bundle
 from lexgate.context.clock import FixedClock, SystemClock
-from lexgate import cli, pep
+from lexgate.context.resources import ResourceCatalog, ResourceRecord
+from lexgate import cli, engine as engine_module, pep
 from lexgate.engine import PolicyDecisionPoint
 from lexgate.errors import AuditError, ObligationError, WireFormatError
 from lexgate.instant import parse_instant
@@ -30,11 +31,13 @@ from lexgate.model import (
     Effect,
     FunctionApplication,
     Literal,
+    MatchClause,
     Memo,
     Obligation,
     STATUS_PROCESSING_ERROR,
     STATUS_SYNTAX_ERROR,
     Target,
+    TraceRecord,
     refusal,
     trace_digest,
 )
@@ -50,7 +53,7 @@ from lexgate.pep import (
     pseudonym,
 )
 from policybuild import document, policy, rule, string_clause
-from wire_grammar import wire_requests
+from wire_grammar import _TYPED_TEXT, wire_requests
 
 GOOD_SESSION = AuthState("c.miller", "miller-pass-1")
 KEY = "unit-test-key"
@@ -150,6 +153,26 @@ def test_an_unreadable_token_is_skipped(policy_pack, token_at):
     without, _ = monitor.handle_request(wire_request(**request), GOOD_SESSION)
     assert with_token == without
     assert parse_response(without)[0].status == "ok"
+
+
+@pytest.mark.parametrize("line", [
+    # Not a string: an identifier, although its text is a token's.
+    "environment proximity-token identifier cust:4711|code-card-subset|2026-03-10T13:40:00Z",
+    "environment proximity-token integer 4711",
+    # Two fields, and four.
+    "environment proximity-token string cust:4711|code-card-subset",
+    "environment proximity-token string cust:4711|code-card-subset|2026-03-10T13:40:00Z|again",
+])
+def test_a_token_that_is_not_a_three_field_string_is_skipped(policy_pack, line):
+    monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
+    request = dict(resource="cust/4711/portfolio", point="47.37 8.54")
+    skipped, _ = monitor.handle_request(wire_request(extra_lines=(line,), **request), GOOD_SESSION)
+    without, _ = monitor.handle_request(wire_request(**request), GOOD_SESSION)
+    read, _ = monitor.handle_request(
+        wire_request(tokens=("cust:4711",), token_at="2026-03-10T13:40:00Z", **request), GOOD_SESSION
+    )
+    assert skipped == without
+    assert read != without  # the token as a string of three fields counts
 
 
 # -- obligations and data views ----------------------------------------------------
@@ -252,7 +275,7 @@ def service():
 def portfolio(fixtures_root):
     from lexgate.context.loader import load_resources
 
-    return load_resources(fixtures_root / "resources.txt").get("cust/4711/portfolio")
+    return load_resources(fixtures_root / "resources.txt").lookup("cust/4711/portfolio")[0]
 
 
 NOW = dt.datetime(2026, 3, 10, 13, 0, tzinfo=dt.timezone.utc)
@@ -576,6 +599,19 @@ def test_non_utf8_request_is_a_syntax_error_with_one_audit_record(policy_pack, t
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
 
 
+def test_a_bad_destination_country_line_is_a_syntax_error_with_one_audit_record(policy_pack, tmp_path):
+    raw = wire_request(extra_lines=("destination-country Narnia",))
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor, _ = make_monitor(policy_pack, "2026-03-10T13:40:00Z", audit=audit)
+        response_bytes, record = monitor.handle_request(raw, GOOD_SESSION)
+    response, view = parse_response(response_bytes)
+    assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_SYNTAX_ERROR)
+    assert [trace.node_id for trace in response.trace] == ["<monitor>"]
+    assert response.trace[0].reason.startswith("bad-request:bad destination-country on line 6:")
+    assert view is None
+    assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
 def _response(*lines):
     return "".join(f"{line}\n" for line in ("response", *lines, "end")).encode()
 
@@ -763,22 +799,18 @@ def test_a_monitor_answers_a_location_matching_target_by_the_location(tmp_path, 
         assert set(decisions) == {Decision.PERMIT, Decision.NOT_APPLICABLE}
 
 
-def test_the_trusted_bag_memo_stays_bounded_over_distinct_resources_and_countries(
-    policy_pack, monkeypatch
-):
+def test_held_memory_stays_bounded_over_distinct_resources_and_countries(policy_pack):
     # Request n names resource caller/n and one of the 676 destination
-    # countries; one shared bag is kept per country seen, here at most 64.
+    # countries; a country the zone tree does not hold gets a bag made per
+    # request, which nothing keeps.
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T12:45:00Z", audit=AuditLog())
-    memo = monitor.engine._bags = Memo(64)
 
     def send(n):
         code = f"{chr(65 + n // 26 % 26)}{chr(65 + n % 26)}"
         raw = wire_request(resource=f"caller/{n}", extra_lines=(f"destination-country {code}",))
         monitor.handle_request(raw, GOOD_SESSION)
-        assert len(memo) <= 64
 
     assert _held_after_warm_up(send) < 256 * 1024
-    assert memo.misses > 676
 
 
 def test_the_line_memo_stays_bounded_over_long_and_distinct_lines(policy_pack, monkeypatch):
@@ -1183,6 +1215,34 @@ def test_a_boolean_limit_duration_denies_with_one_audit_record(tmp_path):
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
 
 
+@pytest.mark.parametrize("key", [None, KEY])
+def test_a_deny_runs_its_obligations_and_a_failed_one_is_refused_with_one_audit_record(tmp_path, key):
+    # A Deny carries its obligations and runs them: without a pseudonym key
+    # pseudonymize fails, and the answer is the <obligations> refusal.
+    pseudonymize = Obligation("pseudonymize", Effect.DENY, ())
+    deny = document(policy("p", [rule("r", Effect.DENY, obligations=(pseudonymize,))]))
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor = ReferenceMonitor(
+            PolicyDecisionPoint(), [deny], make_bundle("2026-03-10T13:40:00Z"), audit=audit, pseudonym_key=key
+        )
+        decided = monitor.engine.evaluate(monitor.forest, wire.parse_request(wire_request()), monitor.pips)
+        response_bytes, record = monitor.handle_request(wire_request(), GOOD_SESSION)
+    assert (decided.decision, decided.obligations) == (Decision.DENY, (pseudonymize,))
+    response, view = parse_response(response_bytes)
+    assert view is None
+    if key is None:
+        assert (response.decision, response.status) == (Decision.DENY, STATUS_PROCESSING_ERROR)
+        assert response.obligations == ()
+        assert response.trace[:-1] == tuple(decided.trace)
+        assert response.trace[-1] == TraceRecord(
+            "<obligations>", Decision.DENY, "obligation-failure:pseudonym mapping key is unavailable"
+        )
+    else:
+        assert response_bytes == serialize_response(decided)
+    assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+    assert (record.decision, record.status) == (response.decision, response.status)
+
+
 def test_a_permit_whose_expiry_falls_before_year_1000_parses_back(tmp_path):
     # 2026-03-10T13:40Z less 60,021,259,200 s is 0124-03-11T01:40Z; the
     # view line writes its year with four digits, as docs/wire-format.md
@@ -1273,3 +1333,91 @@ def test_hostile_extension_points_yield_a_response_and_one_matching_audit_line(
     assert len(lines) == 1
     fields = lines[0].split("|")
     assert (fields[4], fields[5]) == (response.decision.value, response.status)
+
+
+# -- reserved attribute ids -------------------------------------------------------
+
+_WITNESS_AT = "2026-03-12T14:40:00Z"
+# A 20 m disc at Findel that straddles the customs area: the country, LU,
+# is certain and the zone is not, so the build leaves current-zone unset.
+_FINDEL = "49.634948 6.200151"
+_FINDEL_ACCURACY = "environment position-accuracy integer 20"
+
+
+def test_a_caller_cannot_claim_the_zone_a_precision_failure_left_unknown():
+    zone_rule = rule("in-unrestricted", target=Target(environments=(string_clause("current-zone", "unrestricted"),)))
+    pips = make_bundle(_WITNESS_AT)
+    monitor = ReferenceMonitor(PolicyDecisionPoint(), [document(policy("zone", [zone_rule]))], pips)
+    claims = ((), ("environment current-zone string unrestricted",))
+    answers = [
+        monitor.handle_request(wire_request(point=_FINDEL, extra_lines=(_FINDEL_ACCURACY, *claim)), GOOD_SESSION)[0]
+        for claim in claims
+    ]
+    assert answers[0] == answers[1]
+    assert parse_response(answers[0])[0].decision is Decision.NOT_APPLICABLE
+    raw = wire_request(point=_FINDEL, extra_lines=(_FINDEL_ACCURACY, *claims[1]))
+    ctx = monitor.engine._build_context(wire.parse_request(raw), pips)
+    assert (ctx.source_location, ctx.source_country) == (None, "LU")
+
+
+# Requests that leave reserved ids unset: (wire_request arguments, the
+# reserved ids the build leaves unset). The catalog of `reserved_monitor`
+# adds plain/doc, a record with no category and no customers.
+_UNSET_CASES = {
+    "zone-unknown": (dict(resource="cust/4711/portfolio", point=_FINDEL, extra_lines=(_FINDEL_ACCURACY,)),
+                     {"current-zone"}),
+    "not-in-catalog": (dict(resource="caller/doc"),
+                       {"confidential", "customer-related", "host-country", "category", "relationship"}),
+    "no-customers": (dict(resource="products/overview"), {"relationship"}),
+    "no-category": (dict(resource="plain/doc"), {"category", "relationship"}),
+}
+_RESERVED = sorted(engine_module.RESERVED, key=lambda key: (key[0].value, key[1]))
+_SECTIONS = {Category.SUBJECT: "subjects", Category.RESOURCE: "resources", Category.ENVIRONMENT: "environments"}
+
+
+@pytest.fixture(scope="module")
+def reserved_monitor():
+    """A monitor at the witness instant over one document per reserved id,
+    a policy with one Permit rule whose target reads the id with two
+    clauses, boolean-equal true and boolean-equal false: any value of any
+    type in the bag makes it Permit or Indeterminate, and only an empty
+    bag NotApplicable."""
+    pips = make_bundle(_WITNESS_AT)
+    records = [pips.resources.lookup(name)[0] for name in ("cust/4711/portfolio", "products/overview")]
+    catalog = ResourceCatalog([*records, ResourceRecord("plain/doc", "LU")], pips.resources.default_host)
+    documents = []
+    for category, attribute_id in _RESERVED:
+        clauses = tuple(
+            MatchClause(attribute_id, "function:boolean-equal", AttributeValue(DataType.BOOLEAN, flag))
+            for flag in (True, False)
+        )
+        target = Target(**{_SECTIONS[category]: clauses})
+        documents.append(document(policy(f"reads-{attribute_id}", [rule(f"r-{attribute_id}")], target=target)))
+    return ReferenceMonitor(PolicyDecisionPoint(), documents, dataclasses.replace(pips, resources=catalog))
+
+
+@pytest.mark.parametrize("case", sorted(_UNSET_CASES))
+def test_each_case_leaves_its_reserved_ids_unset(reserved_monitor, case):
+    arguments, unset = _UNSET_CASES[case]
+    ctx = reserved_monitor.engine._build_context(wire.parse_request(wire_request(**arguments)), reserved_monitor.pips)
+    assert {key[1] for key in engine_module.RESERVED if key not in ctx._cache} == unset
+    # The document of each id the build set applies; those of the others do not.
+    response, _view = parse_response(reserved_monitor.handle_request(wire_request(**arguments), GOOD_SESSION)[0])
+    not_applicable = {record.node_id for record in response.trace if record.decision is Decision.NOT_APPLICABLE}
+    assert not_applicable == {f"reads-{attribute_id}" for attribute_id in unset}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from(_RESERVED),
+    case=st.sampled_from(sorted(_UNSET_CASES)),
+    value=st.sampled_from(sorted(_TYPED_TEXT)).flatmap(lambda t: _TYPED_TEXT[t].map(f"{t} {{}}".format)),
+)
+def test_a_reserved_id_the_caller_sends_changes_no_response_byte(reserved_monitor, key, case, value):
+    # Whether or not the build sets the id, the caller's line is not read.
+    arguments, _unset = _UNSET_CASES[case]
+    claimed = dict(arguments, extra_lines=(*arguments.get("extra_lines", ()), f"{key[0].value} {key[1]} {value}"))
+    sent, plain = (
+        reserved_monitor.handle_request(wire_request(**args), GOOD_SESSION)[0] for args in (claimed, arguments)
+    )
+    assert sent == plain
