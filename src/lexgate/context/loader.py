@@ -225,6 +225,11 @@ def load_scopes(path: Path) -> LegalScopeRegistry:
     return LegalScopeRegistry(scopes, organization=organization)
 
 
+# A resource's host: an uppercase ISO-3166 alpha-2 code, as a country-code
+# value holds it.
+_HOST = re.compile("[A-Z]{2}")
+
+
 def load_resources(path: Path, default_host: str | None = None) -> ResourceCatalog:
     records: list[ResourceRecord] = []
     where = path.name
@@ -232,17 +237,18 @@ def load_resources(path: Path, default_host: str | None = None) -> ResourceCatal
         if head != "resource":
             raise FixtureError(f"{where}:{line_no}: unknown record kind {head!r}")
         try:
-            records.append(
-                ResourceRecord(
-                    id=fields["id"],
-                    host_country=fields["host"],
-                    confidential=fields.get("confidential", "false") == "true",
-                    customer_related=fields.get("customer-related", "false") == "true",
-                    customers=_split_ids(fields.get("customers", "")),
-                    category=fields.get("category", ""),
-                    content=fields.get("content", ""),
-                )
+            record = ResourceRecord(
+                id=fields["id"],
+                host_country=fields["host"],
+                confidential=fields.get("confidential", "false") == "true",
+                customer_related=fields.get("customer-related", "false") == "true",
+                customers=_split_ids(fields.get("customers", "")),
+                category=fields.get("category", ""),
+                content=fields.get("content", ""),
             )
+            if not _HOST.fullmatch(record.host_country):
+                raise ValueError(f"host must be an uppercase two-letter country code, got {record.host_country!r}")
+            records.append(record)
         except (KeyError, ValueError) as exc:
             raise FixtureError(f"{where}:{line_no}: {exc}") from exc
     return ResourceCatalog(records, default_host=default_host)

@@ -5,6 +5,13 @@ the location supplier is consulted at most once per call, the clock once,
 and every derived attribute is cached write-once, so repeated evaluations
 return identical responses including the trace.
 
+What the context build reads of the request alone (the subject, the
+catalog record and its trusted bags, the destination and its bag, the
+parsed proximity tokens) is its `RequestFacts`, which `evaluate` takes in
+place of the request, so a caller that holds them builds them once; the
+location, the local time, the relationship, the task assessment and the
+legal scopes are taken per evaluation.
+
 Responses are recycled: the context is built for every request, but the
 walk of the documents is a function of the request's plan and of the
 attribute bags those documents read (a time compared only by order with
@@ -50,7 +57,7 @@ from .context.bundle import PipBundle
 from .context.clock import local_time
 from .context.diary import TaskAssessment
 from .context.identity import IdentityKind, ProximityToken, Relationship
-from .context.resources import TRUSTED_IDS
+from .context.resources import TRUSTED_IDS, ResourceRecord
 from .errors import LexgateError, PrecisionError
 from .instant import parse_instant
 from .model import (
@@ -123,7 +130,7 @@ class EvaluationContext:
         request: RequestContext,
         pips: PipBundle,
         source_location: Optional[LocationReport],
-        source_country: Optional[str],
+        source_country: str,
         destination_country: str,
     ):
         self.request = request
@@ -154,26 +161,27 @@ _MEMBER_BAGS = {
 }
 
 
-def _proximity_tokens(request: RequestContext) -> tuple[ProximityToken, ...]:
-    """Tokens travel as environment attributes 'customer|method|instant'."""
-    tokens = []
-    for value in request.bag(Category.ENVIRONMENT, PROXIMITY_TOKEN):
-        if value.data_type is not DataType.STRING:
-            continue
-        pieces = str(value.value).split("|")
-        if len(pieces) != 3:
-            continue
-        try:
-            tokens.append(
-                ProximityToken(
-                    customer=pieces[0],
-                    method=pieces[1],
-                    verified_at=parse_instant(pieces[2]),
-                )
-            )
-        except ValueError:
-            continue
-    return tuple(tokens)
+class RequestFacts(NamedTuple):
+    """What the context build reads of a request alone, with the bundle's
+    load-time stores (`PolicyDecisionPoint.facts`). It holds nothing that
+    depends on the instant or on a supplier: the location supplier and the
+    legal scopes are asked per evaluation. A caller that evaluates one
+    request many times, as the monitor does for a body its memo holds,
+    builds its facts once."""
+
+    request: RequestContext
+    subject_id: Optional[str]
+    # The subject's kind bag; None when the registry holds no such identity.
+    kind: Optional[tuple[AttributeValue, ...]]
+    resource_id: Optional[str]
+    # The catalog record and its trusted pairs (`ResourceCatalog.lookup`).
+    record: Optional[ResourceRecord]
+    pairs: tuple
+    # The request's destination, else the record's host, else the default
+    # host, with its country-code bag; None when none of them is known.
+    destination: Optional[str]
+    destination_bag: Optional[tuple[AttributeValue, ...]]
+    tokens: tuple[ProximityToken, ...]
 
 
 # -- built-in functions ----------------------------------------------------
@@ -238,8 +246,6 @@ def _fn_location_match(ctx: EvaluationContext, args: list[object]) -> object:
             if ctx.source_location.zone.value == name:
                 return True
             continue
-        if ctx.source_country is None:
-            raise _EvalError(STATUS_MISSING_ATTRIBUTE, "source country unavailable")
         if name == ctx.source_country:
             return True
         if ctx.source_country in ctx.pips.zones.member_countries(name):
@@ -405,7 +411,47 @@ class PolicyDecisionPoint:
 
     # -- context construction ---------------------------------------------
 
-    def _build_context(self, request: RequestContext, pips: PipBundle) -> EvaluationContext:
+    def facts(self, request: RequestContext, pips: PipBundle) -> RequestFacts:
+        """What the context build reads of the request alone, from the
+        bundle's load-time stores: the same for every evaluation of the
+        request with `pips`."""
+        subject_id = request.subject_id()
+        subject = pips.identities.get(subject_id) if subject_id else None
+        resource_id = request.resource_id()
+        record, pairs = pips.resources.lookup(resource_id)
+        destination = request.destination_country or (record.host_country if record else pips.resources.default_host)
+        destination_bag = None
+        if destination is not None:
+            destination_bag = pips.zones.country_bags.get(destination) or (
+                AttributeValue._trusted(DataType.COUNTRY_CODE, destination),
+            )
+        # Tokens travel as environment attributes 'customer|method|instant';
+        # one that is not a string of three fields, or does not parse, is
+        # skipped.
+        tokens = []
+        for attribute_id, value in request.environment:
+            if attribute_id != PROXIMITY_TOKEN or value.data_type is not DataType.STRING:
+                continue
+            pieces = value.value.split("|")
+            if len(pieces) != 3:
+                continue
+            customer, method, verified_at = pieces
+            try:
+                tokens.append(ProximityToken(customer, parse_instant(verified_at), method))
+            except ValueError:
+                continue
+        kind = None if subject is None else _MEMBER_BAGS[subject.kind]
+        # tuple.__new__ skips the generated __new__, a Python call per body.
+        return tuple.__new__(RequestFacts, (
+            request, subject_id, kind, resource_id, record, pairs, destination, destination_bag, tuple(tokens),
+        ))
+
+    def _build_context(self, request: RequestContext | RequestFacts, pips: PipBundle) -> EvaluationContext:
+        """The evaluation context of a request, or of the facts `facts`
+        built of one with the same `pips`: from the facts, it builds only
+        what depends on the instant or on a supplier."""
+        facts = request if type(request) is RequestFacts else self.facts(request, pips)
+        request = facts.request
         now = pips.clock.now_utc()
 
         report, precision_country = request.source_location, None
@@ -420,9 +466,7 @@ class PolicyDecisionPoint:
                 precision_country = exc.country
 
         source_country = report.country if report is not None else precision_country
-        resource_id = request.resource_id()
-        record, pairs = pips.resources.lookup(resource_id)
-        destination = request.destination_country or (record.host_country if record else pips.resources.default_host)
+        destination = facts.destination
         if source_country is None or destination is None:
             raise LexgateError("source or destination country cannot be resolved")
 
@@ -432,8 +476,7 @@ class PolicyDecisionPoint:
         # snapshot, never from the request, so they skip the payload checks;
         # all but the local time and date, and a country the zone tree does
         # not hold, are bags built at load.
-        cache, countries = ctx._cache, pips.zones.country_bags
-        trusted = AttributeValue._trusted
+        cache, trusted = ctx._cache, AttributeValue._trusted
         # Local time survives a zone-precision failure: the country (the
         # source country, without a report) and so its timezone are still
         # certain, only the zone is not, so current-zone stays absent.
@@ -445,26 +488,21 @@ class PolicyDecisionPoint:
         local_date, local_clock = local_time(now, tz_offset)
         cache[Category.ENVIRONMENT, ENV_CURRENT_TIME] = (trusted(DataType.TIME_OF_DAY, local_clock),)
         cache[Category.ENVIRONMENT, ENV_CURRENT_DATE] = (trusted(DataType.DATE, local_date),)
-        for name, country in ((ENV_SOURCE_COUNTRY, source_country), (ENV_DESTINATION_COUNTRY, destination)):
-            cache[Category.ENVIRONMENT, name] = countries.get(country) or (trusted(DataType.COUNTRY_CODE, country),)
+        cache[Category.ENVIRONMENT, ENV_SOURCE_COUNTRY] = pips.zones.country_bags.get(source_country) or (
+            trusted(DataType.COUNTRY_CODE, source_country),
+        )
+        cache[Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY] = facts.destination_bag
+        if facts.kind is not None:
+            cache[Category.SUBJECT, SUBJECT_KIND] = facts.kind
 
-        subject_id = request.subject_id()
-        subject_record = pips.identities.get(subject_id) if subject_id else None
-        if subject_record is not None:
-            cache[Category.SUBJECT, SUBJECT_KIND] = _MEMBER_BAGS[subject_record.kind]
-
-        cache.update(pairs)
+        cache.update(facts.pairs)
+        subject_id, record = facts.subject_id, facts.record
         if record is not None and subject_id and record.customers:
             relation = pips.identities.check_relationship(subject_id, record.customers, now)
             cache[Category.SUBJECT, SUBJECT_RELATIONSHIP] = _MEMBER_BAGS[relation]
 
         assessment = pips.diary.check_task(
-            subject_id or "",
-            resource_id or "",
-            now,
-            report,
-            _proximity_tokens(request),
-            pips.identities,
+            subject_id or "", facts.resource_id or "", now, report, facts.tokens, pips.identities
         )
         cache[Category.ENVIRONMENT, ENV_TASK_STATUS] = _MEMBER_BAGS[assessment]
         return ctx
@@ -474,15 +512,16 @@ class PolicyDecisionPoint:
     def evaluate(
         self,
         forest: "CompiledForest",
-        request: RequestContext,
+        request: RequestContext | RequestFacts,
         pips: PipBundle,
         *,
         legislation_mode: str = "aware",
     ) -> ResponseContext:
-        """Evaluate the document forest `compile` built. No evaluation
-        failure raises past this boundary; only a bad argument does: an
-        unknown legislation mode with ValueError, and anything but a
-        `CompiledForest` with TypeError."""
+        """Evaluate the document forest `compile` built for a request, or
+        for the facts `facts` built of one with the same `pips`. No
+        evaluation failure raises past this boundary; only a bad argument
+        does: an unknown legislation mode with ValueError, and anything but
+        a `CompiledForest` with TypeError."""
         if legislation_mode not in ("aware", "ignore-tags"):
             raise ValueError(f"unknown legislation mode {legislation_mode!r}")
         if not isinstance(forest, CompiledForest):

@@ -251,9 +251,9 @@ def parse_request(data: bytes | str) -> RequestContext:
             bag.append(_parse_attribute(line, line_no))
         elif head == "destination-country":
             try:
-                destination = country_code(rest)
-            except ValueError as exc:
-                raise WireFormatError(f"bad destination-country on line {line_no}: {exc}") from exc
+                destination = _check_country(rest, "destination country")
+            except WireFormatError as exc:
+                raise WireFormatError(f"bad destination-country on line {line_no}: {exc}") from None
         elif head == "location":
             location.feed(rest, line_no)
         else:

@@ -30,8 +30,12 @@ two refusals whose text never changes, wrong credentials and subject
 mismatch, are built once, at import, so answering them hashes and
 renders nothing. A bad-request refusal is built at most twice per
 distinct body: the body memo (`model.Memo`) maps the bodies of
-authenticated callers it has seen twice to the request they parse to or
-to their refusal. Only a Permit decision carries a view. The
+authenticated callers it has seen twice to the request they parse to,
+with its `engine.RequestFacts` (what the context build reads of the
+request alone), or to their refusal. A body the memo holds is decided
+without a parse, a catalog lookup or a token parse; its location, local
+time, relationship, task assessment and legal scopes are still taken per
+request. Only a Permit decision carries a view. The
 `pseudonymize` and `anonymize` obligations are fulfilled once per
 resource: the payload memo maps (obligation id, pseudonym key, content,
 customers) to the transformed payload, which replaces every customer id
@@ -374,31 +378,33 @@ class ReferenceMonitor:
         if not self.pips.identities.authenticate(session.user, session.secret):
             return None, _AUTHENTICATION_FAILED, None
 
-        # The request or refusal is a frozen function of the body: a bad
-        # body the memo has admitted, at its second sighting, is refused
+        # The request's facts or its refusal are a frozen function of the
+        # body: a body the memo has admitted, at its second sighting, is
+        # decided without a parse or a facts build, and a bad one refused
         # without a parse, a hash or a render.
         kept = type(raw) in (bytes, str) and len(raw) <= _LONGEST_BODY_HELD
         read = self._bodies.get(raw) if kept else None
         if read is None:
             try:
-                read = parse_request(raw), None
+                read = self.engine.facts(parse_request(raw), self.pips), None
             except WireFormatError as exc:
                 read = None, refusal("<monitor>", Decision.INDETERMINATE, STATUS_SYNTAX_ERROR, f"bad-request:{exc}")
             if kept:
                 self._bodies.put(raw, read)
-        request, refused = read
+        facts, refused = read
         if refused is not None:
             return None, refused, None
 
-        if request.subject_id() != session.user:
+        request = facts.request
+        if facts.subject_id != session.user:
             return request, _SUBJECT_SESSION_MISMATCH, None
 
         # The decision point resolves the location snapshot itself (single
         # supplier query) and never raises past its boundary.
-        response = self.engine.evaluate(self.forest, request, self.pips)
+        response = self.engine.evaluate(self.forest, facts, self.pips)
 
         now = self.pips.clock.now_utc()
-        record = self.pips.resources.lookup(request.resource_id())[0]
+        record = facts.record
         try:
             if response.decision is Decision.PERMIT:
                 return request, response, self.obligations.apply_all(response.obligations, record, now)

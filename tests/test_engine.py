@@ -171,6 +171,25 @@ def test_location_match_over_an_integer_is_reported_and_always_fails(engine):
         )
 
 
+def test_location_match_without_an_argument_or_a_zone_is_indeterminate(engine):
+    no_argument = FunctionApplication("function:location-match", ())
+    record = _record(_decide(engine, policy("p", [rule("r", condition=no_argument)])), "r")
+    assert (record.decision, record.reason) == (Decision.INDETERMINATE, f"condition-error:{STATUS_PROCESSING_ERROR}")
+    # A 20 m disc at Findel straddles the customs area: the country, LU, is
+    # certain and the zone is not, so only a zone category is missing.
+    def located(name):
+        return FunctionApplication("function:location-match", (Literal(AttributeValue(DataType.STRING, name)),))
+
+    forest = engine.compile([document(policy("p", [rule("zone", condition=located("restricted")),
+                                                   rule("country", condition=located("LU"))]))])
+    request = parse_request(wire_request(point="49.634948 6.200151",
+                                         extra_lines=("environment position-accuracy integer 20",)))
+    response = engine.evaluate(forest, request, make_bundle("2026-03-12T14:40:00Z"))
+    zone, country = _record(response, "zone"), _record(response, "country")
+    assert (zone.decision, zone.reason) == (Decision.INDETERMINATE, f"condition-error:{STATUS_MISSING_ATTRIBUTE}")
+    assert (country.decision, country.reason) == (Decision.PERMIT, "effect")
+
+
 def test_a_scalar_where_a_bag_is_due_is_reported_and_is_a_processing_error(engine):
     # XACML types a *-one-and-only argument as a bag, so a literal is no
     # bag of one: validate and evaluation refuse it alike.

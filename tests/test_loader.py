@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lexgate.cli import default_fixtures_root, load_policy_dir, parse_scenario
 from lexgate.context.bundle import STORE_FILES, load_bundle
-from lexgate.context.loader import load_diary, load_identities, load_scopes, split_record
+from lexgate.context.loader import load_diary, load_identities, load_resources, load_scopes, split_record
 from lexgate.context.zones import load_zone_tree
 from lexgate.errors import FixtureError, LexgateError, PolicySyntaxError, ScenarioFormatError
 from lexgate.model import validate_document
@@ -109,6 +109,24 @@ def test_out_of_range_value_in_a_store_names_file_and_line(tmp_path, store, line
     load = load_diary if store == "diary.txt" else load_identities
     with pytest.raises(FixtureError, match=f"^{store}:2: {message}$"):
         load(path)
+
+
+@pytest.mark.parametrize("host", ["lu", "Lu", "LUX", "L", "", "Luxembourg", "ÉÉ", "L1"])
+def test_a_resource_host_that_is_no_uppercase_country_code_names_file_and_line(tmp_path, host):
+    # Loaded, such a host would become a country-code bag no scope is
+    # named by, and every request for the resource a `<context>` refusal.
+    path = tmp_path / "resources.txt"
+    path.write_text(
+        "resource id=products/overview host=LU\n"
+        f"# a comment\nresource id=cust/1/portfolio host={host} customers=cust:1\n",
+        encoding="utf-8",
+    )
+    message = f"host must be an uppercase two-letter country code, got {host!r}"
+    with pytest.raises(FixtureError, match=f"^resources.txt:3: {message}$"):
+        load_resources(path)
+    path.write_text("resource id=cust/1/portfolio host=GB\n")
+    record, _pairs = load_resources(path).lookup("cust/1/portfolio")
+    assert record.host_country == "GB"
 
 
 def test_scenario_lines_use_the_same_quoting():

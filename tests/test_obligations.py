@@ -131,6 +131,18 @@ def test_an_empty_customer_id_is_skipped():
     assert service.apply_all(ANONYMIZE, _record("abc", {"", "b"}), NOW).payload == "a[REDACTED]c"
 
 
+def test_pseudonymize_after_anonymize_keeps_the_anonymous_view():
+    # Anonymous already reveals nothing, so a later pseudonymize leaves the
+    # view as it is; an anonymize after pseudonymize works from the source.
+    service = ObligationService(pseudonym_key=KEY)
+    record = _record("Statement for cust:4711.", {"cust:4711"})
+    anonymous = service.apply_all(ANONYMIZE, record, NOW)
+    assert (anonymous.mode, anonymous.payload) == (ViewMode.ANONYMOUS, f"Statement for {ANONYMIZED_MARKER}.")
+    assert service.apply_all(ANONYMIZE + PSEUDONYMIZE, record, NOW) == anonymous
+    assert service.apply_all(PSEUDONYMIZE + ANONYMIZE, record, NOW) == anonymous
+    assert len(service.payload) == 2
+
+
 def test_world_200_requests_leave_the_payload_memo_small(tmp_path, bench):
     # At most two entries per catalog record (pseudonymized and anonymized),
     # each a payload as long as the record's content or a little longer.

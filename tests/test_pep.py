@@ -105,6 +105,28 @@ def test_permitted_request_follows_the_event_flow(policy_pack, monkeypatch):
     assert record.decision is Decision.PERMIT
 
 
+def test_a_body_from_the_memo_still_follows_the_event_flow_and_locates_once(policy_pack, monkeypatch):
+    # The body memo admits the body at its second sighting, so the last two
+    # of four sends take its request and facts from the memo. The location,
+    # the relationship, the task and the legal scopes depend on the instant
+    # or on a supplier, so each request still asks for each of them once.
+    # The response memo is off, so that every request combines.
+    pips = make_bundle("2026-03-10T13:40:00Z", count_locates=True)
+    monitor = ReferenceMonitor(PolicyDecisionPoint(), policy_pack, pips, pseudonym_key=KEY)
+    monitor.forest.responses_held = 0
+    flow = watch(monkeypatch, monitor)
+    raw = wire_request(
+        resource="cust/4711/portfolio", point="47.37 8.54", tokens=("cust:4711",), token_at="2026-03-10T13:40:00Z"
+    )
+    answers = []
+    for sent in range(1, 5):
+        answers.append(monitor.handle_request(raw, GOOD_SESSION)[0])
+        assert flow == list(EVENT_FLOW) * sent
+        assert pips.location.calls == sent
+    assert monitor._bodies.misses == 2
+    assert len(set(answers)) == 1 and parse_response(answers[0])[0].decision is Decision.PERMIT
+
+
 def test_unauthenticated_request_never_reaches_the_pdp(policy_pack, monkeypatch):
     monitor, _pips = make_monitor(policy_pack, "2026-03-10T13:40:00Z")
     reached = watch(monkeypatch, monitor, ("engine.evaluate", "location.locate"))

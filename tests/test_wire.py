@@ -29,7 +29,7 @@ from lexgate.parsing.wire import (
     serialize_request,
     serialize_response,
 )
-from wire_grammar import wire_requests
+from wire_grammar import REFUSED_LINES, wire_requests
 
 SAMPLE = b"""request
 subject user-id identifier c.miller
@@ -267,6 +267,19 @@ _LONDON_REPORT = LocationReport(
     country="GB", city="London", zone=ZoneKind.UNRESTRICTED, timezone_name="GMT",
     timezone_offset=0.0, point=GeoPoint(51.5, -0.12), accuracy_radius=0.0,
 )
+
+
+@pytest.mark.parametrize("line", REFUSED_LINES)
+def test_each_line_the_grammar_helper_calls_refused_is_refused(line):
+    with pytest.raises(WireFormatError, match="on line 3|subject attributes"):
+        parse_request(f"request\nsubject user-id identifier c.miller\n{line}\nend\n")
+
+
+@pytest.mark.parametrize("country", ["gb", "Gb", "G B", "Luxembourg", "GBR"])
+def test_a_destination_that_does_not_read_back_as_itself_is_refused(country):
+    # As serialize_request refuses it: `country_code` would change it.
+    with pytest.raises(WireFormatError, match=f"^bad destination-country on line 3: .*{country!r}$"):
+        parse_request(f"request\nsubject user-id identifier c.miller\ndestination-country {country}\nend\n")
 
 
 @pytest.mark.parametrize(

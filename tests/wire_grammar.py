@@ -26,7 +26,7 @@ _attribute_lines = st.builds(
     st.sampled_from(("user-id", "resource-id", "action-id", "note", "position-accuracy", "a\tb", "a\xa0b", "a\u3000b")),
     st.sampled_from(sorted(_TYPED_TEXT)).flatmap(lambda t: _TYPED_TEXT[t].map(f"{t} {{}}".format)),
 )
-_refused_lines = st.sampled_from((
+REFUSED_LINES = (
     "environment t time-of-day 24:00:00",
     "environment t time-of-day 8:0",
     "environment d date 2026-02-30",
@@ -37,7 +37,8 @@ _refused_lines = st.sampled_from((
     "subject",
     "subject user-id",
     "destination-country gb",
-))
+)
+_refused_lines = st.sampled_from(REFUSED_LINES)
 _LOCATION_BLOCK = (
     "location country GB",
     "location city London",
