@@ -2,7 +2,8 @@
 
 Policies compare against the requester's local wall clock, so the UTC
 instant from the clock supplier is shifted by the resolved location's
-timezone offset before it reaches any condition.
+timezone offset before it reaches any condition; the shifts of the
+quarter-hour offsets a location may carry are a table built at import.
 """
 
 from __future__ import annotations
@@ -33,9 +34,27 @@ class FixedClock:
         self._at = at if at.tzinfo else at.replace(tzinfo=dt.timezone.utc)
 
 
+# The shift of every offset `check_timezone_offset` admits, the quarter
+# hours from -12 to 14 hours, keyed by the offset in hours; each is exact
+# in binary, so an int or float offset finds its entry.
+_QUARTER_HOUR_SHIFTS = {
+    quarters / 4: dt.timedelta(minutes=15 * quarters) for quarters in range(-48, 57)
+}
+
+
 def local_time(now_utc: dt.datetime, offset_hours: float) -> tuple[dt.date, dt.time]:
-    """Local date and time-of-day in a zone offset_hours ahead of UTC."""
-    if now_utc.tzinfo is None:
+    """Local date and time-of-day in a zone offset_hours ahead of UTC.
+
+    The shift comes from a table of the quarter-hour offsets, built at
+    import; any other offset is converted on the call. A naive instant
+    is taken as UTC."""
+    tzinfo = now_utc.tzinfo
+    if tzinfo is None:
         now_utc = now_utc.replace(tzinfo=dt.timezone.utc)
-    shifted = now_utc.astimezone(dt.timezone.utc) + dt.timedelta(hours=offset_hours)
+    elif tzinfo is not dt.timezone.utc:
+        now_utc = now_utc.astimezone(dt.timezone.utc)
+    shift = _QUARTER_HOUR_SHIFTS.get(offset_hours)
+    if shift is None:
+        shift = dt.timedelta(hours=offset_hours)
+    shifted = now_utc + shift
     return shifted.date(), shifted.time()

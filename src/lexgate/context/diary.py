@@ -4,6 +4,10 @@ A diary entry binds a task to a closed time interval, an expected
 location, the identities attending and the resources the task is likely
 to need. The pre/post extensions around the core interval form the
 concession window in which data is served pseudonymously only.
+
+The store turns each owner's entries into window bounds when it loads,
+so a task check bisects the owner's window starts and compares instants;
+it verifies the proximity tokens only for an entry that needs them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from ..errors import FixtureError
 from ..model import GeoPoint
 from ..parsing.location_xml import LocationReport
 from .geometry import distance_m
-from .identity import IdentityKind, IdentityRegistry, ProximityToken
+from .identity import IdentityRegistry, ProximityToken
 
 
 @dataclass(frozen=True)
@@ -40,15 +44,6 @@ class TimeRange:
             self.start - self.pre_extension, self.end + self.post_extension
         except OverflowError:
             raise ValueError("extended time range is out of range") from None
-
-    def contains(self, at: dt.datetime) -> bool:
-        return self.start <= at <= self.end
-
-    def in_extension(self, at: dt.datetime) -> bool:
-        """Inside the pre/post window but strictly outside the core."""
-        before = self.start - self.pre_extension <= at < self.start
-        after = self.end < at <= self.end + self.post_extension
-        return before or after
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,20 @@ def _window_start(entry: DiaryEntry) -> dt.datetime:
     return entry.time.start - entry.time.pre_extension
 
 
+def _window_end(entry: DiaryEntry) -> dt.datetime:
+    """The end of the entry's extended window, end + post."""
+    return entry.time.end + entry.time.post_extension
+
+
 class DiaryStore:
+    """The diary, read per owner from bounds computed when it loads.
+
+    Each owner's entries are held in the order of their window starts,
+    start - pre, beside those starts and their window ends, end + post,
+    so `check_task` bisects the starts and compares instants: it computes
+    no window bound per request.
+    """
+
     def __init__(self, entries: Iterable[DiaryEntry], home_country: Optional[str] = None):
         self.entries = tuple(entries)
         by_owner: dict[str, list[DiaryEntry]] = {}
@@ -129,17 +137,18 @@ class DiaryStore:
                 )
             by_owner.setdefault(entry.owner, []).append(entry)
         # Each owner's entries by the start of their extended window, those
-        # starts, and the longest extended window: an entry whose window
-        # holds `now` starts in [now - longest, now], so check_task bisects.
-        self._by_window: dict[str, tuple[tuple[DiaryEntry, ...], list[dt.datetime], dt.timedelta]] = {}
+        # starts and ends, and the longest extended window: an entry whose
+        # window holds `now` starts in [now - longest, now], so check_task
+        # bisects.
+        self._by_window: dict[
+            str, tuple[tuple[DiaryEntry, ...], list[dt.datetime], list[dt.datetime], dt.timedelta]
+        ] = {}
         for owner, owned in by_owner.items():
             owned = sorted(owned, key=_window_start)
-            starts = [_window_start(entry) for entry in owned]
-            longest = max(
-                entry.time.end + entry.time.post_extension - start
-                for entry, start in zip(owned, starts)
-            )
-            self._by_window[owner] = (tuple(owned), starts, longest)
+            starts = list(map(_window_start, owned))
+            ends = list(map(_window_end, owned))
+            longest = max(end - start for start, end in zip(starts, ends))
+            self._by_window[owner] = (tuple(owned), starts, ends, longest)
 
     def check_task(
         self,
@@ -156,27 +165,29 @@ class DiaryStore:
         presence of every expected customer (fresh proximity token); an
         unresolved location caps the outcome at PseudonymousWindow, which
         is also what the core interval without presence and the pre/post
-        extension window yield.
+        extension window yield. The tokens are verified at most once, at
+        the first entry whose core interval holds `now` at a matching
+        location.
         """
-        verified = identities.verified_customers(tokens, now)
-        best = TaskAssessment.NO_TASK
         window = self._by_window.get(user)
         if window is None:
-            return best
-        owned, starts, longest = window
+            return TaskAssessment.NO_TASK
+        owned, starts, ends, longest = window
         try:
             first = bisect_left(starts, now - longest)
         except OverflowError:  # a window longer than the time since year 1
             first = 0
+        best = TaskAssessment.NO_TASK
+        verified = None
+        # The bisection leaves the entries whose window starts at or before
+        # `now`, so `now <= ends[index]` puts it in the core or an extension.
         # The order does not matter: the result is the best assessment, and
         # FULL_MATCH, the only early return, is the best there is.
         for index in range(first, bisect_right(starts, now)):
+            if now > ends[index]:
+                continue
             entry = owned[index]
             if resource not in entry.planned_resources:
-                continue
-            in_core = entry.time.contains(now)
-            in_window = entry.time.in_extension(now)
-            if not (in_core or in_window):
                 continue
             if location is None:
                 best = _better(best, TaskAssessment.PSEUDONYMOUS_WINDOW)
@@ -184,18 +195,12 @@ class DiaryStore:
             if not entry.expected_location.matches(location):
                 best = _better(best, TaskAssessment.LOCATION_MISMATCH)
                 continue
-            if in_core and self._customers_present(entry, verified, identities):
-                return TaskAssessment.FULL_MATCH
+            time = entry.time
+            if time.start <= now <= time.end:
+                if verified is None:
+                    verified = identities.verified_customers(tokens, now)
+                # Every expected customer, the participants who are customers, is present.
+                if entry.participants & identities.customers <= verified:
+                    return TaskAssessment.FULL_MATCH
             best = _better(best, TaskAssessment.PSEUDONYMOUS_WINDOW)
         return best
-
-    @staticmethod
-    def _customers_present(
-        entry: DiaryEntry, verified: frozenset[str], identities: IdentityRegistry
-    ) -> bool:
-        expected = {
-            participant
-            for participant in entry.participants
-            if identities.kind_of(participant) is IdentityKind.CUSTOMER
-        }
-        return expected <= verified

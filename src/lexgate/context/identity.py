@@ -4,7 +4,7 @@ Consultants serve one assigned customer at a time; serving several at once
 requires explicit delegations bounded by a time range. Customer presence
 is evidenced by a proximity token (code card subset, hardware token or a
 phone-entered code) that only proves logical proximity, never a physical
-position.
+position. The registry keeps the set of customer ids, built when it loads.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class IdentityRecord:
     assigned_customers: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProximityToken:
     customer: str
     verified_at: dt.datetime
@@ -80,6 +80,10 @@ class ProximityToken:
 
 
 class IdentityRegistry:
+    """The identities by id. `customers`, the ids of the customer
+    records, is built when the registry loads, so a diary check tells the
+    customers among a task's participants with one set intersection."""
+
     def __init__(
         self,
         records: Iterable[IdentityRecord],
@@ -87,6 +91,9 @@ class IdentityRegistry:
         device_positions: Optional[dict[str, GeoPoint]] = None,
     ):
         self._records = {record.id: record for record in records}
+        self.customers = frozenset(
+            record.id for record in self._records.values() if record.kind is IdentityKind.CUSTOMER
+        )
         self._delegations = tuple(delegations)
         self._device_positions = dict(device_positions or {})
         for record in self._records.values():

@@ -3,7 +3,9 @@
 `resolve_location` tests every polygon of the zone tree and `check_task`
 scans every diary entry, exactly as lexgate did before it indexed both at
 load time (bounding boxes per polygon and a grid over the country boxes,
-entries per owner). The indexed code must agree with these on every
+window bounds per owner). `check_task` verifies every token first, tests
+each interval from the entry's `TimeRange` fields and asks the registry
+for the kind of each participant. The indexed code must agree with these on every
 input: the same LocationReport or TaskAssessment, or the same exception
 type with the same message. Both sides call the same polygon kernels;
 tests/geometry_oracle.py holds those kernels as they were before they
@@ -12,8 +14,9 @@ became one pass each.
 
 from __future__ import annotations
 
-from lexgate.context.diary import DiaryStore, TaskAssessment, _better
+from lexgate.context.diary import DiaryStore, TaskAssessment, TimeRange, _better
 from lexgate.context.geometry import disc_polygon_relation, point_in_polygon
+from lexgate.context.identity import IdentityKind
 from lexgate.context.zones import ZoneTree
 from lexgate.errors import PrecisionError, UnknownTerritoryError
 from lexgate.parsing.location_xml import LocationReport, ZoneKind
@@ -76,13 +79,32 @@ def entries_for(store: DiaryStore, user, resource):
     )
 
 
+def in_core(time: TimeRange, now) -> bool:
+    return time.start <= now <= time.end
+
+
+def in_extension(time: TimeRange, now) -> bool:
+    """Inside the pre/post window but strictly outside the core."""
+    before = time.start - time.pre_extension <= now < time.start
+    after = time.end < now <= time.end + time.post_extension
+    return before or after
+
+
+def customers_present(entry, verified, identities) -> bool:
+    expected = {
+        participant
+        for participant in entry.participants
+        if identities.kind_of(participant) is IdentityKind.CUSTOMER
+    }
+    return expected <= verified
+
+
 def check_task(store: DiaryStore, user, resource, now, location, tokens, identities):
     verified = identities.verified_customers(tokens, now)
     best = TaskAssessment.NO_TASK
     for entry in entries_for(store, user, resource):
-        in_core = entry.time.contains(now)
-        in_window = entry.time.in_extension(now)
-        if not (in_core or in_window):
+        core = in_core(entry.time, now)
+        if not (core or in_extension(entry.time, now)):
             continue
         if location is None:
             best = _better(best, TaskAssessment.PSEUDONYMOUS_WINDOW)
@@ -90,7 +112,7 @@ def check_task(store: DiaryStore, user, resource, now, location, tokens, identit
         if not entry.expected_location.matches(location):
             best = _better(best, TaskAssessment.LOCATION_MISMATCH)
             continue
-        if in_core and DiaryStore._customers_present(entry, verified, identities):
+        if core and customers_present(entry, verified, identities):
             return TaskAssessment.FULL_MATCH
         best = _better(best, TaskAssessment.PSEUDONYMOUS_WINDOW)
     return best

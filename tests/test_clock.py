@@ -126,3 +126,22 @@ def test_format_instant_writes_an_offset_value_in_utc(value, zone):
     local = value.replace(tzinfo=zone)
     assert format_instant(local) == _strftime_instant(local.astimezone(dt.timezone.utc))
     assert parse_instant(format_instant(local)) == local
+
+
+def test_local_time_of_every_quarter_hour_offset_matches_a_timedelta_of_hours():
+    now = dt.datetime(2026, 3, 10, 23, 59, 59, 999_999, tzinfo=dt.timezone.utc)
+    offsets = [quarters / 4 for quarters in range(-48, 57)]
+    assert len(offsets) == 105
+    # Whole hours as ints too, and offsets off the quarter-hour grid.
+    for offset in offsets + list(range(-12, 15)) + [5.1, -3.3, 14.5, -12.25]:
+        shifted = now + dt.timedelta(hours=offset)
+        assert local_time(now, offset) == (shifted.date(), shifted.time())
+
+
+def test_local_time_takes_an_aware_instant_in_any_zone_and_a_naive_one_as_utc():
+    plus_two = dt.datetime(2026, 3, 10, 1, 30, tzinfo=dt.timezone(dt.timedelta(hours=2)))
+    assert local_time(plus_two, 5.75) == (dt.date(2026, 3, 10), dt.time(5, 15))
+    assert local_time(plus_two, -0.25) == (dt.date(2026, 3, 9), dt.time(23, 15))
+    naive = dt.datetime(2026, 3, 10, 23, 50)
+    assert local_time(naive, 0.25) == (dt.date(2026, 3, 11), dt.time(0, 5))
+    assert local_time(naive, 0) == local_time(naive.replace(tzinfo=dt.timezone.utc), 0)

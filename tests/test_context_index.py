@@ -29,7 +29,7 @@ from lexgate.context import bundle as bundle_module, zones as zones_module
 from lexgate.context.bundle import LocationSupplier, load_bundle
 from lexgate.context.diary import DiaryEntry, DiaryStore, ExpectedLocation, TimeRange
 from lexgate.context.geometry import METERS_PER_DEGREE_LAT
-from lexgate.context.identity import IdentityKind, IdentityRecord, IdentityRegistry, ProximityToken
+from lexgate.context.identity import FRESHNESS, IdentityKind, IdentityRecord, IdentityRegistry, ProximityToken
 from lexgate.context.zones import (
     CityArea,
     RestrictedArea,
@@ -477,3 +477,57 @@ def test_diary_index_matches_the_linear_scan(store_entries, user, resource, offs
     assert store.check_task(user, resource, now, location, tokens, IDENTITIES) is oracle.check_task(
         store, user, resource, now, location, tokens, IDENTITIES
     )
+
+
+class _CountedTokens:
+    """Tokens that count how often they are read."""
+
+    def __init__(self, tokens):
+        self.tokens, self.reads = tokens, 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.tokens)
+
+
+MICROSECOND = dt.timedelta(microseconds=1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(entries, min_size=1, max_size=8), st.data())
+def test_diary_index_matches_the_linear_scan_at_window_and_freshness_edges(store_entries, data):
+    # `now` on an edge of a drawn entry's window (start - pre, start, end,
+    # end + post) or 1 µs either side; tokens verified 15 min before `now`,
+    # 1 µs either side, or after it, some naming a consultant or an id the
+    # registry does not hold; and users with no entry.
+    store = DiaryStore(store_entries)
+    entry = data.draw(st.sampled_from(store_entries))
+    time = entry.time
+    edge = data.draw(st.sampled_from(
+        (time.start - time.pre_extension, time.start, time.end, time.end + time.post_extension)
+    ))
+    now = edge + data.draw(st.sampled_from((-MICROSECOND, dt.timedelta(0), MICROSECOND)))
+    user = data.draw(st.just(entry.owner) | st.sampled_from(OWNERS + ("nobody",)))
+    resource = data.draw(
+        st.sampled_from(sorted(entry.planned_resources) or ["r-none"]) | st.sampled_from(RESOURCES + ("r-none",))
+    )
+    expected = entry.expected_location
+    at_the_place = LocationReport(
+        country=expected.country, city=expected.city, zone=ZoneKind.UNRESTRICTED, timezone_name="CET",
+        timezone_offset=1, point=GeoPoint(49.6, 6.1),
+    )
+    location = data.draw(st.just(at_the_place) | locations)
+    ages = st.sampled_from(
+        (FRESHNESS - MICROSECOND, FRESHNESS, FRESHNESS + MICROSECOND, -MICROSECOND, dt.timedelta(0))
+    )
+    named = st.sampled_from(sorted(entry.participants) + list(CUSTOMERS) + ["k-unknown"])
+    tokens = tuple(
+        ProximityToken(customer, now - age, "phone-code")
+        for customer, age in data.draw(st.lists(st.tuples(named, ages), max_size=3))
+    )
+    counted = _CountedTokens(tokens)
+    assert store.check_task(user, resource, now, location, counted, IDENTITIES) is oracle.check_task(
+        store, user, resource, now, location, tokens, IDENTITIES
+    )
+    # The tokens are read at most once, and never for a user without an entry.
+    assert counted.reads <= (user in {e.owner for e in store_entries})

@@ -55,6 +55,14 @@ def test_token_method_domain():
         ProximityToken("cust:4711", NOW, "carrier-pigeon")
 
 
+def test_a_proximity_token_has_slots_and_no_instance_dict():
+    token = ProximityToken("cust:4711", NOW, "phone-code")
+    assert not hasattr(token, "__dict__")
+    assert ProximityToken.__slots__ == ("customer", "verified_at", "method")
+    with pytest.raises(AttributeError):
+        token.customer = "cust:0815"
+
+
 def test_assigned_customer_is_one_to_one(registry):
     assert (
         registry.check_relationship("c.miller", frozenset({"cust:4711"}), NOW)
