@@ -45,16 +45,13 @@ _QUARTER_HOUR_SHIFTS = {
 def local_time(now_utc: dt.datetime, offset_hours: float) -> tuple[dt.date, dt.time]:
     """Local date and time-of-day in a zone offset_hours ahead of UTC.
 
-    The shift comes from a table of the quarter-hour offsets, built at
-    import; any other offset is converted on the call. A naive instant
-    is taken as UTC."""
+    The offset is one `check_timezone_offset` admits, and its shift comes
+    from a table of those quarter-hour offsets, built at import. A naive
+    instant is taken as UTC."""
     tzinfo = now_utc.tzinfo
     if tzinfo is None:
         now_utc = now_utc.replace(tzinfo=dt.timezone.utc)
     elif tzinfo is not dt.timezone.utc:
         now_utc = now_utc.astimezone(dt.timezone.utc)
-    shift = _QUARTER_HOUR_SHIFTS.get(offset_hours)
-    if shift is None:
-        shift = dt.timedelta(hours=offset_hours)
-    shifted = now_utc + shift
+    shifted = now_utc + _QUARTER_HOUR_SHIFTS[offset_hours]
     return shifted.date(), shifted.time()

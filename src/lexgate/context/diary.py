@@ -4,10 +4,6 @@ A diary entry binds a task to a closed time interval, an expected
 location, the identities attending and the resources the task is likely
 to need. The pre/post extensions around the core interval form the
 concession window in which data is served pseudonymously only.
-
-The store turns each owner's entries into window bounds when it loads,
-so a task check bisects the owner's window starts and compares instants;
-it verifies the proximity tokens only for an entry that needs them.
 """
 
 from __future__ import annotations
@@ -117,14 +113,6 @@ def _window_end(entry: DiaryEntry) -> dt.datetime:
 
 
 class DiaryStore:
-    """The diary, read per owner from bounds computed when it loads.
-
-    Each owner's entries are held in the order of their window starts,
-    start - pre, beside those starts and their window ends, end + post,
-    so `check_task` bisects the starts and compares instants: it computes
-    no window bound per request.
-    """
-
     def __init__(self, entries: Iterable[DiaryEntry], home_country: Optional[str] = None):
         self.entries = tuple(entries)
         by_owner: dict[str, list[DiaryEntry]] = {}
@@ -165,9 +153,7 @@ class DiaryStore:
         presence of every expected customer (fresh proximity token); an
         unresolved location caps the outcome at PseudonymousWindow, which
         is also what the core interval without presence and the pre/post
-        extension window yield. The tokens are verified at most once, at
-        the first entry whose core interval holds `now` at a matching
-        location.
+        extension window yield.
         """
         window = self._by_window.get(user)
         if window is None:
@@ -199,7 +185,6 @@ class DiaryStore:
             if time.start <= now <= time.end:
                 if verified is None:
                     verified = identities.verified_customers(tokens, now)
-                # Every expected customer, the participants who are customers, is present.
                 if entry.participants & identities.customers <= verified:
                     return TaskAssessment.FULL_MATCH
             best = _better(best, TaskAssessment.PSEUDONYMOUS_WINDOW)

@@ -3,7 +3,6 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
-import context_oracle as oracle
 from lexgate.context.diary import (
     DiaryEntry,
     DiaryStore,
@@ -149,12 +148,26 @@ def test_cross_border_entries_need_travel_authorization():
 
 
 @given(
-    st.integers(min_value=0, max_value=35_999).map(
-        lambda s: _instant(4) + dt.timedelta(seconds=s)
+    st.sampled_from([_instant(13), _instant(14), _instant(15), _instant(15, 30)]).flatmap(
+        lambda edge: st.sampled_from([-1, 0, 1]).map(
+            lambda us: edge + dt.timedelta(microseconds=us)
+        )
+    )
+    | st.integers(min_value=0, max_value=17_999).map(
+        lambda s: _instant(12) + dt.timedelta(seconds=s)
     )
 )
 def test_core_and_extension_windows_are_disjoint(now):
-    assert not (oracle.in_core(ENTRY.time, now) and oracle.in_extension(ENTRY.time, now))
+    # With the customer present at the expected place, the core 14:00-15:00
+    # is a full match, and only the extensions, from 13:00 and to 15:30,
+    # are the pseudonymous window.
+    result = check(now, _report("LU"), (_fresh_token(now),))
+    if _instant(14) <= now <= _instant(15):
+        assert result is TaskAssessment.FULL_MATCH
+    elif _instant(13) <= now <= _instant(15, 30):
+        assert result is TaskAssessment.PSEUDONYMOUS_WINDOW
+    else:
+        assert result is TaskAssessment.NO_TASK
 
 
 @given(
@@ -166,5 +179,5 @@ def test_core_and_extension_windows_are_disjoint(now):
 def test_full_match_never_holds_in_the_extension_window(now, with_token):
     tokens = (_fresh_token(now),) if with_token else ()
     result = check(now, _report("LU"), tokens)
-    if oracle.in_extension(ENTRY.time, now):
+    if _instant(13) <= now < _instant(14) or _instant(15) < now <= _instant(15, 30):
         assert result is TaskAssessment.PSEUDONYMOUS_WINDOW
