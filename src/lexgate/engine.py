@@ -171,16 +171,18 @@ class RequestFacts(NamedTuple):
 
     request: RequestContext
     subject_id: Optional[str]
-    # The subject's kind bag; None when the registry holds no such identity.
-    kind: Optional[tuple[AttributeValue, ...]]
     resource_id: Optional[str]
-    # The catalog record and its trusted pairs (`ResourceCatalog.lookup`).
+    # The catalog record (`ResourceCatalog.lookup`).
     record: Optional[ResourceRecord]
-    pairs: tuple
     # The request's destination, else the record's host, else the default
-    # host, with its country-code bag; None when none of them is known.
+    # host; None when none of them is known.
     destination: Optional[str]
-    destination_bag: Optional[tuple[AttributeValue, ...]]
+    # The reserved bags the request alone fixes, as (key, bag) pairs like
+    # the catalog's: the record's trusted pairs, then the subject's kind
+    # when the registry holds the subject, then the destination's
+    # country-code bag when there is a destination. A tuple, so a facts
+    # value the body memo holds stays frozen.
+    bags: tuple
     tokens: tuple[ProximityToken, ...]
 
 
@@ -405,7 +407,7 @@ class PolicyDecisionPoint:
     and the memos of a forest live in its `CompiledForest`."""
 
     def compile(self, documents: Iterable[PolicyDocument]) -> "CompiledForest":
-        """The forest indexed for evaluation, the one way to build a
+        """The forest compiled for evaluation, the one way to build a
         `CompiledForest`."""
         return CompiledForest(documents)
 
@@ -418,13 +420,13 @@ class PolicyDecisionPoint:
         subject_id = request.subject_id()
         subject = pips.identities.get(subject_id) if subject_id else None
         resource_id = request.resource_id()
-        record, pairs = pips.resources.lookup(resource_id)
+        record, bags = pips.resources.lookup(resource_id)
+        if subject is not None:
+            bags += (((Category.SUBJECT, SUBJECT_KIND), _MEMBER_BAGS[subject.kind]),)
         destination = request.destination_country or (record.host_country if record else pips.resources.default_host)
-        destination_bag = None
         if destination is not None:
-            destination_bag = pips.zones.country_bags.get(destination) or (
-                AttributeValue._trusted(DataType.COUNTRY_CODE, destination),
-            )
+            bag = pips.zones.country_bags.get(destination) or (AttributeValue._trusted(DataType.COUNTRY_CODE, destination),)
+            bags += (((Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY), bag),)
         # Tokens travel as environment attributes 'customer|method|instant';
         # one that is not a string of three fields, or does not parse, is
         # skipped.
@@ -440,11 +442,8 @@ class PolicyDecisionPoint:
                 tokens.append(ProximityToken(customer, parse_instant(verified_at), method))
             except ValueError:
                 continue
-        kind = None if subject is None else _MEMBER_BAGS[subject.kind]
         # tuple.__new__ skips the generated __new__, a Python call per body.
-        return tuple.__new__(RequestFacts, (
-            request, subject_id, kind, resource_id, record, pairs, destination, destination_bag, tuple(tokens),
-        ))
+        return tuple.__new__(RequestFacts, (request, subject_id, resource_id, record, destination, bags, tuple(tokens)))
 
     def _build_context(self, request: RequestContext | RequestFacts, pips: PipBundle) -> EvaluationContext:
         """The evaluation context of a request, or of the facts `facts`
@@ -491,11 +490,7 @@ class PolicyDecisionPoint:
         cache[Category.ENVIRONMENT, ENV_SOURCE_COUNTRY] = pips.zones.country_bags.get(source_country) or (
             trusted(DataType.COUNTRY_CODE, source_country),
         )
-        cache[Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY] = facts.destination_bag
-        if facts.kind is not None:
-            cache[Category.SUBJECT, SUBJECT_KIND] = facts.kind
-
-        cache.update(facts.pairs)
+        cache.update(facts.bags)
         subject_id, record = facts.subject_id, facts.record
         if record is not None and subject_id and record.customers:
             relation = pips.identities.check_relationship(subject_id, record.customers, now)
@@ -583,9 +578,9 @@ def _target_miss(category: Category) -> str:
     return f"target-no-match:{category.value}"
 
 
-def _literal_key(target: Target) -> Optional[tuple[Category, str, str]]:
-    """(category, attribute, literal) when the first non-empty clause list
-    is one string-equal clause on a string literal, else None."""
+def _literal_key(target: Target) -> Optional[tuple[tuple[Category, str], str]]:
+    """((category, attribute), literal) when the first non-empty clause
+    list is one string-equal clause on a string literal, else None."""
     for category, clauses in target.sections():
         if not clauses:
             continue
@@ -594,7 +589,7 @@ def _literal_key(target: Target) -> Optional[tuple[Category, str, str]]:
         clause = clauses[0]
         if clause.match_function != _STRING_EQUAL or not isinstance(clause.literal.value, str):
             return None
-        return category, clause.attribute_id, clause.literal.value
+        return (category, clause.attribute_id), clause.literal.value
     return None
 
 
@@ -762,17 +757,18 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
 
 
 class CompiledForest:
-    """The document forest, indexed once at load time so that per-request
-    work follows the applicable documents rather than the forest's size
-    (the XEngine idea: Liu, Chen, Hwang and Xie, SIGMETRICS 2008).
+    """The document forest, screened so that per-request work follows the
+    applicable documents rather than the forest's size (the XEngine idea:
+    Liu, Chen, Hwang and Xie, SIGMETRICS 2008).
 
     A document is walked only when its root's legislation set meets the
     request's scopes and, if its root target opens with a single
-    string-equal clause on a string literal, the request's bag for that
-    attribute holds the literal or a value that is not a string. Any
-    other document would evaluate to its root's NotApplicable record
-    alone, so it contributes that record, built here once, and the trace
-    stays the one a full walk produces.
+    string-equal clause on a string literal (its literal key), the
+    request's bag for that attribute holds the literal or a value that is
+    not a string. Any other document would evaluate to its root's
+    NotApplicable record alone, so it contributes that record, built here
+    once, and the trace stays the one a full walk produces. A screen or
+    plan build finds those documents by one scan of the roots.
 
     `scopes` is the union of the legislation sets of every node, the
     scopes a request observes under ignore-tags; in aware mode `evaluate`
@@ -783,10 +779,10 @@ class CompiledForest:
     with each document's byte offset in it.
 
     The plan for a request depends only on the request's scopes (those
-    the forest names) and, per attribute that roots are keyed on, which
-    of its literals the bag holds (or that the bag holds a value that is
-    not a string). That is the plan memo's key, so caller text that is
-    no literal never enters it.
+    the forest names) and, per attribute that roots are keyed on
+    (`selectors`), which of its literals the bag holds (or that the bag
+    holds a value that is not a string). That is the plan memo's key, so
+    caller text that is no literal never enters it.
     A plan is made on the first request with its key and kept with the
     screened records grouped into runs between the walked documents; per
     run, a view of its records' lines in its screen's text (a plan holds
@@ -848,9 +844,10 @@ class CompiledForest:
         self.responses_held = max(1, min(_RESPONSES_HELD, _PLAN_RECORDS_HELD // max(1, len(self.roots))))
         self._screens = Memo(_PLANS_HELD)
         self._plans = Memo(_PLANS_HELD)
-        keys = [_literal_key(root.target) for root in self.roots]
-        # Per document: the record of a legislation miss (None when the root
-        # is untagged) and of a miss on the literal key (None without one).
+        # Per document: its root's literal key (`_literal_key`), and the
+        # records of a legislation miss (None when the root is untagged) and
+        # of a miss on the literal key (None without one).
+        self.literal_keys = tuple(_literal_key(root.target) for root in self.roots)
         self.legislation_misses = tuple(
             None if root.legislation is None
             else TraceRecord(root.id, Decision.NOT_APPLICABLE, _legislation_miss(root.legislation))
@@ -858,36 +855,23 @@ class CompiledForest:
         )
         self.target_misses = tuple(
             None if key is None
-            else TraceRecord(root.id, Decision.NOT_APPLICABLE, _target_miss(key[0]))
-            for root, key in zip(self.roots, keys)
+            else TraceRecord(root.id, Decision.NOT_APPLICABLE, _target_miss(key[0][0]))
+            for root, key in zip(self.roots, self.literal_keys)
         )
-        self.untagged = frozenset(i for i, root in enumerate(self.roots) if root.legislation is None)
-        by_scope: dict[str, set[int]] = {}
-        for index, root in enumerate(self.roots):
-            for scope in root.legislation or ():
-                by_scope.setdefault(scope, set()).add(index)
-        self.by_scope = {scope: frozenset(indices) for scope, indices in by_scope.items()}
-        # Literal keys: the documents without one, and per keyed attribute
-        # all its documents and its documents by literal.
-        self.unkeyed = frozenset(i for i, key in enumerate(keys) if key is None)
-        by_literal: dict[tuple[Category, str], dict[str, set[int]]] = {}
-        for index, key in enumerate(keys):
+        # Per keyed attribute, in the order roots first key it, its literals.
+        literals: dict[tuple[Category, str], set[str]] = {}
+        for key in self.literal_keys:
             if key is not None:
-                category, attribute_id, literal = key
-                by_literal.setdefault((category, attribute_id), {}).setdefault(literal, set()).add(index)
-        self.selectors = tuple(
-            (attribute, frozenset().union(*literals.values()),
-             {literal: frozenset(indices) for literal, indices in literals.items()})
-            for attribute, literals in by_literal.items()
-        )
+                literals.setdefault(key[0], set()).add(key[1])
+        self.selectors = tuple((attribute, frozenset(values)) for attribute, values in literals.items())
 
     def plan(self, ctx: EvaluationContext) -> Plan:
         """The plan for the request, from the memo when a request with the
         same key was planned before."""
         parts = [ctx.applicable_scopes]
-        for attribute, _keyed, by_literal in self.selectors:
+        for attribute, literals in self.selectors:
             payloads = _string_payloads(ctx.lookup(attribute))
-            parts.append(None if payloads is None else tuple([p for p in payloads if p in by_literal]))
+            parts.append(None if payloads is None else tuple([p for p in payloads if p in literals]))
         key = tuple(parts)
         plan = self._plans.get(key)
         if plan is None:
@@ -897,18 +881,19 @@ class CompiledForest:
     def _plan(self, key: tuple) -> Plan:
         """The plan for a memo key: (the scopes; then per selector the
         literals hit, or None for a bag that is not all strings)."""
-        scopes, hits = key[0], key[1:]
+        scopes = key[0]
         screen = self._screens.get(scopes)
         if screen is None:
             screen = self._screens.put(scopes, self._screen(scopes))
-        matching = set(self.unkeyed)
-        for (_attribute, keyed, by_literal), literals in zip(self.selectors, hits):
-            if literals is None:
-                matching |= keyed
-                continue
-            for literal in literals:
-                matching |= by_literal[literal]
-        walk = sorted(screen.candidates & matching)
+        # A candidate is walked unless its root is keyed on a literal that
+        # an all-string bag lacks.
+        hits = dict(zip([attribute for attribute, _literals in self.selectors], key[1:]))
+        walk = []
+        for index in sorted(screen.candidates):
+            literal_key = self.literal_keys[index]
+            literals = None if literal_key is None else hits[literal_key[0]]
+            if literals is None or literal_key[1] in literals:
+                walk.append(index)
         bounds = list(zip([-1, *walk], [*walk, len(self.roots)]))
         runs = tuple(screen.records[start + 1:end] for start, end in bounds)
         walk_key = _walk_key([self.roots[index] for index in walk])
@@ -918,12 +903,10 @@ class CompiledForest:
 
     def _screen(self, scopes: frozenset[str]) -> Screen:
         """The screen for a scope set."""
-        candidates = set(self.untagged)
-        for scope in scopes:
-            bucket = self.by_scope.get(scope)
-            if bucket:
-                candidates |= bucket
-        candidates = frozenset(candidates)
+        candidates = frozenset(
+            index for index, root in enumerate(self.roots)
+            if root.legislation is None or not root.legislation.isdisjoint(scopes)
+        )
         records = tuple(
             self.target_misses[index] if index in candidates else self.legislation_misses[index]
             for index in range(len(self.roots))

@@ -91,6 +91,20 @@ def test_validate_non_utf8_scopes_is_an_input_error(capsys, tmp_path, fixtures_r
     assert "scopes.txt:1: not UTF-8" in err
 
 
+def test_validate_reports_an_unreadable_and_an_unparseable_policy(capsys, tmp_path, fixtures_root):
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    shutil.copy(fixtures_root / "policies" / "working-time.xml", policy_dir / "ok.xml")
+    (policy_dir / "folder.xml").mkdir()  # globbed as a policy, read as none
+    (policy_dir / "torn.xml").write_text("<Policy PolicyId=")
+    code, out, err = run_cli(capsys, "validate", str(policy_dir))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("folder.xml: read error: ")
+    assert lines[1] == "ok.xml: ok"
+    assert lines[2].startswith("torn.xml: ") and len(lines) == 3
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -260,6 +274,53 @@ def test_scenario_steps_must_be_clock_monotone():
     )
     with pytest.raises(ScenarioFormatError):
         parse_scenario(text)
+
+
+def test_scenario_policies_record_names_the_policy_directory(capsys, fixtures_root, tmp_path):
+    root = _fixtures_copy(fixtures_root, tmp_path)
+    (root / "policies").rename(root / "pack")
+    scenario = tmp_path / "pack.scenario"
+    scenario.write_text("policies pack\n" + (root / BORDER_TRIP).read_text())
+    assert parse_scenario(scenario.read_text()).policies == "pack"
+    code, out, err = run_cli(capsys, "scenario", str(scenario), "--fixtures", str(root))
+    assert (code, err) == (0, "")
+    assert "4 steps, 4 passed, 0 failed" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("scenario s\ndiary\n", "line 2: diary needs one path"),
+    ("scenario s\nzones a.xml b.xml\n", "line 2: zones needs one path"),
+    ("scenario s\npolicies\n", "line 2: policies needs one path"),
+    ("scenario s\npolicies a b\n", "line 2: policies needs one path"),
+    ("scenario s\nstep at=2026-03-10T07:45:00Z actor\n", "line 2: expected key=value, got 'actor'"),
+    ("scenario s\nexpect Deny\n", "line 2: unknown record 'expect'"),
+    ("# no name\nstep at=2026-03-10T07:45:00Z actor=a place=p resource=r expect=Deny\n",
+     "scenario file needs a 'scenario <name>' line"),
+])
+def test_a_malformed_scenario_record_is_refused_with_its_message(capsys, tmp_path, text, message):
+    with pytest.raises(ScenarioFormatError) as refused:
+        parse_scenario(text)
+    assert str(refused.value) == message
+    scenario = tmp_path / "bad.scenario"
+    scenario.write_text(text)
+    assert run_cli(capsys, "scenario", str(scenario)) == (2, "", f"error: malformed scenario: {message}\n")
+
+
+def test_a_missing_scenario_file_is_an_input_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "scenario", str(tmp_path / "absent.scenario"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "absent.scenario" in err
+
+
+def test_a_step_at_an_unknown_place_is_an_input_error(capsys, tmp_path):
+    scenario = tmp_path / "lost.scenario"
+    scenario.write_text(
+        "scenario lost\n"
+        "step at=2026-03-10T07:45:00Z actor=c.miller place=atlantis resource=cust/4711/portfolio expect=Deny\n"
+    )
+    code, out, err = run_cli(capsys, "scenario", str(scenario))
+    assert (code, out) == (2, "")
+    assert err == "error: step 1: unknown place 'atlantis'\n"
 
 
 # -- serve -----------------------------------------------------------------------

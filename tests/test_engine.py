@@ -45,7 +45,7 @@ from lexgate.model import (
 from lexgate.parsing.location_xml import ZoneKind
 from lexgate.parsing.wire import RequestContext, parse_request, serialize_response
 from lexgate.pep import ReferenceMonitor
-from policybuild import TARGET_LITERALS, document, policy, policy_set, random_forest, rule, string_clause
+from policybuild import TARGET_LITERALS, always, document, policy, policy_set, random_forest, rule, string_clause
 
 NOON = "2026-03-10T12:00:00Z"
 LONDON_POINT = "51.507861 -0.099349"
@@ -206,6 +206,29 @@ def test_a_scalar_where_a_bag_is_due_is_reported_and_is_a_processing_error(engin
     assert response.decision is Decision.DENY  # the forest's deny-overrides folds Indeterminate
     with pytest.raises(_EvalError, match="expects a bag, got a scalar"):
         engine_module._BUILTINS["function:string-one-and-only"](None, ["GB"])
+
+
+@pytest.mark.parametrize("function, other, expected", [
+    ("function:and", False, (Decision.NOT_APPLICABLE, "condition-false")),
+    ("function:or", True, (Decision.PERMIT, "effect")),
+    ("function:and", True, (Decision.INDETERMINATE, f"condition-error:{STATUS_PROCESSING_ERROR}")),
+    ("function:or", False, (Decision.INDETERMINATE, f"condition-error:{STATUS_PROCESSING_ERROR}")),
+])
+def test_a_non_boolean_and_or_operand_surfaces_only_when_no_other_operand_decides(engine, function, other, expected):
+    one = Literal(AttributeValue(DataType.INTEGER, 1))
+    for operands in ((one, always(other)), (always(other), one)):
+        node = policy("p", [rule("r", condition=FunctionApplication(function, operands))])
+        record = _record(_decide(engine, node), "r")
+        assert (record.decision, record.reason) == expected
+
+
+def test_a_condition_that_is_no_expression_node_is_indeterminate(engine):
+    # compile takes the rule as it is; the walk refuses the condition.
+    node = policy("p", [rule("r", condition=AttributeValue(DataType.BOOLEAN, True))])
+    response = _decide(engine, node)
+    record = _record(response, "r")
+    assert (record.decision, record.reason) == (Decision.INDETERMINATE, f"condition-error:{STATUS_PROCESSING_ERROR}")
+    assert (response.decision, response.status) == (Decision.DENY, STATUS_OK)
 
 
 # -- rule and forest evaluation ----------------------------------------------------
