@@ -83,9 +83,6 @@ class TaskAssessment(Enum):
     LOCATION_MISMATCH = "location-mismatch"
     NO_TASK = "no-task"
 
-    def __str__(self) -> str:
-        return self.value
-
     # Identity hashing, as for Category, for the engine's bags keyed on members.
     __hash__ = object.__hash__
 

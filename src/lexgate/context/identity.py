@@ -38,9 +38,6 @@ class Relationship(Enum):
     ONE_TO_ONE_TO_N = "one-to-one-to-n"
     UNAUTHORIZED = "unauthorized"
 
-    def __str__(self) -> str:
-        return self.value
-
     # Identity hashing, as for Category, for the engine's bags keyed on members.
     __hash__ = object.__hash__
 

@@ -1,9 +1,10 @@
 """Policy decision point: applicability, conditions, tree evaluation.
 
 Evaluation is a pure function of (documents, request, supplier snapshot):
-the location supplier is consulted at most once per call, the clock once,
-and every derived attribute is cached write-once, so repeated evaluations
-return identical responses including the trace.
+the location supplier is consulted at most once per call, the clock once
+unless the caller gives the instant, and every derived attribute is cached
+write-once, so repeated evaluations return identical responses including
+the trace.
 
 What the context build reads of the request alone (the subject, the
 catalog record and its trusted bags, the destination and its bag, the
@@ -19,7 +20,9 @@ literals counts by its place among them), and of the source's place only
 where one of them calls location-match, so each plan of the compiled
 forest keeps a bounded memo from that walk key to the finished response
 (`CompiledForest`). A request whose key was seen before gets that
-response without a walk.
+response without a walk. The plan and the part of the walk key that the
+facts fix are chosen once per facts value and scope set and kept in the
+facts (`RequestFacts.choices`).
 
 Legislation applicability: a node carrying a legislation scope set is
 applicable only when that set intersects the scopes observed by the
@@ -107,6 +110,14 @@ RESERVED = frozenset(
     + [(Category.SUBJECT, SUBJECT_KIND), (Category.SUBJECT, SUBJECT_RELATIONSHIP)]
     + [(Category.RESOURCE, name) for name, _data_type in TRUSTED_IDS]
 )
+# The reserved attributes the context build sets per evaluation, from the
+# instant or a supplier; every other bag, the request's own and those its
+# facts fix, is the same for every evaluation of one request.
+PER_EVALUATION = frozenset(
+    [(Category.ENVIRONMENT, name) for name in (ENV_CURRENT_TIME, ENV_CURRENT_DATE, ENV_CURRENT_ZONE,
+                                               ENV_SOURCE_COUNTRY, ENV_TASK_STATUS)]
+    + [(Category.SUBJECT, SUBJECT_RELATIONSHIP)]
+)
 
 # The combiner over the document forest.
 TOP_COMBINER = "deny-overrides"
@@ -167,7 +178,13 @@ class RequestFacts(NamedTuple):
     depends on the instant or on a supplier: the location supplier and the
     legal scopes are asked per evaluation. A caller that evaluates one
     request many times, as the monitor does for a body its memo holds,
-    builds its facts once."""
+    builds its facts once.
+
+    `choices` is what `evaluate` chose for the request per forest and
+    applicable scope set: the plan, and the body's part of its walk key.
+    Both read only the scopes and the bags the facts fix, never a
+    per-evaluation attribute (`PER_EVALUATION`), so a later evaluation
+    under those scopes computes only the evaluation's part of the key."""
 
     request: RequestContext
     subject_id: Optional[str]
@@ -184,6 +201,12 @@ class RequestFacts(NamedTuple):
     # value the body memo holds stays frozen.
     bags: tuple
     tokens: tuple[ProximityToken, ...]
+    # (forest, applicable scopes) -> (plan, the body's part of its walk
+    # key), at most `_CHOICES_HELD` entries: a full table is emptied before
+    # the next. Threads that share the facts may race to fill an entry;
+    # its value is a function of its key and the facts, so a race only
+    # repeats the choice.
+    choices: dict
 
 
 # -- built-in functions ----------------------------------------------------
@@ -256,7 +279,7 @@ def _fn_location_match(ctx: EvaluationContext, args: list[object]) -> object:
 
 
 # The one function of the walk that reads the source country, zone or
-# zone tree (`_walk_key`).
+# zone tree (`_walk_reads`).
 _LOCATION_MATCH = "function:location-match"
 
 _BUILTINS: dict[str, FunctionImpl] = {
@@ -443,15 +466,21 @@ class PolicyDecisionPoint:
             except ValueError:
                 continue
         # tuple.__new__ skips the generated __new__, a Python call per body.
-        return tuple.__new__(RequestFacts, (request, subject_id, resource_id, record, destination, bags, tuple(tokens)))
+        return tuple.__new__(
+            RequestFacts, (request, subject_id, resource_id, record, destination, bags, tuple(tokens), {})
+        )
 
-    def _build_context(self, request: RequestContext | RequestFacts, pips: PipBundle) -> EvaluationContext:
+    def _build_context(
+        self, request: RequestContext | RequestFacts, pips: PipBundle, now: Optional[dt.datetime] = None
+    ) -> EvaluationContext:
         """The evaluation context of a request, or of the facts `facts`
-        built of one with the same `pips`: from the facts, it builds only
-        what depends on the instant or on a supplier."""
+        built of one with the same `pips`, at the instant `now` (else the
+        clock's): from the facts, it builds only what depends on the
+        instant or on a supplier."""
         facts = request if type(request) is RequestFacts else self.facts(request, pips)
         request = facts.request
-        now = pips.clock.now_utc()
+        if now is None:
+            now = pips.clock.now_utc()
 
         report, precision_country = request.source_location, None
         if report is None:
@@ -511,12 +540,14 @@ class PolicyDecisionPoint:
         pips: PipBundle,
         *,
         legislation_mode: str = "aware",
+        now: Optional[dt.datetime] = None,
     ) -> ResponseContext:
         """Evaluate the document forest `compile` built for a request, or
-        for the facts `facts` built of one with the same `pips`. No
-        evaluation failure raises past this boundary; only a bad argument
-        does: an unknown legislation mode with ValueError, and anything but
-        a `CompiledForest` with TypeError."""
+        for the facts `facts` built of one with the same `pips`, at the
+        instant `now`, else at the one `pips.clock` reads. No evaluation
+        failure raises past this boundary; only a bad argument does: an
+        unknown legislation mode with ValueError, and anything but a
+        `CompiledForest` with TypeError."""
         if legislation_mode not in ("aware", "ignore-tags"):
             raise ValueError(f"unknown legislation mode {legislation_mode!r}")
         if not isinstance(forest, CompiledForest):
@@ -528,16 +559,25 @@ class PolicyDecisionPoint:
         visited: list[TraceRecord] = []
         mark = 0
         try:
-            ctx = self._build_context(request, pips)
+            facts = request if type(request) is RequestFacts else self.facts(request, pips)
+            ctx = self._build_context(facts, pips, now)
             # An undeclared country is refused in both modes. A node reads
             # the scopes only through `isdisjoint` with its legislation set,
             # a subset of the forest's scopes, so the observed scopes are
             # kept only where the forest names them; ignoring the tags
             # observes every scope the forest names.
             scopes = pips.scopes.select_legislation(ctx.source_country, ctx.destination_country) & forest.scopes
-            ctx.applicable_scopes = forest.scopes if legislation_mode == "ignore-tags" else scopes
-            plan = forest.plan(ctx)
-            key = plan.walk_key(ctx)
+            ctx.applicable_scopes = scopes = forest.scopes if legislation_mode == "ignore-tags" else scopes
+            choices = facts.choices
+            chosen = choices.get((forest, scopes))
+            if chosen is None:
+                plan = forest.plan(ctx)
+                chosen = plan, _walk_key(plan.body_reads, ctx)
+                if len(choices) >= _CHOICES_HELD:
+                    choices.clear()
+                choices[forest, scopes] = chosen
+            plan, key = chosen
+            key += _walk_key(plan.evaluation_reads, ctx)
             response = plan.responses.get(key)
             if response is not None:
                 return response
@@ -580,16 +620,23 @@ def _target_miss(category: Category) -> str:
 
 def _literal_key(target: Target) -> Optional[tuple[tuple[Category, str], str]]:
     """((category, attribute), literal) when the first non-empty clause
-    list is one string-equal clause on a string literal, else None."""
+    list is one string-equal clause on a string literal and the attribute
+    is not set per evaluation (`PER_EVALUATION`), else None; so a plan
+    depends only on the scopes and the bags a request's facts fix."""
     for category, clauses in target.sections():
         if not clauses:
             continue
         if len(clauses) != 1:
             return None
         clause = clauses[0]
-        if clause.match_function != _STRING_EQUAL or not isinstance(clause.literal.value, str):
+        attribute = category, clause.attribute_id
+        if (
+            clause.match_function != _STRING_EQUAL
+            or not isinstance(clause.literal.value, str)
+            or attribute in PER_EVALUATION
+        ):
             return None
-        return (category, clause.attribute_id), clause.literal.value
+        return attribute, clause.literal.value
     return None
 
 
@@ -602,10 +649,12 @@ def _string_payloads(bag: tuple[AttributeValue, ...]) -> Optional[list[str]]:
     return None
 
 
-# The plan and screen memos' bound, and the terms of `responses_held`.
+# The plan and screen memos' bound, the terms of `responses_held`, and the
+# bound of a request's `RequestFacts.choices`.
 _PLANS_HELD = 256
 _RESPONSES_HELD = 32
 _PLAN_RECORDS_HELD = 4096
+_CHOICES_HELD = 8
 
 
 class Screen(NamedTuple):
@@ -634,9 +683,12 @@ class Plan(NamedTuple):
     runs: tuple[tuple[TraceRecord, ...], ...]
     # The documents to walk, in document order.
     walk: tuple[int, ...]
-    # The walk key of a request (`_walk_key`).
-    walk_key: Callable[[EvaluationContext], tuple]
-    # The finished responses by walk key.
+    # What the body's and the evaluation's parts of a request's walk key
+    # read (`_walk_reads`, `_walk_key`).
+    body_reads: "KeyReads"
+    evaluation_reads: "KeyReads"
+    # The finished responses by walk key, the body's part then the
+    # evaluation's.
     responses: Memo
     # Per run, the view of its records' wire lines in the screen's text.
     views: tuple[memoryview, ...]
@@ -675,18 +727,34 @@ def _time_slot(value: AttributeValue, times: tuple[dt.time, ...]) -> tuple:
     return value.data_type, type(payload), payload
 
 
-def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tuple]:
-    """The walk key of the requests that walk `roots`: a function of the
-    evaluation context whose value fixes every walk of those roots under
-    one plan, from a pass over their targets and conditions. Each
-    attribute that a match clause or a selector reads gives, per bag
-    value, (data type, payload type, payload), except an attribute whose
-    every read compares it, as a match clause or the time-one-and-only of
-    its selector, by time order with a time literal: its naive times give
-    their place among those literals (`_time_slot`). When a walked node
-    calls location-match, in a target clause or anywhere in a condition,
-    the key ends with the source country, the zone and the zone tree,
-    which that function alone of the walk reads."""
+class KeyReads(NamedTuple):
+    """What one part of a walk key reads (`_walk_key`)."""
+
+    # The attributes whose bags count by their exact values.
+    exact: tuple[tuple[Category, str], ...]
+    # The attributes that count by the places of their naive times among
+    # the sorted time literals each is compared with.
+    ordered: tuple[tuple[tuple[Category, str], tuple[dt.time, ...]], ...]
+    # Whether the part ends with the source country, zone and zone tree.
+    located: bool
+
+
+def _walk_reads(roots: Iterable[PolicyNode]) -> tuple[KeyReads, KeyReads]:
+    """What the walk key of the requests that walk `roots` reads, as the
+    body's part and the evaluation's part: a value of the two parts, in
+    that order, fixes every walk of those roots under one plan. A pass
+    over their targets and conditions finds each attribute that a match
+    clause or a selector reads. Its bag counts by its exact values,
+    except an attribute whose every read compares it, as a match clause
+    or the time-one-and-only of its selector, by time order with a time
+    literal: its naive times count by their place among those literals
+    (`_time_slot`). The body's part reads every such attribute that is
+    not set per evaluation (`PER_EVALUATION`), so it is the same for
+    every evaluation of one request under the plan; the evaluation's part
+    reads the others and, when a walked node calls location-match in a
+    target clause or anywhere in a condition, ends with the source
+    country, the zone and the zone tree, which that function alone of the
+    walk reads."""
     # Per attribute read, the time literals it is compared with; None once
     # a read needs its exact values.
     literals: dict[tuple[Category, str], Optional[set]] = {}
@@ -729,31 +797,48 @@ def _walk_key(roots: Iterable[PolicyNode]) -> Callable[[EvaluationContext], tupl
                 located = located or clause.match_function == _LOCATION_MATCH
         if node.condition is not None:
             visit(node.condition)
-    exact = tuple(attribute for attribute, times in literals.items() if times is None)
-    ordered = tuple((attribute, tuple(sorted(times))) for attribute, times in literals.items() if times is not None)
 
-    # One flat tuple: per attribute its bag's length, then three fields per
-    # value; nested tuples would cost a list and a tuple per attribute.
-    def walk_key(ctx: EvaluationContext) -> tuple:
-        lookup = ctx.lookup
-        key = []
-        for attribute in exact:
-            bag = lookup(attribute)
-            key.append(len(bag))
-            for value in bag:
-                payload = value.value
-                key += (value.data_type, type(payload), payload)
-        for attribute, times in ordered:
-            bag = lookup(attribute)
-            key.append(len(bag))
-            for value in bag:
-                key += _time_slot(value, times)
-        if located:
-            report = ctx.source_location
-            key += (ctx.source_country, None if report is None else report.zone, ctx.pips.zones)
-        return tuple(key)
+    def part(evaluation: bool) -> KeyReads:
+        here = [(attribute, times) for attribute, times in literals.items()
+                if (attribute in PER_EVALUATION) is evaluation]
+        return KeyReads(
+            tuple(attribute for attribute, times in here if times is None),
+            tuple((attribute, tuple(sorted(times))) for attribute, times in here if times is not None),
+            located and evaluation,
+        )
 
-    return walk_key
+    return part(False), part(True)
+
+
+def _walk_key(reads: KeyReads, ctx: EvaluationContext) -> tuple:
+    """The part of the walk key of the request in `ctx` that `reads`
+    says: one flat tuple, per attribute its bag's length, then three
+    fields per value, (data type, payload type, payload) or its time slot
+    (`_time_slot`); then, when located, the source country, the zone and
+    the zone tree. Nested tuples would cost a list and a tuple per
+    attribute. A bag the context already holds is read without a lookup."""
+    exact, ordered, located = reads
+    cache = ctx._cache
+    key = []
+    for attribute in exact:
+        bag = cache.get(attribute)
+        if bag is None:
+            bag = ctx.lookup(attribute)
+        key.append(len(bag))
+        for value in bag:
+            payload = value.value
+            key += (value.data_type, type(payload), payload)
+    for attribute, times in ordered:
+        bag = cache.get(attribute)
+        if bag is None:
+            bag = ctx.lookup(attribute)
+        key.append(len(bag))
+        for value in bag:
+            key += _time_slot(value, times)
+    if located:
+        report = ctx.source_location
+        key += (ctx.source_country, None if report is None else report.zone, ctx.pips.zones)
+    return tuple(key)
 
 
 class CompiledForest:
@@ -763,9 +848,10 @@ class CompiledForest:
 
     A document is walked only when its root's legislation set meets the
     request's scopes and, if its root target opens with a single
-    string-equal clause on a string literal (its literal key), the
-    request's bag for that attribute holds the literal or a value that is
-    not a string. Any other document would evaluate to its root's
+    string-equal clause on a string literal (its literal key) and on an
+    attribute not set per evaluation (`PER_EVALUATION`), the request's bag
+    for that attribute holds the literal or a value that is not a string.
+    Any other document would evaluate to its root's
     NotApplicable record alone, so it contributes that record, built here
     once, and the trace stays the one a full walk produces. A screen or
     plan build finds those documents by one scan of the roots.
@@ -782,7 +868,9 @@ class CompiledForest:
     the forest names) and, per attribute that roots are keyed on
     (`selectors`), which of its literals the bag holds (or that the bag
     holds a value that is not a string). That is the plan memo's key, so
-    caller text that is no literal never enters it.
+    caller text that is no literal never enters it; and it reads no
+    attribute set per evaluation, so `evaluate` keeps a request's plan per
+    scope set with its facts (`RequestFacts.choices`).
     A plan is made on the first request with its key and kept with the
     screened records grouped into runs between the walked documents; per
     run, a view of its records' lines in its screen's text (a plan holds
@@ -795,9 +883,13 @@ class CompiledForest:
     compared only by order with time literals counts by its place among
     those literals) and, when one of them calls location-match in a
     target clause or a condition, the source country, zone and zone
-    tree, which that function alone reads. That is the walk key
-    (`_walk_key`), derived when the plan is made; besides the bags and
-    the location, a walk reads only the scopes, which the plan key holds.
+    tree, which that function alone reads. That is the walk key, whose
+    reads are derived when the plan is made (`_walk_reads`) in two parts:
+    the body's, the bags the request's facts fix, which `evaluate` keeps
+    with the plan in the facts' choices, and the evaluation's, the bags
+    set per evaluation and the location, computed for every request
+    (`_walk_key`). Besides the bags and the location, a walk reads only
+    the scopes, which the plan key holds.
     A plan maps it to the finished `ResponseContext` (decision, status,
     obligations and the `Trace` with its digest and body), so a request
     whose walk key was seen before gets that response without a walk, a
@@ -896,10 +988,10 @@ class CompiledForest:
                 walk.append(index)
         bounds = list(zip([-1, *walk], [*walk, len(self.roots)]))
         runs = tuple(screen.records[start + 1:end] for start, end in bounds)
-        walk_key = _walk_key([self.roots[index] for index in walk])
+        body_reads, evaluation_reads = _walk_reads([self.roots[index] for index in walk])
         text, offsets = memoryview(screen.text), screen.offsets
         views = tuple(text[offsets[start + 1]:offsets[end]] for start, end in bounds)
-        return Plan(runs, tuple(walk), walk_key, Memo(self.responses_held), views)
+        return Plan(runs, tuple(walk), body_reads, evaluation_reads, Memo(self.responses_held), views)
 
     def _screen(self, scopes: frozenset[str]) -> Screen:
         """The screen for a scope set."""

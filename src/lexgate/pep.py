@@ -33,9 +33,11 @@ distinct body: the body memo (`model.Memo`) maps the bodies of
 authenticated callers it has seen twice to the request they parse to,
 with its `engine.RequestFacts` (what the context build reads of the
 request alone), or to their refusal. A body the memo holds is decided
-without a parse, a catalog lookup or a token parse; its location, local
-time, relationship, task assessment and legal scopes are still taken per
-request. Only a Permit decision carries a view. The
+without a parse, a catalog lookup or a token parse, and, under a scope
+set it met before, without choosing its plan again (the facts' choices);
+its location, local time, relationship, task assessment and legal scopes
+are still taken per request, at one instant, which a `limit-duration`
+expiry counts from too. Only a Permit decision carries a view. The
 `pseudonymize` and `anonymize` obligations are fulfilled once per
 resource: the payload memo maps (obligation id, pseudonym key, content,
 customers) to the transformed payload, which replaces every customer id
@@ -400,10 +402,11 @@ class ReferenceMonitor:
             return request, _SUBJECT_SESSION_MISMATCH, None
 
         # The decision point resolves the location snapshot itself (single
-        # supplier query) and never raises past its boundary.
-        response = self.engine.evaluate(self.forest, facts, self.pips)
-
+        # supplier query) and never raises past its boundary. The context
+        # and the obligations take one instant, the decision's.
         now = self.pips.clock.now_utc()
+        response = self.engine.evaluate(self.forest, facts, self.pips, now=now)
+
         record = facts.record
         try:
             if response.decision is Decision.PERMIT:

@@ -181,3 +181,25 @@ def test_full_match_never_holds_in_the_extension_window(now, with_token):
     result = check(now, _report("LU"), tokens)
     if _instant(13) <= now < _instant(14) or _instant(15) < now <= _instant(15, 30):
         assert result is TaskAssessment.PSEUDONYMOUS_WINDOW
+
+
+def test_an_expected_city_other_than_the_reports_is_a_location_mismatch():
+    # The entry expects Luxembourg city: a report from another city in the
+    # country is a mismatch, one from that city or with no city is not.
+    entry = DiaryEntry(
+        owner="c1",
+        task="meeting",
+        time=TimeRange(_instant(14), _instant(15)),
+        expected_location=ExpectedLocation(country="LU", city="Luxembourg"),
+        participants=frozenset({"k1"}),
+        planned_resources=frozenset({"res"}),
+    )
+    store = DiaryStore([entry])
+    now = _instant(14, 30)
+    tokens = (_fresh_token(now),)
+    for city, assessment in (
+        ("Esch-sur-Alzette", TaskAssessment.LOCATION_MISMATCH),
+        ("Luxembourg", TaskAssessment.FULL_MATCH),
+        ("", TaskAssessment.FULL_MATCH),
+    ):
+        assert store.check_task("c1", "res", now, _report("LU", city), tokens, IDENTITIES) is assessment

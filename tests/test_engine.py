@@ -994,3 +994,48 @@ def test_an_unknown_legislation_mode_raises_value_error(engine, policy_pack):
     request = parse_request(wire_request(point=LONDON_POINT))
     with pytest.raises(ValueError, match="unknown legislation mode 'strict'"):
         engine.evaluate(forest, request, make_bundle(NOON), legislation_mode="strict")
+
+
+# -- a body's choices ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("attribute", sorted(engine_module.PER_EVALUATION, key=str))
+def test_no_root_is_keyed_on_an_attribute_set_per_evaluation(engine, attribute):
+    # A root that opens with one string-equal clause on a string literal is
+    # keyed, but not on an attribute the build sets per evaluation: such a
+    # root is walked, and its target miss comes from the walk.
+    category, attribute_id = attribute
+    sections = {"subject": "subjects", "resource": "resources", "action": "actions", "environment": "environments"}
+    keyed, kept = (
+        Target(**{sections[category.value]: (string_clause(name, "x"),)})
+        for name in (attribute_id, "carried-by-the-request")
+    )
+    assert engine_module._literal_key(keyed) is None
+    assert engine_module._literal_key(kept) == ((category, "carried-by-the-request"), "x")
+    documents = [document(policy("p", [rule("r")], target=keyed))]
+    forest = engine.compile(documents)
+    assert forest.literal_keys == (None,) and forest.selectors == ()
+    request, pips = parse_request(wire_request(point=LONDON_POINT)), make_bundle(NOON)
+    response = engine.evaluate(forest, request, pips)
+    # A miss, or an error for a date or a time, which string-equal refuses.
+    assert response.trace[-1].decision in (Decision.NOT_APPLICABLE, Decision.INDETERMINATE)
+    assert response.trace == engine_oracle.evaluate(engine, documents, request, pips).trace
+
+
+def test_a_body_keeps_a_bounded_choice_per_forest_and_scope_set(engine, policy_pack):
+    # One facts value meets three times as many forests as its choices
+    # hold, from places of two scope sets and in both modes: the choices
+    # never grow past their bound, and every response is a fresh one's.
+    tagged = document(policy("lu", [rule("lu-r", Effect.DENY)], legislation=frozenset({"LU"})))
+    documents = [*policy_pack, tagged]
+    pips = make_bundle(NOON)
+    facts = engine.facts(parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53")), pips)
+    held = engine_module._CHOICES_HELD
+    forests = [engine.compile(documents) for _ in range(3 * held)]
+    for forest in forests:
+        for mode in ("aware", "ignore-tags"):
+            got = engine.evaluate(forest, facts, pips, legislation_mode=mode)
+            want = engine.evaluate(engine.compile(documents), facts.request, pips, legislation_mode=mode)
+            assert got == want and serialize_response(got) == serialize_response(want)
+            assert 0 < len(facts.choices) <= held
+    assert {chosen_forest for chosen_forest, _scopes in facts.choices} <= set(forests[-held:])

@@ -33,6 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 import engine_oracle
 from conftest import make_bundle
+from lexgate.context.clock import FixedClock
+from lexgate.context.zones import resolve_location
 from lexgate.engine import PolicyDecisionPoint
 from lexgate.instant import parse_instant
 from lexgate.model import (
@@ -315,3 +317,101 @@ def test_only_candidate_documents_are_walked(pips):
         "legislation-scope-miss:FR", "target-no-match:resource",
     ]
 
+
+
+# Roots keyed on an attribute the context build sets per evaluation, with
+# literals it can set (and a string for a time, which string-equal refuses).
+EVALUATION_LITERALS = {
+    (Category.ENVIRONMENT, "task-status"): ("full-match", "pseudonymous-window", "no-task"),
+    (Category.ENVIRONMENT, "source-country"): ("GB", "CH", "DE"),
+    (Category.ENVIRONMENT, "current-zone"): ("restricted", "unrestricted"),
+    (Category.SUBJECT, "relationship"): ("one-to-one", "unauthorized"),
+    (Category.ENVIRONMENT, "current-time"): ("12:00:00",),
+}
+_SECTIONS = {
+    Category.SUBJECT: "subjects", Category.RESOURCE: "resources",
+    Category.ACTION: "actions", Category.ENVIRONMENT: "environments",
+}
+PORTFOLIO = (("resource-id", AttributeValue(DataType.STRING, "cust/4711/portfolio")),)
+# The points above, and the LCY customs hall, a restricted area in GB.
+PLACES = (*POINTS, GeoPoint(51.505, 0.05))
+# The instants above, and two inside c.miller's Frankfurt and Zurich
+# diary windows, so that the task status varies too.
+MOMENTS = (*INSTANTS, parse_instant("2026-03-10T09:30:00Z"), parse_instant("2026-03-10T13:45:00Z"))
+
+
+class _Device:
+    """A location supplier that places every request at `point`, as a
+    device query would: one request then meets many places."""
+
+    def __init__(self, point, zones):
+        self.point, self.zones = point, zones
+
+    def locate(self, request):
+        return resolve_location(self.point, 0.0, self.zones)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    request=requests(),
+    keyed=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(EVALUATION_LITERALS, key=str)).flatmap(
+                lambda attribute: st.tuples(st.just(attribute), st.sampled_from(EVALUATION_LITERALS[attribute]))
+            ),
+            st.sampled_from((Effect.PERMIT, Effect.DENY)),
+        ),
+        max_size=4,
+    ),
+    portfolio=st.booleans(),
+    clocked=st.booleans(),
+    sent=st.lists(
+        st.tuples(st.sampled_from(MOMENTS), st.sampled_from(PLACES), MODES, st.booleans()),
+        min_size=1, max_size=8,
+    ),
+)
+def test_one_facts_value_answers_every_evaluation_as_fresh_facts_do(
+    pips, seed, request, keyed, portfolio, clocked, sent
+):
+    # One facts value is evaluated on one forest at instants, places and
+    # in modes drawn afresh, so its choices (the plan and the body's part
+    # of the walk key per scope set) serve evaluations that differ in
+    # every attribute set per evaluation; some roots are keyed on those.
+    # Each response must be the one fresh facts get on a cold forest, and
+    # the oracle's. The instant comes from the clock, or, with `given`,
+    # from `evaluate`'s argument while the clock reads another. A request
+    # for c.miller's diary resource gets a task status and a relationship
+    # that vary; CLOCK_DOCUMENT, which puts the local time in every walk
+    # key, is left out half the time, so that more evaluations share one.
+    if portfolio:
+        request = _with_bag(request, RequestContext(resource=PORTFOLIO), (Category.RESOURCE, "resource-id"))
+    documents = [
+        *random_forest(random.Random(seed), hostile=True),
+        *(
+            document(policy(f"ev{k}", [rule(f"ev{k}-r", effect)], target=Target(
+                **{_SECTIONS[category]: (string_clause(attribute_id, literal),)}
+            )))
+            for k, (((category, attribute_id), literal), effect) in enumerate(keyed)
+        ),
+        PLACE_DOCUMENT,
+        *([CLOCK_DOCUMENT] if clocked else []),
+    ]
+    forest = ENGINE.compile(documents)
+    facts = ENGINE.facts(request, pips)
+    for at, point, mode, given_instant in sent:
+        moved = dataclasses.replace(pips, clock=FixedClock(at), location=_Device(point, pips.zones))
+        if given_instant:
+            elsewhen = dataclasses.replace(moved, clock=FixedClock(parse_instant(NOON) - dt.timedelta(days=3)))
+            got = ENGINE.evaluate(forest, facts, elsewhen, legislation_mode=mode, now=at)
+        else:
+            got = ENGINE.evaluate(forest, facts, moved, legislation_mode=mode)
+        fresh = ENGINE.evaluate(ENGINE.compile(documents), ENGINE.facts(request, moved), moved, legislation_mode=mode)
+        want = engine_oracle.evaluate(ENGINE, documents, request, moved, legislation_mode=mode)
+        assert got == fresh
+        assert serialize_response(got) == serialize_response(fresh)
+        assert trace_digest(got.trace) == trace_digest(fresh.trace)
+        assert (got.decision, got.status, got.obligations, got.trace) == (
+            want.decision, want.status, want.obligations, want.trace
+        )
+        assert serialize_response(got) == serialize_response(want)

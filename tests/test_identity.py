@@ -122,3 +122,15 @@ def test_authentication_against_fixture_secrets(registry):
 def test_device_positions_load(registry):
     assert registry.device_position("c.miller") is not None
     assert registry.device_position("s.boss") is None
+
+
+def test_a_token_for_a_customer_with_no_stored_verifier_fails():
+    # The token names the customer and is fresh, but the registry holds no
+    # verifier to check it against, so it proves no presence.
+    registry = IdentityRegistry([
+        IdentityRecord("cust:1", IdentityKind.CUSTOMER, "verifier"),
+        IdentityRecord("cust:2", IdentityKind.CUSTOMER),
+    ])
+    assert registry.verify_customer("cust:1", _token("cust:1", 2), NOW) is True
+    assert registry.verify_customer("cust:2", _token("cust:2", 2), NOW) is False
+    assert registry.verified_customers([_token("cust:1", 2), _token("cust:2", 2)], NOW) == {"cust:1"}

@@ -1443,3 +1443,46 @@ def test_a_reserved_id_the_caller_sends_changes_no_response_byte(reserved_monito
         reserved_monitor.handle_request(wire_request(**args), GOOD_SESSION)[0] for args in (claimed, arguments)
     )
     assert sent == plain
+
+
+class _SteppingClock:
+    """A clock one second later at each read, which counts its reads."""
+
+    def __init__(self, start: dt.datetime):
+        self.start, self.reads = start, 0
+
+    def now_utc(self) -> dt.datetime:
+        self.reads += 1
+        return self.start + dt.timedelta(seconds=self.reads - 1)
+
+
+def test_a_request_is_decided_and_its_expiry_counted_at_one_instant(tmp_path):
+    # A Permit only while London's local time is at most 13:40:00, with a
+    # limit-duration of 600 s, on a clock that steps a second at each read:
+    # the request reads it twice, once for the decision, whose instant the
+    # context and the expiry share, and once for the audit stamp.
+    start = parse_instant("2026-03-10T13:40:00Z")
+    local_time = FunctionApplication("function:time-one-and-only", (
+        AttributeSelector(Category.ENVIRONMENT, "current-time", DataType.TIME_OF_DAY),
+    ))
+    until = FunctionApplication("function:time-less-than-or-equal", (
+        local_time, Literal(AttributeValue(DataType.TIME_OF_DAY, dt.time(13, 40))),
+    ))
+    duration = Obligation(
+        "limit-duration", Effect.PERMIT, (("duration-seconds", AttributeValue(DataType.INTEGER, 600)),)
+    )
+    permit = document(policy("p", [rule("r", Effect.PERMIT, until)], obligations=(duration,)))
+    clock = _SteppingClock(start)
+    pips = dataclasses.replace(make_bundle(start), clock=clock)
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor = ReferenceMonitor(PolicyDecisionPoint(), [permit], pips, audit=audit, pseudonym_key=KEY)
+        response_bytes, record = monitor.handle_request(wire_request(), GOOD_SESSION)
+    response, view = parse_response(response_bytes)
+    assert response.decision is Decision.PERMIT
+    assert view.expires_at == start + dt.timedelta(seconds=600)
+    assert record.at == start + dt.timedelta(seconds=1)
+    assert clock.reads == 2
+    # Without an instant, `evaluate` reads the clock once, for the context.
+    clock.start, clock.reads = start, 0
+    decided = monitor.engine.evaluate(monitor.forest, wire.parse_request(wire_request()), pips)
+    assert decided.decision is Decision.PERMIT and clock.reads == 1
