@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..model import AttributeValue, Category, DataType
+from .attributes import RESERVED_ATTRIBUTES
 
-# The reserved resource attribute ids the catalog supplies, with their data types.
-TRUSTED_IDS = (("confidential", DataType.BOOLEAN), ("customer-related", DataType.BOOLEAN),
-               ("host-country", DataType.COUNTRY_CODE), ("category", DataType.STRING))
+# The reserved resource attribute ids the catalog supplies, with their data
+# types, in the order of the values `ResourceCatalog` zips with them.
+TRUSTED_IDS = tuple((row.id, row.data_type) for row in RESERVED_ATTRIBUTES if row.category is Category.RESOURCE)
 
 
 @dataclass(frozen=True)

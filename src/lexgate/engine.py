@@ -52,15 +52,16 @@ from __future__ import annotations
 import datetime as dt
 from array import array
 from bisect import bisect_left, bisect_right
+from enum import EnumMeta
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .combining import STANDARD, combine
 from .context.bundle import PipBundle
 from .context.clock import local_time
-from .context.diary import TaskAssessment
-from .context.identity import IdentityKind, ProximityToken, Relationship
-from .context.resources import TRUSTED_IDS, ResourceRecord
+from .context.attributes import PER_EVALUATION, RESERVED, RESERVED_ATTRIBUTES
+from .context.identity import ProximityToken
+from .context.resources import ResourceRecord
 from .errors import LexgateError, PrecisionError
 from .instant import parse_instant
 from .model import (
@@ -91,33 +92,8 @@ from .model import (
     refusal,
     trace_text,
 )
-from .parsing.location_xml import LocationReport, ZoneKind
+from .parsing.location_xml import LocationReport
 from .parsing.wire import PROXIMITY_TOKEN, RequestContext
-
-# Reserved attribute ids, which only trusted suppliers fill (the resource ids,
-# `resources.TRUSTED_IDS`, the catalog); one the build leaves unset is absent.
-ENV_CURRENT_TIME = "current-time"
-ENV_CURRENT_DATE = "current-date"
-ENV_CURRENT_ZONE = "current-zone"
-ENV_SOURCE_COUNTRY = "source-country"
-ENV_DESTINATION_COUNTRY = "destination-country"
-ENV_TASK_STATUS = "task-status"
-SUBJECT_KIND = "kind"
-SUBJECT_RELATIONSHIP = "relationship"
-RESERVED = frozenset(
-    [(Category.ENVIRONMENT, name) for name in (ENV_CURRENT_TIME, ENV_CURRENT_DATE, ENV_CURRENT_ZONE,
-                                               ENV_SOURCE_COUNTRY, ENV_DESTINATION_COUNTRY, ENV_TASK_STATUS)]
-    + [(Category.SUBJECT, SUBJECT_KIND), (Category.SUBJECT, SUBJECT_RELATIONSHIP)]
-    + [(Category.RESOURCE, name) for name, _data_type in TRUSTED_IDS]
-)
-# The reserved attributes the context build sets per evaluation, from the
-# instant or a supplier; every other bag, the request's own and those its
-# facts fix, is the same for every evaluation of one request.
-PER_EVALUATION = frozenset(
-    [(Category.ENVIRONMENT, name) for name in (ENV_CURRENT_TIME, ENV_CURRENT_DATE, ENV_CURRENT_ZONE,
-                                               ENV_SOURCE_COUNTRY, ENV_TASK_STATUS)]
-    + [(Category.SUBJECT, SUBJECT_RELATIONSHIP)]
-)
 
 # The combiner over the document forest.
 TOP_COMBINER = "deny-overrides"
@@ -163,12 +139,13 @@ class EvaluationContext:
         return values
 
 
-# The one-value string bag of each member of the enums the context build
-# reads (zone, identity kind, relationship, task status), built once.
+# The one-value string bag of each member of the enums that are reserved
+# attributes' domains (zone, identity kind, relationship, task status),
+# built once.
 _MEMBER_BAGS = {
     member: (AttributeValue._trusted(DataType.STRING, member.value),)
-    for enum in (ZoneKind, IdentityKind, Relationship, TaskAssessment)
-    for member in enum
+    for row in RESERVED_ATTRIBUTES if isinstance(row.domain, EnumMeta)
+    for member in row.domain
 }
 
 
@@ -445,11 +422,11 @@ class PolicyDecisionPoint:
         resource_id = request.resource_id()
         record, bags = pips.resources.lookup(resource_id)
         if subject is not None:
-            bags += (((Category.SUBJECT, SUBJECT_KIND), _MEMBER_BAGS[subject.kind]),)
+            bags += (((Category.SUBJECT, "kind"), _MEMBER_BAGS[subject.kind]),)
         destination = request.destination_country or (record.host_country if record else pips.resources.default_host)
         if destination is not None:
             bag = pips.zones.country_bags.get(destination) or (AttributeValue._trusted(DataType.COUNTRY_CODE, destination),)
-            bags += (((Category.ENVIRONMENT, ENV_DESTINATION_COUNTRY), bag),)
+            bags += (((Category.ENVIRONMENT, "destination-country"), bag),)
         # Tokens travel as environment attributes 'customer|method|instant';
         # one that is not a string of three fields, or does not parse, is
         # skipped.
@@ -510,25 +487,25 @@ class PolicyDecisionPoint:
         # certain, only the zone is not, so current-zone stays absent.
         if report is not None:
             tz_offset = report.timezone_offset
-            cache[Category.ENVIRONMENT, ENV_CURRENT_ZONE] = _MEMBER_BAGS[report.zone]
+            cache[Category.ENVIRONMENT, "current-zone"] = _MEMBER_BAGS[report.zone]
         else:
             tz_offset = pips.zones.country(source_country).timezone_offset
         local_date, local_clock = local_time(now, tz_offset)
-        cache[Category.ENVIRONMENT, ENV_CURRENT_TIME] = (trusted(DataType.TIME_OF_DAY, local_clock),)
-        cache[Category.ENVIRONMENT, ENV_CURRENT_DATE] = (trusted(DataType.DATE, local_date),)
-        cache[Category.ENVIRONMENT, ENV_SOURCE_COUNTRY] = pips.zones.country_bags.get(source_country) or (
+        cache[Category.ENVIRONMENT, "current-time"] = (trusted(DataType.TIME_OF_DAY, local_clock),)
+        cache[Category.ENVIRONMENT, "current-date"] = (trusted(DataType.DATE, local_date),)
+        cache[Category.ENVIRONMENT, "source-country"] = pips.zones.country_bags.get(source_country) or (
             trusted(DataType.COUNTRY_CODE, source_country),
         )
         cache.update(facts.bags)
         subject_id, record = facts.subject_id, facts.record
         if record is not None and subject_id and record.customers:
             relation = pips.identities.check_relationship(subject_id, record.customers, now)
-            cache[Category.SUBJECT, SUBJECT_RELATIONSHIP] = _MEMBER_BAGS[relation]
+            cache[Category.SUBJECT, "relationship"] = _MEMBER_BAGS[relation]
 
         assessment = pips.diary.check_task(
             subject_id or "", facts.resource_id or "", now, report, facts.tokens, pips.identities
         )
-        cache[Category.ENVIRONMENT, ENV_TASK_STATUS] = _MEMBER_BAGS[assessment]
+        cache[Category.ENVIRONMENT, "task-status"] = _MEMBER_BAGS[assessment]
         return ctx
 
     # -- the entry point ------------------------------------------------------

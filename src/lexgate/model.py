@@ -11,7 +11,7 @@ import hashlib
 import operator
 import re
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, EnumMeta
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -504,9 +504,12 @@ SIGNATURES = {
     "function:string-one-and-only": Signature(((str, True),), str, lambda value: value),
 }
 
+_LOCATION_MATCH = "function:location-match"
+_STRING_EQUAL = "function:string-equal"
+
 # Condition/match functions every engine instance registers; those without
 # a signature (and, or, and location-match over strings) give a boolean.
-BUILTIN_FUNCTIONS = ("function:and", "function:or", *SIGNATURES, "function:location-match")
+BUILTIN_FUNCTIONS = ("function:and", "function:or", *SIGNATURES, _LOCATION_MATCH)
 
 
 def operand_type(expr: ConditionExpr) -> Optional[tuple[type, bool]]:
@@ -545,11 +548,79 @@ def _strings_only(operands: Sequence[Optional[tuple[type, bool]]]) -> bool:
     )
 
 
+def _well_typed(function: str, operands: Sequence[Optional[tuple[type, bool]]]) -> bool:
+    """False when a built-in application of `function` to operands of these
+    types (`operand_type`) always fails (`fits`, `_strings_only`); else
+    True, as for a function that is not built in."""
+    if function in SIGNATURES:
+        return fits(SIGNATURES[function], operands)
+    return function != _LOCATION_MATCH or _strings_only(operands)
+
+
 def _applications(expr: ConditionExpr):
     if isinstance(expr, FunctionApplication):
         yield expr
         for arg in expr.args:
             yield from _applications(arg)
+
+
+def _reserved_violations(node: PolicyNode) -> list[Violation]:
+    """The node's reads of reserved attributes (`context.attributes`) that
+    no supplied value can satisfy:
+
+    - `reserved-type:<id>`, for a condition's selector whose data type is
+      not the supplier's, so that it always reads an empty bag, and for a
+      match clause, well-typed for some request value, whose function
+      cannot take the supplier's payload;
+    - `unknown-value:<id>:<literal>`, for a string-equal literal outside
+      the attribute's enum domain, in a match clause or compared with the
+      string-one-and-only of the attribute's selector.
+
+    Country codes and categories are known only once the stores load, so
+    their literals are not checked."""
+    from .context.attributes import BY_KEY  # the table imports this module
+
+    found = []
+
+    def unknown(row, literal: str) -> None:
+        if isinstance(row.domain, EnumMeta) and literal not in {member.value for member in row.domain}:
+            found.append(Violation(f"unknown-value:{row.id}:{single_line(literal)}", node.id))
+
+    for category, clauses in node.target.sections():
+        for clause in clauses:
+            row = BY_KEY.get((category, clause.attribute_id))
+            if row is None:
+                continue
+            function, literal = clause.match_function, (type(clause.literal.value), False)
+            if not _well_typed(function, (None, literal)):
+                continue  # ill-typed whatever the value
+            if not _well_typed(function, ((_PAYLOAD_TYPES[row.data_type], False), literal)):
+                found.append(Violation(f"reserved-type:{row.id}", node.id))
+            elif function == _STRING_EQUAL:
+                unknown(row, clause.literal.value)
+    for application in _applications(node.condition):
+        args = application.args
+        for arg in args:
+            if isinstance(arg, AttributeSelector):
+                row = BY_KEY.get((arg.category, arg.attribute_id))
+                if row is not None and arg.data_type is not row.data_type:
+                    found.append(Violation(f"reserved-type:{row.id}", node.id))
+        if application.function != _STRING_EQUAL or len(args) != 2:
+            continue
+        for only, literal in (args, args[::-1]):
+            if (
+                isinstance(literal, Literal)
+                and isinstance(literal.value.value, str)
+                and isinstance(only, FunctionApplication)
+                and only.function == "function:string-one-and-only"
+                and len(only.args) == 1
+                and isinstance(only.args[0], AttributeSelector)
+            ):
+                selector = only.args[0]
+                row = BY_KEY.get((selector.category, selector.attribute_id))
+                if row is not None and selector.data_type is row.data_type:
+                    unknown(row, literal.value.value)
+    return found
 
 
 def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violation]:
@@ -559,8 +630,10 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
     well-formed). Functions and combiners are checked against
     BUILTIN_FUNCTIONS and STANDARD_COMBINERS, and a built-in application
     or match clause against its signature (`fits`; `_strings_only` for
-    location-match). known_scopes is the legal-scope registry's id set;
-    pass None to skip referential scope checks.
+    location-match), and every read of a reserved attribute against what
+    its supplier gives (`_reserved_violations`). known_scopes is the
+    legal-scope registry's id set; pass None to skip referential scope
+    checks.
     """
     violations: list[Violation] = []
     seen_ids: set[str] = set()
@@ -605,10 +678,9 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
         for fn, operands in applications:
             if fn not in BUILTIN_FUNCTIONS:
                 violations.append(Violation(f"unknown-function:{fn}", node.id))
-            elif (fn in SIGNATURES and not fits(SIGNATURES[fn], operands)) or (
-                fn == "function:location-match" and not _strings_only(operands)
-            ):
+            elif not _well_typed(fn, operands):
                 violations.append(Violation(f"ill-typed:{fn}", node.id))
+        violations += _reserved_violations(node)
 
         if node.legislation is not None:
             if not node.legislation:

@@ -266,6 +266,9 @@ class ObligationService:
                 expires_at = now + dt.timedelta(seconds=seconds.value)
             except OverflowError:
                 raise ObligationError("limit-duration expiry is out of range") from None
+            # Every duration is fulfilled, whatever the order of the documents.
+            if view.expires_at is not None and view.expires_at < expires_at:
+                expires_at = view.expires_at
             return WireView(view.mode, view.payload, expires_at)
         if obligation.id == OB_ANONYMIZE:
             key, mode = None, ViewMode.ANONYMOUS

@@ -34,6 +34,35 @@ def test_validate_shipped_pack_is_clean(capsys, fixtures_root):
     assert "working-time.xml: ok" in out
 
 
+def test_validate_reports_reserved_literals_no_supplier_gives(capsys, tmp_path, fixtures_root):
+    # One letter each: a zone kind and a relationship no supplier can give.
+    # The Deny rules that read them can never match, so under the forest's
+    # deny-overrides a.chen's customs request turns from Deny into Permit.
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(fixtures_root, fixtures)
+    for name, old, new in (("zone-insulation.xml", ">restricted<", ">restriced<"),
+                           ("legislation-eu.xml", ">unauthorized<", ">unauthorised<")):
+        path = fixtures / "policies" / name
+        assert path.read_text().count(old) == 1
+        path.write_text(path.read_text().replace(old, new))
+    code, out, _ = run_cli(capsys, "validate", str(fixtures / "policies"), "--scopes", str(fixtures / "scopes.txt"))
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.endswith(": ok")] == [
+        "legislation-eu.xml:31: EUDenyUnauthorizedRelationship: unknown-value:relationship:unauthorised",
+        "zone-insulation.xml:1: RestrictedZoneInsulation: unknown-value:current-zone:restriced",
+    ]
+    request = tmp_path / "customs.req"
+    request.write_text(
+        "request\nsubject user-id identifier a.chen\nresource resource-id string strategy/emea-plan\n"
+        "action action-id string read\nenvironment current-position geo-point 49.63 6.21\nend\n"
+    )
+    for root, decision in ((fixtures, "Permit"), (fixtures_root, "Deny")):
+        code, out, _ = run_cli(
+            capsys, "eval", "--request", str(request), "--fixtures", str(root), "--at", "2026-03-12T14:40:00Z"
+        )
+        assert code == 0 and f"decision: {decision}" in out
+
+
 def test_validate_reports_seeded_defect_with_file_and_line(capsys, tmp_path, fixtures_root):
     policy_dir = tmp_path / "policies"
     policy_dir.mkdir()
@@ -51,7 +80,9 @@ def test_validate_reports_seeded_defect_with_file_and_line(capsys, tmp_path, fix
 
 
 def test_validate_reports_an_ill_typed_application(capsys, tmp_path, fixtures_root):
-    # The lower bound of the login window compared with a string.
+    # The lower bound of the login window compared with a string, read
+    # from a string selector of current-time, which the clock gives as a
+    # time of day.
     policy_dir = tmp_path / "policies"
     policy_dir.mkdir()
     mutant = (fixtures_root / "policies" / "working-time.xml").read_text().replace(
@@ -65,7 +96,8 @@ def test_validate_reports_an_ill_typed_application(capsys, tmp_path, fixtures_ro
     code, out, _ = run_cli(capsys, "validate", str(policy_dir))
     assert code == 1
     assert out.splitlines() == [
-        "mutant.xml:4: LoginRule: ill-typed:function:time-greater-than-or-equal"
+        "mutant.xml:4: LoginRule: ill-typed:function:time-greater-than-or-equal",
+        "mutant.xml:4: LoginRule: reserved-type:current-time",
     ]
 
 

@@ -297,9 +297,11 @@ def test_ill_typed_applications_are_reported(condition, codes):
 @pytest.mark.parametrize(
     "function,literal,codes",
     [
-        ("function:string-equal", AttributeValue(DataType.COUNTRY_CODE, "LU"), []),
+        # The clause reads `confidential`, which the catalog gives as a
+        # boolean: a string function fits the literal, but never the value.
+        ("function:string-equal", AttributeValue(DataType.COUNTRY_CODE, "LU"), ["reserved-type:confidential"]),
         ("function:boolean-equal", AttributeValue(DataType.BOOLEAN, False), []),
-        ("function:location-match", AttributeValue(DataType.STRING, "GB"), []),
+        ("function:location-match", AttributeValue(DataType.STRING, "GB"), ["reserved-type:confidential"]),
         ("function:string-equal", AttributeValue(DataType.INTEGER, 1), ["ill-typed:function:string-equal"]),
         ("function:boolean-equal", AttributeValue(DataType.STRING, "true"), ["ill-typed:function:boolean-equal"]),
         # A clause applies its function to two arguments.
@@ -326,3 +328,91 @@ def test_generated_forest_documents_are_clean(tmp_path):
     documents = load_policy_dir(tmp_path / "policies")
     assert len(documents) >= 60
     assert [v for d in documents for v in validate_document(d, known_scopes=known)] == []
+
+
+# -- reserved attributes --------------------------------------------------------------
+
+_ZONE, _TIME = ("environment", "current-zone"), ("environment", "current-time")
+
+
+def _string(value):
+    return AttributeValue(DataType.STRING, value)
+
+
+def _only_of(category, attribute, data_type, function="function:string-one-and-only"):
+    return _apply(function, AttributeSelector(Category(category), attribute, data_type))
+
+
+@pytest.mark.parametrize(
+    "category,attribute,function,literal,codes",
+    [
+        ("environment", "current-zone", "function:string-equal", _string("restricted"), []),
+        ("environment", "current-zone", "function:string-equal", _string("restriced"),
+         ["unknown-value:current-zone:restriced"]),
+        ("subject", "relationship", "function:string-equal", _string("unauthorised"),
+         ["unknown-value:relationship:unauthorised"]),
+        ("environment", "task-status", "function:string-equal", _string("full-match"), []),
+        ("subject", "kind", "function:string-equal", _string("auditor"), ["unknown-value:kind:auditor"]),
+        # location-match reads the literal as a place, not a kind.
+        ("subject", "kind", "function:location-match", _string("auditor"), []),
+        # Country codes and categories are known only once the stores load.
+        ("environment", "source-country", "function:string-equal", AttributeValue(DataType.COUNTRY_CODE, "ZZ"), []),
+        ("resource", "category", "function:string-equal", _string("anything"), []),
+        # An action id is no reserved attribute, whatever its name.
+        ("action", "kind", "function:string-equal", _string("auditor"), []),
+        # The clock gives the time as a time of day, which no string
+        # function takes; a time literal fits the time comparison.
+        ("environment", "current-time", "function:string-equal", _string("08:00"), ["reserved-type:current-time"]),
+        ("environment", "current-time", "function:time-greater-than-or-equal",
+         AttributeValue(DataType.TIME_OF_DAY, dt.time(8, 0)), []),
+        ("resource", "customer-related", "function:boolean-equal", AttributeValue(DataType.BOOLEAN, True), []),
+        # Ill-typed for every value, so reported as that alone.
+        ("environment", "current-zone", "function:string-equal", AttributeValue(DataType.INTEGER, 1),
+         ["ill-typed:function:string-equal"]),
+    ],
+)
+def test_a_reserved_match_clause_no_supplied_value_can_satisfy_is_reported(category, attribute, function, literal, codes):
+    section = {"subject": "subjects", "resource": "resources", "action": "actions", "environment": "environments"}
+    target = Target(**{section[category]: (MatchClause(attribute, function, literal),)})
+    mutated = _mutate(_well_formed_doc(), "p1", target=target)
+    assert [v.code for v in validate_document(mutated, known_scopes=KNOWN_SCOPES)] == codes
+
+
+@pytest.mark.parametrize(
+    "condition,codes",
+    [
+        (_apply("function:string-equal", _only_of(*_ZONE, DataType.STRING), _literal(DataType.STRING, "restricted")),
+         []),
+        (_apply("function:string-equal", _only_of(*_ZONE, DataType.STRING), _literal(DataType.STRING, "restriced")),
+         ["unknown-value:current-zone:restriced"]),
+        # Either side, and inside another application.
+        (_apply("function:not", _apply("function:string-equal", _literal(DataType.STRING, "one-to-n"),
+                                        _only_of("subject", "relationship", DataType.STRING))),
+         ["unknown-value:relationship:one-to-n"]),
+        # A selector filters its bag by data type, so one of another type
+        # than the supplier's always reads an empty bag.
+        (_apply("function:string-equal", _only_of("environment", "source-country", DataType.STRING), COUNTRY),
+         ["reserved-type:source-country"]),
+        (_apply("function:string-equal", _only_of("environment", "source-country", DataType.COUNTRY_CODE), COUNTRY),
+         []),
+        (_apply("function:time-greater-than-or-equal",
+                _only_of(*_TIME, DataType.TIME_OF_DAY, "function:time-one-and-only"),
+                _literal(DataType.TIME_OF_DAY, dt.time(8, 0))), []),
+        (_apply("function:time-greater-than-or-equal",
+                _only_of("environment", "current-date", DataType.TIME_OF_DAY, "function:time-one-and-only"),
+                _literal(DataType.TIME_OF_DAY, dt.time(8, 0))), ["reserved-type:current-date"]),
+        # A literal no string function takes is reported as ill-typed alone.
+        (_apply("function:string-equal", _only_of(*_ZONE, DataType.STRING),
+                _literal(DataType.DATE, dt.date(2026, 3, 10))), ["ill-typed:function:string-equal"]),
+        # A literal read by a function other than string-equal is not a value.
+        (_apply("function:location-match", _literal(DataType.STRING, "restriced")), []),
+        # Open and non-reserved attributes take any literal.
+        (_apply("function:string-equal", _only_of("resource", "category", DataType.STRING),
+                _literal(DataType.STRING, "anything")), []),
+        (_apply("function:string-equal", _only_of("environment", "zone", DataType.STRING),
+                _literal(DataType.STRING, "restriced")), []),
+    ],
+)
+def test_a_reserved_condition_read_no_supplied_value_can_satisfy_is_reported(condition, codes):
+    mutated = _mutate(_well_formed_doc(), "r1", condition=condition)
+    assert [v.code for v in validate_document(mutated, known_scopes=KNOWN_SCOPES)] == codes

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import os
+import shutil
 import sys
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EVENT_FLOW, make_bundle, watch, wire_request
+from conftest import EVENT_FLOW, FIXTURES, make_bundle, watch, wire_request
 from lexgate.context.bundle import load_bundle
 from lexgate.context.clock import FixedClock, SystemClock
 from lexgate.context.resources import ResourceCatalog, ResourceRecord
@@ -702,7 +703,28 @@ _EXITS = {
             "'gone/audit.log'",
         ),
     ),
+    # On a fixtures root with no organization scope, so no default host: a
+    # resource the catalog does not hold, and no destination-country line.
+    "no-destination": (
+        "2026-03-10T13:40:00Z", KEY, "audit.log", wire_request(resource="nowhere/doc", point="47.37 8.54"),
+        GOOD_SESSION,
+        _response(
+            "decision Indeterminate", "status processing-error",
+            "trace <context> Indeterminate source or destination country cannot be resolved",
+        ),
+    ),
 }
+
+
+def _without_organization(root: Path) -> Path:
+    """A copy of the packaged fixtures under `root` whose scope registry
+    names no organization."""
+    copy = root / "fixtures"
+    shutil.copytree(FIXTURES, copy)
+    scopes = copy / "scopes.txt"
+    lines = scopes.read_text().splitlines(keepends=True)
+    scopes.write_text("".join(line for line in lines if not line.startswith("organization ")))
+    return copy
 
 
 @pytest.mark.parametrize("exit_name", list(_EXITS))
@@ -710,7 +732,12 @@ def test_every_exit_answers_and_audits_byte_for_byte(policy_pack, tmp_path, monk
     at, key, path, raw, session, expected = _EXITS[exit_name]
     monkeypatch.chdir(tmp_path)  # a relative audit path keeps the <audit> reason fixed
     with AuditLog(Path(path)) as audit:
-        monitor, _ = make_monitor(policy_pack, at, key=key, audit=audit)
+        if exit_name == "no-destination":
+            pips = load_bundle(_without_organization(tmp_path), clock=FixedClock(parse_instant(at)))
+            assert pips.resources.default_host is None
+            monitor = ReferenceMonitor(PolicyDecisionPoint(), policy_pack, pips, audit=audit, pseudonym_key=key)
+        else:
+            monitor, _ = make_monitor(policy_pack, at, key=key, audit=audit)
         response_bytes, record = monitor.handle_request(raw, session)
     assert response_bytes == expected
     response, _view = parse_response(response_bytes)
@@ -1218,11 +1245,13 @@ def test_a_limit_duration_past_the_calendar_denies_with_one_audit_record(tmp_pat
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
 
 
-def test_a_boolean_limit_duration_denies_with_one_audit_record(tmp_path):
+@pytest.mark.parametrize("parameters", [
     # A boolean is no duration, although Python counts True as the int 1.
-    duration = Obligation(
-        "limit-duration", Effect.PERMIT, (("duration-seconds", AttributeValue(DataType.BOOLEAN, True)),)
-    )
+    (("duration-seconds", AttributeValue(DataType.BOOLEAN, True)),),
+    (("seconds", AttributeValue(DataType.INTEGER, 60)),),
+], ids=["boolean", "missing"])
+def test_a_boolean_limit_duration_denies_with_one_audit_record(tmp_path, parameters):
+    duration = Obligation("limit-duration", Effect.PERMIT, parameters)
     permit = document(policy("p", [rule("r", Effect.PERMIT)], obligations=(duration,)))
     with AuditLog(tmp_path / "audit.log") as audit:
         monitor = ReferenceMonitor(
@@ -1235,6 +1264,24 @@ def test_a_boolean_limit_duration_denies_with_one_audit_record(tmp_path):
     assert response.trace[-1].reason == "obligation-failure:limit-duration needs an integer duration-seconds"
     assert view is None
     assert (tmp_path / "audit.log").read_text() == record.to_line() + "\n"
+
+
+@pytest.mark.parametrize("first,second", [(60, 3_600), (3_600, 60)])
+def test_the_earliest_limit_duration_sets_the_expiry_in_either_order(tmp_path, first, second):
+    permits = [
+        document(policy(f"p{seconds}", [rule(f"r{seconds}", Effect.PERMIT)], obligations=(Obligation(
+            "limit-duration", Effect.PERMIT, (("duration-seconds", AttributeValue(DataType.INTEGER, seconds)),)
+        ),)))
+        for seconds in (first, second)
+    ]
+    with AuditLog(tmp_path / "audit.log") as audit:
+        monitor = ReferenceMonitor(
+            PolicyDecisionPoint(), permits, make_bundle("2026-03-10T13:40:00Z"), audit=audit, pseudonym_key=KEY
+        )
+        response_bytes, _record = monitor.handle_request(wire_request(), GOOD_SESSION)
+    response, view = parse_response(response_bytes)
+    assert (response.decision, response.obligation_ids) == (Decision.PERMIT, ("limit-duration",) * 2)
+    assert view.expires_at == parse_instant("2026-03-10T13:41:00Z")
 
 
 @pytest.mark.parametrize("key", [None, KEY])

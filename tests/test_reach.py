@@ -38,3 +38,30 @@ def test_reach_counts_a_reached_and_an_unreached_statement(tmp_path):
     # body that runs at import counts as reached.
     assert (result["pytest_exit"], result["statements"], result["reached"], result["unreached"]) == (0, 2, 1, 1)
     assert result["unreached_lines"] == {"__init__.py": [10]}
+
+
+def test_reach_writes_nothing_when_a_source_changes_during_the_run(tmp_path):
+    # A docstring edited mid-run shifts the lines after it, so line events
+    # recorded on the old text would land on other statements.
+    package = tmp_path / "tiny"
+    package.mkdir()
+    (package / "__init__.py").write_text("def one():\n    return 1\n")
+    (tmp_path / "test_tiny.py").write_text(
+        "from pathlib import Path\n"
+        "\n"
+        "import tiny\n"
+        "\n"
+        "\n"
+        "def test_one_then_an_edit():\n"
+        "    assert tiny.one() == 1\n"
+        "    source = Path(tiny.__file__)\n"
+        "    source.write_text('def one():\\n    \"\"\"One.\"\"\"\\n    return 1\\n')\n"
+    )
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--label", "tiny", "--source", str(package), "--out-dir", str(tmp_path),
+         "--", "-q", "-p", "no:cacheprovider", "test_tiny.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "sources changed during the run, no report written: __init__.py" in run.stderr
+    assert not (tmp_path / "REACH_tiny.json").exists()

@@ -19,6 +19,10 @@ for a decorated `def`) up to the line before its first nested statement,
 or its last line when it has none. A function's docstring and `global` and
 `nonlocal` declarations compile to no code, so they are not counted.
 
+The statements are found before the run. A source file whose bytes differ
+after it, or that appeared or went during it, would map the line events
+onto other lines, so the tool then exits with an error and writes nothing.
+
 Writes `REACH_<label>.json` in `--out-dir` (default: the working directory):
 the pytest exit code, the statements counted and reached, the unreached
 count per file, and each unreached statement's first line. The tracer makes
@@ -90,10 +94,11 @@ class Reinstall:
         self.tracer.install()
 
 
-def statements(path: Path) -> dict[int, tuple[int, int]]:
-    """The statements inside the function bodies of a file, by first line,
-    each with the span of its own lines (see the module docstring)."""
-    tree = ast.parse(path.read_bytes(), filename=str(path))
+def statements(source: bytes, path: Path) -> dict[int, tuple[int, int]]:
+    """The statements inside the function bodies of a file's source, by
+    first line, each with the span of its own lines (see the module
+    docstring)."""
+    tree = ast.parse(source, filename=str(path))
     functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     docstrings = {id(function.body[0]) for function in functions if ast.get_docstring(function, clean=False) is not None}
     found: dict[int, tuple[int, int]] = {}
@@ -119,6 +124,8 @@ def reach(source: Path, pytest_args: list[str]) -> dict:
     )
     if early:
         raise SystemExit(f"imported before the hook was installed: {', '.join(early)}")
+    texts = {path: path.read_bytes() for path in sorted(source.rglob("*.py"))}
+    spans = {path: statements(text, path) for path, text in texts.items()}
     tracer = Tracer(source)
     previous = sys.gettrace(), threading.gettrace()
     started = time.perf_counter()
@@ -129,13 +136,19 @@ def reach(source: Path, pytest_args: list[str]) -> dict:
         sys.settrace(previous[0])
         threading.settrace(previous[1])
     seconds = time.perf_counter() - started
+    changed = sorted(
+        path.relative_to(source).as_posix() for path in set(texts) | set(source.rglob("*.py"))
+        if not path.is_file() or path.read_bytes() != texts.get(path)
+    )
+    if changed:
+        raise SystemExit(f"sources changed during the run, no report written: {', '.join(changed)}")
 
     counted = reached = 0
     unreached: dict[str, list[int]] = {}
-    for path in sorted(source.rglob("*.py")):
+    for path, found in spans.items():
         ran = tracer.lines.get(str(path), set())
         missed = []
-        for first, (start, end) in sorted(statements(path).items()):
+        for first, (start, end) in sorted(found.items()):
             counted += 1
             if any(line in ran for line in range(start, end + 1)):
                 reached += 1
