@@ -75,6 +75,17 @@ class ProximityToken:
         if self.method not in TOKEN_METHODS:
             raise ValueError(f"unknown proximity method {self.method!r}")
 
+    @classmethod
+    def _checked(cls, customer: str, verified_at: dt.datetime, method: str) -> "ProximityToken":
+        """A token whose method the caller has checked to be one of
+        `TOKEN_METHODS`, built without checking it again."""
+        made = object.__new__(cls)
+        setattr = object.__setattr__
+        setattr(made, "customer", customer)
+        setattr(made, "verified_at", verified_at)
+        setattr(made, "method", method)
+        return made
+
 
 class IdentityRegistry:
     """The identities by id. `customers`, the ids of the customer

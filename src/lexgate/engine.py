@@ -60,7 +60,7 @@ from .combining import STANDARD, combine
 from .context.bundle import PipBundle
 from .context.clock import local_time
 from .context.attributes import PER_EVALUATION, RESERVED, RESERVED_ATTRIBUTES
-from .context.identity import ProximityToken
+from .context.identity import TOKEN_METHODS, IdentityKind, ProximityToken
 from .context.resources import ResourceRecord
 from .errors import LexgateError, PrecisionError
 from .instant import parse_instant
@@ -149,6 +149,12 @@ _MEMBER_BAGS = {
 }
 
 
+# The (key, bag) pair of the subject's kind, per identity kind, and the key
+# of the destination's bag, built once.
+_KIND_PAIRS = {kind: ((Category.SUBJECT, "kind"), _MEMBER_BAGS[kind]) for kind in IdentityKind}
+_DESTINATION_KEY = (Category.ENVIRONMENT, "destination-country")
+
+
 class RequestFacts(NamedTuple):
     """What the context build reads of a request alone, with the bundle's
     load-time stores (`PolicyDecisionPoint.facts`). It holds nothing that
@@ -168,8 +174,8 @@ class RequestFacts(NamedTuple):
     resource_id: Optional[str]
     # The catalog record (`ResourceCatalog.lookup`).
     record: Optional[ResourceRecord]
-    # The request's destination, else the record's host, else the default
-    # host; None when none of them is known.
+    # The record's host; without a record, the request's destination,
+    # else the default host; None when none of them is known.
     destination: Optional[str]
     # The reserved bags the request alone fixes, as (key, bag) pairs like
     # the catalog's: the record's trusted pairs, then the subject's kind
@@ -418,33 +424,40 @@ class PolicyDecisionPoint:
         bundle's load-time stores: the same for every evaluation of the
         request with `pips`."""
         subject_id = request.subject_id()
-        subject = pips.identities.get(subject_id) if subject_id else None
+        kind = pips.identities.kind_of(subject_id) if subject_id else None
         resource_id = request.resource_id()
         record, bags = pips.resources.lookup(resource_id)
-        if subject is not None:
-            bags += (((Category.SUBJECT, "kind"), _MEMBER_BAGS[subject.kind]),)
-        destination = request.destination_country or (record.host_country if record else pips.resources.default_host)
+        if kind is not None:
+            bags += (_KIND_PAIRS[kind],)
+        # A resource the catalog holds is where its record hosts it, so no
+        # request line can drop the host's legislation; a line names the
+        # destination only of a resource the catalog does not hold.
+        if record is not None:
+            destination = record.host_country
+        else:
+            destination = request.destination_country or pips.resources.default_host
         if destination is not None:
             bag = pips.zones.country_bags.get(destination) or (AttributeValue._trusted(DataType.COUNTRY_CODE, destination),)
-            bags += (((Category.ENVIRONMENT, "destination-country"), bag),)
+            bags += ((_DESTINATION_KEY, bag),)
         # Tokens travel as environment attributes 'customer|method|instant';
-        # one that is not a string of three fields, or does not parse, is
-        # skipped.
-        tokens = []
+        # one that is not a string of three fields, names an unknown
+        # method, or whose instant does not parse, is skipped.
+        tokens = ()
         for attribute_id, value in request.environment:
             if attribute_id != PROXIMITY_TOKEN or value.data_type is not DataType.STRING:
                 continue
             pieces = value.value.split("|")
-            if len(pieces) != 3:
+            if len(pieces) != 3 or pieces[1] not in TOKEN_METHODS:
                 continue
-            customer, method, verified_at = pieces
+            customer, method, instant = pieces
             try:
-                tokens.append(ProximityToken(customer, parse_instant(verified_at), method))
+                verified_at = parse_instant(instant)
             except ValueError:
                 continue
+            tokens += (ProximityToken._checked(customer, verified_at, method),)
         # tuple.__new__ skips the generated __new__, a Python call per body.
         return tuple.__new__(
-            RequestFacts, (request, subject_id, resource_id, record, destination, bags, tuple(tokens), {})
+            RequestFacts, (request, subject_id, resource_id, record, destination, bags, tokens, {})
         )
 
     def _build_context(

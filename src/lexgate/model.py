@@ -104,20 +104,30 @@ class AttributeValue:
                 f"{self.data_type.value} value must be {expected.__name__}, "
                 f"got {type(self.value).__name__}"
             )
-        if self.data_type is DataType.COUNTRY_CODE and not _COUNTRY_CODE_RE.match(self.value):
-            raise ValueError(f"country code must be uppercase ISO-3166 alpha-2: {self.value!r}")
+        if self.data_type is DataType.COUNTRY_CODE:
+            check_country_code(self.value)
         if self.data_type is DataType.DATE and isinstance(self.value, dt.datetime):
             raise TypeError("date value must be a plain date")
 
     @classmethod
     def _trusted(cls, data_type: DataType, value: object) -> "AttributeValue":
-        """A value the engine derives itself from loaded stores, built
-        without the payload checks; parsed values always take them."""
+        """A value whose payload is known to be of the data type's Python
+        type, built without the payload checks: one the engine derives
+        from loaded stores, or one `parse_typed_value` has just made. The
+        fields are set as `__init__` sets them; reading `__dict__` would
+        give the value a dict of its own, some 60 bytes more."""
         made = object.__new__(cls)
-        fields = made.__dict__
-        fields["data_type"] = data_type
-        fields["value"] = value
+        object.__setattr__(made, "data_type", data_type)
+        object.__setattr__(made, "value", value)
         return made
+
+
+def check_country_code(text: str) -> str:
+    """The text, when it is an uppercase ISO-3166 alpha-2 code, the
+    payload of a country-code value; else ValueError."""
+    if not _COUNTRY_CODE_RE.match(text):
+        raise ValueError(f"country code must be uppercase ISO-3166 alpha-2: {text!r}")
+    return text
 
 
 @dataclass(frozen=True)
@@ -510,6 +520,9 @@ _STRING_EQUAL = "function:string-equal"
 # Condition/match functions every engine instance registers; those without
 # a signature (and, or, and location-match over strings) give a boolean.
 BUILTIN_FUNCTIONS = ("function:and", "function:or", *SIGNATURES, _LOCATION_MATCH)
+# Those a match clause may apply to a request value and its literal: all but
+# and and or, which the engine evaluates as special forms of a condition.
+MATCH_FUNCTIONS = (*SIGNATURES, _LOCATION_MATCH)
 
 
 def operand_type(expr: ConditionExpr) -> Optional[tuple[type, bool]]:
@@ -628,7 +641,8 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
 
     Returns every violation found (an empty list iff the document is
     well-formed). Functions and combiners are checked against
-    BUILTIN_FUNCTIONS and STANDARD_COMBINERS, and a built-in application
+    BUILTIN_FUNCTIONS (MATCH_FUNCTIONS for a match clause's) and
+    STANDARD_COMBINERS, and a built-in application
     or match clause against its signature (`fits`; `_strings_only` for
     location-match), and every read of a reserved attribute against what
     its supplier gives (`_reserved_violations`). known_scopes is the
@@ -665,18 +679,19 @@ def validate_document(doc: PolicyDocument, *, known_scopes=None) -> list[Violati
                 if node.kind is NodeKind.POLICY_SET and child.kind is NodeKind.RULE:
                     violations.append(Violation("policy-set-contains-rule", node.id))
 
-        # Each function application with its operands' types; a clause
-        # applies its function to a request value and the literal.
+        # Each function application with the functions it may name and its
+        # operands' types; a clause applies its function to a request value
+        # and the literal.
         applications = [
-            (clause.match_function, (None, (type(clause.literal.value), False)))
+            (clause.match_function, MATCH_FUNCTIONS, (None, (type(clause.literal.value), False)))
             for _, clauses in node.target.sections()
             for clause in clauses
         ] + [
-            (application.function, [operand_type(arg) for arg in application.args])
+            (application.function, BUILTIN_FUNCTIONS, [operand_type(arg) for arg in application.args])
             for application in _applications(node.condition)
         ]
-        for fn, operands in applications:
-            if fn not in BUILTIN_FUNCTIONS:
+        for fn, known, operands in applications:
+            if fn not in known:
                 violations.append(Violation(f"unknown-function:{fn}", node.id))
             elif not _well_typed(fn, operands):
                 violations.append(Violation(f"ill-typed:{fn}", node.id))

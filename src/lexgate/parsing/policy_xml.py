@@ -35,6 +35,7 @@ from ..model import (
     PolicyNode,
     AttributeSelector,
     Target,
+    check_country_code,
     is_one_field,
     is_wire_text,
 )
@@ -132,8 +133,11 @@ def parse_geo_point(text: str) -> GeoPoint:
 
 def parse_typed_value(data_type: DataType, text: str) -> AttributeValue:
     """Build a typed literal; ValueError/TypeError mean the text does not
-    inhabit the declared type."""
-    raw = text.strip()
+    inhabit the declared type (TypeError also that it is not a str). Each
+    branch makes a payload of the type's Python type, so the value is
+    built without checking it again (`AttributeValue._trusted`); a
+    country code is checked against its pattern here."""
+    raw = str.strip(text)
     if data_type is DataType.STRING or data_type is DataType.IDENTIFIER:
         value: object = raw
     elif data_type is DataType.TIME_OF_DAY:
@@ -149,10 +153,10 @@ def parse_typed_value(data_type: DataType, text: str) -> AttributeValue:
     elif data_type is DataType.GEO_POINT:
         value = parse_geo_point(raw)
     elif data_type is DataType.COUNTRY_CODE:
-        value = raw
+        value = check_country_code(raw)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unhandled data type {data_type}")
-    return AttributeValue(data_type, value)
+    return AttributeValue._trusted(data_type, value)
 
 
 def format_typed_value(value: AttributeValue) -> str:

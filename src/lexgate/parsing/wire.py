@@ -47,8 +47,8 @@ CURRENT_POSITION = "current-position"
 PROXIMITY_TOKEN = "proximity-token"
 
 # A category's wire token, the first word of its attribute lines, is also
-# the name of its bag in a RequestContext.
-_BAG_TOKENS = tuple(c.value for c in Category)
+# the name of its bag in a RequestContext; by its place among the bags.
+_BAG_INDEX = {c.value: index for index, c in enumerate(Category)}
 # Category -> its bag of a RequestContext; reading `Category.value` is an
 # Enum property call, several times slower than the lookup.
 _CATEGORY_BAG = {c: operator.attrgetter(c.value) for c in Category}
@@ -85,6 +85,31 @@ class RequestContext:
         object.__setattr__(self, "_subject_id", _first_id(self.subject, SUBJECT_ID))
         object.__setattr__(self, "_resource_id", _first_id(self.resource, RESOURCE_ID))
         object.__setattr__(self, "_action_id", _first_id(self.action, ACTION_ID))
+
+    @classmethod
+    def _parsed(
+        cls,
+        subject: tuple[Attribute, ...],
+        resource: tuple[Attribute, ...],
+        action: tuple[Attribute, ...],
+        environment: tuple[Attribute, ...],
+        source_location: Optional[LocationReport],
+        destination_country: Optional[str],
+    ) -> "RequestContext":
+        """The request `parse_request` read, built in one call: the fields
+        and the three ids set as `__init__` and `__post_init__` set them."""
+        made = object.__new__(cls)
+        setattr = object.__setattr__
+        setattr(made, "subject", subject)
+        setattr(made, "resource", resource)
+        setattr(made, "action", action)
+        setattr(made, "environment", environment)
+        setattr(made, "source_location", source_location)
+        setattr(made, "destination_country", destination_country)
+        setattr(made, "_subject_id", _first_id(subject, SUBJECT_ID))
+        setattr(made, "_resource_id", _first_id(resource, RESOURCE_ID))
+        setattr(made, "_action_id", _first_id(action, ACTION_ID))
+        return made
 
     def category(self, category: Category) -> tuple[Attribute, ...]:
         return _CATEGORY_BAG[category](self)
@@ -172,9 +197,7 @@ class _LocationAccumulator:
             raise WireFormatError(f"duplicate location field {key!r} on line {line_no}")
         self.fields[key] = value
 
-    def build(self) -> Optional[LocationReport]:
-        if not self.fields:
-            return None
+    def build(self) -> LocationReport:
         required = ("country", "city", "zone", "timezone", "point")
         missing = [k for k in required if k not in self.fields]
         if missing:
@@ -218,19 +241,10 @@ def _parse_attribute_line(line: str, line_no: int) -> Attribute:
 
 
 # The line memo (`model.Memo`) and the longest line it keeps, in characters.
+# It maps an attribute line to its bag's index and its attribute: the id
+# and the value are immutable.
 _LINES = Memo(256, doorkeeper=True)
 _LONGEST_LINE_HELD = 512
-
-
-def _parse_attribute(line: str, line_no: int) -> Attribute:
-    """`_parse_attribute_line`, through the line memo for a line no longer
-    than `_LONGEST_LINE_HELD`: the id and the value are immutable."""
-    if len(line) > _LONGEST_LINE_HELD:
-        return _parse_attribute_line(line, line_no)
-    attribute = _LINES.get(line)
-    if attribute is None:
-        attribute = _LINES.put(line, _parse_attribute_line(line, line_no))
-    return attribute
 
 
 def parse_request(data: bytes | str) -> RequestContext:
@@ -240,30 +254,46 @@ def parse_request(data: bytes | str) -> RequestContext:
     if lines[-1] != "end":
         raise WireFormatError("request must finish with an 'end' line")
 
-    bags: dict[str, list[Attribute]] = {token: [] for token in _BAG_TOKENS}
-    location = _LocationAccumulator()
+    # The bags in field order, as `_BAG_INDEX` numbers them.
+    bags: tuple[list[Attribute], ...] = ([], [], [], [])
+    location: Optional[_LocationAccumulator] = None
     destination: Optional[str] = None
+    memo = _LINES
+    held = memo.get
 
+    # Each line is looked up in the line memo once, before it is split; a
+    # line the memo holds is an attribute line read before.
     for line_no, line in enumerate(lines[1:-1], start=2):
+        attribute = held(line)
+        if attribute is not None:
+            bags[attribute[0]].append(attribute[1])
+            continue
         head, _, rest = line.partition(" ")
-        bag = bags.get(head)
-        if bag is not None:
-            bag.append(_parse_attribute(line, line_no))
+        index = _BAG_INDEX.get(head)
+        if index is not None:
+            attribute = _parse_attribute_line(line, line_no)
+            if len(line) <= _LONGEST_LINE_HELD:
+                memo.put(line, (index, attribute))
+            bags[index].append(attribute)
         elif head == "destination-country":
             try:
                 destination = _check_country(rest, "destination country")
             except WireFormatError as exc:
                 raise WireFormatError(f"bad destination-country on line {line_no}: {exc}") from None
         elif head == "location":
+            if location is None:
+                location = _LocationAccumulator()
             location.feed(rest, line_no)
         else:
             raise WireFormatError(f"unknown line kind {head!r} on line {line_no}")
 
-    if not bags[Category.SUBJECT.value]:
+    subject, resource, action, environment = bags
+    if not subject:
         raise MissingCategoryError("request carries no subject attributes")
-
-    # The bags in field order: _BAG_TOKENS follows Category, as do the fields.
-    return RequestContext(*map(tuple, bags.values()), location.build(), destination)
+    return RequestContext._parsed(
+        tuple(subject), tuple(resource), tuple(action), tuple(environment),
+        None if location is None else location.build(), destination,
+    )
 
 
 def serialize_request(request: RequestContext) -> bytes:

@@ -101,6 +101,20 @@ def test_validate_reports_an_ill_typed_application(capsys, tmp_path, fixtures_ro
     ]
 
 
+def test_validate_refuses_a_special_form_as_a_match_function(capsys, tmp_path, fixtures_root):
+    # A clause that names function:and fails on every evaluation with
+    # target-error, so validate reports it and exits 1.
+    policy_dir = tmp_path / "policies"
+    policy_dir.mkdir()
+    original = (fixtures_root / "policies" / "legislation-lu.xml").read_text()
+    clause = '<Match AttributeId="category" MatchId="function:string-equal">'
+    assert original.count(clause) == 1
+    (policy_dir / "mutant.xml").write_text(original.replace(clause, clause.replace("string-equal", "and")))
+    code, out, _ = run_cli(capsys, "validate", str(policy_dir))
+    assert code == 1
+    assert out.splitlines() == ["mutant.xml:1: LUStrategicExportControl: unknown-function:function:and"]
+
+
 def test_validate_empty_directory_warns_and_succeeds(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", str(tmp_path))
     assert code == 0

@@ -4,6 +4,7 @@ import datetime as dt
 import gc
 import pickle
 import random
+import shutil
 import sys
 import threading
 import tracemalloc
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 import engine_oracle
 from conftest import make_bundle, wire_request
 from lexgate import engine as engine_module
+from lexgate.context.bundle import load_bundle
+from lexgate.context.clock import FixedClock
 from lexgate.context.diary import TaskAssessment
 from lexgate.context.identity import IdentityKind, Relationship
 from lexgate.context.zones import ZoneTree
@@ -372,11 +375,39 @@ def test_ignore_tags_never_flips_deny_to_permit_over_random_forests(engine):
 
 @pytest.mark.parametrize("mode", ["aware", "ignore-tags"])
 def test_an_undeclared_destination_country_is_refused_in_both_modes(engine, policy_pack, mode):
-    # Ignoring the tags still selects the request's scopes, which fails.
-    request = parse_request(wire_request(point=LONDON_POINT, extra_lines=("destination-country XX",)))
+    # Ignoring the tags still selects the request's scopes, which fails. The
+    # catalog does not hold the resource, so the line names its destination.
+    request = parse_request(
+        wire_request(resource="caller/1", point=LONDON_POINT, extra_lines=("destination-country XX",))
+    )
     response = engine.evaluate(engine.compile(policy_pack), request, make_bundle(NOON), legislation_mode=mode)
     assert (response.decision, response.status) == (Decision.INDETERMINATE, STATUS_PROCESSING_ERROR)
     assert response.trace[-1] == TraceRecord("<context>", Decision.INDETERMINATE, "unknown legal scope 'XX'")
+
+
+def test_a_request_line_cannot_move_a_catalogued_resource_abroad(engine, policy_pack, tmp_path, fixtures_root):
+    # cust/4711/portfolio hosted in DE: c.miller reads it from Zurich with a
+    # fresh proximity token, and the DE lockdown denies. Naming CH as the
+    # destination dropped the DE scope and turned the Deny into a Permit;
+    # the catalog's host stays the destination.
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(fixtures_root, fixtures)
+    resources = fixtures / "resources.txt"
+    hosted = "resource id=cust/4711/portfolio host=LU"
+    assert resources.read_text().count(hosted) == 1
+    resources.write_text(resources.read_text().replace(hosted, hosted.replace("LU", "DE")))
+    pips = load_bundle(fixtures, clock=FixedClock(parse_instant("2026-03-10T13:40:00Z")))
+    forest = engine.compile(policy_pack)
+
+    def decide(*extra_lines):
+        raw = wire_request(resource="cust/4711/portfolio", point="47.3769 8.5417", tokens=("cust:4711",),
+                           token_at="2026-03-10T13:35:00Z", extra_lines=extra_lines)
+        return engine.evaluate(forest, parse_request(raw), pips)
+
+    hosted_response = decide()
+    assert hosted_response.decision is Decision.DENY
+    assert TraceRecord("DECustomerDataLockdown", Decision.DENY, "combined:deny-overrides") in hosted_response.trace
+    assert decide("destination-country CH") == hosted_response
 
 
 # -- purity and snapshots ----------------------------------------------------------
@@ -974,7 +1005,7 @@ def test_trusted_bags_are_shared_and_immutable(engine):
         engine_module._MEMBER_BAGS[ZoneKind.RESTRICTED][0].value = "unrestricted"
     # A destination the zone tree does not hold, as a caller may name one,
     # gets an equal bag made per request.
-    named = parse_request(wire_request(resource="cust/4711/portfolio", point="47.36 8.53",
+    named = parse_request(wire_request(resource="caller/1", point="47.36 8.53",
                                        extra_lines=("destination-country ZZ",)))
     one, two = (engine._build_context(named, pips) for _ in range(2))
     key = (Category.ENVIRONMENT, "destination-country")

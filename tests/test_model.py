@@ -317,6 +317,17 @@ def test_ill_typed_match_clauses_are_reported(function, literal, codes):
     assert [v.code for v in validate_document(mutated, known_scopes=KNOWN_SCOPES)] == codes
 
 
+@pytest.mark.parametrize("function", ["function:and", "function:or"])
+def test_a_special_form_as_a_match_function_is_unknown(function):
+    # and and or are special forms of a condition: a clause naming one
+    # fails on every evaluation with target-error, so validate refuses it.
+    target = Target(actions=(MatchClause("action-id", function, AttributeValue(DataType.STRING, "read")),))
+    mutated = _mutate(_well_formed_doc(), "p1", target=target)
+    assert [v.code for v in validate_document(mutated, known_scopes=KNOWN_SCOPES)] == [f"unknown-function:{function}"]
+    # The functions a clause may name are those the engine applies to one.
+    assert set(model.MATCH_FUNCTIONS) == set(engine._BUILTINS)
+
+
 def test_generated_forest_documents_are_clean(tmp_path):
     # The benchmark's forest-600 documents compare string-one-and-only of a
     # country-code selector with a country-code literal.

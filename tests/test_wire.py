@@ -1,5 +1,8 @@
 import dataclasses
 import datetime as dt
+import gc
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from lexgate.model import (
     Effect,
     GeoPoint,
     Obligation,
+    Memo,
     ResponseContext,
     TraceRecord,
     STATUS_PROCESSING_ERROR,
@@ -20,6 +24,7 @@ from lexgate.model import (
 )
 from lexgate.parsing import wire
 from lexgate.parsing.location_xml import LocationReport, ZoneKind
+from lexgate.parsing.policy_xml import parse_typed_value
 from lexgate.parsing.wire import (
     RequestContext,
     ViewMode,
@@ -397,9 +402,134 @@ def test_the_line_memo_changes_no_result(data):
     wire._LINES.clear()
     cold = _parsed(data)
     warm = _parsed(data)  # every line the memo keeps is in it now
+    hot = _parsed(data)  # and each is read from it
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wire, "_LINES", Memo(256, doorkeeper=True))
         patch.setattr(wire, "_LONGEST_LINE_HELD", -1)  # no line is kept
         unkept = _parsed(data)
-    assert cold == warm == unkept
+        assert not wire._LINES
+    assert cold == warm == hot == unkept
     if isinstance(cold, RequestContext):  # what the parser accepts, it can write back
         assert parse_request(serialize_request(cold)) == cold
+
+
+@settings(max_examples=150)
+@given(wire_requests())
+def test_a_parsed_request_is_the_one_its_constructors_build(data):
+    # parse_request builds the request and its values without their
+    # constructors' checks; the constructors accept what it builds.
+    request = _parsed(data)
+    if not isinstance(request, RequestContext):
+        return
+    built = RequestContext(
+        request.subject, request.resource, request.action, request.environment,
+        request.source_location, request.destination_country,
+    )
+    assert built == request
+    assert (built.subject_id(), built.resource_id(), built.action_id()) == (
+        request.subject_id(), request.resource_id(), request.action_id()
+    )
+    for category in Category:
+        for _attribute_id, value in request.category(category):
+            assert AttributeValue(value.data_type, value.value) == value
+
+
+@pytest.mark.parametrize(
+    "data_type,text",
+    [
+        (DataType.STRING, " sparkly  unicorn "),
+        (DataType.IDENTIFIER, "c.miller"),
+        (DataType.TIME_OF_DAY, "08:00:00"),
+        (DataType.DATE, "2026-03-10"),
+        (DataType.INTEGER, "-600"),
+        (DataType.BOOLEAN, "false"),
+        (DataType.GEO_POINT, "51.507861 -0.099349"),
+        (DataType.COUNTRY_CODE, "LU"),
+    ],
+)
+def test_a_parsed_value_is_the_one_its_constructor_builds(data_type, text):
+    value = parse_typed_value(data_type, text)
+    assert value == AttributeValue(data_type, value.value)
+    assert type(value.value) is type(AttributeValue(data_type, value.value).value)
+
+
+def test_a_parsed_country_code_keeps_its_pattern_check():
+    message = "country code must be uppercase ISO-3166 alpha-2: 'lu'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AttributeValue(DataType.COUNTRY_CODE, "lu")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_typed_value(DataType.COUNTRY_CODE, " lu ")
+    with pytest.raises(TypeError):
+        parse_typed_value(DataType.STRING, b"read")
+
+
+def _bytes_held(make, count=2_000):
+    """What the `count` objects `make(i)` returns hold, as tracemalloc sees
+    it: the traced bytes that go when the list of them is dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        made = [make(i) for i in range(count)]
+        gc.collect()  # what a tracer's frames left behind
+        held = tracemalloc.get_traced_memory()[0]
+        del made
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parsed_values_and_requests_are_no_larger_than_constructor_built_ones():
+    # Under CPython 3.11 a value or request whose `__dict__` is read gets a
+    # dict of its own, some 60 bytes more than one whose fields are set as
+    # its constructor sets them. A byte per object is left for the
+    # allocator's own slack.
+    slack = 2_000
+    texts = [f"note-{i}" for i in range(2_000)]
+    built = _bytes_held(lambda i: AttributeValue(DataType.STRING, texts[i]))
+    assert _bytes_held(lambda i: parse_typed_value(DataType.STRING, texts[i])) <= built + slack
+    assert _bytes_held(lambda i: AttributeValue._trusted(DataType.STRING, texts[i])) <= built + slack
+    # The body's lines are in the line memo, so a parse makes only the four
+    # bags and the request; the rebuilt request shares the parsed one's bags.
+    wire._LINES.clear()
+    for _ in range(3):
+        parse_request(SAMPLE)
+
+    def rebuilt(_i):
+        r = parse_request(SAMPLE)
+        return RequestContext(r.subject, r.resource, r.action, r.environment, r.source_location, r.destination_country)
+
+    _bytes_held(rebuilt)  # a warm-up
+    assert _bytes_held(lambda _i: parse_request(SAMPLE)) <= _bytes_held(rebuilt) + slack
+
+
+# -- parse_response refusals -------------------------------------------------------
+
+_DECIDED = "response\ndecision Permit\n"
+_OBLIGED = _DECIDED + "obligation limit-duration Permit\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("decision Permit\nend\n", "response must start with a 'response' line"),
+        ("", "response must start with a 'response' line"),
+        (_DECIDED, "response must finish with an 'end' line"),
+        ("response\ndecision Maybe\nend\n", "unknown decision on line 2: 'Maybe'"),
+        (_DECIDED + "obligation limit-duration\nend\n", "expected 'obligation <id> <effect>' on line 3"),
+        (_DECIDED + "obligation limit-duration Maybe\nend\n", "expected 'obligation <id> <effect>' on line 3"),
+        (_DECIDED + "param duration-seconds integer 60\nend\n", "param line before any obligation on line 3"),
+        (_OBLIGED + "param duration-seconds\nend\n", "expected 'param <name> <type> <value>' on line 4"),
+        (_OBLIGED + "param duration-seconds seconds 60\nend\n", "unknown data type 'seconds' on line 4"),
+        (_OBLIGED + "param duration-seconds integer sixty\nend\n", "bad param value on line 4: "),
+        (_DECIDED + "trace p1\nend\n", "expected 'trace <node> <decision> [reason]' on line 3"),
+        (_DECIDED + "trace p1 Maybe effect\nend\n", "unknown decision on line 3: 'Maybe'"),
+        (_DECIDED + "view cleartext\nend\n", "expected 'view <mode> <expires> <base64>' on line 3"),
+        (_DECIDED + "view cleartext - /w==\nend\n", "bad view payload on line 3: "),
+        (_DECIDED + "view cleartext - eA=\nend\n", "bad view payload on line 3: "),
+        (_DECIDED + "verdict Permit\nend\n", "unknown line kind 'verdict' on line 3"),
+    ],
+)
+def test_each_malformed_response_line_is_refused_with_its_reason(text, message):
+    with pytest.raises(WireFormatError, match="^" + re.escape(message)):
+        parse_response(text)
